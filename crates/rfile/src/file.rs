@@ -1,83 +1,125 @@
 //! The remote file: Table 2's five operations over leased MRs.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use remem_broker::{BrokerError, Lease, MemoryBroker};
-use remem_net::{
-    Fabric, MrHandle, NetError, Protocol, PushdownRequest, ReadSge, ServerId, WorkRequest, WriteSge,
-};
+use remem_net::{Fabric, MrHandle, NetError, Protocol, ServerId};
 use remem_sim::metrics::Counter;
 use remem_sim::{Clock, FaultOrigin, MetricsRegistry, SimDuration, SimTime};
 use remem_storage::{Device, PartialAgg, PushdownProgram, StorageError, EVAL_PAGE_SIZE};
 
-use crate::config::{AccessMode, RFileConfig, RegistrationMode};
+use crate::config::{RFileConfig, RegistrationMode};
+use crate::engine::{self, same_mr, Batched, Located, Payload, Scalar};
 use crate::staging::StagingBuffers;
 
-/// Base backoff between self-heal (re-lease) attempts; doubles per failed
-/// attempt up to [`REPAIR_BACKOFF_CAP`] so a dead cluster isn't hammered
-/// with broker RPCs on every access.
-const REPAIR_BACKOFF_BASE: SimDuration = SimDuration::from_millis(1);
-const REPAIR_BACKOFF_CAP: SimDuration = SimDuration::from_secs(5);
-/// Safety valve: fatal-fault heal attempts per I/O call before giving up.
-const MAX_HEALS_PER_IO: u32 = 4;
-/// Attempts to zero a freshly re-leased stripe before giving up (the range
-/// is reported lost either way, so caches above discard it).
-const ZERO_ATTEMPTS: u32 = 16;
+/// Any lower-layer failure that leaves the file unusable for now.
+pub(crate) fn unavailable(e: impl std::fmt::Display) -> StorageError {
+    StorageError::Unavailable(e.to_string())
+}
+
+/// One verb's telemetry: its span, and the op/byte counters and latency
+/// histogram it publishes into (a vectored verb shares its scalar twin's).
+struct VerbMetrics {
+    span: remem_sim::SpanId,
+    ops: Arc<Counter>,
+    bytes: Arc<Counter>,
+    lat: Arc<remem_sim::Histogram>,
+}
 
 /// Cached handles into an attached [`MetricsRegistry`]; resolved once at
-/// create time so per-I/O mirroring of the local counters is lock-free.
+/// create time so per-I/O publishing is lock-free.
 struct RfMetrics {
     registry: Arc<MetricsRegistry>,
-    read_ops: Arc<Counter>,
-    write_ops: Arc<Counter>,
-    read_bytes: Arc<Counter>,
-    write_bytes: Arc<Counter>,
-    read_lat: Arc<remem_sim::Histogram>,
-    write_lat: Arc<remem_sim::Histogram>,
-    retries: Arc<Counter>,
-    repairs: Arc<Counter>,
-    migrations: Arc<Counter>,
-    failovers: Arc<Counter>,
-    pushdown_ops: Arc<Counter>,
-    /// Reply payload bytes streamed back by pushdown scans.
-    pushdown_bytes: Arc<Counter>,
-    pushdown_lat: Arc<remem_sim::Histogram>,
+    read: VerbMetrics,
+    write: VerbMetrics,
+    read_vectored: VerbMetrics,
+    write_vectored: VerbMetrics,
+    /// `bytes` counts the reply payload streamed back by pushdown scans.
+    pushdown: VerbMetrics,
     /// Chunks that fell back to one-sided read + client eval because the
     /// donor's compute budget was exhausted.
     pushdown_fallbacks: Arc<Counter>,
-    read_span: remem_sim::SpanId,
-    write_span: remem_sim::SpanId,
-    read_vectored_span: remem_sim::SpanId,
-    write_vectored_span: remem_sim::SpanId,
-    pushdown_span: remem_sim::SpanId,
 }
 
 impl RfMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> RfMetrics {
+        let verb = |span: &str, stem: &str| VerbMetrics {
+            span: registry.span(span),
+            ops: registry.counter(&format!("{stem}.ops")),
+            bytes: registry.counter(&format!("{stem}.bytes")),
+            lat: registry.histogram(&format!("{stem}.lat")),
+        };
         RfMetrics {
-            read_ops: registry.counter("rfile.read.ops"),
-            write_ops: registry.counter("rfile.write.ops"),
-            read_bytes: registry.counter("rfile.read.bytes"),
-            write_bytes: registry.counter("rfile.write.bytes"),
-            read_lat: registry.histogram("rfile.read.lat"),
-            write_lat: registry.histogram("rfile.write.lat"),
-            retries: registry.counter("rfile.retries"),
-            repairs: registry.counter("rfile.repairs"),
-            migrations: registry.counter("rfile.migrations"),
-            failovers: registry.counter("rfile.failovers"),
-            pushdown_ops: registry.counter("rfile.pushdown.ops"),
-            pushdown_bytes: registry.counter("rfile.pushdown.bytes"),
-            pushdown_lat: registry.histogram("rfile.pushdown.lat"),
+            read: verb("rfile.read", "rfile.read"),
+            write: verb("rfile.write", "rfile.write"),
+            read_vectored: verb("rfile.read_vectored", "rfile.read"),
+            write_vectored: verb("rfile.write_vectored", "rfile.write"),
+            pushdown: verb("rfile.pushdown", "rfile.pushdown"),
             pushdown_fallbacks: registry.counter("rfile.pushdown.fallbacks"),
-            read_span: registry.span("rfile.read"),
-            write_span: registry.span("rfile.write"),
-            read_vectored_span: registry.span("rfile.read_vectored"),
-            write_vectored_span: registry.span("rfile.write_vectored"),
-            pushdown_span: registry.span("rfile.pushdown"),
             registry,
+        }
+    }
+}
+
+/// A recovery counter: kept locally for the file's accessors and mirrored
+/// into the attached registry's `name` (a private sink when none is).
+pub(crate) struct Tally {
+    local: Counter,
+    mirror: Arc<Counter>,
+}
+
+impl Tally {
+    fn new(registry: Option<&Arc<MetricsRegistry>>, name: &str) -> Tally {
+        Tally {
+            local: Counter::new(),
+            mirror: registry.map(|r| r.counter(name)).unwrap_or_default(),
+        }
+    }
+
+    pub(crate) fn incr(&self) {
+        self.local.incr();
+        self.mirror.incr();
+    }
+}
+
+/// A verb's telemetry span between [`RemoteFile::begin`] and
+/// [`RemoteFile::finish`]; `open` is `None` without an attached registry.
+struct OpenSpan<'f> {
+    t0: SimTime,
+    open: Option<(&'f RfMetrics, &'f VerbMetrics, remem_sim::SpanToken)>,
+}
+
+/// What one verb call completed, for [`RemoteFile::finish`] to publish.
+struct Done {
+    ops: u64,
+    bytes: u64,
+    /// Whether the call's latency is recorded: a scalar verb's only when it
+    /// succeeded, a vectored batch's always.
+    timed: bool,
+}
+
+impl Done {
+    /// One request, which moved `bytes` if it succeeded.
+    fn one<T>(res: &Result<T, StorageError>, bytes: u64) -> Done {
+        let ok = res.is_ok();
+        Done {
+            ops: ok as u64,
+            bytes: if ok { bytes } else { 0 },
+            timed: ok,
+        }
+    }
+
+    /// A batch of requests of `lens` bytes each.
+    fn batch(results: &[Result<(), StorageError>], lens: impl Iterator<Item = usize>) -> Done {
+        let ok = results.iter().zip(lens).filter(|(r, _)| r.is_ok());
+        let (ops, bytes) = ok.fold((0, 0), |(n, sum), (_, len)| (n + 1, sum + len as u64));
+        Done {
+            ops,
+            bytes,
+            timed: true,
         }
     }
 }
@@ -88,46 +130,48 @@ impl RfMetrics {
 /// swaps `mr`/`mr_off` (or splits the run into several sub-extents covering
 /// the same range) when a stripe is re-leased from a different donor.
 #[derive(Debug, Clone, Copy)]
-struct Extent {
+pub(crate) struct Extent {
     /// File offset this extent starts at.
-    start: u64,
+    pub(crate) start: u64,
     /// Bytes of file space it covers.
-    len: u64,
-    mr: MrHandle,
+    pub(crate) len: u64,
+    pub(crate) mr: MrHandle,
     /// Offset within `mr` where this extent's bytes begin.
-    mr_off: u64,
+    pub(crate) mr_off: u64,
 }
 
 /// Mutable file state behind one lock: the extent map and lease evolve
 /// together during repair, so they share a guard.
-struct FileState {
-    extents: Vec<Extent>,
-    lease: Lease,
+pub(crate) struct FileState {
+    pub(crate) extents: Vec<Extent>,
+    pub(crate) lease: Lease,
     /// Replica groups of a `k ≥ 2` file, one per extent slot in file order:
     /// `groups[i][0]` is the preferred (read) replica backing `extents[i]`.
     /// Empty for unreplicated files.
-    groups: Vec<Vec<MrHandle>>,
+    pub(crate) groups: Vec<Vec<MrHandle>>,
     /// Fencing epoch of `groups`, mirrored from the broker. A mismatch
     /// against the broker's epoch means membership changed and the extent
     /// map must be re-pointed before trusting any cached handle.
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// Byte ranges whose contents were lost and replaced with zeroed
     /// storage, awaiting collection via `Device::drain_lost_ranges`.
-    lost_ranges: Vec<(u64, u64)>,
+    pub(crate) lost_ranges: Vec<(u64, u64)>,
     /// Ranges already in `lost_ranges` and not yet drained: a stripe lost
     /// *again* while its heal is still awaiting collection must not be
     /// reported twice, or the cache above double-counts the invalidation.
-    pending_heal: BTreeSet<(u64, u64)>,
+    pub(crate) pending_heal: BTreeSet<(u64, u64)>,
     /// Earliest virtual time the next self-heal attempt is allowed.
-    next_repair: SimTime,
-    repair_backoff: SimDuration,
+    pub(crate) next_repair: SimTime,
+    pub(crate) repair_backoff: SimDuration,
 }
 
 impl FileState {
-    /// Record a lost byte range for `Device::drain_lost_ranges`, suppressing
-    /// duplicate reports of a range whose previous loss is still undrained.
-    fn report_lost(&mut self, start: u64, len: u64) {
-        if self.pending_heal.insert((start, len)) {
+    /// Record a lost stripe, clipped to the file's `size`, for
+    /// `Device::drain_lost_ranges`, suppressing duplicate reports of a range
+    /// whose previous loss is still undrained.
+    pub(crate) fn report_lost(&mut self, start: u64, len: u64, size: u64) {
+        let len = (start + len).min(size).saturating_sub(start);
+        if len > 0 && self.pending_heal.insert((start, len)) {
             self.lost_ranges.push((start, len));
         }
     }
@@ -135,7 +179,7 @@ impl FileState {
 
 /// Outcome of [`RemoteFile::read_pushdown`]: the compacted payload plus the
 /// accounting the planner and broker care about.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PushdownScan {
     /// Replies streamed in extent order: concatenated row encodings, or —
     /// when the program carries an aggregate — exactly one merged
@@ -150,6 +194,38 @@ pub struct PushdownScan {
     /// Chunks evaluated on the *client* after a one-sided read because the
     /// donor's compute budget was exhausted.
     pub fallback_chunks: u64,
+}
+
+impl PushdownScan {
+    /// Fold per-chunk scans, given in file order, into one.
+    fn fold<'a>(
+        chunks: impl Iterator<Item = &'a PushdownScan>,
+        program: &PushdownProgram,
+    ) -> PushdownScan {
+        let mut scan = PushdownScan::default();
+        let mut agg: Option<PartialAgg> = None;
+        for out in chunks {
+            scan.rows_scanned += out.rows_scanned;
+            scan.rows_matched += out.rows_matched;
+            scan.server_cpu += out.server_cpu;
+            scan.fallback_chunks += out.fallback_chunks;
+            if program.aggregate.is_some() {
+                // merge partials in extent order — deterministic floats
+                if let Some(part) = PartialAgg::decode(&out.payload) {
+                    match &mut agg {
+                        Some(a) => a.merge(&part),
+                        None => agg = Some(part),
+                    }
+                }
+            } else {
+                scan.payload.extend_from_slice(&out.payload);
+            }
+        }
+        if let Some(a) = agg {
+            a.encode(&mut scan.payload);
+        }
+        scan
+    }
 }
 
 /// Folded quorum accounting for one [`RemoteFile::write_tracked`] call:
@@ -170,84 +246,13 @@ pub struct QuorumAppend {
 }
 
 impl QuorumAppend {
-    fn fold(&mut self, q: &remem_net::QuorumWrite) {
+    pub(crate) fn fold(&mut self, q: &remem_net::QuorumWrite) {
         self.chunks += 1;
         self.acks += q.acks as u64;
         self.quorum = self.quorum.max(q.quorum);
         self.straggler_lag = self.straggler_lag.max(q.straggler_lag);
     }
 }
-
-/// One operation of the asynchronous submit/complete API
-/// ([`RemoteFile::submit`] / [`RemoteFile::complete`]). Buffers are owned by
-/// the op so a batch can be held across scheduler activations.
-#[derive(Debug)]
-pub enum IoOp {
-    /// Fill `buf` from file `offset`.
-    Read { offset: u64, buf: Vec<u8> },
-    /// Store `data` at file `offset`.
-    Write { offset: u64, data: Vec<u8> },
-}
-
-impl IoOp {
-    /// Convenience constructor: a read of `len` zero-initialized bytes.
-    pub fn read(offset: u64, len: usize) -> IoOp {
-        IoOp::Read {
-            offset,
-            buf: vec![0u8; len],
-        }
-    }
-
-    pub fn write(offset: u64, data: Vec<u8>) -> IoOp {
-        IoOp::Write { offset, data }
-    }
-}
-
-/// A batch recorded by [`RemoteFile::submit`], awaiting
-/// [`RemoteFile::complete`]. Submission charges no virtual time and moves no
-/// bytes; dropping an un-completed batch performs no I/O.
-#[must_use = "submitted I/O does nothing until complete() is called"]
-pub struct IoBatch {
-    ops: Vec<IoOp>,
-}
-
-impl IoBatch {
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-/// One queued chunk of a vectored read: which request it belongs to and the
-/// sub-slice of that request's buffer still unserved. Chunks split at extent
-/// boundaries and carry their own retry schedule, so one chunk backing off
-/// never stalls the rest of the batch.
-struct ReadChunk<'b> {
-    req: usize,
-    file_off: u64,
-    tries: u32,
-    not_before: SimTime,
-    buf: &'b mut [u8],
-}
-
-/// Write-side twin of [`ReadChunk`].
-struct WriteChunk<'b> {
-    req: usize,
-    file_off: u64,
-    tries: u32,
-    not_before: SimTime,
-    data: &'b [u8],
-}
-
-/// One located wave entry: `(request, file_off, tries, backing MR,
-/// offset-within-MR, buffer)` — the chunk after address translation, ready
-/// to be coalesced into a work request.
-type ReadWave<'b> = Vec<(usize, u64, u32, MrHandle, u64, &'b mut [u8])>;
-/// Write-side twin of [`ReadWave`].
-type WriteWave<'b> = Vec<(usize, u64, u32, MrHandle, u64, &'b [u8])>;
 
 /// A file whose bytes live in remote memory, accessed via RDMA.
 ///
@@ -274,21 +279,21 @@ type WriteWave<'b> = Vec<(usize, u64, u32, MrHandle, u64, &'b [u8])>;
 /// migrated off during the revocation grace window (no data loss), and a
 /// fully lost lease is re-acquired from scratch.
 pub struct RemoteFile {
-    fabric: Arc<Fabric>,
-    broker: Arc<MemoryBroker>,
-    local: ServerId,
-    cfg: RFileConfig,
-    size: u64,
-    state: Mutex<FileState>,
-    staging: StagingBuffers,
-    is_open: AtomicBool,
+    pub(crate) fabric: Arc<Fabric>,
+    pub(crate) broker: Arc<MemoryBroker>,
+    pub(crate) local: ServerId,
+    pub(crate) cfg: RFileConfig,
+    pub(crate) size: u64,
+    pub(crate) state: Mutex<FileState>,
+    pub(crate) staging: StagingBuffers,
+    pub(crate) is_open: AtomicBool,
     bytes_read: Counter,
     bytes_written: Counter,
-    retries: Counter,
-    repairs: Counter,
-    migrations: Counter,
-    failovers: Counter,
-    metrics: Option<Arc<RfMetrics>>,
+    pub(crate) retries: Tally,
+    pub(crate) repairs: Tally,
+    pub(crate) migrations: Tally,
+    pub(crate) failovers: Tally,
+    metrics: Option<RfMetrics>,
 }
 
 impl RemoteFile {
@@ -303,92 +308,26 @@ impl RemoteFile {
         cfg: RFileConfig,
     ) -> Result<RemoteFile, StorageError> {
         assert!(size > 0, "cannot create an empty remote file");
-        let lease = if cfg.replicas > 1 {
-            broker.request_replicated_lease(clock, local, size, cfg.replicas)
-        } else {
-            broker.request_lease(clock, local, size)
-        }
-        .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        if cfg.auto_renew {
-            // the holder's renewal daemon keeps the lease alive between
-            // accesses (idle files must not lapse mid-workload)
-            broker.enable_auto_renew(lease.id);
-        }
-        let (epoch, groups) = if cfg.replicas > 1 {
-            broker
-                .replica_view(lease.id)
-                .ok_or_else(|| StorageError::Unavailable("replica set missing".into()))?
-        } else {
-            (0, Vec::new())
-        };
-        let extents = if cfg.replicas > 1 {
-            Self::extents_from_groups(&groups)
-        } else {
-            Self::extents_from(&lease.mrs)
-        };
+        let state = FileState::acquire(clock, &broker, local, size, &cfg, unavailable)?;
         let staging = StagingBuffers::new(cfg.schedulers, cfg.staging_bytes, 8192);
+        let registry = cfg.metrics.as_ref();
         Ok(RemoteFile {
             fabric,
             broker,
             local,
             size,
-            state: Mutex::new(FileState {
-                extents,
-                lease,
-                groups,
-                epoch,
-                lost_ranges: Vec::new(),
-                pending_heal: BTreeSet::new(),
-                next_repair: SimTime::ZERO,
-                repair_backoff: REPAIR_BACKOFF_BASE,
-            }),
+            state: Mutex::new(state),
             staging,
             is_open: AtomicBool::new(false),
             bytes_read: Counter::new(),
             bytes_written: Counter::new(),
-            retries: Counter::new(),
-            repairs: Counter::new(),
-            migrations: Counter::new(),
-            failovers: Counter::new(),
-            metrics: cfg.metrics.clone().map(|r| Arc::new(RfMetrics::new(r))),
+            retries: Tally::new(registry, "rfile.retries"),
+            repairs: Tally::new(registry, "rfile.repairs"),
+            migrations: Tally::new(registry, "rfile.migrations"),
+            failovers: Tally::new(registry, "rfile.failovers"),
+            metrics: cfg.metrics.clone().map(RfMetrics::new),
             cfg,
         })
-    }
-
-    fn extents_from(mrs: &[MrHandle]) -> Vec<Extent> {
-        let mut extents = Vec::with_capacity(mrs.len());
-        let mut off = 0u64;
-        for mr in mrs {
-            extents.push(Extent {
-                start: off,
-                len: mr.len,
-                mr: *mr,
-                mr_off: 0,
-            });
-            off += mr.len;
-        }
-        extents
-    }
-
-    /// Replicated extent map: strictly one extent per replica group, in
-    /// slot order, backed by the group's preferred (first) member at
-    /// `mr_off = 0`. All members of a group have equal length, so a file
-    /// offset maps to the same MR offset on every replica — failover is a
-    /// handle swap, never a re-carve.
-    fn extents_from_groups(groups: &[Vec<MrHandle>]) -> Vec<Extent> {
-        let mut extents = Vec::with_capacity(groups.len());
-        let mut off = 0u64;
-        for g in groups {
-            let Some(&mr) = g.first() else { continue };
-            extents.push(Extent {
-                start: off,
-                len: mr.len,
-                mr,
-                mr_off: 0,
-            });
-            off += mr.len;
-        }
-        extents
     }
 
     /// Whether this file's stripes are k-way replicated (`cfg.replicas ≥ 2`).
@@ -403,14 +342,24 @@ impl RemoteFile {
             return Ok(());
         }
         let servers = self.state.lock().lease.servers();
-        for server in servers {
-            self.fabric
-                .connect(clock, self.local, server)
-                .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        }
+        self.connect_all(clock, servers)?;
         if self.cfg.registration == RegistrationMode::Staged {
             let staging_total = self.cfg.staging_bytes * self.cfg.schedulers as u64;
             clock.advance(self.fabric.config().registration_cost(staging_total));
+        }
+        Ok(())
+    }
+
+    /// Connect a queue pair to each of `servers` (idempotent per server).
+    pub(crate) fn connect_all(
+        &self,
+        clock: &mut Clock,
+        servers: impl IntoIterator<Item = ServerId>,
+    ) -> Result<(), StorageError> {
+        for server in servers {
+            self.fabric
+                .connect(clock, self.local, server)
+                .map_err(unavailable)?;
         }
         Ok(())
     }
@@ -443,9 +392,7 @@ impl RemoteFile {
     pub fn delete(&self, clock: &mut Clock) -> Result<(), StorageError> {
         self.close(clock);
         let id = self.state.lock().lease.id;
-        self.broker
-            .release(clock, id)
-            .map_err(|e| StorageError::Unavailable(e.to_string()))
+        self.broker.release(clock, id).map_err(unavailable)
     }
 
     pub fn size(&self) -> u64 {
@@ -466,24 +413,24 @@ impl RemoteFile {
 
     /// Transient-fault retries performed (successful or not).
     pub fn retries(&self) -> u64 {
-        self.retries.get()
+        self.retries.local.get()
     }
 
     /// Stripe re-leases + full lease re-acquisitions performed.
     pub fn repairs(&self) -> u64 {
-        self.repairs.get()
+        self.repairs.local.get()
     }
 
     /// Grace-window migrations off pressured donors performed.
     pub fn migrations(&self) -> u64 {
-        self.migrations.get()
+        self.migrations.local.get()
     }
 
     /// Preferred-replica failovers performed: reads (or quorum writes) that
     /// hit a dead replica and were re-pointed at a survivor after an epoch
     /// fence, without any repair or data loss.
     pub fn failovers(&self) -> u64 {
-        self.failovers.get()
+        self.failovers.local.get()
     }
 
     /// The current replica-fencing epoch (0 for unreplicated files).
@@ -507,57 +454,328 @@ impl RemoteFile {
         &self.fabric
     }
 
-    fn note(&self, at: SimTime, origin: FaultOrigin, kind: &'static str, detail: String) {
+    pub(crate) fn note(
+        &self,
+        at: SimTime,
+        origin: FaultOrigin,
+        kind: &'static str,
+        detail: String,
+    ) {
         if let Some(log) = &self.cfg.fault_log {
             log.record(at, origin, kind, detail);
         }
     }
 
+    // ─── the verbs: thin wrappers over the chunk engine ──────────────────
+
+    /// Open `verb`'s telemetry span at `at`.
+    fn begin(&self, at: SimTime, verb: fn(&RfMetrics) -> &VerbMetrics) -> OpenSpan<'_> {
+        let open = self.metrics.as_ref().map(|m| {
+            let v = verb(m);
+            (m, v, m.registry.span_enter_id(v.span, at))
+        });
+        OpenSpan { t0: at, open }
+    }
+
+    /// Close the span at `at` and publish what the verb reports done into
+    /// its counters and into `moved`, the file's own byte count.
+    fn finish(&self, span: OpenSpan<'_>, at: SimTime, moved: &Counter, done: Done) {
+        moved.add(done.bytes);
+        if let Some((m, v, token)) = span.open {
+            m.registry.span_exit(token, at);
+            v.ops.add(done.ops);
+            v.bytes.add(done.bytes);
+            if done.timed {
+                v.lat.record(at.since(span.t0));
+            }
+        }
+    }
+
+    /// One request through a serial verb whose chunks each go out as `op`.
+    fn scalar<P: Payload>(
+        &self,
+        clock: &mut Clock,
+        offset: u64,
+        payload: P,
+        staged: bool,
+        op: impl FnMut(&mut Clock, &mut Located<P>) -> Result<(), NetError>,
+    ) -> Result<(), StorageError> {
+        let mut result = [Ok(())];
+        let mut verb = Scalar {
+            staged,
+            op,
+            posted: None,
+        };
+        let reqs = std::iter::once((offset, payload));
+        engine::run(self, clock, &mut verb, reqs, &mut result);
+        let [result] = result;
+        result
+    }
+
+    /// **Read** `buf.len()` bytes at `offset` via RDMA.
+    pub fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        let len = buf.len() as u64;
+        let span = self.begin(clock.now(), |m| &m.read);
+        let res = self.scalar(clock, offset, buf, true, |clock, c| {
+            self.read_chunk(clock, c)
+        });
+        self.finish(span, clock.now(), &self.bytes_read, Done::one(&res, len));
+        res
+    }
+
+    /// **Pushdown read**: run `program` over the whole-page span
+    /// `[offset, offset + len)` *near the memory* and stream back only the
+    /// compacted replies, in extent order.
+    ///
+    /// One RPC per extent chunk, routed to the preferred replica member and
+    /// failed over on an epoch bump exactly like [`RemoteFile::read`]
+    /// (transient faults are retried with backoff, fatal ones re-point or
+    /// re-lease). Each successful chunk debits the donor's broker compute
+    /// account; a donor whose budget is exhausted is skipped — that chunk
+    /// falls back to a one-sided read with the same eval run on the
+    /// client's own core, so results are identical either way.
+    pub fn read_pushdown(
+        &self,
+        clock: &mut Clock,
+        offset: u64,
+        len: u64,
+        program: &PushdownProgram,
+    ) -> Result<PushdownScan, StorageError> {
+        let page = EVAL_PAGE_SIZE as u64;
+        if len == 0 || !offset.is_multiple_of(page) || !len.is_multiple_of(page) {
+            return Err(StorageError::Unavailable(format!(
+                "pushdown span [{offset}, {}) is not whole 8 KiB pages",
+                offset.saturating_add(len)
+            )));
+        }
+        let span = self.begin(clock.now(), |m| &m.pushdown);
+        // keyed by file offset: a retried chunk overwrites its own slot
+        // instead of duplicating, and the fold runs in file order
+        let mut chunks = std::collections::BTreeMap::new();
+        let res = self.scalar(clock, offset, len, false, |clock, c| {
+            let reply = self.pushdown_chunk(clock, c, program)?;
+            chunks.insert(c.chunk.file_off, reply);
+            Ok(())
+        });
+        let scan = res.map(|()| PushdownScan::fold(chunks.values(), program));
+        if let (Some(m), Ok(scan)) = (&self.metrics, &scan) {
+            m.pushdown_fallbacks.add(scan.fallback_chunks);
+        }
+        let bytes = scan.as_ref().map_or(0, |s| s.payload.len() as u64);
+        self.finish(span, clock.now(), &self.bytes_read, Done::one(&scan, bytes));
+        scan
+    }
+
+    /// **Write** `data` at `offset` via RDMA.
+    pub fn write(&self, clock: &mut Clock, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+        self.write_tracked(clock, offset, data).map(|_| ())
+    }
+
+    /// **Write** `data` at `offset` and return the folded quorum accounting.
+    ///
+    /// Same data path and cost model as [`RemoteFile::write`]; the extra
+    /// return value carries the per-chunk [`QuorumWrite`] outcomes folded
+    /// into one [`QuorumAppend`], which the WAL append path feeds into its
+    /// `wal.quorum.*` telemetry. On an unreplicated file the accounting is
+    /// all-zero (chunks still count).
+    ///
+    /// [`QuorumWrite`]: remem_net::QuorumWrite
+    pub fn write_tracked(
+        &self,
+        clock: &mut Clock,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<QuorumAppend, StorageError> {
+        let mut track = QuorumAppend::default();
+        let span = self.begin(clock.now(), |m| &m.write);
+        let res = self.scalar(clock, offset, data, true, |clock, c| {
+            self.write_chunk(clock, c, &mut track)
+        });
+        let done = Done::one(&res, data.len() as u64);
+        self.finish(span, clock.now(), &self.bytes_written, done);
+        res.map(|()| track)
+    }
+
+    /// **Vectored read**: fan the request list out across stripes and donor
+    /// servers in waves of up to `cfg.queue_depth` chunks, one doorbell per
+    /// wave. Chunks landing in the same MR at adjacent offsets coalesce into
+    /// a single multi-SGE work request (one op overhead for the run), and a
+    /// chunk backing off after a transient fault only costs wall time when
+    /// nothing else is ready to issue — retries overlap other in-flight work.
+    /// Results come back per request; one request failing never poisons its
+    /// neighbours.
+    pub fn read_vectored(
+        &self,
+        clock: &mut Clock,
+        reqs: &mut [(u64, &mut [u8])],
+    ) -> Vec<Result<(), StorageError>> {
+        let span = self.begin(clock.now(), |m| &m.read_vectored);
+        let mut results = vec![Ok(()); reqs.len()];
+        let mut verb = Batched::new(self.cfg.queue_depth);
+        let chunks = reqs.iter_mut().map(|(off, buf)| (*off, &mut **buf));
+        engine::run(self, clock, &mut verb, chunks, &mut results);
+        let done = Done::batch(&results, reqs.iter().map(|(_, buf)| buf.len()));
+        self.finish(span, clock.now(), &self.bytes_read, done);
+        results
+    }
+
+    /// **Vectored write**: the gather-side twin of
+    /// [`RemoteFile::read_vectored`] — same engine, with adjacent dirty
+    /// ranges coalesced into single multi-SGE work requests.
+    pub fn write_vectored(
+        &self,
+        clock: &mut Clock,
+        reqs: &[(u64, &[u8])],
+    ) -> Vec<Result<(), StorageError>> {
+        if self.replicated() {
+            // every chunk of a replicated file must reach a write quorum of
+            // its replica group, and a quorum write is a serial verb: one
+            // scalar write per request
+            return reqs
+                .iter()
+                .map(|(off, data)| self.write(clock, *off, data))
+                .collect();
+        }
+        let span = self.begin(clock.now(), |m| &m.write_vectored);
+        let mut results = vec![Ok(()); reqs.len()];
+        let mut verb = Batched::new(self.cfg.queue_depth);
+        engine::run(self, clock, &mut verb, reqs.iter().copied(), &mut results);
+        let done = Done::batch(&results, reqs.iter().map(|(_, data)| data.len()));
+        self.finish(span, clock.now(), &self.bytes_written, done);
+        results
+    }
+}
+
+/// Base backoff between self-heal (re-lease) attempts; doubles per failed
+/// attempt up to [`REPAIR_BACKOFF_CAP`] so a dead cluster isn't hammered
+/// with broker RPCs on every access.
+const REPAIR_BACKOFF_BASE: SimDuration = SimDuration::from_millis(1);
+const REPAIR_BACKOFF_CAP: SimDuration = SimDuration::from_secs(5);
+/// Attempts to zero a freshly re-leased stripe before giving up (the range
+/// is reported lost either way, so caches above discard it).
+pub(crate) const ZERO_ATTEMPTS: u32 = 16;
+
+/// Word a broker refusal during `what`, naming a capacity shortfall as such.
+pub(crate) fn short_of_memory(what: &'static str) -> impl Fn(BrokerError) -> StorageError {
+    move |e| match e {
+        BrokerError::InsufficientMemory { .. } => {
+            unavailable(format!("{what} short of memory: {e}"))
+        }
+        other => unavailable(other),
+    }
+}
+
+impl FileState {
+    /// Lease MRs covering `size` bytes — every stripe from `cfg.replicas`
+    /// distinct donors when replicated — and map the file onto them in
+    /// lease order. `refused` words the broker's refusal for the caller.
+    pub(crate) fn acquire(
+        clock: &mut Clock,
+        broker: &MemoryBroker,
+        local: ServerId,
+        size: u64,
+        cfg: &RFileConfig,
+        refused: impl FnOnce(BrokerError) -> StorageError,
+    ) -> Result<FileState, StorageError> {
+        let replicated = cfg.replicas > 1;
+        let lease = if replicated {
+            broker.request_replicated_lease(clock, local, size, cfg.replicas)
+        } else {
+            broker.request_lease(clock, local, size)
+        }
+        .map_err(refused)?;
+        if cfg.auto_renew {
+            // the holder's renewal daemon keeps the lease alive between
+            // accesses (idle files must not lapse mid-workload)
+            broker.enable_auto_renew(lease.id);
+        }
+        // Replicated extent map: strictly one extent per replica group, in
+        // slot order, backed by the group's preferred (first) member at
+        // `mr_off = 0`. All members of a group have equal length, so a file
+        // offset maps to the same MR offset on every replica — failover is
+        // a handle swap, never a re-carve.
+        let (epoch, groups, backing) = if replicated {
+            let view = broker.replica_view(lease.id);
+            let (epoch, groups) = view.ok_or_else(|| unavailable("replica set missing"))?;
+            let preferred = groups.iter().filter_map(|g| g.first().copied()).collect();
+            (epoch, groups, preferred)
+        } else {
+            (0, Vec::new(), lease.mrs.clone())
+        };
+        let mut extents = Vec::with_capacity(backing.len());
+        let mut start = 0u64;
+        for mr in backing {
+            extents.push(Extent {
+                start,
+                len: mr.len,
+                mr,
+                mr_off: 0,
+            });
+            start += mr.len;
+        }
+        Ok(FileState {
+            extents,
+            lease,
+            groups,
+            epoch,
+            lost_ranges: Vec::new(),
+            pending_heal: BTreeSet::new(),
+            next_repair: SimTime::ZERO,
+            repair_backoff: REPAIR_BACKOFF_BASE,
+        })
+    }
+
+    /// Swap the `dead` MRs out of the lease for `replacements`, and the
+    /// extents they backed for `fresh` ones covering the same file ranges.
+    fn rebase(
+        &mut self,
+        dead: impl Fn(&MrHandle) -> bool,
+        fresh: &[Extent],
+        replacements: &[MrHandle],
+    ) {
+        self.extents.retain(|e| !dead(&e.mr));
+        self.extents.extend_from_slice(fresh);
+        self.extents.sort_by_key(|e| e.start);
+        self.lease.mrs.retain(|m| !dead(m));
+        self.lease.mrs.extend_from_slice(replacements);
+    }
+}
+
+impl RemoteFile {
     /// Check lease validity. With `auto_renew` the holder's background
     /// daemon (registered at create time) keeps the lease alive, so only
     /// revocation or release can invalidate it; without it, timeout expiry
     /// applies. Self-healing files additionally answer revocation notices
     /// here (migrating off the pressured donor inside the grace window) and
     /// re-acquire a lost lease from scratch.
-    fn ensure_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
+    pub(crate) fn ensure_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let id = self.state.lock().lease.id;
-        if self.replicated() {
-            if let Some((server, deadline)) = self.broker.revocation_notice(id) {
-                if clock.now() < deadline {
-                    // replicated files answer memory pressure by *shedding*
-                    // the copies on the pressured donor — redundancy absorbs
-                    // the loss, no bulk migration copy is needed
-                    let _ = self.shed_replicas(clock, server);
-                }
+        let noticed = self.broker.revocation_notice(id);
+        if let Some((server, _)) = noticed.filter(|&(_, deadline)| clock.now() < deadline) {
+            if self.replicated() {
+                // replicated files answer memory pressure by *shedding* the
+                // copies on the pressured donor — redundancy absorbs the
+                // loss, no bulk migration copy is needed
+                let _ = self.shed_replicas(clock, server);
+            } else if self.cfg.self_heal {
+                // best effort: if migration fails the broker revokes at the
+                // deadline and the full re-lease path takes over
+                let _ = self.migrate_off(clock, server);
             }
-            self.refresh_replicas();
-            if !self.broker.is_valid(id, clock.now()) {
-                if self.cfg.self_heal {
-                    return self.try_repair(clock);
-                }
-                return Err(StorageError::Unavailable("remote memory lease lost".into()));
-            }
-            if self.broker.replication_deficit(id) > 0 {
-                // best effort: reads still serve from the survivors, so a
-                // heal that can't find donors yet must not fail the access
-                let _ = self.try_repair(clock);
-            }
-            return Ok(());
         }
-        if self.cfg.self_heal {
-            if let Some((server, deadline)) = self.broker.revocation_notice(id) {
-                if clock.now() < deadline {
-                    // best effort: if migration fails the broker revokes at
-                    // the deadline and the full re-lease path takes over
-                    let _ = self.migrate_off(clock, server);
-                }
-            }
+        if self.replicated() {
+            self.refresh_replicas();
         }
         if !self.broker.is_valid(id, clock.now()) {
             if self.cfg.self_heal {
                 return self.try_repair(clock);
             }
-            return Err(StorageError::Unavailable("remote memory lease lost".into()));
+            return Err(unavailable("remote memory lease lost"));
+        }
+        if self.replicated() && self.broker.replication_deficit(id) > 0 {
+            // best effort: reads still serve from the survivors, so a heal
+            // that can't find donors yet must not fail the access
+            let _ = self.try_repair(clock);
         }
         Ok(())
     }
@@ -567,83 +785,50 @@ impl RemoteFile {
     /// copy the still-readable bytes over, then surrender the old MRs. No
     /// data is lost and no `lost_ranges` are recorded.
     fn migrate_off(&self, clock: &mut Clock, server: ServerId) -> Result<(), StorageError> {
-        let (id, old_mrs, needs) = {
+        let (id, bytes, needs) = {
             let st = self.state.lock();
-            let old_mrs: Vec<MrHandle> = st
-                .lease
-                .mrs
-                .iter()
-                .filter(|m| m.server == server)
-                .copied()
-                .collect();
+            let hosted = st.lease.mrs.iter().filter(|m| m.server == server);
             let needs: Vec<Extent> = st
                 .extents
                 .iter()
                 .filter(|e| e.mr.server == server)
                 .copied()
                 .collect();
-            (st.lease.id, old_mrs, needs)
+            (st.lease.id, hosted.map(|m| m.len).sum::<u64>(), needs)
         };
-        if old_mrs.is_empty() {
+        if bytes == 0 {
             return Ok(());
         }
-        let bytes: u64 = old_mrs.iter().map(|m| m.len).sum();
         let replacements = self
             .broker
             .request_extra(clock, id, bytes, server)
-            .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        for mr in &replacements {
-            self.fabric
-                .connect(clock, self.local, mr.server)
-                .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        }
+            .map_err(unavailable)?;
+        self.connect_all(clock, replacements.iter().map(|mr| mr.server))?;
         let groups = Self::carve(&replacements, &needs)?;
         let fresh: Vec<Extent> = groups.iter().flatten().copied().collect();
         // copy old → new; the old MRs stay readable until surrendered
+        let (fabric, proto, local) = (&self.fabric, self.cfg.protocol, self.local);
         for (old, new) in needs.iter().zip(groups.iter()) {
             debug_assert_eq!(old.start, new[0].start);
             let mut buf = vec![0u8; old.len as usize];
-            self.fabric
-                .read(
-                    clock,
-                    self.cfg.protocol,
-                    self.local,
-                    old.mr,
-                    old.mr_off,
-                    &mut buf,
-                )
-                .map_err(|e| StorageError::Unavailable(e.to_string()))?;
+            fabric
+                .read(clock, proto, local, old.mr, old.mr_off, &mut buf)
+                .map_err(unavailable)?;
             for part in new {
                 let lo = (part.start - old.start) as usize;
-                let hi = lo + part.len as usize;
-                self.fabric
+                let src = &buf[lo..lo + part.len as usize];
+                fabric
                     // audit: allow(quorum-write, unreplicated grace-window migration copies one stripe)
-                    .write(
-                        clock,
-                        self.cfg.protocol,
-                        self.local,
-                        part.mr,
-                        part.mr_off,
-                        &buf[lo..hi],
-                    )
-                    .map_err(|e| StorageError::Unavailable(e.to_string()))?;
+                    .write(clock, proto, local, part.mr, part.mr_off, src)
+                    .map_err(unavailable)?;
             }
         }
-        {
-            let mut st = self.state.lock();
-            st.extents.retain(|e| e.mr.server != server);
-            st.extents.extend(fresh.iter().copied());
-            st.extents.sort_by_key(|e| e.start);
-            st.lease.mrs.retain(|m| m.server != server);
-            st.lease.mrs.extend(replacements.iter().copied());
-        }
+        let dead = |m: &MrHandle| m.server == server;
+        self.state.lock().rebase(dead, &fresh, &replacements);
         self.broker
             .surrender_mrs(clock, id, server, &self.fabric)
-            .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        self.migrations.add(1);
-        if let Some(m) = &self.metrics {
-            m.migrations.incr();
-        }
+            .map_err(unavailable)?;
+        self.migrations.incr();
         self.note(
             clock.now(),
             FaultOrigin::Recovery,
@@ -653,15 +838,200 @@ impl RemoteFile {
         Ok(())
     }
 
-    // ─── replication (cfg.replicas ≥ 2) ──────────────────────────────────
+    /// Re-back the file ranges in `needs` with the `replacements` MRs,
+    /// splitting ranges across MR boundaries as needed. Returns the new
+    /// extents grouped per need, in order. The broker is supposed to hand
+    /// back at least as many bytes as were lost; if it short-changes us
+    /// that is a metadata bug this layer surfaces as an error rather than
+    /// a panic mid-repair.
+    fn carve(
+        replacements: &[MrHandle],
+        needs: &[Extent],
+    ) -> Result<Vec<Vec<Extent>>, StorageError> {
+        let mut out = Vec::with_capacity(needs.len());
+        let mut ri = 0usize;
+        let mut roff = 0u64;
+        for need in needs {
+            let mut parts = Vec::new();
+            let mut start = need.start;
+            let mut rem = need.len;
+            while rem > 0 {
+                let Some(&mr) = replacements.get(ri) else {
+                    return Err(unavailable(
+                        "replacement MRs cover fewer bytes than the lost ranges",
+                    ));
+                };
+                let take = rem.min(mr.len - roff);
+                parts.push(Extent {
+                    start,
+                    len: take,
+                    mr,
+                    mr_off: roff,
+                });
+                start += take;
+                rem -= take;
+                roff += take;
+                if roff == mr.len {
+                    ri += 1;
+                    roff = 0;
+                }
+            }
+            out.push(parts);
+        }
+        Ok(out)
+    }
 
+    /// Self-heal after a fatal fault, gated by exponential backoff:
+    /// re-lease dead stripes (donor crash) or re-acquire the whole lease
+    /// (revocation/expiry). Repaired ranges come back zeroed and are
+    /// reported through [`Device::drain_lost_ranges`].
+    pub(crate) fn try_repair(&self, clock: &mut Clock) -> Result<(), StorageError> {
+        let id = {
+            let st = self.state.lock();
+            if clock.now() < st.next_repair {
+                return Err(unavailable("remote file awaiting repair"));
+            }
+            st.lease.id
+        };
+        let outcome = if self.broker.is_valid(id, clock.now()) {
+            if self.replicated() {
+                self.heal_replicas(clock)
+            } else {
+                self.repair_stripes(clock, id)
+            }
+        } else {
+            self.relearn_lease(clock)
+        };
+        let mut st = self.state.lock();
+        if outcome.is_ok() {
+            st.next_repair = clock.now();
+            st.repair_backoff = REPAIR_BACKOFF_BASE;
+        } else {
+            st.next_repair = clock.now() + st.repair_backoff;
+            st.repair_backoff = (st.repair_backoff * 2).min(REPAIR_BACKOFF_CAP);
+        }
+        outcome
+    }
+
+    /// Replace the stripes the broker recorded as lost (donor crash) with
+    /// fresh MRs from surviving donors, zeroing them and recording the file
+    /// ranges as lost.
+    fn repair_stripes(
+        &self,
+        clock: &mut Clock,
+        id: remem_broker::LeaseId,
+    ) -> Result<(), StorageError> {
+        let (lost, replacements) = self
+            .broker
+            .repair_lease(clock, id)
+            .map_err(short_of_memory("stripe repair"))?;
+        if lost.is_empty() {
+            return Ok(());
+        }
+        self.connect_all(clock, replacements.iter().map(|mr| mr.server))?;
+        let (needs, fresh) = {
+            let mut st = self.state.lock();
+            let dead = |m: &MrHandle| lost.iter().any(|l| l.server == m.server && l.mr == m.mr);
+            let needs: Vec<Extent> = st.extents.iter().filter(|e| dead(&e.mr)).copied().collect();
+            let fresh: Vec<Extent> = Self::carve(&replacements, &needs)?
+                .into_iter()
+                .flatten()
+                .collect();
+            st.rebase(dead, &fresh, &replacements);
+            for need in &needs {
+                st.report_lost(need.start, need.len, self.size);
+            }
+            (needs, fresh)
+        };
+        // Pool MRs carry whatever bytes the previous lessee left; zero them
+        // so unwritten space still reads as zero after repair.
+        self.zero_extents(clock, &fresh);
+        let bytes: u64 = needs.iter().map(|e| e.len).sum();
+        self.repairs.incr();
+        self.note(
+            clock.now(),
+            FaultOrigin::Recovery,
+            "rfile.repair",
+            format!("{bytes} B re-leased across {} stripes", needs.len()),
+        );
+        Ok(())
+    }
+
+    /// The lease itself is gone (revoked or expired): acquire a fresh one
+    /// covering the whole file. All contents are lost.
+    fn relearn_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
+        let refused = |e| unavailable(format!("re-lease failed: {e}"));
+        let (broker, cfg) = (&self.broker, &self.cfg);
+        let mut fresh = FileState::acquire(clock, broker, self.local, self.size, cfg, refused)?;
+        self.connect_all(clock, fresh.lease.servers())?;
+        // every member of every group starts with pool garbage: zero the
+        // preferred extents below, plus the non-preferred members here
+        let spares: Vec<Extent> = fresh
+            .groups
+            .iter()
+            .zip(&fresh.extents)
+            .flat_map(|(g, e)| g.iter().skip(1).map(|&mr| Extent { mr, ..*e }))
+            .collect();
+        fresh.report_lost(0, self.size, self.size);
+        let extents = fresh.extents.clone();
+        *self.state.lock() = fresh;
+        self.zero_extents(clock, &extents);
+        self.zero_extents(clock, &spares);
+        self.repairs.incr();
+        self.note(
+            clock.now(),
+            FaultOrigin::Recovery,
+            "rfile.repair",
+            format!("full re-lease of {} B", self.size),
+        );
+        Ok(())
+    }
+
+    /// Zero freshly (re-)leased extents, retrying through transient faults.
+    /// Persistent failure is recorded but not fatal: the covering ranges are
+    /// already in `lost_ranges`, so caches above discard them regardless.
+    fn zero_extents(&self, clock: &mut Clock, extents: &[Extent]) {
+        // one scratch buffer sized for the largest extent, reused across the
+        // loop — repair must not allocate per stripe
+        let max = extents.iter().map(|e| e.len).max().unwrap_or(0) as usize;
+        let zeros = vec![0u8; max];
+        for e in extents {
+            let zeros = &zeros[..e.len as usize];
+            // stops at the first success (`true`) or fatal fault (`false`)
+            let zeroed = (0..ZERO_ATTEMPTS).find_map(|attempt| {
+                match self
+                    .fabric
+                    // audit: allow(quorum-write, zeroing one freshly leased stripe before it serves I/O)
+                    .write(clock, self.cfg.protocol, self.local, e.mr, e.mr_off, zeros)
+                {
+                    Ok(()) => Some(true),
+                    Err(NetError::Transient { .. }) => {
+                        clock.advance(self.cfg.retry_backoff * (1 << attempt.min(6)));
+                        None
+                    }
+                    Err(_) => Some(false),
+                }
+            });
+            if zeroed != Some(true) {
+                self.note(
+                    clock.now(),
+                    FaultOrigin::Observed,
+                    "rfile.zero_failed",
+                    format!("stripe at {} ({} B) left unzeroed", e.start, e.len),
+                );
+            }
+        }
+    }
+}
+
+impl RemoteFile {
     /// Epoch fence: pull the broker's view of this lease's replica groups
     /// and, if membership changed since we last looked, re-point every
     /// extent at its group's current preferred member and adopt the new
     /// epoch. Returns whether anything changed. Free of virtual-time cost:
     /// the fence piggybacks on lease-validity traffic the holder already
     /// pays for.
-    fn refresh_replicas(&self) -> bool {
+    pub(crate) fn refresh_replicas(&self) -> bool {
         let id = self.state.lock().lease.id;
         let Some((epoch, groups)) = self.broker.replica_view(id) else {
             return false;
@@ -691,32 +1061,28 @@ impl RemoteFile {
     /// sees). Returns whether the preferred member actually changed — a
     /// rotation that leaves the head in place would just retry the same
     /// failing target.
-    fn rotate_preferred(&self, failed: MrHandle) -> bool {
+    pub(crate) fn rotate_preferred(&self, failed: MrHandle) -> bool {
         let mut st = self.state.lock();
-        let Some(gi) = st.groups.iter().position(|g| {
-            g.iter()
-                .any(|m| m.server == failed.server && m.mr == failed.mr)
-        }) else {
+        let found = st.groups.iter().enumerate().find_map(|(gi, g)| {
+            let pos = g.iter().position(|&m| same_mr(m, failed))?;
+            Some((gi, pos))
+        });
+        let Some((gi, pos)) = found else {
             return false;
         };
-        if st.groups[gi].len() < 2 {
+        let group = &mut st.groups[gi];
+        if group.len() < 2 {
             return false;
         }
-        let before = st.groups[gi][0];
-        let Some(pos) = st.groups[gi]
-            .iter()
-            .position(|m| m.server == failed.server && m.mr == failed.mr)
-        else {
-            return false;
-        };
-        let mr = st.groups[gi].remove(pos);
-        st.groups[gi].push(mr);
-        let after = st.groups[gi][0];
-        if after.server == before.server && after.mr == before.mr {
+        let mr = group.remove(pos);
+        group.push(mr);
+        if pos != 0 {
+            // a spare moved to the back: the preferred member is unchanged
             return false;
         }
+        let preferred = group[0];
         if let Some(e) = st.extents.get_mut(gi) {
-            e.mr = after;
+            e.mr = preferred;
             e.mr_off = 0;
         }
         true
@@ -726,16 +1092,16 @@ impl RemoteFile {
     /// paired with the (shared) intra-MR offset — the target list of a
     /// quorum write. Replica groups are carved 1:1 from equal-length MRs at
     /// `mr_off = 0`, so one offset addresses the same bytes on every member.
-    fn replica_targets(&self, preferred: MrHandle, within: u64) -> Vec<(MrHandle, u64)> {
+    pub(crate) fn replica_targets(&self, preferred: MrHandle, within: u64) -> Vec<(MrHandle, u64)> {
         let st = self.state.lock();
-        for g in &st.groups {
-            if g.iter()
-                .any(|m| m.server == preferred.server && m.mr == preferred.mr)
-            {
-                return g.iter().map(|&m| (m, within)).collect();
-            }
+        let group = st
+            .groups
+            .iter()
+            .find(|g| g.iter().any(|&m| same_mr(m, preferred)));
+        match group {
+            Some(g) => g.iter().map(|&m| (m, within)).collect(),
+            None => vec![(preferred, within)],
         }
-        vec![(preferred, within)]
     }
 
     /// Memory pressure on `server` (two-phase reclaim grace window): drop
@@ -744,43 +1110,39 @@ impl RemoteFile {
     /// restores full redundancy from unpressured donors. If any group's
     /// *sole* member sits on the pressured server, redundancy is restored
     /// first so shedding never drops the last copy.
-    fn shed_replicas(&self, clock: &mut Clock, server: ServerId) -> Result<(), StorageError> {
+    pub(crate) fn shed_replicas(
+        &self,
+        clock: &mut Clock,
+        server: ServerId,
+    ) -> Result<(), StorageError> {
         let id = self.state.lock().lease.id;
         let sole_on = |st: &FileState| {
             st.groups
                 .iter()
                 .any(|g| g.len() == 1 && g[0].server == server)
         };
-        let holds = {
+        let (hosted, holds) = {
             let st = self.state.lock();
-            if !st
-                .groups
-                .iter()
-                .any(|g| g.iter().any(|m| m.server == server))
-            {
-                return Ok(());
-            }
-            sole_on(&st)
+            let hosted = st.groups.iter().flatten().any(|m| m.server == server);
+            (hosted, sole_on(&st))
         };
+        if !hosted {
+            return Ok(());
+        }
         if holds {
             self.heal_replicas(clock)?;
             self.refresh_replicas();
             if sole_on(&self.state.lock()) {
                 // can't re-replicate elsewhere: leave the grace window to
                 // run out; the broker's forced revocation takes over
-                return Err(StorageError::Unavailable(
-                    "cannot shed the sole surviving replica".into(),
-                ));
+                return Err(unavailable("cannot shed the sole surviving replica"));
             }
         }
         self.broker
             .surrender_mrs(clock, id, server, &self.fabric)
-            .map_err(|e| StorageError::Unavailable(e.to_string()))?;
+            .map_err(unavailable)?;
         self.refresh_replicas();
-        self.migrations.add(1);
-        if let Some(m) = &self.metrics {
-            m.migrations.incr();
-        }
+        self.migrations.incr();
         self.note(
             clock.now(),
             FaultOrigin::Recovery,
@@ -796,7 +1158,7 @@ impl RemoteFile {
     /// when the whole group died — zero-fill and report the range lost),
     /// then adopt the bumped epoch. All-or-nothing on the broker side, so a
     /// failed heal leaves the file serving from the survivors it had.
-    fn heal_replicas(&self, clock: &mut Clock) -> Result<(), StorageError> {
+    pub(crate) fn heal_replicas(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let id = self.state.lock().lease.id;
         if !self.cfg.self_heal {
             // spill semantics: a slot with every copy dead is unrecoverable
@@ -807,42 +1169,30 @@ impl RemoteFile {
                 .replica_view(id)
                 .is_some_and(|(_, gs)| gs.iter().any(|g| g.is_empty()));
             if lost_slot {
-                return Err(StorageError::Unavailable(
-                    "replica group lost every copy; spill contents unrecoverable".into(),
+                return Err(unavailable(
+                    "replica group lost every copy; spill contents unrecoverable",
                 ));
             }
         }
-        let repairs = self.broker.re_replicate(clock, id).map_err(|e| match e {
-            BrokerError::InsufficientMemory { .. } => {
-                StorageError::Unavailable(format!("re-replication short of memory: {e}"))
-            }
-            other => StorageError::Unavailable(other.to_string()),
-        })?;
+        let repairs = self
+            .broker
+            .re_replicate(clock, id)
+            .map_err(short_of_memory("re-replication"))?;
         if repairs.is_empty() {
             self.refresh_replicas();
             return Ok(());
         }
-        for r in &repairs {
-            for mr in &r.added {
-                self.fabric
-                    .connect(clock, self.local, mr.server)
-                    .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-            }
-        }
-        // (file range, scratch) per repaired slot, from the fixed extent map
-        let slots: Vec<(u64, u64)> = {
-            let st = self.state.lock();
-            repairs
-                .iter()
-                .map(|r| {
-                    let e = &st.extents[r.slot.min(st.extents.len() - 1)];
-                    (e.start, e.len)
-                })
-                .collect()
-        };
+        let added = repairs.iter().flat_map(|r| &r.added);
+        self.connect_all(clock, added.map(|mr| mr.server))?;
         let mut healed_bytes = 0u64;
-        for (r, &(start, len)) in repairs.iter().zip(&slots) {
-            match r.source {
+        for r in &repairs {
+            // the slot's file range, from the fixed extent map
+            let (start, len) = {
+                let st = self.state.lock();
+                let e = &st.extents[r.slot.min(st.extents.len() - 1)];
+                (e.start, e.len)
+            };
+            let seed = match r.source {
                 Some(src) => {
                     // survivor → new member copy; the source stays live and
                     // readable, so only transient faults are retried here
@@ -850,36 +1200,25 @@ impl RemoteFile {
                     self.seed_io(clock, |clock, fab| {
                         fab.read(clock, self.cfg.protocol, self.local, src, 0, &mut buf)
                     })?;
-                    for mr in &r.added {
-                        self.seed_io(clock, |clock, fab| {
-                            // audit: allow(quorum-write, replica seeding writes one member by design)
-                            fab.write(clock, self.cfg.protocol, self.local, *mr, 0, &buf)
-                        })?;
-                    }
+                    buf
                 }
-                None => {
-                    // the whole group died: contents are gone. self_heal was
-                    // checked up front, so zero-fill and report the range.
-                    let zeros = vec![0u8; len as usize];
-                    for mr in &r.added {
-                        self.seed_io(clock, |clock, fab| {
-                            // audit: allow(quorum-write, zero-seeding a lost slot precedes quorum service)
-                            fab.write(clock, self.cfg.protocol, self.local, *mr, 0, &zeros)
-                        })?;
-                    }
-                    let end = (start + len).min(self.size);
-                    if start < end {
-                        self.state.lock().report_lost(start, end - start);
-                    }
-                }
+                // the whole group died: contents are gone. self_heal was
+                // checked up front, so zero-fill and report the range.
+                None => vec![0u8; len as usize],
+            };
+            for mr in &r.added {
+                self.seed_io(clock, |clock, fab| {
+                    // audit: allow(quorum-write, seeding a new replica writes that one member by design)
+                    fab.write(clock, self.cfg.protocol, self.local, *mr, 0, &seed)
+                })?;
+            }
+            if r.source.is_none() {
+                self.state.lock().report_lost(start, len, self.size);
             }
             healed_bytes += len * r.added.len() as u64;
         }
         self.refresh_replicas();
-        self.repairs.add(1);
-        if let Some(m) = &self.metrics {
-            m.repairs.incr();
-        }
+        self.repairs.incr();
         self.note(
             clock.now(),
             FaultOrigin::Recovery,
@@ -895,1350 +1234,22 @@ impl RemoteFile {
     /// One replica-seeding transfer with transient-fault retries (same
     /// budget as stripe zeroing). A fatal fault aborts the heal — the
     /// backoff machinery of `try_repair` schedules the next attempt.
-    fn seed_io<F>(&self, clock: &mut Clock, mut op: F) -> Result<(), StorageError>
-    where
-        F: FnMut(&mut Clock, &Fabric) -> Result<(), NetError>,
-    {
-        for attempt in 0..ZERO_ATTEMPTS {
+    fn seed_io(
+        &self,
+        clock: &mut Clock,
+        mut op: impl FnMut(&mut Clock, &Fabric) -> Result<(), NetError>,
+    ) -> Result<(), StorageError> {
+        let mut attempt = 0;
+        loop {
             match op(clock, &self.fabric) {
                 Ok(()) => return Ok(()),
                 Err(NetError::Transient { .. }) if attempt + 1 < ZERO_ATTEMPTS => {
                     clock.advance(self.cfg.retry_backoff * (1 << attempt.min(6)));
+                    attempt += 1;
                 }
-                Err(e) => {
-                    return Err(StorageError::Unavailable(format!("replica seed: {e}")));
-                }
+                Err(e) => return Err(unavailable(format!("replica seed: {e}"))),
             }
         }
-        Err(StorageError::Unavailable(
-            "replica seed retries exhausted".into(),
-        ))
-    }
-
-    /// Re-back the file ranges in `needs` with the `replacements` MRs,
-    /// splitting ranges across MR boundaries as needed. Returns the new
-    /// extents grouped per need, in order. The broker is supposed to hand
-    /// back at least as many bytes as were lost; if it short-changes us
-    /// that is a metadata bug this layer surfaces as an error rather than
-    /// a panic mid-repair.
-    fn carve(
-        replacements: &[MrHandle],
-        needs: &[Extent],
-    ) -> Result<Vec<Vec<Extent>>, StorageError> {
-        let mut out = Vec::with_capacity(needs.len());
-        let mut ri = 0usize;
-        let mut roff = 0u64;
-        for need in needs {
-            let mut parts = Vec::new();
-            let mut start = need.start;
-            let mut rem = need.len;
-            while rem > 0 {
-                let Some(&mr) = replacements.get(ri) else {
-                    return Err(StorageError::Unavailable(
-                        "replacement MRs cover fewer bytes than the lost ranges".into(),
-                    ));
-                };
-                let take = rem.min(mr.len - roff);
-                parts.push(Extent {
-                    start,
-                    len: take,
-                    mr,
-                    mr_off: roff,
-                });
-                start += take;
-                rem -= take;
-                roff += take;
-                if roff == mr.len {
-                    ri += 1;
-                    roff = 0;
-                }
-            }
-            out.push(parts);
-        }
-        Ok(out)
-    }
-
-    /// Self-heal after a fatal fault, gated by exponential backoff:
-    /// re-lease dead stripes (donor crash) or re-acquire the whole lease
-    /// (revocation/expiry). Repaired ranges come back zeroed and are
-    /// reported through [`Device::drain_lost_ranges`].
-    fn try_repair(&self, clock: &mut Clock) -> Result<(), StorageError> {
-        {
-            let st = self.state.lock();
-            if clock.now() < st.next_repair {
-                return Err(StorageError::Unavailable(
-                    "remote file awaiting repair".into(),
-                ));
-            }
-        }
-        let id = self.state.lock().lease.id;
-        let outcome = if self.broker.is_valid(id, clock.now()) {
-            if self.replicated() {
-                self.heal_replicas(clock)
-            } else {
-                self.repair_stripes(clock, id)
-            }
-        } else {
-            self.relearn_lease(clock)
-        };
-        let mut st = self.state.lock();
-        match outcome {
-            Ok(()) => {
-                st.repair_backoff = REPAIR_BACKOFF_BASE;
-                st.next_repair = clock.now();
-                Ok(())
-            }
-            Err(e) => {
-                st.next_repair = clock.now() + st.repair_backoff;
-                st.repair_backoff = (st.repair_backoff * 2).min(REPAIR_BACKOFF_CAP);
-                Err(e)
-            }
-        }
-    }
-
-    /// Replace the stripes the broker recorded as lost (donor crash) with
-    /// fresh MRs from surviving donors, zeroing them and recording the file
-    /// ranges as lost.
-    fn repair_stripes(
-        &self,
-        clock: &mut Clock,
-        id: remem_broker::LeaseId,
-    ) -> Result<(), StorageError> {
-        let (lost, replacements) = self.broker.repair_lease(clock, id).map_err(|e| match e {
-            BrokerError::InsufficientMemory { .. } => {
-                StorageError::Unavailable(format!("stripe repair short of memory: {e}"))
-            }
-            other => StorageError::Unavailable(other.to_string()),
-        })?;
-        if lost.is_empty() {
-            return Ok(());
-        }
-        for mr in &replacements {
-            self.fabric
-                .connect(clock, self.local, mr.server)
-                .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        }
-        let (needs, fresh) = {
-            let mut st = self.state.lock();
-            let dead = |m: &MrHandle| lost.iter().any(|l| l.server == m.server && l.mr == m.mr);
-            let needs: Vec<Extent> = st.extents.iter().filter(|e| dead(&e.mr)).copied().collect();
-            let fresh: Vec<Extent> = Self::carve(&replacements, &needs)?
-                .into_iter()
-                .flatten()
-                .collect();
-            st.extents.retain(|e| !dead(&e.mr));
-            st.extents.extend(fresh.iter().copied());
-            st.extents.sort_by_key(|e| e.start);
-            st.lease.mrs.retain(|m| !dead(m));
-            st.lease.mrs.extend(replacements.iter().copied());
-            for need in &needs {
-                let end = (need.start + need.len).min(self.size);
-                if need.start < end {
-                    st.report_lost(need.start, end - need.start);
-                }
-            }
-            (needs, fresh)
-        };
-        // Pool MRs carry whatever bytes the previous lessee left; zero them
-        // so unwritten space still reads as zero after repair.
-        self.zero_extents(clock, &fresh);
-        let bytes: u64 = needs.iter().map(|e| e.len).sum();
-        self.repairs.add(1);
-        if let Some(m) = &self.metrics {
-            m.repairs.incr();
-        }
-        self.note(
-            clock.now(),
-            FaultOrigin::Recovery,
-            "rfile.repair",
-            format!("{bytes} B re-leased across {} stripes", needs.len()),
-        );
-        Ok(())
-    }
-
-    /// The lease itself is gone (revoked or expired): acquire a fresh one
-    /// covering the whole file. All contents are lost.
-    fn relearn_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
-        let lease = if self.replicated() {
-            self.broker
-                .request_replicated_lease(clock, self.local, self.size, self.cfg.replicas)
-        } else {
-            self.broker.request_lease(clock, self.local, self.size)
-        }
-        .map_err(|e| StorageError::Unavailable(format!("re-lease failed: {e}")))?;
-        if self.cfg.auto_renew {
-            self.broker.enable_auto_renew(lease.id);
-        }
-        for server in lease.servers() {
-            self.fabric
-                .connect(clock, self.local, server)
-                .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        }
-        let (epoch, groups) = if self.replicated() {
-            self.broker
-                .replica_view(lease.id)
-                .ok_or_else(|| StorageError::Unavailable("replica set missing".into()))?
-        } else {
-            (0, Vec::new())
-        };
-        let extents = if self.replicated() {
-            Self::extents_from_groups(&groups)
-        } else {
-            Self::extents_from(&lease.mrs)
-        };
-        // every member of every group starts with pool garbage: zero the
-        // preferred extents below, plus the non-preferred members here
-        let spares: Vec<Extent> = groups
-            .iter()
-            .zip(&extents)
-            .flat_map(|(g, e)| {
-                g.iter().skip(1).map(|&mr| Extent {
-                    start: e.start,
-                    len: e.len,
-                    mr,
-                    mr_off: 0,
-                })
-            })
-            .collect();
-        {
-            let mut st = self.state.lock();
-            st.extents = extents.clone();
-            st.lease = lease;
-            st.groups = groups;
-            st.epoch = epoch;
-            st.lost_ranges.clear();
-            st.pending_heal.clear();
-            st.report_lost(0, self.size);
-        }
-        self.zero_extents(clock, &extents);
-        self.zero_extents(clock, &spares);
-        self.repairs.add(1);
-        if let Some(m) = &self.metrics {
-            m.repairs.incr();
-        }
-        self.note(
-            clock.now(),
-            FaultOrigin::Recovery,
-            "rfile.repair",
-            format!("full re-lease of {} B", self.size),
-        );
-        Ok(())
-    }
-
-    /// Zero freshly (re-)leased extents, retrying through transient faults.
-    /// Persistent failure is recorded but not fatal: the covering ranges are
-    /// already in `lost_ranges`, so caches above discard them regardless.
-    fn zero_extents(&self, clock: &mut Clock, extents: &[Extent]) {
-        // one scratch buffer sized for the largest extent, reused across the
-        // loop — repair must not allocate per stripe
-        let max = extents.iter().map(|e| e.len).max().unwrap_or(0) as usize;
-        let zeros = vec![0u8; max];
-        for e in extents {
-            let zeros = &zeros[..e.len as usize];
-            let mut ok = false;
-            for attempt in 0..ZERO_ATTEMPTS {
-                match self
-                    .fabric
-                    // audit: allow(quorum-write, zeroing one freshly leased stripe before it serves I/O)
-                    .write(clock, self.cfg.protocol, self.local, e.mr, e.mr_off, zeros)
-                {
-                    Ok(()) => {
-                        ok = true;
-                        break;
-                    }
-                    Err(NetError::Transient { .. }) => {
-                        clock.advance(self.cfg.retry_backoff * (1 << attempt.min(6)));
-                    }
-                    Err(_) => break,
-                }
-            }
-            if !ok {
-                self.note(
-                    clock.now(),
-                    FaultOrigin::Observed,
-                    "rfile.zero_failed",
-                    format!("stripe at {} ({} B) left unzeroed", e.start, e.len),
-                );
-            }
-        }
-    }
-
-    /// Translate `offset` to `(backing MR, offset within it, bytes this
-    /// extent can serve)` under the state lock.
-    fn locate(&self, offset: u64, want: u64) -> (MrHandle, u64, u64) {
-        let st = self.state.lock();
-        let idx = match st.extents.binary_search_by(|e| e.start.cmp(&offset)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let e = &st.extents[idx];
-        let within = offset - e.start;
-        (e.mr, e.mr_off + within, (e.len - within).min(want))
-    }
-
-    /// Per-chunk local preparation cost and staging-slot gating.
-    fn prepare_transfer(&self, clock: &mut Clock, bytes: u64) {
-        match self.cfg.registration {
-            RegistrationMode::Staged => {
-                // estimate the slot occupancy: memcpy + unloaded wire time
-                let cfg = self.fabric.config();
-                let est = cfg.memcpy(bytes)
-                    + cfg.propagation
-                    + SimDuration::for_transfer(bytes, cfg.nic_bandwidth);
-                self.staging.acquire_slot(clock, est);
-                clock.advance(cfg.memcpy(bytes));
-            }
-            RegistrationMode::Dynamic => {
-                // register the caller's buffer on demand — the expensive
-                // alternative of §4.1.4, kept for the ablation bench
-                clock.advance(self.fabric.config().registration_cost(bytes));
-            }
-        }
-    }
-
-    /// The asynchronous-I/O penalty when the Custom protocol is driven in
-    /// async or adaptive mode (§4.1.3). The SMB protocols already include
-    /// it in their cost model.
-    fn access_mode_penalty(&self, clock: &mut Clock, op_duration: SimDuration) {
-        if self.cfg.protocol != Protocol::Custom {
-            return;
-        }
-        let cfg = self.fabric.config();
-        match self.cfg.access {
-            AccessMode::SyncSpin => {}
-            AccessMode::Async => clock.advance(cfg.async_completion - cfg.sync_completion),
-            AccessMode::Adaptive { spin_budget } => {
-                // spun through the budget; if the transfer outlasted it, the
-                // scheduler yielded and the completion pays the switch +
-                // re-schedule delay
-                if op_duration > spin_budget {
-                    clock.advance(cfg.async_completion - cfg.sync_completion);
-                }
-            }
-        }
-    }
-
-    /// The scalar chunk loop: locate, charge, issue, and retry/fail-over/
-    /// heal until `[offset, offset+len)` is covered. `staged` charges the
-    /// per-chunk staging-buffer preparation (true for reads/writes that
-    /// move the whole chunk; pushdown charges its own reply-sized copy).
-    fn io<F>(
-        &self,
-        clock: &mut Clock,
-        offset: u64,
-        len: u64,
-        staged: bool,
-        mut chunk_op: F,
-    ) -> Result<(), StorageError>
-    where
-        F: FnMut(&mut Clock, MrHandle, u64, u64, u64) -> Result<(), NetError>,
-    {
-        if !self.is_open.load(Ordering::Acquire) {
-            return Err(StorageError::Unavailable("file is not open".into()));
-        }
-        if offset + len > self.size {
-            return Err(StorageError::OutOfBounds {
-                offset,
-                len,
-                capacity: self.size,
-            });
-        }
-        self.ensure_lease(clock)?;
-        let mut cur = offset;
-        let mut done = 0u64;
-        let mut transient_tries = 0u32;
-        let mut heals = 0u32;
-        while done < len {
-            // re-locate every attempt: a repair may have swapped the backing
-            let (mr, mr_off, chunk) = self.locate(cur, len - done);
-            if staged {
-                self.prepare_transfer(clock, chunk);
-            }
-            let issued = clock.now();
-            match chunk_op(clock, mr, mr_off, done, chunk) {
-                Ok(()) => {
-                    if transient_tries > 0 {
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Recovery,
-                            "rfile.retry",
-                            format!("chunk at {cur} ok after {transient_tries} retries"),
-                        );
-                        transient_tries = 0;
-                    }
-                    self.access_mode_penalty(clock, clock.now().since(issued));
-                    cur += chunk;
-                    done += chunk;
-                }
-                Err(NetError::Transient { server, reason }) => {
-                    transient_tries += 1;
-                    if transient_tries > self.cfg.max_retries {
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Observed,
-                            "rfile.retry",
-                            format!(
-                                "chunk at {cur} gave up after {} retries",
-                                self.cfg.max_retries
-                            ),
-                        );
-                        return Err(StorageError::Transient(format!(
-                            "{} retries exhausted reaching {server:?}: {reason}",
-                            self.cfg.max_retries
-                        )));
-                    }
-                    self.retries.add(1);
-                    if let Some(m) = &self.metrics {
-                        m.retries.incr();
-                    }
-                    clock.advance(self.cfg.retry_backoff * (1 << (transient_tries - 1)));
-                }
-                Err(fatal) => {
-                    // failover before repair: if the broker already fenced a
-                    // new replica epoch, re-pointing at a survivor is enough
-                    // — no re-lease, no data loss, retry immediately
-                    if self.replicated() && self.refresh_replicas() {
-                        self.failovers.add(1);
-                        if let Some(m) = &self.metrics {
-                            m.failovers.incr();
-                        }
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Recovery,
-                            "rfile.failover",
-                            format!("re-pointed at surviving replica after: {fatal}"),
-                        );
-                        continue;
-                    }
-                    if !self.cfg.self_heal && !self.replicated() {
-                        return Err(StorageError::Unavailable(fatal.to_string()));
-                    }
-                    heals += 1;
-                    if heals > MAX_HEALS_PER_IO {
-                        return Err(StorageError::Unavailable(format!(
-                            "giving up after {MAX_HEALS_PER_IO} repair attempts: {fatal}"
-                        )));
-                    }
-                    // blind rotation (broker epoch unchanged, e.g. blackout):
-                    // costs heal budget so an all-dead group can't spin
-                    if self.replicated() && self.rotate_preferred(mr) {
-                        self.failovers.add(1);
-                        if let Some(m) = &self.metrics {
-                            m.failovers.incr();
-                        }
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Recovery,
-                            "rfile.failover",
-                            format!("rotated to peer replica after: {fatal}"),
-                        );
-                        continue;
-                    }
-                    self.note(
-                        clock.now(),
-                        FaultOrigin::Observed,
-                        "rfile.fatal",
-                        fatal.to_string(),
-                    );
-                    self.ensure_lease(clock)?;
-                    self.try_repair(clock)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// **Read** `buf.len()` bytes at `offset` via RDMA.
-    pub fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        let len = buf.len() as u64;
-        let fabric = Arc::clone(&self.fabric);
-        let proto = self.cfg.protocol;
-        let local = self.local;
-        let t0 = clock.now();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span_enter_id(m.read_span, t0));
-        let res = self.io(
-            clock,
-            offset,
-            len,
-            true,
-            |clock, handle, within, done, chunk| {
-                let dst = &mut buf[done as usize..(done + chunk) as usize];
-                fabric.read(clock, proto, local, handle, within, dst)
-            },
-        );
-        if let Some(m) = &self.metrics {
-            if let Some(span) = span {
-                m.registry.span_exit(span, clock.now());
-            }
-            if res.is_ok() {
-                m.read_ops.incr();
-                m.read_bytes.add(len);
-                m.read_lat.record(clock.now().since(t0));
-            }
-        }
-        if res.is_ok() {
-            self.bytes_read.add(len);
-        }
-        res
-    }
-
-    /// **Pushdown read**: run `program` over the whole-page span
-    /// `[offset, offset + len)` *near the memory* and stream back only the
-    /// compacted replies, in extent order.
-    ///
-    /// One RPC per extent chunk, routed to the preferred replica member and
-    /// failed over on an epoch bump exactly like [`RemoteFile::read`]
-    /// (transient faults are retried with backoff, fatal ones re-point or
-    /// re-lease). Each successful chunk debits the donor's broker compute
-    /// account; a donor whose budget is exhausted is skipped — that chunk
-    /// falls back to a one-sided read with the same eval run on the
-    /// client's own core, so results are identical either way.
-    pub fn read_pushdown(
-        &self,
-        clock: &mut Clock,
-        offset: u64,
-        len: u64,
-        program: &PushdownProgram,
-    ) -> Result<PushdownScan, StorageError> {
-        let page = EVAL_PAGE_SIZE as u64;
-        if len == 0 || !offset.is_multiple_of(page) || !len.is_multiple_of(page) {
-            return Err(StorageError::Unavailable(format!(
-                "pushdown span [{offset}, {}) is not whole 8 KiB pages",
-                offset + len
-            )));
-        }
-        let fabric = Arc::clone(&self.fabric);
-        let proto = self.cfg.protocol;
-        let local = self.local;
-        let t0 = clock.now();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span_enter_id(m.pushdown_span, t0));
-        #[derive(Default)]
-        struct ChunkOut {
-            payload: Vec<u8>,
-            rows_scanned: u64,
-            rows_matched: u64,
-            server_cpu: SimDuration,
-            fallback: bool,
-        }
-        // keyed by position in the span: a retried chunk overwrites its own
-        // slot instead of duplicating, and the fold below runs in file order
-        let mut chunks: std::collections::BTreeMap<u64, ChunkOut> =
-            std::collections::BTreeMap::new();
-        let res = self.io(
-            clock,
-            offset,
-            len,
-            false,
-            |clock, handle, within, done, chunk| {
-                let cfg = fabric.config();
-                let mut out = ChunkOut::default();
-                if self.broker.pushdown_admit(handle.server) {
-                    let reply = fabric.pushdown(
-                        clock,
-                        proto,
-                        local,
-                        &PushdownRequest {
-                            handle,
-                            offset: within,
-                            len: chunk,
-                            program,
-                        },
-                    )?;
-                    self.broker
-                        .note_pushdown(handle.server, reply.server_cpu, reply.rows_scanned);
-                    // land the (small) reply in the client's result buffer
-                    clock.advance(cfg.memcpy(reply.payload.len() as u64));
-                    out.payload = reply.payload;
-                    out.rows_scanned = reply.rows_scanned;
-                    out.rows_matched = reply.rows_matched;
-                    out.server_cpu = reply.server_cpu;
-                } else {
-                    // compute budget exhausted: ship the pages and eval here —
-                    // same result, full wire bytes, eval burned on our own core
-                    let mut span_bytes = vec![0u8; chunk as usize];
-                    fabric.read(clock, proto, local, handle, within, &mut span_bytes)?;
-                    clock.advance(cfg.memcpy(chunk));
-                    let mut payload = Vec::new();
-                    let stats = remem_storage::eval_pages(&span_bytes, program, &mut payload)
-                        .map_err(|_| NetError::BadPushdown {
-                            reason: "span is not a whole number of 8 KiB pages",
-                        })?;
-                    clock.advance(cfg.pushdown_eval_cost(stats.rows_scanned, chunk));
-                    out.payload = payload;
-                    out.rows_scanned = stats.rows_scanned;
-                    out.rows_matched = stats.rows_matched;
-                    out.fallback = true;
-                }
-                chunks.insert(done, out);
-                Ok(())
-            },
-        );
-        let scan = res.map(|()| {
-            let mut scan = PushdownScan {
-                payload: Vec::new(),
-                rows_scanned: 0,
-                rows_matched: 0,
-                server_cpu: SimDuration::ZERO,
-                fallback_chunks: 0,
-            };
-            let mut agg: Option<PartialAgg> = None;
-            for out in chunks.values() {
-                scan.rows_scanned += out.rows_scanned;
-                scan.rows_matched += out.rows_matched;
-                scan.server_cpu += out.server_cpu;
-                scan.fallback_chunks += out.fallback as u64;
-                if program.aggregate.is_some() {
-                    // merge partials in extent order — deterministic floats
-                    if let Some(part) = PartialAgg::decode(&out.payload) {
-                        match &mut agg {
-                            Some(a) => a.merge(&part),
-                            None => agg = Some(part),
-                        }
-                    }
-                } else {
-                    scan.payload.extend_from_slice(&out.payload);
-                }
-            }
-            if let Some(a) = agg {
-                a.encode(&mut scan.payload);
-            }
-            scan
-        });
-        if let Some(m) = &self.metrics {
-            if let Some(span) = span {
-                m.registry.span_exit(span, clock.now());
-            }
-            if let Ok(scan) = &scan {
-                m.pushdown_ops.incr();
-                m.pushdown_bytes.add(scan.payload.len() as u64);
-                m.pushdown_fallbacks.add(scan.fallback_chunks);
-                m.pushdown_lat.record(clock.now().since(t0));
-            }
-        }
-        if let Ok(scan) = &scan {
-            self.bytes_read.add(scan.payload.len() as u64);
-        }
-        scan
-    }
-
-    /// **Write** `data` at `offset` via RDMA.
-    pub fn write(&self, clock: &mut Clock, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.write_impl(clock, offset, data, None).map(|_| ())
-    }
-
-    /// **Write** `data` at `offset` and return the folded quorum accounting.
-    ///
-    /// Same data path and cost model as [`RemoteFile::write`]; the extra
-    /// return value carries the per-chunk [`QuorumWrite`] outcomes folded
-    /// into one [`QuorumAppend`], which the WAL append path feeds into its
-    /// `wal.quorum.*` telemetry. On an unreplicated file the accounting is
-    /// all-zero (chunks still count).
-    ///
-    /// [`QuorumWrite`]: remem_net::QuorumWrite
-    pub fn write_tracked(
-        &self,
-        clock: &mut Clock,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<QuorumAppend, StorageError> {
-        self.write_impl(clock, offset, data, Some(QuorumAppend::default()))
-            .map(|acc| acc.unwrap_or_default())
-    }
-
-    fn write_impl(
-        &self,
-        clock: &mut Clock,
-        offset: u64,
-        data: &[u8],
-        mut track: Option<QuorumAppend>,
-    ) -> Result<Option<QuorumAppend>, StorageError> {
-        let len = data.len() as u64;
-        let fabric = Arc::clone(&self.fabric);
-        let proto = self.cfg.protocol;
-        let local = self.local;
-        let t0 = clock.now();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span_enter_id(m.write_span, t0));
-        let replicated = self.replicated();
-        let res = self.io(
-            clock,
-            offset,
-            len,
-            true,
-            |clock, handle, within, done, chunk| {
-                let src = &data[done as usize..(done + chunk) as usize];
-                if replicated {
-                    // fan out to every live replica; the op completes at the
-                    // quorum ack, stragglers catch up in the background
-                    let targets = self.replica_targets(handle, within);
-                    let q = fabric.write_quorum(clock, proto, local, &targets, src)?;
-                    if let Some(acc) = track.as_mut() {
-                        acc.fold(&q);
-                    }
-                    Ok(())
-                } else {
-                    if let Some(acc) = track.as_mut() {
-                        acc.chunks += 1;
-                    }
-                    // audit: allow(quorum-write, unreplicated file: the single copy is the quorum)
-                    fabric.write(clock, proto, local, handle, within, src)
-                }
-            },
-        );
-        if let Some(m) = &self.metrics {
-            if let Some(span) = span {
-                m.registry.span_exit(span, clock.now());
-            }
-            if res.is_ok() {
-                m.write_ops.incr();
-                m.write_bytes.add(len);
-                m.write_lat.record(clock.now().since(t0));
-            }
-        }
-        if res.is_ok() {
-            self.bytes_written.add(len);
-        }
-        res.map(|()| track)
-    }
-
-    /// Validate the batch shape and lease once up front. Requests that fail
-    /// validation get their error slot set and are skipped by the wave
-    /// engine; a dead lease (or closed file) fails the whole batch. Returns
-    /// whether any request may proceed.
-    fn vectored_preflight(
-        &self,
-        clock: &mut Clock,
-        shape: &[(u64, u64)],
-        results: &mut [Result<(), StorageError>],
-    ) -> bool {
-        if !self.is_open.load(Ordering::Acquire) {
-            for r in results.iter_mut() {
-                *r = Err(StorageError::Unavailable("file is not open".into()));
-            }
-            return false;
-        }
-        for (i, &(offset, len)) in shape.iter().enumerate() {
-            if offset + len > self.size {
-                results[i] = Err(StorageError::OutOfBounds {
-                    offset,
-                    len,
-                    capacity: self.size,
-                });
-            }
-        }
-        if let Err(e) = self.ensure_lease(clock) {
-            for r in results.iter_mut() {
-                if r.is_ok() {
-                    *r = Err(e.clone());
-                }
-            }
-            return false;
-        }
-        results.iter().any(|r| r.is_ok())
-    }
-
-    /// Bounded self-heal shared by the wave engines; mirrors the scalar
-    /// fatal-fault arm of [`RemoteFile::io`].
-    fn heal_once(
-        &self,
-        clock: &mut Clock,
-        heals: &mut u32,
-        fatal: &NetError,
-        failed: Option<MrHandle>,
-    ) -> Result<(), StorageError> {
-        // failover first, as in the scalar path: an epoch fence that
-        // re-points the extents costs no heal budget
-        if self.replicated() && self.refresh_replicas() {
-            self.failovers.add(1);
-            if let Some(m) = &self.metrics {
-                m.failovers.incr();
-            }
-            self.note(
-                clock.now(),
-                FaultOrigin::Recovery,
-                "rfile.failover",
-                format!("re-pointed at surviving replica after: {fatal}"),
-            );
-            return Ok(());
-        }
-        *heals += 1;
-        if *heals > MAX_HEALS_PER_IO {
-            return Err(StorageError::Unavailable(format!(
-                "giving up after {MAX_HEALS_PER_IO} repair attempts: {fatal}"
-            )));
-        }
-        // blind rotation (broker epoch unchanged): costs heal budget so an
-        // all-dead group can't spin
-        if let Some(mr) = failed {
-            if self.replicated() && self.rotate_preferred(mr) {
-                self.failovers.add(1);
-                if let Some(m) = &self.metrics {
-                    m.failovers.incr();
-                }
-                self.note(
-                    clock.now(),
-                    FaultOrigin::Recovery,
-                    "rfile.failover",
-                    format!("rotated to peer replica after: {fatal}"),
-                );
-                return Ok(());
-            }
-        }
-        self.note(
-            clock.now(),
-            FaultOrigin::Observed,
-            "rfile.fatal",
-            fatal.to_string(),
-        );
-        self.ensure_lease(clock)?;
-        self.try_repair(clock)
-    }
-
-    /// **Vectored read**: fan the request list out across stripes and donor
-    /// servers in waves of up to `cfg.queue_depth` chunks, one doorbell per
-    /// wave. Chunks landing in the same MR at adjacent offsets coalesce into
-    /// a single multi-SGE work request (one op overhead for the run), and a
-    /// chunk backing off after a transient fault only costs wall time when
-    /// nothing else is ready to issue — retries overlap other in-flight work.
-    /// Results come back per request; one request failing never poisons its
-    /// neighbours.
-    pub fn read_vectored(
-        &self,
-        clock: &mut Clock,
-        reqs: &mut [(u64, &mut [u8])],
-    ) -> Vec<Result<(), StorageError>> {
-        let t0 = clock.now();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span_enter_id(m.read_vectored_span, t0));
-        let shape: Vec<(u64, u64)> = reqs.iter().map(|(o, b)| (*o, b.len() as u64)).collect();
-        let mut results: Vec<Result<(), StorageError>> = vec![Ok(()); reqs.len()];
-        if self.vectored_preflight(clock, &shape, &mut results) {
-            let mut queue: VecDeque<ReadChunk<'_>> = VecDeque::new();
-            for (i, (offset, buf)) in reqs.iter_mut().enumerate() {
-                if results[i].is_err() || buf.is_empty() {
-                    continue;
-                }
-                queue.push_back(ReadChunk {
-                    req: i,
-                    file_off: *offset,
-                    tries: 0,
-                    not_before: SimTime::ZERO,
-                    buf,
-                });
-            }
-            self.drive_read_waves(clock, &mut queue, &mut results);
-        }
-        let (mut ok_n, mut ok_bytes) = (0u64, 0u64);
-        for (i, r) in results.iter().enumerate() {
-            if r.is_ok() {
-                ok_n += 1;
-                ok_bytes += shape[i].1;
-            }
-        }
-        self.bytes_read.add(ok_bytes);
-        if let Some(m) = &self.metrics {
-            if let Some(span) = span {
-                m.registry.span_exit(span, clock.now());
-            }
-            m.read_ops.add(ok_n);
-            m.read_bytes.add(ok_bytes);
-            m.read_lat.record(clock.now().since(t0));
-        }
-        results
-    }
-
-    fn drive_read_waves<'b>(
-        &self,
-        clock: &mut Clock,
-        queue: &mut VecDeque<ReadChunk<'b>>,
-        results: &mut [Result<(), StorageError>],
-    ) {
-        let qd = self.cfg.queue_depth.max(1);
-        let mut heals = 0u32;
-        loop {
-            // drop chunks whose request already failed through a sibling
-            queue.retain(|c| results[c.req].is_ok());
-            if queue.is_empty() {
-                return;
-            }
-            // only when *every* survivor is backing off does backoff cost
-            // clock time — otherwise retries hide behind other waves
-            let now = clock.now();
-            // every queued chunk backing off == the earliest deadline is in
-            // the future; only then does backoff cost any virtual time
-            if let Some(t) = queue.iter().map(|c| c.not_before).min() {
-                if t > now {
-                    clock.advance_to(t);
-                }
-            }
-            // carve one wave of ready chunks, splitting at extent boundaries
-            // (re-locating every time: a repair may have swapped the backing)
-            let mut wave: ReadWave<'b> = Vec::new();
-            let mut scan = queue.len();
-            while wave.len() < qd && scan > 0 {
-                scan -= 1;
-                let Some(chunk) = queue.pop_front() else {
-                    break;
-                };
-                if chunk.not_before > clock.now() {
-                    queue.push_back(chunk);
-                    continue;
-                }
-                let (mr, mr_off, avail) = self.locate(chunk.file_off, chunk.buf.len() as u64);
-                let ReadChunk {
-                    req,
-                    file_off,
-                    tries,
-                    not_before,
-                    buf,
-                } = chunk;
-                if avail < buf.len() as u64 {
-                    let (head, tail) = buf.split_at_mut(avail as usize);
-                    queue.push_front(ReadChunk {
-                        req,
-                        file_off: file_off + avail,
-                        tries,
-                        not_before,
-                        buf: tail,
-                    });
-                    wave.push((req, file_off, tries, mr, mr_off, head));
-                } else {
-                    wave.push((req, file_off, tries, mr, mr_off, buf));
-                }
-            }
-            if wave.is_empty() {
-                continue;
-            }
-            // local prep (staging memcpy / dynamic registration) serializes
-            // on the issuing scheduler, exactly as in the scalar path
-            for (_, _, _, _, _, buf) in &wave {
-                self.prepare_transfer(clock, buf.len() as u64);
-            }
-            // coalesce MR-adjacent chunks into multi-SGE WRs: a sequential
-            // readahead batch or a run of dirty neighbours becomes one WR
-            wave.sort_by_key(|&(_, _, _, mr, mr_off, _)| (mr.server.0, mr.mr, mr_off));
-            let mut wrs: Vec<WorkRequest<'_>> = Vec::new();
-            let mut metas: Vec<Vec<(usize, u64, u32)>> = Vec::new();
-            for (req, file_off, tries, mr, mr_off, buf) in wave {
-                let contiguous = match wrs.last() {
-                    Some(WorkRequest::Read(sges)) => sges.last().is_some_and(|last| {
-                        last.mr.server == mr.server
-                            && last.mr.mr == mr.mr
-                            && last.offset + last.buf.len() as u64 == mr_off
-                    }),
-                    _ => false,
-                };
-                let sge = ReadSge {
-                    mr,
-                    offset: mr_off,
-                    buf,
-                };
-                match (wrs.last_mut(), metas.last_mut()) {
-                    (Some(WorkRequest::Read(sges)), Some(meta)) if contiguous => {
-                        sges.push(sge);
-                        meta.push((req, file_off, tries));
-                    }
-                    _ => {
-                        wrs.push(WorkRequest::Read(vec![sge]));
-                        metas.push(vec![(req, file_off, tries)]);
-                    }
-                }
-            }
-            let issued = clock.now();
-            let comps = self
-                .fabric
-                .execute_batch(clock, self.cfg.protocol, self.local, &mut wrs);
-            self.access_mode_penalty(clock, clock.now().since(issued));
-            let mut healed_this_wave = false;
-            for ((wr, meta), comp) in wrs.into_iter().zip(metas).zip(comps) {
-                let WorkRequest::Read(sges) = wr else {
-                    unreachable!("read wave only posts read WRs")
-                };
-                match comp.result {
-                    Ok(()) => {
-                        for &(_, file_off, tries) in &meta {
-                            if tries > 0 {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Recovery,
-                                    "rfile.retry",
-                                    format!("chunk at {file_off} ok after {tries} retries"),
-                                );
-                            }
-                        }
-                    }
-                    Err(NetError::Transient { server, reason }) => {
-                        for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                            let tries = tries + 1;
-                            if tries > self.cfg.max_retries {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Observed,
-                                    "rfile.retry",
-                                    format!(
-                                        "chunk at {file_off} gave up after {} retries",
-                                        self.cfg.max_retries
-                                    ),
-                                );
-                                results[req] = Err(StorageError::Transient(format!(
-                                    "{} retries exhausted reaching {server:?}: {reason}",
-                                    self.cfg.max_retries
-                                )));
-                                continue;
-                            }
-                            self.retries.add(1);
-                            if let Some(m) = &self.metrics {
-                                m.retries.incr();
-                            }
-                            queue.push_back(ReadChunk {
-                                req,
-                                file_off,
-                                tries,
-                                not_before: clock.now()
-                                    + self.cfg.retry_backoff * (1 << (tries - 1)),
-                                buf: sge.buf,
-                            });
-                        }
-                    }
-                    Err(fatal) => {
-                        if !self.cfg.self_heal && !self.replicated() {
-                            for (req, _, _) in meta {
-                                results[req] = Err(StorageError::Unavailable(fatal.to_string()));
-                            }
-                            continue;
-                        }
-                        // one heal per wave covers every fatal WR in it: the
-                        // repair already replaced all the dead stripes
-                        let heal = if healed_this_wave {
-                            Ok(())
-                        } else {
-                            let failed = sges.first().map(|s| s.mr);
-                            self.heal_once(clock, &mut heals, &fatal, failed)
-                        };
-                        match heal {
-                            Ok(()) => {
-                                healed_this_wave = true;
-                                for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                                    queue.push_back(ReadChunk {
-                                        req,
-                                        file_off,
-                                        tries,
-                                        not_before: clock.now(),
-                                        buf: sge.buf,
-                                    });
-                                }
-                            }
-                            Err(e) => {
-                                for (req, _, _) in meta {
-                                    results[req] = Err(e.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// **Vectored write**: the gather-side twin of
-    /// [`RemoteFile::read_vectored`] — same wave engine, with adjacent dirty
-    /// ranges coalesced into single multi-SGE work requests.
-    pub fn write_vectored(
-        &self,
-        clock: &mut Clock,
-        reqs: &[(u64, &[u8])],
-    ) -> Vec<Result<(), StorageError>> {
-        if self.replicated() {
-            // every chunk of a replicated file must reach a write quorum of
-            // its replica group; route through the scalar quorum path per
-            // request (quorum-aware vectored doorbells are future work)
-            return reqs
-                .iter()
-                .map(|(off, data)| self.write(clock, *off, data))
-                .collect();
-        }
-        let t0 = clock.now();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span_enter_id(m.write_vectored_span, t0));
-        let shape: Vec<(u64, u64)> = reqs.iter().map(|(o, d)| (*o, d.len() as u64)).collect();
-        let mut results: Vec<Result<(), StorageError>> = vec![Ok(()); reqs.len()];
-        if self.vectored_preflight(clock, &shape, &mut results) {
-            let mut queue: VecDeque<WriteChunk<'_>> = VecDeque::new();
-            for (i, (offset, data)) in reqs.iter().enumerate() {
-                if results[i].is_err() || data.is_empty() {
-                    continue;
-                }
-                queue.push_back(WriteChunk {
-                    req: i,
-                    file_off: *offset,
-                    tries: 0,
-                    not_before: SimTime::ZERO,
-                    data,
-                });
-            }
-            self.drive_write_waves(clock, &mut queue, &mut results);
-        }
-        let (mut ok_n, mut ok_bytes) = (0u64, 0u64);
-        for (i, r) in results.iter().enumerate() {
-            if r.is_ok() {
-                ok_n += 1;
-                ok_bytes += shape[i].1;
-            }
-        }
-        self.bytes_written.add(ok_bytes);
-        if let Some(m) = &self.metrics {
-            if let Some(span) = span {
-                m.registry.span_exit(span, clock.now());
-            }
-            m.write_ops.add(ok_n);
-            m.write_bytes.add(ok_bytes);
-            m.write_lat.record(clock.now().since(t0));
-        }
-        results
-    }
-
-    fn drive_write_waves<'b>(
-        &self,
-        clock: &mut Clock,
-        queue: &mut VecDeque<WriteChunk<'b>>,
-        results: &mut [Result<(), StorageError>],
-    ) {
-        let qd = self.cfg.queue_depth.max(1);
-        let mut heals = 0u32;
-        loop {
-            queue.retain(|c| results[c.req].is_ok());
-            if queue.is_empty() {
-                return;
-            }
-            let now = clock.now();
-            // every queued chunk backing off == the earliest deadline is in
-            // the future; only then does backoff cost any virtual time
-            if let Some(t) = queue.iter().map(|c| c.not_before).min() {
-                if t > now {
-                    clock.advance_to(t);
-                }
-            }
-            let mut wave: WriteWave<'b> = Vec::new();
-            let mut scan = queue.len();
-            while wave.len() < qd && scan > 0 {
-                scan -= 1;
-                let Some(chunk) = queue.pop_front() else {
-                    break;
-                };
-                if chunk.not_before > clock.now() {
-                    queue.push_back(chunk);
-                    continue;
-                }
-                let (mr, mr_off, avail) = self.locate(chunk.file_off, chunk.data.len() as u64);
-                let WriteChunk {
-                    req,
-                    file_off,
-                    tries,
-                    not_before,
-                    data,
-                } = chunk;
-                if avail < data.len() as u64 {
-                    let (head, tail) = data.split_at(avail as usize);
-                    queue.push_front(WriteChunk {
-                        req,
-                        file_off: file_off + avail,
-                        tries,
-                        not_before,
-                        data: tail,
-                    });
-                    wave.push((req, file_off, tries, mr, mr_off, head));
-                } else {
-                    wave.push((req, file_off, tries, mr, mr_off, data));
-                }
-            }
-            if wave.is_empty() {
-                continue;
-            }
-            for (_, _, _, _, _, data) in &wave {
-                self.prepare_transfer(clock, data.len() as u64);
-            }
-            wave.sort_by_key(|&(_, _, _, mr, mr_off, _)| (mr.server.0, mr.mr, mr_off));
-            let mut wrs: Vec<WorkRequest<'_>> = Vec::new();
-            let mut metas: Vec<Vec<(usize, u64, u32)>> = Vec::new();
-            for (req, file_off, tries, mr, mr_off, data) in wave {
-                let contiguous = match wrs.last() {
-                    Some(WorkRequest::Write(sges)) => sges.last().is_some_and(|last| {
-                        last.mr.server == mr.server
-                            && last.mr.mr == mr.mr
-                            && last.offset + last.data.len() as u64 == mr_off
-                    }),
-                    _ => false,
-                };
-                let sge = WriteSge {
-                    mr,
-                    offset: mr_off,
-                    data,
-                };
-                match (wrs.last_mut(), metas.last_mut()) {
-                    (Some(WorkRequest::Write(sges)), Some(meta)) if contiguous => {
-                        sges.push(sge);
-                        meta.push((req, file_off, tries));
-                    }
-                    _ => {
-                        wrs.push(WorkRequest::Write(vec![sge]));
-                        metas.push(vec![(req, file_off, tries)]);
-                    }
-                }
-            }
-            let issued = clock.now();
-            let comps = self
-                .fabric
-                .execute_batch(clock, self.cfg.protocol, self.local, &mut wrs);
-            self.access_mode_penalty(clock, clock.now().since(issued));
-            let mut healed_this_wave = false;
-            for ((wr, meta), comp) in wrs.into_iter().zip(metas).zip(comps) {
-                let WorkRequest::Write(sges) = wr else {
-                    unreachable!("write wave only posts write WRs")
-                };
-                match comp.result {
-                    Ok(()) => {
-                        for &(_, file_off, tries) in &meta {
-                            if tries > 0 {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Recovery,
-                                    "rfile.retry",
-                                    format!("chunk at {file_off} ok after {tries} retries"),
-                                );
-                            }
-                        }
-                    }
-                    Err(NetError::Transient { server, reason }) => {
-                        for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                            let tries = tries + 1;
-                            if tries > self.cfg.max_retries {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Observed,
-                                    "rfile.retry",
-                                    format!(
-                                        "chunk at {file_off} gave up after {} retries",
-                                        self.cfg.max_retries
-                                    ),
-                                );
-                                results[req] = Err(StorageError::Transient(format!(
-                                    "{} retries exhausted reaching {server:?}: {reason}",
-                                    self.cfg.max_retries
-                                )));
-                                continue;
-                            }
-                            self.retries.add(1);
-                            if let Some(m) = &self.metrics {
-                                m.retries.incr();
-                            }
-                            queue.push_back(WriteChunk {
-                                req,
-                                file_off,
-                                tries,
-                                not_before: clock.now()
-                                    + self.cfg.retry_backoff * (1 << (tries - 1)),
-                                data: sge.data,
-                            });
-                        }
-                    }
-                    Err(fatal) => {
-                        if !self.cfg.self_heal && !self.replicated() {
-                            for (req, _, _) in meta {
-                                results[req] = Err(StorageError::Unavailable(fatal.to_string()));
-                            }
-                            continue;
-                        }
-                        let heal = if healed_this_wave {
-                            Ok(())
-                        } else {
-                            let failed = sges.first().map(|s| s.mr);
-                            self.heal_once(clock, &mut heals, &fatal, failed)
-                        };
-                        match heal {
-                            Ok(()) => {
-                                healed_this_wave = true;
-                                for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                                    queue.push_back(WriteChunk {
-                                        req,
-                                        file_off,
-                                        tries,
-                                        not_before: clock.now(),
-                                        data: sge.data,
-                                    });
-                                }
-                            }
-                            Err(e) => {
-                                for (req, _, _) in meta {
-                                    results[req] = Err(e.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// **Submit** half of the async API: record the operation list. No
-    /// virtual time is charged and no bytes move until
-    /// [`RemoteFile::complete`] — the caller keeps working in between, which
-    /// is how the engine overlaps spill I/O with compute.
-    pub fn submit(&self, ops: Vec<IoOp>) -> IoBatch {
-        IoBatch { ops }
-    }
-
-    /// **Complete** half of the async API: drive the whole batch through the
-    /// pipelined vectored path — consecutive same-verb runs share doorbells —
-    /// and hand the buffers back with per-op results, in submission order.
-    pub fn complete(
-        &self,
-        clock: &mut Clock,
-        batch: IoBatch,
-    ) -> Vec<(IoOp, Result<(), StorageError>)> {
-        let mut ops = batch.ops;
-        let n = ops.len();
-        let mut results: Vec<Result<(), StorageError>> = Vec::with_capacity(n);
-        let mut i = 0;
-        while i < n {
-            let is_read = matches!(ops[i], IoOp::Read { .. });
-            let mut j = i + 1;
-            while j < n && matches!(ops[j], IoOp::Read { .. }) == is_read {
-                j += 1;
-            }
-            if is_read {
-                let mut reqs: Vec<(u64, &mut [u8])> = ops[i..j]
-                    .iter_mut()
-                    .map(|op| match op {
-                        IoOp::Read { offset, buf } => (*offset, buf.as_mut_slice()),
-                        IoOp::Write { .. } => unreachable!("run contains only reads"),
-                    })
-                    .collect();
-                results.extend(self.read_vectored(clock, &mut reqs));
-            } else {
-                let reqs: Vec<(u64, &[u8])> = ops[i..j]
-                    .iter()
-                    .map(|op| match op {
-                        IoOp::Write { offset, data } => (*offset, data.as_slice()),
-                        IoOp::Read { .. } => unreachable!("run contains only writes"),
-                    })
-                    .collect();
-                results.extend(self.write_vectored(clock, &reqs));
-            }
-            i = j;
-        }
-        ops.into_iter().zip(results).collect()
     }
 }
 
@@ -2285,6 +1296,7 @@ impl Device for RemoteFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AccessMode;
     use remem_broker::{BrokerConfig, MetaStore, PlacementPolicy};
     use remem_net::{FaultInjector, NetConfig};
 
@@ -2874,27 +1886,6 @@ mod tests {
             assert_eq!(b[..], data[i * 8192..(i + 1) * 8192], "page {i}");
         }
         assert!(f.retries() > 0, "p=0.3 over 32 pages must hit retries");
-    }
-
-    #[test]
-    fn submit_complete_round_trip() {
-        let c = cluster(1, 4, PlacementPolicy::Pack);
-        let mut clock = Clock::new();
-        let f = mk_file(&c, 2 * MR, RFileConfig::custom(), &mut clock);
-        let batch = f.submit(vec![
-            IoOp::write(0, vec![5u8; 4096]),
-            IoOp::write(4096, vec![6u8; 4096]),
-            IoOp::read(0, 8192),
-        ]);
-        assert_eq!(batch.len(), 3);
-        let done = f.complete(&mut clock, batch);
-        assert_eq!(done.len(), 3);
-        assert!(done.iter().all(|(_, r)| r.is_ok()));
-        let IoOp::Read { buf, .. } = &done[2].0 else {
-            panic!("third op is a read");
-        };
-        assert!(buf[..4096].iter().all(|&b| b == 5));
-        assert!(buf[4096..].iter().all(|&b| b == 6));
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //! That is the paper's integration story in one trait impl.
 
 pub mod config;
+mod engine;
 pub mod file;
 pub mod ring;
 pub mod staging;
 
 pub use config::{AccessMode, RFileConfig, RegistrationMode};
-pub use file::{IoBatch, IoOp, PushdownScan, QuorumAppend, RemoteFile};
+pub use file::{PushdownScan, QuorumAppend, RemoteFile};
 pub use ring::RemoteRing;
 pub use staging::StagingBuffers;

@@ -12,6 +12,7 @@
 //!   error or recovery and the `FaultLog` kinds it must (not) emit.
 //! * **`queue_depth = 1` is the scalar path** — in virtual time, not just
 //!   in bytes.
+//! * **Bounds** — offsets near `u64::MAX` are `OutOfBounds`, never a panic.
 
 use std::sync::Arc;
 
@@ -845,4 +846,40 @@ fn queue_depth_one_costs_exactly_the_scalar_sequence() {
         "reads: one vectored call at queue_depth 1 must cost the scalar sequence"
     );
     assert_eq!(scalar_bytes, bufs);
+}
+
+// ─── bounds ──────────────────────────────────────────────────────────────
+
+#[test]
+fn offsets_near_u64_max_are_out_of_bounds_for_every_verb() {
+    let mut r = matrix_rig(2, RFileConfig::custom());
+    let (f, c) = (&r.file, &mut r.clock);
+    let far = u64::MAX - 10;
+    let oob = |res: Result<(), StorageError>| {
+        assert!(
+            matches!(res, Err(StorageError::OutOfBounds { .. })),
+            "{res:?}"
+        );
+    };
+    oob(f.read(c, far, &mut [0u8; 100]));
+    oob(f.write(c, far, &[0u8; 100]));
+    oob(f.write_tracked(c, far, &[0u8; 100]).map(|_| ()));
+    let mut buf = [0u8; 100];
+    let mut ok = [0u8; 8];
+    let mut reqs: Vec<(u64, &mut [u8])> = vec![(far, &mut buf), (0, &mut ok)];
+    let mut results = f.read_vectored(c, &mut reqs);
+    assert!(results.pop().unwrap().is_ok(), "neighbours are unaffected");
+    oob(results.pop().unwrap());
+    let mut results = f.write_vectored(c, &[(far, &[0u8; 100]), (0, &[0u8; 8])]);
+    assert!(results.pop().unwrap().is_ok());
+    oob(results.pop().unwrap());
+    // whole pages whose end wraps past u64::MAX
+    let last_page = u64::MAX - (PAGE - 1);
+    oob(f
+        .read_pushdown(c, last_page, 2 * PAGE, &key_lt(1))
+        .map(|_| ()));
+    // and the Device face of the same verbs
+    let dev: &dyn Device = f;
+    oob(dev.read(c, far, &mut [0u8; 100]));
+    oob(dev.write(c, far, &[0u8; 100]));
 }
