@@ -28,6 +28,8 @@
 pub mod config;
 mod engine;
 pub mod file;
+mod lease;
+mod replica;
 pub mod ring;
 pub mod staging;
 
