@@ -70,7 +70,8 @@ impl WorkRequest<'_> {
         }
     }
 
-    pub(crate) fn sge_count(&self) -> usize {
+    /// Scatter/gather elements this WR carries.
+    pub fn sge_count(&self) -> usize {
         match self {
             WorkRequest::Read(sges) => sges.len(),
             WorkRequest::Write(sges) => sges.len(),

@@ -5,36 +5,26 @@
 //! carve the ready chunks — translating each to its backing MR on every
 //! attempt, because a repair may have swapped it, and cutting at extent
 //! boundaries — hand them to the verb, and [`Run::settle`] each outcome:
-//!
-//! | outcome   | what `settle` does                                          |
-//! |-----------|-------------------------------------------------------------|
-//! | ok        | log a retry that got through; a serial verb queues the rest of its request |
-//! | transient | re-queue behind an exponential backoff, or — budget spent — fail the request `Transient` |
-//! | fatal     | [`Run::heal`]: adopt a newer replica epoch, else (on the heal budget) rotate to a peer replica, else re-validate the lease and repair; then re-queue. Files that can do none of it fail the request `Unavailable` |
+//! done, retry behind a backoff, heal ([`Run::heal`]: newer replica epoch,
+//! else peer replica, else lease repair) and retry, or fail the request
+//! with a typed error. Faults are classified, logged and counted nowhere
+//! else.
 //!
 //! A [`Verb`] supplies only what differs between verbs: the payload it
-//! moves, how a wave reaches the fabric, and whether chunks of one request
-//! may be in flight together.
-//!
-//! | verb                       | fabric call                | staged | window        | reply lands in            |
-//! |----------------------------|----------------------------|--------|---------------|---------------------------|
-//! | `read`                     | `read` per chunk           | yes    | serial        | caller's buffer           |
-//! | `write` / `write_tracked`  | `write_quorum` (k ≥ 2) or `write` per chunk | yes | serial | — (quorum accounting folded) |
-//! | `read_pushdown`            | `pushdown` per chunk, or `read` + local eval when the donor's compute budget is spent | reply only | serial | per-chunk replies, folded in file order |
-//! | `read_vectored`            | one `execute_batch` per wave | yes  | `queue_depth` | callers' buffers          |
-//! | `write_vectored` (k = 1)   | one `execute_batch` per wave | yes  | `queue_depth` | —                         |
-//! | `write_vectored` (k ≥ 2)   | one `write` per request    | yes    | serial        | —                         |
+//! moves, how a wave reaches the fabric ([`Scalar`]: one fabric call per
+//! chunk; [`Batched`]: one doorbell per wave), and whether chunks of one
+//! request may be in flight together. DESIGN.md §3 tabulates the verbs and
+//! the `settle` state machine.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
-use remem_net::{MrHandle, NetError, PushdownRequest, ReadSge, WorkRequest, WriteSge};
+use remem_net::{MrHandle, NetError, Protocol, PushdownRequest, ReadSge, WorkRequest, WriteSge};
 use remem_sim::{Clock, FaultOrigin, SimDuration, SimTime};
 use remem_storage::{PushdownProgram, StorageError};
 
 use crate::config::{AccessMode, RegistrationMode};
 use crate::file::{PushdownScan, QuorumAppend, RemoteFile};
-use remem_net::Protocol;
 
 /// Safety valve: fatal-fault heal attempts per I/O call before giving up.
 const MAX_HEALS_PER_IO: u32 = 4;
@@ -218,13 +208,12 @@ pub(crate) trait Verb {
 
 /// A serial verb: each chunk is one call of `op`, which charges the clock
 /// and reports the fabric's verdict.
-pub(crate) struct Scalar<P, F> {
+struct Scalar<P, F> {
     /// Whether the whole chunk passes through a staging buffer (pushdown
     /// stages only its reply, inside `op`).
-    pub(crate) staged: bool,
-    pub(crate) op: F,
-    /// The chunk in flight; starts `None`.
-    pub(crate) posted: Option<Located<P>>,
+    staged: bool,
+    op: F,
+    posted: Option<Located<P>>,
 }
 
 impl<P, F> Verb for Scalar<P, F>
@@ -297,23 +286,19 @@ impl<P: Gather> Verb for Batched<P> {
         self.wave
             .sort_by_key(|c| (c.mr.server.0, c.mr.mr, c.mr_off));
         let mut wrs: Vec<WorkRequest<'_>> = Vec::new();
-        let mut sges_per_wr: Vec<usize> = Vec::new();
         let mut prev: Option<(MrHandle, u64)> = None;
         for c in self.wave.iter_mut() {
             let adjacent = prev.is_some_and(|(mr, end)| same_mr(mr, c.mr) && end == c.mr_off);
             prev = Some((c.mr, c.mr_off + c.len));
-            match sges_per_wr.last_mut() {
-                Some(n) if adjacent => *n += 1,
-                _ => sges_per_wr.push(1),
-            }
             c.chunk.payload.gather(&mut wrs, adjacent, c.mr, c.mr_off);
         }
         let issued = clock.now();
         let comps = file
             .fabric
             .execute_batch(clock, file.cfg.protocol, file.local, &mut wrs);
-        drop(wrs);
         file.access_mode_penalty(clock, clock.now().since(issued));
+        // the sorted wave is the concatenation of the WRs' SGE lists
+        let sges_per_wr: Vec<usize> = wrs.iter().map(WorkRequest::sge_count).collect();
         let mut wave = self.wave.drain(..);
         for (n, comp) in sges_per_wr.into_iter().zip(comps) {
             run.settle(clock, wave.by_ref().take(n), &comp.result);
@@ -323,6 +308,27 @@ impl<P: Gather> Verb for Batched<P> {
 
 pub(crate) fn same_mr(a: MrHandle, b: MrHandle) -> bool {
     a.server == b.server && a.mr == b.mr
+}
+
+/// One request through a serial verb whose chunks each go out as `op`;
+/// `staged` charges the whole chunk's staging-buffer preparation first.
+pub(crate) fn run_one<P: Payload>(
+    file: &RemoteFile,
+    clock: &mut Clock,
+    (offset, payload): (u64, P),
+    staged: bool,
+    op: impl FnMut(&mut Clock, &mut Located<P>) -> Result<(), NetError>,
+) -> Result<(), StorageError> {
+    let mut result = [Ok(())];
+    let mut verb = Scalar {
+        staged,
+        op,
+        posted: None,
+    };
+    let reqs = std::iter::once((offset, payload));
+    run(file, clock, &mut verb, reqs, &mut result);
+    let [result] = result;
+    result
 }
 
 /// The state of one I/O call: what is still queued, what has been decided.

@@ -6,13 +6,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use remem_broker::{Lease, MemoryBroker};
-use remem_net::{Fabric, MrHandle, NetError, Protocol, ServerId};
+use remem_net::{Fabric, MrHandle, Protocol, ServerId};
 use remem_sim::metrics::Counter;
 use remem_sim::{Clock, FaultOrigin, MetricsRegistry, SimDuration, SimTime};
 use remem_storage::{Device, PartialAgg, PushdownProgram, StorageError, EVAL_PAGE_SIZE};
 
 use crate::config::{RFileConfig, RegistrationMode};
-use crate::engine::{self, Batched, Located, Payload, Scalar};
+use crate::engine::{self, Batched};
 use crate::staging::StagingBuffers;
 
 /// Any lower-layer failure that leaves the file unusable for now.
@@ -269,15 +269,30 @@ impl QuorumAppend {
 ///
 /// # Failure semantics
 ///
-/// Transient verb failures (flaky links, brief partitions) are retried with
-/// exponential backoff charged to virtual time; exhausted retries surface as
-/// [`StorageError::Transient`]. Fatal failures (donor crash, lease loss)
-/// surface as [`StorageError::Unavailable`] — unless `cfg.self_heal` is on,
-/// in which case the file *repairs itself*: dead stripes are re-leased from
-/// surviving donors (their contents lost, reported through
-/// [`Device::drain_lost_ranges`]), donors signalling memory pressure are
-/// migrated off during the revocation grace window (no data loss), and a
-/// fully lost lease is re-acquired from scratch.
+/// Every verb runs through one chunk engine, so all of them fail — and
+/// recover — the same way, chunk by chunk:
+///
+/// * An offset or length outside the file is [`StorageError::OutOfBounds`];
+///   a closed file is [`StorageError::Unavailable`]. Neither costs virtual
+///   time.
+/// * **Transient** verb failures (flaky links, brief partitions) are retried
+///   with exponential backoff charged to virtual time, up to
+///   `cfg.max_retries` per chunk; exhausted retries surface as
+///   [`StorageError::Transient`]. Quorum writes absorb a transient as a late
+///   ack and never retry.
+/// * **Fatal** failures (donor crash, lease loss) surface as
+///   [`StorageError::Unavailable`] on a single-copy file — unless
+///   `cfg.self_heal` is on, in which case the file *repairs itself*: dead
+///   stripes are re-leased from surviving donors (their contents lost,
+///   reported through [`Device::drain_lost_ranges`]), donors signalling
+///   memory pressure are migrated off during the revocation grace window
+///   (no data loss), and a fully lost lease is re-acquired from scratch.
+///   A replicated file (`cfg.replicas ≥ 2`) first fails over: to the
+///   broker's newer replica epoch if there is one, else to a peer replica.
+///   Repair attempts are bounded per call and gated by an exponential
+///   backoff between calls.
+/// * Vectored verbs report per request: one request failing never poisons
+///   its neighbours.
 pub struct RemoteFile {
     pub(crate) fabric: Arc<Fabric>,
     pub(crate) broker: Arc<MemoryBroker>,
@@ -491,32 +506,11 @@ impl RemoteFile {
         }
     }
 
-    /// One request through a serial verb whose chunks each go out as `op`.
-    fn scalar<P: Payload>(
-        &self,
-        clock: &mut Clock,
-        offset: u64,
-        payload: P,
-        staged: bool,
-        op: impl FnMut(&mut Clock, &mut Located<P>) -> Result<(), NetError>,
-    ) -> Result<(), StorageError> {
-        let mut result = [Ok(())];
-        let mut verb = Scalar {
-            staged,
-            op,
-            posted: None,
-        };
-        let reqs = std::iter::once((offset, payload));
-        engine::run(self, clock, &mut verb, reqs, &mut result);
-        let [result] = result;
-        result
-    }
-
     /// **Read** `buf.len()` bytes at `offset` via RDMA.
     pub fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
         let len = buf.len() as u64;
         let span = self.begin(clock.now(), |m| &m.read);
-        let res = self.scalar(clock, offset, buf, true, |clock, c| {
+        let res = engine::run_one(self, clock, (offset, buf), true, |clock, c| {
             self.read_chunk(clock, c)
         });
         self.finish(span, clock.now(), &self.bytes_read, Done::one(&res, len));
@@ -552,7 +546,7 @@ impl RemoteFile {
         // keyed by file offset: a retried chunk overwrites its own slot
         // instead of duplicating, and the fold runs in file order
         let mut chunks = std::collections::BTreeMap::new();
-        let res = self.scalar(clock, offset, len, false, |clock, c| {
+        let res = engine::run_one(self, clock, (offset, len), false, |clock, c| {
             let reply = self.pushdown_chunk(clock, c, program)?;
             chunks.insert(c.chunk.file_off, reply);
             Ok(())
@@ -588,7 +582,7 @@ impl RemoteFile {
     ) -> Result<QuorumAppend, StorageError> {
         let mut track = QuorumAppend::default();
         let span = self.begin(clock.now(), |m| &m.write);
-        let res = self.scalar(clock, offset, data, true, |clock, c| {
+        let res = engine::run_one(self, clock, (offset, data), true, |clock, c| {
             self.write_chunk(clock, c, &mut track)
         });
         let done = Done::one(&res, data.len() as u64);

@@ -20,6 +20,15 @@
 //!   as [`remem_storage::StorageError::Unavailable`]; the engine falls back
 //!   to disk and correctness is never affected.
 //!
+//! Every verb — `read`, `write`, `write_tracked`, `read_vectored`,
+//! `write_vectored`, `read_pushdown` — is a thin wrapper over one chunk
+//! engine (`engine.rs`): check the batch, carve ready chunks at extent
+//! boundaries, let the verb issue them (one fabric call per chunk for the
+//! serial verbs, one doorbell per wave for the vectored ones), and settle
+//! each outcome in one place — retry with backoff, fail over to a replica,
+//! repair, or give up with a typed error. `lease.rs` keeps the lease alive
+//! and heals it; `replica.rs` owns k-way replication.
+//!
 //! `RemoteFile` implements [`remem_storage::Device`], so the engine can
 //! mount remote memory anywhere it would mount an SSD — buffer-pool
 //! extension, TempDB, or semantic-cache storage — with no other changes.
