@@ -762,6 +762,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::{MAX_RECORD, PAGE_SIZE};
     use crate::row::{ColType, Value};
     use remem_storage::RamDisk;
 
@@ -956,6 +957,38 @@ mod tests {
         assert!(db.tempdb().bytes_spilled() > 0, "expected a spill");
         assert!(sorted.windows(2).all(|w| w[0].int(0) <= w[1].int(0)));
         assert_eq!(sorted.len(), 30_000);
+    }
+
+    #[test]
+    fn spilling_a_row_wider_than_a_page_is_a_typed_error() {
+        let mut cfg = DbConfig::with_pool(32 << 20);
+        cfg.workspace_bytes = 256 << 10;
+        cfg.max_grant_fraction = 1.0;
+        let db = Database::standalone(cfg, 8, ram_devices());
+        let mut clock = Clock::new();
+        let mut rows: Vec<Row> = (0..30_000).map(|k| crate::exec::int_row(&[k])).collect();
+        rows[12_345] = Row::new(vec![Value::Int(-1), Value::Str("w".repeat(PAGE_SIZE))]);
+        let too_large = |res: Result<Vec<Row>, DbError>| {
+            matches!(
+                res,
+                Err(DbError::Storage(StorageError::RecordTooLarge { len, max }))
+                    if len > PAGE_SIZE && max == MAX_RECORD
+            )
+        };
+        assert!(too_large(db.sort_rows(
+            &mut clock,
+            rows.clone(),
+            |r| r.int(0) as f64,
+            None
+        )));
+        assert!(too_large(db.join_hash(
+            &mut clock,
+            rows.clone(),
+            rows,
+            |r| r.int(0),
+            |r| r.int(0),
+            |b, _| b.clone(),
+        )));
     }
 
     #[test]

@@ -96,17 +96,32 @@ fn in_memory_join(
     emit: impl Fn(&Row, &Row) -> Row,
 ) -> Vec<Row> {
     ctx.charge_n(ctx.costs.row_hash, build.len() as u64);
+    // Rows sharing a key are chained in build order: the table maps a key to
+    // the `(first, last)` build rows carrying it and `next[i]` is the row
+    // after `i` in its chain, so duplicates cost no allocation per key.
+    const END: u32 = u32::MAX;
+    assert!(build.len() < END as usize, "build side exceeds u32 rows");
+    let mut next = vec![END; build.len()];
     // audit: allow(hash-iter, build table is probed by key only - never iterated - so hash order cannot reach the output)
-    let mut table: HashMap<i64, Vec<usize>> = HashMap::with_capacity(build.len());
+    let mut table: HashMap<i64, (u32, u32)> = HashMap::with_capacity(build.len());
     for (i, r) in build.iter().enumerate() {
-        table.entry(build_key(r)).or_default().push(i);
+        let i = i as u32;
+        table
+            .entry(build_key(r))
+            .and_modify(|(_, last)| {
+                next[*last as usize] = i;
+                *last = i;
+            })
+            .or_insert((i, i));
     }
     let mut out = Vec::new();
     ctx.charge_n(ctx.costs.row_hash, probe.len() as u64);
     for p in &probe {
-        if let Some(matches) = table.get(&probe_key(p)) {
-            for &bi in matches {
-                out.push(emit(&build[bi], p));
+        if let Some(&(first, _)) = table.get(&probe_key(p)) {
+            let mut bi = first;
+            while bi != END {
+                out.push(emit(&build[bi as usize], p));
+                bi = next[bi as usize];
             }
         }
     }

@@ -9,6 +9,58 @@ pub const PAGE_SIZE: usize = 8192;
 const HEADER: usize = 4;
 const SLOT: usize = 4;
 
+/// Largest record an empty page holds.
+pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
+
+fn u16_at(data: &[u8; PAGE_SIZE], at: usize) -> usize {
+    u16::from_le_bytes([data[at], data[at + 1]]) as usize
+}
+
+/// A read-only slotted page borrowed from bytes someone else owns — a
+/// [`Page`], or one page of an extent buffer read back from a device. All
+/// slot decoding lives here; [`Page`] reads through it.
+#[derive(Clone, Copy)]
+pub struct PageView<'a> {
+    data: &'a [u8; PAGE_SIZE],
+}
+
+impl<'a> PageView<'a> {
+    /// View raw page bytes in place.
+    pub fn new(bytes: &'a [u8]) -> PageView<'a> {
+        PageView {
+            data: bytes
+                .try_into()
+                .expect("a page view needs exactly PAGE_SIZE bytes"),
+        }
+    }
+
+    fn slot(&self, i: usize) -> (usize, usize) {
+        let base = HEADER + i * SLOT;
+        (u16_at(self.data, base), u16_at(self.data, base + 2))
+    }
+
+    /// Number of records on the page.
+    pub fn len(&self) -> usize {
+        u16_at(self.data, 0)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Record bytes at `slot`.
+    pub fn get(&self, slot: usize) -> &'a [u8] {
+        assert!(slot < self.len(), "slot {slot} out of range");
+        let (off, len) = self.slot(slot);
+        &self.data[off..off + len]
+    }
+
+    /// Iterate over all records in slot order.
+    pub fn iter(self) -> impl Iterator<Item = &'a [u8]> {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+}
+
 /// A slotted page over an owned 8 KiB buffer.
 #[derive(Clone)]
 pub struct Page {
@@ -24,9 +76,11 @@ impl Default for Page {
 impl Page {
     /// A fresh, empty page.
     pub fn new() -> Page {
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        data[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
-        Page { data }
+        let mut p = Page {
+            data: Box::new([0u8; PAGE_SIZE]),
+        };
+        p.set_free_off(PAGE_SIZE);
+        p
     }
 
     /// Wrap raw page bytes (e.g. read from a device).
@@ -37,12 +91,19 @@ impl Page {
         Page { data }
     }
 
+    /// Empty the page in place; its bytes equal a fresh [`Page::new`].
+    pub fn reset(&mut self) {
+        self.data.fill(0);
+        self.set_free_off(PAGE_SIZE);
+    }
+
     pub fn as_bytes(&self) -> &[u8] {
         &self.data[..]
     }
 
-    fn nslots(&self) -> usize {
-        u16::from_le_bytes([self.data[0], self.data[1]]) as usize
+    /// The read-only view of this page.
+    pub fn view(&self) -> PageView<'_> {
+        PageView { data: &self.data }
     }
 
     fn set_nslots(&mut self, n: usize) {
@@ -50,18 +111,11 @@ impl Page {
     }
 
     fn free_off(&self) -> usize {
-        u16::from_le_bytes([self.data[2], self.data[3]]) as usize
+        u16_at(&self.data, 2)
     }
 
     fn set_free_off(&mut self, off: usize) {
         self.data[2..4].copy_from_slice(&(off as u16).to_le_bytes());
-    }
-
-    fn slot(&self, i: usize) -> (usize, usize) {
-        let base = HEADER + i * SLOT;
-        let off = u16::from_le_bytes([self.data[base], self.data[base + 1]]) as usize;
-        let len = u16::from_le_bytes([self.data[base + 2], self.data[base + 3]]) as usize;
-        (off, len)
     }
 
     fn set_slot(&mut self, i: usize, off: usize, len: usize) {
@@ -72,16 +126,16 @@ impl Page {
 
     /// Number of records on the page.
     pub fn len(&self) -> usize {
-        self.nslots()
+        self.view().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.nslots() == 0
+        self.view().is_empty()
     }
 
     /// Contiguous free bytes available for one more record.
     pub fn free_space(&self) -> usize {
-        let used_front = HEADER + self.nslots() * SLOT;
+        let used_front = HEADER + self.len() * SLOT;
         self.free_off()
             .saturating_sub(used_front)
             .saturating_sub(SLOT)
@@ -98,7 +152,7 @@ impl Page {
         if !self.fits(record.len()) {
             return None;
         }
-        let n = self.nslots();
+        let n = self.len();
         let off = self.free_off() - record.len();
         self.data[off..off + record.len()].copy_from_slice(record);
         self.set_slot(n, off, record.len());
@@ -109,14 +163,12 @@ impl Page {
 
     /// Record bytes at `slot`.
     pub fn get(&self, slot: usize) -> &[u8] {
-        assert!(slot < self.nslots(), "slot {slot} out of range");
-        let (off, len) = self.slot(slot);
-        &self.data[off..off + len]
+        self.view().get(slot)
     }
 
     /// Iterate over all records in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        (0..self.nslots()).map(move |i| self.get(i))
+        self.view().iter()
     }
 
     /// Rebuild the page with `records` (used by B+tree splits and compaction).
@@ -132,7 +184,7 @@ impl Page {
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Page")
-            .field("slots", &self.nslots())
+            .field("slots", &self.len())
             .field("free", &self.free_space())
             .finish()
     }
@@ -182,6 +234,35 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.get(0), b"persist-me");
         assert_eq!(q.get(1), &[0u8; 64]);
+    }
+
+    #[test]
+    fn view_reads_an_extent_buffer_in_place() {
+        let mut a = Page::new();
+        a.insert(b"first").unwrap();
+        let mut b = Page::new();
+        b.insert(b"second").unwrap();
+        b.insert(b"").unwrap();
+        let extent = [a.as_bytes(), b.as_bytes()].concat();
+        let va = PageView::new(&extent[..PAGE_SIZE]);
+        let vb = PageView::new(&extent[PAGE_SIZE..]);
+        assert_eq!(va.iter().collect::<Vec<_>>(), vec![&b"first"[..]]);
+        assert_eq!(
+            (vb.len(), vb.get(0), vb.get(1)),
+            (2, &b"second"[..], &b""[..])
+        );
+        assert!(PageView::new(Page::new().as_bytes()).is_empty());
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_page() {
+        let mut p = Page::new();
+        p.insert(&[9u8; MAX_RECORD])
+            .expect("an empty page holds MAX_RECORD");
+        assert!(!p.fits(1));
+        p.reset();
+        assert_eq!(p.as_bytes(), Page::new().as_bytes());
+        assert!(p.insert(&[9u8; MAX_RECORD + 1]).is_none());
     }
 
     #[test]

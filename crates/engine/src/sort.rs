@@ -48,34 +48,44 @@ pub fn external_sort(
         return Ok(out);
     }
 
-    // Phase 1: sorted runs of grant size
+    // Phase 1: sorted runs of grant size. A row is encoded once, on entry to
+    // the run buffer; the sort moves `(key, start, len)` entries and the run
+    // is written from the bytes already encoded.
     let mut runs = Vec::new();
-    let mut batch: Vec<(f64, Row)> = Vec::new();
+    let mut encoded: Vec<u8> = Vec::new();
+    let mut batch: Vec<(f64, usize, usize)> = Vec::new();
     let mut batch_bytes = 0u64;
-    let mut flush =
-        |ctx: &mut ExecCtx<'_>, batch: &mut Vec<(f64, Row)>| -> Result<(), StorageError> {
-            if batch.is_empty() {
-                return Ok(());
-            }
-            let bn = batch.len() as u64;
-            ctx.charge_n(ctx.costs.compare, bn * log2_ceil(bn));
-            batch.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut w = tempdb.writer();
-            for (_, r) in batch.drain(..) {
-                w.push(ctx, &r)?;
-            }
-            runs.push(w.finish(ctx)?);
-            Ok(())
-        };
+    let mut flush = |ctx: &mut ExecCtx<'_>,
+                     encoded: &mut Vec<u8>,
+                     batch: &mut Vec<(f64, usize, usize)>|
+     -> Result<(), StorageError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let bn = batch.len() as u64;
+        ctx.charge_n(ctx.costs.compare, bn * log2_ceil(bn));
+        batch.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut w = tempdb.writer();
+        for &(_, start, len) in batch.iter() {
+            w.push_encoded(ctx, &encoded[start..start + len])?;
+        }
+        runs.push(w.finish(ctx)?);
+        batch.clear();
+        encoded.clear();
+        Ok(())
+    };
     for r in rows {
-        batch_bytes += row_footprint(&r);
-        batch.push((key(&r), r));
+        let start = encoded.len();
+        r.encode(&mut encoded);
+        let len = encoded.len() - start;
+        batch_bytes += len as u64 + 32;
+        batch.push((key(&r), start, len));
         if batch_bytes >= grant_bytes {
-            flush(ctx, &mut batch)?;
+            flush(ctx, &mut encoded, &mut batch)?;
             batch_bytes = 0;
         }
     }
-    flush(ctx, &mut batch)?;
+    flush(ctx, &mut encoded, &mut batch)?;
 
     // Phase 2: k-way merge
     struct HeapItem {

@@ -15,7 +15,7 @@ use remem_sim::MetricsRegistry;
 use remem_storage::StorageError;
 
 use crate::exec::ExecCtx;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{Page, PageView, MAX_RECORD, PAGE_SIZE};
 use crate::pagestore::{PageNo, PagedFile};
 use crate::row::Row;
 
@@ -23,6 +23,7 @@ use crate::row::Row;
 /// of the RAID-0 array (SQL Server issues multi-megabyte I/O for bulk
 /// operations too).
 pub const EXTENT_PAGES: u64 = 256;
+const EXTENT_BYTES: usize = EXTENT_PAGES as usize * PAGE_SIZE;
 
 /// Registry mirrors of the spill accounting, resolved once at attach time.
 struct TdCounters {
@@ -80,9 +81,10 @@ impl TempDb {
         SpillWriter {
             tempdb: self,
             current: Page::new(),
-            current_rows: 0,
-            extent_buf: Vec::with_capacity((EXTENT_PAGES as usize) * PAGE_SIZE),
+            scratch: Vec::new(),
+            extent_buf: Vec::with_capacity(EXTENT_BYTES),
             pending: Vec::new(),
+            spare: Vec::new(),
             extents: Vec::new(),
             pages: 0,
             rows: 0,
@@ -149,13 +151,19 @@ impl SpillFile {
 /// extents), so concurrent spill streams don't interleave finely: a long
 /// run's extents stay contiguous and its read-back pays one seek per
 /// multi-megabyte reservation instead of one per extent.
+///
+/// The writer owns every buffer on the write path and reuses it: one page
+/// being filled, one scratch a row is encoded into, the extent being
+/// gathered, and the flushed extents' buffers, which come back as `spare`.
 pub struct SpillWriter<'a> {
     tempdb: &'a TempDb,
     current: Page,
-    current_rows: usize,
+    scratch: Vec<u8>,
     extent_buf: Vec<u8>,
     /// Sealed extents awaiting the next coalesced flush: `(byte_off, bytes)`.
     pending: Vec<(u64, Vec<u8>)>,
+    /// Emptied buffers of flushed extents, for the next extent to gather in.
+    spare: Vec<Vec<u8>>,
     extents: Vec<(PageNo, u64)>,
     pages: u64,
     rows: u64,
@@ -179,28 +187,44 @@ impl SpillWriter<'_> {
     /// Append one row, flushing filled pages into the extent buffer and the
     /// buffer to TempDB once it holds a full extent.
     pub fn push(&mut self, ctx: &mut ExecCtx<'_>, row: &Row) -> Result<(), StorageError> {
-        let bytes = row.to_bytes();
-        assert!(bytes.len() <= PAGE_SIZE - 8, "row too large to spill");
-        if self.current.insert(&bytes).is_none() {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        row.encode(&mut scratch);
+        let res = self.push_encoded(ctx, &scratch);
+        self.scratch = scratch;
+        res
+    }
+
+    /// Append one row already in [`Row::encode`] form.
+    pub fn push_encoded(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        record: &[u8],
+    ) -> Result<(), StorageError> {
+        if record.len() > MAX_RECORD {
+            return Err(StorageError::RecordTooLarge {
+                len: record.len(),
+                max: MAX_RECORD,
+            });
+        }
+        if self.current.insert(record).is_none() {
             self.seal_page(ctx)?;
             self.current
-                .insert(&bytes)
-                .expect("fresh page fits the row");
+                .insert(record)
+                .expect("an empty page holds any record up to MAX_RECORD");
         }
-        self.current_rows += 1;
         self.rows += 1;
         Ok(())
     }
 
     fn seal_page(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), StorageError> {
-        if self.current_rows == 0 {
+        if self.current.is_empty() {
             return Ok(());
         }
         ctx.charge(ctx.costs.page_serialize);
         self.extent_buf.extend_from_slice(self.current.as_bytes());
-        self.current = Page::new();
-        self.current_rows = 0;
-        if self.extent_buf.len() >= (EXTENT_PAGES as usize) * PAGE_SIZE {
+        self.current.reset();
+        if self.extent_buf.len() >= EXTENT_BYTES {
             self.flush_extent(ctx)?;
         }
         Ok(())
@@ -222,10 +246,12 @@ impl SpillWriter<'_> {
         let start = self.resv_next;
         self.resv_next += n_pages;
         self.resv_left -= n_pages;
-        self.pending.push((
-            start * PAGE_SIZE as u64,
-            std::mem::take(&mut self.extent_buf),
-        ));
+        let next = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(EXTENT_BYTES));
+        let sealed = std::mem::replace(&mut self.extent_buf, next);
+        self.pending.push((start * PAGE_SIZE as u64, sealed));
         self.extents.push((start, n_pages));
         self.pages += n_pages;
         if self.pending.len() >= SPILL_PIPELINE_EXTENTS {
@@ -262,7 +288,10 @@ impl SpillWriter<'_> {
                 }
             }
         }
-        self.pending.clear();
+        for (_, mut buf) in self.pending.drain(..) {
+            buf.clear();
+            self.spare.push(buf);
+        }
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -294,13 +323,14 @@ pub struct SpillReader<'a> {
 }
 
 impl SpillReader<'_> {
-    /// Next row, or `None` at end of stream.
+    /// Next row, or `None` at end of stream. Rows are decoded straight out
+    /// of the extent buffer the last device read filled.
     pub fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<Row>, StorageError> {
         loop {
             if self.page_in_buf < self.pages_in_buf {
-                let page_bytes =
-                    &self.buf[self.page_in_buf * PAGE_SIZE..(self.page_in_buf + 1) * PAGE_SIZE];
-                let page = Page::from_bytes(page_bytes);
+                let page = PageView::new(
+                    &self.buf[self.page_in_buf * PAGE_SIZE..(self.page_in_buf + 1) * PAGE_SIZE],
+                );
                 if self.slot < page.len() {
                     let (row, _) = Row::decode(page.get(self.slot));
                     self.slot += 1;

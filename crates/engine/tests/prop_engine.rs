@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use remem_engine::btree::BTree;
 use remem_engine::bufferpool::BufferPool;
 use remem_engine::exec::{int_row, ExecCtx};
-use remem_engine::page::{Page, PAGE_SIZE};
+use remem_engine::page::{Page, PageView, MAX_RECORD, PAGE_SIZE};
 use remem_engine::pagestore::{FileId, PagedFile};
 use remem_engine::row::{Row, Value};
 use remem_engine::tempdb::TempDb;
@@ -27,6 +27,13 @@ fn arb_value() -> impl Strategy<Value = Value> {
 
 fn arb_row() -> impl Strategy<Value = Row> {
     prop::collection::vec(arb_value(), 0..8).prop_map(Row::new)
+}
+
+/// A one-string row whose encoding is `short` bytes under the largest
+/// record a page holds: `short == 0` fills an empty page to the byte.
+fn page_filling_row(short: usize) -> Row {
+    // 2 (value count) + 1 (tag) + 4 (length) bytes around the string
+    Row::new(vec![Value::Str("f".repeat(MAX_RECORD - 7 - short))])
 }
 
 proptest! {
@@ -62,6 +69,103 @@ proptest! {
         // survives a serialization cycle
         let back = Page::from_bytes(page.as_bytes());
         prop_assert_eq!(back.len(), kept.len());
+    }
+
+    /// A borrowed view decodes exactly what the owning page does — empty
+    /// pages, exactly-full pages, and pages viewed inside a larger buffer.
+    #[test]
+    fn page_view_equals_page(
+        pages in prop::collection::vec(
+            (prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 0..60), any::<bool>()),
+            1..4),
+    ) {
+        let mut owned = Vec::new();
+        for (records, top_up) in &pages {
+            let mut page = Page::new();
+            for r in records {
+                if page.insert(r).is_none() {
+                    break;
+                }
+            }
+            if *top_up && page.free_space() > 0 {
+                // one last record taking every free byte: exactly full
+                let fill = vec![0xEE; page.free_space()];
+                page.insert(&fill).unwrap();
+                prop_assert!(!page.fits(1));
+            }
+            owned.push(page);
+        }
+        let extent: Vec<u8> = owned.iter().flat_map(|p| p.as_bytes().iter().copied()).collect();
+        for (i, page) in owned.iter().enumerate() {
+            let view = PageView::new(&extent[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
+            prop_assert_eq!(view.len(), page.len());
+            prop_assert_eq!(view.is_empty(), page.is_empty());
+            for slot in 0..page.len() {
+                prop_assert_eq!(view.get(slot), page.get(slot));
+            }
+            prop_assert_eq!(view.iter().collect::<Vec<_>>(), page.iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// A spill stream reads back exactly the rows pushed, in order: empty
+    /// strings, rows that fill a page to the byte, and (with enough of
+    /// those) streams that cross extents and reservations.
+    #[test]
+    fn spill_stream_round_trips(
+        rows in prop::collection::vec(
+            prop_oneof![arb_row(), (0usize..3).prop_map(page_filling_row)], 0..1200),
+    ) {
+        let tempdb = TempDb::new(Arc::new(PagedFile::new(
+            FileId(9), Arc::new(RamDisk::new(64 << 20)))));
+        let cpu = CpuPool::new(4);
+        let costs = CpuCosts::default();
+        let mut clock = Clock::new();
+        let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+        let mut w = tempdb.writer();
+        for r in &rows {
+            w.push(&mut ctx, r).unwrap();
+        }
+        let spill = w.finish(&mut ctx).unwrap();
+        prop_assert_eq!(spill.rows(), rows.len() as u64);
+        prop_assert_eq!(tempdb.bytes_spilled(), spill.pages() * PAGE_SIZE as u64);
+        let back = tempdb.read_all(&mut ctx, &spill).unwrap();
+        prop_assert_eq!(back, rows);
+        prop_assert_eq!(tempdb.bytes_read_back(), tempdb.bytes_spilled());
+    }
+
+    /// The in-memory hash join emits what a nested loop does *in the same
+    /// order*: probe rows in input order, each with its matches in build
+    /// order.
+    #[test]
+    fn in_memory_join_equals_nested_loop_in_order(
+        build in prop::collection::vec((-8i64..8, any::<i32>()), 0..120),
+        probe in prop::collection::vec((-8i64..8, any::<i32>()), 0..120),
+    ) {
+        let tempdb = TempDb::new(Arc::new(PagedFile::new(
+            FileId(9), Arc::new(RamDisk::new(1 << 20)))));
+        let cpu = CpuPool::new(4);
+        let costs = CpuCosts::default();
+        let mut clock = Clock::new();
+        let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+        let to_rows = |side: &[(i64, i32)]| -> Vec<Row> {
+            side.iter().map(|&(k, v)| int_row(&[k, v as i64])).collect()
+        };
+        let joined = remem_engine::hashjoin::hash_join(
+            &mut ctx, &tempdb, to_rows(&build), to_rows(&probe),
+            |r| r.int(0), |r| r.int(0), 1 << 30,
+            |b, p| int_row(&[b.int(0), b.int(1), p.int(1)])).unwrap();
+        prop_assert_eq!(tempdb.bytes_spilled(), 0);
+        let got: Vec<(i64, i64, i64)> =
+            joined.iter().map(|r| (r.int(0), r.int(1), r.int(2))).collect();
+        let mut expected = Vec::new();
+        for &(pk, pv) in &probe {
+            for &(bk, bv) in &build {
+                if bk == pk {
+                    expected.push((bk, bv as i64, pv as i64));
+                }
+            }
+        }
+        prop_assert_eq!(got, expected);
     }
 
     /// The paged B+tree behaves exactly like BTreeMap under random

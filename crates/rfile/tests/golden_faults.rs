@@ -175,6 +175,7 @@ fn kind<T>(r: &Result<T, StorageError>) -> char {
         Err(StorageError::OutOfBounds { .. }) => 'B',
         Err(StorageError::Transient(_)) => 'T',
         Err(StorageError::Unavailable(_)) => 'U',
+        Err(StorageError::RecordTooLarge { .. }) => 'L',
     }
 }
 

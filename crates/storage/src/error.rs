@@ -20,6 +20,9 @@ pub enum StorageError {
     /// healthy: callers may keep cached state and try again later, unlike
     /// [`StorageError::Unavailable`] where the backing bytes may be gone.
     Transient(String),
+    /// A record that cannot fit the unit it must be stored in (a row wider
+    /// than a spill page). The device is healthy; the input is not storable.
+    RecordTooLarge { len: usize, max: usize },
 }
 
 impl StorageError {
@@ -44,6 +47,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::Unavailable(why) => write!(f, "device unavailable: {why}"),
             StorageError::Transient(why) => write!(f, "device transiently failing: {why}"),
+            StorageError::RecordTooLarge { len, max } => {
+                write!(f, "record of {len} bytes exceeds the {max}-byte limit")
+            }
         }
     }
 }
