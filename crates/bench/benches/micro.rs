@@ -486,6 +486,112 @@ fn bench_operators(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+    // the spilling arms: 100-byte rows, grants far below the input, a fresh
+    // TempDB per iteration (spill space is bump-allocated, never reclaimed)
+    let wide: Vec<Row> = rows.iter().map(|r| spill_row(r.int(0))).collect();
+    g.bench_function("external_sort_50k_spill", |b| {
+        let cpu = CpuPool::new(8);
+        let costs = CpuCosts::default();
+        b.iter_batched(
+            || (spill_tempdb(), wide.clone()),
+            |(tempdb, rows)| {
+                let mut clock = Clock::new();
+                let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+                remem_engine::sort::external_sort(
+                    &mut ctx,
+                    &tempdb,
+                    rows,
+                    |r| r.float(1),
+                    1 << 20,
+                    None,
+                )
+                .unwrap()
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.bench_function("hash_join_grace_spill", |b| {
+        let cpu = CpuPool::new(8);
+        let costs = CpuCosts::default();
+        let build: Vec<Row> = (0..20_000i64).map(|k| spill_row(k % 5_000)).collect();
+        b.iter_batched(
+            || (spill_tempdb(), build.clone(), wide.clone()),
+            |(tempdb, build, probe)| {
+                let mut clock = Clock::new();
+                let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+                remem_engine::hashjoin::hash_join(
+                    &mut ctx,
+                    &tempdb,
+                    build,
+                    probe,
+                    |r| r.int(0),
+                    |r| r.int(0) % 5_000,
+                    512 << 10,
+                    |a, b| Row::new(vec![a.0[0].clone(), b.0[1].clone()]),
+                )
+                .unwrap()
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.finish();
+}
+
+/// A ~100-byte `(key, price, pad)` row, the shape the Hash+Sort query spills.
+fn spill_row(key: i64) -> Row {
+    Row::new(vec![
+        Value::Int(key),
+        Value::Float((key % 9_973) as f64 * 0.5),
+        Value::Str("s".repeat(70)),
+    ])
+}
+
+fn spill_tempdb() -> TempDb {
+    TempDb::new(Arc::new(PagedFile::new(
+        FileId(9),
+        Arc::new(RamDisk::new(128 << 20)),
+    )))
+}
+
+fn bench_spill(c: &mut Criterion) {
+    let mut g = c.benchmark_group("spill");
+    g.sample_size(20);
+    let rows: Vec<Row> = (0..100_000i64).map(spill_row).collect();
+    let cpu = CpuPool::new(8);
+    let costs = CpuCosts::default();
+    g.bench_function("writer_push_100k", |b| {
+        b.iter_batched(
+            spill_tempdb,
+            |tempdb| {
+                let mut clock = Clock::new();
+                let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+                let mut w = tempdb.writer();
+                for r in &rows {
+                    w.push(&mut ctx, r).unwrap();
+                }
+                w.finish(&mut ctx).unwrap()
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.bench_function("reader_drain_100k", |b| {
+        let tempdb = spill_tempdb();
+        let mut clock = Clock::new();
+        let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+        let mut w = tempdb.writer();
+        for r in &rows {
+            w.push(&mut ctx, r).unwrap();
+        }
+        let spill = w.finish(&mut ctx).unwrap();
+        b.iter(|| {
+            let mut reader = tempdb.reader(&spill);
+            let mut n = 0u64;
+            while let Some(row) = reader.next(&mut ctx).unwrap() {
+                n += row.len() as u64;
+            }
+            n
+        });
+    });
     g.finish();
 }
 
@@ -628,6 +734,7 @@ criterion_group!(
     bench_row_page,
     bench_btree,
     bench_operators,
+    bench_spill,
     bench_rfile_stack,
     bench_database
 );
