@@ -67,6 +67,37 @@ impl Device for InstrumentedDevice {
         r
     }
 
+    // must forward: the default would replay a batch through `read` /
+    // `write` one request at a time and serialize a pipelined device. One
+    // latency sample per call, bytes per request.
+    fn read_vectored(
+        &self,
+        clock: &mut Clock,
+        reqs: &mut [(u64, &mut [u8])],
+    ) -> Vec<Result<(), StorageError>> {
+        let t0 = clock.now();
+        let r = self.inner.read_vectored(clock, reqs);
+        self.reads.record(clock.now().since(t0));
+        for (_, buf) in reqs.iter() {
+            self.bytes_read.add(buf.len() as u64);
+        }
+        r
+    }
+
+    fn write_vectored(
+        &self,
+        clock: &mut Clock,
+        reqs: &[(u64, &[u8])],
+    ) -> Vec<Result<(), StorageError>> {
+        let t0 = clock.now();
+        let r = self.inner.write_vectored(clock, reqs);
+        self.writes.record(clock.now().since(t0));
+        for (_, data) in reqs {
+            self.bytes_written.add(data.len() as u64);
+        }
+        r
+    }
+
     fn capacity(&self) -> u64 {
         self.inner.capacity()
     }

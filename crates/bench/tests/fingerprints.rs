@@ -15,26 +15,26 @@ use remem_bench::json::{parse, Json};
 /// `(report name, committed fingerprint)` — one row per `repro_*` binary.
 const PINNED: &[(&str, &str)] = &[
     ("repro_failover_recovery", "fnv1a:c658c7dbd5c47247"),
-    ("repro_fault_recovery", "fnv1a:291163e2440b839c"),
-    ("repro_fig11_rangescan_drilldown", "fnv1a:6b4cdc4da48d9954"),
+    ("repro_fault_recovery", "fnv1a:37da3338e835e31f"),
+    ("repro_fig11_rangescan_drilldown", "fnv1a:b5ebb4f96dd0d1b0"),
     ("repro_fig12_bpext_size", "fnv1a:0040086c23d502b7"),
     ("repro_fig13_remote_impact", "fnv1a:d34ed385457f7e5a"),
     ("repro_fig14_hash_sort", "fnv1a:fed713f9287682bb"),
-    ("repro_fig15a_semantic_mv", "fnv1a:4dec3fcfaea68910"),
+    ("repro_fig15a_semantic_mv", "fnv1a:77dc78f8bdea1801"),
     ("repro_fig15b_inlj_hj_crossover", "fnv1a:a3a81a1e3f385a62"),
     ("repro_fig16_priming", "fnv1a:fcb9ed8d0c95cc00"),
     ("repro_fig18_19_tpch", "fnv1a:7daebf6d13f9b61c"),
     ("repro_fig20_21_tpcds", "fnv1a:4aaf26764c8e44ea"),
-    ("repro_fig22_23_tpcc", "fnv1a:176528fab67c3037"),
+    ("repro_fig22_23_tpcc", "fnv1a:28ca543f808691e4"),
     ("repro_fig24_local_memory", "fnv1a:5f6dcd392cccbf51"),
-    ("repro_fig25_multi_db_rangescan", "fnv1a:01cf4d1a3a4a0c79"),
-    ("repro_fig26_cache_recovery", "fnv1a:7cdec298cc9d1ff7"),
+    ("repro_fig25_multi_db_rangescan", "fnv1a:569a5ccdb7a98b25"),
+    ("repro_fig26_cache_recovery", "fnv1a:53a8ca7563183c76"),
     ("repro_fig27_parallel_load", "fnv1a:3688cc6b3c66a14b"),
     ("repro_fig3_4_io_micro", "fnv1a:57575db364e11d2d"),
     ("repro_fig5_multi_mem_servers", "fnv1a:5db006d1721d45fc"),
     ("repro_fig6_multi_db_servers", "fnv1a:84b33e9a1096fd0a"),
-    ("repro_fig7_8_rangescan_updates", "fnv1a:f9f904d8b60655c3"),
-    ("repro_fig9_10_rangescan_readonly", "fnv1a:461e1bb06af3191e"),
+    ("repro_fig7_8_rangescan_updates", "fnv1a:538b4d2250ae966e"),
+    ("repro_fig9_10_rangescan_readonly", "fnv1a:47ad1aa27acc9806"),
     ("repro_parallel_speedup", "fnv1a:d96e293442f2dbb3"),
     ("repro_pushdown_selectivity", "fnv1a:ef1301068cd0fdbe"),
     ("repro_qd_sweep", "fnv1a:ad4365cd0de325aa"),

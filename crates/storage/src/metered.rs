@@ -92,6 +92,57 @@ impl Device for MeteredDevice {
         res
     }
 
+    // Forwarding the vectored calls is load-bearing: the default would run
+    // them through `self.read` / `self.write` one request at a time, which
+    // turns a pipelined device (the remote file) serial and changes virtual
+    // time the moment telemetry is attached. One span and one latency sample
+    // per call; ops, bytes and errors per request, as the scalar arms count.
+    fn read_vectored(
+        &self,
+        clock: &mut Clock,
+        reqs: &mut [(u64, &mut [u8])],
+    ) -> Vec<Result<(), StorageError>> {
+        let t0 = clock.now();
+        let span = self.registry.span_enter_id(self.read_span, t0);
+        let results = self.inner.read_vectored(clock, reqs);
+        self.registry.span_exit(span, clock.now());
+        for ((_, buf), res) in reqs.iter().zip(&results) {
+            if res.is_ok() {
+                self.read_ops.incr();
+                self.read_bytes.add(buf.len() as u64);
+            } else {
+                self.read_errors.incr();
+            }
+        }
+        if results.iter().any(Result::is_ok) {
+            self.read_lat.record(clock.now().since(t0));
+        }
+        results
+    }
+
+    fn write_vectored(
+        &self,
+        clock: &mut Clock,
+        reqs: &[(u64, &[u8])],
+    ) -> Vec<Result<(), StorageError>> {
+        let t0 = clock.now();
+        let span = self.registry.span_enter_id(self.write_span, t0);
+        let results = self.inner.write_vectored(clock, reqs);
+        self.registry.span_exit(span, clock.now());
+        for ((_, data), res) in reqs.iter().zip(&results) {
+            if res.is_ok() {
+                self.write_ops.incr();
+                self.write_bytes.add(data.len() as u64);
+            } else {
+                self.write_errors.incr();
+            }
+        }
+        if results.iter().any(Result::is_ok) {
+            self.write_lat.record(clock.now().since(t0));
+        }
+        results
+    }
+
     fn force(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let res = self.inner.force(clock);
         if res.is_ok() {
@@ -139,6 +190,106 @@ mod tests {
         assert_eq!(registry.counter("storage.data.write.bytes").get(), 4096);
         assert_eq!(registry.span_stats("storage.data.read").count, 1);
         assert_eq!(registry.span_stats("storage.data.write").count, 1);
+    }
+
+    /// A device whose vectored calls cost one fixed step whatever the batch
+    /// size, while its scalar calls cost one step each — the remote file's
+    /// pipelining, reduced to what a wrapper can break.
+    struct Pipelined(RamDisk);
+
+    const STEP: remem_sim::SimDuration = remem_sim::SimDuration::from_micros(10);
+
+    impl Device for Pipelined {
+        fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+            clock.advance(STEP);
+            self.0.read(clock, offset, buf)
+        }
+
+        fn write(&self, clock: &mut Clock, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+            clock.advance(STEP);
+            self.0.write(clock, offset, data)
+        }
+
+        fn read_vectored(
+            &self,
+            clock: &mut Clock,
+            reqs: &mut [(u64, &mut [u8])],
+        ) -> Vec<Result<(), StorageError>> {
+            clock.advance(STEP);
+            reqs.iter_mut()
+                .map(|(offset, buf)| self.0.read(clock, *offset, buf))
+                .collect()
+        }
+
+        fn write_vectored(
+            &self,
+            clock: &mut Clock,
+            reqs: &[(u64, &[u8])],
+        ) -> Vec<Result<(), StorageError>> {
+            clock.advance(STEP);
+            reqs.iter()
+                .map(|(offset, data)| self.0.write(clock, *offset, data))
+                .collect()
+        }
+
+        fn capacity(&self) -> u64 {
+            self.0.capacity()
+        }
+
+        fn label(&self) -> String {
+            "Pipelined".into()
+        }
+    }
+
+    #[test]
+    fn vectored_calls_stay_vectored_under_telemetry() {
+        let registry = MetricsRegistry::shared();
+        let bare = Pipelined(RamDisk::new(1 << 20));
+        let dev = MeteredDevice::new(
+            Arc::new(Pipelined(RamDisk::new(1 << 20))),
+            Arc::clone(&registry),
+            "storage.tempdb",
+        );
+        let a = vec![1u8; 4096];
+        let b = vec![2u8; 8192];
+        // the third request runs off the end of the device
+        let writes: [(u64, &[u8]); 3] = [(0, &a), (4096, &b), ((1 << 20) - 16, &a)];
+        let (mut t_bare, mut t_dev) = (Clock::new(), Clock::new());
+        let want = bare.write_vectored(&mut t_bare, &writes);
+        assert_eq!(dev.write_vectored(&mut t_dev, &writes), want);
+        assert!(want[0].is_ok() && want[1].is_ok() && want[2].is_err());
+
+        let (mut ra, mut rb) = (vec![0u8; 4096], vec![0u8; 8192]);
+        let mut reads: [(u64, &mut [u8]); 2] = [(0, &mut ra), (4096, &mut rb)];
+        bare.read_vectored(&mut t_bare, &mut reads);
+        let (mut ra, mut rb) = (vec![0u8; 4096], vec![0u8; 8192]);
+        let mut reads: [(u64, &mut [u8]); 2] = [(0, &mut ra), (4096, &mut rb)];
+        assert!(dev
+            .read_vectored(&mut t_dev, &mut reads)
+            .iter()
+            .all(Result::is_ok));
+        assert_eq!((&ra, &rb), (&a, &b));
+
+        // same virtual time as the bare device, which the request-by-request
+        // default would exceed by a step per extra request
+        assert_eq!(t_dev.now(), t_bare.now());
+        let mut t_serial = Clock::new();
+        for (offset, data) in &writes[..2] {
+            bare.write(&mut t_serial, *offset, data).unwrap();
+        }
+        for (offset, len) in [(0, 4096), (4096, 8192)] {
+            bare.read(&mut t_serial, offset, &mut vec![0u8; len])
+                .unwrap();
+        }
+        assert!(t_serial.now() >= t_bare.now() + STEP * 2);
+        // requests are counted one by one, the call once
+        assert_eq!(registry.counter("storage.tempdb.write.ops").get(), 2);
+        assert_eq!(registry.counter("storage.tempdb.write.bytes").get(), 12288);
+        assert_eq!(registry.counter("storage.tempdb.write.errors").get(), 1);
+        assert_eq!(registry.counter("storage.tempdb.read.ops").get(), 2);
+        assert_eq!(registry.counter("storage.tempdb.read.bytes").get(), 12288);
+        assert_eq!(registry.span_stats("storage.tempdb.write").count, 1);
+        assert_eq!(registry.span_stats("storage.tempdb.read").count, 1);
     }
 
     #[test]
