@@ -181,7 +181,14 @@ impl Row {
                 2 => {
                     let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
                     off += 4;
-                    let s = String::from_utf8_lossy(&bytes[off..off + len]).into_owned();
+                    let raw = &bytes[off..off + len];
+                    // `encode` only writes valid UTF-8, which the word-at-a-time
+                    // validator accepts several times faster than the lossy
+                    // chunker walks it; foreign bytes are still repaired
+                    let s = match std::str::from_utf8(raw) {
+                        Ok(s) => s.to_owned(),
+                        Err(_) => String::from_utf8_lossy(raw).into_owned(),
+                    };
                     off += len;
                     values.push(Value::Str(s));
                 }
@@ -214,6 +221,16 @@ mod tests {
         let (back, used) = Row::decode(&bytes);
         assert_eq!(back, r);
         assert_eq!(used, bytes.len());
+    }
+
+    #[test]
+    fn invalid_utf8_is_repaired_not_rejected() {
+        let mut bytes = Row::new(vec![Value::Str("ab".into())]).to_bytes();
+        let n = bytes.len();
+        bytes[n - 1] = 0xFF;
+        let (row, used) = Row::decode(&bytes);
+        assert_eq!(row, Row::new(vec![Value::Str("a\u{FFFD}".into())]));
+        assert_eq!(used, n);
     }
 
     #[test]
