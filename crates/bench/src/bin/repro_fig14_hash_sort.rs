@@ -208,11 +208,13 @@ fn main() {
             run_ms / 1e3
         ));
     }
-    let sum = |f: fn(&(&str, f64, f64)) -> f64| wall.iter().map(f).sum::<f64>() / 1e3;
+    let (load_ms, run_ms) = wall
+        .iter()
+        .fold((0.0, 0.0), |(load, run), w| (load + w.1, run + w.2));
     report.volatile_note(format!(
         "wall-clock all arms: load {:.1} s, run {:.1} s",
-        sum(|w| w.1),
-        sum(|w| w.2)
+        load_ms / 1e3,
+        run_ms / 1e3
     ));
     report.series("total_latency_s", &totals);
     report.series("cpu_pct", &cpus);

@@ -14,9 +14,12 @@ use crate::exec::ExecCtx;
 use crate::row::Row;
 use crate::tempdb::{SpillReader, TempDb};
 
+/// Per-row bookkeeping added to the payload in a row's in-memory footprint.
+const ROW_BOOKKEEPING: u64 = 32;
+
 /// Estimated in-memory footprint of a row (payload + bookkeeping).
 fn row_footprint(r: &Row) -> u64 {
-    r.encoded_len() as u64 + 32
+    r.encoded_len() as u64 + ROW_BOOKKEEPING
 }
 
 fn log2_ceil(n: u64) -> u64 {
@@ -78,7 +81,7 @@ pub fn external_sort(
         let start = encoded.len();
         r.encode(&mut encoded);
         let len = encoded.len() - start;
-        batch_bytes += len as u64 + 32;
+        batch_bytes += len as u64 + ROW_BOOKKEEPING;
         batch.push((key(&r), start, len));
         if batch_bytes >= grant_bytes {
             flush(ctx, &mut encoded, &mut batch)?;

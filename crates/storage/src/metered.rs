@@ -61,6 +61,28 @@ impl MeteredDevice {
     }
 }
 
+/// Count a vectored call's requests one by one, as the scalar arms count a
+/// call; returns whether any request succeeded.
+fn count_batch(
+    ops: &Counter,
+    bytes: &Counter,
+    errors: &Counter,
+    lens: impl Iterator<Item = usize>,
+    results: &[Result<(), StorageError>],
+) -> bool {
+    let mut any_ok = false;
+    for (len, res) in lens.zip(results) {
+        if res.is_ok() {
+            ops.incr();
+            bytes.add(len as u64);
+            any_ok = true;
+        } else {
+            errors.incr();
+        }
+    }
+    any_ok
+}
+
 impl Device for MeteredDevice {
     fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
         let t0 = clock.now();
@@ -106,15 +128,14 @@ impl Device for MeteredDevice {
         let span = self.registry.span_enter_id(self.read_span, t0);
         let results = self.inner.read_vectored(clock, reqs);
         self.registry.span_exit(span, clock.now());
-        for ((_, buf), res) in reqs.iter().zip(&results) {
-            if res.is_ok() {
-                self.read_ops.incr();
-                self.read_bytes.add(buf.len() as u64);
-            } else {
-                self.read_errors.incr();
-            }
-        }
-        if results.iter().any(Result::is_ok) {
+        let lens = reqs.iter().map(|(_, buf)| buf.len());
+        if count_batch(
+            &self.read_ops,
+            &self.read_bytes,
+            &self.read_errors,
+            lens,
+            &results,
+        ) {
             self.read_lat.record(clock.now().since(t0));
         }
         results
@@ -129,15 +150,14 @@ impl Device for MeteredDevice {
         let span = self.registry.span_enter_id(self.write_span, t0);
         let results = self.inner.write_vectored(clock, reqs);
         self.registry.span_exit(span, clock.now());
-        for ((_, data), res) in reqs.iter().zip(&results) {
-            if res.is_ok() {
-                self.write_ops.incr();
-                self.write_bytes.add(data.len() as u64);
-            } else {
-                self.write_errors.incr();
-            }
-        }
-        if results.iter().any(Result::is_ok) {
+        let lens = reqs.iter().map(|(_, data)| data.len());
+        if count_batch(
+            &self.write_ops,
+            &self.write_bytes,
+            &self.write_errors,
+            lens,
+            &results,
+        ) {
             self.write_lat.record(clock.now().since(t0));
         }
         results
