@@ -21,13 +21,15 @@ use remem_engine::tempdb::TempDb;
 use remem_engine::{CpuCosts, DbConfig};
 use remem_sim::rng::SimRng;
 use remem_sim::{
-    Clock, ClosedLoopDriver, CpuPool, EventQueue, FifoResource, MetricsRegistry, SimDuration,
-    SimTime,
+    Clock, ClosedLoopDriver, CpuPool, EventQueue, FifoResource, MetricsRegistry, PoolResource,
+    SimDuration, SimTime,
 };
 use remem_storage::RamDisk;
 
 fn bench_sim_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim");
+    // one acquire is ~100 ns: a handful of iterations only times cold caches
+    g.sample_size(1000);
     g.bench_function("fifo_acquire", |b| {
         let r = FifoResource::new();
         let mut t = 0u64;
@@ -42,6 +44,16 @@ fn bench_sim_kernel(c: &mut Criterion) {
         b.iter(|| {
             t += 1000;
             p.execute(SimTime(t), SimDuration::from_micros(50))
+        });
+    });
+    // a RemoteFile's staging slots: 8 schedulers x 128 slots, kept a few
+    // slots deep in transfers so both the idle and the busy side turn over
+    g.bench_function("pool_acquire_1024", |b| {
+        let p = PoolResource::new(1024);
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 1000;
+            p.acquire(SimTime(t), SimDuration::from_micros(12))
         });
     });
     g.finish();
@@ -674,6 +686,50 @@ fn bench_rfile_stack(c: &mut Criterion) {
             });
         });
     }
+
+    // the healthy path of a k = 2 file (a 64 MiB file is 64 replica groups):
+    // every op asks the broker for the lease's health, and a write fans out
+    // to its stripe's group through the quorum path
+    let cluster = Cluster::builder()
+        .memory_servers(3)
+        .memory_per_server(64 << 20)
+        .placement(remem::PlacementPolicy::Spread)
+        .build();
+    let mut clock = Clock::new();
+    let cfg = RFileConfig {
+        replicas: 2,
+        ..RFileConfig::custom()
+    };
+    let file = cluster
+        .remote_file(&mut clock, cluster.db_server, 64 << 20, cfg)
+        .unwrap();
+    let mut rng = SimRng::seeded(7);
+    let mut bufs = vec![vec![0u8; 8192]; 64];
+    g.bench_function("read_8k_k2", |b| {
+        b.iter(|| {
+            let p = rng.uniform(0, 8000);
+            file.read(&mut clock, p * 8192, &mut bufs[0]).unwrap();
+        });
+    });
+    g.bench_function("write_8k_k2", |b| {
+        b.iter(|| {
+            let p = rng.uniform(0, 8000);
+            file.write(&mut clock, p * 8192, &bufs[0]).unwrap();
+        });
+    });
+    g.bench_function("read_64x8k_vectored_k2", |b| {
+        b.iter(|| {
+            let base = rng.uniform(0, 8000 - 64) * 8192;
+            let mut reqs: Vec<(u64, &mut [u8])> = bufs
+                .iter_mut()
+                .enumerate()
+                .map(|(i, b)| (base + (i as u64) * 8192, b.as_mut_slice()))
+                .collect();
+            for r in file.read_vectored(&mut clock, &mut reqs) {
+                r.unwrap();
+            }
+        });
+    });
     g.finish();
 }
 

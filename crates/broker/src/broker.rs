@@ -1,6 +1,5 @@
 //! The broker front-end: lease grant / renew / release / revoke.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -33,6 +32,23 @@ pub struct ReplicaRepair {
     pub source: Option<MrHandle>,
     /// Fresh members appended to the group.
     pub added: Vec<MrHandle>,
+}
+
+/// What a holder needs to know about its lease before an I/O, read in one
+/// visit to the metadata ([`MemoryBroker::lease_health`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeaseHealth {
+    /// A pending two-phase reclaim notice: the pressured donor and the
+    /// deadline after which the broker revokes unilaterally.
+    pub notice: Option<(ServerId, SimTime)>,
+    /// What [`MemoryBroker::is_valid`] would answer. A lapsed lease reads
+    /// `false` here but is only *expired* (MRs back in the pool) by
+    /// `is_valid` itself.
+    pub valid: bool,
+    /// Fencing epoch of the replica groups; `None` for an unreplicated lease.
+    pub epoch: Option<u64>,
+    /// Bytes missing to bring every replica group back to `k` members.
+    pub deficit: u64,
 }
 
 /// How the broker places a multi-MR lease across donor servers.
@@ -365,18 +381,25 @@ impl MemoryBroker {
             let Some((lease, LeaseState::Active)) = st.leases.get(id) else {
                 continue; // already reported as stale above
             };
-            if rs.k < 2 {
-                bad.push(format!("{id:?} replicated with k={}", rs.k));
+            if rs.k() < 2 {
+                bad.push(format!("{id:?} replicated with k={}", rs.k()));
+            }
+            if rs.deficit() != rs.deficit_bytes() {
+                bad.push(format!(
+                    "{id:?} maintained deficit {} != recomputed {}",
+                    rs.deficit(),
+                    rs.deficit_bytes()
+                ));
             }
             let mut group_mrs: Vec<(ServerId, u64)> = Vec::new();
-            for (slot, group) in rs.groups.iter().enumerate() {
-                if group.len() > rs.k {
+            for (slot, group) in rs.groups().iter().enumerate() {
+                if group.len() > rs.k() {
                     bad.push(format!(
                         "{id:?} slot {slot} has {} > k members",
                         group.len()
                     ));
                 }
-                if group.is_empty() && !rs.lost_slots.contains_key(&slot) {
+                if group.is_empty() && !rs.lost_slots().contains_key(&slot) {
                     bad.push(format!("{id:?} slot {slot} empty but not recorded lost"));
                 }
                 let mut servers: Vec<ServerId> = group.iter().map(|m| m.server).collect();
@@ -394,7 +417,7 @@ impl MemoryBroker {
             if group_mrs != lease_mrs {
                 bad.push(format!("{id:?} groups and lease MRs diverge"));
             }
-            for (slot, dead) in &rs.lost_slots {
+            for (slot, dead) in rs.lost_slots() {
                 let parked = st
                     .lost_mrs
                     .get(id)
@@ -618,15 +641,7 @@ impl MemoryBroker {
         };
         let granted = lease.bytes();
         st.leases.insert(id, (lease.clone(), LeaseState::Active));
-        st.replicas.insert(
-            id,
-            ReplicaSet {
-                k,
-                epoch: 0,
-                groups,
-                lost_slots: BTreeMap::new(),
-            },
-        );
+        st.replicas.insert(id, ReplicaSet::new(k, groups));
         self.meter(&st, |m| {
             m.granted.incr();
             m.leased_bytes.add(granted);
@@ -644,25 +659,25 @@ impl MemoryBroker {
             .lock()
             .replicas
             .get(&id)
-            .map(|rs| (rs.epoch, rs.groups.clone()))
+            .map(|rs| (rs.epoch(), rs.groups().to_vec()))
     }
 
     /// The current fencing epoch of a replicated lease.
     pub fn replica_epoch(&self, id: LeaseId) -> Option<u64> {
-        self.store.state.lock().replicas.get(&id).map(|rs| rs.epoch)
-    }
-
-    /// Bytes of physical memory a replicated lease is missing to get every
-    /// group back to `k` live members; zero for healthy or unreplicated
-    /// leases. Cheap enough to poll per I/O.
-    pub fn replication_deficit(&self, id: LeaseId) -> u64 {
         self.store
             .state
             .lock()
             .replicas
             .get(&id)
-            .map(|rs| rs.deficit_bytes())
-            .unwrap_or(0)
+            .map(ReplicaSet::epoch)
+    }
+
+    /// Bytes of physical memory a replicated lease is missing to get every
+    /// group back to `k` live members; zero for healthy or unreplicated
+    /// leases.
+    pub fn replication_deficit(&self, id: LeaseId) -> u64 {
+        let st = self.store.state.lock();
+        st.replicas.get(&id).map_or(0, ReplicaSet::deficit)
     }
 
     /// Restore every degraded group of a replicated lease to `k` members,
@@ -691,14 +706,13 @@ impl MemoryBroker {
         };
         let mut repairs: Vec<ReplicaRepair> = Vec::new();
         let mut picked_all: Vec<MrHandle> = Vec::new();
-        let mut new_groups = rs.groups.clone();
-        for (slot, group) in rs.groups.iter().enumerate() {
-            if group.len() >= rs.k {
+        for (slot, group) in rs.groups().iter().enumerate() {
+            if group.len() >= rs.k() {
                 continue;
             }
             let (len, source) = match group.first() {
                 Some(first) => (first.len, Some(*first)),
-                None => match rs.lost_slots.get(&slot) {
+                None => match rs.lost_slots().get(&slot) {
                     Some(dead) => (dead.len, None),
                     // an empty group with no lost record cannot be sized;
                     // the conservation check flags it, skip here
@@ -708,7 +722,7 @@ impl MemoryBroker {
             let mut exclude: Vec<ServerId> = vec![holder];
             exclude.extend(group.iter().map(|m| m.server));
             let mut added: Vec<MrHandle> = Vec::new();
-            for _ in group.len()..rs.k {
+            for _ in group.len()..rs.k() {
                 let ranked = Self::ranked_donors(&st, &exclude);
                 let mut got = None;
                 for donor in ranked {
@@ -728,14 +742,13 @@ impl MemoryBroker {
                         }
                         let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
                         return Err(BrokerError::InsufficientMemory {
-                            requested: rs.deficit_bytes(),
+                            requested: rs.deficit(),
                             available,
                         });
                     }
                 }
             }
             picked_all.extend(added.iter().copied());
-            new_groups[slot].extend(added.iter().copied());
             repairs.push(ReplicaRepair {
                 slot,
                 source,
@@ -748,22 +761,14 @@ impl MemoryBroker {
         // commit: groups grow, lost slots are healed (their dead handles'
         // bytes leave the `lost` bucket for `wiped`), epoch fences stale
         // extent maps
-        let healed: Vec<usize> = repairs
-            .iter()
-            .filter(|r| r.source.is_none())
-            .map(|r| r.slot)
-            .collect();
         let Some(rs_mut) = st.replicas.get_mut(&id) else {
             return Err(BrokerError::Internal("replica set vanished mid-repair"));
         };
-        rs_mut.groups = new_groups;
-        rs_mut.epoch += 1;
-        let mut dead_handles: Vec<MrHandle> = Vec::new();
-        for slot in healed {
-            if let Some(dead) = rs_mut.lost_slots.remove(&slot) {
-                dead_handles.push(dead);
-            }
-        }
+        let dead_handles: Vec<MrHandle> = repairs
+            .iter()
+            .filter_map(|r| rs_mut.grow(r.slot, &r.added))
+            .collect();
+        rs_mut.bump_epoch();
         for dead in dead_handles {
             let mut unpark = 0u64;
             if let Some(list) = st.lost_mrs.get_mut(&id) {
@@ -965,6 +970,25 @@ impl MemoryBroker {
         true
     }
 
+    /// The per-I/O health check: reclaim notice, validity, replica epoch and
+    /// replication deficit under one lock, changing nothing.
+    pub fn lease_health(&self, id: LeaseId, now: SimTime) -> LeaseHealth {
+        let st = self.store.state.lock();
+        let valid = match st.leases.get(&id) {
+            Some((lease, LeaseState::Active)) => {
+                now < lease.expires_at || st.auto_renewed.contains(&id)
+            }
+            _ => false,
+        };
+        let replicas = st.replicas.get(&id);
+        LeaseHealth {
+            notice: st.pending_revocations.get(&id).copied(),
+            valid,
+            epoch: replicas.map(ReplicaSet::epoch),
+            deficit: replicas.map_or(0, ReplicaSet::deficit),
+        }
+    }
+
     pub fn lease_state(&self, id: LeaseId) -> Option<LeaseState> {
         self.store.state.lock().leases.get(&id).map(|(_, s)| *s)
     }
@@ -1076,18 +1100,15 @@ impl MemoryBroker {
                 };
                 let mut lost_now: Vec<MrHandle> = Vec::new();
                 let mut wiped_now = 0u64;
-                for (slot, group) in rs.groups.iter_mut().enumerate() {
-                    if let Some(pos) = group.iter().position(|m| m.server == server) {
-                        let dead = group.remove(pos);
-                        if group.is_empty() {
-                            rs.lost_slots.insert(slot, dead);
-                            lost_now.push(dead);
-                        } else {
-                            wiped_now += dead.len;
-                        }
+                for (slot, dead) in rs.drop_server(server) {
+                    if rs.groups()[slot].is_empty() {
+                        rs.park_lost(slot, dead);
+                        lost_now.push(dead);
+                    } else {
+                        wiped_now += dead.len;
                     }
                 }
-                rs.epoch += 1;
+                rs.bump_epoch();
                 st.replicas.insert(id, rs);
                 if !lost_now.is_empty() {
                     st.lost_mrs.entry(id).or_default().extend(lost_now);
@@ -1223,17 +1244,6 @@ impl MemoryBroker {
         (reclaimed, notified)
     }
 
-    /// Has this lease been put on notice by [`Self::request_reclaim`]?
-    /// Returns the pressured server and the revocation deadline.
-    pub fn revocation_notice(&self, id: LeaseId) -> Option<(ServerId, SimTime)> {
-        self.store
-            .state
-            .lock()
-            .pending_revocations
-            .get(&id)
-            .copied()
-    }
-
     /// Collect pending revocations whose grace window has passed: leases
     /// still holding MRs on the pressured server are revoked, the pressured
     /// MRs deregistered, the rest returned to the pool. Returns the bytes
@@ -1343,14 +1353,8 @@ impl MemoryBroker {
         if let Some(rs) = st.replicas.get_mut(&id) {
             // shed the surrendered members from their groups; anti-affinity
             // means each group loses at most one, so survivors keep serving
-            let mut changed = false;
-            for group in rs.groups.iter_mut() {
-                let before = group.len();
-                group.retain(|m| m.server != server);
-                changed |= group.len() != before;
-            }
-            if changed {
-                rs.epoch += 1;
+            if !rs.drop_server(server).is_empty() {
+                rs.bump_epoch();
             }
         }
         let mut freed = 0;
@@ -1655,7 +1659,7 @@ mod tests {
         let (got, notified) = broker.request_reclaim(clock.now(), &fabric, donor, 4 * MR);
         assert_eq!(got, 2 * MR);
         assert_eq!(notified, vec![lease.id]);
-        let (srv, deadline) = broker.revocation_notice(lease.id).unwrap();
+        let (srv, deadline) = broker.lease_health(lease.id, clock.now()).notice.unwrap();
         assert_eq!(srv, donor);
         assert!(deadline > clock.now());
         // holder gives the memory back inside the window
@@ -1663,7 +1667,7 @@ mod tests {
             .surrender_mrs(&mut clock, lease.id, donor, &fabric)
             .unwrap();
         assert_eq!(freed, 2 * MR);
-        assert!(broker.revocation_notice(lease.id).is_none());
+        assert_eq!(broker.lease_health(lease.id, clock.now()).notice, None);
         // the deadline passes: nothing left to take, lease still Active
         clock.advance_to(deadline + SimDuration::from_micros(1));
         assert_eq!(broker.finalize_revocations(&fabric, clock.now()), 0);
@@ -1679,7 +1683,7 @@ mod tests {
         let (got, notified) = broker.request_reclaim(clock.now(), &fabric, donor, 2 * MR);
         assert_eq!(got, 0);
         assert_eq!(notified, vec![lease.id]);
-        let (_, deadline) = broker.revocation_notice(lease.id).unwrap();
+        let (_, deadline) = broker.lease_health(lease.id, clock.now()).notice.unwrap();
         // before the deadline nothing happens
         assert_eq!(broker.finalize_revocations(&fabric, clock.now()), 0);
         assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Active));
@@ -1942,6 +1946,55 @@ mod tests {
         assert_eq!(epoch, 1);
         assert_eq!(groups[0].len(), 1);
         assert!(broker.replication_deficit(lease.id) > 0);
+    }
+
+    #[test]
+    fn maintained_deficit_is_audited_through_every_membership_change() {
+        let (fabric, broker, db) = cluster(6, 4);
+        let aud = Arc::new(Auditor::new()); // panics on the first violation
+        broker.set_auditor(Some(Arc::clone(&aud)));
+        let mut clock = Clock::new();
+        let lease = broker
+            .request_replicated_lease(&mut clock, db, 2 * MR, 2)
+            .unwrap();
+        broker.enable_auto_renew(lease.id);
+        // every group member is one MR, so the deficit is countable by hand
+        let by_hand = |broker: &MemoryBroker| {
+            let (_, groups) = broker.replica_view(lease.id).unwrap();
+            groups
+                .iter()
+                .map(|g| (2 - g.len()) as u64 * MR)
+                .sum::<u64>()
+        };
+        let check = |broker: &MemoryBroker, want_degraded: bool| {
+            let deficit = broker.replication_deficit(lease.id);
+            assert_eq!(deficit, by_hand(broker));
+            assert_eq!(deficit > 0, want_degraded);
+            assert_eq!(
+                broker.lease_health(lease.id, SimTime::ZERO).deficit,
+                deficit
+            );
+        };
+        check(&broker, false);
+        let (_, groups) = broker.replica_view(lease.id).unwrap();
+        // prune (one member), heal, then lose a whole group, heal, then shed
+        broker.server_failed(groups[0][0].server);
+        check(&broker, true);
+        broker.re_replicate(&mut clock, lease.id).unwrap();
+        check(&broker, false);
+        let (_, groups) = broker.replica_view(lease.id).unwrap();
+        broker.server_failed(groups[1][0].server);
+        broker.server_failed(groups[1][1].server);
+        check(&broker, true);
+        broker.re_replicate(&mut clock, lease.id).unwrap();
+        check(&broker, false);
+        let (_, groups) = broker.replica_view(lease.id).unwrap();
+        let shed = groups[0][1].server;
+        broker
+            .surrender_mrs(&mut clock, lease.id, shed, &fabric)
+            .unwrap();
+        check(&broker, true);
+        assert!(aud.checks() > 0, "the auditor was consulted");
     }
 
     #[test]

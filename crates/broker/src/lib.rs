@@ -23,7 +23,8 @@ pub mod meta;
 pub mod proxy;
 
 pub use broker::{
-    BrokerConfig, BrokerError, ComputeAccount, MemoryBroker, PlacementPolicy, ReplicaRepair,
+    BrokerConfig, BrokerError, ComputeAccount, LeaseHealth, MemoryBroker, PlacementPolicy,
+    ReplicaRepair,
 };
 pub use lease::{Lease, LeaseId, LeaseState, ReplicaSet};
 pub use meta::MetaStore;

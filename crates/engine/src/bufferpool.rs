@@ -600,9 +600,8 @@ impl BufferPool {
                     // the (now clean) page goes to the extension tier; only
                     // an actual device write counts as one — an up-to-date
                     // cached copy is a skip, not I/O
-                    let page = frame.page.clone();
                     if let Some(ext) = inner.ext.as_mut() {
-                        if ext.put(clock, key, &page) == PutOutcome::Written {
+                        if ext.put(clock, key, &frame.page) == PutOutcome::Written {
                             inner.stats.ext_writes += 1;
                             if let Some(m) = &inner.metrics {
                                 m.ext_writes.incr();
@@ -610,7 +609,7 @@ impl BufferPool {
                         }
                     }
                     inner.map.remove(&key);
-                    inner.frames[idx].key = None;
+                    frame.key = None;
                     inner.stats.evictions += 1;
                     if let Some(m) = &inner.metrics {
                         m.evictions.incr();

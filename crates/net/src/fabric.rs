@@ -1,6 +1,7 @@
 //! The cluster fabric: servers wired by an Infiniband switch, and the three
 //! remote-memory access protocols of Table 5.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -130,10 +131,27 @@ impl FabricMetrics {
 
 /// Lifetime work-request bookkeeping for one (ordered) server pair: the
 /// auditor's no-leaked-WR invariant is `posted == completed` at teardown.
-#[derive(Debug, Default, Clone, Copy)]
-struct WrStats {
-    posted: u64,
-    completed: u64,
+/// The counters are statistics behind a shared handle, so a verb looks its
+/// pair up once and posts and completes through the handle.
+#[derive(Debug, Default)]
+struct WrLedger {
+    posted: AtomicU64,
+    completed: AtomicU64,
+}
+
+impl WrLedger {
+    fn post(&self, n: u64) {
+        self.posted.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn complete(&self, n: u64) {
+        self.completed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> (u64, u64) {
+        let posted = self.posted.load(Ordering::Relaxed);
+        (posted, self.completed.load(Ordering::Relaxed))
+    }
 }
 
 /// Outcome of one work request inside a doorbell batch
@@ -218,7 +236,7 @@ pub struct Fabric {
     auditor: RwLock<Option<Arc<Auditor>>>,
     metrics: RwLock<Option<Arc<FabricMetrics>>>,
     // ordered map: the teardown audit sweep iterates it
-    wr_stats: Mutex<std::collections::BTreeMap<(ServerId, ServerId), WrStats>>,
+    wr_stats: Mutex<std::collections::BTreeMap<(ServerId, ServerId), Arc<WrLedger>>>,
 }
 
 impl Fabric {
@@ -289,7 +307,12 @@ impl Fabric {
     }
 
     fn live_server(&self, id: ServerId) -> Result<Arc<Server>, NetError> {
-        let s = self.server(id)?;
+        Self::live(&self.servers.read(), id).map(Arc::clone)
+    }
+
+    /// Server `id` out of the table, provided it exists and is up.
+    fn live(servers: &[Arc<Server>], id: ServerId) -> Result<&Arc<Server>, NetError> {
+        let s = servers.get(id.0).ok_or(NetError::NoSuchServer(id))?;
         if !s.is_alive() {
             return Err(NetError::ServerDown(id));
         }
@@ -301,8 +324,10 @@ impl Fabric {
     pub fn connect(&self, clock: &mut Clock, from: ServerId, to: ServerId) -> Result<(), NetError> {
         self.live_server(from)?;
         self.live_server(to)?;
-        let mut conns = self.connections.lock();
-        if conns.insert(ordered(from, to)) {
+        // verbs hold the metrics guard and then look the pair up here, so
+        // this lock must be released before the metrics are touched
+        let fresh = self.connections.lock().insert(ordered(from, to));
+        if fresh {
             clock.advance(self.cfg.connect_time);
             if let Some(m) = self.metrics.read().as_ref() {
                 m.connects.incr();
@@ -321,31 +346,15 @@ impl Fabric {
         self.verify_wr_balance(from, to);
     }
 
-    fn note_posted(&self, a: ServerId, b: ServerId, n: u64) {
-        self.wr_stats
-            .lock()
-            .entry(ordered(a, b))
-            .or_default()
-            .posted += n;
-    }
-
-    fn note_completed(&self, a: ServerId, b: ServerId, n: u64) {
-        self.wr_stats
-            .lock()
-            .entry(ordered(a, b))
-            .or_default()
-            .completed += n;
+    /// The WR ledger of the pair `(a, b)`, created on first use.
+    fn wr_ledger(&self, a: ServerId, b: ServerId) -> Arc<WrLedger> {
+        Arc::clone(self.wr_stats.lock().entry(ordered(a, b)).or_default())
     }
 
     /// Lifetime (posted, completed) work-request counts between two servers.
     pub fn wr_counts(&self, a: ServerId, b: ServerId) -> (u64, u64) {
-        let s = self
-            .wr_stats
-            .lock()
-            .get(&ordered(a, b))
-            .copied()
-            .unwrap_or_default();
-        (s.posted, s.completed)
+        let stats = self.wr_stats.lock();
+        stats.get(&ordered(a, b)).map_or((0, 0), |l| l.counts())
     }
 
     /// Audit the WR ledger of one pair: posts == completions (no WR leaked
@@ -354,18 +363,13 @@ impl Fabric {
     fn verify_wr_balance(&self, a: ServerId, b: ServerId) {
         let guard = self.auditor.read();
         let Some(aud) = guard.as_ref() else { return };
-        let s = self
-            .wr_stats
-            .lock()
-            .get(&ordered(a, b))
-            .copied()
-            .unwrap_or_default();
+        let (posted, completed) = self.wr_counts(a, b);
         aud.check_balance(
             remem_sim::SimTime::ZERO,
             "qp",
             "wr-conservation",
-            ("posted", s.posted as i128),
-            &[("completed", s.completed as i128)],
+            ("posted", posted as i128),
+            &[("completed", completed as i128)],
         );
     }
 
@@ -467,15 +471,19 @@ impl Fabric {
         }
     }
 
-    fn validate(
+    /// Check one transfer between `local` and `[offset, offset + len)` of
+    /// `handle`, resolving both ends out of `servers` (the caller's read
+    /// guard on the server table, held for the verb) and the region.
+    fn validate<'s>(
         &self,
+        servers: &'s [Arc<Server>],
         local: ServerId,
         handle: MrHandle,
         offset: u64,
         len: u64,
-    ) -> Result<(Arc<Server>, crate::mr::MemoryRegion), NetError> {
-        self.live_server(local)?;
-        let remote = self.live_server(handle.server)?;
+    ) -> Result<(&'s Server, &'s Server, crate::mr::MemoryRegion), NetError> {
+        let local_srv = Self::live(servers, local)?;
+        let remote = Self::live(servers, handle.server)?;
         if !self.is_connected(local, handle.server) {
             return Err(NetError::NotConnected {
                 from: local,
@@ -494,22 +502,21 @@ impl Fabric {
                 mr_len: mr.len(),
             });
         }
-        Ok((remote, mr))
+        Ok((local_srv, remote, mr))
     }
 
-    /// Charge virtual time for moving `bytes` between `local` and the MR's
-    /// server over `proto`, advancing `clock` past the completion.
+    /// Charge virtual time for moving `bytes` between `local_srv` and the
+    /// MR's server over `proto`, advancing `clock` past the completion.
     fn charge(
         &self,
         clock: &mut Clock,
         proto: Protocol,
-        local: ServerId,
+        local_srv: &Server,
         remote: &Server,
         bytes: u64,
-    ) -> Result<(), NetError> {
+    ) {
         let costs = self.costs(proto);
         let now = clock.now();
-        let local_srv = self.live_server(local)?;
         // Serialization occupies both NIC pipes; the transfer is pipelined
         // through them, so the effective start is gated by whichever pipe is
         // busier, not the sum of both.
@@ -529,7 +536,6 @@ impl Fabric {
             end = remote.cpu().execute(end, cpu).end;
         }
         clock.advance_to(end + costs.fixed_latency);
-        Ok(())
     }
 
     /// Consult the attached fault schedule (if any) for one verb. An injected
@@ -567,15 +573,15 @@ impl Fabric {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), NetError> {
-        let m = self.metrics.read().clone();
+        let metrics = self.metrics.read();
+        let m = metrics.as_deref();
         let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.read_span, t0));
-        self.note_posted(local, handle.server, 1);
+        let span = m.map(|fm| fm.registry.span_enter_id(fm.read_span, t0));
+        let ledger = self.wr_ledger(local, handle.server);
+        ledger.post(1);
         let res = self.read_inner(clock, proto, local, handle, offset, buf);
-        self.note_completed(local, handle.server, 1);
-        if let Some(fm) = &m {
+        ledger.complete(1);
+        if let Some(fm) = m {
             if let Some(span) = span {
                 fm.registry.span_exit(span, clock.now());
             }
@@ -599,9 +605,11 @@ impl Fabric {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), NetError> {
-        let (remote, mr) = self.validate(local, handle, offset, buf.len() as u64)?;
+        let servers = self.servers.read();
+        let (local_srv, remote, mr) =
+            self.validate(&servers, local, handle, offset, buf.len() as u64)?;
         let extra = self.consult_injector(clock, proto, local, handle.server, offset)?;
-        self.charge(clock, proto, local, &remote, buf.len() as u64)?;
+        self.charge(clock, proto, local_srv, remote, buf.len() as u64);
         clock.advance(extra);
         mr.read_into(offset, buf);
         Ok(())
@@ -617,15 +625,15 @@ impl Fabric {
         offset: u64,
         data: &[u8],
     ) -> Result<(), NetError> {
-        let m = self.metrics.read().clone();
+        let metrics = self.metrics.read();
+        let m = metrics.as_deref();
         let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.write_span, t0));
-        self.note_posted(local, handle.server, 1);
+        let span = m.map(|fm| fm.registry.span_enter_id(fm.write_span, t0));
+        let ledger = self.wr_ledger(local, handle.server);
+        ledger.post(1);
         let res = self.write_inner(clock, proto, local, handle, offset, data);
-        self.note_completed(local, handle.server, 1);
-        if let Some(fm) = &m {
+        ledger.complete(1);
+        if let Some(fm) = m {
             if let Some(span) = span {
                 fm.registry.span_exit(span, clock.now());
             }
@@ -649,9 +657,11 @@ impl Fabric {
         offset: u64,
         data: &[u8],
     ) -> Result<(), NetError> {
-        let (remote, mr) = self.validate(local, handle, offset, data.len() as u64)?;
+        let servers = self.servers.read();
+        let (local_srv, remote, mr) =
+            self.validate(&servers, local, handle, offset, data.len() as u64)?;
         let extra = self.consult_injector(clock, proto, local, handle.server, offset)?;
-        self.charge(clock, proto, local, &remote, data.len() as u64)?;
+        self.charge(clock, proto, local_srv, remote, data.len() as u64);
         clock.advance(extra);
         mr.write_from(offset, data);
         Ok(())
@@ -681,15 +691,15 @@ impl Fabric {
         local: ServerId,
         req: &PushdownRequest<'_>,
     ) -> Result<PushdownReply, NetError> {
-        let m = self.metrics.read().clone();
+        let metrics = self.metrics.read();
+        let m = metrics.as_deref();
         let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.pushdown_span, t0));
-        self.note_posted(local, req.handle.server, 1);
+        let span = m.map(|fm| fm.registry.span_enter_id(fm.pushdown_span, t0));
+        let ledger = self.wr_ledger(local, req.handle.server);
+        ledger.post(1);
         let res = self.pushdown_inner(clock, proto, local, req);
-        self.note_completed(local, req.handle.server, 1);
-        if let Some(fm) = &m {
+        ledger.complete(1);
+        if let Some(fm) = m {
             if let Some(span) = span {
                 fm.registry.span_exit(span, clock.now());
             }
@@ -716,7 +726,9 @@ impl Fabric {
         local: ServerId,
         req: &PushdownRequest<'_>,
     ) -> Result<PushdownReply, NetError> {
-        let (remote, mr) = self.validate(local, req.handle, req.offset, req.len)?;
+        let servers = self.servers.read();
+        let (local_srv, remote, mr) =
+            self.validate(&servers, local, req.handle, req.offset, req.len)?;
         let extra = self.consult_injector(clock, proto, local, req.handle.server, req.offset)?;
         let mut span_bytes = vec![0u8; req.len as usize];
         mr.read_into(req.offset, &mut span_bytes);
@@ -728,7 +740,6 @@ impl Fabric {
                 }
             })?;
         let costs = self.costs(proto);
-        let local_srv = self.live_server(local)?;
         let request_bytes = req.program.encoded_len() as u64;
         let reply_bytes = payload.len() as u64;
         // Request out: a tiny send carrying the program.
@@ -804,19 +815,21 @@ impl Fabric {
             !targets.is_empty(),
             "quorum write needs at least one replica"
         );
-        let m = self.metrics.read().clone();
+        let metrics = self.metrics.read();
+        let m = metrics.as_deref();
         let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.quorum_write_span, t0));
-        for (h, _) in targets {
-            self.note_posted(local, h.server, 1);
-        }
+        let span = m.map(|fm| fm.registry.span_enter_id(fm.quorum_write_span, t0));
+        let ledgers: Vec<Arc<WrLedger>> = {
+            let mut stats = self.wr_stats.lock();
+            let pairs = targets.iter().map(|(h, _)| ordered(local, h.server));
+            pairs
+                .map(|pair| Arc::clone(stats.entry(pair).or_default()))
+                .collect()
+        };
+        ledgers.iter().for_each(|l| l.post(1));
         let res = self.write_quorum_inner(clock, proto, local, targets, data);
-        for (h, _) in targets {
-            self.note_completed(local, h.server, 1);
-        }
-        if let Some(fm) = &m {
+        ledgers.iter().for_each(|l| l.complete(1));
+        if let Some(fm) = m {
             if let Some(span) = span {
                 fm.registry.span_exit(span, clock.now());
             }
@@ -845,15 +858,16 @@ impl Fabric {
         let costs = self.costs(proto);
         let n = targets.len();
         let quorum = (n + 2) / 2; // ⌈(n+1)/2⌉: 1→1, 2→2, 3→2, 5→3
-        let local_srv = self.live_server(local)?;
+        let servers = self.servers.read();
+        let local_srv = Self::live(&servers, local)?;
         let bytes = data.len() as u64;
         // resolve replicas: a dead one just can't ack; anything structurally
         // wrong fails the WR as a unit
-        let mut live: Vec<(usize, Arc<Server>, crate::mr::MemoryRegion, u64)> = Vec::new();
+        let mut live: Vec<(usize, &Server, crate::mr::MemoryRegion, u64)> = Vec::new();
         let mut down: Option<NetError> = None;
         for (i, (handle, offset)) in targets.iter().enumerate() {
-            match self.validate(local, *handle, *offset, bytes) {
-                Ok((remote, mr)) => live.push((i, remote, mr, *offset)),
+            match self.validate(&servers, local, *handle, *offset, bytes) {
+                Ok((_, remote, mr)) => live.push((i, remote, mr, *offset)),
                 Err(e @ (NetError::ServerDown(_) | NetError::NoSuchMr { .. })) => {
                     down.get_or_insert(e);
                 }
@@ -863,13 +877,8 @@ impl Fabric {
         // fault schedule: a transient window delays that replica's ack (the
         // transport retransmits, bytes still land); a blackout kills it
         let inj = self.injector.read().clone();
-        let mut delayed: Vec<(
-            usize,
-            Arc<Server>,
-            crate::mr::MemoryRegion,
-            u64,
-            SimDuration,
-        )> = Vec::new();
+        let mut delayed: Vec<(usize, &Server, crate::mr::MemoryRegion, u64, SimDuration)> =
+            Vec::new();
         for (i, remote, mr, offset) in live {
             let server = remote.id();
             let outcome = match &inj {
@@ -967,7 +976,7 @@ impl Fabric {
         let costs = self.costs(proto);
         for wr in wrs.iter() {
             if let Some((server, _)) = wr.target() {
-                self.note_posted(local, server, 1);
+                self.wr_ledger(local, server).post(1);
             }
         }
 
@@ -1102,7 +1111,7 @@ impl Fabric {
         }
         for wr in wrs.iter() {
             if let Some((server, _)) = wr.target() {
-                self.note_completed(local, server, 1);
+                self.wr_ledger(local, server).complete(1);
             }
         }
 
@@ -1141,9 +1150,10 @@ impl Fabric {
         local: ServerId,
         wr: &crate::verbs::WorkRequest<'_>,
     ) -> Result<Vec<crate::mr::MemoryRegion>, NetError> {
+        let servers = self.servers.read();
         let mut regions = Vec::with_capacity(wr.sge_count());
         for (mr, offset, len) in wr.sges() {
-            let (_, region) = self.validate(local, mr, offset, len)?;
+            let (_, _, region) = self.validate(&servers, local, mr, offset, len)?;
             regions.push(region);
         }
         Ok(regions)

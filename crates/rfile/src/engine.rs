@@ -133,6 +133,9 @@ pub(crate) struct Chunk<P> {
 /// long; a serial verb's also holds the rest of its request.
 pub(crate) struct Located<P> {
     pub(crate) chunk: Chunk<P>,
+    /// Index of the extent that serves it — on a replicated file, also of
+    /// its replica group.
+    pub(crate) slot: usize,
     pub(crate) mr: MrHandle,
     pub(crate) mr_off: u64,
     pub(crate) len: u64,
@@ -413,7 +416,7 @@ pub(crate) fn run<V: Verb>(
                 run.queue.push_back(chunk);
                 continue;
             }
-            let (mr, mr_off, len) = file.locate(chunk.file_off, chunk.payload.bytes());
+            let (slot, mr, mr_off, len) = file.locate(chunk.file_off, chunk.payload.bytes());
             if split_ahead && len < chunk.payload.bytes() {
                 let (head, tail) = chunk.payload.split_at(len);
                 run.queue.push_front(Chunk {
@@ -425,6 +428,7 @@ pub(crate) fn run<V: Verb>(
             }
             verb.post(Located {
                 chunk,
+                slot,
                 mr,
                 mr_off,
                 len,
@@ -571,9 +575,9 @@ impl RemoteFile {
         );
     }
 
-    /// Translate `offset` to `(backing MR, offset within it, bytes this
-    /// extent can serve)` under the state lock.
-    fn locate(&self, offset: u64, want: u64) -> (MrHandle, u64, u64) {
+    /// Translate `offset` to `(extent index, backing MR, offset within it,
+    /// bytes this extent can serve)` under the state lock.
+    fn locate(&self, offset: u64, want: u64) -> (usize, MrHandle, u64, u64) {
         let st = self.state.lock();
         let idx = match st.extents.binary_search_by(|e| e.start.cmp(&offset)) {
             Ok(i) => i,
@@ -581,7 +585,7 @@ impl RemoteFile {
         };
         let e = &st.extents[idx];
         let within = offset - e.start;
-        (e.mr, e.mr_off + within, (e.len - within).min(want))
+        (idx, e.mr, e.mr_off + within, (e.len - within).min(want))
     }
 
     /// Per-chunk local preparation cost and staging-slot gating.
@@ -647,19 +651,15 @@ impl RemoteFile {
         track: &mut QuorumAppend,
     ) -> Result<(), NetError> {
         let src = &c.chunk.payload[..c.len as usize];
-        let (proto, local) = (self.cfg.protocol, self.local);
         if self.replicated() {
-            let targets = self.replica_targets(c.mr, c.mr_off);
-            let q = self
-                .fabric
-                .write_quorum(clock, proto, local, &targets, src)?;
+            let q = self.write_replicas(clock, c.slot, c.mr, c.mr_off, src)?;
             track.fold(&q);
             Ok(())
         } else {
             track.chunks += 1;
             self.fabric
                 // audit: allow(quorum-write, unreplicated file: the single copy is the quorum)
-                .write(clock, proto, local, c.mr, c.mr_off, src)
+                .write(clock, self.cfg.protocol, self.local, c.mr, c.mr_off, src)
         }
     }
 

@@ -163,6 +163,8 @@ pub(crate) struct FileState {
     /// Earliest virtual time the next self-heal attempt is allowed.
     pub(crate) next_repair: SimTime,
     pub(crate) repair_backoff: SimDuration,
+    /// Scratch for one quorum write's target list, reused across chunks.
+    pub(crate) targets: Vec<(MrHandle, u64)>,
 }
 
 impl FileState {
@@ -1495,6 +1497,60 @@ mod tests {
         assert_eq!(c.broker.finalize_revocations(&c.fabric, clock.now()), 0);
         f.read(&mut clock, 0, &mut out).unwrap();
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn an_epoch_fenced_between_two_ios_is_adopted_by_the_very_next_one() {
+        // the per-op health check compares epochs before it copies anything:
+        // whichever way the broker fenced the groups since the last I/O, the
+        // next one must re-point *before* it issues, never by faulting on a
+        // member that is gone
+        let c = cluster(4, 4, PlacementPolicy::Spread);
+        let mut clock = Clock::new();
+        let cfg = RFileConfig {
+            replicas: 2,
+            ..RFileConfig::custom()
+        };
+        let f = mk_file(&c, 2 * MR, cfg, &mut clock);
+        let id = f.lease_id();
+        let data: Vec<u8> = (0..(2 * MR) as usize).map(|i| (i % 227) as u8).collect();
+        f.write(&mut clock, 0, &data).unwrap();
+        let mut out = vec![0u8; data.len()];
+        let mut check = |clock: &mut Clock, fence: &str, before: u64| {
+            let fenced = c.broker.replica_epoch(id).unwrap();
+            assert!(fenced > before, "{fence}: the broker fenced a new epoch");
+            assert_eq!(f.replica_epoch(), before, "{fence}: file not yet told");
+            f.read(clock, 0, &mut out).unwrap();
+            assert_eq!(out, data, "{fence}: bytes intact");
+            assert_eq!(
+                f.failovers(),
+                0,
+                "{fence}: adopted up front, not by faulting"
+            );
+            // the same op may also have healed, which fences once more
+            let now = c.broker.replica_epoch(id).unwrap();
+            assert_eq!(f.replica_epoch(), now, "{fence}: file is current");
+            assert_eq!(c.broker.replication_deficit(id), 0, "{fence}: back to k");
+            now
+        };
+        // a donor crash: the broker prunes the dead members
+        crash(&c, f.donors()[0]);
+        let e1 = check(&mut clock, "server_failed", 0);
+        // a third party re-replicates behind the file's back: crash without
+        // letting the file heal, then grow the groups at the broker
+        crash(&c, f.donors()[0]);
+        c.broker.re_replicate(&mut clock, id).unwrap();
+        let e2 = check(&mut clock, "re_replicate", e1);
+        // nobody seeded those new members; a full rewrite brings them level
+        f.write(&mut clock, 0, &data).unwrap();
+        // the members on one donor are surrendered (what a shed does)
+        c.broker
+            .surrender_mrs(&mut clock, id, f.donors()[0], &c.fabric)
+            .unwrap();
+        let e3 = check(&mut clock, "shed", e2);
+        // and with nothing fenced the epoch stays put
+        f.write(&mut clock, 0, &data).unwrap();
+        assert_eq!(f.replica_epoch(), e3);
     }
 
     #[test]

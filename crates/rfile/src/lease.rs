@@ -88,6 +88,7 @@ impl FileState {
             pending_heal: BTreeSet::new(),
             next_repair: SimTime::ZERO,
             repair_backoff: REPAIR_BACKOFF_BASE,
+            targets: Vec::new(),
         })
     }
 
@@ -116,8 +117,11 @@ impl RemoteFile {
     /// re-acquire a lost lease from scratch.
     pub(crate) fn ensure_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let id = self.state.lock().lease.id;
-        let noticed = self.broker.revocation_notice(id);
-        if let Some((server, _)) = noticed.filter(|&(_, deadline)| clock.now() < deadline) {
+        let mut health = self.broker.lease_health(id, clock.now());
+        if let Some((server, _)) = health
+            .notice
+            .filter(|&(_, deadline)| clock.now() < deadline)
+        {
             if self.replicated() {
                 // replicated files answer memory pressure by *shedding* the
                 // copies on the pressured donor — redundancy absorbs the
@@ -128,17 +132,19 @@ impl RemoteFile {
                 // deadline and the full re-lease path takes over
                 let _ = self.migrate_off(clock, server);
             }
+            health = self.broker.lease_health(id, clock.now());
         }
-        if self.replicated() {
-            self.refresh_replicas();
+        if let Some(epoch) = health.epoch {
+            self.adopt_epoch(id, epoch);
         }
-        if !self.broker.is_valid(id, clock.now()) {
+        // a lapsed lease reads invalid; `is_valid` is what expires it
+        if !health.valid && !self.broker.is_valid(id, clock.now()) {
             if self.cfg.self_heal {
                 return self.try_repair(clock);
             }
             return Err(unavailable("remote memory lease lost"));
         }
-        if self.replicated() && self.broker.replication_deficit(id) > 0 {
+        if health.deficit > 0 {
             // best effort: reads still serve from the survivors, so a heal
             // that can't find donors yet must not fail the access
             let _ = self.try_repair(clock);

@@ -1,7 +1,7 @@
 //! Replication (`cfg.replicas ≥ 2`): the epoch fence, local failover,
 //! quorum-write targets, shedding under memory pressure, and re-replication.
 
-use remem_net::{Fabric, MrHandle, NetError, ServerId};
+use remem_net::{Fabric, MrHandle, NetError, QuorumWrite, ServerId};
 use remem_sim::{Clock, FaultOrigin};
 use remem_storage::StorageError;
 
@@ -10,21 +10,29 @@ use crate::file::{unavailable, FileState, RemoteFile};
 use crate::lease::{short_of_memory, ZERO_ATTEMPTS};
 
 impl RemoteFile {
-    /// Epoch fence: pull the broker's view of this lease's replica groups
-    /// and, if membership changed since we last looked, re-point every
-    /// extent at its group's current preferred member and adopt the new
-    /// epoch. Returns whether anything changed. Free of virtual-time cost:
-    /// the fence piggybacks on lease-validity traffic the holder already
-    /// pays for.
+    /// Epoch fence: if the broker's replica epoch for this lease has moved
+    /// past the one the extent map was built against, adopt it (see
+    /// [`Self::adopt_epoch`]). Returns whether anything changed. Free of
+    /// virtual-time cost: the fence piggybacks on lease-validity traffic the
+    /// holder already pays for.
     pub(crate) fn refresh_replicas(&self) -> bool {
         let id = self.state.lock().lease.id;
+        let fenced = self.broker.replica_epoch(id);
+        fenced.is_some_and(|epoch| self.adopt_epoch(id, epoch))
+    }
+
+    /// Given the broker's current `epoch` for lease `id`: when it differs
+    /// from the file's, pull the group table, re-point every extent at its
+    /// group's current preferred member and adopt the new epoch. The table
+    /// is only copied when membership actually changed.
+    pub(crate) fn adopt_epoch(&self, id: remem_broker::LeaseId, epoch: u64) -> bool {
+        if epoch == self.state.lock().epoch {
+            return false;
+        }
         let Some((epoch, groups)) = self.broker.replica_view(id) else {
             return false;
         };
         let mut st = self.state.lock();
-        if epoch == st.epoch {
-            return false;
-        }
         for (e, g) in st.extents.iter_mut().zip(&groups) {
             // an empty group is a wholly lost slot; its extent keeps the
             // stale handle until heal_replicas re-seeds it
@@ -73,20 +81,33 @@ impl RemoteFile {
         true
     }
 
-    /// All live replicas backing the stripe served by `preferred`, each
-    /// paired with the (shared) intra-MR offset — the target list of a
-    /// quorum write. Replica groups are carved 1:1 from equal-length MRs at
-    /// `mr_off = 0`, so one offset addresses the same bytes on every member.
-    pub(crate) fn replica_targets(&self, preferred: MrHandle, within: u64) -> Vec<(MrHandle, u64)> {
-        let st = self.state.lock();
-        let group = st
-            .groups
-            .iter()
-            .find(|g| g.iter().any(|&m| same_mr(m, preferred)));
-        match group {
-            Some(g) => g.iter().map(|&m| (m, within)).collect(),
-            None => vec![(preferred, within)],
+    /// Quorum-write `data` to every live replica of the stripe in extent
+    /// slot `slot`, which `preferred` serves. Replica groups are carved 1:1
+    /// from equal-length MRs at `mr_off = 0`, so the one offset `within`
+    /// addresses the same bytes on every member. The target list is built in
+    /// the file's reusable scratch, under the state lock.
+    pub(crate) fn write_replicas(
+        &self,
+        clock: &mut Clock,
+        slot: usize,
+        preferred: MrHandle,
+        within: u64,
+        data: &[u8],
+    ) -> Result<QuorumWrite, NetError> {
+        let mut st = self.state.lock();
+        let FileState {
+            groups, targets, ..
+        } = &mut *st;
+        targets.clear();
+        match groups.get(slot) {
+            Some(g) if g.iter().any(|&m| same_mr(m, preferred)) => {
+                targets.extend(g.iter().map(|&m| (m, within)));
+            }
+            // a wholly lost slot: only the stale handle is left to try
+            _ => targets.push((preferred, within)),
         }
+        self.fabric
+            .write_quorum(clock, self.cfg.protocol, self.local, targets, data)
     }
 
     /// Memory pressure on `server` (two-phase reclaim grace window): drop

@@ -20,6 +20,8 @@
 //! OS threads interleave.
 
 use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::parallel::{self, DeferQueue};
@@ -192,72 +194,99 @@ impl Default for FifoResource {
     }
 }
 
-/// A pool of `k` identical servers (RAID-0 spindles, CPU cores, NIC queue
-/// pairs). Each server is a fluid queue (see [`FifoResource`]); a request
-/// goes to the least-backlogged server, or to a pinned one (`acquire_on`).
+/// A pool of `k` identical servers (CPU cores, SSD channels, staging slots).
+/// Each server is a fluid queue (see [`FifoResource`]); a request goes to the
+/// least-backlogged server, the lowest-numbered one on a tie.
+///
+/// Every request drains *all* servers to its arrival time before choosing,
+/// so the servers share one watermark and a server is fully described by the
+/// absolute instant its backlog drains. "Least backlogged" is then "lowest-
+/// numbered idle server, else the one that drains first", which two heaps
+/// answer in O(log k) — a pool of 1 024 staging slots costs the same per
+/// request as a pool of two.
 #[derive(Debug)]
 pub struct PoolResource {
+    servers: usize,
     state: Mutex<PoolState>,
     total_service: AtomicU64,
 }
 
 #[derive(Debug)]
 struct PoolState {
-    servers: Vec<Fluid>,
-    /// Parallel-round requests not yet folded into `servers`.
-    pending: DeferQueue<PoolReq>,
+    queues: PoolQueues,
+    /// Parallel-round requests not yet folded into `queues`.
+    pending: DeferQueue<Req>,
 }
 
-/// One buffered pool request: `pin` is `Some(server)` for `acquire_on`.
-#[derive(Debug, Clone, Copy)]
-struct PoolReq {
-    now: u64,
-    service: u64,
-    pin: Option<u32>,
+/// The pool's `k` fluid queues behind their shared watermark.
+#[derive(Debug, Clone)]
+struct PoolQueues {
+    /// Latest request time observed (ns); every backlog is as of this instant.
+    watermark: u64,
+    /// Servers with outstanding work, keyed by the instant it drains
+    /// (always `> watermark`): earliest first, lowest index on a tie.
+    busy: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Servers with no backlog as of `watermark`, lowest index first.
+    idle: BinaryHeap<Reverse<u32>>,
+}
+
+impl PoolQueues {
+    fn new(k: usize) -> PoolQueues {
+        PoolQueues {
+            watermark: 0,
+            busy: BinaryHeap::new(),
+            idle: (0..k as u32).map(Reverse).collect(),
+        }
+    }
+
+    fn grant(&mut self, r: Req) -> Grant {
+        self.watermark = self.watermark.max(r.now);
+        while let Some(&Reverse((drains_at, server))) = self.busy.peek() {
+            if drains_at > self.watermark {
+                break;
+            }
+            self.busy.pop();
+            self.idle.push(Reverse(server));
+        }
+        let (server, backlog) = match self.idle.pop() {
+            Some(Reverse(server)) => (server, 0),
+            None => {
+                let Reverse((drains_at, server)) = self.busy.pop().expect("pool is non-empty");
+                (server, drains_at - self.watermark)
+            }
+        };
+        // As for `Fluid::grant`: the backlog (measured at the watermark)
+        // delays the request from its own clock, which may be behind it.
+        let start = r.now + backlog;
+        let backlog = backlog + r.service;
+        if backlog == 0 {
+            self.idle.push(Reverse(server));
+        } else {
+            self.busy.push(Reverse((self.watermark + backlog, server)));
+        }
+        Grant {
+            start: SimTime(start),
+            end: SimTime(start + r.service),
+        }
+    }
 }
 
 impl PoolState {
-    /// Replays exactly what the sequential `acquire`/`acquire_on` do.
-    fn grant(servers: &mut [Fluid], r: PoolReq) -> Grant {
-        let now = SimTime(r.now);
-        let service = SimDuration(r.service);
-        match r.pin {
-            Some(i) => servers[i as usize].grant(now, service),
-            None => {
-                // drain everyone to `now` first so backlogs are comparable
-                for f in servers.iter_mut() {
-                    if now.0 > f.watermark {
-                        let drained = now.0 - f.watermark;
-                        f.backlog = f.backlog.saturating_sub(drained);
-                        f.watermark = now.0;
-                    }
-                }
-                let idx = servers
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, f)| f.backlog)
-                    .map(|(i, _)| i)
-                    .expect("pool is non-empty");
-                servers[idx].grant(now, service)
-            }
-        }
-    }
-
     /// Fold buffered requests in canonical order; see `FifoResource::folded`.
     fn fold(&mut self, ctx: Option<parallel::Ctx>) {
-        let PoolState { servers, pending } = self;
+        let PoolState { queues, pending } = self;
         pending.fold_ready(ctx.map(|c| c.key), |r| {
-            let _ = Self::grant(servers, r);
+            let _ = queues.grant(r);
         });
     }
 
-    fn round_grant(&mut self, c: parallel::Ctx, r: PoolReq) -> Grant {
+    fn round_grant(&mut self, c: parallel::Ctx, r: Req) -> Grant {
         self.fold(Some(c));
-        let mut frozen = self.servers.clone();
-        for &pr in self.pending.own(c.key, c.worker) {
-            let _ = Self::grant(&mut frozen, pr);
+        let mut frozen = self.queues.clone();
+        for &own in self.pending.own(c.key, c.worker) {
+            let _ = frozen.grant(own);
         }
-        let g = Self::grant(&mut frozen, r);
+        let g = frozen.grant(r);
         self.pending.push(c.key, c.worker, r);
         g
     }
@@ -266,9 +295,11 @@ impl PoolState {
 impl PoolResource {
     pub fn new(k: usize) -> PoolResource {
         assert!(k > 0, "pool must have at least one server");
+        assert!(u32::try_from(k).is_ok(), "pool servers are indexed by u32");
         PoolResource {
+            servers: k,
             state: Mutex::new(PoolState {
-                servers: (0..k).map(|_| Fluid::default()).collect(),
+                queues: PoolQueues::new(k),
                 pending: DeferQueue::default(),
             }),
             total_service: AtomicU64::new(0),
@@ -276,41 +307,25 @@ impl PoolResource {
     }
 
     pub fn servers(&self) -> usize {
-        self.state.lock().servers.len()
+        self.servers
     }
 
-    fn request(&self, r: PoolReq) -> Grant {
-        self.total_service.fetch_add(r.service, Ordering::Relaxed);
+    /// Queue `service` on the least-backlogged server.
+    pub fn acquire(&self, now: SimTime, service: SimDuration) -> Grant {
+        self.total_service.fetch_add(service.0, Ordering::Relaxed);
+        let r = Req {
+            now: now.0,
+            service: service.0,
+        };
         let ctx = parallel::current();
         let mut s = self.state.lock();
         match ctx {
             None => {
                 s.fold(None);
-                let PoolState {
-                    ref mut servers, ..
-                } = *s;
-                PoolState::grant(servers, r)
+                s.queues.grant(r)
             }
             Some(c) => s.round_grant(c, r),
         }
-    }
-
-    /// Queue `service` on the least-backlogged server.
-    pub fn acquire(&self, now: SimTime, service: SimDuration) -> Grant {
-        self.request(PoolReq {
-            now: now.0,
-            service: service.0,
-            pin: None,
-        })
-    }
-
-    /// Queue on a *specific* server (e.g. a page that lives on one spindle).
-    pub fn acquire_on(&self, server: usize, now: SimTime, service: SimDuration) -> Grant {
-        self.request(PoolReq {
-            now: now.0,
-            service: service.0,
-            pin: Some(server as u32),
-        })
     }
 
     /// True utilization across servers over `[0, horizon]`.
@@ -318,8 +333,8 @@ impl PoolResource {
         if horizon.0 == 0 {
             return 0.0;
         }
-        let k = self.state.lock().servers.len();
-        (self.total_service.load(Ordering::Relaxed) as f64 / (horizon.0 as f64 * k as f64)).min(1.0)
+        let capacity = horizon.0 as f64 * self.servers as f64;
+        (self.total_service.load(Ordering::Relaxed) as f64 / capacity).min(1.0)
     }
 }
 
@@ -431,18 +446,6 @@ mod tests {
         // fifth request waits for a server
         let g5 = p.acquire(SimTime::ZERO, s);
         assert_eq!(g5.start.as_nanos(), 10_000);
-    }
-
-    #[test]
-    fn pool_acquire_on_pins_server() {
-        let p = PoolResource::new(2);
-        let s = SimDuration::from_micros(5);
-        let g1 = p.acquire_on(0, SimTime::ZERO, s);
-        let g2 = p.acquire_on(0, SimTime::ZERO, s);
-        let g3 = p.acquire_on(1, SimTime::ZERO, s);
-        assert_eq!(g1.start, SimTime::ZERO);
-        assert_eq!(g2.start.as_nanos(), 5_000); // queued on server 0
-        assert_eq!(g3.start, SimTime::ZERO); // server 1 idle
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! RAID-0 HDD array with seek modelling and stripe parallelism.
 
 use parking_lot::Mutex;
-use remem_sim::{Clock, PoolResource, SimDuration, SimTime};
+use remem_sim::{Clock, FifoResource, SimDuration, SimTime};
 
 use crate::config::HddConfig;
 use crate::device::{Backing, Device};
@@ -17,12 +17,14 @@ use crate::error::StorageError;
 ///   that offset skips the seek, everything else pays `seek` (≈6 ms) —
 ///   random 8 K accesses are hundreds of times slower than RDMA reads,
 ///   the gap the whole paper exploits.
-/// * A controller-bus [`PoolResource`] would over-serialize; instead the
+/// * A controller-bus pool would over-serialize; instead the
 ///   bus ceiling is enforced per-chunk by inflating transfer time when the
 ///   aggregate would exceed `controller_bandwidth`.
 pub struct HddArray {
     cfg: HddConfig,
-    spindles: PoolResource,
+    /// One queue per spindle: a chunk lives on exactly one disk, so there is
+    /// never a choice of server to make.
+    spindles: Vec<FifoResource>,
     /// Recent spindle-local end addresses per spindle (small NCQ-like
     /// history so several concurrent sequential streams are each detected).
     recent: Mutex<Vec<Vec<u64>>>,
@@ -39,7 +41,7 @@ impl HddArray {
         assert!(cfg.spindles > 0);
         assert!(cfg.stripe_bytes > 0);
         HddArray {
-            spindles: PoolResource::new(cfg.spindles),
+            spindles: (0..cfg.spindles).map(|_| FifoResource::new()).collect(),
             recent: Mutex::new(vec![Vec::new(); cfg.spindles]),
             bus: remem_sim::LinkResource::new(cfg.controller_bandwidth, SimDuration::ZERO),
             backing: Backing::new(cfg.capacity),
@@ -98,7 +100,7 @@ impl HddArray {
                     service += self.cfg.seek;
                 }
             }
-            let g = self.spindles.acquire_on(spindle, now, service);
+            let g = self.spindles[spindle].acquire(now, service);
             // Controller bus: every chunk also crosses the shared bus.
             let bus_done = self.bus.transfer(g.start, chunk).end;
             end = end.max(g.end.max(bus_done));
