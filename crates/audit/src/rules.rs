@@ -22,8 +22,8 @@
 //!   JSON pipeline, not just on stdout.
 //! * `nondet-parallel` — no thread-identity or host-topology APIs
 //!   (`thread::current`, `ThreadId`, `available_parallelism`, `thread_rng`,
-//!   `park_timeout`) in non-test `crates/sim` code: the parallel driver's
-//!   results must be a pure function of (seed, thread count), so nothing may
+//!   `park_timeout`) in non-test `crates/sim` code: the replay contract says
+//!   a run is a pure function of its seed, so nothing in the kernel may
 //!   branch on which OS thread ran an op or how many cores the host has.
 //!   Structured concurrency (`thread::scope`, `Barrier`, channels) is fine.
 //! * `quorum-write` — no direct `fabric.write(…)` / `fab.write(…)` in
@@ -618,11 +618,11 @@ fn rule_bench_report(ctx: &mut Ctx) {
     }
 }
 
-/// For `nondet-parallel`: the parallel driver promises identical results
-/// for every `--threads` value, which holds only if nothing in `crates/sim`
-/// observes its own thread identity or the host's topology. Structured
-/// concurrency primitives (`thread::scope`, `Barrier`, mutexes, channels)
-/// are the intended tools and are not flagged.
+/// For `nondet-parallel`: every report and golden trace relies on the replay
+/// contract — the same seed gives the same bytes on any host — which holds
+/// only if nothing in `crates/sim` observes its own thread identity or the
+/// host's topology. Structured concurrency primitives (`thread::scope`,
+/// `Barrier`, mutexes, channels) are the intended tools and are not flagged.
 fn rule_nondet_parallel(ctx: &mut Ctx) {
     if ctx.krate != Some("sim") {
         return;
@@ -651,8 +651,8 @@ fn rule_nondet_parallel(ctx: &mut Ctx) {
             "nondet-parallel",
             line,
             format!(
-                "{what} in crates/sim: parallel results must not depend on thread \
-                 identity or host topology — key effects by (round, worker) instead"
+                "{what} in crates/sim: a run must replay byte for byte from its seed, \
+                 so the kernel must not observe thread identity or host topology"
             ),
         );
     }

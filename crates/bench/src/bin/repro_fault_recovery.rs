@@ -55,13 +55,11 @@ struct Phase {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fault_recovery",
         "Fault recovery",
         "throughput timeline across fault injection and self-healing",
     );
-    topt.annotate(&mut report);
     let cluster = Cluster::builder()
         .memory_servers(3)
         .memory_per_server(64 << 20)

@@ -14,20 +14,18 @@ use remem_engine::{Database, DbConfig, DeviceSet};
 use remem_rfile::RFileConfig;
 use remem_sim::{Clock, SimDuration};
 use remem_storage::{HddArray, HddConfig, Ssd, SsdConfig};
-use remem_workloads::rangescan::{load_customer, run_rangescan_mode, RangeScanParams};
+use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
 const ROWS: u64 = 60_000;
 const WINDOWS: usize = 10;
 const WINDOW: SimDuration = SimDuration::from_millis(100);
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig11_rangescan_drilldown",
         "Fig 11",
         "RangeScan drill-down: I/O MB/s, CPU %, BPExt I/O latency",
     );
-    topt.annotate(&mut report);
     // steady-state (last window) numbers per design, for checks and gauges
     let mut steady_mbs = Vec::new();
     let mut steady_cpu = Vec::new();
@@ -83,7 +81,7 @@ fn main() {
         for w in 0..WINDOWS {
             ext.reset();
             let u0 = cpu.utilization(start);
-            run_rangescan_mode(
+            run_rangescan(
                 &db,
                 t,
                 &RangeScanParams {
@@ -92,7 +90,6 @@ fn main() {
                     ..Default::default()
                 },
                 start,
-                topt.windowed(),
             );
             let end = start + WINDOW;
             let u1 = cpu.utilization(end);

@@ -13,7 +13,7 @@
 use remem::{Cluster, DbOptions, Design, Protocol, RFileConfig};
 use remem_bench::Report;
 use remem_sim::rng::SimRng;
-use remem_sim::{Clock, Histogram, ParallelDriver, SimDuration, SimTime};
+use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimDuration, SimTime};
 use remem_workloads::rangescan::{load_customer, one_query};
 
 const WINDOW: SimDuration = SimDuration::from_millis(400);
@@ -21,7 +21,7 @@ const SB_WORKERS: usize = 200; // saturate SB's 20 cores
 const SA_WORKERS: usize = 80;
 const SA_THINK: SimDuration = SimDuration::from_micros(10);
 
-fn run_config(proto: Option<Protocol>, windowed: bool) -> (f64, f64, f64) {
+fn run_config(proto: Option<Protocol>) -> (f64, f64, f64) {
     let cluster = Cluster::builder()
         .memory_servers(1)
         .memory_per_server(128 << 20)
@@ -70,55 +70,25 @@ fn run_config(proto: Option<Protocol>, windowed: bool) -> (f64, f64, f64) {
     let mut sa_rng = SimRng::seeded(4);
     let mut sb_ops = 0u64;
     let mut page = vec![0u8; 8192];
-    if windowed {
-        // engine + fabric ops → ordered mode, one RNG stream per worker
-        let mut rngs: Vec<SimRng> = (0..workers)
-            .map(|w| {
-                // SB and SA populations draw from distinct seed families,
-                // mirroring the two shared streams of the sequential path
-                let fam = if w < SB_WORKERS { 3 } else { 4 };
-                SimRng::for_worker(fam, w as u64)
-            })
-            .collect();
-        let mut driver = ParallelDriver::new(workers, horizon).starting_at(start);
-        driver.run_ordered(&all, |w, c| {
-            if w < SB_WORKERS {
-                let t0 = c.now();
-                let startk = rngs[w].uniform(0, 39_800) as i64;
-                one_query(&sb_db, c, sb_table, startk, 100, false);
-                sb_lat.record(c.now().since(t0));
-                sb_ops += 1;
-            } else if let Some(file) = &sa_file {
-                let b = rngs[w].uniform(0, file.size() / 8192);
-                if rngs[w].chance(0.5) {
-                    file.read(c, b * 8192, &mut page).expect("SA read");
-                } else {
-                    file.write(c, b * 8192, &page).expect("SA write");
-                }
-                c.advance(SA_THINK);
+    let mut driver = ClosedLoopDriver::new(workers, horizon).starting_at(start);
+    driver.run(&all, |w, c| {
+        if w < SB_WORKERS {
+            let t0 = c.now();
+            let startk = sb_rng.uniform(0, 39_800) as i64;
+            // short queries keep all worker clocks tightly interleaved
+            one_query(&sb_db, c, sb_table, startk, 100, false);
+            sb_lat.record(c.now().since(t0));
+            sb_ops += 1;
+        } else if let Some(file) = &sa_file {
+            let b = sa_rng.uniform(0, file.size() / 8192);
+            if sa_rng.chance(0.5) {
+                file.read(c, b * 8192, &mut page).expect("SA read");
+            } else {
+                file.write(c, b * 8192, &page).expect("SA write");
             }
-        });
-    } else {
-        let mut driver = remem_sim::ClosedLoopDriver::new(workers, horizon).starting_at(start);
-        driver.run(&all, |w, c| {
-            if w < SB_WORKERS {
-                let t0 = c.now();
-                let startk = sb_rng.uniform(0, 39_800) as i64;
-                // short queries keep all worker clocks tightly interleaved
-                one_query(&sb_db, c, sb_table, startk, 100, false);
-                sb_lat.record(c.now().since(t0));
-                sb_ops += 1;
-            } else if let Some(file) = &sa_file {
-                let b = sa_rng.uniform(0, file.size() / 8192);
-                if sa_rng.chance(0.5) {
-                    file.read(c, b * 8192, &mut page).expect("SA read");
-                } else {
-                    file.write(c, b * 8192, &page).expect("SA write");
-                }
-                c.advance(SA_THINK);
-            }
-        });
-    }
+            c.advance(SA_THINK);
+        }
+    });
     (
         sb_ops as f64 / WINDOW.as_secs_f64(),
         sb_lat.mean().as_micros_f64() / 1000.0,
@@ -127,13 +97,11 @@ fn run_config(proto: Option<Protocol>, windowed: bool) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig13_remote_impact",
         "Fig 13",
         "impact of remote accesses on the memory server's own workload",
     );
-    topt.annotate(&mut report);
     let mut rows = Vec::new();
     let mut tput = Vec::new();
     let mut p99 = Vec::new();
@@ -142,7 +110,7 @@ fn main() {
         ("RDMA (Custom)", Some(Protocol::Custom)),
         ("TCP (SMB)", Some(Protocol::SmbTcp)),
     ] {
-        let (t, mean, p) = run_config(proto, topt.windowed());
+        let (t, mean, p) = run_config(proto);
         rows.push(vec![
             label.to_string(),
             format!("{t:.0}"),

@@ -63,13 +63,11 @@ impl Device for SeriesDevice {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig14_hash_sort",
         "Fig 14",
         "Hash+Sort: latency per design + TempDB I/O and CPU drill-down",
     );
-    topt.annotate(&mut report);
     let params = HashSortParams {
         orders: 450_000,
         lineitems_per_order: 4,

@@ -19,13 +19,11 @@ use remem_workloads::tpch::{self, TpchParams};
 const MV_QUERIES: [usize; 7] = [1, 3, 5, 9, 10, 12, 18];
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig15a_semantic_mv",
         "Fig 15a",
         "MV speed-up: base plan vs MV on SSD vs MV in remote memory",
     );
-    topt.annotate(&mut report);
     let cluster = Cluster::builder()
         .memory_servers(2)
         .memory_per_server(192 << 20)

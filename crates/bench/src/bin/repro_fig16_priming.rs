@@ -12,9 +12,7 @@ use remem::{Cluster, DbOptions, Design, RFileConfig};
 use remem_bench::Report;
 use remem_engine::priming;
 use remem_sim::{Clock, SimDuration, SimTime};
-use remem_workloads::rangescan::{
-    load_customer, run_rangescan_mode, KeyDistribution, RangeScanParams,
-};
+use remem_workloads::rangescan::{load_customer, run_rangescan, KeyDistribution, RangeScanParams};
 
 const ROWS: u64 = 800_000; // ~200 MiB of data: positioning seeks don't scale down,
                            // so pools must stay large for the warm-up/prime gap
@@ -44,19 +42,14 @@ fn opts(pool_mb: u64) -> DbOptions {
 /// operator would: run in 100 ms slices until the buffer-pool miss rate
 /// decays to a steady residue of its cold-start value (the hot set has been
 /// faulted in from disk and performance has stabilized).
-fn warmup_time(
-    db: &remem::Database,
-    t: remem::TableId,
-    start: SimTime,
-    windowed: bool,
-) -> SimDuration {
+fn warmup_time(db: &remem::Database, t: remem::TableId, start: SimTime) -> SimDuration {
     let mut at = start;
     let mut slice = 0u64;
     let mut first_misses = 0u64;
     loop {
         slice += 1;
         db.buffer_pool().reset_stats();
-        run_rangescan_mode(
+        run_rangescan(
             db,
             t,
             &RangeScanParams {
@@ -67,7 +60,6 @@ fn warmup_time(
                 ..Default::default()
             },
             at,
-            windowed,
         );
         at += SimDuration::from_millis(100);
         let misses = db.bp_stats().misses;
@@ -82,13 +74,11 @@ fn warmup_time(
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig16_priming",
         "Fig 16",
         "priming the buffer pool: costs (a) and tail latencies (b)",
     );
-    topt.annotate(&mut report);
     let mut a_rows = Vec::new();
     let mut b_rows = Vec::new();
     let mut speedup_prime = Vec::new(); // warm-up time / (serialize + transfer)
@@ -104,7 +94,7 @@ fn main() {
             .build(&cluster, &mut s1_clock, &opts(pool_mb))
             .expect("S1");
         let t1 = load_customer(&s1, &mut s1_clock, ROWS);
-        let warm = warmup_time(&s1, t1, s1_clock.now(), topt.windowed());
+        let warm = warmup_time(&s1, t1, s1_clock.now());
         s1_clock.advance(warm);
 
         // scan + serialize at S1
@@ -158,7 +148,7 @@ fn main() {
             duration: SimDuration::from_millis(150),
             ..Default::default()
         };
-        let primed = run_rangescan_mode(&s2, t2, &window, s2_clock.now(), topt.windowed());
+        let primed = run_rangescan(&s2, t2, &window, s2_clock.now());
 
         let cluster2 = Cluster::builder()
             .memory_servers(2)
@@ -171,7 +161,7 @@ fn main() {
         let t3 = load_customer(&cold_db, &mut cold_clock, ROWS);
         // a fresh process: the pool holds only the load tail, the hot set is
         // on disk; measure the same window from cold
-        let cold = run_rangescan_mode(&cold_db, t3, &window, cold_clock.now(), topt.windowed());
+        let cold = run_rangescan(&cold_db, t3, &window, cold_clock.now());
         b_rows.push(vec![
             format!("{pool_mb}"),
             format!("{:.1}", cold.p95_latency_us / 1000.0),

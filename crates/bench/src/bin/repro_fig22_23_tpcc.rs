@@ -13,13 +13,11 @@ use remem_sim::{Clock, SimDuration};
 use remem_workloads::tpcc::{self, Mix, TpccParams};
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig22_23_tpcc",
         "Fig 22/23",
         "TPC-C default vs read-mostly mix: throughput & latency per design",
     );
-    topt.annotate(&mut report);
     // scaled so the read-mostly working set exceeds the 4 MiB local pool
     let params = TpccParams {
         warehouses: 24,
@@ -49,7 +47,7 @@ fn main() {
                 .build(&cluster, &mut clock, &tpcc_opts(20))
                 .expect("build");
             let t = tpcc::load(&db, &mut clock, &params);
-            let s = tpcc::run_mix_mode(
+            let s = tpcc::run_mix(
                 &db,
                 &t,
                 &mix,
@@ -57,7 +55,6 @@ fn main() {
                 clock.now(),
                 SimDuration::from_millis(400),
                 9,
-                topt.windowed(),
             );
             tput.push(format!("{:.0}", s.throughput_per_sec));
             lat.push(format!("{:.1}", s.mean_latency_us / 1000.0));

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use remem::{Cluster, Device, HddArray, HddConfig, RFileConfig, Ssd, SsdConfig};
 use remem_bench::Report;
 use remem_sim::{Clock, MetricsRegistry, SimTime};
-use remem_workloads::sqlio::{run_sqlio_mode, SqlioParams};
+use remem_workloads::sqlio::{run_sqlio, SqlioParams};
 
 const CAPACITY: u64 = 192 << 20;
 const HORIZON: SimTime = SimTime(200_000_000); // 200 ms
@@ -33,13 +33,11 @@ fn remote_device(cfg: RFileConfig, registry: Arc<MetricsRegistry>) -> Arc<dyn De
 type DeviceFactory = Box<dyn Fn(Arc<MetricsRegistry>) -> Arc<dyn Device>>;
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig3_4_io_micro",
         "Fig 3/4",
         "I/O micro-benchmark: throughput and latency per device",
     );
-    topt.annotate(&mut report);
     let configs: Vec<(&str, DeviceFactory)> = vec![
         (
             "HDD(4)",
@@ -75,15 +73,13 @@ fn main() {
     let mut seq_gbps = Vec::new();
     for (label, make) in &configs {
         // fresh device per pattern: virtual-time occupancy is stateful
-        let rand = run_sqlio_mode(
+        let rand = run_sqlio(
             make(report.registry()).as_ref(),
             &SqlioParams::random_8k(HORIZON),
-            topt.windowed(),
         );
-        let seq = run_sqlio_mode(
+        let seq = run_sqlio(
             make(report.registry()).as_ref(),
             &SqlioParams::sequential_512k(HORIZON),
-            topt.windowed(),
         );
         rows.push(vec![
             label.to_string(),

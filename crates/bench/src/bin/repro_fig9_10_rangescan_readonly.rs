@@ -8,18 +8,16 @@
 use remem::{Cluster, Design};
 use remem_bench::{rangescan_opts, Report};
 use remem_sim::{Clock, SimDuration};
-use remem_workloads::rangescan::{load_customer, run_rangescan_mode, RangeScanParams};
+use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
 const ROWS: u64 = 60_000;
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig9_10_rangescan_readonly",
         "Fig 9/10",
         "RangeScan (read-only): throughput & latency x design x spindles",
     );
-    topt.annotate(&mut report);
     let mut tput_rows = Vec::new();
     let mut lat_rows = Vec::new();
     let mut tput20 = Vec::new(); // 20-spindle throughput per design
@@ -44,7 +42,7 @@ fn main() {
                 duration: SimDuration::from_millis(400),
                 ..Default::default()
             };
-            let s = run_rangescan_mode(&db, t, &p, clock.now(), topt.windowed());
+            let s = run_rangescan(&db, t, &p, clock.now());
             tput.push(format!("{:.0}", s.throughput_per_sec));
             lat.push(format!("{:.1}", s.mean_latency_us / 1000.0));
             spindle_pts.push((spindles.to_string(), s.throughput_per_sec));

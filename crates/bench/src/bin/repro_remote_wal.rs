@@ -173,13 +173,11 @@ fn archive_phase() -> ArchiveOutcome {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_remote_wal",
         "Remote WAL",
         "commit latency + REDO recovery: replicated remote WAL ring (k=2) vs device log",
     );
-    topt.annotate(&mut report);
 
     let device = arm(false);
     let remote = arm(true);

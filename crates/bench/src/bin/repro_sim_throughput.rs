@@ -1,18 +1,16 @@
 //! Simulation-kernel throughput bench and determinism gate.
 //!
 //! Drives a synthetic high-event-rate closed-loop workload (1024 workers,
-//! mixed resource contention) through three kernels:
+//! mixed resource contention) through two kernels:
 //!
 //! 1. a **naive min-scan reference** — the pre-arena `ClosedLoopDriver`
 //!    algorithm (O(workers) scan per event), embedded here verbatim as the
 //!    scheduling oracle;
 //! 2. the production [`ClosedLoopDriver`] (arena event queue + batched
-//!    clock advancement);
-//! 3. [`ParallelDriver`] at 1, 2 and 8 OS threads.
+//!    clock advancement).
 //!
-//! The **gated** claims are pure determinism: the arena kernel must produce
-//! byte-identical output to the min-scan oracle, and the parallel driver
-//! must be byte-identical across thread counts. Wall-clock events/sec is
+//! The **gated** claim is pure determinism: the arena kernel must produce
+//! byte-identical output to the min-scan oracle. Wall-clock events/sec is
 //! host-dependent, so it is reported only as volatile notes — one of them
 //! in the machine-parseable form `throughput events_per_sec=<n>` that
 //! `remem-bench --throughput` compares against the committed floor in
@@ -22,14 +20,12 @@
 use remem_bench::Report;
 use remem_sim::rng::SimRng;
 use remem_sim::{
-    Clock, ClosedLoopDriver, Counter, CpuPool, FifoResource, Histogram, ParallelDriver,
-    SimDuration, SimTime, Stopwatch,
+    Clock, ClosedLoopDriver, Counter, CpuPool, FifoResource, Histogram, SimDuration, SimTime,
+    Stopwatch,
 };
 
 const WORKERS: usize = 1024;
 const HORIZON: SimTime = SimTime(20_000_000); // 20 ms of virtual time
-const PAR_HORIZON: SimTime = SimTime(2_000_000); // parallel runs are windowed, keep them short
-const LOOKAHEAD: SimDuration = SimDuration::from_micros(20);
 
 /// Everything a closed-loop run produces that the kernel must not change.
 #[derive(Debug, PartialEq)]
@@ -178,56 +174,6 @@ fn run_naive() -> (Outputs, f64) {
     (collect(started, completed, makespan, &lat, &wl), ms)
 }
 
-/// The parallel leg reuses the same op shape under the windowed schedule
-/// (its outputs legitimately differ from the sequential kernels — the gate
-/// here is equality *across thread counts*).
-fn run_parallel(threads: usize) -> (Outputs, f64) {
-    let fifo = FifoResource::new();
-    let cpu = CpuPool::new(64);
-    let ops = Counter::new();
-    let acquires = Counter::new();
-    let lat = Histogram::new();
-    let wall = Stopwatch::start();
-    let out = {
-        let mut d = ParallelDriver::new(WORKERS, PAR_HORIZON)
-            .threads(threads)
-            .lookahead(LOOKAHEAD);
-        d.run(
-            &lat,
-            |w| SimRng::for_worker(7, w as u64),
-            |_, clock, rng: &mut SimRng| {
-                let service = SimDuration::from_nanos(rng.uniform(300, 4_000));
-                match rng.uniform(0, 64) {
-                    0 => {
-                        let g = fifo.acquire(clock.now(), service);
-                        clock.advance_to(g.end);
-                        acquires.add(1);
-                    }
-                    1 => {
-                        let g = cpu.execute(clock.now(), service);
-                        clock.advance_to(g.end);
-                        acquires.add(1);
-                    }
-                    _ => clock.advance(service),
-                }
-                ops.add(1);
-            },
-        )
-    };
-    let ms = wall.elapsed_ms();
-    (
-        Outputs {
-            started: out.started,
-            completed: out.completed_in_horizon,
-            makespan_ns: out.makespan.as_nanos(),
-            latency_fp: fnv_u64s(&lat.raw_samples()),
-            ops: ops.get(),
-            acquires: acquires.get(),
-        },
-        ms,
-    )
-}
-
 fn events_per_sec(events: u64, ms: f64) -> f64 {
     events as f64 / (ms.max(1e-6) / 1000.0)
 }
@@ -302,37 +248,6 @@ fn main() {
         "kernel speedup vs min-scan reference: {:.2}x",
         arena_eps / naive_eps.max(1e-9)
     ));
-
-    let mut rows = Vec::new();
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let (out, ms) = run_parallel(threads);
-        rows.push(vec![
-            threads.to_string(),
-            out.started.to_string(),
-            out.completed.to_string(),
-            format!("{:#018x}", out.latency_fp),
-        ]);
-        report.volatile_note(format!(
-            "parallel threads={threads}: {ms:.1} ms wall, {:.0} events/sec",
-            events_per_sec(out.started, ms)
-        ));
-        runs.push((threads, out));
-    }
-    report.table(
-        "windowed parallel driver across thread counts:",
-        &["threads", "events", "completed", "latency fingerprint"],
-        rows,
-    );
-    let (_, base) = &runs[0];
-    for (threads, out) in &runs[1..] {
-        report.check_assert(
-            &format!("parallel_identical_at_{threads}_threads"),
-            &format!("--threads {threads} parallel output is byte-identical to 1 thread"),
-            out == base,
-        );
-    }
-    report.gauge("parallel_events_started", base.started as f64, 0.0);
     report.finish();
 }
 

@@ -35,13 +35,11 @@ fn one_config(access: AccessMode, registration: RegistrationMode, bytes: u64) ->
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_table1_ablations",
         "Table 1",
         "ablations of the paper's design choices",
     );
-    topt.annotate(&mut report);
 
     let mut rows = Vec::new();
     let mut small_us = Vec::new();

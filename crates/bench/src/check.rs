@@ -71,10 +71,9 @@ pub fn check_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<Vec<Finding
 }
 
 /// `remem-bench --identical`: assert that two results directories carry the
-/// same determinism fingerprints. Used by CI to prove that `--threads N`
-/// does not change any report: same-seed runs at different thread counts
-/// must agree on every semantic byte (volatile lines are already outside
-/// the fingerprint). Unlike [`check_dirs`], files missing from *either*
+/// same determinism fingerprints. Used by CI as the replay gate: two runs
+/// of the same binaries must agree on every semantic byte (volatile lines
+/// are already outside the fingerprint). Unlike [`check_dirs`], files missing from *either*
 /// side fail — an absent report would make the equality vacuous.
 pub fn identical_dirs(dir_a: &Path, dir_b: &Path) -> Result<Vec<Finding>, String> {
     let list = |dir: &Path| -> Result<Vec<String>, String> {

@@ -13,9 +13,8 @@
 //! job gates on.
 //!
 //! `--identical` asserts that two results directories carry identical
-//! determinism fingerprints — CI runs the fast subset at `--threads 1` and
-//! `--threads 2` and gates on this to prove the windowed schedule's output
-//! is independent of the thread count.
+//! determinism fingerprints — CI runs the fast subset twice and gates on
+//! this to prove a report replays byte for byte.
 //!
 //! `--throughput` compares the wall-clock events/sec a report recorded in
 //! its volatile section against a committed floor file — the CI gate that

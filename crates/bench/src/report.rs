@@ -135,8 +135,8 @@ impl Report {
     }
 
     /// Print and record a line of *volatile* commentary: wall-clock
-    /// timings, host thread counts — anything that legitimately differs
-    /// between two otherwise identical runs. Volatile lines land in the
+    /// timings — anything that legitimately differs between two otherwise
+    /// identical runs. Volatile lines land in the
     /// JSON under `"volatile"` but are **excluded from the determinism
     /// fingerprint**, so `--identical` and baseline comparisons ignore
     /// them. Never route virtual-time results through here.
@@ -298,8 +298,8 @@ impl Report {
                 ),
             );
             // Volatile lines join the document only after the fingerprint
-            // is computed: run-dependent values (wall clock, host threads)
-            // must never influence determinism comparisons.
+            // is computed: run-dependent values (wall clock) must never
+            // influence determinism comparisons.
             fields.push((
                 "volatile".to_string(),
                 Json::Arr(self.volatile.iter().map(Json::str).collect()),

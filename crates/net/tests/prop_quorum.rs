@@ -2,14 +2,14 @@
 //! replica count, payload shapes and crash points, an **acked** quorum write
 //! is readable from every surviving replica (no partial fan-outs become
 //! visible), a failed one leaves the previously-acked image intact, and the
-//! whole workload replays byte-identically for every `--threads` value.
+//! whole workload replays byte-identically for a seed.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use remem_net::{Fabric, MrHandle, NetConfig, NetError, Protocol, ServerId};
-use remem_sim::{Clock, FaultLog, FaultOrigin, ParallelDriver, SimTime};
+use remem_sim::{Clock, ClosedLoopDriver, FaultLog, FaultOrigin, SimTime};
 
 const MR: u64 = 1 << 20;
 
@@ -117,16 +117,15 @@ proptest! {
         }
     }
 
-    /// Cross-thread determinism: a closed-loop quorum workload with a
-    /// mid-run donor crash produces the identical fault-log fingerprint,
-    /// makespan and ack tally at `--threads` 1, 2 and 8 (the windowed
-    /// schedule in ordered mode is a pure function of the seed).
+    /// Same-seed replay: a closed-loop quorum workload with a mid-run donor
+    /// crash produces the identical fault-log fingerprint, makespan and ack
+    /// tally when run again (the schedule is a pure function of the seed).
     #[test]
-    fn quorum_workload_fingerprint_is_thread_invariant(
+    fn quorum_workload_replays_identically(
         seed in 0u64..256,
         workers in 2usize..5,
     ) {
-        let run_once = |threads: usize| -> Result<(u64, SimTime, u64), String> {
+        let run_once = || -> Result<(u64, SimTime, u64), String> {
             let r = rig(3);
             let log = Arc::new(FaultLog::new());
             let horizon = SimTime(4_000_000);
@@ -134,8 +133,8 @@ proptest! {
             let crashed = Cell::new(false);
             let mut acks_total = 0u64;
             let lat = remem_sim::MetricsRegistry::new().histogram("q.lat");
-            let mut driver = ParallelDriver::new(workers, horizon).threads(threads);
-            let outcome = driver.run_ordered(&lat, |w, clock| {
+            let mut driver = ClosedLoopDriver::new(workers, horizon);
+            let outcome = driver.run_outcome(&lat, |w, clock| {
                 if !crashed.get() && clock.now() >= crash_at {
                     crashed.set(true);
                     r.fabric.server(r.donors[2]).unwrap().fail();
@@ -163,13 +162,6 @@ proptest! {
             prop_assert!(outcome.started > 0);
             Ok((log.fingerprint(), driver.makespan(), acks_total))
         };
-        let base = run_once(1)?;
-        for threads in [2usize, 8] {
-            let got = run_once(threads)?;
-            prop_assert_eq!(
-                got, base,
-                "threads={} must replay the single-thread run exactly", threads
-            );
-        }
+        prop_assert_eq!(run_once()?, run_once()?, "same seed must replay exactly");
     }
 }

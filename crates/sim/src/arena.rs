@@ -1,6 +1,6 @@
 //! Flat, allocation-free building blocks for the simulation kernel hot loop.
 //!
-//! The closed-loop drivers schedule the worker with the smallest
+//! The closed-loop driver schedules the worker with the smallest
 //! `(clock, worker-id)` pair. The original kernel found it with an O(workers)
 //! scan per event; [`EventQueue`] is the profile-guided replacement — an
 //! index-based binary min-heap stored in one flat `Vec<(u64, u32)>` that is
@@ -10,13 +10,13 @@
 //! min-scan produced — the property the kernel-equivalence proptests pin.
 //!
 //! Nothing here knows about clocks or horizons; the queue is plain data so
-//! the drivers (and the criterion microbenches) can drive it directly.
+//! the driver (and the criterion microbenches) can drive it directly.
 
 use crate::time::SimTime;
 
 /// One schedulable event: the time a worker becomes runnable, and its id.
-/// Ordered lexicographically — `(time, worker)` — matching the pinned
-/// tie-break contract shared by `ClosedLoopDriver` and `ParallelDriver`.
+/// Ordered lexicographically — `(time, worker)` — matching
+/// `ClosedLoopDriver`'s pinned tie-break contract.
 pub type Event = (u64, u32);
 
 /// A flat binary min-heap of `(time_ns, worker_id)` events.

@@ -1,4 +1,6 @@
-//! Per-worker virtual clocks.
+//! Per-worker virtual clocks, and the one sanctioned host-time stopwatch.
+
+use std::time::Instant;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -52,6 +54,27 @@ impl Default for Clock {
     }
 }
 
+/// A wall-clock stopwatch for host-cost reporting. Lives in `remem-sim` (the
+/// one crate exempt from the wall-clock audit rule) so benchmark binaries
+/// can measure host time without touching `std::time` themselves. Wall
+/// times must never enter fingerprinted report data — route them through
+/// `Report::volatile_note`.
+#[derive(Debug)]
+pub struct Stopwatch(Instant);
+
+impl Stopwatch {
+    #[allow(clippy::new_without_default)]
+    // audit: allow(det-taint, sanctioned wall-clock boundary: stopwatch output is volatile reporting only and never enters fingerprints)
+    pub fn start() -> Stopwatch {
+        Stopwatch(Instant::now())
+    }
+
+    /// Elapsed host milliseconds since `start`.
+    pub fn elapsed_ms(&self) -> f64 {
+        self.0.elapsed().as_secs_f64() * 1e3
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,5 +95,12 @@ mod tests {
     fn starting_at_offsets_the_origin() {
         let c = Clock::starting_at(SimTime(42));
         assert_eq!(c.now(), SimTime(42));
+    }
+
+    #[test]
+    fn stopwatch_measures_host_time() {
+        let sw = Stopwatch::start();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert!(sw.elapsed_ms() >= 4.0);
     }
 }

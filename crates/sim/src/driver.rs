@@ -98,8 +98,8 @@ impl ClosedLoopDriver {
         let mut completed = 0u64;
         let horizon = self.horizon;
         // The scheduling contract is a pinned one: always run the worker
-        // with the smallest (clock, worker-id) pair — the parallel driver's
-        // canonical round order relies on it. The queue's total order is
+        // with the smallest (clock, worker-id) pair — every committed
+        // fingerprint relies on it. The queue's total order is
         // exactly that pair, so the pop sequence reproduces the historical
         // min-scan byte for byte while costing O(log n) instead of O(n)
         // per event, with one up-front allocation for the whole run.
@@ -258,8 +258,7 @@ mod tests {
         // All three workers advance by the same amount every op, so every
         // scheduling decision is a three-way clock collision. The pinned
         // contract: ties resolve to the lowest worker id, giving the exact
-        // interleaving 0,1,2,0,1,2,… — the sequential oracle for the
-        // parallel driver's (time, worker-id) canonical order.
+        // interleaving 0,1,2,0,1,2,….
         let mut d = ClosedLoopDriver::new(3, SimTime(1_000));
         let h = Histogram::new();
         let mut order = Vec::new();

@@ -19,29 +19,24 @@
 //!   benchmark harness to print the paper's figures.
 //! * [`driver`] — a deterministic closed-loop multi-worker driver that always
 //!   advances the worker with the smallest clock, so concurrent workloads are
-//!   reproducible down to the nanosecond.
-//! * [`parallel`] — a windowed conservative driver that executes the same
-//!   closed-loop experiments on several OS threads while staying
-//!   byte-identical across thread counts (and, in ordered mode, runs any
-//!   workload under the windowed schedule without concurrency).
+//!   reproducible down to the nanosecond. It is the only schedule in the
+//!   tree (DESIGN.md §8, "Why one driver").
 
 pub mod arena;
 pub mod clock;
 pub mod driver;
 pub mod fault;
 pub mod metrics;
-pub mod parallel;
 pub mod registry;
 pub mod resource;
 pub mod rng;
 pub mod time;
 
 pub use arena::EventQueue;
-pub use clock::Clock;
+pub use clock::{Clock, Stopwatch};
 pub use driver::{ClosedLoopDriver, RunOutcome};
 pub use fault::{FaultEvent, FaultLog, FaultOrigin};
 pub use metrics::{Counter, Histogram, TimeSeries};
-pub use parallel::{ParallelDriver, Stopwatch};
 pub use registry::{
     intern_name, Gauge, MetricsRegistry, MetricsSnapshot, SpanId, SpanStats, SpanToken,
 };

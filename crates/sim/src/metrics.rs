@@ -9,34 +9,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::parallel::{self, DeferQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// A latency histogram over virtual durations.
 ///
 /// Keeps every sample (simulations are scaled down, so sample counts stay
 /// modest) which makes percentiles exact rather than approximate.
-///
-/// Inside a parallel round (see [`crate::parallel`]) samples are buffered
-/// per `(round, worker)` and folded into the sample vector in canonical
-/// worker order on the next read, so even the raw sample sequence is
-/// byte-identical across thread counts.
 #[derive(Debug, Default)]
 pub struct Histogram {
-    state: Mutex<HistState>,
-}
-
-#[derive(Debug, Default)]
-struct HistState {
-    samples: Vec<u64>,
-    pending: DeferQueue<u64>,
-}
-
-impl HistState {
-    fn fold(&mut self) {
-        let HistState { samples, pending } = self;
-        pending.fold_ready(None, |v| samples.push(v));
-    }
+    samples: Mutex<Vec<u64>>,
 }
 
 impl Histogram {
@@ -45,20 +26,11 @@ impl Histogram {
     }
 
     pub fn record(&self, d: SimDuration) {
-        let mut s = self.state.lock();
-        match parallel::current() {
-            Some(c) => s.pending.push(c.key, c.worker, d.as_nanos()),
-            None => {
-                s.fold();
-                s.samples.push(d.as_nanos());
-            }
-        }
+        self.samples.lock().push(d.as_nanos());
     }
 
     pub fn len(&self) -> usize {
-        let mut s = self.state.lock();
-        s.fold();
-        s.samples.len()
+        self.samples.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -66,14 +38,11 @@ impl Histogram {
     }
 
     pub fn mean(&self) -> SimDuration {
-        let mut s = self.state.lock();
-        s.fold();
-        if s.samples.is_empty() {
+        let s = self.samples.lock();
+        if s.is_empty() {
             return SimDuration::ZERO;
         }
-        SimDuration(
-            (s.samples.iter().map(|&x| x as u128).sum::<u128>() / s.samples.len() as u128) as u64,
-        )
+        SimDuration((s.iter().map(|&x| x as u128).sum::<u128>() / s.len() as u128) as u64)
     }
 
     /// Exact percentile by nearest-rank; `p` in `[0, 100]`.
@@ -87,13 +56,8 @@ impl Histogram {
     /// Exact nearest-rank percentiles for every `p` in `ps`, cloning and
     /// sorting the sample vector once instead of once per percentile.
     pub fn percentiles(&self, ps: &[f64]) -> Vec<SimDuration> {
-        let sorted = {
-            let mut s = self.state.lock();
-            s.fold();
-            let mut v = s.samples.clone();
-            v.sort_unstable();
-            v
-        };
+        let mut sorted = self.raw_samples();
+        sorted.sort_unstable();
         ps.iter()
             .map(|&p| {
                 if sorted.is_empty() {
@@ -106,31 +70,23 @@ impl Histogram {
     }
 
     pub fn max(&self) -> SimDuration {
-        let mut s = self.state.lock();
-        s.fold();
-        SimDuration(s.samples.iter().copied().max().unwrap_or(0))
+        SimDuration(self.samples.lock().iter().copied().max().unwrap_or(0))
     }
 
     pub fn min(&self) -> SimDuration {
-        let mut s = self.state.lock();
-        s.fold();
-        SimDuration(s.samples.iter().copied().min().unwrap_or(0))
+        SimDuration(self.samples.lock().iter().copied().min().unwrap_or(0))
     }
 
-    /// The raw sample sequence in record (canonical-fold) order, in ns.
-    /// Primarily for determinism checks: two runs are byte-identical iff
-    /// their raw sequences match.
+    /// The raw sample sequence in record order, in ns. Primarily for
+    /// determinism checks: two runs are byte-identical iff their raw
+    /// sequences match.
     pub fn raw_samples(&self) -> Vec<u64> {
-        let mut s = self.state.lock();
-        s.fold();
-        s.samples.clone()
+        self.samples.lock().clone()
     }
 
     /// Drain all samples, resetting the histogram.
     pub fn reset(&self) {
-        let mut s = self.state.lock();
-        s.pending.clear();
-        s.samples.clear();
+        self.samples.lock().clear();
     }
 }
 
@@ -172,41 +128,11 @@ impl Counter {
 
 /// Values bucketed by virtual time — one bucket per `bucket_width` of
 /// simulation time, each bucket accumulating a sum and a sample count.
-/// Bucket sums are `f64` additions, whose rounding depends on order — so
-/// parallel-round records are buffered and folded canonically, exactly like
-/// [`Histogram`] samples.
 #[derive(Debug)]
 pub struct TimeSeries {
     bucket_width: SimDuration,
-    state: Mutex<SeriesState>,
-}
-
-#[derive(Debug, Default)]
-struct SeriesState {
-    buckets: Vec<(f64, u64)>, // (sum, count)
-    pending: DeferQueue<(u64, f64)>,
-}
-
-impl SeriesState {
-    fn apply(&mut self, width_ns: u64, at_ns: u64, value: f64) {
-        apply_bucket(&mut self.buckets, width_ns, at_ns, value);
-    }
-
-    fn fold(&mut self, width_ns: u64) {
-        let SeriesState { buckets, pending } = self;
-        pending.fold_ready(None, |(at, v)| {
-            apply_bucket(buckets, width_ns, at, v);
-        });
-    }
-}
-
-fn apply_bucket(buckets: &mut Vec<(f64, u64)>, width_ns: u64, at_ns: u64, value: f64) {
-    let idx = (at_ns / width_ns) as usize;
-    if buckets.len() <= idx {
-        buckets.resize(idx + 1, (0.0, 0));
-    }
-    buckets[idx].0 += value;
-    buckets[idx].1 += 1;
+    /// `(sum, count)` per bucket.
+    buckets: Mutex<Vec<(f64, u64)>>,
 }
 
 impl TimeSeries {
@@ -214,7 +140,7 @@ impl TimeSeries {
         assert!(!bucket_width.is_zero());
         TimeSeries {
             bucket_width,
-            state: Mutex::new(SeriesState::default()),
+            buckets: Mutex::new(Vec::new()),
         }
     }
 
@@ -223,21 +149,19 @@ impl TimeSeries {
     }
 
     pub fn record(&self, at: SimTime, value: f64) {
-        let mut s = self.state.lock();
-        match parallel::current() {
-            Some(c) => s.pending.push(c.key, c.worker, (at.as_nanos(), value)),
-            None => {
-                s.fold(self.bucket_width.as_nanos());
-                s.apply(self.bucket_width.as_nanos(), at.as_nanos(), value);
-            }
+        let idx = (at.as_nanos() / self.bucket_width.as_nanos()) as usize;
+        let mut buckets = self.buckets.lock();
+        if buckets.len() <= idx {
+            buckets.resize(idx + 1, (0.0, 0));
         }
+        buckets[idx].0 += value;
+        buckets[idx].1 += 1;
     }
 
     /// Per-bucket mean values (empty buckets report 0.0).
     pub fn means(&self) -> Vec<f64> {
-        let mut s = self.state.lock();
-        s.fold(self.bucket_width.as_nanos());
-        s.buckets
+        self.buckets
+            .lock()
             .iter()
             .map(|&(sum, n)| if n == 0 { 0.0 } else { sum / n as f64 })
             .collect()
@@ -245,9 +169,7 @@ impl TimeSeries {
 
     /// Per-bucket sums (e.g. bytes per interval → divide by width for MB/s).
     pub fn sums(&self) -> Vec<f64> {
-        let mut s = self.state.lock();
-        s.fold(self.bucket_width.as_nanos());
-        s.buckets.iter().map(|&(sum, _)| sum).collect()
+        self.buckets.lock().iter().map(|&(sum, _)| sum).collect()
     }
 
     /// Per-bucket sums normalized to a per-second rate.
@@ -262,9 +184,7 @@ impl TimeSeries {
 /// Closed-loop accounting: `ops` counts operations that *started* strictly
 /// before the horizon (the driver contract), so ops straddling the horizon
 /// boundary are included and `throughput_per_sec` slightly overshoots at
-/// small horizons. `completed_in_horizon` / `clamped_throughput_per_sec`
-/// exclude the straddlers; builders without completion information set them
-/// equal to the started-based figures.
+/// small horizons; [`crate::driver::RunOutcome`] has the exact accounting.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     pub label: String,
@@ -274,11 +194,6 @@ pub struct RunSummary {
     pub mean_latency_us: f64,
     pub p95_latency_us: f64,
     pub p99_latency_us: f64,
-    /// Ops that also *finished* by the horizon.
-    pub completed_in_horizon: u64,
-    /// `completed_in_horizon` per virtual second — throughput with
-    /// horizon-straddling ops excluded.
-    pub clamped_throughput_per_sec: f64,
 }
 
 impl RunSummary {
@@ -286,38 +201,15 @@ impl RunSummary {
         let ops = h.len() as u64;
         let secs = horizon.as_secs_f64();
         let pcts = h.percentiles(&[95.0, 99.0]);
-        let tput = if secs > 0.0 { ops as f64 / secs } else { 0.0 };
         RunSummary {
             label: label.into(),
             ops,
             virtual_secs: secs,
-            throughput_per_sec: tput,
+            throughput_per_sec: if secs > 0.0 { ops as f64 / secs } else { 0.0 },
             mean_latency_us: h.mean().as_micros_f64(),
             p95_latency_us: pcts[0].as_micros_f64(),
             p99_latency_us: pcts[1].as_micros_f64(),
-            completed_in_horizon: ops,
-            clamped_throughput_per_sec: tput,
         }
-    }
-
-    /// Like [`RunSummary::from_histogram`], but with the driver's
-    /// [`crate::driver::RunOutcome`] supplying exact completion counts.
-    pub fn from_outcome(
-        label: impl Into<String>,
-        h: &Histogram,
-        horizon: SimTime,
-        outcome: &crate::driver::RunOutcome,
-    ) -> RunSummary {
-        let secs = horizon.as_secs_f64();
-        let mut s = RunSummary::from_histogram(label, h, horizon);
-        s.ops = outcome.started;
-        s.completed_in_horizon = outcome.completed_in_horizon;
-        s.clamped_throughput_per_sec = if secs > 0.0 {
-            outcome.completed_in_horizon as f64 / secs
-        } else {
-            0.0
-        };
-        s
     }
 }
 

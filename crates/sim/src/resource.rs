@@ -8,23 +8,17 @@
 //! the workers' clocks and the queueing delay `free - t` grows — which is the
 //! saturation behaviour measured in the paper (Figs. 5, 6, 25).
 //!
-//! All resources are internally synchronized so real OS threads may share
-//! them. The deterministic harnesses drive them two ways: the sequential
-//! [`crate::driver`] calls from one thread in min-clock order, and the
-//! windowed [`crate::parallel`] driver calls concurrently within a round.
-//! In the latter case grants are computed from a **frozen** round-start
-//! state plus the calling worker's own same-round requests, with every
-//! request buffered per `(round, worker)` and folded in canonical
-//! `(time, worker-id)`-stable order before the next window (or any
-//! sequential access) reads the resource — so results never depend on how
-//! OS threads interleave.
+//! All resources are internally synchronized: the devices built on them
+//! are shared as `Arc<dyn Device>` and must stay `Sync`. Determinism comes
+//! from the caller — [`crate::driver`] calls from one thread in
+//! min-`(clock, worker)` order, so every grant is a pure function of the
+//! request sequence.
 
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::parallel::{self, DeferQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// Result of acquiring a resource: when service started and when it completed.
@@ -59,26 +53,12 @@ impl Grant {
 /// Figs. 5/6/25.
 #[derive(Debug)]
 pub struct FifoResource {
-    state: Mutex<FifoState>,
+    state: Mutex<Fluid>,
     /// Total service time ever reserved (for true utilization accounting).
     total_service: AtomicU64,
 }
 
 #[derive(Debug, Default)]
-struct FifoState {
-    fluid: Fluid,
-    /// Parallel-round requests not yet folded into `fluid`.
-    pending: DeferQueue<Req>,
-}
-
-/// One buffered `acquire`, in raw nanoseconds.
-#[derive(Debug, Clone, Copy)]
-struct Req {
-    now: u64,
-    service: u64,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
 struct Fluid {
     /// Outstanding work (ns) as of `watermark`.
     backlog: u64,
@@ -106,10 +86,6 @@ impl Fluid {
         }
     }
 
-    fn apply(&mut self, r: Req) {
-        let _ = self.grant(SimTime(r.now), SimDuration(r.service));
-    }
-
     fn free_at(&self) -> SimTime {
         SimTime(self.watermark + self.backlog)
     }
@@ -118,64 +94,20 @@ impl Fluid {
 impl FifoResource {
     pub fn new() -> FifoResource {
         FifoResource {
-            state: Mutex::new(FifoState::default()),
+            state: Mutex::new(Fluid::default()),
             total_service: AtomicU64::new(0),
         }
-    }
-
-    /// The fluid state with all foldable buffered requests applied: every
-    /// pending request when called sequentially, only *prior-window*
-    /// requests when called from inside a parallel round (same-round
-    /// requests from other workers must stay invisible).
-    fn folded(s: &mut FifoState, ctx: Option<parallel::Ctx>) -> Fluid {
-        let FifoState { fluid, pending } = s;
-        pending.fold_ready(ctx.map(|c| c.key), |r| fluid.apply(r));
-        *fluid
     }
 
     /// Queue `service` of work behind the current backlog.
     pub fn acquire(&self, now: SimTime, service: SimDuration) -> Grant {
         self.total_service.fetch_add(service.0, Ordering::Relaxed);
-        let ctx = parallel::current();
-        let mut s = self.state.lock();
-        match ctx {
-            None => {
-                let _ = Self::folded(&mut s, None);
-                s.fluid.grant(now, service)
-            }
-            Some(c) => {
-                // Frozen-round semantics: base state + own history only.
-                let mut frozen = Self::folded(&mut s, Some(c));
-                for &r in s.pending.own(c.key, c.worker) {
-                    frozen.apply(r);
-                }
-                let g = frozen.grant(now, service);
-                s.pending.push(
-                    c.key,
-                    c.worker,
-                    Req {
-                        now: now.0,
-                        service: service.0,
-                    },
-                );
-                g
-            }
-        }
+        self.state.lock().grant(now, service)
     }
 
-    /// When the current backlog would drain (diagnostic). Inside a parallel
-    /// round this reports the frozen view: base state plus the calling
-    /// worker's own requests.
+    /// When the current backlog would drain (diagnostic).
     pub fn free_at(&self) -> SimTime {
-        let ctx = parallel::current();
-        let mut s = self.state.lock();
-        let mut f = Self::folded(&mut s, ctx);
-        if let Some(c) = ctx {
-            for &r in s.pending.own(c.key, c.worker) {
-                f.apply(r);
-            }
-        }
-        f.free_at()
+        self.state.lock().free_at()
     }
 
     /// True utilization over `[0, horizon]`: reserved service time divided
@@ -207,19 +139,12 @@ impl Default for FifoResource {
 #[derive(Debug)]
 pub struct PoolResource {
     servers: usize,
-    state: Mutex<PoolState>,
+    state: Mutex<PoolQueues>,
     total_service: AtomicU64,
 }
 
-#[derive(Debug)]
-struct PoolState {
-    queues: PoolQueues,
-    /// Parallel-round requests not yet folded into `queues`.
-    pending: DeferQueue<Req>,
-}
-
 /// The pool's `k` fluid queues behind their shared watermark.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PoolQueues {
     /// Latest request time observed (ns); every backlog is as of this instant.
     watermark: u64,
@@ -239,8 +164,8 @@ impl PoolQueues {
         }
     }
 
-    fn grant(&mut self, r: Req) -> Grant {
-        self.watermark = self.watermark.max(r.now);
+    fn grant(&mut self, now: u64, service: u64) -> Grant {
+        self.watermark = self.watermark.max(now);
         while let Some(&Reverse((drains_at, server))) = self.busy.peek() {
             if drains_at > self.watermark {
                 break;
@@ -257,8 +182,8 @@ impl PoolQueues {
         };
         // As for `Fluid::grant`: the backlog (measured at the watermark)
         // delays the request from its own clock, which may be behind it.
-        let start = r.now + backlog;
-        let backlog = backlog + r.service;
+        let start = now + backlog;
+        let backlog = backlog + service;
         if backlog == 0 {
             self.idle.push(Reverse(server));
         } else {
@@ -266,29 +191,8 @@ impl PoolQueues {
         }
         Grant {
             start: SimTime(start),
-            end: SimTime(start + r.service),
+            end: SimTime(start + service),
         }
-    }
-}
-
-impl PoolState {
-    /// Fold buffered requests in canonical order; see `FifoResource::folded`.
-    fn fold(&mut self, ctx: Option<parallel::Ctx>) {
-        let PoolState { queues, pending } = self;
-        pending.fold_ready(ctx.map(|c| c.key), |r| {
-            let _ = queues.grant(r);
-        });
-    }
-
-    fn round_grant(&mut self, c: parallel::Ctx, r: Req) -> Grant {
-        self.fold(Some(c));
-        let mut frozen = self.queues.clone();
-        for &own in self.pending.own(c.key, c.worker) {
-            let _ = frozen.grant(own);
-        }
-        let g = frozen.grant(r);
-        self.pending.push(c.key, c.worker, r);
-        g
     }
 }
 
@@ -298,10 +202,7 @@ impl PoolResource {
         assert!(u32::try_from(k).is_ok(), "pool servers are indexed by u32");
         PoolResource {
             servers: k,
-            state: Mutex::new(PoolState {
-                queues: PoolQueues::new(k),
-                pending: DeferQueue::default(),
-            }),
+            state: Mutex::new(PoolQueues::new(k)),
             total_service: AtomicU64::new(0),
         }
     }
@@ -313,19 +214,7 @@ impl PoolResource {
     /// Queue `service` on the least-backlogged server.
     pub fn acquire(&self, now: SimTime, service: SimDuration) -> Grant {
         self.total_service.fetch_add(service.0, Ordering::Relaxed);
-        let r = Req {
-            now: now.0,
-            service: service.0,
-        };
-        let ctx = parallel::current();
-        let mut s = self.state.lock();
-        match ctx {
-            None => {
-                s.fold(None);
-                s.queues.grant(r)
-            }
-            Some(c) => s.round_grant(c, r),
-        }
+        self.state.lock().grant(now.0, service.0)
     }
 
     /// True utilization across servers over `[0, horizon]`.

@@ -33,11 +33,10 @@ impl SimRng {
 
     /// An independent per-worker stream derived from a shared run seed.
     ///
-    /// The parallel driver gives every logical worker its own stream (the
-    /// sequential driver's shared-RNG idiom couples draw order to the
-    /// schedule, which no concurrent execution can reproduce). Mixing the
-    /// worker id through SplitMix64 before seeding keeps streams with
-    /// nearby ids statistically unrelated.
+    /// One stream per logical worker keeps a worker's draws independent of
+    /// how the schedule interleaves it with the others (a shared RNG couples
+    /// draw order to the schedule). Mixing the worker id through SplitMix64
+    /// before seeding keeps streams with nearby ids statistically unrelated.
     pub fn for_worker(seed: u64, worker: u64) -> SimRng {
         let mut z = seed ^ worker.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

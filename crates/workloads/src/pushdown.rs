@@ -18,9 +18,7 @@ use remem_engine::page::{Page, PAGE_SIZE};
 use remem_engine::{CpuCosts, ExecCtx, Row, ScanEstimate, ScanPlan, Value};
 use remem_net::{Fabric, NetConfig, ServerId};
 use remem_rfile::{RFileConfig, RemoteFile};
-use remem_sim::metrics::RunSummary;
-use remem_sim::rng::SimRng;
-use remem_sim::{Clock, CpuPool, Histogram, ParallelDriver, SimDuration, SimTime};
+use remem_sim::{Clock, CpuPool};
 use remem_storage::{CmpOp, EvalValue, Predicate, PushdownProgram};
 
 /// Bucket space for the selectivity column: `bucket < ppm` selects
@@ -36,33 +34,6 @@ pub enum ScanMode {
     Pushdown,
     /// Let the cost model pick per scan.
     Planner,
-}
-
-/// Workload parameters: a `pages`-page remote table scanned in
-/// `scan_pages`-page segments at the given predicate selectivity.
-#[derive(Debug, Clone)]
-pub struct PushdownParams {
-    pub pages: u64,
-    pub scan_pages: u64,
-    pub workers: usize,
-    pub selectivity: f64,
-    pub mode: ScanMode,
-    pub duration: SimDuration,
-    pub seed: u64,
-}
-
-impl Default for PushdownParams {
-    fn default() -> PushdownParams {
-        PushdownParams {
-            pages: 256,
-            scan_pages: 16,
-            workers: 8,
-            selectivity: 0.01,
-            mode: ScanMode::Planner,
-            duration: SimDuration::from_millis(100),
-            seed: 7,
-        }
-    }
 }
 
 /// One row: `(bucket, key, val, pad)`. The bucket is a multiplicative hash
@@ -229,50 +200,6 @@ pub fn one_scan(
     out.expect("remote scan")
 }
 
-/// Closed-loop windowed driver: `workers` concurrent scanners, each picking
-/// a random aligned segment per query. Ordered-mode execution (the engine
-/// and fabric are not parallel-substrate types), so results are
-/// byte-identical for every `--threads` value by construction. Returns the
-/// run summary plus the total matched-row count (the workload's answer
-/// fingerprint).
-pub fn run_pushdown_windowed(
-    t: &RemoteTable,
-    p: &PushdownParams,
-    start: SimTime,
-) -> (RunSummary, u64) {
-    assert!(p.pages <= t.pages && p.scan_pages <= p.pages);
-    let cpu = CpuPool::new(8);
-    let costs = CpuCosts::default();
-    let mut rngs: Vec<SimRng> = (0..p.workers)
-        .map(|w| SimRng::for_worker(p.seed, w as u64))
-        .collect();
-    let latencies = Histogram::new();
-    let mut driver = ParallelDriver::new(p.workers, start + p.duration).starting_at(start);
-    let max_start = p.pages - p.scan_pages;
-    let mut matched = 0u64;
-    let out = driver.run_ordered(&latencies, |w, clock| {
-        let start_page = rngs[w].uniform(0, max_start + 1);
-        let r = one_scan(
-            clock,
-            &cpu,
-            &costs,
-            t,
-            start_page,
-            p.scan_pages,
-            p.selectivity,
-            p.mode,
-        );
-        matched += r.rows.len() as u64;
-    });
-    let summary = RunSummary::from_outcome(
-        "PushdownScan",
-        &latencies,
-        SimTime(p.duration.as_nanos()),
-        &out,
-    );
-    (summary, matched)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,26 +253,5 @@ mod tests {
             }
             assert_eq!(got, want, "{mode:?} diverged from fetch-then-filter");
         }
-    }
-
-    #[test]
-    fn windowed_run_reports_and_is_deterministic() {
-        let run = || {
-            let (t, clock) = table(64, 2);
-            let p = PushdownParams {
-                pages: 64,
-                scan_pages: 8,
-                workers: 4,
-                selectivity: 0.01,
-                mode: ScanMode::Planner,
-                duration: SimDuration::from_millis(20),
-                seed: 11,
-            };
-            let (s, matched) = run_pushdown_windowed(&t, &p, clock.now());
-            (s.ops, s.completed_in_horizon, matched)
-        };
-        let a = run();
-        assert_eq!(a, run());
-        assert!(a.0 > 10, "{a:?}");
     }
 }

@@ -5,7 +5,7 @@
 //! and 5 threads of sequential 512 KiB reads.
 
 use remem_sim::rng::SimRng;
-use remem_sim::{ClosedLoopDriver, Histogram, ParallelDriver, SimTime};
+use remem_sim::{ClosedLoopDriver, Histogram, SimTime};
 use remem_storage::Device;
 
 /// Access pattern.
@@ -116,67 +116,6 @@ pub fn run_sqlio(device: &dyn Device, p: &SqlioParams) -> SqlioReport {
     }
 }
 
-/// Dispatch between the sequential and windowed schedules (`--threads`).
-pub fn run_sqlio_mode(device: &dyn Device, p: &SqlioParams, windowed: bool) -> SqlioReport {
-    if windowed {
-        run_sqlio_windowed(device, p)
-    } else {
-        run_sqlio(device, p)
-    }
-}
-
-/// The windowed-schedule variant behind `--threads`: same access patterns
-/// as [`run_sqlio`], but driven by [`ParallelDriver`] in ordered mode with
-/// one RNG stream per thread, so output is byte-identical for every
-/// `--threads` value. Numbers differ from [`run_sqlio`] (different
-/// schedule and RNG assignment); compare windowed runs against windowed.
-pub fn run_sqlio_windowed(device: &dyn Device, p: &SqlioParams) -> SqlioReport {
-    assert!(
-        device.capacity() >= p.block_bytes * p.threads as u64,
-        "device too small"
-    );
-    let mut rngs: Vec<SimRng> = (0..p.threads)
-        .map(|w| SimRng::for_worker(p.seed, w as u64))
-        .collect();
-    let blocks = device.capacity() / p.block_bytes;
-    let mut driver = ParallelDriver::new(p.threads, p.horizon);
-    let latencies = Histogram::new();
-    let region = blocks / p.threads as u64;
-    let bases: Vec<u64> = (0..p.threads as u64).map(|i| i * region).collect();
-    let mut positions: Vec<u64> = bases
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| b + (i as u64 * 4) % region.max(1))
-        .collect();
-    let mut buf = vec![0u8; p.block_bytes as usize];
-    let out = driver.run_ordered(&latencies, |w, clock| {
-        let block = match p.pattern {
-            Pattern::Random => rngs[w].uniform(0, blocks),
-            Pattern::Sequential => {
-                let b = positions[w];
-                positions[w] += 1;
-                if positions[w] >= bases[w] + region {
-                    positions[w] = bases[w];
-                }
-                b
-            }
-        };
-        let offset = block * p.block_bytes;
-        if p.writes {
-            device.write(clock, offset, &buf).expect("sqlio write");
-        } else {
-            device.read(clock, offset, &mut buf).expect("sqlio read");
-        }
-    });
-    SqlioReport {
-        label: device.label(),
-        ops: out.started,
-        throughput_gbps: out.started as f64 * p.block_bytes as f64 / p.horizon.as_secs_f64() / 1e9,
-        mean_latency_us: latencies.mean().as_micros_f64(),
-        p99_latency_us: latencies.percentile(99.0).as_micros_f64(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,23 +148,6 @@ mod tests {
         };
         let r = run_sqlio(&ram, &p);
         assert!(r.ops > 100);
-    }
-
-    #[test]
-    fn windowed_variant_is_deterministic_and_comparable() {
-        let run = || {
-            let ssd = Ssd::new(SsdConfig::with_capacity(256 << 20));
-            let r = run_sqlio_windowed(&ssd, &SqlioParams::random_8k(SimTime(20_000_000)));
-            (r.ops, r.mean_latency_us, r.p99_latency_us)
-        };
-        let a = run();
-        assert_eq!(a, run());
-        // Same device model, same pattern: windowed throughput should be in
-        // the same regime as the legacy schedule (not a different physics).
-        let ssd = Ssd::new(SsdConfig::with_capacity(256 << 20));
-        let legacy = run_sqlio(&ssd, &SqlioParams::random_8k(SimTime(20_000_000)));
-        let ratio = a.0 as f64 / legacy.ops as f64;
-        assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
