@@ -53,12 +53,23 @@ impl Device for SeriesDevice {
         r
     }
 
+    // `force` and `drain_lost_ranges` must forward: the defaults are a free
+    // no-op and an empty answer, which would hide a log device's durability
+    // charge and a self-healed file's zeroed ranges from the engine above.
+    fn force(&self, clock: &mut Clock) -> Result<(), StorageError> {
+        self.inner.force(clock)
+    }
+
     fn capacity(&self) -> u64 {
         self.inner.capacity()
     }
 
     fn label(&self) -> String {
         self.inner.label()
+    }
+
+    fn drain_lost_ranges(&self) -> Vec<(u64, u64)> {
+        self.inner.drain_lost_ranges()
     }
 }
 
@@ -246,4 +257,52 @@ fn main() {
     report.gauge("custom_total_s", find(&totals, "Custom"), 10.0);
     report.gauge("hddssd_total_s", find(&totals, "HDD+SSD"), 10.0);
     report.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A device that counts `force` calls and reports one lost range.
+    #[derive(Default)]
+    struct Inner {
+        forces: AtomicU64,
+    }
+
+    impl Device for Inner {
+        fn read(&self, _: &mut Clock, _: u64, _: &mut [u8]) -> Result<(), StorageError> {
+            Ok(())
+        }
+
+        fn write(&self, _: &mut Clock, _: u64, _: &[u8]) -> Result<(), StorageError> {
+            Ok(())
+        }
+
+        fn force(&self, _: &mut Clock) -> Result<(), StorageError> {
+            self.forces.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+
+        fn capacity(&self) -> u64 {
+            1 << 20
+        }
+
+        fn label(&self) -> String {
+            "Inner".into()
+        }
+
+        fn drain_lost_ranges(&self) -> Vec<(u64, u64)> {
+            vec![(0, 8192)]
+        }
+    }
+
+    #[test]
+    fn series_device_forwards_force_and_lost_ranges() {
+        let inner = Arc::new(Inner::default());
+        let dev = SeriesDevice::new(Arc::clone(&inner) as Arc<dyn Device>);
+        dev.force(&mut Clock::new()).unwrap();
+        assert_eq!(inner.forces.load(Ordering::Relaxed), 1);
+        assert_eq!(dev.drain_lost_ranges(), vec![(0, 8192)]);
+    }
 }

@@ -98,6 +98,12 @@ impl Device for InstrumentedDevice {
         r
     }
 
+    fn force(&self, clock: &mut Clock) -> Result<(), StorageError> {
+        // must forward: the default is a free no-op, so a log device behind
+        // this wrapper would commit with no durability charge
+        self.inner.force(clock)
+    }
+
     fn capacity(&self) -> u64 {
         self.inner.capacity()
     }
@@ -342,6 +348,98 @@ mod tests {
                 vec!["Custom".into(), "42".into()],
                 vec!["HDD".into(), "1".into()],
             ],
+        );
+    }
+
+    /// Records which `Device` methods were called, in order.
+    #[derive(Default)]
+    struct CallLog(parking_lot::Mutex<Vec<&'static str>>);
+
+    impl CallLog {
+        fn hit(&self, method: &'static str) {
+            self.0.lock().push(method);
+        }
+    }
+
+    impl Device for CallLog {
+        fn read(&self, _: &mut Clock, _: u64, _: &mut [u8]) -> Result<(), StorageError> {
+            self.hit("read");
+            Ok(())
+        }
+
+        fn write(&self, _: &mut Clock, _: u64, _: &[u8]) -> Result<(), StorageError> {
+            self.hit("write");
+            Ok(())
+        }
+
+        fn read_vectored(
+            &self,
+            _: &mut Clock,
+            reqs: &mut [(u64, &mut [u8])],
+        ) -> Vec<Result<(), StorageError>> {
+            self.hit("read_vectored");
+            reqs.iter().map(|_| Ok(())).collect()
+        }
+
+        fn write_vectored(
+            &self,
+            _: &mut Clock,
+            reqs: &[(u64, &[u8])],
+        ) -> Vec<Result<(), StorageError>> {
+            self.hit("write_vectored");
+            reqs.iter().map(|_| Ok(())).collect()
+        }
+
+        fn force(&self, _: &mut Clock) -> Result<(), StorageError> {
+            self.hit("force");
+            Ok(())
+        }
+
+        fn capacity(&self) -> u64 {
+            self.hit("capacity");
+            1 << 20
+        }
+
+        fn label(&self) -> String {
+            self.hit("label");
+            "CallLog".into()
+        }
+
+        fn drain_lost_ranges(&self) -> Vec<(u64, u64)> {
+            self.hit("drain_lost_ranges");
+            vec![(0, 8192)]
+        }
+    }
+
+    #[test]
+    fn instrumented_device_forwards_every_device_method() {
+        let inner = Arc::new(CallLog::default());
+        let dev = InstrumentedDevice::new(Arc::clone(&inner) as Arc<dyn Device>);
+        let mut clock = Clock::new();
+        let mut buf = [0u8; 64];
+        dev.read(&mut clock, 0, &mut buf).unwrap();
+        dev.write(&mut clock, 0, &buf).unwrap();
+        dev.read_vectored(&mut clock, &mut [(0, &mut buf[..])]);
+        dev.write_vectored(&mut clock, &[(0, &buf[..])]);
+        dev.force(&mut clock).unwrap();
+        assert_eq!(dev.capacity(), 1 << 20);
+        assert_eq!(dev.label(), "CallLog");
+        assert_eq!(dev.drain_lost_ranges(), vec![(0, 8192)]);
+        // one inner call each: a vectored call must not decay into scalar
+        // ones, and `force` / `drain_lost_ranges` must not hit the trait's
+        // free defaults
+        assert_eq!(
+            *inner.0.lock(),
+            [
+                "read",
+                "write",
+                "read_vectored",
+                "write_vectored",
+                "force",
+                "capacity",
+                "label",
+                "drain_lost_ranges"
+            ]
         );
     }
 }
