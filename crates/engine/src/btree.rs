@@ -177,6 +177,11 @@ impl BTree {
         &self.file
     }
 
+    /// Page number of the root node.
+    pub fn root(&self) -> PageNo {
+        self.root.load(Ordering::Acquire)
+    }
+
     fn read_node(
         &self,
         clock: &mut Clock,

@@ -73,6 +73,17 @@ impl BpCounters {
     }
 }
 
+/// One public page access, as [`BufferPool::record_accesses`] logs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageAccess {
+    /// [`BufferPool::with_page`]
+    Read,
+    /// [`BufferPool::with_page_mut`]
+    Write,
+    /// [`BufferPool::new_page`]
+    New,
+}
+
 struct Frame {
     key: Option<Key>,
     page: Page,
@@ -412,6 +423,16 @@ struct Inner {
     metrics: Option<BpCounters>,
     fault_log: Option<Arc<FaultLog>>,
     auditor: Option<Arc<Auditor>>,
+    /// Public page accesses in call order, while recording is on.
+    accesses: Option<Vec<(PageAccess, FileId, PageNo)>>,
+}
+
+impl Inner {
+    fn note_access(&mut self, kind: PageAccess, file: FileId, page_no: PageNo) {
+        if let Some(log) = self.accesses.as_mut() {
+            log.push((kind, file, page_no));
+        }
+    }
 }
 
 /// Pages fetched per readahead I/O once a sequential miss pattern is seen
@@ -452,6 +473,7 @@ impl BufferPool {
                 metrics: None,
                 fault_log: None,
                 auditor: None,
+                accesses: None,
             }),
             hit_cost: SimDuration::from_nanos(100),
         }
@@ -490,6 +512,24 @@ impl BufferPool {
     /// `bpext.hit_ratio`, …) on the given registry.
     pub fn set_metrics(&self, registry: Option<Arc<MetricsRegistry>>) {
         self.inner.lock().metrics = registry.map(|r| BpCounters::new(&r));
+    }
+
+    /// Start (or stop and forget) an ordered log of every `with_page` /
+    /// `with_page_mut` / `new_page` call — what a golden test pins to show
+    /// that a rewrite above the pool asks it for the same pages in the same
+    /// order.
+    pub fn record_accesses(&self, on: bool) {
+        self.inner.lock().accesses = on.then(Vec::new);
+    }
+
+    /// Drain the log [`BufferPool::record_accesses`] started.
+    pub fn take_accesses(&self) -> Vec<(PageAccess, FileId, PageNo)> {
+        let mut inner = self.inner.lock();
+        inner
+            .accesses
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     fn verify(inner: &Inner, at: SimTime) {
@@ -810,6 +850,7 @@ impl BufferPool {
         f: impl FnOnce(&Page) -> R,
     ) -> Result<R, StorageError> {
         let mut inner = self.inner.lock();
+        inner.note_access(PageAccess::Read, file, page_no);
         let idx = self.load(&mut inner, clock, file, page_no)?;
         Self::verify(&inner, clock.now());
         Ok(f(&inner.frames[idx].page))
@@ -825,6 +866,7 @@ impl BufferPool {
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
         let mut inner = self.inner.lock();
+        inner.note_access(PageAccess::Write, file, page_no);
         let idx = self.load(&mut inner, clock, file, page_no)?;
         inner.frames[idx].dirty = true;
         let key = (file, page_no);
@@ -844,6 +886,7 @@ impl BufferPool {
         page_no: PageNo,
     ) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
+        inner.note_access(PageAccess::New, file, page_no);
         let key = (file, page_no);
         assert!(
             !inner.map.contains_key(&key),
