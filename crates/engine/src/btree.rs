@@ -19,12 +19,133 @@ use remem_sim::Clock;
 use remem_storage::StorageError;
 
 use crate::bufferpool::BufferPool;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{Page, PageView, PAGE_SIZE};
 use crate::pagestore::{PageNo, PagedFile};
 
 const NO_NEXT: u64 = u64::MAX;
 /// Largest value the tree accepts — must leave room for two entries per page.
 pub const MAX_VALUE_BYTES: usize = 2048;
+
+/// Page tags in byte 0 of slot 0.
+const TAG_INTERNAL: u8 = 0;
+const TAG_LEAF: u8 = 1;
+
+fn i64_at(rec: &[u8], at: usize) -> i64 {
+    i64::from_le_bytes(rec[at..at + 8].try_into().unwrap())
+}
+
+fn u64_at(rec: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(rec[at..at + 8].try_into().unwrap())
+}
+
+/// A B+tree node read in place, out of the page that holds it.
+///
+/// Slot 0 is the header: `[TAG_LEAF][next: u64]` (`u64::MAX` = no next) on a
+/// leaf, `[TAG_INTERNAL]` on an internal node. A leaf's entries follow as
+/// `key ‖ value` records, one per slot, in key order. An internal node holds
+/// `child0: u64` in slot 1 and then one `key ‖ child` record per separator:
+/// keys `< key[0]` live under `child0`, keys `>= key[i]` (and `< key[i+1]`)
+/// under `child[i+1]`. The read path (`range`, `scan`) works on this view and
+/// allocates nothing; [`Node`] is the owned form the write path edits.
+#[derive(Clone, Copy)]
+pub struct NodeView<'a> {
+    page: PageView<'a>,
+    leaf: bool,
+}
+
+impl<'a> NodeView<'a> {
+    /// View the node on `page`. Panics on a page that is not a tree node.
+    pub fn new(page: PageView<'a>) -> NodeView<'a> {
+        let leaf = match page.get(0)[0] {
+            TAG_LEAF => true,
+            TAG_INTERNAL => false,
+            t => panic!("corrupt B+tree node tag {t}"),
+        };
+        NodeView { page, leaf }
+    }
+
+    pub fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+
+    /// Slot of key 0: after the header, and after `child0` on an internal node.
+    fn first_slot(&self) -> usize {
+        if self.leaf {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// Number of keys: a leaf's entries, an internal node's separators.
+    pub fn len(&self) -> usize {
+        self.page.len() - self.first_slot()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th key, on either kind of node.
+    pub fn key_at(&self, i: usize) -> i64 {
+        i64_at(self.page.get(self.first_slot() + i), 0)
+    }
+
+    /// A leaf's `i`-th entry; the value is borrowed from the page.
+    pub fn entry_at(&self, i: usize) -> (i64, &'a [u8]) {
+        debug_assert!(self.leaf);
+        let rec = self.page.get(1 + i);
+        (i64_at(rec, 0), &rec[8..])
+    }
+
+    /// The leaf after this one in key order.
+    pub fn next(&self) -> Option<PageNo> {
+        debug_assert!(self.leaf);
+        let next = u64_at(self.page.get(0), 1);
+        (next != NO_NEXT).then_some(next)
+    }
+
+    /// Binary search a leaf: `Ok(i)` if entry `i` holds `key`, else `Err(i)`
+    /// with `i` the first entry whose key is greater (`len()` if none).
+    pub fn leaf_find(&self, key: i64) -> Result<usize, usize> {
+        debug_assert!(self.leaf);
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key_at(mid).cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return Ok(mid),
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Err(lo)
+    }
+
+    /// An internal node's `i`-th child, `0..=len()`.
+    pub fn child_at(&self, i: usize) -> PageNo {
+        debug_assert!(!self.leaf);
+        if i == 0 {
+            u64_at(self.page.get(1), 0)
+        } else {
+            u64_at(self.page.get(1 + i), 8)
+        }
+    }
+
+    /// The child whose subtree holds `key`: child `i`, with `i` the number
+    /// of separators `<= key`.
+    pub fn child_for(&self, key: i64) -> PageNo {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key_at(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.child_at(lo)
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Node {
@@ -40,34 +161,22 @@ enum Node {
 
 impl Node {
     fn decode(page: &Page) -> Node {
-        let header = page.get(0);
-        match header[0] {
-            1 => {
-                let next = u64::from_le_bytes(header[1..9].try_into().unwrap());
-                let entries = (1..page.len())
+        let view = NodeView::new(page.view());
+        if view.is_leaf() {
+            Node::Leaf {
+                next: view.next(),
+                entries: (0..view.len())
                     .map(|i| {
-                        let rec = page.get(i);
-                        let key = i64::from_le_bytes(rec[..8].try_into().unwrap());
-                        (key, rec[8..].to_vec())
+                        let (key, value) = view.entry_at(i);
+                        (key, value.to_vec())
                     })
-                    .collect();
-                Node::Leaf {
-                    next: (next != NO_NEXT).then_some(next),
-                    entries,
-                }
+                    .collect(),
             }
-            0 => {
-                let child0 = u64::from_le_bytes(page.get(1).try_into().unwrap());
-                let mut keys = Vec::with_capacity(page.len() - 2);
-                let mut children = vec![child0];
-                for i in 2..page.len() {
-                    let rec = page.get(i);
-                    keys.push(i64::from_le_bytes(rec[..8].try_into().unwrap()));
-                    children.push(u64::from_le_bytes(rec[8..16].try_into().unwrap()));
-                }
-                Node::Internal { keys, children }
+        } else {
+            Node::Internal {
+                keys: (0..view.len()).map(|i| view.key_at(i)).collect(),
+                children: (0..=view.len()).map(|i| view.child_at(i)).collect(),
             }
-            t => panic!("corrupt B+tree node tag {t}"),
         }
     }
 
@@ -76,7 +185,7 @@ impl Node {
         match self {
             Node::Leaf { next, entries } => {
                 let mut header = [0u8; 9];
-                header[0] = 1;
+                header[0] = TAG_LEAF;
                 header[1..9].copy_from_slice(&next.unwrap_or(NO_NEXT).to_le_bytes());
                 p.insert(&header).expect("header fits");
                 let mut rec = Vec::with_capacity(64);
@@ -88,7 +197,7 @@ impl Node {
                 }
             }
             Node::Internal { keys, children } => {
-                p.insert(&[0u8]).expect("header fits");
+                p.insert(&[TAG_INTERNAL]).expect("header fits");
                 p.insert(&children[0].to_le_bytes()).expect("child0 fits");
                 let mut rec = [0u8; 16];
                 for (k, c) in keys.iter().zip(&children[1..]) {
@@ -378,6 +487,12 @@ impl BTree {
 
     /// Visit entries with `lo <= key < hi` in key order. `visit` returns
     /// `false` to stop early (Top-N, LIMIT).
+    ///
+    /// The walk reads each node in place: one [`BufferPool::with_page`] per
+    /// node visited, no decode, no allocation. The value slice handed to
+    /// `visit` borrows the pool frame and is valid only during that call —
+    /// copy what must outlive it — and `visit` runs with the pool locked, so
+    /// it must not call back into the pool.
     pub fn range(
         &self,
         clock: &mut Clock,
@@ -389,33 +504,30 @@ impl BTree {
         if lo >= hi {
             return Ok(());
         }
-        // descend to the leaf containing lo
-        let mut pno = self.root.load(Ordering::Acquire);
-        let mut leaf = loop {
-            match self.read_node(clock, bp, pno)? {
-                Node::Internal { keys, children } => {
-                    pno = children[keys.partition_point(|k| *k <= lo)];
-                }
-                leaf @ Node::Leaf { .. } => break leaf,
-            }
-        };
+        let mut pno = self.root();
+        // only the leaf the descent lands on can hold keys below `lo`
+        let mut seek = true;
         loop {
-            let Node::Leaf { next, entries } = leaf else {
-                unreachable!()
-            };
-            for (k, v) in &entries {
-                if *k < lo {
-                    continue;
+            let step = bp.with_page(clock, self.file.id(), pno, |page| {
+                let node = NodeView::new(page.view());
+                if !node.is_leaf() {
+                    return Some(node.child_for(lo));
                 }
-                if *k >= hi {
-                    return Ok(());
+                let start = if std::mem::take(&mut seek) {
+                    node.leaf_find(lo).unwrap_or_else(|i| i)
+                } else {
+                    0
+                };
+                for i in start..node.len() {
+                    let (key, value) = node.entry_at(i);
+                    if key >= hi || !visit(key, value) {
+                        return None;
+                    }
                 }
-                if !visit(*k, v) {
-                    return Ok(());
-                }
-            }
-            match next {
-                Some(n) => leaf = self.read_node(clock, bp, n)?,
+                node.next()
+            })?;
+            match step {
+                Some(next) => pno = next,
                 None => return Ok(()),
             }
         }

@@ -126,9 +126,6 @@ pub struct BpExt {
     suspends: u64,
     reattaches: u64,
     lost_pages: u64,
-    /// Reusable page-sized buffer for [`BpExt::get`] — the probe path runs
-    /// once per pool miss and must not allocate.
-    scratch: Vec<u8>,
 }
 
 /// What [`BpExt::put`] did with the page — distinguishes a real device
@@ -158,7 +155,6 @@ impl BpExt {
             suspends: 0,
             reattaches: 0,
             lost_pages: 0,
-            scratch: vec![0u8; PAGE_SIZE],
         }
     }
 
@@ -316,28 +312,25 @@ impl BpExt {
         }
         self.sync_lost();
         let slot = *self.map.get(&key)?;
-        let mut buf = std::mem::take(&mut self.scratch);
-        let res = self.device.read(clock, slot * PAGE_SIZE as u64, &mut buf);
-        let out = match res {
+        // the device reads straight into the page the pool will install
+        let mut page = Page::new();
+        let res = self
+            .device
+            .read(clock, slot * PAGE_SIZE as u64, page.as_bytes_mut());
+        match res {
             Ok(()) => {
                 self.note_success(clock.now());
                 // the read itself may have triggered a self-heal repair under
                 // this very slot, in which case the bytes just returned are
                 // the replacement stripe's zeros, not the cached page
                 self.sync_lost();
-                if self.map.contains_key(&key) {
-                    Some(Page::from_bytes(&buf))
-                } else {
-                    None
-                }
+                self.map.contains_key(&key).then_some(page)
             }
             Err(e) => {
                 self.note_failure(clock.now(), !e.is_transient(), &e);
                 None
             }
-        };
-        self.scratch = buf;
-        out
+        }
     }
 
     /// Batched gets: resolve every mapped key's slot, issue **one** vectored
@@ -353,13 +346,13 @@ impl BpExt {
         self.sync_lost();
         // resolve the mapped subset; unmapped keys just stay None
         let mut hit_idx: Vec<usize> = Vec::new();
-        let mut bufs: Vec<Vec<u8>> = Vec::new();
+        let mut pages: Vec<Page> = Vec::new();
         let mut offs: Vec<u64> = Vec::new();
         for (i, k) in keys.iter().enumerate() {
             if let Some(&slot) = self.map.get(k) {
                 hit_idx.push(i);
                 offs.push(slot * PAGE_SIZE as u64);
-                bufs.push(vec![0u8; PAGE_SIZE]);
+                pages.push(Page::new());
             }
         }
         if hit_idx.is_empty() {
@@ -367,8 +360,8 @@ impl BpExt {
         }
         let mut reqs: Vec<(u64, &mut [u8])> = offs
             .iter()
-            .zip(bufs.iter_mut())
-            .map(|(&o, b)| (o, b.as_mut_slice()))
+            .zip(pages.iter_mut())
+            .map(|(&o, p)| (o, p.as_bytes_mut()))
             .collect();
         let results = self.device.read_vectored(clock, &mut reqs);
         if results.iter().any(|r| r.is_ok()) {
@@ -383,9 +376,9 @@ impl BpExt {
         // the reads may have triggered a self-heal repair under these very
         // slots — only deliver pages whose mapping survived
         self.sync_lost();
-        for ((i, buf), r) in hit_idx.into_iter().zip(bufs).zip(&results) {
+        for ((i, page), r) in hit_idx.into_iter().zip(pages).zip(&results) {
             if r.is_ok() && self.map.contains_key(&keys[i]) {
-                out[i] = Some(Page::from_bytes(&buf));
+                out[i] = Some(page);
             }
         }
         out

@@ -534,7 +534,9 @@ impl Database {
             .get(tid.0 as usize)
             .ok_or(DbError::NoSuchTable(tid))?;
         self.charge_seek(clock, t.tree.height());
-        let mut rows = Vec::new();
+        // at most one row per key in the span, per entry in the tree, and `limit`
+        let span = hi.saturating_sub(lo).max(0) as u64;
+        let mut rows = Vec::with_capacity(span.min(t.tree.len()).min(limit as u64) as usize);
         t.tree.range(clock, &self.bp, lo, hi, |_, bytes| {
             rows.push(Row::decode(bytes).0);
             rows.len() < limit
@@ -552,12 +554,11 @@ impl Database {
             .get(tid.0 as usize)
             .ok_or(DbError::NoSuchTable(tid))?;
         self.charge_seek(clock, t.tree.height());
-        let mut rows = Vec::new();
-        t.tree
-            .range(clock, &self.bp, i64::MIN, i64::MAX, |_, bytes| {
-                rows.push(Row::decode(bytes).0);
-                true
-            })?;
+        let mut rows = Vec::with_capacity(t.tree.len() as usize);
+        t.tree.scan(clock, &self.bp, |_, bytes| {
+            rows.push(Row::decode(bytes).0);
+            true
+        })?;
         let mut ctx = self.exec_ctx(clock).parallel();
         ctx.charge_n(ctx.costs.row_scan, rows.len() as u64);
         Ok(rows)
@@ -600,7 +601,7 @@ impl Database {
             .get(tid.0 as usize)
             .ok_or(DbError::NoSuchTable(tid))?;
         let index = &t.nc[idx];
-        let mut rows = Vec::new();
+        let mut rows = Vec::with_capacity(index.tree.len() as usize);
         index.tree.scan(clock, &self.bp, |_, bytes| {
             rows.push(Row::decode(bytes).0);
             true

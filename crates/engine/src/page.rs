@@ -101,6 +101,11 @@ impl Page {
         &self.data[..]
     }
 
+    /// The whole page as writable bytes, for a device to read into.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.data[..]
+    }
+
     /// The read-only view of this page.
     pub fn view(&self) -> PageView<'_> {
         PageView { data: &self.data }

@@ -84,9 +84,10 @@ impl PagedFile {
 
     /// Read a page from the device (bypassing any buffer pool).
     pub fn read_page(&self, clock: &mut Clock, page: PageNo) -> Result<Page, StorageError> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.device.read(clock, page * PAGE_SIZE as u64, &mut buf)?;
-        Ok(Page::from_bytes(&buf))
+        let mut p = Page::new();
+        self.device
+            .read(clock, page * PAGE_SIZE as u64, p.as_bytes_mut())?;
+        Ok(p)
     }
 
     /// Write a page to the device.

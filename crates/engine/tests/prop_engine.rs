@@ -4,11 +4,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use remem_engine::btree::BTree;
-use remem_engine::bufferpool::BufferPool;
+use remem_engine::btree::{BTree, NodeView};
+use remem_engine::bufferpool::{BufferPool, PageAccess};
 use remem_engine::exec::{int_row, ExecCtx};
 use remem_engine::page::{Page, PageView, MAX_RECORD, PAGE_SIZE};
-use remem_engine::pagestore::{FileId, PagedFile};
+use remem_engine::pagestore::{FileId, PageNo, PagedFile};
 use remem_engine::row::{Row, Value};
 use remem_engine::tempdb::TempDb;
 use remem_engine::wal::{Wal, WalOp, WalRecord};
@@ -34,6 +34,112 @@ fn arb_row() -> impl Strategy<Value = Row> {
 fn page_filling_row(short: usize) -> Row {
     // 2 (value count) + 1 (tag) + 4 (length) bytes around the string
     Row::new(vec![Value::Str("f".repeat(MAX_RECORD - 7 - short))])
+}
+
+/// The owned node form `BTree::range` decoded every node into before it
+/// walked them in place — kept here as the reference the in-place accessors
+/// and walk are checked against.
+enum RefNode {
+    Leaf {
+        next: Option<PageNo>,
+        entries: Vec<(i64, Vec<u8>)>,
+    },
+    Internal {
+        keys: Vec<i64>,
+        children: Vec<PageNo>,
+    },
+}
+
+fn ref_decode(page: &Page) -> RefNode {
+    let header = page.get(0);
+    match header[0] {
+        1 => {
+            let next = u64::from_le_bytes(header[1..9].try_into().unwrap());
+            let entries = (1..page.len())
+                .map(|i| {
+                    let rec = page.get(i);
+                    let key = i64::from_le_bytes(rec[..8].try_into().unwrap());
+                    (key, rec[8..].to_vec())
+                })
+                .collect();
+            RefNode::Leaf {
+                next: (next != u64::MAX).then_some(next),
+                entries,
+            }
+        }
+        0 => {
+            let child0 = u64::from_le_bytes(page.get(1).try_into().unwrap());
+            let mut keys = Vec::with_capacity(page.len() - 2);
+            let mut children = vec![child0];
+            for i in 2..page.len() {
+                let rec = page.get(i);
+                keys.push(i64::from_le_bytes(rec[..8].try_into().unwrap()));
+                children.push(u64::from_le_bytes(rec[8..16].try_into().unwrap()));
+            }
+            RefNode::Internal { keys, children }
+        }
+        t => panic!("corrupt B+tree node tag {t}"),
+    }
+}
+
+/// The decode-based `range`: descend to the leaf holding `lo`, then walk the
+/// leaf chain, one `with_page` per node.
+fn ref_range(
+    clock: &mut Clock,
+    bp: &BufferPool,
+    tree: &BTree,
+    lo: i64,
+    hi: i64,
+    mut visit: impl FnMut(i64, &[u8]) -> bool,
+) {
+    if lo >= hi {
+        return;
+    }
+    let file = tree.file().id();
+    let mut pno = tree.root();
+    let mut leaf = loop {
+        match bp.with_page(clock, file, pno, ref_decode).unwrap() {
+            RefNode::Internal { keys, children } => {
+                pno = children[keys.partition_point(|k| *k <= lo)];
+            }
+            leaf @ RefNode::Leaf { .. } => break leaf,
+        }
+    };
+    loop {
+        let RefNode::Leaf { next, entries } = leaf else {
+            unreachable!()
+        };
+        for (k, v) in &entries {
+            if *k < lo {
+                continue;
+            }
+            if *k >= hi || !visit(*k, v) {
+                return;
+            }
+        }
+        match next {
+            Some(n) => leaf = bp.with_page(clock, file, n, ref_decode).unwrap(),
+            None => return,
+        }
+    }
+}
+
+type RangeRun = (Vec<(i64, Vec<u8>)>, Vec<(PageAccess, FileId, PageNo)>);
+
+/// One walk stopped after `stop_after` entries: what it visited and the pool
+/// calls it made.
+fn run_range(
+    bp: &BufferPool,
+    stop_after: Option<usize>,
+    walk: impl FnOnce(&mut dyn FnMut(i64, &[u8]) -> bool),
+) -> RangeRun {
+    bp.take_accesses();
+    let mut seen = Vec::new();
+    walk(&mut |k, v| {
+        seen.push((k, v.to_vec()));
+        stop_after != Some(seen.len())
+    });
+    (seen, bp.take_accesses())
 }
 
 proptest! {
@@ -202,6 +308,128 @@ proptest! {
         let expected: Vec<(i64, Vec<u8>)> =
             model.into_iter().collect();
         prop_assert_eq!(scanned, expected);
+    }
+
+    /// The in-place read path equals the decode-based one it replaced: on
+    /// every node of a random tree (emptied and thinned leaves included) the
+    /// accessors agree with the reference decode, and `range` visits the same
+    /// entries through the same pool calls — for bounds on a key, between
+    /// keys, outside the key space, the whole `i64` span, `lo >= hi`, and a
+    /// `visit` that stops at every position.
+    #[test]
+    fn in_place_range_equals_decoded_walk(
+        ops in prop::collection::vec(
+            (0u8..8, -300i64..300, 0usize..1_200, any::<u8>()), 1..500),
+        gap in (-300i64..300, 0i64..120),
+        bounds in prop::collection::vec((-310i64..310, -310i64..310), 1..12),
+    ) {
+        let bp = BufferPool::new(256 * PAGE_SIZE as u64);
+        let file = Arc::new(PagedFile::new(FileId(0), Arc::new(RamDisk::new(64 << 20))));
+        bp.register_file(Arc::clone(&file));
+        let mut clock = Clock::new();
+        let tree = BTree::create(&mut clock, &bp, Arc::clone(&file)).unwrap();
+        // keys are even, so every odd number falls between two keys
+        let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
+        for (op, key, len, fill) in ops {
+            if op == 7 {
+                tree.delete(&mut clock, &bp, key * 2).unwrap();
+                model.remove(&(key * 2));
+            } else {
+                let val = vec![fill; len];
+                tree.insert(&mut clock, &bp, key * 2, &val).unwrap();
+                model.insert(key * 2, val);
+            }
+        }
+        // delete a stretch whole: with ~8 entries a leaf this empties some
+        for key in gap.0..gap.0 + gap.1 {
+            tree.delete(&mut clock, &bp, key * 2).unwrap();
+            model.remove(&(key * 2));
+        }
+        prop_assert_eq!(tree.len(), model.len() as u64);
+
+        // every node: accessors against the reference decode
+        let probes: Vec<i64> = model.keys().flat_map(|&k| [k - 1, k, k + 1])
+            .chain([i64::MIN, i64::MAX, 0]).collect();
+        let mut todo = vec![tree.root()];
+        let mut leaves = 0;
+        while let Some(pno) = todo.pop() {
+            bp.with_page(&mut clock, file.id(), pno, |page| {
+                let view = NodeView::new(page.view());
+                match ref_decode(page) {
+                    RefNode::Leaf { next, entries } => {
+                        leaves += 1;
+                        prop_assert!(view.is_leaf());
+                        prop_assert_eq!(view.len(), entries.len());
+                        prop_assert_eq!(view.is_empty(), entries.is_empty());
+                        prop_assert_eq!(view.next(), next);
+                        for (i, (k, v)) in entries.iter().enumerate() {
+                            prop_assert_eq!(view.key_at(i), *k);
+                            prop_assert_eq!(view.entry_at(i), (*k, v.as_slice()));
+                        }
+                        for &k in &probes {
+                            prop_assert_eq!(
+                                view.leaf_find(k),
+                                entries.binary_search_by_key(&k, |(k, _)| *k));
+                        }
+                    }
+                    RefNode::Internal { keys, children } => {
+                        prop_assert!(!view.is_leaf());
+                        prop_assert_eq!(view.len(), keys.len());
+                        for (i, k) in keys.iter().enumerate() {
+                            prop_assert_eq!(view.key_at(i), *k);
+                        }
+                        for (i, c) in children.iter().enumerate() {
+                            prop_assert_eq!(view.child_at(i), *c);
+                        }
+                        for &k in &probes {
+                            prop_assert_eq!(
+                                view.child_for(k),
+                                children[keys.partition_point(|s| *s <= k)]);
+                        }
+                        todo.extend(children);
+                    }
+                }
+                Ok(())
+            }).unwrap()?;
+        }
+        prop_assert!(leaves >= 1);
+
+        // ranges: the drawn bounds (on a key when even, between keys when
+        // odd, `lo >= hi` about half the time), the edges of the key space,
+        // and the whole span
+        let first = model.keys().next().copied().unwrap_or(0);
+        let last = model.keys().next_back().copied().unwrap_or(0);
+        let mut ranges: Vec<(i64, i64)> = bounds.iter().map(|&(a, b)| (a * 2, b * 2 + 1)).collect();
+        ranges.extend(bounds.iter().map(|&(a, b)| (a * 2 + 1, b * 2)));
+        ranges.extend([
+            (i64::MIN, i64::MAX), (i64::MIN, first), (i64::MIN, first + 1),
+            (last, i64::MAX), (last + 1, i64::MAX), (first, last), (first, first),
+            (i64::MAX, i64::MIN), (first - 5, last + 5),
+        ]);
+        bp.record_accesses(true);
+        for (n, &(lo, hi)) in ranges.iter().enumerate() {
+            let whole = run_range(&bp, None, |v| ref_range(&mut clock, &bp, &tree, lo, hi, v));
+            let expected: Vec<(i64, Vec<u8>)> = if lo < hi {
+                model.range(lo..hi).map(|(k, v)| (*k, v.clone())).collect()
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(&whole.0, &expected);
+            // stop at every position of the whole-span walk, at a few of the others
+            let stops: Vec<Option<usize>> = if n == bounds.len() * 2 {
+                (1..=expected.len() + 1).map(Some).collect()
+            } else {
+                vec![Some(1), Some(expected.len() / 2), Some(expected.len()), None]
+            };
+            for stop in stops {
+                let reference =
+                    run_range(&bp, stop, |v| ref_range(&mut clock, &bp, &tree, lo, hi, v));
+                let in_place = run_range(&bp, stop, |v| {
+                    tree.range(&mut clock, &bp, lo, hi, v).unwrap()
+                });
+                prop_assert_eq!(&in_place, &reference);
+            }
+        }
     }
 
     /// External sort equals the standard library sort, at any grant size.
