@@ -79,16 +79,17 @@ pub trait Device: Send + Sync {
         Vec::new()
     }
 
-    /// Bounds-check helper shared by implementations.
+    /// Bounds-check helper shared by implementations. A range whose end
+    /// overflows `u64` is out of bounds like any other, never a panic or a
+    /// wrap back into the device.
     fn check_bounds(&self, offset: u64, len: u64) -> Result<(), StorageError> {
-        if offset + len > self.capacity() {
-            Err(StorageError::OutOfBounds {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.capacity() => Ok(()),
+            _ => Err(StorageError::OutOfBounds {
                 offset,
                 len,
                 capacity: self.capacity(),
-            })
-        } else {
-            Ok(())
+            }),
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use remem_sim::Clock;
-use remem_storage::{Device, HddArray, HddConfig, RamDisk, Ssd, SsdConfig};
+use remem_storage::{Device, HddArray, HddConfig, RamDisk, Ssd, SsdConfig, StorageError};
 
 const CAP: u64 = 4 << 20;
 
@@ -82,5 +82,44 @@ proptest! {
         hdd.read(&mut clock, start + 8192, &mut buf).unwrap();
         let second = clock.now().since(t1);
         prop_assert!(second <= first, "sequential {second:?} > seek {first:?}");
+    }
+}
+
+/// A range whose end overflows `u64` is out of bounds on every device, for
+/// reads and writes, scalar and vectored — a typed error that charges no
+/// time, not an overflow panic (debug) or a wrap back into the device
+/// (release).
+#[test]
+fn offsets_near_u64_max_are_out_of_bounds_on_every_device() {
+    let mut buf = vec![0u8; 8192];
+    for dev in devices() {
+        for offset in [u64::MAX, u64::MAX - 1, u64::MAX - 8191, u64::MAX - CAP / 2] {
+            let mut clock = Clock::new();
+            let oob = |r: Result<(), StorageError>| matches!(r, Err(StorageError::OutOfBounds { offset: o, len: 8192, capacity: CAP }) if o == offset);
+            assert!(
+                oob(dev.read(&mut clock, offset, &mut buf)),
+                "{} read at {offset}",
+                dev.label()
+            );
+            assert!(
+                oob(dev.write(&mut clock, offset, &buf)),
+                "{} write at {offset}",
+                dev.label()
+            );
+            let mut reqs = [(offset, &mut buf[..])];
+            assert!(dev
+                .read_vectored(&mut clock, &mut reqs)
+                .into_iter()
+                .all(oob));
+            assert!(dev
+                .write_vectored(&mut clock, &[(offset, &buf[..])])
+                .into_iter()
+                .all(oob));
+            assert_eq!(
+                clock.now(),
+                Clock::new().now(),
+                "failed I/O must not charge time"
+            );
+        }
     }
 }
