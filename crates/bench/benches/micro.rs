@@ -392,6 +392,19 @@ fn bench_btree(c: &mut Criterion) {
             n
         });
     });
+    // every leaf of the tree, as the TPC-H / TPC-DS and Fig 14 table scans
+    // walk it; `get_random_50k` above is the control the read path leaves alone
+    g.bench_function("scan_50k", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            tree.scan(&mut clock, &bp, |_, v| {
+                bytes += v.len();
+                true
+            })
+            .unwrap();
+            bytes
+        });
+    });
     g.finish();
 }
 
