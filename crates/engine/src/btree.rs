@@ -344,7 +344,7 @@ impl BTree {
             "value of {} bytes too large",
             value.len()
         );
-        let root = self.root.load(Ordering::Acquire);
+        let root = self.root();
         match self.insert_rec(clock, bp, root, key, value)? {
             InsertResult::Done { replaced } => {
                 if !replaced {
@@ -489,7 +489,7 @@ impl BTree {
         bp: &BufferPool,
         key: i64,
     ) -> Result<Option<Vec<u8>>, StorageError> {
-        let mut pno = self.root.load(Ordering::Acquire);
+        let mut pno = self.root();
         loop {
             match self.read_node(clock, bp, pno)? {
                 Node::Leaf { entries, .. } => {
@@ -587,7 +587,7 @@ impl BTree {
         bp: &BufferPool,
         key: i64,
     ) -> Result<bool, StorageError> {
-        let mut pno = self.root.load(Ordering::Acquire);
+        let mut pno = self.root();
         loop {
             match self.read_node(clock, bp, pno)? {
                 Node::Internal { keys, children } => {

@@ -314,10 +314,10 @@ impl BpExt {
         let slot = *self.map.get(&key)?;
         // the device reads straight into the page the pool will install
         let mut page = Page::new();
-        let res = self
+        match self
             .device
-            .read(clock, slot * PAGE_SIZE as u64, page.as_bytes_mut());
-        match res {
+            .read(clock, slot * PAGE_SIZE as u64, page.as_bytes_mut())
+        {
             Ok(()) => {
                 self.note_success(clock.now());
                 // the read itself may have triggered a self-heal repair under

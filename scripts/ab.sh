@@ -37,17 +37,19 @@ CARGO_TARGET_DIR="$dir/change-target" cargo build --release --offline --quiet \
 
 out="$dir/ab_${workload}.jsonl"
 : >"$out"
-run() { # side seed
+run() { # side seed; a run that fails is recorded and reported at the end
     local line
     line=$("$dir/$1-target/release/remem-perf" --workload "$workload" --seed "$2" \
-        --seconds "$seconds" --trace 0 | tail -n 1)
+        --seconds "$seconds" --trace 0 | tail -n 1) || true
     echo "{\"side\": \"$1\", \"seed\": $2, \"result\": ${line:-null}}" >>"$out"
 }
 for ((seed = 1; seed <= pairs; seed++)); do
     if ((seed % 2)); then
-        run parent "$seed" && run change "$seed"
+        run parent "$seed"
+        run change "$seed"
     else
-        run change "$seed" && run parent "$seed"
+        run change "$seed"
+        run parent "$seed"
     fi
     echo "pair $seed/$pairs done" >&2
 done
