@@ -990,6 +990,10 @@ mod tests {
             |r| r.int(0),
             |b, _| b.clone(),
         )));
+        // the writers that were open when the row was refused gave back
+        // everything they held
+        assert!(db.tempdb().bytes_spilled() > 0, "the error came mid-spill");
+        assert_eq!(db.tempdb().live_bytes(), 0);
     }
 
     #[test]
@@ -1060,6 +1064,9 @@ mod tests {
         assert!(registry.counter("storage.bpext.write.bytes").get() > 0);
         assert!(registry.counter("storage.bpext.read.ops").get() > 0);
         assert!(registry.counter("storage.log.write.ops").get() > 0);
+        // nothing spilled, so no TempDB space gauge joins the dump
+        let gauges = registry.snapshot().gauges;
+        assert!(gauges.iter().all(|(name, _)| !name.starts_with("tempdb.")));
     }
 
     #[test]
@@ -1085,6 +1092,13 @@ mod tests {
         assert_eq!(
             registry.counter("tempdb.readback.bytes").get(),
             db.tempdb().bytes_read_back()
+        );
+        // the sort gave its runs back; what it held at its peak stays on record
+        assert_eq!(registry.gauge("tempdb.live.bytes").get(), 0.0);
+        assert!(db.tempdb().high_water_bytes() > 0);
+        assert_eq!(
+            registry.gauge("tempdb.high_water.bytes").get(),
+            db.tempdb().high_water_bytes() as f64
         );
 
         let t = db

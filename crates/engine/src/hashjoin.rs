@@ -12,7 +12,7 @@ use remem_storage::StorageError;
 
 use crate::exec::ExecCtx;
 use crate::row::Row;
-use crate::tempdb::TempDb;
+use crate::tempdb::{SpillReader, TempDb};
 
 fn row_footprint(r: &Row) -> u64 {
     r.encoded_len() as u64 + 32
@@ -37,11 +37,15 @@ pub fn hash_join(
     grant_bytes: u64,
     emit: impl Fn(&Row, &Row) -> Row + Copy,
 ) -> Result<Vec<Row>, StorageError> {
+    let mut out = Vec::new();
     let build_bytes: u64 = build.iter().map(row_footprint).sum();
     if build_bytes <= grant_bytes {
-        return Ok(in_memory_join(
-            ctx, build, probe, build_key, probe_key, emit,
-        ));
+        let rows = probe.len() as u64;
+        let probe = ProbeSide::Rows(probe.iter());
+        join_pair(
+            ctx, build, rows, probe, build_key, probe_key, emit, &mut out,
+        )?;
+        return Ok(out);
     }
 
     // Grace: partition both inputs so each build partition fits the grant.
@@ -73,28 +77,63 @@ pub fn hash_join(
         .map(|w| w.finish(ctx))
         .collect::<Result<_, _>>()?;
 
-    let mut out = Vec::new();
-    for (bf, pf) in build_files.iter().zip(&probe_files) {
+    // Each pair is joined as a stream: the build partition is read whole, the
+    // probe partition passes through one scratch row. A pair's files are
+    // dropped — their pages back in TempDB — before the next pair is read.
+    let mut scratch = Row::default();
+    for (bf, pf) in build_files.into_iter().zip(probe_files) {
         if bf.is_empty() || pf.is_empty() {
             continue;
         }
-        let bpart = tempdb.read_all(ctx, bf)?;
-        let ppart = tempdb.read_all(ctx, pf)?;
-        out.extend(in_memory_join(
-            ctx, bpart, ppart, build_key, probe_key, emit,
-        ));
+        let bpart = tempdb.read_all(ctx, &bf)?;
+        let probe = ProbeSide::Spilled(tempdb.reader(&pf), &mut scratch);
+        join_pair(
+            ctx,
+            bpart,
+            pf.rows(),
+            probe,
+            build_key,
+            probe_key,
+            emit,
+            &mut out,
+        )?;
     }
     Ok(out)
 }
 
-fn in_memory_join(
+/// The probe rows of one join: in memory, or a spilled partition decoded one
+/// row at a time into a scratch row `hash_join` owns.
+enum ProbeSide<'a> {
+    Rows(std::slice::Iter<'a, Row>),
+    Spilled(SpillReader<'a>, &'a mut Row),
+}
+
+impl ProbeSide<'_> {
+    /// Lend the next probe row; it is valid until the next call.
+    fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<&Row>, StorageError> {
+        match self {
+            ProbeSide::Rows(rows) => Ok(rows.next()),
+            ProbeSide::Spilled(reader, scratch) => {
+                Ok(reader.next_into(ctx, scratch)?.then_some(&**scratch))
+            }
+        }
+    }
+}
+
+/// Join one build side that fits the grant against its `probe_rows` probe
+/// rows, appending matches to `out` in probe order and, within a probe row,
+/// build order.
+#[allow(clippy::too_many_arguments)]
+fn join_pair(
     ctx: &mut ExecCtx<'_>,
     build: Vec<Row>,
-    probe: Vec<Row>,
+    probe_rows: u64,
+    mut probe: ProbeSide<'_>,
     build_key: impl Fn(&Row) -> i64,
     probe_key: impl Fn(&Row) -> i64,
     emit: impl Fn(&Row, &Row) -> Row,
-) -> Vec<Row> {
+    out: &mut Vec<Row>,
+) -> Result<(), StorageError> {
     ctx.charge_n(ctx.costs.row_hash, build.len() as u64);
     // Rows sharing a key are chained in build order: the table maps a key to
     // the `(first, last)` build rows carrying it and `next[i]` is the row
@@ -114,9 +153,9 @@ fn in_memory_join(
             })
             .or_insert((i, i));
     }
-    let mut out = Vec::new();
-    ctx.charge_n(ctx.costs.row_hash, probe.len() as u64);
-    for p in &probe {
+    let matched_before = out.len();
+    ctx.charge_n(ctx.costs.row_hash, probe_rows);
+    while let Some(p) = probe.next(ctx)? {
         if let Some(&(first, _)) = table.get(&probe_key(p)) {
             let mut bi = first;
             while bi != END {
@@ -125,8 +164,8 @@ fn in_memory_join(
             }
         }
     }
-    ctx.charge_n(ctx.costs.row_output, out.len() as u64);
-    out
+    ctx.charge_n(ctx.costs.row_output, (out.len() - matched_before) as u64);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -82,11 +82,23 @@ impl PagedFile {
         Ok(start)
     }
 
+    /// Byte offset of `page`; a page number whose offset overflows `u64` is
+    /// out of bounds like any other, never a panic or a wrap back into the
+    /// device.
+    fn offset_of(&self, page: PageNo) -> Result<u64, StorageError> {
+        page.checked_mul(PAGE_SIZE as u64)
+            .ok_or(StorageError::OutOfBounds {
+                offset: u64::MAX,
+                len: PAGE_SIZE as u64,
+                capacity: self.device.capacity(),
+            })
+    }
+
     /// Read a page from the device (bypassing any buffer pool).
     pub fn read_page(&self, clock: &mut Clock, page: PageNo) -> Result<Page, StorageError> {
         let mut p = Page::new();
         self.device
-            .read(clock, page * PAGE_SIZE as u64, p.as_bytes_mut())?;
+            .read(clock, self.offset_of(page)?, p.as_bytes_mut())?;
         Ok(p)
     }
 
@@ -98,7 +110,7 @@ impl PagedFile {
         p: &Page,
     ) -> Result<(), StorageError> {
         self.device
-            .write(clock, page * PAGE_SIZE as u64, p.as_bytes())
+            .write(clock, self.offset_of(page)?, p.as_bytes())
     }
 }
 
@@ -123,6 +135,27 @@ mod tests {
         f.write_page(&mut clock, p1, &page).unwrap();
         let back = f.read_page(&mut clock, p1).unwrap();
         assert_eq!(back.get(0), b"on-disk");
+    }
+
+    #[test]
+    fn page_numbers_near_u64_max_are_out_of_bounds() {
+        let f = file();
+        let mut clock = Clock::new();
+        // `page * PAGE_SIZE` wraps to a small offset for the first and
+        // overflows outright for both
+        for page in [u64::MAX / PAGE_SIZE as u64 + 1, u64::MAX] {
+            let read = f.read_page(&mut clock, page).map(|_| ());
+            let write = f.write_page(&mut clock, page, &Page::new());
+            for res in [read, write] {
+                let err = res.expect_err("no such page");
+                assert!(matches!(err, StorageError::OutOfBounds { .. }), "{err}");
+            }
+        }
+        assert_eq!(
+            clock.now(),
+            Clock::new().now(),
+            "nothing reached the device"
+        );
     }
 
     #[test]

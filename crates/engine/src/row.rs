@@ -197,6 +197,54 @@ impl Row {
         }
         (Row(values), off)
     }
+
+    /// [`Row::decode`] over whatever `self` held, keeping its `Vec<Value>`
+    /// and the capacity of every `String` a text column lands on: a loop that
+    /// reads rows of one shape through one `Row` stops allocating after the
+    /// first. Returns the bytes consumed.
+    pub fn decode_into(&mut self, bytes: &[u8]) -> usize {
+        let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
+        let mut off = 2;
+        self.0.truncate(n);
+        for i in 0..n {
+            let tag = bytes[off];
+            off += 1;
+            let value = match tag {
+                0 => {
+                    let v = i64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+                    off += 8;
+                    Value::Int(v)
+                }
+                1 => {
+                    let v = f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+                    off += 8;
+                    Value::Float(v)
+                }
+                2 => {
+                    let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+                    off += 4;
+                    let raw = &bytes[off..off + len];
+                    off += len;
+                    let mut s = match self.0.get_mut(i) {
+                        Some(Value::Str(s)) => std::mem::take(s),
+                        _ => String::new(),
+                    };
+                    s.clear();
+                    match std::str::from_utf8(raw) {
+                        Ok(text) => s.push_str(text),
+                        Err(_) => s.push_str(&String::from_utf8_lossy(raw)),
+                    }
+                    Value::Str(s)
+                }
+                t => panic!("corrupt row encoding: tag {t}"),
+            };
+            match self.0.get_mut(i) {
+                Some(slot) => *slot = value,
+                None => self.0.push(value),
+            }
+        }
+        off
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +269,30 @@ mod tests {
         let (back, used) = Row::decode(&bytes);
         assert_eq!(back, r);
         assert_eq!(used, bytes.len());
+    }
+
+    #[test]
+    fn decode_into_reuses_the_row_it_overwrites() {
+        let mut row = Row::default();
+        row.decode_into(&sample().to_bytes());
+        assert_eq!(row, sample());
+        let (values, text) = (row.0.as_ptr(), row.str(2).as_ptr());
+        // same shape, shorter text: nothing is allocated
+        let mut next = sample();
+        next.0[2] = Value::Str("cust#2".into());
+        row.decode_into(&next.to_bytes());
+        assert_eq!(row, next);
+        assert_eq!((row.0.as_ptr(), row.str(2).as_ptr()), (values, text));
+        // other shapes: a text column over an integer, fewer columns, none
+        for next in [
+            Row::new(vec![Value::Str("now text".into()), Value::Int(3)]),
+            Row::new(vec![Value::Float(0.5)]),
+            Row::default(),
+            sample(),
+        ] {
+            row.decode_into(&next.to_bytes());
+            assert_eq!(row, next);
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@ use remem_engine::exec::{int_row, ExecCtx};
 use remem_engine::page::{Page, PageView, MAX_RECORD, PAGE_SIZE};
 use remem_engine::pagestore::{FileId, PageNo, PagedFile};
 use remem_engine::row::{Row, Value};
-use remem_engine::tempdb::TempDb;
+use remem_engine::tempdb::{SpillFile, TempDb};
 use remem_engine::wal::{Wal, WalOp, WalRecord};
 use remem_engine::CpuCosts;
 use remem_sim::{Clock, CpuPool};
-use remem_storage::RamDisk;
+use remem_storage::{RamDisk, StorageError};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -142,17 +142,148 @@ fn run_range(
     (seen, bp.take_accesses())
 }
 
+/// Check TempDB's allocator against a page bitmap: the free list is sorted
+/// and coalesced, no page has two owners among the free runs and the
+/// finished `files`, and live + free + unallocated = capacity.
+fn check_space(tempdb: &TempDb, files: &[(SpillFile<'_>, Vec<i64>)]) -> Result<(), String> {
+    let allocated = tempdb.file().allocated_pages();
+    let free = tempdb.free_runs();
+    for pair in free.windows(2) {
+        prop_assert!(
+            pair[0].0 + pair[0].1 < pair[1].0,
+            "free list unsorted or uncoalesced: {free:?}"
+        );
+    }
+    // 0: held by a writer, 1: free, 2: in a finished file
+    let mut owner = vec![0u8; allocated as usize];
+    let mut mark = |runs: &[(PageNo, u64)], who: u8| -> Result<u64, String> {
+        let mut pages = 0;
+        for &(start, n) in runs {
+            prop_assert!(
+                n > 0 && start + n <= allocated,
+                "run ({start}, {n}) of {allocated}"
+            );
+            for page in start..start + n {
+                prop_assert_eq!(owner[page as usize], 0, "page {page} has two owners");
+                owner[page as usize] = who;
+            }
+            pages += n;
+        }
+        Ok(pages)
+    };
+    let free_pages = mark(&free, 1)?;
+    let mut file_pages = 0;
+    for (file, _) in files {
+        prop_assert_eq!(
+            file.extents().iter().map(|e| e.1).sum::<u64>(),
+            file.pages()
+        );
+        file_pages += mark(file.extents(), 2)?;
+    }
+    let live = tempdb.live_bytes() / PAGE_SIZE as u64;
+    prop_assert!(
+        file_pages <= live,
+        "files hold {file_pages} of {live} live pages"
+    );
+    let capacity = tempdb.file().capacity_pages();
+    prop_assert_eq!(live + free_pages + (capacity - allocated), capacity);
+    Ok(())
+}
+
+/// Replay a spill script — `(what, writer slot, amount)` steps over four
+/// writer slots, half of them pushes — on a six-extent TempDB, checking the
+/// space after every step and every file's rows before it is dropped.
+/// Returns the extents each finished file got, in order, then the final free
+/// list.
+fn run_spill_script(ops: &[(u8, usize, usize)]) -> Result<Vec<Vec<(PageNo, u64)>>, String> {
+    let tempdb = TempDb::new(Arc::new(PagedFile::new(
+        FileId(9),
+        Arc::new(RamDisk::new(1536 * PAGE_SIZE as u64)),
+    )));
+    let cpu = CpuPool::new(4);
+    let costs = CpuCosts::default();
+    let mut clock = Clock::new();
+    let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+    let out_of_space = |e: &StorageError| matches!(e, StorageError::OutOfBounds { .. });
+    let tags = |rows: Vec<Row>| -> Vec<i64> { rows.iter().map(|r| r.int(0)).collect() };
+    let mut writers: Vec<_> = (0..4).map(|_| None).collect();
+    let mut files: Vec<(SpillFile<'_>, Vec<i64>)> = Vec::new();
+    let mut log = Vec::new();
+    let mut tag = 0;
+    for &(what, slot, amount) in ops {
+        match what {
+            // push `amount` rows, two to a page; a writer that finds TempDB
+            // full is dropped unfinished
+            0..=2 => {
+                let (w, pushed) =
+                    writers[slot].get_or_insert_with(|| (tempdb.writer(), Vec::new()));
+                let mut full = false;
+                for _ in 0..amount {
+                    tag += 1;
+                    let row = Row::new(vec![Value::Int(tag), Value::Str("w".repeat(3_900))]);
+                    match w.push(&mut ctx, &row) {
+                        Ok(()) => pushed.push(tag),
+                        Err(e) => {
+                            prop_assert!(out_of_space(&e), "{e}");
+                            full = true;
+                            break;
+                        }
+                    }
+                }
+                if full {
+                    writers[slot] = None;
+                }
+            }
+            3 => {
+                if let Some((w, pushed)) = writers[slot].take() {
+                    match w.finish(&mut ctx) {
+                        Ok(file) => {
+                            log.push(file.extents().to_vec());
+                            files.push((file, pushed));
+                        }
+                        Err(e) => prop_assert!(out_of_space(&e), "{e}"),
+                    }
+                }
+            }
+            4 => {
+                if !files.is_empty() {
+                    let (file, pushed) = files.swap_remove(amount % files.len());
+                    prop_assert_eq!(tags(tempdb.read_all(&mut ctx, &file).unwrap()), pushed);
+                }
+            }
+            _ => writers[slot] = None,
+        }
+        check_space(&tempdb, &files)?;
+    }
+    for (file, pushed) in files.drain(..) {
+        prop_assert_eq!(tags(tempdb.read_all(&mut ctx, &file).unwrap()), pushed);
+    }
+    drop(writers);
+    prop_assert_eq!(tempdb.live_bytes(), 0);
+    let high_water = tempdb.file().allocated_pages();
+    let one_run: Vec<(PageNo, u64)> = (high_water > 0)
+        .then_some((0, high_water))
+        .into_iter()
+        .collect();
+    prop_assert_eq!(tempdb.free_runs(), one_run);
+    log.push(tempdb.free_runs());
+    Ok(log)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Row serialization round-trips for arbitrary value mixes.
+    /// Row serialization round-trips for arbitrary value mixes, into a fresh
+    /// row and over whatever another row held.
     #[test]
-    fn row_encoding_round_trips(row in arb_row()) {
+    fn row_encoding_round_trips(row in arb_row(), mut scratch in arb_row()) {
         let bytes = row.to_bytes();
         prop_assert_eq!(bytes.len(), row.encoded_len());
         let (back, used) = Row::decode(&bytes);
-        prop_assert_eq!(back, row);
+        prop_assert_eq!(&back, &row);
         prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!(scratch.decode_into(&bytes), bytes.len());
+        prop_assert_eq!(scratch, row);
     }
 
     /// A slotted page returns exactly the records inserted, in order.
@@ -237,6 +368,20 @@ proptest! {
         let back = tempdb.read_all(&mut ctx, &spill).unwrap();
         prop_assert_eq!(back, rows);
         prop_assert_eq!(tempdb.bytes_read_back(), tempdb.bytes_spilled());
+    }
+
+    /// Several spill writers interleaved at random — push, finish, drop a
+    /// finished file, drop a writer unfinished — against a page bitmap: live
+    /// extents never overlap (and every file reads back what was pushed),
+    /// the free list stays sorted and coalesced, live + free + unallocated =
+    /// capacity, dropping everything leaves one run `[0, high water)`, and
+    /// the same script gets the same pages.
+    #[test]
+    fn tempdb_space_is_conserved_and_placed_deterministically(
+        ops in prop::collection::vec((0u8..6, 0usize..4, 0usize..600), 1..48),
+    ) {
+        let placed = run_spill_script(&ops)?;
+        prop_assert_eq!(run_spill_script(&ops)?, placed);
     }
 
     /// The in-memory hash join emits what a nested loop does *in the same

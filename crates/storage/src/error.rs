@@ -42,7 +42,7 @@ impl fmt::Display for StorageError {
                 write!(
                     f,
                     "access [{offset}, {}) exceeds capacity {capacity}",
-                    offset + len
+                    offset.saturating_add(*len)
                 )
             }
             StorageError::Unavailable(why) => write!(f, "device unavailable: {why}"),
