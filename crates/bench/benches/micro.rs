@@ -334,6 +334,12 @@ fn bench_row_page(c: &mut Criterion) {
     });
     let bytes = row.to_bytes();
     g.bench_function("row_decode", |b| b.iter(|| Row::decode(&bytes)));
+    // the same bytes through one reused row, as the grace join's probe loop
+    // reads a spilled partition
+    g.bench_function("row_decode_into", |b| {
+        let mut scratch = Row::default();
+        b.iter(|| scratch.decode_into(&bytes));
+    });
     g.bench_function("page_fill", |b| {
         b.iter_batched(
             Page::new,
@@ -471,7 +477,8 @@ fn bench_operators(c: &mut Criterion) {
         );
     });
     // the spilling arms: 100-byte rows, grants far below the input, a fresh
-    // TempDB per iteration (spill space is bump-allocated, never reclaimed)
+    // TempDB per iteration (`spill/hash_sort_x8_one_tempdb` is the arm that
+    // sees space reused)
     let wide: Vec<Row> = rows.iter().map(|r| spill_row(r.int(0))).collect();
     g.bench_function("external_sort_50k_spill", |b| {
         let cpu = CpuPool::new(8);
@@ -553,7 +560,7 @@ fn bench_spill(c: &mut Criterion) {
                 for r in &rows {
                     w.push(&mut ctx, r).unwrap();
                 }
-                w.finish(&mut ctx).unwrap()
+                w.finish(&mut ctx).unwrap().pages()
             },
             BatchSize::SmallInput,
         );
@@ -575,6 +582,45 @@ fn bench_spill(c: &mut Criterion) {
             }
             n
         });
+    });
+    // eight join + sort rounds on one TempDB: from the second round on every
+    // spill lands on pages an earlier round has touched
+    g.bench_function("hash_sort_x8_one_tempdb", |b| {
+        let build: Vec<Row> = (0..10_000i64).map(spill_row).collect();
+        let probe: Vec<Row> = (0..40_000i64).map(|k| spill_row(k % 10_000)).collect();
+        b.iter_batched(
+            || (spill_tempdb(), build.clone(), probe.clone()),
+            |(tempdb, build, probe)| {
+                let mut clock = Clock::new();
+                let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+                let mut top = 0;
+                for _ in 0..8 {
+                    let joined = remem_engine::hashjoin::hash_join(
+                        &mut ctx,
+                        &tempdb,
+                        build.clone(),
+                        probe.clone(),
+                        |r| r.int(0),
+                        |r| r.int(0),
+                        256 << 10,
+                        |_, p| p.clone(),
+                    )
+                    .unwrap();
+                    top += remem_engine::sort::external_sort(
+                        &mut ctx,
+                        &tempdb,
+                        joined,
+                        |r| r.float(1),
+                        1 << 20,
+                        Some(100),
+                    )
+                    .unwrap()
+                    .len();
+                }
+                top
+            },
+            BatchSize::SmallInput,
+        );
     });
     g.finish();
 }

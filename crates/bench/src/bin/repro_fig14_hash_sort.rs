@@ -91,6 +91,7 @@ fn main() {
     let mut totals = Vec::new();
     let mut cpus = Vec::new();
     let mut wall = Vec::new();
+    let mut high_water = Vec::new();
     for design in Design::ALL {
         let cluster = Cluster::builder()
             .memory_servers(2)
@@ -159,6 +160,7 @@ fn main() {
         let run_wall = Stopwatch::start();
         let r = run_hash_sort(&db, &mut clock, tables, params.top_n);
         wall.push((design.label(), load_ms, run_wall.elapsed_ms()));
+        high_water.push((design.label(), db.tempdb().high_water_bytes()));
         let t1 = clock.now();
         let u1 = db.cpu().utilization(t1);
         let cpu_pct = windowed_util(u1, t1, u0, t0) * 100.0;
@@ -207,6 +209,14 @@ fn main() {
             &["t (s)", "read MB/s", "write MB/s"],
             series,
         );
+    }
+    // how much TempDB (for Custom: leased remote memory) the query held at
+    // its peak; the sort runs reuse the pages the join partitions gave back
+    for (label, bytes) in &high_water {
+        report.note(format!(
+            "TempDB high water {label}: {:.0} MiB",
+            *bytes as f64 / (1 << 20) as f64
+        ));
     }
     // host time per arm and phase: the load is rebuilt identically for every
     // arm, the run is the spill pipeline's own cost
