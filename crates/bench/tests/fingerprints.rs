@@ -19,12 +19,12 @@ const PINNED: &[(&str, &str)] = &[
     ("repro_fig11_rangescan_drilldown", "fnv1a:b5ebb4f96dd0d1b0"),
     ("repro_fig12_bpext_size", "fnv1a:0040086c23d502b7"),
     ("repro_fig13_remote_impact", "fnv1a:d34ed385457f7e5a"),
-    ("repro_fig14_hash_sort", "fnv1a:fed713f9287682bb"),
-    ("repro_fig15a_semantic_mv", "fnv1a:77dc78f8bdea1801"),
+    ("repro_fig14_hash_sort", "fnv1a:79dfb8ec9ddbf16a"),
+    ("repro_fig15a_semantic_mv", "fnv1a:712b8eb5402ce0da"),
     ("repro_fig15b_inlj_hj_crossover", "fnv1a:a3a81a1e3f385a62"),
     ("repro_fig16_priming", "fnv1a:fcb9ed8d0c95cc00"),
-    ("repro_fig18_19_tpch", "fnv1a:7daebf6d13f9b61c"),
-    ("repro_fig20_21_tpcds", "fnv1a:4aaf26764c8e44ea"),
+    ("repro_fig18_19_tpch", "fnv1a:4099870ac72e4991"),
+    ("repro_fig20_21_tpcds", "fnv1a:563be41853a27753"),
     ("repro_fig22_23_tpcc", "fnv1a:28ca543f808691e4"),
     ("repro_fig24_local_memory", "fnv1a:5f6dcd392cccbf51"),
     ("repro_fig25_multi_db_rangescan", "fnv1a:569a5ccdb7a98b25"),
