@@ -32,15 +32,7 @@ fn run(ext_mb: u64, spread: bool) -> (f64, f64) {
         pool_bytes: 4 << 20,
         bpext_bytes: ext_mb << 20,
         tempdb_bytes: 4 << 20,
-        data_bytes: 256 << 20,
-        spindles: 20,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let mut clock = Clock::new();
     let db = Design::Custom

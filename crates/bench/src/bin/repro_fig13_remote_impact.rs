@@ -35,14 +35,7 @@ fn run_config(proto: Option<Protocol>) -> (f64, f64, f64) {
         bpext_bytes: 1 << 20,
         tempdb_bytes: 4 << 20,
         data_bytes: 128 << 20,
-        spindles: 20,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let sb_db = Design::LocalMemory
         .build_for(&cluster, &mut clock, sb, &sb_opts)

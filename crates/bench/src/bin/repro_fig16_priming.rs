@@ -27,14 +27,7 @@ fn opts(pool_mb: u64) -> DbOptions {
         bpext_bytes: 16 << 20,
         tempdb_bytes: 8 << 20,
         data_bytes: 512 << 20,
-        spindles: 20,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     }
 }
 

@@ -20,15 +20,7 @@ fn run(design: Design, pool_mb: u64) -> (f64, f64) {
         pool_bytes: pool_mb << 20,
         bpext_bytes: 32 << 20, // fixed remote memory, fits the working set
         tempdb_bytes: 4 << 20,
-        data_bytes: 256 << 20,
-        spindles: 20,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let mut clock = Clock::new();
     let db = design.build(&cluster, &mut clock, &opts).expect("build");

@@ -34,14 +34,7 @@ fn main() {
             bpext_bytes: 30 << 20,
             tempdb_bytes: 4 << 20,
             data_bytes: 128 << 20,
-            spindles: 20,
-            oltp: true,
-            workspace_bytes: None,
-            replicas: 1,
-            fault_log: None,
-            metrics: None,
-            remote_wal: false,
-            wal_ring_bytes: 8 << 20,
+            ..DbOptions::small()
         };
         let mut clock = Clock::new();
         let mut dbs = Vec::new();

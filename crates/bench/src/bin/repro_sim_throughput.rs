@@ -14,7 +14,7 @@
 //! host-dependent, so it is reported only as volatile notes — one of them
 //! in the machine-parseable form `throughput events_per_sec=<n>` that
 //! `remem-bench --throughput` compares against the committed floor in
-//! `results/baselines/sim_throughput_floor.json` (see EXPERIMENTS.md for
+//! `crates/bench/src/sim_throughput_floor.json` (see EXPERIMENTS.md for
 //! the refresh procedure).
 
 use remem_bench::Report;

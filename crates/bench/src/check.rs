@@ -1,24 +1,29 @@
-//! `remem-bench --check`: compare a fresh run against committed baselines.
+//! `remem-bench --check`: compare a fresh run against the committed reports.
 //!
-//! The comparator does NOT diff bytes — runtimes legitimately move as the
-//! simulator evolves. Instead, for every baseline report it finds the
-//! current report of the same name and asserts the things the paper
-//! actually claims:
+//! Both gates pair every `BENCH_<name>.json` in the **fresh** directory with
+//! the committed file of the same name; which reports are gated is decided
+//! by which binaries the caller ran, not by a list kept here. A fresh report
+//! with no committed counterpart fails, an empty fresh directory is an
+//! error, and files that are not reports (`BENCHMARK.json`) are skipped.
 //!
-//! 1. every check recorded in the baseline still *re-derives* to pass from
-//!    the **current** run's data (shape claims like "Custom ≥ SMBDirect ≥
-//!    SMB" or "flat across donors" are re-evaluated, not trusted), and
+//! `--check` does NOT diff bytes — runtimes legitimately move as the
+//! simulator evolves. It asserts the things the paper actually claims:
+//!
+//! 1. every check recorded in the committed report still *re-derives* to
+//!    pass from the **current** run's data (shape claims like "Custom ≥
+//!    SMBDirect ≥ SMB" or "flat across donors" are re-evaluated, not
+//!    trusted), and
 //! 2. every designated gauge stays within its recorded drift tolerance of
-//!    the baseline value.
+//!    the committed value.
 //!
-//! A missing current file, missing check id, missing gauge, or schema
-//! mismatch is a failure: silently dropping a figure from the gate would be
-//! worse than a regression.
+//! A missing check id, missing gauge, or schema mismatch is a failure:
+//! silently dropping a claim from the gate would be worse than a
+//! regression. `--identical` compares determinism fingerprints instead.
 
 use std::path::Path;
 
 use crate::json::{parse, Json};
-use crate::report::{evaluate, DRIFT_EPSILON, SCHEMA};
+use crate::report::{evaluate, report_names, report_path, DRIFT_EPSILON, SCHEMA};
 
 /// One comparator finding; `ok == false` fails the gate.
 pub struct Finding {
@@ -27,102 +32,60 @@ pub struct Finding {
     pub ok: bool,
 }
 
-/// Compare every `*.json` baseline under `baseline_dir` with its same-named
-/// counterpart under `current_dir`. Returns all findings (pass and fail).
-/// Baseline files carrying a different schema (e.g. the throughput floor,
-/// `remem-bench/throughput-floor/v1`, which lives beside the report
-/// baselines but is consumed by `--throughput`) are not reports and are
-/// skipped.
-pub fn check_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<Vec<Finding>, String> {
-    let mut names: Vec<String> = Vec::new();
-    let entries = std::fs::read_dir(baseline_dir)
-        .map_err(|e| format!("read baseline dir {}: {e}", baseline_dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("read baseline dir: {e}"))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".json") {
-            names.push(name);
-        }
-    }
+/// Each fresh report paired with its committed counterpart, as `(report
+/// name, committed, fresh)`. A fresh report with nothing committed to pair
+/// with is recorded in `out` as a failure.
+fn pairs(
+    committed: &Path,
+    fresh: &Path,
+    out: &mut Vec<Finding>,
+) -> Result<Vec<(String, Json, Json)>, String> {
+    let names = report_names(fresh)?;
     if names.is_empty() {
-        return Err(format!("no *.json baselines in {}", baseline_dir.display()));
+        return Err(format!("no BENCH_*.json reports in {}", fresh.display()));
     }
-    names.sort();
-    let mut findings = Vec::new();
-    for name in names {
-        let base = load(&baseline_dir.join(&name))?;
-        if base.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-            continue;
-        }
-        let report = name.trim_end_matches(".json").to_string();
-        let cur_path = current_dir.join(&name);
-        if !cur_path.exists() {
-            findings.push(Finding {
+    let mut pairs = Vec::new();
+    for report in names {
+        let base = report_path(committed, &report);
+        if !base.exists() {
+            out.push(Finding {
+                what: format!("nothing committed at {}", base.display()),
                 report,
-                what: format!("current run produced no {name}"),
                 ok: false,
             });
             continue;
         }
-        let cur = load(&cur_path)?;
+        let (base, cur) = (load(&base)?, load(&report_path(fresh, &report))?);
+        pairs.push((report, base, cur));
+    }
+    Ok(pairs)
+}
+
+/// Compare every report in `fresh` with the committed report of the same
+/// name in `committed`. Returns all findings (pass and fail).
+pub fn check_dirs(committed: &Path, fresh: &Path) -> Result<Vec<Finding>, String> {
+    let mut findings = Vec::new();
+    for (report, base, cur) in pairs(committed, fresh, &mut findings)? {
         compare(&report, &base, &cur, &mut findings);
     }
     Ok(findings)
 }
 
-/// `remem-bench --identical`: assert that two results directories carry the
-/// same determinism fingerprints. Used by CI as the replay gate: two runs
-/// of the same binaries must agree on every semantic byte (volatile lines
-/// are already outside the fingerprint). Unlike [`check_dirs`], files missing from *either*
-/// side fail — an absent report would make the equality vacuous.
-pub fn identical_dirs(dir_a: &Path, dir_b: &Path) -> Result<Vec<Finding>, String> {
-    let list = |dir: &Path| -> Result<Vec<String>, String> {
-        let mut names = Vec::new();
-        let entries =
-            std::fs::read_dir(dir).map_err(|e| format!("read dir {}: {e}", dir.display()))?;
-        for entry in entries {
-            let name = entry
-                .map_err(|e| format!("read dir: {e}"))?
-                .file_name()
-                .to_string_lossy()
-                .into_owned();
-            if name.ends_with(".json") {
-                names.push(name);
-            }
-        }
-        names.sort();
-        Ok(names)
-    };
-    let (names_a, names_b) = (list(dir_a)?, list(dir_b)?);
-    if names_a.is_empty() {
-        return Err(format!("no *.json reports in {}", dir_a.display()));
-    }
+/// `remem-bench --identical`: assert that every report in `fresh` carries
+/// the same determinism fingerprint as its counterpart in `committed`. CI's
+/// replay gate: two runs of the same binaries on one machine must agree on
+/// every semantic byte (volatile lines are already outside the
+/// fingerprint).
+pub fn identical_dirs(committed: &Path, fresh: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
-    for name in names_b.iter().filter(|n| !names_a.contains(n)) {
-        findings.push(Finding {
-            report: name.trim_end_matches(".json").to_string(),
-            what: format!("present only in {}", dir_b.display()),
-            ok: false,
-        });
-    }
-    for name in &names_a {
-        let report = name.trim_end_matches(".json").to_string();
-        if !names_b.contains(name) {
-            findings.push(Finding {
-                report,
-                what: format!("present only in {}", dir_a.display()),
-                ok: false,
-            });
-            continue;
-        }
-        let fp = |dir: &Path| -> Result<String, String> {
-            load(&dir.join(name))?
-                .get("fingerprint")
+    for (report, a, b) in pairs(committed, fresh, &mut findings)? {
+        let fp = |doc: &Json| -> Result<String, String> {
+            doc.get("fingerprint")
                 .and_then(Json::as_str)
                 .map(str::to_string)
-                .ok_or_else(|| format!("{} has no fingerprint", dir.join(name).display()))
+                .ok_or_else(|| format!("report {report} has no fingerprint"))
         };
-        let (fa, fb) = (fp(dir_a)?, fp(dir_b)?);
+        let (fa, fb) = (fp(&a)?, fp(&b)?);
         findings.push(Finding {
             report,
             what: if fa == fb {
@@ -376,27 +339,77 @@ mod tests {
         assert!(findings.iter().any(|f| !f.ok && f.what.contains("schema")));
     }
 
+    /// A committed and a fresh directory under a per-test temp root.
+    fn dirs(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, std::path::PathBuf) {
+        let tmp = std::env::temp_dir().join(format!("remem-bench-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&tmp).ok();
+        let (committed, fresh) = (tmp.join("committed"), tmp.join("fresh"));
+        std::fs::create_dir_all(&committed).unwrap();
+        std::fs::create_dir_all(&fresh).unwrap();
+        (tmp, committed, fresh)
+    }
+
+    fn sample() -> String {
+        report_doc(&[("SMB", 272.0), ("Custom", 13.0)], 13.0).to_pretty()
+    }
+
     #[test]
     fn identical_dirs_compares_fingerprints() {
-        let tmp = std::env::temp_dir().join(format!("remem-bench-ident-{}", std::process::id()));
-        let (a, b) = (tmp.join("a"), tmp.join("b"));
-        std::fs::create_dir_all(&a).unwrap();
-        std::fs::create_dir_all(&b).unwrap();
-        let same = report_doc(&[("SMB", 272.0), ("Custom", 13.0)], 13.0).to_pretty();
-        std::fs::write(a.join("fig.json"), &same).unwrap();
-        std::fs::write(b.join("fig.json"), &same).unwrap();
+        let (tmp, a, b) = dirs("ident");
+        let same = sample();
+        std::fs::write(a.join("BENCH_fig.json"), &same).unwrap();
+        std::fs::write(b.join("BENCH_fig.json"), &same).unwrap();
         let findings = identical_dirs(&a, &b).unwrap();
         assert!(findings.iter().all(|f| f.ok), "same doc must agree");
         // a semantic difference flips the fingerprint and fails
         let diff = report_doc(&[("SMB", 272.0), ("Custom", 14.0)], 14.0).to_pretty();
-        std::fs::write(b.join("fig.json"), &diff).unwrap();
+        std::fs::write(b.join("BENCH_fig.json"), &diff).unwrap();
         let findings = identical_dirs(&a, &b).unwrap();
         assert!(findings.iter().any(|f| !f.ok && f.what.contains("differ")));
-        // a report present on only one side fails in either direction
-        std::fs::write(b.join("fig.json"), &same).unwrap();
-        std::fs::write(b.join("extra.json"), &same).unwrap();
+        // a fresh report with nothing committed to match fails
+        std::fs::write(b.join("BENCH_fig.json"), &same).unwrap();
+        std::fs::write(b.join("BENCH_extra.json"), &same).unwrap();
         let findings = identical_dirs(&a, &b).unwrap();
         assert!(findings.iter().any(|f| !f.ok && f.report == "extra"));
+        assert!(findings.iter().any(|f| f.ok && f.report == "fig"));
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    #[test]
+    fn only_the_fresh_reports_are_compared() {
+        let (tmp, committed, fresh) = dirs("only-fresh");
+        std::fs::write(committed.join("BENCH_fig.json"), sample()).unwrap();
+        std::fs::write(committed.join("BENCH_not_rerun.json"), sample()).unwrap();
+        std::fs::write(fresh.join("BENCH_fig.json"), sample()).unwrap();
+        for gate in [check_dirs, identical_dirs] {
+            let findings = gate(&committed, &fresh).unwrap();
+            assert!(findings.iter().all(|f| f.ok && f.report == "fig"));
+        }
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    #[test]
+    fn a_fresh_report_with_no_committed_counterpart_fails() {
+        let (tmp, committed, fresh) = dirs("no-counterpart");
+        std::fs::write(committed.join("BENCH_fig.json"), sample()).unwrap();
+        std::fs::write(fresh.join("BENCH_fig.json"), sample()).unwrap();
+        std::fs::write(fresh.join("BENCH_new.json"), sample()).unwrap();
+        for gate in [check_dirs, identical_dirs] {
+            let findings = gate(&committed, &fresh).unwrap();
+            assert!(findings.iter().any(|f| !f.ok && f.report == "new"));
+        }
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    #[test]
+    fn an_empty_fresh_dir_is_an_error() {
+        let (tmp, committed, fresh) = dirs("empty");
+        std::fs::write(committed.join("BENCH_fig.json"), sample()).unwrap();
+        // a non-report is not a report: the directory still counts as empty
+        std::fs::write(fresh.join("BENCHMARK.json"), "{}").unwrap();
+        for gate in [check_dirs, identical_dirs] {
+            assert!(gate(&committed, &fresh).is_err());
+        }
         std::fs::remove_dir_all(&tmp).ok();
     }
 
@@ -440,29 +453,24 @@ mod tests {
 
     #[test]
     fn check_dirs_round_trip() {
-        let tmp = std::env::temp_dir().join(format!("remem-bench-check-{}", std::process::id()));
-        let (b, c) = (tmp.join("base"), tmp.join("cur"));
-        std::fs::create_dir_all(&b).unwrap();
-        std::fs::create_dir_all(&c).unwrap();
-        let doc = report_doc(&[("SMB", 272.0), ("Custom", 13.0)], 13.0).to_pretty();
-        std::fs::write(b.join("fig.json"), &doc).unwrap();
-        std::fs::write(c.join("fig.json"), &doc).unwrap();
-        let findings = check_dirs(&b, &c).unwrap();
-        assert!(findings.iter().all(|f| f.ok));
-        // a non-report baseline (e.g. the throughput floor) is skipped, not
-        // demanded from the current run
-        std::fs::write(
-            b.join("sim_throughput_floor.json"),
-            "{\"schema\": \"remem-bench/throughput-floor/v1\"}",
-        )
-        .unwrap();
-        let findings = check_dirs(&b, &c).unwrap();
-        assert!(findings.iter().all(|f| f.ok));
-        assert!(!findings.iter().any(|f| f.report.contains("floor")));
-        // a baseline with no current counterpart fails
-        std::fs::write(b.join("gone.json"), &doc).unwrap();
-        let findings = check_dirs(&b, &c).unwrap();
-        assert!(findings.iter().any(|f| !f.ok && f.report == "gone"));
+        let (tmp, committed, fresh) = dirs("check");
+        std::fs::write(committed.join("BENCH_fig.json"), sample()).unwrap();
+        std::fs::write(fresh.join("BENCH_fig.json"), sample()).unwrap();
+        let findings = check_dirs(&committed, &fresh).unwrap();
+        assert!(!findings.is_empty());
+        assert!(findings.iter().all(|f| f.ok && f.report == "fig"));
+        // files that are not reports are skipped on both sides, even when
+        // they do not parse as one
+        for dir in [&committed, &fresh] {
+            std::fs::write(dir.join("BENCHMARK.json"), "{\"command\": []}").unwrap();
+        }
+        let findings = check_dirs(&committed, &fresh).unwrap();
+        assert!(findings.iter().all(|f| f.ok && f.report == "fig"));
+        // a drifted fresh report fails
+        let drifted = report_doc(&[("SMB", 272.0), ("Custom", 20.0)], 20.0).to_pretty();
+        std::fs::write(fresh.join("BENCH_fig.json"), drifted).unwrap();
+        let findings = check_dirs(&committed, &fresh).unwrap();
+        assert!(findings.iter().any(|f| !f.ok && f.report == "fig"));
         std::fs::remove_dir_all(&tmp).ok();
     }
 }

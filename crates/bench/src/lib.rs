@@ -13,7 +13,7 @@ pub use report::Report;
 
 use std::sync::Arc;
 
-use remem::{Cluster, DbOptions, Device, StorageError};
+use remem::{DbOptions, Device, StorageError};
 use remem_sim::metrics::Counter;
 use remem_sim::{Clock, Histogram, SimDuration, SimTime};
 
@@ -130,11 +130,6 @@ pub fn windowed_util(u1: f64, t1: SimTime, u0: f64, t0: SimTime) -> f64 {
     ((u1 * t1.as_nanos() as f64 - u0 * t0.as_nanos() as f64) / span).clamp(0.0, 1.0)
 }
 
-/// Format a `SimDuration` as fractional milliseconds.
-pub fn ms(d: SimDuration) -> String {
-    format!("{:.2}", d.as_millis_f64())
-}
-
 /// Run `tasks` across `streams` concurrent workers (the paper's TPC runs
 /// use 5 streams, Table 4), dealing tasks round-robin and always advancing
 /// the worker with the smallest clock. Returns the makespan and each task's
@@ -188,61 +183,26 @@ pub fn header(figure: &str, what: &str) {
     println!("==============================================================");
 }
 
-/// A fresh two-donor cluster with enough memory for the standard presets.
-pub fn standard_cluster() -> Cluster {
-    Cluster::builder()
-        .memory_servers(2)
-        .memory_per_server(192 << 20)
-        .build()
-}
-
-/// A cluster with `n` donors of `bytes` each, spread placement.
-pub fn spread_cluster(n: usize, bytes: u64) -> Cluster {
-    Cluster::builder()
-        .memory_servers(n)
-        .memory_per_server(bytes)
-        .placement(remem::PlacementPolicy::Spread)
-        .build()
-}
-
-/// RangeScan-shaped sizing (Table 4 row 1, scaled).
+/// RangeScan sizing for Figs 7/8, 9/10 and 11: 2 MiB pool / 32 MiB BPExt /
+/// 8 MiB TempDB. Not a scaled Table 4 row (that is
+/// [`DbOptions::rangescan`], 32 / 128 / 8 MiB): the pool is shrunk so the
+/// figures' 60 000-row customer table (~15 MiB) overflows local memory
+/// many times over while fitting the BPExt whole.
 pub fn rangescan_opts(spindles: usize) -> DbOptions {
     DbOptions {
         pool_bytes: 2 << 20,
         bpext_bytes: 32 << 20,
         tempdb_bytes: 8 << 20,
-        data_bytes: 256 << 20,
         spindles,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     }
 }
 
-/// Hash+Sort-shaped sizing (Table 4 row 2, scaled): scans cached, grants
-/// capped so both operators spill.
-pub fn hashsort_opts(spindles: usize) -> DbOptions {
-    DbOptions {
-        pool_bytes: 64 << 20,
-        bpext_bytes: 8 << 20,
-        tempdb_bytes: 128 << 20,
-        data_bytes: 256 << 20,
-        spindles,
-        oltp: false,
-        workspace_bytes: Some(1 << 20),
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
-    }
-}
-
-/// Decision-support sizing (TPC-H / TPC-DS rows of Table 4, scaled).
+/// Decision-support sizing for Figs 15a, 15b, 18/19 and 20/21: 16 MiB pool /
+/// 64 MiB BPExt / 64 MiB TempDB on a 512 MiB data file, analytics (no SSD
+/// BPExt in HDD+SSD) and a 2 MiB query workspace so joins and sorts spill.
+/// Figs 15b, 18/19 and 20/21 shrink the pool to 2 MiB for memory pressure
+/// (18/19 and 20/21: "64 GB local vs 840 / 900 GB data", scaled).
 pub fn dss_opts(spindles: usize) -> DbOptions {
     DbOptions {
         pool_bytes: 16 << 20,
@@ -252,40 +212,20 @@ pub fn dss_opts(spindles: usize) -> DbOptions {
         spindles,
         oltp: false,
         workspace_bytes: Some(2 << 20),
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     }
 }
 
-/// OLTP sizing (TPC-C row of Table 4, scaled).
+/// OLTP sizing for Figs 22/23: 4 MiB pool / 16 MiB BPExt / 8 MiB TempDB,
+/// so the read-mostly mix's working set exceeds local memory.
 pub fn tpcc_opts(spindles: usize) -> DbOptions {
     DbOptions {
         pool_bytes: 4 << 20,
         bpext_bytes: 16 << 20,
         tempdb_bytes: 8 << 20,
-        data_bytes: 256 << 20,
         spindles,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     }
-}
-
-/// Render one aligned table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
 }
 
 /// Print an aligned table with a left-justified first column.
@@ -331,10 +271,16 @@ mod tests {
 
     #[test]
     fn presets_build() {
-        let c = standard_cluster();
-        assert_eq!(c.memory_servers.len(), 2);
+        let c = remem::Cluster::builder()
+            .memory_servers(2)
+            .memory_per_server(192 << 20)
+            .build();
+        for opts in [rangescan_opts(8), dss_opts(8), tpcc_opts(8)] {
+            assert_eq!(opts.spindles, 8);
+            let mut clock = Clock::new();
+            remem::Design::Custom.build(&c, &mut clock, &opts).unwrap();
+        }
         assert!(rangescan_opts(20).oltp);
-        assert!(!hashsort_opts(20).oltp);
         assert!(dss_opts(20).workspace_bytes.is_some());
         assert!(tpcc_opts(20).oltp);
     }

@@ -1,20 +1,24 @@
 //! `remem-bench` — the perf-regression gate CLI.
 //!
 //! ```text
-//! remem-bench --check <baseline_dir> [--current <dir>]
-//! remem-bench --identical <dir_a> <dir_b>
+//! remem-bench --check <committed_dir> [--current <fresh_dir>]
+//! remem-bench --identical <committed_dir> <fresh_dir>
 //! remem-bench --throughput <report.json> --floor <floor.json>
 //! ```
 //!
-//! `--check` compares the current run's `results/*.json` (or `--current
-//! <dir>`) against committed baselines, re-deriving every figure's
-//! qualitative claims and gauge tolerances (see `src/check.rs`). Exits
-//! non-zero on any failed finding — this is what CI's `bench-regression`
-//! job gates on.
+//! Binaries write `BENCH_<name>.json` to `REMEM_BENCH_ROOT` (default: the
+//! repo root, where each report is committed once). Point it at a scratch
+//! directory for a fresh run, then:
 //!
-//! `--identical` asserts that two results directories carry identical
-//! determinism fingerprints — CI runs the fast subset twice and gates on
-//! this to prove a report replays byte for byte.
+//! `--check` compares every `BENCH_*.json` in the fresh directory
+//! (`--current`, default `REMEM_BENCH_ROOT`) with the committed report of
+//! the same name, re-deriving every figure's qualitative claims and gauge
+//! tolerances (see `src/check.rs`). Exits non-zero on any failed finding —
+//! this is what CI's `bench-regression` job gates on.
+//!
+//! `--identical` asserts that every fresh report carries the same
+//! determinism fingerprint as its committed counterpart — CI runs the gated
+//! reports twice and gates on this to prove a report replays byte for byte.
 //!
 //! `--throughput` compares the wall-clock events/sec a report recorded in
 //! its volatile section against a committed floor file — the CI gate that
@@ -24,7 +28,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use remem_bench::check::{check_dirs, identical_dirs, throughput_gate};
-use remem_bench::report::results_dir;
+use remem_bench::report::bench_root;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,12 +86,12 @@ fn main() -> ExitCode {
         identical_dirs(&a, &b)
     } else {
         let Some(baseline) = baseline else {
-            eprintln!("missing --check <baseline_dir> (or --identical <a> <b>)");
+            eprintln!("missing --check <committed_dir> (or --identical <a> <b>)");
             return usage(ExitCode::FAILURE);
         };
-        let current = current.unwrap_or_else(results_dir);
+        let current = current.unwrap_or_else(bench_root);
         println!(
-            "remem-bench: checking {} against baselines in {}",
+            "remem-bench: checking {} against the committed reports in {}",
             current.display(),
             baseline.display()
         );
@@ -122,8 +126,8 @@ fn main() -> ExitCode {
 }
 
 fn usage(code: ExitCode) -> ExitCode {
-    eprintln!("usage: remem-bench --check <baseline_dir> [--current <results_dir>]");
-    eprintln!("       remem-bench --identical <results_dir_a> <results_dir_b>");
+    eprintln!("usage: remem-bench --check <committed_dir> [--current <fresh_dir>]");
+    eprintln!("       remem-bench --identical <committed_dir> <fresh_dir>");
     eprintln!("       remem-bench --throughput <report.json> --floor <floor.json>");
     code
 }

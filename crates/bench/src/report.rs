@@ -8,12 +8,14 @@
 //! `--check` comparator can re-derive each claim from a later run instead
 //! of trusting a recorded boolean.
 //!
-//! [`Report::finish`] serializes everything (schema `remem-bench/v1`) to
-//! `results/<name>.json` and `BENCH_<name>.json` at the repo root, stamps a
-//! determinism fingerprint, and exits non-zero if any check failed. Nothing
-//! in the document depends on wall time: two same-seed runs must produce
-//! byte-identical files.
+//! [`Report::finish`] serializes everything (schema `remem-bench/v1`) to one
+//! file, `<root>/BENCH_<name>.json` ([`bench_root`]), stamps a determinism
+//! [`fingerprint`], and exits non-zero if any check failed. Nothing in the
+//! document outside `volatile` depends on wall time: two same-seed runs must
+//! produce byte-identical files. The committed `BENCH_<name>.json` is both
+//! the public record and the baseline `remem-bench --check` compares with.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use remem_sim::{MetricsRegistry, MetricsSnapshot};
@@ -101,7 +103,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Start a report. `name` keys the output files (`results/<name>.json`);
+    /// Start a report. `name` keys the output file (`BENCH_<name>.json`);
     /// `figure` and `title` are the human header, which is printed
     /// immediately in the same style the text-only harness used.
     pub fn new(name: &str, figure: &str, title: &str) -> Report {
@@ -282,7 +284,7 @@ impl Report {
     /// what the determinism fingerprint covers.
     pub fn to_json(&self) -> Json {
         let mut doc = self.body();
-        let fp = fnv1a_64(doc.to_compact().as_bytes());
+        let fp = fingerprint(&doc);
         if let Json::Obj(fields) = &mut doc {
             // right after "title", so the fingerprint is near the top of the
             // file where a human diffing baselines will see it first
@@ -290,13 +292,7 @@ impl Report {
                 .iter()
                 .position(|(k, _)| k == "title")
                 .map_or(0, |i| i + 1);
-            fields.insert(
-                at,
-                (
-                    "fingerprint".to_string(),
-                    Json::str(format!("fnv1a:{fp:016x}")),
-                ),
-            );
+            fields.insert(at, ("fingerprint".to_string(), Json::str(fp)));
             // Volatile lines join the document only after the fingerprint
             // is computed: run-dependent values (wall clock) must never
             // influence determinism comparisons.
@@ -398,9 +394,9 @@ impl Report {
         ])
     }
 
-    /// Write `results/<name>.json` and `BENCH_<name>.json`, print a summary
-    /// line, and exit the process — non-zero if any check failed, so CI and
-    /// shell pipelines see figure breakage without parsing anything.
+    /// Write `<root>/BENCH_<name>.json`, print a summary line, and exit the
+    /// process — non-zero if any check failed, so CI and shell pipelines see
+    /// figure breakage without parsing anything.
     pub fn finish(self) -> ! {
         let failed: Vec<&str> = self
             .checks
@@ -408,29 +404,20 @@ impl Report {
             .filter(|c| !c.pass)
             .map(|c| c.id.as_str())
             .collect();
-        let doc = self.to_json().to_pretty();
-        let results = results_dir();
         let root = bench_root();
-        let mut write_err = None;
-        if let Err(e) = std::fs::create_dir_all(&results) {
-            write_err = Some(format!("create {}: {e}", results.display()));
-        }
-        for path in [
-            results.join(format!("{}.json", self.name)),
-            root.join(format!("BENCH_{}.json", self.name)),
-        ] {
-            if let Err(e) = std::fs::write(&path, &doc) {
-                write_err = Some(format!("write {}: {e}", path.display()));
-            }
-        }
+        let path = report_path(&root, &self.name);
+        let write_err = std::fs::create_dir_all(&root)
+            .and_then(|()| std::fs::write(&path, self.to_json().to_pretty()))
+            .err()
+            .map(|e| format!("write {}: {e}", path.display()));
         println!();
         match (&write_err, failed.is_empty()) {
             (Some(err), _) => println!("[report] {}: ERROR {err}", self.name),
             (None, true) => println!(
-                "[report] {}: {} checks pass, json written to results/{}.json",
+                "[report] {}: {} checks pass, json written to {}",
                 self.name,
                 self.checks.len(),
-                self.name
+                path.display()
             ),
             (None, false) => {
                 println!(
@@ -545,22 +532,58 @@ fn snapshot_json(s: &MetricsSnapshot) -> Json {
     ])
 }
 
-/// Repo root: `REMEM_BENCH_ROOT` if set (CI), else two levels above this
-/// crate's manifest (`crates/bench` → repo root).
-pub fn bench_root() -> std::path::PathBuf {
+/// The determinism fingerprint of a report document: FNV-1a over the
+/// compact form of everything but `fingerprint` itself and the `volatile`
+/// lines. [`Report::to_json`] stamps it, and a committed report must
+/// recompute to the value it carries — so a hand edit shows.
+pub fn fingerprint(doc: &Json) -> String {
+    let semantic = match doc {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| k != "fingerprint" && k != "volatile")
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    };
+    format!("fnv1a:{:016x}", fnv1a_64(semantic.to_compact().as_bytes()))
+}
+
+/// Where reports land: `REMEM_BENCH_ROOT` if set (CI and scratch sweeps),
+/// else the repo root, two levels above this crate's manifest
+/// (`crates/bench` → repo root).
+pub fn bench_root() -> PathBuf {
     match std::env::var_os("REMEM_BENCH_ROOT") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
+        Some(p) => PathBuf::from(p),
+        None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
     }
 }
 
-/// Where `<name>.json` lands: `REMEM_RESULTS_DIR` if set, else
-/// `<root>/results`.
-pub fn results_dir() -> std::path::PathBuf {
-    match std::env::var_os("REMEM_RESULTS_DIR") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => bench_root().join("results"),
+/// The file report `name` is written to under `root`: `BENCH_<name>.json`.
+pub fn report_path(root: &Path, name: &str) -> PathBuf {
+    root.join(format!("BENCH_{name}.json"))
+}
+
+/// The names of the reports under `dir` (its `BENCH_<name>.json` files),
+/// sorted. Anything else there (`BENCHMARK.json`, sources) is not a report.
+pub fn report_names(dir: &Path) -> Result<Vec<String>, String> {
+    let mut names = Vec::new();
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("read dir {}: {e}", dir.display()))?;
+    for entry in entries {
+        let file = entry
+            .map_err(|e| format!("read dir {}: {e}", dir.display()))?
+            .file_name();
+        let file = file.to_string_lossy();
+        if let Some(name) = file
+            .strip_prefix("BENCH_")
+            .and_then(|f| f.strip_suffix(".json"))
+        {
+            names.push(name.to_string());
+        }
     }
+    names.sort();
+    Ok(names)
 }
 
 #[cfg(test)]
@@ -651,6 +674,23 @@ mod tests {
         let mut semantic = sample_report();
         semantic.note("an extra semantic note");
         assert_ne!(fp_of(&plain), fp_of(&semantic.to_json()));
+    }
+
+    #[test]
+    fn a_hand_edited_value_no_longer_recomputes_to_its_fingerprint() {
+        let mut r = sample_report();
+        r.volatile_note("host wall clock: 123.4 ms");
+        let text = r.to_json().to_pretty();
+        let recomputes = |text: &str| {
+            let doc = parse(text).unwrap();
+            doc.get("fingerprint").and_then(Json::as_str) == Some(fingerprint(&doc).as_str())
+        };
+        // the written file recomputes to what it carries, volatile line and all
+        assert!(recomputes(&text));
+        // one gauge value edited by hand, fingerprint left as it was
+        let edited = text.replacen("\"value\": 13", "\"value\": 14", 1);
+        assert_ne!(edited, text);
+        assert!(!recomputes(&edited));
     }
 
     #[test]

@@ -108,7 +108,10 @@ pub struct DbOptions {
 }
 
 impl DbOptions {
-    /// A small configuration suitable for tests and examples.
+    /// A small configuration suitable for tests and examples. This is the
+    /// one place every field is spelled out: every other configuration in
+    /// the workspace is a struct update (`..DbOptions::small()`), so a new
+    /// knob is added here and nowhere else.
     pub fn small() -> DbOptions {
         DbOptions {
             pool_bytes: 8 << 20,
@@ -126,22 +129,17 @@ impl DbOptions {
         }
     }
 
-    /// The scaled RangeScan row of Table 4 (32 GB local / 128 GB BPExt /
-    /// 8 GB TempDB → MB at 1/1000).
+    /// The RangeScan row of Table 4 at 1/1000: 32 GB local / 128 GB BPExt /
+    /// 8 GB TempDB become 32 / 128 / 8 MiB, on a 512 MiB data file. The
+    /// `rangescan_ro` / `rangescan_upd` benchmark workloads build on it; the
+    /// Fig 7–11 binaries use the smaller `remem_bench::rangescan_opts`.
     pub fn rangescan() -> DbOptions {
         DbOptions {
             pool_bytes: 32 << 20,
             bpext_bytes: 128 << 20,
             tempdb_bytes: 8 << 20,
-            spindles: 20,
             data_bytes: 512 << 20,
-            oltp: true,
-            workspace_bytes: None,
-            replicas: 1,
-            remote_wal: false,
-            wal_ring_bytes: 8 << 20,
-            fault_log: None,
-            metrics: None,
+            ..DbOptions::small()
         }
     }
 }
@@ -166,6 +164,13 @@ impl Design {
         server: ServerId,
         opts: &DbOptions,
     ) -> Result<Arc<Database>, StorageError> {
+        // resolve the server before anything is leased, so an unknown id
+        // fails cleanly instead of stranding remote memory
+        let cpu = cluster
+            .fabric
+            .server(server)
+            .map_err(|e| StorageError::Unavailable(e.to_string()))?
+            .cpu_handle();
         let hdd = |capacity: u64| -> Arc<dyn Device> {
             Arc::new(HddArray::new(HddConfig::with_spindles(
                 opts.spindles,
@@ -234,11 +239,6 @@ impl Design {
             cfg.workspace_bytes = ws;
         }
         cfg.metrics = opts.metrics.clone().or_else(|| cluster.metrics());
-        let cpu = cluster
-            .fabric
-            .server(server)
-            .expect("server exists")
-            .cpu_handle();
         let db = Arc::new(Database::new(
             cfg,
             cpu,
@@ -312,6 +312,22 @@ mod tests {
             } else {
                 assert_eq!(after, before, "{} must not lease", design.label());
             }
+        }
+    }
+
+    #[test]
+    fn unknown_server_is_an_error_and_leases_nothing() {
+        for design in Design::ALL {
+            let c = cluster();
+            let before = c.available_remote_bytes();
+            let mut clock = Clock::new();
+            let built = design.build_for(&c, &mut clock, ServerId(999), &DbOptions::small());
+            assert!(
+                built.is_err(),
+                "{} must reject ServerId(999)",
+                design.label()
+            );
+            assert_eq!(c.available_remote_bytes(), before, "{}", design.label());
         }
     }
 

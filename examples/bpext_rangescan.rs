@@ -16,14 +16,7 @@ fn main() {
         bpext_bytes: 24 << 20,
         tempdb_bytes: 8 << 20,
         data_bytes: 128 << 20,
-        spindles: 20,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let rows = 60_000; // ~15 MiB of 245-byte customer rows
     let params = RangeScanParams {

@@ -22,15 +22,8 @@ fn main() {
         pool_bytes: 16 << 20,
         bpext_bytes: 16 << 20,
         tempdb_bytes: 32 << 20,
-        data_bytes: 256 << 20,
-        spindles: 20,
         oltp: false,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let db = Design::Custom
         .build(&cluster, &mut clock, &opts)

@@ -12,15 +12,9 @@ fn main() {
         pool_bytes: 64 << 20, // scans fit in memory: TempDB is the bottleneck
         bpext_bytes: 16 << 20,
         tempdb_bytes: 96 << 20,
-        data_bytes: 256 << 20,
-        spindles: 20,
         oltp: false,                    // analytics: HDD+SSD keeps BPExt off (Table 5)
         workspace_bytes: Some(2 << 20), // small grants force the spill
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let params = HashSortParams {
         orders: 12_000,

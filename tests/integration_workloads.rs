@@ -23,14 +23,7 @@ fn rangescan_design_ordering() {
         bpext_bytes: 24 << 20,
         tempdb_bytes: 8 << 20,
         data_bytes: 128 << 20,
-        spindles: 20,
-        oltp: true,
-        workspace_bytes: None,
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let params = RangeScanParams {
         workers: 20,
@@ -79,15 +72,9 @@ fn hashsort_design_ordering() {
         pool_bytes: 64 << 20,
         bpext_bytes: 8 << 20,
         tempdb_bytes: 96 << 20,
-        data_bytes: 256 << 20,
-        spindles: 20,
         oltp: false,
         workspace_bytes: Some(1 << 20),
-        replicas: 1,
-        fault_log: None,
-        metrics: None,
-        remote_wal: false,
-        wal_ring_bytes: 8 << 20,
+        ..DbOptions::small()
     };
     let params = HashSortParams {
         orders: 8_000,
