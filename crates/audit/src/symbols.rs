@@ -492,7 +492,18 @@ impl<'a> Extractor<'a> {
                 .iter()
                 .position(|s| *s == "where")
                 .unwrap_or(tail.len());
-            tail[..stop]
+            // only idents outside `<…>`: `Observed<O>` is `Observed`, not `O`
+            let mut depth = 0i32;
+            let mut outer = Vec::new();
+            for (k, s) in tail[..stop].iter().enumerate() {
+                match *s {
+                    "<" => depth += 1,
+                    ">" if k == 0 || tail[k - 1] != "-" => depth -= 1,
+                    _ if depth == 0 => outer.push(*s),
+                    _ => {}
+                }
+            }
+            outer
                 .iter()
                 .rfind(|s| {
                     s.chars()
@@ -1459,6 +1470,18 @@ mod tests {
             fns_of("impl Device for Ssd { fn read(&self, clock: &mut Clock) { clock.tick(); } }");
         assert_eq!(s.fns[0].self_ty.as_deref(), Some("Ssd"));
         assert!(s.fns[0].direct_charge);
+    }
+
+    #[test]
+    fn generic_impl_uses_the_type_not_its_parameter() {
+        let s = fns_of(
+            "impl<O: IoObserver> Device for Observed<O> { \
+             fn read(&self, clock: &mut Clock) { self.inner.read(clock); } } \
+             impl<O> Observed<O> where O: IoObserver { fn observer(&self) {} }",
+        );
+        assert_eq!(s.fns[0].self_ty.as_deref(), Some("Observed"));
+        assert!(s.fns[0].calls[0].forwards_clock);
+        assert_eq!(s.fns[1].self_ty.as_deref(), Some("Observed"));
     }
 
     #[test]

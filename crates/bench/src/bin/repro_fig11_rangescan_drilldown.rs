@@ -9,10 +9,10 @@
 use std::sync::Arc;
 
 use remem::{Cluster, Design, Device};
-use remem_bench::{rangescan_opts, windowed_util, InstrumentedDevice, Report};
+use remem_bench::{rangescan_opts, windowed_util, Report};
 use remem_engine::{Database, DbConfig, DeviceSet};
 use remem_rfile::RFileConfig;
-use remem_sim::{Clock, SimDuration};
+use remem_sim::{Clock, MetricsRegistry, SimDuration};
 use remem_storage::{HddArray, HddConfig, Ssd, SsdConfig};
 use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
@@ -37,8 +37,9 @@ fn main() {
             .memory_per_server(96 << 20)
             .build();
         let mut clock = Clock::new();
-        // build the design manually so the BPExt device is instrumented
-        let ext_inner: Arc<dyn Device> = match design {
+        // build the design manually: the other roles stay fixed local
+        // devices whatever the BPExt is
+        let ext: Arc<dyn Device> = match design {
             Design::HddSsd => Arc::new(Ssd::new(SsdConfig::with_capacity(opts.bpext_bytes))),
             Design::SmbDirectRamDrive => cluster
                 .remote_file(
@@ -57,9 +58,13 @@ fn main() {
                 )
                 .unwrap(),
         };
-        let ext = InstrumentedDevice::new(ext_inner);
+        // a registry of the figure's own, so the report's metrics dump stays
+        // empty; the engine meters every role, the figure reads the BPExt
+        let registry = MetricsRegistry::shared();
+        let mut cfg = DbConfig::with_pool(opts.pool_bytes);
+        cfg.metrics = Some(Arc::clone(&registry));
         let db = Database::new(
-            DbConfig::with_pool(opts.pool_bytes),
+            cfg,
             cluster
                 .fabric
                 .server(cluster.db_server)
@@ -69,17 +74,23 @@ fn main() {
                 data: Arc::new(HddArray::new(HddConfig::with_spindles(20, opts.data_bytes))),
                 log: Arc::new(HddArray::new(HddConfig::with_spindles(20, 64 << 20))),
                 tempdb: Arc::new(Ssd::new(SsdConfig::with_capacity(opts.tempdb_bytes))),
-                bpext: Some(Arc::clone(&ext) as Arc<dyn Device>),
+                bpext: Some(ext),
                 wal_ring: None,
             },
         );
         let t = load_customer(&db, &mut clock, ROWS);
+        let bytes = [
+            registry.counter("storage.bpext.read.bytes"),
+            registry.counter("storage.bpext.write.bytes"),
+        ];
+        let read_lat = registry.histogram("storage.bpext.read.lat");
         let mut rows = Vec::new();
         let cpu = db.cpu();
         let mut start = clock.now();
         let (mut last_mbs, mut last_cpu, mut last_lat) = (0.0, 0.0, 0.0);
         for w in 0..WINDOWS {
-            ext.reset();
+            bytes.iter().for_each(|c| c.reset());
+            read_lat.reset();
             let u0 = cpu.utilization(start);
             run_rangescan(
                 &db,
@@ -93,9 +104,10 @@ fn main() {
             );
             let end = start + WINDOW;
             let u1 = cpu.utilization(end);
-            last_mbs = ext.total_bytes() as f64 / WINDOW.as_secs_f64() / 1e6;
+            let moved: u64 = bytes.iter().map(|c| c.get()).sum();
+            last_mbs = moved as f64 / WINDOW.as_secs_f64() / 1e6;
             last_cpu = windowed_util(u1, end, u0, start) * 100.0;
-            last_lat = ext.reads.mean().as_micros_f64();
+            last_lat = read_lat.mean().as_micros_f64();
             rows.push(vec![
                 format!("{:.1}", (w as f64 + 1.0) * WINDOW.as_secs_f64()),
                 format!("{last_mbs:.0}"),

@@ -12,65 +12,42 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use remem::{Cluster, Design, Device, StorageError};
+use remem::{Cluster, Design, Device};
 use remem_bench::{windowed_util, Report};
 use remem_engine::{Database, DbConfig, DeviceSet};
 use remem_rfile::RFileConfig;
 use remem_sim::metrics::TimeSeries;
-use remem_sim::{Clock, SimDuration, Stopwatch};
-use remem_storage::{HddArray, HddConfig, Ssd, SsdConfig};
+use remem_sim::{Clock, SimDuration, SpanToken, Stopwatch};
+use remem_storage::{HddArray, HddConfig, Io, IoKind, IoObserver, Observed, Ssd, SsdConfig};
 use remem_workloads::hashsort::{load_tables, run_hash_sort, HashSortParams};
 
-/// Device wrapper bucketing read/write bytes by virtual time (Fig. 14b).
-struct SeriesDevice {
-    inner: Arc<dyn Device>,
-    reads: Mutex<TimeSeries>,
-    writes: Mutex<TimeSeries>,
+/// TempDB read / write bytes bucketed by the virtual instant each call
+/// completes (Fig. 14b).
+struct Series {
+    reads: TimeSeries,
+    writes: TimeSeries,
 }
 
-impl SeriesDevice {
-    fn new(inner: Arc<dyn Device>) -> Arc<SeriesDevice> {
-        let w = SimDuration::from_millis(100);
-        Arc::new(SeriesDevice {
-            inner,
-            reads: Mutex::new(TimeSeries::new(w)),
-            writes: Mutex::new(TimeSeries::new(w)),
-        })
+impl IoObserver for Series {
+    fn after(&self, _: Option<SpanToken>, io: &Io<'_>) {
+        let series = match io.kind {
+            IoKind::Read => &self.reads,
+            IoKind::Write => &self.writes,
+            IoKind::Force => return,
+        };
+        let bytes: usize = io.requests().map(|(len, _)| len).sum();
+        series.record(io.done, bytes as f64);
     }
 }
 
-impl Device for SeriesDevice {
-    fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        let r = self.inner.read(clock, offset, buf);
-        self.reads.lock().record(clock.now(), buf.len() as f64);
-        r
-    }
-
-    fn write(&self, clock: &mut Clock, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let r = self.inner.write(clock, offset, data);
-        self.writes.lock().record(clock.now(), data.len() as f64);
-        r
-    }
-
-    // `force` and `drain_lost_ranges` must forward: the defaults are a free
-    // no-op and an empty answer, which would hide a log device's durability
-    // charge and a self-healed file's zeroed ranges from the engine above.
-    fn force(&self, clock: &mut Clock) -> Result<(), StorageError> {
-        self.inner.force(clock)
-    }
-
-    fn capacity(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    fn label(&self) -> String {
-        self.inner.label()
-    }
-
-    fn drain_lost_ranges(&self) -> Vec<(u64, u64)> {
-        self.inner.drain_lost_ranges()
-    }
+/// `inner` with its reads and writes bucketed in 100 ms windows.
+fn series_device(inner: Arc<dyn Device>) -> Arc<Observed<Series>> {
+    let width = SimDuration::from_millis(100);
+    let series = Series {
+        reads: TimeSeries::new(width),
+        writes: TimeSeries::new(width),
+    };
+    Arc::new(Observed::new(inner, series))
 }
 
 fn main() {
@@ -130,7 +107,7 @@ fn main() {
                 )
                 .unwrap(),
         };
-        let tempdb = SeriesDevice::new(tempdb_inner);
+        let tempdb = series_device(tempdb_inner);
         let pool = match design {
             Design::LocalMemory => (1u64 << 30) + (512 << 20), // remote budget added locally
             _ => 1 << 30,
@@ -175,8 +152,8 @@ fn main() {
         totals.push((design.label().to_string(), r.total.as_secs_f64()));
         cpus.push((design.label().to_string(), cpu_pct));
         if matches!(design, Design::HddSsd | Design::Custom) {
-            let reads = tempdb.reads.lock().rates_per_sec();
-            let writes = tempdb.writes.lock().rates_per_sec();
+            let reads = tempdb.observer().reads.rates_per_sec();
+            let writes = tempdb.observer().writes.rates_per_sec();
             drilldowns.push((design.label(), t0, reads, writes));
         }
     }
@@ -272,6 +249,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remem::StorageError;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A device that counts `force` calls and reports one lost range.
@@ -310,9 +288,13 @@ mod tests {
     #[test]
     fn series_device_forwards_force_and_lost_ranges() {
         let inner = Arc::new(Inner::default());
-        let dev = SeriesDevice::new(Arc::clone(&inner) as Arc<dyn Device>);
+        let dev = series_device(Arc::clone(&inner) as Arc<dyn Device>);
         dev.force(&mut Clock::new()).unwrap();
         assert_eq!(inner.forces.load(Ordering::Relaxed), 1);
         assert_eq!(dev.drain_lost_ranges(), vec![(0, 8192)]);
+        // a vectored TempDB flush is recorded once, as one batch
+        let page = [0u8; 8192];
+        dev.write_vectored(&mut Clock::new(), &[(0, &page[..]), (8192, &page[..])]);
+        assert_eq!(dev.observer().writes.sums(), [16384.0]);
     }
 }

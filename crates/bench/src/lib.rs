@@ -2,8 +2,9 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` for the index, `EXPERIMENTS.md` for measured output).
-//! This library holds the shared scaffolding: standard cluster/option
-//! presets and aligned-table printing.
+//! This library holds the shared scaffolding: the figures' `DbOptions`
+//! presets, the multi-stream runner, windowed CPU utilization, aligned-table
+//! printing, and the JSON report every binary writes.
 
 pub mod check;
 pub mod json;
@@ -11,113 +12,8 @@ pub mod report;
 
 pub use report::Report;
 
-use std::sync::Arc;
-
-use remem::{DbOptions, Device, StorageError};
-use remem_sim::metrics::Counter;
-use remem_sim::{Clock, Histogram, SimDuration, SimTime};
-
-/// A [`Device`] wrapper recording per-operation latency and byte counts —
-/// used by the drill-down harnesses (Figs. 11 and 14b/c).
-pub struct InstrumentedDevice {
-    inner: Arc<dyn Device>,
-    pub reads: Histogram,
-    pub writes: Histogram,
-    pub bytes_read: Counter,
-    pub bytes_written: Counter,
-}
-
-impl InstrumentedDevice {
-    pub fn new(inner: Arc<dyn Device>) -> Arc<InstrumentedDevice> {
-        Arc::new(InstrumentedDevice {
-            inner,
-            reads: Histogram::new(),
-            writes: Histogram::new(),
-            bytes_read: Counter::new(),
-            bytes_written: Counter::new(),
-        })
-    }
-
-    pub fn reset(&self) {
-        self.reads.reset();
-        self.writes.reset();
-        self.bytes_read.reset();
-        self.bytes_written.reset();
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_read.get() + self.bytes_written.get()
-    }
-}
-
-impl Device for InstrumentedDevice {
-    fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        let t0 = clock.now();
-        let r = self.inner.read(clock, offset, buf);
-        self.reads.record(clock.now().since(t0));
-        self.bytes_read.add(buf.len() as u64);
-        r
-    }
-
-    fn write(&self, clock: &mut Clock, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let t0 = clock.now();
-        let r = self.inner.write(clock, offset, data);
-        self.writes.record(clock.now().since(t0));
-        self.bytes_written.add(data.len() as u64);
-        r
-    }
-
-    // must forward: the default would replay a batch through `read` /
-    // `write` one request at a time and serialize a pipelined device. One
-    // latency sample per call, bytes per request.
-    fn read_vectored(
-        &self,
-        clock: &mut Clock,
-        reqs: &mut [(u64, &mut [u8])],
-    ) -> Vec<Result<(), StorageError>> {
-        let t0 = clock.now();
-        let r = self.inner.read_vectored(clock, reqs);
-        self.reads.record(clock.now().since(t0));
-        for (_, buf) in reqs.iter() {
-            self.bytes_read.add(buf.len() as u64);
-        }
-        r
-    }
-
-    fn write_vectored(
-        &self,
-        clock: &mut Clock,
-        reqs: &[(u64, &[u8])],
-    ) -> Vec<Result<(), StorageError>> {
-        let t0 = clock.now();
-        let r = self.inner.write_vectored(clock, reqs);
-        self.writes.record(clock.now().since(t0));
-        for (_, data) in reqs {
-            self.bytes_written.add(data.len() as u64);
-        }
-        r
-    }
-
-    fn force(&self, clock: &mut Clock) -> Result<(), StorageError> {
-        // must forward: the default is a free no-op, so a log device behind
-        // this wrapper would commit with no durability charge
-        self.inner.force(clock)
-    }
-
-    fn capacity(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    fn label(&self) -> String {
-        self.inner.label()
-    }
-
-    fn drain_lost_ranges(&self) -> Vec<(u64, u64)> {
-        // must forward: swallowing these would let a cache above serve
-        // pages whose backing stripes a self-heal replaced with zeros
-        self.inner.drain_lost_ranges()
-    }
-}
+use remem::DbOptions;
+use remem_sim::{Clock, SimDuration, SimTime};
 
 /// Windowed utilization of a cumulative-utilization resource: the busy
 /// fraction within `[t0, t1]` given cumulative utilizations at both
@@ -268,6 +164,10 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remem::{Device, StorageError};
+    use remem_sim::MetricsRegistry;
+    use remem_storage::{Metered, Observed};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn presets_build() {
@@ -299,11 +199,11 @@ mod tests {
 
     /// Records which `Device` methods were called, in order.
     #[derive(Default)]
-    struct CallLog(parking_lot::Mutex<Vec<&'static str>>);
+    struct CallLog(Mutex<Vec<&'static str>>);
 
     impl CallLog {
         fn hit(&self, method: &'static str) {
-            self.0.lock().push(method);
+            self.0.lock().unwrap().push(method);
         }
     }
 
@@ -357,10 +257,14 @@ mod tests {
         }
     }
 
+    /// The BPExt as Fig 11 instruments it: the engine's registry observer
+    /// under `storage.bpext`.
     #[test]
     fn instrumented_device_forwards_every_device_method() {
         let inner = Arc::new(CallLog::default());
-        let dev = InstrumentedDevice::new(Arc::clone(&inner) as Arc<dyn Device>);
+        let registry = MetricsRegistry::shared();
+        let metered = Metered::new(Arc::clone(&registry), "storage.bpext");
+        let dev = Observed::new(Arc::clone(&inner) as Arc<dyn Device>, metered);
         let mut clock = Clock::new();
         let mut buf = [0u8; 64];
         dev.read(&mut clock, 0, &mut buf).unwrap();
@@ -375,7 +279,7 @@ mod tests {
         // ones, and `force` / `drain_lost_ranges` must not hit the trait's
         // free defaults
         assert_eq!(
-            *inner.0.lock(),
+            *inner.0.lock().unwrap(),
             [
                 "read",
                 "write",
@@ -387,5 +291,9 @@ mod tests {
                 "drain_lost_ranges"
             ]
         );
+        // what Fig 11 reads per window: bytes moved and read latency
+        assert_eq!(registry.counter("storage.bpext.read.bytes").get(), 128);
+        assert_eq!(registry.counter("storage.bpext.write.bytes").get(), 128);
+        assert_eq!(registry.histogram("storage.bpext.read.lat").len(), 2);
     }
 }

@@ -25,7 +25,7 @@ use crate::pagestore::{FileId, PageNo, PagedFile};
 type Key = (FileId, PageNo);
 
 /// Buffer pool statistics, used by the figure harnesses.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BpStats {
     pub hits: u64,
     pub misses: u64,

@@ -63,8 +63,9 @@ pub struct DbConfig {
     /// mirroring SQL Server's workspace semantics).
     pub workspace_bytes: u64,
     pub cpu: CpuCosts,
-    /// Telemetry registry the instance publishes into: device roles are
-    /// wrapped in [`remem_storage::MeteredDevice`] (`storage.data.*`,
+    /// Telemetry registry the instance publishes into: each device role is
+    /// wrapped in a [`remem_storage::Observed`] device with a
+    /// [`remem_storage::Metered`] observer (`storage.data.*`,
     /// `storage.bpext.*`, …) and the buffer pool / TempDB / semantic cache
     /// mirror their stats as named counters (`bp.hits`, `tempdb.spill.bytes`,
     /// `semantic.hits`, …).

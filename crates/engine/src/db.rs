@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use remem_sim::{Clock, CpuPool};
-use remem_storage::{Device, MeteredDevice, StorageError};
+use remem_storage::{Device, Metered, Observed, StorageError};
 
 use crate::btree::BTree;
 use crate::bufferpool::{BpExt, BpStats, BufferPool};
@@ -136,7 +136,7 @@ impl Database {
         let metrics = cfg.metrics.clone();
         let wrap = |dev: Arc<dyn Device>, prefix: &str| -> Arc<dyn Device> {
             match &metrics {
-                Some(r) => Arc::new(MeteredDevice::new(dev, Arc::clone(r), prefix)),
+                Some(r) => Arc::new(Observed::new(dev, Metered::new(Arc::clone(r), prefix))),
                 None => dev,
             }
         };

@@ -11,6 +11,12 @@ use crate::error::StorageError;
 /// `remem-rfile`. The database engine is written against this trait, so
 /// swapping local disks for remote memory is a configuration change, which
 /// mirrors how little of SQL Server the authors had to touch.
+///
+/// Implement it only for a device that owns its bytes. To watch another
+/// device's I/O, wrap it in [`crate::Observed`] with an
+/// [`crate::IoObserver`]: the defaulted methods below are right for a leaf
+/// and wrong for a wrapper, and `Observed` is the one place that forwards
+/// all of them.
 pub trait Device: Send + Sync {
     /// Read `buf.len()` bytes at `offset`, charging the device time to
     /// `clock`.

@@ -7,6 +7,8 @@
 //! extension and TempDB. The remote-memory file shim in `remem-rfile`
 //! implements the same trait, which is exactly the paper's point: remote
 //! memory slots into the storage hierarchy through a file API.
+//! [`Observed`] is the one decorator over that trait: it forwards every
+//! method and shows each I/O to an [`IoObserver`] such as [`Metered`].
 //!
 //! Devices store *real bytes* — reads return what was written — while their
 //! time costs are charged to virtual clocks. Default constants reproduce the
@@ -21,6 +23,7 @@ pub mod error;
 pub mod eval;
 pub mod hdd;
 pub mod metered;
+pub mod observed;
 pub mod ramdisk;
 pub mod ssd;
 
@@ -32,6 +35,7 @@ pub use eval::{
     PushdownProgram, EVAL_PAGE_SIZE, PARTIAL_AGG_BYTES,
 };
 pub use hdd::HddArray;
-pub use metered::MeteredDevice;
+pub use metered::Metered;
+pub use observed::{Io, IoKind, IoObserver, Observed};
 pub use ramdisk::RamDisk;
 pub use ssd::Ssd;

@@ -1,10 +1,12 @@
 //! Integration: the database engine over remote-memory devices.
 
+use std::sync::Arc;
+
 use remem::{Cluster, ColType, DbOptions, Design, Schema, Value};
 use remem_engine::exec::int_row;
 use remem_engine::priming;
 use remem_engine::Row;
-use remem_sim::Clock;
+use remem_sim::{Clock, MetricsRegistry};
 
 fn small_cluster() -> Cluster {
     Cluster::builder()
@@ -208,4 +210,82 @@ fn remote_tempdb_can_beat_local_memory_for_spilling_queries() {
         custom_time < local_time,
         "remote TempDB {custom_time} should beat SSD TempDB {local_time}"
     );
+}
+
+/// Telemetry only watches. On every design, with a registry attached at the
+/// cluster (so fabric, broker, remote files and every device role report
+/// into it) or not, the same workload ends at the same virtual time, buffer
+/// pool stats and answers. The workload commits through the WAL (`force`),
+/// scans the pages evicted into the BPExt last (read-ahead: one vectored
+/// read per batch), reads data pages and sorts past its grant in runs of
+/// more than one TempDB extent (a spill flush: one vectored write of several
+/// requests). Leaving any of those calls unforwarded fails the time check.
+#[test]
+fn telemetry_never_moves_virtual_time() {
+    let run = |design: Design, registry: Option<Arc<MetricsRegistry>>| {
+        let mut builder = Cluster::builder()
+            .memory_servers(2)
+            .memory_per_server(64 << 20);
+        if let Some(r) = registry {
+            builder = builder.metrics(r);
+        }
+        let cluster = builder.build();
+        let mut clock = Clock::new();
+        let opts = DbOptions {
+            pool_bytes: 128 << 10,
+            bpext_bytes: 1 << 20,
+            tempdb_bytes: 32 << 20,
+            workspace_bytes: Some(12 << 20),
+            ..DbOptions::small()
+        };
+        let db = design.build(&cluster, &mut clock, &opts).unwrap();
+        let schema = Schema::new(vec![("k", ColType::Int), ("pad", ColType::Str)]);
+        let t = db.create_table(&mut clock, "t", schema, 0).unwrap();
+        for k in 0..8_000i64 {
+            let row = Row::new(vec![Value::Int(k), Value::Str("p".repeat(200))]);
+            db.insert(&mut clock, t, row).unwrap();
+        }
+        // the newest pages were evicted into the BPExt last: scanning them
+        // reads ahead from it
+        let tail = db.range(&mut clock, t, 5_000, 8_000).unwrap();
+        let mut answers = vec![Some(tail.len() as i64)];
+        for k in (0..8_000i64).step_by(53) {
+            answers.push(db.get(&mut clock, t, k).unwrap().map(|r| r.int(0)));
+        }
+        let mut rng = remem_sim::rng::SimRng::seeded(4);
+        let mut keys: Vec<i64> = (0..50_000).collect();
+        rng.shuffle(&mut keys);
+        let rows = keys
+            .iter()
+            .map(|&k| Row::new(vec![Value::Int(k), Value::Str("s".repeat(100))]))
+            .collect();
+        let sorted = db
+            .sort_rows(&mut clock, rows, |r| r.int(0) as f64, None)
+            .unwrap();
+        assert!(db.tempdb().bytes_spilled() > 0, "{}", design.label());
+        answers.extend(sorted.iter().step_by(101).map(|r| Some(r.int(0))));
+        (clock.now(), db.bp_stats(), answers)
+    };
+    for design in Design::ALL {
+        let registry = MetricsRegistry::shared();
+        let bare = run(design, None);
+        let watched = run(design, Some(Arc::clone(&registry)));
+        assert_eq!(watched, bare, "{}", design.label());
+        // the registry did see every role and verb
+        for counter in [
+            "storage.log.force.ops",
+            "storage.data.read.ops",
+            "storage.tempdb.write.ops",
+        ] {
+            assert!(registry.counter(counter).get() > 0, "{counter}");
+        }
+        if !matches!(design, Design::Hdd | Design::LocalMemory) {
+            assert!(bare.1.ext_hits > 0, "{}", design.label());
+            assert!(registry.span_stats("storage.bpext.read").count > 0);
+        }
+        if design.uses_remote_memory() {
+            assert!(registry.span_stats("rfile.read_vectored").count > 0);
+            assert!(registry.span_stats("rfile.write_vectored").count > 0);
+        }
+    }
 }
