@@ -136,7 +136,7 @@ fn main() {
         let u0 = db.cpu().utilization(t0);
         let run_wall = Stopwatch::start();
         let r = run_hash_sort(&db, &mut clock, tables, params.top_n);
-        wall.push((design.label(), load_ms, run_wall.elapsed_ms()));
+        wall.push((design.label().to_string(), load_ms, run_wall.elapsed_ms()));
         high_water.push((design.label(), db.tempdb().high_water_bytes()));
         let t1 = clock.now();
         let u1 = db.cpu().utilization(t1);
@@ -197,21 +197,7 @@ fn main() {
     }
     // host time per arm and phase: the load is rebuilt identically for every
     // arm, the run is the spill pipeline's own cost
-    for (label, load_ms, run_ms) in &wall {
-        report.volatile_note(format!(
-            "wall-clock {label}: load {:.1} s, run {:.1} s",
-            load_ms / 1e3,
-            run_ms / 1e3
-        ));
-    }
-    let (load_ms, run_ms) = wall
-        .iter()
-        .fold((0.0, 0.0), |(load, run), w| (load + w.1, run + w.2));
-    report.volatile_note(format!(
-        "wall-clock all arms: load {:.1} s, run {:.1} s",
-        load_ms / 1e3,
-        run_ms / 1e3
-    ));
+    report.wall_clock_notes(&wall);
     report.series("total_latency_s", &totals);
     report.series("cpu_pct", &cpus);
     report.blank();

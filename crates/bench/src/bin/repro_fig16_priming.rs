@@ -11,7 +11,7 @@
 use remem::{Cluster, DbOptions, Design, RFileConfig};
 use remem_bench::Report;
 use remem_engine::priming;
-use remem_sim::{Clock, SimDuration, SimTime};
+use remem_sim::{Clock, SimDuration, SimTime, Stopwatch};
 use remem_workloads::rangescan::{load_customer, run_rangescan, KeyDistribution, RangeScanParams};
 
 const ROWS: u64 = 800_000; // ~200 MiB of data: positioning seeks don't scale down,
@@ -76,7 +76,17 @@ fn main() {
     let mut b_rows = Vec::new();
     let mut speedup_prime = Vec::new(); // warm-up time / (serialize + transfer)
     let mut p95_gain = Vec::new(); // cold p95 / primed p95
+    let mut wall = Vec::new();
     for pool_mb in [50u64, 100] {
+        // host time of the arm, and of its three loads (S1, S2, cold)
+        let arm_wall = Stopwatch::start();
+        let mut load_ms = 0.0;
+        let mut timed_load = |db: &remem::Database, clock: &mut Clock| {
+            let load_wall = Stopwatch::start();
+            let t = load_customer(db, clock, ROWS);
+            load_ms += load_wall.elapsed_ms();
+            t
+        };
         // S1: old primary, warmed through the workload
         let cluster = Cluster::builder()
             .memory_servers(2)
@@ -86,7 +96,7 @@ fn main() {
         let s1 = Design::Custom
             .build(&cluster, &mut s1_clock, &opts(pool_mb))
             .expect("S1");
-        let t1 = load_customer(&s1, &mut s1_clock, ROWS);
+        let t1 = timed_load(&s1, &mut s1_clock);
         let warm = warmup_time(&s1, t1, s1_clock.now());
         s1_clock.advance(warm);
 
@@ -104,7 +114,7 @@ fn main() {
         let s2 = Design::Custom
             .build_for(&cluster, &mut s2_clock, s2_server, &opts(pool_mb))
             .expect("S2");
-        let t2 = load_customer(&s2, &mut s2_clock, ROWS);
+        let t2 = timed_load(&s2, &mut s2_clock);
         let file = cluster
             .remote_file(
                 &mut s1_clock,
@@ -151,7 +161,7 @@ fn main() {
         let cold_db = Design::Custom
             .build(&cluster2, &mut cold_clock, &opts(pool_mb))
             .expect("cold");
-        let t3 = load_customer(&cold_db, &mut cold_clock, ROWS);
+        let t3 = timed_load(&cold_db, &mut cold_clock);
         // a fresh process: the pool holds only the load tail, the hot set is
         // on disk; measure the same window from cold
         let cold = run_rangescan(&cold_db, t3, &window, cold_clock.now());
@@ -167,6 +177,11 @@ fn main() {
         p95_gain.push((
             format!("{pool_mb}MiB"),
             cold.p95_latency_us / primed.p95_latency_us.max(0.001),
+        ));
+        wall.push((
+            format!("{pool_mb} MiB pool"),
+            load_ms,
+            arm_wall.elapsed_ms() - load_ms,
         ));
     }
     report.table(
@@ -184,6 +199,7 @@ fn main() {
         &["pool MiB", "cold p95 ms", "primed p95 ms", "improvement"],
         b_rows,
     );
+    report.wall_clock_notes(&wall);
     report.series("priming_speedup", &speedup_prime);
     report.series("p95_cold_over_primed", &p95_gain);
     report.blank();

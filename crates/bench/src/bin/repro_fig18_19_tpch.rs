@@ -9,12 +9,14 @@
 
 use remem::{Cluster, Design};
 use remem_bench::{dss_opts, Report};
-use remem_sim::Clock;
+use remem_sim::{Clock, Stopwatch};
 use remem_workloads::tpch::{self, TpchParams};
 
 /// Run the 22 queries over 5 concurrent streams (Table 4's concurrency)
 /// with real memory pressure: the pool is far smaller than the database.
-fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>) {
+/// Returns throughput, per-query latencies, and the host milliseconds of
+/// the load and of the run.
+fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>, f64, f64) {
     let cluster = Cluster::builder()
         .memory_servers(2)
         .memory_per_server(256 << 20)
@@ -23,7 +25,10 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>) {
     let mut opts = dss_opts(spindles);
     opts.pool_bytes = 2 << 20; // "64 GB local vs 840 GB data", scaled
     let db = design.build(&cluster, &mut clock, &opts).expect("build");
+    let load_wall = Stopwatch::start();
     let t = tpch::load(&db, &mut clock, &TpchParams::default());
+    let load_ms = load_wall.elapsed_ms();
+    let run_wall = Stopwatch::start();
     let tasks: Vec<usize> = (1..=tpch::QUERY_COUNT).collect();
     let (makespan, lat) = remem_bench::run_streams(clock.now(), 5, &tasks, |c, q| {
         tpch::run_query(&db, c, &t, q);
@@ -35,6 +40,8 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>) {
     (
         tpch::QUERY_COUNT as f64 / makespan.as_secs_f64() * 3600.0,
         latencies,
+        load_ms,
+        run_wall.elapsed_ms(),
     )
 }
 
@@ -47,10 +54,16 @@ fn main() {
     let mut tput_rows = Vec::new();
     let mut tput20 = Vec::new();
     let mut per_design_latencies = std::collections::HashMap::new();
+    let mut wall = Vec::new();
     for design in Design::ALL {
         let mut row = vec![design.label().to_string()];
         for spindles in [4usize, 8, 20] {
-            let (qph, lats) = run_design(design, spindles);
+            let (qph, lats, load_ms, run_ms) = run_design(design, spindles);
+            wall.push((
+                format!("{} {spindles} spin", design.label()),
+                load_ms,
+                run_ms,
+            ));
             row.push(format!("{qph:.0}"));
             if spindles == 20 {
                 tput20.push((design.label().to_string(), qph));
@@ -104,6 +117,7 @@ fn main() {
             vec![">10x".into(), buckets[3].to_string()],
         ],
     );
+    report.wall_clock_notes(&wall);
     report.series("tput_20spindles_qph", &tput20);
     report.series(
         "improvement_histogram",

@@ -9,7 +9,7 @@
 
 use remem::{Cluster, Design};
 use remem_bench::{tpcc_opts, Report};
-use remem_sim::{Clock, SimDuration};
+use remem_sim::{Clock, SimDuration, Stopwatch};
 use remem_workloads::tpcc::{self, Mix, TpccParams};
 
 fn main() {
@@ -30,6 +30,7 @@ fn main() {
     let mut lat_rows = Vec::new();
     let mut default_tput = Vec::new();
     let mut readmostly_tput = Vec::new();
+    let mut wall = Vec::new();
     for design in Design::ALL {
         let mut tput = vec![design.label().to_string()];
         let mut lat = vec![design.label().to_string()];
@@ -46,7 +47,10 @@ fn main() {
             let db = design
                 .build(&cluster, &mut clock, &tpcc_opts(20))
                 .expect("build");
+            let load_wall = Stopwatch::start();
             let t = tpcc::load(&db, &mut clock, &params);
+            let load_ms = load_wall.elapsed_ms();
+            let run_wall = Stopwatch::start();
             let s = tpcc::run_mix(
                 &db,
                 &t,
@@ -56,6 +60,12 @@ fn main() {
                 SimDuration::from_millis(400),
                 9,
             );
+            let mix_label = if i == 0 { "default" } else { "read-mostly" };
+            wall.push((
+                format!("{} {mix_label}", design.label()),
+                load_ms,
+                run_wall.elapsed_ms(),
+            ));
             tput.push(format!("{:.0}", s.throughput_per_sec));
             lat.push(format!("{:.1}", s.mean_latency_us / 1000.0));
             if i == 0 {
@@ -77,6 +87,7 @@ fn main() {
         &["design", "Default TPC-C", "Read-Mostly TPC-C"],
         lat_rows,
     );
+    report.wall_clock_notes(&wall);
     report.series("default_mix_tps", &default_tput);
     report.series("read_mostly_tps", &readmostly_tput);
     report.blank();

@@ -148,6 +148,27 @@ impl Report {
         self.volatile.push(text);
     }
 
+    /// Record where the host time went as volatile notes: one line per arm
+    /// with its load and run wall-clock, then the sums. Each arm is
+    /// `(label, load ms, run ms)`.
+    pub fn wall_clock_notes(&mut self, arms: &[(String, f64, f64)]) {
+        for (label, load_ms, run_ms) in arms {
+            self.volatile_note(format!(
+                "wall-clock {label}: load {:.1} s, run {:.1} s",
+                load_ms / 1e3,
+                run_ms / 1e3
+            ));
+        }
+        let (load_ms, run_ms) = arms
+            .iter()
+            .fold((0.0, 0.0), |(load, run), arm| (load + arm.1, run + arm.2));
+        self.volatile_note(format!(
+            "wall-clock all arms: load {:.1} s, run {:.1} s",
+            load_ms / 1e3,
+            run_ms / 1e3
+        ));
+    }
+
     /// Print a blank separator line (not recorded — purely visual).
     pub fn blank(&mut self) {
         println!();
