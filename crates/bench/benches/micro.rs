@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use remem::{AccessMode, Cluster, RFileConfig, RegistrationMode};
-use remem_engine::btree::BTree;
+use remem_engine::btree::{BTree, RightEdge};
 use remem_engine::bufferpool::BufferPool;
 use remem_engine::exec::{int_row, ExecCtx};
 use remem_engine::page::{Page, PAGE_SIZE};
@@ -369,6 +369,21 @@ fn bench_btree(c: &mut Criterion) {
                 let t = BTree::create(&mut clock, &bp, file).unwrap();
                 for k in 0..1_000i64 {
                     t.insert(&mut clock, &bp, k, &[0u8; 100]).unwrap();
+                }
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    // the same tree built by the loaders' path: appends at the right edge
+    g.bench_function("bulk_ascending", |b| {
+        b.iter_batched(
+            || engine_parts(4096),
+            |(bp, file, mut clock)| {
+                let t = BTree::create(&mut clock, &bp, file).unwrap();
+                let mut edge = RightEdge::default();
+                for k in 0..1_000i64 {
+                    t.append(&mut clock, &bp, &mut edge, k, &[0u8; 100])
+                        .unwrap();
                 }
             },
             BatchSize::SmallInput,
@@ -766,17 +781,15 @@ fn bench_database(c: &mut Criterion) {
         },
     );
     let mut clock = Clock::new();
-    let t = db
-        .create_table(
-            &mut clock,
-            "t",
-            remem_engine::Schema::new(vec![
-                ("k", remem_engine::row::ColType::Int),
-                ("v", remem_engine::row::ColType::Int),
-            ]),
-            0,
-        )
-        .unwrap();
+    let mut table = |name: &str| {
+        let schema = remem_engine::Schema::new(vec![
+            ("k", remem_engine::row::ColType::Int),
+            ("v", remem_engine::row::ColType::Int),
+        ]);
+        db.create_table(&mut clock, name, schema, 0).unwrap()
+    };
+    let t = table("t");
+    let loaded = table("loaded");
     let mut next = 0i64;
     g.bench_function("insert", |b| {
         b.iter(|| {
@@ -785,6 +798,18 @@ fn bench_database(c: &mut Criterion) {
             next += 1;
         });
     });
+    // the same rows, one push each, into a table a bulk loader holds open
+    let mut loader = db.bulk_loader(loaded).unwrap();
+    let mut next_loaded = 0i64;
+    g.bench_function("bulk_load", |b| {
+        b.iter(|| {
+            loader
+                .push(&mut clock, int_row(&[next_loaded, next_loaded * 2]))
+                .unwrap();
+            next_loaded += 1;
+        });
+    });
+    loader.finish(&mut clock).unwrap();
     let mut rng = SimRng::seeded(4);
     g.bench_function("point_get", |b| {
         b.iter(|| {

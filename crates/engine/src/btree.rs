@@ -8,9 +8,18 @@
 //! device, over RDMA.
 //!
 //! Keys are `i64`; values are byte strings (encoded rows or RIDs). Inserts
-//! use a rightmost-split heuristic so ascending bulk loads pack pages nearly
+//! use a rightmost-split heuristic so ascending inserts pack pages nearly
 //! full and leaf order matches key order — giving clustered scans the
 //! sequential I/O pattern the HDD array rewards.
+//!
+//! Two write paths build a tree. [`BTree::insert`] serves runtime DML: it
+//! descends from the root and rewrites the whole leaf for every entry.
+//! Ascending loads take [`BTree::append`] instead, through
+//! `Database::bulk_loader`: it keeps the [`RightEdge`] open and writes each
+//! entry into the rightmost leaf in place, so the descent and the rewrite
+//! happen once per page, not once per entry. The two paths make the same
+//! splits, so an ascending load leaves the same pages either way (DESIGN.md
+//! §3, "Bulk load").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,6 +34,18 @@ use crate::pagestore::{PageNo, PagedFile};
 const NO_NEXT: u64 = u64::MAX;
 /// Largest value the tree accepts — must leave room for two entries per page.
 pub const MAX_VALUE_BYTES: usize = 2048;
+
+/// `RecordTooLarge` for a value longer than [`MAX_VALUE_BYTES`], so a caller
+/// can refuse it before writing anything.
+pub fn check_value_len(len: usize) -> Result<(), StorageError> {
+    if len > MAX_VALUE_BYTES {
+        return Err(StorageError::RecordTooLarge {
+            len,
+            max: MAX_VALUE_BYTES,
+        });
+    }
+    Ok(())
+}
 
 /// Page tags in byte 0 of slot 0.
 const TAG_INTERNAL: u8 = 0;
@@ -150,11 +171,11 @@ impl<'a> NodeView<'a> {
 }
 
 /// The owned form of a node, for the paths that rewrite it (`insert`,
-/// `delete`) and, for now, `get`. `decode` is left exactly as it was, its
-/// allocation pattern included: a cheaper update path makes the time-bounded
-/// `rangescan_upd` benchmark log more and read as a memory regression, so
-/// the write path's host cost holds still until that metric is fixed
-/// (ROADMAP item 6 (i)).
+/// `delete`, the internal-node splits of `append`) and, for now, `get`.
+/// `decode` is left exactly as it was, its allocation pattern included: a
+/// cheaper update path makes the time-bounded `rangescan_upd` benchmark log
+/// more and read as a memory regression, so the write path's host cost
+/// holds still until that metric is fixed (ROADMAP item 6 (i)).
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
@@ -258,6 +279,46 @@ enum InsertResult {
     },
 }
 
+/// The right edge of a tree, held open across [`BTree::append`]s: the
+/// rightmost leaf, and the smallest key the next entry may carry. A new
+/// edge is empty; the first append finds it.
+pub struct RightEdge {
+    leaf: Option<PageNo>,
+    /// `None` once nothing can follow (`i64::MAX` is in).
+    floor: Option<i64>,
+    /// Reused `key ‖ value` record.
+    rec: Vec<u8>,
+}
+
+impl Default for RightEdge {
+    fn default() -> RightEdge {
+        RightEdge {
+            leaf: None,
+            floor: Some(i64::MIN),
+            rec: Vec::new(),
+        }
+    }
+}
+
+impl RightEdge {
+    fn admits(&self, key: i64) -> bool {
+        self.floor.is_some_and(|floor| key >= floor)
+    }
+}
+
+/// What [`BTree::append`] did with an entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Appended {
+    /// Written into the rightmost leaf.
+    Placed,
+    /// The rightmost leaf was full: the entry opened a new one, and the full
+    /// leaf is sealed — no later append writes to it.
+    Opened,
+    /// Refused, with nothing written: the key does not belong at the right
+    /// edge (it is not above every key there).
+    OutOfOrder,
+}
+
 /// A paged B+tree.
 pub struct BTree {
     file: Arc<PagedFile>,
@@ -339,40 +400,100 @@ impl BTree {
         key: i64,
         value: &[u8],
     ) -> Result<bool, StorageError> {
+        self.put(clock, bp, key, value, true)
+    }
+
+    /// Insert a key that must be new. Returns `false`, having written
+    /// nothing, when the key is already present.
+    pub fn insert_new(
+        &self,
+        clock: &mut Clock,
+        bp: &BufferPool,
+        key: i64,
+        value: &[u8],
+    ) -> Result<bool, StorageError> {
+        Ok(!self.put(clock, bp, key, value, false)?)
+    }
+
+    /// Insert, or find `key` present and replace its value only if
+    /// `replace`. Returns whether `key` was present.
+    fn put(
+        &self,
+        clock: &mut Clock,
+        bp: &BufferPool,
+        key: i64,
+        value: &[u8],
+        replace: bool,
+    ) -> Result<bool, StorageError> {
         assert!(
             value.len() <= MAX_VALUE_BYTES,
             "value of {} bytes too large",
             value.len()
         );
         let root = self.root();
-        match self.insert_rec(clock, bp, root, key, value)? {
-            InsertResult::Done { replaced } => {
-                if !replaced {
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(replaced)
-            }
+        let replaced = match self.insert_rec(clock, bp, root, key, value, replace)? {
+            InsertResult::Done { replaced } => replaced,
             InsertResult::Split {
                 sep,
                 right,
                 replaced,
             } => {
-                // grow a new root
-                let new_root = self.file.allocate()?;
-                bp.new_page(clock, self.file.id(), new_root)?;
-                let node = Node::Internal {
-                    keys: vec![sep],
-                    children: vec![root, right],
-                };
-                self.write_node(clock, bp, new_root, &node)?;
-                self.root.store(new_root, Ordering::Release);
-                self.height.fetch_add(1, Ordering::Relaxed);
-                if !replaced {
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(replaced)
+                self.grow_root(clock, bp, sep, right)?;
+                replaced
             }
+        };
+        if !replaced {
+            self.entries.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(replaced)
+    }
+
+    /// The root split into itself and `right`: put a new root above both.
+    fn grow_root(
+        &self,
+        clock: &mut Clock,
+        bp: &BufferPool,
+        sep: i64,
+        right: PageNo,
+    ) -> Result<(), StorageError> {
+        let new_root = self.file.allocate()?;
+        bp.new_page(clock, self.file.id(), new_root)?;
+        let node = Node::Internal {
+            keys: vec![sep],
+            children: vec![self.root(), right],
+        };
+        self.write_node(clock, bp, new_root, &node)?;
+        self.root.store(new_root, Ordering::Release);
+        self.height.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Split the overfull internal node at `pno` in the middle: the right
+    /// half moves to a new page and the middle key moves up. Returns that
+    /// key and the new page.
+    fn split_internal(
+        &self,
+        clock: &mut Clock,
+        bp: &BufferPool,
+        pno: PageNo,
+        mut keys: Vec<i64>,
+        mut children: Vec<PageNo>,
+    ) -> Result<(i64, PageNo), StorageError> {
+        let mid = keys.len() / 2;
+        let promote = keys[mid];
+        let right_keys = keys.split_off(mid + 1);
+        keys.pop(); // the promoted key moves up
+        let right_children = children.split_off(mid + 1);
+        let right_pno = self.file.allocate()?;
+        bp.new_page(clock, self.file.id(), right_pno)?;
+        let rnode = Node::Internal {
+            keys: right_keys,
+            children: right_children,
+        };
+        let lnode = Node::Internal { keys, children };
+        self.write_node(clock, bp, right_pno, &rnode)?;
+        self.write_node(clock, bp, pno, &lnode)?;
+        Ok((promote, right_pno))
     }
 
     fn insert_rec(
@@ -382,11 +503,13 @@ impl BTree {
         pno: PageNo,
         key: i64,
         value: &[u8],
+        replace: bool,
     ) -> Result<InsertResult, StorageError> {
         let node = self.read_node(clock, bp, pno)?;
         match node {
             Node::Leaf { next, mut entries } => {
                 let (pos, replaced) = match entries.binary_search_by_key(&key, |(k, _)| *k) {
+                    Ok(_) if !replace => return Ok(InsertResult::Done { replaced: true }),
                     Ok(i) => {
                         entries[i].1 = value.to_vec();
                         (i, true)
@@ -436,7 +559,7 @@ impl BTree {
             } => {
                 let idx = keys.partition_point(|k| *k <= key);
                 let child = children[idx];
-                match self.insert_rec(clock, bp, child, key, value)? {
+                match self.insert_rec(clock, bp, child, key, value, replace)? {
                     InsertResult::Done { replaced } => Ok(InsertResult::Done { replaced }),
                     InsertResult::Split {
                         sep,
@@ -450,36 +573,172 @@ impl BTree {
                             self.write_node(clock, bp, pno, &candidate)?;
                             return Ok(InsertResult::Done { replaced });
                         }
-                        let Node::Internal {
-                            mut keys,
-                            mut children,
-                        } = candidate
-                        else {
+                        let Node::Internal { keys, children } = candidate else {
                             unreachable!()
                         };
-                        let mid = keys.len() / 2;
-                        let promote = keys[mid];
-                        let right_keys = keys.split_off(mid + 1);
-                        keys.pop(); // the promoted key moves up
-                        let right_children = children.split_off(mid + 1);
-                        let right_pno = self.file.allocate()?;
-                        bp.new_page(clock, self.file.id(), right_pno)?;
-                        let rnode = Node::Internal {
-                            keys: right_keys,
-                            children: right_children,
-                        };
-                        let lnode = Node::Internal { keys, children };
-                        self.write_node(clock, bp, right_pno, &rnode)?;
-                        self.write_node(clock, bp, pno, &lnode)?;
+                        let (sep, right) = self.split_internal(clock, bp, pno, keys, children)?;
                         Ok(InsertResult::Split {
-                            sep: promote,
-                            right: right_pno,
+                            sep,
+                            right,
                             replaced,
                         })
                     }
                 }
             }
         }
+    }
+
+    /// Find the right edge: descend through the last child of each internal
+    /// node to the rightmost leaf, one page read per level. Returns the leaf
+    /// and the smallest key an `insert` would put after its last entry: at
+    /// or above the deepest separator on the way, and above that last entry.
+    fn find_right_edge(
+        &self,
+        clock: &mut Clock,
+        bp: &BufferPool,
+    ) -> Result<(PageNo, Option<i64>), StorageError> {
+        let mut pno = self.root();
+        let mut floor = Some(i64::MIN);
+        loop {
+            let (last, child) = bp.with_page(clock, self.file.id(), pno, |page| {
+                let node = NodeView::new(page.view());
+                let last = node.len().checked_sub(1).map(|i| node.key_at(i));
+                (last, (!node.is_leaf()).then(|| node.child_at(node.len())))
+            })?;
+            match child {
+                Some(child) => {
+                    // separators grow down the edge, so the deepest bounds it
+                    floor = last.or(floor);
+                    pno = child;
+                }
+                None => {
+                    if let Some(last) = last {
+                        floor = last.checked_add(1);
+                    }
+                    return Ok((pno, floor));
+                }
+            }
+        }
+    }
+
+    /// Append `key ‖ value` at the right edge, leaving the pages an `insert`
+    /// of the same key would: the entry is written into the rightmost leaf
+    /// in place, with no decode; when that leaf is full the entry opens a new
+    /// leaf of its own (the rightmost-split heuristic) and the separator
+    /// climbs the edge. Both checks come first and write nothing: a value
+    /// over [`MAX_VALUE_BYTES`] is `RecordTooLarge`, and a key that is not
+    /// above every key on the edge is [`Appended::OutOfOrder`].
+    ///
+    /// Another writer may change the tree between appends. A leaf that is no
+    /// longer the rightmost, or that now holds a key at or above `key`,
+    /// sends the append back to the root for the edge, as a new edge does.
+    pub fn append(
+        &self,
+        clock: &mut Clock,
+        bp: &BufferPool,
+        edge: &mut RightEdge,
+        key: i64,
+        value: &[u8],
+    ) -> Result<Appended, StorageError> {
+        check_value_len(value.len())?;
+        if !edge.admits(key) {
+            return Ok(Appended::OutOfOrder);
+        }
+        edge.rec.clear();
+        edge.rec.extend_from_slice(&key.to_le_bytes());
+        edge.rec.extend_from_slice(value);
+        let placed = loop {
+            if let Some(leaf) = edge.leaf {
+                let rec = &edge.rec;
+                let placed = bp.with_page_mut(clock, self.file.id(), leaf, |page| {
+                    let node = NodeView::new(page.view());
+                    let last = node.len().checked_sub(1).map(|i| node.key_at(i));
+                    let stale = node.next().is_some() || last.is_some_and(|last| last >= key);
+                    (!stale).then(|| page.insert(rec).is_some())
+                })?;
+                if let Some(placed) = placed {
+                    break placed;
+                }
+            }
+            let (leaf, floor) = self.find_right_edge(clock, bp)?;
+            edge.leaf = Some(leaf);
+            edge.floor = edge.floor.zip(floor).map(|(a, b)| a.max(b));
+            if !edge.admits(key) {
+                return Ok(Appended::OutOfOrder);
+            }
+        };
+        if !placed {
+            self.open_leaf(clock, bp, edge, key)?;
+        }
+        edge.floor = key.checked_add(1);
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        Ok(if placed {
+            Appended::Placed
+        } else {
+            Appended::Opened
+        })
+    }
+
+    /// The rightmost leaf is full: give it a right sibling holding only the
+    /// entry in `edge.rec`, then carry the separator up the edge — appended
+    /// in place to an internal node with room, a middle split of one
+    /// without, and a new root when the root splits. Pages are allocated and
+    /// written in the order `insert` allocates and writes them.
+    fn open_leaf(
+        &self,
+        clock: &mut Clock,
+        bp: &BufferPool,
+        edge: &mut RightEdge,
+        key: i64,
+    ) -> Result<(), StorageError> {
+        let file = self.file.id();
+        // the internal nodes above the leaf, root first
+        let mut path = Vec::with_capacity(self.height() as usize);
+        let mut pno = self.root();
+        for _ in 1..self.height() {
+            path.push(pno);
+            pno = bp.with_page(clock, file, pno, |page| {
+                let node = NodeView::new(page.view());
+                node.child_at(node.len())
+            })?;
+        }
+        debug_assert_eq!(Some(pno), edge.leaf, "the edge ends at the rightmost leaf");
+        let right = self.file.allocate()?;
+        bp.new_page(clock, file, right)?;
+        let node = Node::Leaf {
+            next: None,
+            entries: vec![(key, edge.rec[8..].to_vec())],
+        };
+        self.write_node(clock, bp, right, &node)?;
+        bp.with_page_mut(clock, file, pno, |page| {
+            page.get_mut(0)[1..9].copy_from_slice(&right.to_le_bytes())
+        })?;
+        edge.leaf = Some(right);
+        let mut carry = Some((key, right));
+        while let (Some((sep, child)), Some(pno)) = (carry, path.pop()) {
+            let mut rec = [0u8; 16];
+            rec[..8].copy_from_slice(&sep.to_le_bytes());
+            rec[8..].copy_from_slice(&child.to_le_bytes());
+            let placed = bp.with_page_mut(clock, file, pno, |page| page.insert(&rec).is_some())?;
+            carry = if placed {
+                None
+            } else {
+                let (mut keys, mut children) = bp.with_page(clock, file, pno, |page| {
+                    let node = NodeView::new(page.view());
+                    let keys: Vec<i64> = (0..node.len()).map(|i| node.key_at(i)).collect();
+                    let children: Vec<PageNo> =
+                        (0..=node.len()).map(|i| node.child_at(i)).collect();
+                    (keys, children)
+                })?;
+                keys.push(sep);
+                children.push(child);
+                Some(self.split_internal(clock, bp, pno, keys, children)?)
+            };
+        }
+        if let Some((sep, right)) = carry {
+            self.grow_root(clock, bp, sep, right)?;
+        }
+        Ok(())
     }
 
     /// Point lookup.
@@ -761,6 +1020,45 @@ mod tests {
         t.get(&mut clock, &bp, 2500).unwrap();
         let s = bp.stats();
         assert_eq!(s.hits + s.misses, t.height(), "one page access per level");
+    }
+
+    #[test]
+    fn append_finds_the_edge_again_after_another_writer() {
+        let (bp, file, mut clock) = setup(4096);
+        let t = BTree::create(&mut clock, &bp, file).unwrap();
+        let mut edge = RightEdge::default();
+        let append = |clock: &mut Clock, edge: &mut RightEdge, key: i64| {
+            t.append(clock, &bp, edge, key, &key.to_le_bytes()).unwrap()
+        };
+        for k in 0..100 {
+            assert_ne!(append(&mut clock, &mut edge, k), Appended::OutOfOrder);
+        }
+        // inserts split the edge's leaf and grow the tree behind its back
+        for k in 100..2000 {
+            t.insert(&mut clock, &bp, k, &k.to_le_bytes()).unwrap();
+        }
+        assert!(t.height() >= 2);
+        assert_eq!(append(&mut clock, &mut edge, 1999), Appended::OutOfOrder);
+        assert_ne!(append(&mut clock, &mut edge, 2000), Appended::OutOfOrder);
+        // nothing sorts after i64::MAX
+        assert_ne!(
+            append(&mut clock, &mut edge, i64::MAX),
+            Appended::OutOfOrder
+        );
+        assert_eq!(
+            append(&mut clock, &mut edge, i64::MAX),
+            Appended::OutOfOrder
+        );
+        let mut keys = Vec::new();
+        t.range(&mut clock, &bp, i64::MIN, i64::MAX, |k, v| {
+            keys.push(k);
+            v == k.to_le_bytes()
+        })
+        .unwrap();
+        assert_eq!(keys, (0..=2000).collect::<Vec<i64>>());
+        let max = t.get(&mut clock, &bp, i64::MAX).unwrap();
+        assert_eq!(max.as_deref(), Some(&i64::MAX.to_le_bytes()[..]));
+        assert_eq!(t.len(), 2002);
     }
 
     #[test]

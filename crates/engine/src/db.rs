@@ -3,11 +3,11 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use remem_sim::{Clock, CpuPool};
 use remem_storage::{Device, Metered, Observed, StorageError};
 
-use crate::btree::BTree;
+use crate::btree::{check_value_len, Appended, BTree, RightEdge};
 use crate::bufferpool::{BpExt, BpStats, BufferPool};
 use crate::config::DbConfig;
 use crate::exec::ExecCtx;
@@ -30,7 +30,20 @@ pub struct TableId(pub u32);
 pub enum DbError {
     Storage(StorageError),
     NoSuchTable(TableId),
-    DuplicateKey { table: TableId, key: i64 },
+    DuplicateKey {
+        table: TableId,
+        key: i64,
+    },
+    /// A bulk-loaded key that is not above every key already in the table.
+    KeyNotAscending {
+        table: TableId,
+        key: i64,
+    },
+    /// A bulk load into a table with non-clustered indexes, which the
+    /// loader does not maintain.
+    BulkLoadIndexed {
+        table: TableId,
+    },
 }
 
 impl From<StorageError> for DbError {
@@ -46,6 +59,15 @@ impl std::fmt::Display for DbError {
             DbError::NoSuchTable(t) => write!(f, "no such table {t:?}"),
             DbError::DuplicateKey { table, key } => {
                 write!(f, "duplicate key {key} in table {table:?}")
+            }
+            DbError::KeyNotAscending { table, key } => {
+                write!(
+                    f,
+                    "bulk-loaded key {key} is not above the keys in table {table:?}"
+                )
+            }
+            DbError::BulkLoadIndexed { table } => {
+                write!(f, "bulk load into table {table:?}, which has NC indexes")
             }
         }
     }
@@ -124,6 +146,9 @@ pub struct Database {
     proc_cache: ProcedureCache,
     tables: RwLock<Vec<TableMeta>>,
     next_file_id: AtomicU32,
+    /// Rows bulk loaders have written but not yet logged, in push order
+    /// across loaders: `(table, key, row)`.
+    unlogged: Mutex<Vec<(u32, i64, Row)>>,
 }
 
 impl Database {
@@ -177,6 +202,7 @@ impl Database {
             proc_cache: ProcedureCache::new((cfg.buffer_pool_bytes / 256).max(64 << 10)),
             tables: RwLock::new(Vec::new()),
             next_file_id: AtomicU32::new(16),
+            unlogged: Mutex::new(Vec::new()),
             cfg,
         }
     }
@@ -383,6 +409,9 @@ impl Database {
         let t = tables
             .get(tid.0 as usize)
             .ok_or(DbError::NoSuchTable(tid))?;
+        for row in rows {
+            check_value_len(row.encoded_len())?;
+        }
         let mut entries: Vec<WalEntry> = Vec::with_capacity(rows.len());
         for row in rows {
             let key = row.int(t.key_col);
@@ -411,6 +440,41 @@ impl Database {
         Ok(())
     }
 
+    /// A streaming bulk loader for `tid`: see [`BulkLoader`].
+    pub fn bulk_loader(&self, tid: TableId) -> Result<BulkLoader<'_>, DbError> {
+        if self.tables.read().get(tid.0 as usize).is_none() {
+            return Err(DbError::NoSuchTable(tid));
+        }
+        Ok(BulkLoader {
+            db: self,
+            tid,
+            edge: RightEdge::default(),
+            value: Vec::new(),
+            rows: 0,
+        })
+    }
+
+    /// Log every row the bulk loaders have written so far as one commit
+    /// group: one device force, or one quorum append on the remote ring.
+    fn log_unlogged(&self, clock: &mut Clock) -> Result<(), DbError> {
+        let mut unlogged = self.unlogged.lock();
+        if unlogged.is_empty() {
+            return Ok(());
+        }
+        let entries: Vec<WalEntry> = unlogged
+            .iter()
+            .map(|(table, key, row)| WalEntry {
+                table: *table,
+                op: WalOp::Insert,
+                key: *key,
+                row: Some(row),
+            })
+            .collect();
+        self.wal.append_group(clock, &entries)?;
+        unlogged.clear();
+        Ok(())
+    }
+
     fn write_row(
         &self,
         clock: &mut Clock,
@@ -423,11 +487,16 @@ impl Database {
             .get(tid.0 as usize)
             .ok_or(DbError::NoSuchTable(tid))?;
         let key = row.int(t.key_col);
+        let bytes = row.to_bytes();
+        check_value_len(bytes.len())?;
         self.charge_seek(clock, t.tree.height());
-        let replaced = t.tree.insert(clock, &self.bp, key, &row.to_bytes())?;
-        if replaced && !allow_replace {
+        let replaced = if allow_replace {
+            t.tree.insert(clock, &self.bp, key, &bytes)?
+        } else if t.tree.insert_new(clock, &self.bp, key, &bytes)? {
+            false
+        } else {
             return Err(DbError::DuplicateKey { table: tid, key });
-        }
+        };
         let op = if replaced {
             WalOp::Update
         } else {
@@ -439,7 +508,7 @@ impl Database {
             let v = row.int(idx.col);
             let d = idx.counter.fetch_add(1, Ordering::Relaxed);
             idx.tree
-                .insert(clock, &self.bp, NcIndex::nc_key(v, d), &row.to_bytes())?;
+                .insert(clock, &self.bp, NcIndex::nc_key(v, d), &bytes)?;
         }
         drop(tables);
         self.semantic.notify_update(tid);
@@ -479,14 +548,16 @@ impl Database {
             key,
             "update must not change the clustered key"
         );
-        t.tree.insert(clock, &self.bp, key, &row.to_bytes())?;
+        let bytes = row.to_bytes();
+        check_value_len(bytes.len())?;
+        t.tree.insert(clock, &self.bp, key, &bytes)?;
         self.wal
             .append(clock, tid.0, WalOp::Update, key, Some(&row))?;
         for idx in &t.nc {
             let v = row.int(idx.col);
             let d = idx.counter.fetch_add(1, Ordering::Relaxed);
             idx.tree
-                .insert(clock, &self.bp, NcIndex::nc_key(v, d), &row.to_bytes())?;
+                .insert(clock, &self.bp, NcIndex::nc_key(v, d), &bytes)?;
         }
         drop(tables);
         self.semantic.notify_update(tid);
@@ -760,9 +831,103 @@ impl Database {
     }
 }
 
+/// Loads one table from rows in strictly ascending key order, the way a
+/// per-table bulk tool does: pages are written full at the clustered tree's
+/// right edge ([`BTree::append`]), and rows are logged a page at a time.
+///
+/// The table, its pages and its log are those a row-by-row
+/// [`Database::insert`] load leaves: the same page images and page numbers,
+/// root, height and row count, and the same log records with the same LSNs.
+/// What differs is the cost. A row is charged `row_output`, and a full page
+/// `page_fix` + `page_serialize`, instead of a seek, a leaf rewrite and a
+/// log force per row. When the loader's leaf fills, every row pushed so far
+/// — by this loader or any other open on the database — is committed as one
+/// WAL group. Tables may load interleaved through one loader each: each
+/// allocates its pages where row-by-row inserts would.
+///
+/// While a loader is open its table should take no other writes. The loader
+/// stays correct if it does (a stale right edge is found again), but the
+/// rows still in its leaf are logged only when that leaf fills or at
+/// [`BulkLoader::finish`], so a runtime write can reach the log before them.
+#[must_use = "rows in the last page are logged only by `finish`"]
+pub struct BulkLoader<'a> {
+    db: &'a Database,
+    tid: TableId,
+    edge: RightEdge,
+    /// Reused row encoding.
+    value: Vec<u8>,
+    /// Rows pushed into the leaf being filled.
+    rows: u64,
+}
+
+impl BulkLoader<'_> {
+    /// Append one row. Its key must be above every key in the table and
+    /// every key pushed before; a key that is not is `KeyNotAscending`, a
+    /// row over the tree's value limit `RecordTooLarge`, and a table with NC
+    /// indexes `BulkLoadIndexed`. On any of those nothing of the row is
+    /// written.
+    pub fn push(&mut self, clock: &mut Clock, row: Row) -> Result<(), DbError> {
+        let db = self.db;
+        let tables = db.tables.read();
+        let t = tables
+            .get(self.tid.0 as usize)
+            .ok_or(DbError::NoSuchTable(self.tid))?;
+        if !t.nc.is_empty() {
+            return Err(DbError::BulkLoadIndexed { table: self.tid });
+        }
+        let key = row.int(t.key_col);
+        self.value.clear();
+        row.encode(&mut self.value);
+        match t
+            .tree
+            .append(clock, &db.bp, &mut self.edge, key, &self.value)?
+        {
+            Appended::Placed => {}
+            Appended::Opened => {
+                drop(tables);
+                self.seal(clock)?;
+            }
+            Appended::OutOfOrder => {
+                return Err(DbError::KeyNotAscending {
+                    table: self.tid,
+                    key,
+                })
+            }
+        }
+        db.unlogged.lock().push((self.tid.0, key, row));
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Seal the last page: charge it and log every row still unlogged.
+    pub fn finish(mut self, clock: &mut Clock) -> Result<(), DbError> {
+        if self.rows > 0 {
+            self.seal(clock)
+        } else {
+            self.db.log_unlogged(clock)
+        }
+    }
+
+    /// The leaf this loader was filling is full (or the load is done):
+    /// charge its rows and its page, and commit the unlogged rows.
+    fn seal(&mut self, clock: &mut Clock) -> Result<(), DbError> {
+        {
+            let mut ctx = self.db.exec_ctx(clock);
+            ctx.charge_n(ctx.costs.row_output, self.rows);
+            ctx.charge(ctx.costs.page_fix);
+            ctx.charge(ctx.costs.page_serialize);
+        }
+        self.rows = 0;
+        self.db.log_unlogged(clock)?;
+        self.db.semantic.notify_update(self.tid);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::MAX_VALUE_BYTES;
     use crate::page::{MAX_RECORD, PAGE_SIZE};
     use crate::row::{ColType, Value};
     use remem_storage::RamDisk;
@@ -827,6 +992,111 @@ mod tests {
             Err(DbError::DuplicateKey { .. })
         ));
         db.upsert(&mut clock, t, customer(10)).unwrap();
+    }
+
+    #[test]
+    fn duplicate_insert_writes_nothing() {
+        let (db, mut clock) = db();
+        let t = db
+            .create_table(&mut clock, "c", customer_schema(), 0)
+            .unwrap();
+        db.insert(&mut clock, t, customer(7)).unwrap();
+        let idx = db
+            .create_nc_index(&mut clock, t, 0, Arc::new(RamDisk::new(1 << 20)))
+            .unwrap();
+        let lsn = db.wal().current_lsn();
+        let mut impostor = customer(7);
+        impostor.0[1] = Value::Str("impostor".into());
+        assert!(matches!(
+            db.insert(&mut clock, t, impostor),
+            Err(DbError::DuplicateKey { key: 7, .. })
+        ));
+        assert_eq!(db.get(&mut clock, t, 7).unwrap().unwrap(), customer(7));
+        assert_eq!(
+            db.nc_lookup(&mut clock, t, idx, 7).unwrap(),
+            vec![customer(7)]
+        );
+        assert_eq!(db.wal().current_lsn(), lsn, "nothing logged");
+    }
+
+    #[test]
+    fn oversize_row_is_a_typed_error_on_every_write_path() {
+        let (db, mut clock) = db();
+        let t = db
+            .create_table(&mut clock, "c", customer_schema(), 0)
+            .unwrap();
+        db.insert(&mut clock, t, customer(1)).unwrap();
+        let lsn = db.wal().current_lsn();
+        let wide = |k: i64| {
+            let mut row = customer(k);
+            row.0[1] = Value::Str("w".repeat(MAX_VALUE_BYTES));
+            row
+        };
+        let too_large = |res: Result<(), DbError>| {
+            matches!(
+                res,
+                Err(DbError::Storage(StorageError::RecordTooLarge { len, max }))
+                    if len > MAX_VALUE_BYTES && max == MAX_VALUE_BYTES
+            )
+        };
+        assert!(too_large(db.insert(&mut clock, t, wide(2))));
+        assert!(too_large(db.upsert(&mut clock, t, wide(1))));
+        assert!(too_large(db.upsert_group(
+            &mut clock,
+            t,
+            &[customer(3), wide(4)]
+        )));
+        assert!(too_large(
+            db.update(&mut clock, t, 1, |r| *r = wide(1)).map(|_| ())
+        ));
+        let mut loader = db.bulk_loader(t).unwrap();
+        assert!(too_large(loader.push(&mut clock, wide(5))));
+        loader.finish(&mut clock).unwrap();
+        assert_eq!(db.row_count(t), 1);
+        assert_eq!(db.get(&mut clock, t, 1).unwrap().unwrap(), customer(1));
+        assert_eq!(db.wal().current_lsn(), lsn, "nothing logged");
+    }
+
+    #[test]
+    fn bulk_loaded_table_reads_and_takes_dml_like_an_inserted_one() {
+        let (db, mut clock) = db();
+        let t = db
+            .create_table(&mut clock, "c", customer_schema(), 0)
+            .unwrap();
+        let mut loader = db.bulk_loader(t).unwrap();
+        for k in 0..1000 {
+            loader.push(&mut clock, customer(k * 2)).unwrap();
+        }
+        loader.finish(&mut clock).unwrap();
+        assert_eq!(db.row_count(t), 1000);
+        assert_eq!(db.wal().stats().records, 1000);
+        assert!(db.wal().stats().groups < 1000 / 20, "one group per page");
+        // runtime DML on top, then a second load above the new maximum
+        db.insert(&mut clock, t, customer(5)).unwrap();
+        db.update(&mut clock, t, 10, |r| r.0[2] = Value::Float(0.5))
+            .unwrap();
+        let mut loader = db.bulk_loader(t).unwrap();
+        assert!(matches!(
+            loader.push(&mut clock, customer(1998)),
+            Err(DbError::KeyNotAscending { key: 1998, .. })
+        ));
+        loader.push(&mut clock, customer(1999)).unwrap();
+        loader.finish(&mut clock).unwrap();
+        let keys: Vec<i64> = db
+            .scan(&mut clock, t)
+            .unwrap()
+            .iter()
+            .map(|r| r.int(0))
+            .collect();
+        let mut expected: Vec<i64> = (0..1000).map(|k| k * 2).chain([5, 1999]).collect();
+        expected.sort_unstable();
+        assert_eq!(keys, expected);
+        assert_eq!(db.get(&mut clock, t, 10).unwrap().unwrap().float(2), 0.5);
+        // an unknown table has no loader
+        assert!(matches!(
+            db.bulk_loader(TableId(9)),
+            Err(DbError::NoSuchTable(TableId(9)))
+        ));
     }
 
     #[test]

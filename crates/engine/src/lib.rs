@@ -48,7 +48,7 @@ pub mod tempdb;
 pub mod wal;
 
 pub use config::{CpuCosts, DbConfig};
-pub use db::{Database, DbError, DeviceSet, TableId};
+pub use db::{BulkLoader, Database, DbError, DeviceSet, TableId};
 pub use exec::{remote_scan, ExecCtx, ScanResult};
 pub use optimizer::{choose_scan, crossover_selectivity, ScanChoice, ScanEstimate, ScanPlan};
 pub use row::{ColType, Row, Schema, Value};

@@ -171,6 +171,13 @@ impl Page {
         self.view().get(slot)
     }
 
+    /// Record bytes at `slot`, to rewrite in place (the length is fixed).
+    pub fn get_mut(&mut self, slot: usize) -> &mut [u8] {
+        assert!(slot < self.len(), "slot {slot} out of range");
+        let (off, len) = self.view().slot(slot);
+        &mut self.data[off..off + len]
+    }
+
     /// Iterate over all records in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
         self.view().iter()
@@ -268,6 +275,18 @@ mod tests {
         p.reset();
         assert_eq!(p.as_bytes(), Page::new().as_bytes());
         assert!(p.insert(&[9u8; MAX_RECORD + 1]).is_none());
+    }
+
+    #[test]
+    fn get_mut_rewrites_one_record_in_place() {
+        let mut p = Page::new();
+        p.insert(b"first").unwrap();
+        p.insert(b"second").unwrap();
+        p.get_mut(0).copy_from_slice(b"FIRST");
+        let mut expected = Page::new();
+        expected.insert(b"FIRST").unwrap();
+        expected.insert(b"second").unwrap();
+        assert_eq!(p.as_bytes(), expected.as_bytes());
     }
 
     #[test]

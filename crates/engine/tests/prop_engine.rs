@@ -4,17 +4,17 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use remem_engine::btree::{BTree, NodeView};
+use remem_engine::btree::{Appended, BTree, NodeView, RightEdge, MAX_VALUE_BYTES};
 use remem_engine::bufferpool::{BufferPool, PageAccess};
 use remem_engine::exec::{int_row, ExecCtx};
 use remem_engine::page::{Page, PageView, MAX_RECORD, PAGE_SIZE};
 use remem_engine::pagestore::{FileId, PageNo, PagedFile};
-use remem_engine::row::{Row, Value};
+use remem_engine::row::{ColType, Row, Schema, Value};
 use remem_engine::tempdb::{SpillFile, TempDb};
 use remem_engine::wal::{Wal, WalOp, WalRecord};
-use remem_engine::CpuCosts;
+use remem_engine::{CpuCosts, Database, DbConfig, DbError, DeviceSet};
 use remem_sim::{Clock, CpuPool};
-use remem_storage::{RamDisk, StorageError};
+use remem_storage::{Device, RamDisk, StorageError};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -268,6 +268,340 @@ fn run_spill_script(ops: &[(u8, usize, usize)]) -> Result<Vec<Vec<(PageNo, u64)>
     prop_assert_eq!(tempdb.free_runs(), one_run);
     log.push(tempdb.free_runs());
     Ok(log)
+}
+
+/// Two trees sharing one paged file, the way a database's tables share its
+/// data file.
+struct Forest {
+    bp: BufferPool,
+    file: Arc<PagedFile>,
+    trees: [BTree; 2],
+    clock: Clock,
+}
+
+impl Forest {
+    /// On a 48-frame pool, so building the trees evicts and reads back.
+    fn new() -> Forest {
+        let bp = BufferPool::new(48 * PAGE_SIZE as u64);
+        let file = Arc::new(PagedFile::new(FileId(0), Arc::new(RamDisk::new(32 << 20))));
+        bp.register_file(Arc::clone(&file));
+        let mut clock = Clock::new();
+        let mut tree = || BTree::create(&mut clock, &bp, Arc::clone(&file)).unwrap();
+        let trees = [tree(), tree()];
+        Forest {
+            bp,
+            file,
+            trees,
+            clock,
+        }
+    }
+
+    /// Every allocated page's bytes, in page order.
+    fn pages(&mut self) -> Vec<Vec<u8>> {
+        (0..self.file.allocated_pages())
+            .map(|pno| {
+                self.bp
+                    .with_page(&mut self.clock, self.file.id(), pno, |page| {
+                        page.as_bytes().to_vec()
+                    })
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Root, height and length of each tree, then the pages allocated.
+    fn shape(&self) -> Vec<u64> {
+        let mut shape: Vec<u64> = self
+            .trees
+            .iter()
+            .flat_map(|t| [t.root(), t.height(), t.len()])
+            .collect();
+        shape.push(self.file.allocated_pages());
+        shape
+    }
+}
+
+/// Turn `(second tree?, key gap, value length)` steps into ascending keys per
+/// tree, starting at `starts`.
+fn ascending(script: &[(bool, i64, usize)], starts: [i64; 2]) -> Vec<(usize, i64, usize)> {
+    let mut next = starts;
+    script
+        .iter()
+        .map(|&(second, gap, len)| {
+            let t = second as usize;
+            next[t] += gap;
+            (t, next[t], len)
+        })
+        .collect()
+}
+
+/// Load `steps` into two forests, one `insert` per entry and one `append`
+/// per entry, and require the same roots, heights, lengths, page numbers
+/// and page images. Then check that keys not above a tree's last, and
+/// values over the limit, are refused by `append` with nothing written.
+/// Returns both trees' heights.
+fn append_against_insert(steps: &[(usize, i64, usize)]) -> Result<[u64; 2], String> {
+    let value = |key: i64, len: usize| vec![key as u8; len];
+    let mut inserted = Forest::new();
+    let mut appended = Forest::new();
+    let mut edges = [RightEdge::default(), RightEdge::default()];
+    for &(t, key, len) in steps {
+        let f = &mut inserted;
+        prop_assert!(!f.trees[t]
+            .insert(&mut f.clock, &f.bp, key, &value(key, len))
+            .unwrap());
+        let f = &mut appended;
+        let got = f.trees[t]
+            .append(&mut f.clock, &f.bp, &mut edges[t], key, &value(key, len))
+            .unwrap();
+        prop_assert!(matches!(got, Appended::Placed | Appended::Opened));
+    }
+    prop_assert_eq!(appended.shape(), inserted.shape());
+    let pages = inserted.pages();
+    prop_assert!(appended.pages() == pages, "page images differ");
+
+    let f = &mut appended;
+    for (t, edge) in edges.iter_mut().enumerate() {
+        let last = steps.iter().rev().find(|s| s.0 == t).map(|s| s.1);
+        for key in last.into_iter().flat_map(|k| [k, k - 1, i64::MIN]) {
+            let got = f.trees[t].append(&mut f.clock, &f.bp, edge, key, b"late");
+            prop_assert_eq!(got.unwrap(), Appended::OutOfOrder);
+        }
+        let key = last.map_or(0, |k| k + 1);
+        let huge = vec![0u8; MAX_VALUE_BYTES + 1];
+        let got = f.trees[t].append(&mut f.clock, &f.bp, edge, key, &huge);
+        prop_assert!(
+            matches!(got, Err(StorageError::RecordTooLarge { len, max })
+                if len == MAX_VALUE_BYTES + 1 && max == MAX_VALUE_BYTES),
+            "{got:?}"
+        );
+    }
+    prop_assert_eq!(appended.shape(), inserted.shape());
+    prop_assert!(appended.pages() == pages, "a refused append wrote");
+    Ok([inserted.trees[0].height(), inserted.trees[1].height()])
+}
+
+/// Row `(key, padding)` that encodes to `len` bytes (at least 16).
+fn keyed_row(key: i64, len: usize) -> Row {
+    // 2 (value count) + 9 (tagged int) + 5 (tag and length) around the string
+    Row::new(vec![
+        Value::Int(key),
+        Value::Str("x".repeat(len.saturating_sub(16))),
+    ])
+}
+
+/// A database on RAM disks whose data and log devices the test reads back.
+fn small_db() -> (Database, Arc<RamDisk>, Arc<RamDisk>) {
+    let data = Arc::new(RamDisk::new(16 << 20));
+    let log = Arc::new(RamDisk::new(32 << 20));
+    let devices = DeviceSet {
+        data: Arc::clone(&data) as Arc<dyn remem_storage::Device>,
+        log: Arc::clone(&log) as Arc<dyn remem_storage::Device>,
+        tempdb: Arc::new(RamDisk::new(1 << 20)),
+        bpext: None,
+        wal_ring: None,
+    };
+    let db = Database::standalone(DbConfig::with_pool(64 * PAGE_SIZE as u64), 4, devices);
+    (db, data, log)
+}
+
+fn device_bytes(device: &RamDisk, len: u64) -> Vec<u8> {
+    let mut bytes = vec![0u8; len as usize];
+    device.read(&mut Clock::new(), 0, &mut bytes).unwrap();
+    bytes
+}
+
+/// Load the same two interleaved tables into two databases, row by row
+/// with `Database::insert` and through one `BulkLoader` per table, and
+/// require the same data pages on the device, the same log bytes and LSNs,
+/// the same heights and row counts, and the same answers from `scan`,
+/// `get` and `range`. Then check the loader's typed refusals, each of
+/// which writes nothing.
+fn bulk_load_against_insert(steps: &[(usize, i64, usize)]) -> Result<(), String> {
+    let schema = || Schema::new(vec![("k", ColType::Int), ("pad", ColType::Str)]);
+    let (by_row, row_data, row_log) = small_db();
+    let (bulk, bulk_data, bulk_log) = small_db();
+    let mut row_clock = Clock::new();
+    let mut bulk_clock = Clock::new();
+    let mut tables = Vec::new();
+    for name in ["a", "b"] {
+        let t = by_row
+            .create_table(&mut row_clock, name, schema(), 0)
+            .unwrap();
+        prop_assert_eq!(
+            bulk.create_table(&mut bulk_clock, name, schema(), 0)
+                .unwrap(),
+            t
+        );
+        tables.push(t);
+    }
+    let mut loaders = [
+        bulk.bulk_loader(tables[0]).unwrap(),
+        bulk.bulk_loader(tables[1]).unwrap(),
+    ];
+    for &(t, key, len) in steps {
+        by_row
+            .insert(&mut row_clock, tables[t], keyed_row(key, len))
+            .unwrap();
+        loaders[t]
+            .push(&mut bulk_clock, keyed_row(key, len))
+            .unwrap();
+    }
+    for loader in loaders {
+        loader.finish(&mut bulk_clock).unwrap();
+    }
+
+    let same_state = |bulk_clock: &mut Clock, row_clock: &mut Clock| -> Result<(), String> {
+        by_row.checkpoint(row_clock).unwrap();
+        bulk.checkpoint(bulk_clock).unwrap();
+        prop_assert!(
+            device_bytes(&bulk_data, 16 << 20) == device_bytes(&row_data, 16 << 20),
+            "data pages differ"
+        );
+        let tail = by_row.wal().tail_bytes();
+        prop_assert_eq!(bulk.wal().tail_bytes(), tail);
+        prop_assert!(
+            device_bytes(&bulk_log, tail) == device_bytes(&row_log, tail),
+            "log differs"
+        );
+        prop_assert_eq!(bulk.wal().current_lsn(), by_row.wal().current_lsn());
+        for &t in &tables {
+            prop_assert_eq!(bulk.row_count(t), by_row.row_count(t));
+            prop_assert_eq!(bulk.index_height(t), by_row.index_height(t));
+        }
+        Ok(())
+    };
+    same_state(&mut bulk_clock, &mut row_clock)?;
+    prop_assert!(bulk.wal().stats().groups <= by_row.wal().stats().groups);
+    for (t, &table) in tables.iter().enumerate() {
+        prop_assert_eq!(
+            bulk.scan(&mut bulk_clock, table).unwrap(),
+            by_row.scan(&mut row_clock, table).unwrap()
+        );
+        let keys: Vec<i64> = steps.iter().filter(|s| s.0 == t).map(|s| s.1).collect();
+        for &key in keys.iter().step_by(7).chain(&[i64::MIN, -1, i64::MAX]) {
+            for k in [key.saturating_sub(1), key, key.saturating_add(1)] {
+                prop_assert_eq!(
+                    bulk.get(&mut bulk_clock, table, k).unwrap(),
+                    by_row.get(&mut row_clock, table, k).unwrap()
+                );
+            }
+        }
+        let (lo, hi) = (
+            keys.first().copied().unwrap_or(0),
+            keys.last().copied().unwrap_or(0),
+        );
+        for (a, b) in [(lo, hi), (lo + 1, hi), ((lo + hi) / 2, hi + 1), (hi, lo)] {
+            prop_assert_eq!(
+                bulk.range(&mut bulk_clock, table, a, b).unwrap(),
+                by_row.range(&mut row_clock, table, a, b).unwrap()
+            );
+        }
+    }
+
+    // refusals: a key not above the table's last, a row over the limit, a
+    // table with an NC index — none writes a page, a log record or a row
+    for (t, &table) in tables.iter().enumerate() {
+        let mut loader = bulk.bulk_loader(table).unwrap();
+        let last = steps.iter().rev().find(|s| s.0 == t).map(|s| s.1);
+        for key in last.into_iter().flat_map(|k| [k, k - 1]) {
+            let got = loader.push(&mut bulk_clock, keyed_row(key, 8));
+            prop_assert!(
+                matches!(got, Err(DbError::KeyNotAscending { table: tt, key: kk })
+                    if tt == table && kk == key),
+                "{got:?}"
+            );
+        }
+        let next = last.map_or(0, |k| k + 1);
+        let got = loader.push(&mut bulk_clock, keyed_row(next, MAX_VALUE_BYTES + 1));
+        prop_assert!(
+            matches!(got, Err(DbError::Storage(StorageError::RecordTooLarge { len, max }))
+                if len == MAX_VALUE_BYTES + 1 && max == MAX_VALUE_BYTES),
+            "{got:?}"
+        );
+        loader.finish(&mut bulk_clock).unwrap();
+    }
+    same_state(&mut bulk_clock, &mut row_clock)?;
+    let before = bulk.wal().tail_bytes();
+    bulk.create_nc_index(
+        &mut bulk_clock,
+        tables[1],
+        0,
+        Arc::new(RamDisk::new(16 << 20)),
+    )
+    .unwrap();
+    let next = steps.iter().rev().find(|s| s.0 == 1).map_or(0, |s| s.1 + 1);
+    let got = bulk
+        .bulk_loader(tables[1])
+        .unwrap()
+        .push(&mut bulk_clock, keyed_row(next, 8));
+    prop_assert!(
+        matches!(got, Err(DbError::BulkLoadIndexed { table }) if table == tables[1]),
+        "{got:?}"
+    );
+    prop_assert_eq!(bulk.wal().tail_bytes(), before);
+    prop_assert_eq!(bulk.row_count(tables[1]), by_row.row_count(tables[1]));
+    Ok(())
+}
+
+/// Interleaved steps for two tables: one in five for the second, gaps of 1
+/// to 1 000, two in three values near the limit.
+fn arb_load_script(max_steps: usize) -> impl Strategy<Value = Vec<(bool, i64, usize)>> {
+    let near_limit = 1_800usize..MAX_VALUE_BYTES + 1;
+    prop::collection::vec(
+        (
+            (0u8..5).prop_map(|x| x == 0),
+            1i64..1_000,
+            prop_oneof![0usize..120, near_limit.clone(), near_limit],
+        ),
+        0..max_steps,
+    )
+}
+
+/// Heights 1 to 3 are all reached by the same comparison: no entries, one
+/// leaf, two levels, and a third level over 409 full leaves of the largest
+/// values.
+#[test]
+fn append_equals_insert_from_empty_to_height_three() {
+    let heights = |script: &[(bool, i64, usize)]| {
+        append_against_insert(&ascending(script, [0, -50_000])).unwrap()
+    };
+    assert_eq!(heights(&[]), [1, 1]);
+    assert_eq!(heights(&[(false, 1, 10), (true, 1, 10)]), [1, 1]);
+    let two_levels: Vec<_> = (0..300).map(|i| (i % 3 == 0, 1, 1_000)).collect();
+    assert_eq!(heights(&two_levels), [2, 2]);
+    let three_levels: Vec<_> = (0..1_400)
+        .map(|i| (i % 50 == 0, 1, MAX_VALUE_BYTES))
+        .collect();
+    let [a, b] = heights(&three_levels);
+    assert!(a >= 3 && b == 2, "heights {a}, {b}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `append` leaves exactly the pages ascending `insert`s leave — for two
+    /// interleaved trees in one file, values up to the limit, trees up to
+    /// three levels — and refuses out-of-order keys and oversize values
+    /// without writing.
+    #[test]
+    fn append_equals_ascending_insert(
+        script in arb_load_script(2_500),
+        starts in (-1_000i64..1_000, -1_000i64..1_000),
+    ) {
+        append_against_insert(&ascending(&script, [starts.0, starts.1]))?;
+    }
+
+    /// A bulk load leaves the data pages, log bytes, LSNs and answers a
+    /// row-by-row load leaves, for two tables loaded interleaved. (Keys stay
+    /// non-negative: the NC index the last refusal needs requires it.)
+    #[test]
+    fn bulk_load_equals_row_by_row_insert(
+        script in arb_load_script(900),
+        starts in (0i64..1_000, 0i64..1_000),
+    ) {
+        bulk_load_against_insert(&ascending(&script, [starts.0, starts.1]))?;
+    }
 }
 
 proptest! {

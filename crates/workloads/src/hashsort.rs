@@ -6,7 +6,7 @@
 //! by a Top-N sort whose runs spill again. Both spills land in TempDB.
 
 use remem_engine::row::ColType;
-use remem_engine::{Database, Row, Schema, TableId, Value};
+use remem_engine::{Database, DbError, Row, Schema, TableId, Value};
 use remem_sim::rng::SimRng;
 use remem_sim::{Clock, SimDuration};
 
@@ -57,31 +57,35 @@ pub fn lineitem_schema() -> Schema {
     ])
 }
 
-/// Load both tables, clustered on their keys.
+/// Load both tables, clustered on their keys. Each order is generated with
+/// its line items, so the two tables load interleaved, one bulk loader each.
 pub fn load_tables(db: &Database, clock: &mut Clock, p: &HashSortParams) -> HashSortTables {
+    bulk_load(db, clock, p).expect("load the Hash+Sort tables")
+}
+
+fn bulk_load(
+    db: &Database,
+    clock: &mut Clock,
+    p: &HashSortParams,
+) -> Result<HashSortTables, DbError> {
     let mut rng = SimRng::seeded(p.seed);
-    let orders = db
-        .create_table(clock, "orders", orders_schema(), 0)
-        .expect("orders");
-    let lineitem = db
-        .create_table(clock, "lineitem", lineitem_schema(), 0)
-        .expect("lineitem");
+    let orders = db.create_table(clock, "orders", orders_schema(), 0)?;
+    let lineitem = db.create_table(clock, "lineitem", lineitem_schema(), 0)?;
+    let mut orders_load = db.bulk_loader(orders)?;
+    let mut lineitem_load = db.bulk_loader(lineitem)?;
     for ok in 0..p.orders as i64 {
-        db.insert(
+        orders_load.push(
             clock,
-            orders,
             Row::new(vec![
                 Value::Int(ok),
                 Value::Int(rng.uniform(0, p.orders / 10 + 1) as i64),
                 Value::Float(rng.unit() * 100_000.0),
                 Value::Str("o".repeat(60)),
             ]),
-        )
-        .expect("insert order");
+        )?;
         for ln in 0..p.lineitems_per_order as i64 {
-            db.insert(
+            lineitem_load.push(
                 clock,
-                lineitem,
                 Row::new(vec![
                     Value::Int(ok * 8 + ln),
                     Value::Int(ok),
@@ -89,12 +93,13 @@ pub fn load_tables(db: &Database, clock: &mut Clock, p: &HashSortParams) -> Hash
                     Value::Int(rng.uniform(1, 50) as i64),
                     Value::Str("l".repeat(40)),
                 ]),
-            )
-            .expect("insert lineitem");
+            )?;
         }
     }
-    db.checkpoint(clock).expect("checkpoint");
-    HashSortTables { orders, lineitem }
+    orders_load.finish(clock)?;
+    lineitem_load.finish(clock)?;
+    db.checkpoint(clock)?;
+    Ok(HashSortTables { orders, lineitem })
 }
 
 /// Phase timings of one execution, for the Fig. 14 drill-down.

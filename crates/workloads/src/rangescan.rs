@@ -6,7 +6,7 @@
 //! an optional update variant that rewrites the selected balances.
 
 use remem_engine::row::ColType;
-use remem_engine::{Database, Row, Schema, TableId, Value};
+use remem_engine::{Database, DbError, Row, Schema, TableId, Value};
 use remem_sim::metrics::RunSummary;
 use remem_sim::rng::SimRng;
 use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimDuration, SimTime};
@@ -72,14 +72,18 @@ pub fn customer_row(k: i64) -> Row {
 
 /// Load `rows` customers clustered on custkey. Returns the table id.
 pub fn load_customer(db: &Database, clock: &mut Clock, rows: u64) -> TableId {
-    let t = db
-        .create_table(clock, "customer", customer_schema(), 0)
-        .expect("create customer table");
+    bulk_load(db, clock, rows).expect("load customer")
+}
+
+fn bulk_load(db: &Database, clock: &mut Clock, rows: u64) -> Result<TableId, DbError> {
+    let t = db.create_table(clock, "customer", customer_schema(), 0)?;
+    let mut loader = db.bulk_loader(t)?;
     for k in 0..rows as i64 {
-        db.insert(clock, t, customer_row(k)).expect("load customer");
+        loader.push(clock, customer_row(k))?;
     }
-    db.checkpoint(clock).expect("checkpoint after load");
-    t
+    loader.finish(clock)?;
+    db.checkpoint(clock)?;
+    Ok(t)
 }
 
 /// Run one RangeScan query (read or update) for the key at `start`.

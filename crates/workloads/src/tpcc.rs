@@ -7,7 +7,7 @@
 //! generates real memory demand. Both mixes are provided.
 
 use remem_engine::row::ColType;
-use remem_engine::{Database, Row, Schema, TableId, Value};
+use remem_engine::{Database, DbError, Row, Schema, TableId, Value};
 use remem_sim::metrics::RunSummary;
 use remem_sim::rng::SimRng;
 use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimTime};
@@ -112,98 +112,89 @@ impl Tpcc {
 
 /// Generate and load all eight tables.
 pub fn load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Tpcc {
+    bulk_load(db, clock, p).expect("load TPC-C")
+}
+
+/// Items first, then each warehouse with its stock, districts, customers
+/// and order history: the warehouse tables load interleaved, one bulk
+/// loader each.
+fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, DbError> {
     let mut rng = SimRng::seeded(p.seed);
-    let warehouse = db
-        .create_table(
-            clock,
-            "warehouse",
-            Schema::new(vec![("w_id", ColType::Int), ("w_ytd", ColType::Float)]),
-            0,
-        )
-        .expect("warehouse");
-    let district = db
-        .create_table(
-            clock,
-            "district",
-            Schema::new(vec![
-                ("d_key", ColType::Int),
-                ("d_ytd", ColType::Float),
-                ("d_next_oid", ColType::Int),
-            ]),
-            0,
-        )
-        .expect("district");
-    let customer = db
-        .create_table(
-            clock,
-            "customer",
-            Schema::new(vec![
-                ("c_key", ColType::Int),
-                ("c_balance", ColType::Float),
-                ("c_data", ColType::Str),
-            ]),
-            0,
-        )
-        .expect("customer");
-    let stock = db
-        .create_table(
-            clock,
-            "stock",
-            Schema::new(vec![
-                ("s_key", ColType::Int),
-                ("s_quantity", ColType::Int),
-                ("s_ytd", ColType::Int),
-                ("s_data", ColType::Str),
-            ]),
-            0,
-        )
-        .expect("stock");
-    let item = db
-        .create_table(
-            clock,
-            "item",
-            Schema::new(vec![
-                ("i_id", ColType::Int),
-                ("i_price", ColType::Float),
-                ("i_name", ColType::Str),
-            ]),
-            0,
-        )
-        .expect("item");
-    let orders = db
-        .create_table(
-            clock,
-            "orders",
-            Schema::new(vec![
-                ("o_key", ColType::Int),
-                ("o_c_key", ColType::Int),
-                ("o_carrier", ColType::Int),
-                ("o_ol_cnt", ColType::Int),
-            ]),
-            0,
-        )
-        .expect("orders");
-    let order_line = db
-        .create_table(
-            clock,
-            "order_line",
-            Schema::new(vec![
-                ("ol_key", ColType::Int),
-                ("ol_item", ColType::Int),
-                ("ol_qty", ColType::Int),
-                ("ol_amount", ColType::Float),
-            ]),
-            0,
-        )
-        .expect("order_line");
-    let new_orders = db
-        .create_table(
-            clock,
-            "new_orders",
-            Schema::new(vec![("no_key", ColType::Int)]),
-            0,
-        )
-        .expect("new_orders");
+    let warehouse = db.create_table(
+        clock,
+        "warehouse",
+        Schema::new(vec![("w_id", ColType::Int), ("w_ytd", ColType::Float)]),
+        0,
+    )?;
+    let district = db.create_table(
+        clock,
+        "district",
+        Schema::new(vec![
+            ("d_key", ColType::Int),
+            ("d_ytd", ColType::Float),
+            ("d_next_oid", ColType::Int),
+        ]),
+        0,
+    )?;
+    let customer = db.create_table(
+        clock,
+        "customer",
+        Schema::new(vec![
+            ("c_key", ColType::Int),
+            ("c_balance", ColType::Float),
+            ("c_data", ColType::Str),
+        ]),
+        0,
+    )?;
+    let stock = db.create_table(
+        clock,
+        "stock",
+        Schema::new(vec![
+            ("s_key", ColType::Int),
+            ("s_quantity", ColType::Int),
+            ("s_ytd", ColType::Int),
+            ("s_data", ColType::Str),
+        ]),
+        0,
+    )?;
+    let item = db.create_table(
+        clock,
+        "item",
+        Schema::new(vec![
+            ("i_id", ColType::Int),
+            ("i_price", ColType::Float),
+            ("i_name", ColType::Str),
+        ]),
+        0,
+    )?;
+    let orders = db.create_table(
+        clock,
+        "orders",
+        Schema::new(vec![
+            ("o_key", ColType::Int),
+            ("o_c_key", ColType::Int),
+            ("o_carrier", ColType::Int),
+            ("o_ol_cnt", ColType::Int),
+        ]),
+        0,
+    )?;
+    let order_line = db.create_table(
+        clock,
+        "order_line",
+        Schema::new(vec![
+            ("ol_key", ColType::Int),
+            ("ol_item", ColType::Int),
+            ("ol_qty", ColType::Int),
+            ("ol_amount", ColType::Float),
+        ]),
+        0,
+    )?;
+    let new_orders = db.create_table(
+        clock,
+        "new_orders",
+        Schema::new(vec![("no_key", ColType::Int)]),
+        0,
+    )?;
 
     let t = Tpcc {
         warehouse,
@@ -223,60 +214,56 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Tpcc {
             .collect(),
     };
 
+    let mut item_load = db.bulk_loader(item)?;
     for i in 0..p.items {
-        db.insert(
+        item_load.push(
             clock,
-            item,
             Row::new(vec![
                 Value::Int(i),
                 Value::Float(1.0 + rng.unit() * 100.0),
                 Value::Str(format!("item-{i:06}")),
             ]),
-        )
-        .expect("item");
+        )?;
     }
+    item_load.finish(clock)?;
+    let mut warehouse_load = db.bulk_loader(warehouse)?;
+    let mut district_load = db.bulk_loader(district)?;
+    let mut customer_load = db.bulk_loader(customer)?;
+    let mut stock_load = db.bulk_loader(stock)?;
+    let mut orders_load = db.bulk_loader(orders)?;
+    let mut order_line_load = db.bulk_loader(order_line)?;
+    let mut new_orders_load = db.bulk_loader(new_orders)?;
     for w in 0..p.warehouses {
-        db.insert(
-            clock,
-            warehouse,
-            Row::new(vec![Value::Int(w), Value::Float(0.0)]),
-        )
-        .expect("wh");
+        warehouse_load.push(clock, Row::new(vec![Value::Int(w), Value::Float(0.0)]))?;
         for i in 0..p.items {
-            db.insert(
+            stock_load.push(
                 clock,
-                stock,
                 Row::new(vec![
                     Value::Int(t.stock_key(w, i)),
                     Value::Int(rng.uniform(10, 100) as i64),
                     Value::Int(0),
                     Value::Str("s".repeat(50)),
                 ]),
-            )
-            .expect("stock");
+            )?;
         }
         for d in 0..p.districts_per_wh {
-            db.insert(
+            district_load.push(
                 clock,
-                district,
                 Row::new(vec![
                     Value::Int(t.district_key(w, d)),
                     Value::Float(0.0),
                     Value::Int(INITIAL_ORDERS_PER_DISTRICT),
                 ]),
-            )
-            .expect("district");
+            )?;
             for c in 0..p.customers_per_district {
-                db.insert(
+                customer_load.push(
                     clock,
-                    customer,
                     Row::new(vec![
                         Value::Int(t.customer_key(w, d, c)),
                         Value::Float(-10.0),
                         Value::Str("c".repeat(120)),
                     ]),
-                )
-                .expect("customer");
+                )?;
             }
             // initial order history so StockLevel has data to read; the
             // last third is still undelivered (rows in new_orders)
@@ -285,38 +272,44 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Tpcc {
                 let ol_cnt = 5 + (o % 6);
                 let undelivered = o >= INITIAL_ORDERS_PER_DISTRICT * 2 / 3;
                 if undelivered {
-                    db.insert(clock, new_orders, Row::new(vec![Value::Int(ok)]))
-                        .expect("new_order backlog");
+                    new_orders_load.push(clock, Row::new(vec![Value::Int(ok)]))?;
                 }
-                db.insert(
+                orders_load.push(
                     clock,
-                    orders,
                     Row::new(vec![
                         Value::Int(ok),
                         Value::Int(t.customer_key(w, d, o % p.customers_per_district)),
                         Value::Int(if undelivered { 0 } else { 1 }),
                         Value::Int(ol_cnt),
                     ]),
-                )
-                .expect("order");
+                )?;
                 for l in 0..ol_cnt {
-                    db.insert(
+                    order_line_load.push(
                         clock,
-                        order_line,
                         Row::new(vec![
                             Value::Int(t.order_line_key(ok, l)),
                             Value::Int(rng.uniform(0, p.items as u64) as i64),
                             Value::Int(5),
                             Value::Float(rng.unit() * 100.0),
                         ]),
-                    )
-                    .expect("order_line");
+                    )?;
                 }
             }
         }
     }
-    db.checkpoint(clock).expect("checkpoint");
-    t
+    for loader in [
+        warehouse_load,
+        district_load,
+        customer_load,
+        stock_load,
+        orders_load,
+        order_line_load,
+        new_orders_load,
+    ] {
+        loader.finish(clock)?;
+    }
+    db.checkpoint(clock)?;
+    Ok(t)
 }
 
 /// One NewOrder transaction. Returns order lines created.

@@ -7,7 +7,7 @@
 //! latencies spread across the 2×…>100× improvement buckets of Fig. 21.
 
 use remem_engine::row::ColType;
-use remem_engine::{Database, Row, Schema, TableId, Value};
+use remem_engine::{Database, DbError, Row, Schema, TableId, Value};
 use remem_sim::rng::SimRng;
 use remem_sim::Clock;
 
@@ -71,45 +71,44 @@ pub fn item_schema() -> Schema {
 
 /// Generate and load the star schema.
 pub fn load(db: &Database, clock: &mut Clock, p: &TpcdsParams) -> Tpcds {
+    bulk_load(db, clock, p).expect("load TPC-DS")
+}
+
+/// One table after the other, each through its own bulk loader.
+fn bulk_load(db: &Database, clock: &mut Clock, p: &TpcdsParams) -> Result<Tpcds, DbError> {
     let mut rng = SimRng::seeded(p.seed);
-    let store_sales = db
-        .create_table(clock, "store_sales", store_sales_schema(), 0)
-        .expect("store_sales");
-    let date_dim = db
-        .create_table(clock, "date_dim", date_dim_schema(), 0)
-        .expect("date_dim");
-    let item = db
-        .create_table(clock, "item", item_schema(), 0)
-        .expect("item");
+    let store_sales = db.create_table(clock, "store_sales", store_sales_schema(), 0)?;
+    let date_dim = db.create_table(clock, "date_dim", date_dim_schema(), 0)?;
+    let item = db.create_table(clock, "item", item_schema(), 0)?;
+    let mut loader = db.bulk_loader(date_dim)?;
     for d in 0..p.days as i64 {
-        db.insert(
+        loader.push(
             clock,
-            date_dim,
             Row::new(vec![
                 Value::Int(d),
                 Value::Int(1998 + d / 365),
                 Value::Int(1 + (d / 30) % 12),
             ]),
-        )
-        .expect("insert date");
+        )?;
     }
+    loader.finish(clock)?;
+    let mut loader = db.bulk_loader(item)?;
     for i in 0..p.items as i64 {
-        db.insert(
+        loader.push(
             clock,
-            item,
             Row::new(vec![
                 Value::Int(i),
                 Value::Int(rng.uniform(0, 10) as i64),
                 Value::Float(rng.unit() * 300.0),
                 Value::Str("i".repeat(100)),
             ]),
-        )
-        .expect("insert item");
+        )?;
     }
+    loader.finish(clock)?;
+    let mut loader = db.bulk_loader(store_sales)?;
     for s in 0..p.sales as i64 {
-        db.insert(
+        loader.push(
             clock,
-            store_sales,
             Row::new(vec![
                 Value::Int(s),
                 Value::Int(rng.zipf(p.items, 0.8) as i64),
@@ -118,17 +117,17 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpcdsParams) -> Tpcds {
                 Value::Float(rng.unit() * 500.0),
                 Value::Int(rng.uniform(0, p.sales / 20 + 1) as i64),
             ]),
-        )
-        .expect("insert sale");
+        )?;
     }
-    db.checkpoint(clock).expect("checkpoint");
-    Tpcds {
+    loader.finish(clock)?;
+    db.checkpoint(clock)?;
+    Ok(Tpcds {
         store_sales,
         date_dim,
         item,
         n_sales: p.sales,
         days: p.days,
-    }
+    })
 }
 
 /// Queries in the generated workload (the paper's histogram covers ~75).

@@ -11,7 +11,7 @@
 //! compare.
 
 use remem_engine::row::ColType;
-use remem_engine::{Database, Row, Schema, TableId, Value};
+use remem_engine::{Database, DbError, Row, Schema, TableId, Value};
 use remem_sim::rng::SimRng;
 use remem_sim::Clock;
 
@@ -82,21 +82,22 @@ pub fn lineitem_schema() -> Schema {
 
 /// Generate and load the database (clustered on the primary keys).
 pub fn load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Tpch {
+    bulk_load(db, clock, p).expect("load TPC-H")
+}
+
+/// One table after the other, each through its own bulk loader, so each
+/// table's leaves are physically contiguous (the paper loads with the
+/// standard per-table bulk tools).
+fn bulk_load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Result<Tpch, DbError> {
     let mut rng = SimRng::seeded(p.seed);
-    let customer = db
-        .create_table(clock, "customer", customer_schema(), 0)
-        .expect("customer");
-    let orders = db
-        .create_table(clock, "orders", orders_schema(), 0)
-        .expect("orders");
-    let lineitem = db
-        .create_table(clock, "lineitem", lineitem_schema(), 0)
-        .expect("lineitem");
+    let customer = db.create_table(clock, "customer", customer_schema(), 0)?;
+    let orders = db.create_table(clock, "orders", orders_schema(), 0)?;
+    let lineitem = db.create_table(clock, "lineitem", lineitem_schema(), 0)?;
     let n_orders = p.customers * p.orders_per_customer;
+    let mut loader = db.bulk_loader(customer)?;
     for ck in 0..p.customers as i64 {
-        db.insert(
+        loader.push(
             clock,
-            customer,
             Row::new(vec![
                 Value::Int(ck),
                 Value::Int(rng.uniform(0, 25) as i64),
@@ -104,16 +105,14 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Tpch {
                 Value::Float(rng.unit() * 10_000.0),
                 Value::Str("c".repeat(120)),
             ]),
-        )
-        .expect("insert customer");
+        )?;
     }
-    // bulk-load per table so each table's leaves are physically contiguous
-    // (the paper loads with the standard per-table bulk tools)
+    loader.finish(clock)?;
+    let mut loader = db.bulk_loader(orders)?;
     for ok in 0..n_orders as i64 {
         let ck = rng.uniform(0, p.customers) as i64;
-        db.insert(
+        loader.push(
             clock,
-            orders,
             Row::new(vec![
                 Value::Int(ok),
                 Value::Int(ck),
@@ -121,14 +120,14 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Tpch {
                 Value::Float(rng.unit() * 400_000.0),
                 Value::Str("o".repeat(80)),
             ]),
-        )
-        .expect("insert order");
+        )?;
     }
+    loader.finish(clock)?;
+    let mut loader = db.bulk_loader(lineitem)?;
     for ok in 0..n_orders as i64 {
         for ln in 0..p.lineitems_per_order as i64 {
-            db.insert(
+            loader.push(
                 clock,
-                lineitem,
                 Row::new(vec![
                     Value::Int(ok * 8 + ln),
                     Value::Int(ok),
@@ -139,17 +138,17 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Tpch {
                     Value::Int(rng.uniform(0, 3) as i64),
                     Value::Int(rng.uniform(0, 7) as i64),
                 ]),
-            )
-            .expect("insert lineitem");
+            )?;
         }
     }
-    db.checkpoint(clock).expect("checkpoint");
-    Tpch {
+    loader.finish(clock)?;
+    db.checkpoint(clock)?;
+    Ok(Tpch {
         customer,
         orders,
         lineitem,
         n_orders,
-    }
+    })
 }
 
 /// Number of queries in the workload (TPC-H has 22).
