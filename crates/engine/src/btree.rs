@@ -723,13 +723,13 @@ impl BTree {
             carry = if placed {
                 None
             } else {
-                let (mut keys, mut children) = bp.with_page(clock, file, pno, |page| {
-                    let node = NodeView::new(page.view());
-                    let keys: Vec<i64> = (0..node.len()).map(|i| node.key_at(i)).collect();
-                    let children: Vec<PageNo> =
-                        (0..=node.len()).map(|i| node.child_at(i)).collect();
-                    (keys, children)
-                })?;
+                let Node::Internal {
+                    mut keys,
+                    mut children,
+                } = self.read_node(clock, bp, pno)?
+                else {
+                    unreachable!("the edge above the leaf is internal nodes")
+                };
                 keys.push(sep);
                 children.push(child);
                 Some(self.split_internal(clock, bp, pno, keys, children)?)
