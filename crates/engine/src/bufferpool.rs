@@ -84,8 +84,10 @@ pub enum PageAccess {
     New,
 }
 
+/// A frame in use. The pool makes a frame when a page first lands in it, so
+/// every frame holds a page.
 struct Frame {
-    key: Option<Key>,
+    key: Key,
     page: Page,
     dirty: bool,
     referenced: bool,
@@ -399,7 +401,10 @@ impl BpExt {
 }
 
 struct Inner {
+    /// Grows to `capacity` as pages arrive (`BufferPool::install`), then
+    /// stays full.
     frames: Vec<Frame>,
+    capacity: usize,
     // ordered maps throughout: replay-critical paths iterate them and hash
     // order would differ between otherwise identical runs
     map: BTreeMap<Key, usize>,
@@ -443,20 +448,13 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool of `bytes / 8 KiB` frames.
+    /// A pool of `bytes / 8 KiB` frames. No frame memory is committed until
+    /// a page lands in it.
     pub fn new(bytes: u64) -> BufferPool {
-        let nframes = (bytes / PAGE_SIZE as u64).max(2) as usize;
-        let frames = (0..nframes)
-            .map(|_| Frame {
-                key: None,
-                page: Page::new(),
-                dirty: false,
-                referenced: false,
-            })
-            .collect();
         BufferPool {
             inner: Mutex::new(Inner {
-                frames,
+                frames: Vec::new(),
+                capacity: (bytes / PAGE_SIZE as u64).max(2) as usize,
                 map: BTreeMap::new(),
                 hand: 0,
                 ext: None,
@@ -472,8 +470,9 @@ impl BufferPool {
         }
     }
 
+    /// The pool's capacity in frames, used or not.
     pub fn frame_count(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.inner.lock().capacity
     }
 
     /// Attach an extension tier (replaces any existing one).
@@ -529,13 +528,12 @@ impl BufferPool {
         let Some(aud) = inner.auditor.as_ref() else {
             return;
         };
-        let occupied = inner.frames.iter().filter(|fr| fr.key.is_some()).count();
         aud.check_balance(
             at,
             "bufferpool",
             "frame-map-agreement",
             ("mapped_pages", inner.map.len() as i128),
-            &[("occupied_frames", occupied as i128)],
+            &[("occupied_frames", inner.frames.len() as i128)],
         );
         aud.check_that(
             at,
@@ -544,7 +542,7 @@ impl BufferPool {
             inner
                 .map
                 .iter()
-                .all(|(k, &i)| inner.frames.get(i).is_some_and(|fr| fr.key == Some(*k))),
+                .all(|(k, &i)| inner.frames.get(i).is_some_and(|fr| fr.key == *k)),
             || "a page-map entry points at a frame holding a different key".to_string(),
         );
         if let Some(ext) = inner.ext.as_ref() {
@@ -600,56 +598,86 @@ impl BufferPool {
         self.inner.lock().map.len()
     }
 
+    /// Put a page in a frame and map it: a frame never used before while
+    /// the pool is filling, the clock sweep's victim once it is full.
+    ///
+    /// This takes frames exactly as a pool of `capacity` frames made up
+    /// front would: no frame is ever freed except by the sweep, which hands
+    /// it straight back, so while the pool fills the sweep would find the
+    /// frames free in index order, and its hand would wrap to 0 as the last
+    /// one is taken — where it starts once the pool is full.
+    fn install(
+        inner: &mut Inner,
+        clock: &mut Clock,
+        key: Key,
+        page: Page,
+        dirty: bool,
+    ) -> Result<usize, StorageError> {
+        let frame = Frame {
+            key,
+            page,
+            dirty,
+            referenced: true,
+        };
+        let idx = if inner.frames.len() < inner.capacity {
+            inner.frames.push(frame);
+            inner.frames.len() - 1
+        } else {
+            let idx = Self::evict_one(inner, clock)?;
+            inner.frames[idx] = frame;
+            idx
+        };
+        inner.map.insert(key, idx);
+        Ok(idx)
+    }
+
+    /// The clock sweep over a full pool: evict the first frame whose
+    /// reference bit is clear and return its index for the caller to
+    /// overwrite.
     fn evict_one(inner: &mut Inner, clock: &mut Clock) -> Result<usize, StorageError> {
-        // clock sweep: skip referenced frames once, clearing their bit
+        // skip referenced frames once, clearing their bit
         loop {
             let idx = inner.hand;
-            inner.hand = (inner.hand + 1) % inner.frames.len();
+            inner.hand = (inner.hand + 1) % inner.capacity;
             let frame = &mut inner.frames[idx];
-            match frame.key {
-                None => return Ok(idx),
-                Some(key) => {
-                    if frame.referenced {
-                        frame.referenced = false;
-                        continue;
-                    }
-                    // flush if dirty — via the lazy writer: the device time
-                    // is consumed (a background clock reserves it) but the
-                    // evicting query is not stalled, as in a real engine's
-                    // write-behind path
-                    if frame.dirty {
-                        let file = inner
-                            .files
-                            .get(&key.0)
-                            .unwrap_or_else(|| panic!("file {:?} not registered", key.0))
-                            .clone();
-                        let mut lazy_writer = Clock::starting_at(clock.now());
-                        file.write_page(&mut lazy_writer, key.1, &frame.page)?;
-                        inner.stats.dirty_flushes += 1;
-                        if let Some(m) = &inner.metrics {
-                            m.dirty_flushes.incr();
-                        }
-                    }
-                    // the (now clean) page goes to the extension tier; only
-                    // an actual device write counts as one — an up-to-date
-                    // cached copy is a skip, not I/O
-                    if let Some(ext) = inner.ext.as_mut() {
-                        if ext.put(clock, key, &frame.page) == PutOutcome::Written {
-                            inner.stats.ext_writes += 1;
-                            if let Some(m) = &inner.metrics {
-                                m.ext_writes.incr();
-                            }
-                        }
-                    }
-                    inner.map.remove(&key);
-                    frame.key = None;
-                    inner.stats.evictions += 1;
-                    if let Some(m) = &inner.metrics {
-                        m.evictions.incr();
-                    }
-                    return Ok(idx);
+            if frame.referenced {
+                frame.referenced = false;
+                continue;
+            }
+            let key = frame.key;
+            // flush if dirty — via the lazy writer: the device time is
+            // consumed (a background clock reserves it) but the evicting
+            // query is not stalled, as in a real engine's write-behind path
+            if frame.dirty {
+                let file = inner
+                    .files
+                    .get(&key.0)
+                    .unwrap_or_else(|| panic!("file {:?} not registered", key.0))
+                    .clone();
+                let mut lazy_writer = Clock::starting_at(clock.now());
+                file.write_page(&mut lazy_writer, key.1, &frame.page)?;
+                inner.stats.dirty_flushes += 1;
+                if let Some(m) = &inner.metrics {
+                    m.dirty_flushes.incr();
                 }
             }
+            // the (now clean) page goes to the extension tier; only an
+            // actual device write counts as one — an up-to-date cached copy
+            // is a skip, not I/O
+            if let Some(ext) = inner.ext.as_mut() {
+                if ext.put(clock, key, &frame.page) == PutOutcome::Written {
+                    inner.stats.ext_writes += 1;
+                    if let Some(m) = &inner.metrics {
+                        m.ext_writes.incr();
+                    }
+                }
+            }
+            inner.map.remove(&key);
+            inner.stats.evictions += 1;
+            if let Some(m) = &inner.metrics {
+                m.evictions.incr();
+            }
+            return Ok(idx);
         }
     }
 
@@ -709,7 +737,7 @@ impl BufferPool {
                 // whole run goes out as ONE vectored read — on a remote file
                 // that is a single pipelined doorbell, not N serial verbs.
                 if sequential {
-                    let limit = READAHEAD_PAGES.min(inner.frames.len() as u64 / 2);
+                    let limit = READAHEAD_PAGES.min(inner.capacity as u64 / 2);
                     if let Some(mut ext) = inner.ext.take() {
                         let keys: Vec<Key> = (1..limit)
                             .map(|i| (file, page_no + i))
@@ -726,20 +754,9 @@ impl BufferPool {
                             if let Some(m) = &inner.metrics {
                                 m.ext_hits.incr();
                             }
-                            match Self::evict_one(inner, clock) {
-                                Ok(idx) => {
-                                    inner.frames[idx] = Frame {
-                                        key: Some(*k),
-                                        page: pg,
-                                        dirty: false,
-                                        referenced: true,
-                                    };
-                                    inner.map.insert(*k, idx);
-                                }
-                                Err(e) => {
-                                    staged = Err(e);
-                                    break;
-                                }
+                            if let Err(e) = Self::install(inner, clock, *k, pg, false) {
+                                staged = Err(e);
+                                break;
                             }
                         }
                         // re-attach BEFORE surfacing any staging error:
@@ -769,7 +786,7 @@ impl BufferPool {
                 let batch = if sequential {
                     READAHEAD_PAGES
                         .min(f.allocated_pages().saturating_sub(page_no))
-                        .min(inner.frames.len() as u64 / 2)
+                        .min(inner.capacity as u64 / 2)
                         .max(1)
                 } else {
                     1
@@ -800,14 +817,7 @@ impl BufferPool {
                             &buf[(i * PAGE_SIZE as u64) as usize
                                 ..((i + 1) * PAGE_SIZE as u64) as usize],
                         );
-                        let idx = Self::evict_one(inner, clock)?;
-                        inner.frames[idx] = Frame {
-                            key: Some(k),
-                            page: pg,
-                            dirty: false,
-                            referenced: true,
-                        };
-                        inner.map.insert(k, idx);
+                        Self::install(inner, clock, k, pg, false)?;
                     }
                     Page::from_bytes(&buf[..PAGE_SIZE])
                 } else {
@@ -815,14 +825,7 @@ impl BufferPool {
                 }
             }
         };
-        let idx = Self::evict_one(inner, clock)?;
-        inner.frames[idx] = Frame {
-            key: Some(key),
-            page,
-            dirty: false,
-            referenced: true,
-        };
-        inner.map.insert(key, idx);
+        let idx = Self::install(inner, clock, key, page, false)?;
         if let Some(m) = &inner.metrics {
             let probes = inner.stats.ext_hits + inner.stats.base_reads;
             if probes > 0 {
@@ -885,14 +888,7 @@ impl BufferPool {
             !inner.map.contains_key(&key),
             "page {key:?} already resident"
         );
-        let idx = Self::evict_one(&mut inner, clock)?;
-        inner.frames[idx] = Frame {
-            key: Some(key),
-            page: Page::new(),
-            dirty: true,
-            referenced: true,
-        };
-        inner.map.insert(key, idx);
+        Self::install(&mut inner, clock, key, Page::new(), true)?;
         clock.advance(self.hit_cost);
         Self::verify(&inner, clock.now());
         Ok(())
@@ -905,11 +901,11 @@ impl BufferPool {
             .frames
             .iter()
             .enumerate()
-            .filter(|(_, fr)| fr.key.is_some() && fr.dirty)
+            .filter(|(_, fr)| fr.dirty)
             .map(|(i, _)| i)
             .collect();
         for idx in dirty {
-            let key = inner.frames[idx].key.expect("checked above");
+            let key = inner.frames[idx].key;
             let file = inner.files.get(&key.0).expect("file registered").clone();
             let page = inner.frames[idx].page.clone();
             file.write_page(clock, key.1, &page)?;
@@ -930,7 +926,7 @@ impl BufferPool {
         inner
             .frames
             .iter()
-            .filter_map(|fr| fr.key.map(|k| (k, fr.page.clone())))
+            .map(|fr| (fr.key, fr.page.clone()))
             .collect()
     }
 
@@ -942,16 +938,9 @@ impl BufferPool {
             if inner.map.contains_key(&key) {
                 continue;
             }
-            let Ok(idx) = Self::evict_one(&mut inner, clock) else {
+            if Self::install(&mut inner, clock, key, page, false).is_err() {
                 break;
-            };
-            inner.frames[idx] = Frame {
-                key: Some(key),
-                page,
-                dirty: false,
-                referenced: true,
-            };
-            inner.map.insert(key, idx);
+            }
         }
         Self::verify(&inner, clock.now());
     }
@@ -1558,6 +1547,99 @@ mod tests {
             aud.checks() > 100,
             "slot conservation must have been audited throughout: {}",
             aud.checks()
+        );
+    }
+
+    /// Page buffers the pool holds right now.
+    fn page_buffers(bp: &BufferPool) -> usize {
+        bp.inner.lock().frames.len()
+    }
+
+    #[test]
+    fn frames_materialise_on_first_use() {
+        let (bp, file, mut clock) = setup(8, 32);
+        assert_eq!(page_buffers(&bp), 0, "a new pool holds no page buffer");
+        for n in 0..5 {
+            write_marker(&bp, &mut clock, &file, n);
+        }
+        assert_eq!(page_buffers(&bp), 5, "one buffer per page served");
+        assert_eq!(bp.frame_count(), 8, "frame_count is the capacity");
+        for n in 5..20 {
+            write_marker(&bp, &mut clock, &file, n);
+        }
+        for n in 0..20 {
+            assert_eq!(read_marker(&bp, &mut clock, file.id(), n), n);
+        }
+        assert_eq!(page_buffers(&bp), 8, "never more buffers than frames");
+        assert_eq!(bp.resident_pages(), 8);
+    }
+
+    /// A sequential scan on a fresh 24-frame pool, served by the base device
+    /// (`from_ext == false`) or by a preloaded extension. Readahead engages
+    /// at the eighth miss, while most frames are still unused, so the run
+    /// is pinned: the readahead limits follow the pool's capacity, not the
+    /// number of frames used so far.
+    fn fresh_pool_scan(from_ext: bool) -> String {
+        let bp = BufferPool::new(24 * PAGE_SIZE as u64);
+        let file = Arc::new(PagedFile::new(
+            FileId(2),
+            Arc::new(remem_storage::Ssd::new(
+                remem_storage::SsdConfig::with_capacity(64 * PAGE_SIZE as u64),
+            )),
+        ));
+        bp.register_file(Arc::clone(&file));
+        let mut clock = Clock::new();
+        let mut ext = BpExt::new(Arc::new(RamDisk::new(64 * PAGE_SIZE as u64)));
+        for n in 0..40u64 {
+            assert_eq!(file.allocate().unwrap(), n);
+            let mut pg = Page::new();
+            pg.insert(&n.to_le_bytes()).unwrap();
+            file.write_page(&mut clock, n, &pg).unwrap();
+            if from_ext {
+                ext.put(&mut clock, (file.id(), n), &pg);
+            }
+        }
+        if from_ext {
+            bp.set_extension(Some(ext));
+        }
+        bp.record_accesses(true);
+        let mut read = 0u64;
+        for n in 0..30 {
+            read = read.wrapping_mul(31) + read_marker(&bp, &mut clock, file.id(), n);
+        }
+        let mut log = 0xcbf2_9ce4_8422_2325u64;
+        for (kind, f, p) in bp.take_accesses() {
+            for b in [kind as u64, f.0 as u64, p] {
+                log = (log ^ b).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        format!(
+            "t={} log={log:016x} read={read} resident={} {:?}",
+            clock.now().as_nanos(),
+            bp.resident_pages(),
+            bp.stats()
+        )
+    }
+
+    #[test]
+    fn readahead_on_a_fresh_pool_from_base() {
+        assert_eq!(
+            fresh_pool_scan(false),
+            "t=18252100 log=2cd3e372d29459ba read=4334487890020705295 resident=24 \
+             BpStats { hits: 21, misses: 9, ext_hits: 0, ext_writes: 0, base_reads: 9, \
+             dirty_flushes: 0, evictions: 7, ext_suspends: 0, ext_reattaches: 0, \
+             ext_lost_pages: 0 }"
+        );
+    }
+
+    #[test]
+    fn readahead_on_a_fresh_pool_from_extension() {
+        assert_eq!(
+            fresh_pool_scan(true),
+            "t=16154608 log=2cd3e372d29459ba read=4334487890020705295 resident=24 \
+             BpStats { hits: 21, misses: 9, ext_hits: 31, ext_writes: 0, base_reads: 0, \
+             dirty_flushes: 0, evictions: 7, ext_suspends: 0, ext_reattaches: 0, \
+             ext_lost_pages: 0 }"
         );
     }
 

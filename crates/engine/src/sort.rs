@@ -26,6 +26,13 @@ fn log2_ceil(n: u64) -> u64 {
     64 - n.max(2).leading_zeros() as u64
 }
 
+/// `k`'s place in IEEE 754 total order as an integer: comparing these is
+/// comparing with [`f64::total_cmp`], which computes exactly this.
+fn total_order_key(k: f64) -> i64 {
+    let bits = k.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Sort `rows` by `key` (ascending), spilling runs to `tempdb` when the
 /// memory grant is exceeded. Returns at most `limit` rows if given.
 pub fn external_sort(
@@ -36,9 +43,13 @@ pub fn external_sort(
     grant_bytes: u64,
     limit: Option<usize>,
 ) -> Result<Vec<Row>, StorageError> {
-    let total: u64 = rows.iter().map(row_footprint).sum();
+    let mut total = 0u64;
+    let fits = rows.iter().all(|r| {
+        total += row_footprint(r);
+        total <= grant_bytes
+    });
     let n = rows.len() as u64;
-    if total <= grant_bytes {
+    if fits {
         // in-memory sort
         ctx.charge_n(ctx.costs.compare, n * log2_ceil(n));
         let mut keyed: Vec<(f64, Row)> = rows.into_iter().map(|r| (key(&r), r)).collect();
@@ -53,21 +64,23 @@ pub fn external_sort(
 
     // Phase 1: sorted runs of grant size. A row is encoded once, on entry to
     // the run buffer; the sort moves `(key, start, len)` entries and the run
-    // is written from the bytes already encoded.
+    // is written from the bytes already encoded. The key is the integer
+    // total order and `start` grows with arrival, so an unstable sort of the
+    // entries is the stable `total_cmp` sort.
     let mut runs = Vec::new();
     let mut encoded: Vec<u8> = Vec::new();
-    let mut batch: Vec<(f64, usize, usize)> = Vec::new();
+    let mut batch: Vec<(i64, usize, usize)> = Vec::new();
     let mut batch_bytes = 0u64;
     let mut flush = |ctx: &mut ExecCtx<'_>,
                      encoded: &mut Vec<u8>,
-                     batch: &mut Vec<(f64, usize, usize)>|
+                     batch: &mut Vec<(i64, usize, usize)>|
      -> Result<(), StorageError> {
         if batch.is_empty() {
             return Ok(());
         }
         let bn = batch.len() as u64;
         ctx.charge_n(ctx.costs.compare, bn * log2_ceil(bn));
-        batch.sort_by(|a, b| a.0.total_cmp(&b.0));
+        batch.sort_unstable_by_key(|&(k, start, _)| (k, start));
         let mut w = tempdb.writer();
         for &(_, start, len) in batch.iter() {
             w.push_encoded(ctx, &encoded[start..start + len])?;
@@ -82,13 +95,18 @@ pub fn external_sort(
         r.encode(&mut encoded);
         let len = encoded.len() - start;
         batch_bytes += len as u64 + ROW_BOOKKEEPING;
-        batch.push((key(&r), start, len));
+        batch.push((total_order_key(key(&r)), start, len));
         if batch_bytes >= grant_bytes {
             flush(ctx, &mut encoded, &mut batch)?;
             batch_bytes = 0;
         }
     }
     flush(ctx, &mut encoded, &mut batch)?;
+    // a Top-0 pays for its runs, as the in-memory path pays for its sort,
+    // and reads none of them back
+    if limit == Some(0) {
+        return Ok(Vec::new());
+    }
 
     // Phase 2: k-way merge
     struct HeapItem {
@@ -238,6 +256,54 @@ mod tests {
             out2.iter().map(|r| r.int(0)).collect::<Vec<_>>(),
             (0..10).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn top_zero_returns_no_rows_on_both_paths() {
+        let (tempdb, mut clock, cpu, costs) = setup();
+        let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+        for grant in [64 << 20, 32 << 10] {
+            let out = external_sort(
+                &mut ctx,
+                &tempdb,
+                shuffled(5000, 6),
+                |r| r.int(0) as f64,
+                grant,
+                Some(0),
+            )
+            .unwrap();
+            assert!(out.is_empty(), "Top-0 returned rows at grant {grant}");
+        }
+        assert!(tempdb.bytes_spilled() > 0, "the small grant must spill");
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::INFINITY,
+            -0.0,
+            0.0,
+            -1.0,
+            1.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for a in keys {
+            for b in keys {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,24 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Sort keys where `total_cmp` differs from `<`: both zeros, both
+/// infinities, quiet and signalling NaNs of both signs, and a few finite
+/// values that repeat.
+const SORT_KEYS: [f64; 12] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7ff0_0000_0000_0001),
+    f64::from_bits(0xfff0_0000_0000_0001),
+    1.5,
+    -1.5,
+    f64::MIN_POSITIVE,
+    f64::MAX,
+];
+
 fn arb_row() -> impl Strategy<Value = Row> {
     prop::collection::vec(arb_value(), 0..8).prop_map(Row::new)
 }
@@ -928,6 +946,33 @@ proptest! {
             &mut ctx, &tempdb, rows, |r| r.int(0) as f64, grant_kb << 10, None).unwrap();
         let mut expected = keys.clone();
         expected.sort_unstable();
+        let got: Vec<i64> = sorted.iter().map(|r| r.int(0)).collect();
+        prop_assert_eq!(got, expected);
+    }
+
+    /// External sort is a stable `total_cmp` sort, spilled or not, on keys
+    /// with duplicates, both zeros, both infinities and NaNs of both signs;
+    /// a limit keeps that order's first rows, and Top-0 keeps none.
+    #[test]
+    fn external_sort_is_a_stable_total_cmp_sort(
+        picks in prop::collection::vec(0usize..SORT_KEYS.len(), 0..1_500),
+        grant_kb in 1u64..96,
+        limit in prop_oneof![Just(None), Just(Some(0)), (1usize..40).prop_map(Some)],
+    ) {
+        let tempdb = TempDb::new(Arc::new(PagedFile::new(
+            FileId(9), Arc::new(RamDisk::new(64 << 20)))));
+        let cpu = CpuPool::new(4);
+        let costs = CpuCosts::default();
+        let mut clock = Clock::new();
+        let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
+        let keys: Vec<f64> = picks.iter().map(|&p| SORT_KEYS[p]).collect();
+        // a row is its arrival index; the key is looked up by it
+        let rows: Vec<Row> = (0..keys.len() as i64).map(|i| int_row(&[i])).collect();
+        let sorted = remem_engine::sort::external_sort(
+            &mut ctx, &tempdb, rows, |r| keys[r.int(0) as usize], grant_kb << 10, limit).unwrap();
+        let mut expected: Vec<i64> = (0..keys.len() as i64).collect();
+        expected.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+        expected.truncate(limit.unwrap_or(usize::MAX));
         let got: Vec<i64> = sorted.iter().map(|r| r.int(0)).collect();
         prop_assert_eq!(got, expected);
     }

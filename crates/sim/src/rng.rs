@@ -92,25 +92,11 @@ impl SimRng {
         }
     }
 
-    /// Pick an index by sampling a `Zipf(theta)` distribution over `[0, n)`
-    /// using the standard inverse-CDF approximation from Gray et al.
+    /// Pick an index by sampling a `Zipf(theta)` distribution over `[0, n)`.
+    /// Builds the sampler, ζ(n) included, on every call: a loop drawing
+    /// from one distribution should build one [`Zipf`] and sample it.
     pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        assert!(n > 0);
-        assert!(theta > 0.0 && theta < 1.0, "theta must be in (0,1)");
-        // Constants per Gray et al., "Quickly Generating Billion-Record
-        // Synthetic Databases" (the same generator TPC-C implementations use).
-        let zetan = zeta(n, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan);
-        let u = self.unit();
-        let uz = u * zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(theta) {
-            return 1;
-        }
-        ((n as f64) * (eta * u - eta + 1.0).powf(alpha)) as u64 % n
+        Zipf::new(n, theta).sample(self)
     }
 
     /// Shuffle a slice in place (Fisher-Yates).
@@ -122,6 +108,50 @@ impl SimRng {
             let j = self.uniform(0, i as u64 + 1) as usize;
             xs.swap(i, j);
         }
+    }
+}
+
+/// A `Zipf(theta)` distribution over `[0, n)`, by the standard inverse-CDF
+/// approximation of Gray et al., "Quickly Generating Billion-Record
+/// Synthetic Databases" (the same generator TPC-C implementations use).
+///
+/// Building one sums ζ(n), which is up to 100 000 `powf` calls; each
+/// [`Zipf::sample`] is one [`SimRng::unit`] draw and at most one `powf`.
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: u64,
+    zetan: f64,
+    alpha: f64,
+    eta: f64,
+    /// `1 + 0.5^θ`, which is ζ(2): a draw with `u·ζ(n)` below it is index 1.
+    zeta2: f64,
+}
+
+impl Zipf {
+    pub fn new(n: u64, theta: f64) -> Zipf {
+        assert!(n > 0);
+        assert!(theta > 0.0 && theta < 1.0, "theta must be in (0,1)");
+        let zetan = zeta(n, theta);
+        Zipf {
+            n,
+            zetan,
+            alpha: 1.0 / (1.0 - theta),
+            eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan),
+            zeta2: 1.0 + 0.5f64.powf(theta),
+        }
+    }
+
+    /// One index in `[0, n)`.
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        let u = rng.unit();
+        let uz = u * self.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < self.zeta2 {
+            return 1;
+        }
+        ((self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64 % self.n
     }
 }
 
@@ -193,6 +223,51 @@ mod tests {
         let top10: u32 = counts[..10].iter().sum();
         assert!(counts[0] > counts[500] * 10);
         assert!(top10 as f64 / 100_000.0 > 0.3, "top10 share {top10}");
+    }
+
+    /// The per-draw Zipf code `SimRng::zipf` ran before [`Zipf`] existed,
+    /// kept verbatim as the oracle.
+    fn zipf_per_draw(rng: &mut SimRng, n: u64, theta: f64) -> u64 {
+        let zetan = zeta(n, theta);
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan);
+        let u = rng.unit();
+        let uz = u * zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(theta) {
+            return 1;
+        }
+        ((n as f64) * (eta * u - eta + 1.0).powf(alpha)) as u64 % n
+    }
+
+    #[test]
+    fn zipf_sampler_draws_what_the_per_draw_code_drew() {
+        // 200 000 is above zeta's 100 000-term cap
+        for n in [1u64, 2, 3, 60, 5_000, 200_000] {
+            let draws = if n > 5_000 { 10 } else { 400 };
+            for theta in [0.2, 0.5, 0.8, 0.99] {
+                let zipf = Zipf::new(n, theta);
+                for seed in [1u64, 7, 23] {
+                    let mut a = SimRng::seeded(seed);
+                    let mut b = SimRng::seeded(seed);
+                    let mut c = SimRng::seeded(seed);
+                    for i in 0..draws {
+                        let want = zipf_per_draw(&mut a, n, theta);
+                        assert_eq!(
+                            zipf.sample(&mut b),
+                            want,
+                            "n={n} θ={theta} seed={seed} draw {i}"
+                        );
+                        assert_eq!(c.zipf(n, theta), want);
+                    }
+                    // one unit() per draw: the streams stay in step
+                    let next = a.next_u64();
+                    assert_eq!((b.next_u64(), c.next_u64()), (next, next));
+                }
+            }
+        }
     }
 
     #[test]

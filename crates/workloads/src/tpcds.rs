@@ -8,7 +8,7 @@
 
 use remem_engine::row::ColType;
 use remem_engine::{Database, DbError, Row, Schema, TableId, Value};
-use remem_sim::rng::SimRng;
+use remem_sim::rng::{SimRng, Zipf};
 use remem_sim::Clock;
 
 /// Scaled generation parameters (paper: 900 GB at SF 300).
@@ -106,12 +106,13 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpcdsParams) -> Result<Tpcds,
     }
     loader.finish(clock)?;
     let mut loader = db.bulk_loader(store_sales)?;
+    let item_of_sale = Zipf::new(p.items, 0.8);
     for s in 0..p.sales as i64 {
         loader.push(
             clock,
             Row::new(vec![
                 Value::Int(s),
-                Value::Int(rng.zipf(p.items, 0.8) as i64),
+                Value::Int(item_of_sale.sample(&mut rng) as i64),
                 Value::Int(rng.uniform(0, p.days) as i64),
                 Value::Int(rng.uniform(1, 100) as i64),
                 Value::Float(rng.unit() * 500.0),
