@@ -741,10 +741,16 @@ fn resolve_call(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::Source;
     use crate::symbols::extract;
 
     fn ws_of(files: &[(&str, &str)]) -> Workspace {
-        build(files.iter().map(|(p, s)| extract(p, s)).collect())
+        build(
+            files
+                .iter()
+                .map(|(p, s)| extract(&Source::new(p, s)))
+                .collect(),
+        )
     }
 
     fn find(ws: &Workspace, name: &str) -> FnId {

@@ -1,7 +1,7 @@
-//! A minimal, dependency-free Rust source scanner for the audit lint.
+//! The audit's front end: a minimal, dependency-free Rust source scanner.
 //!
-//! This is deliberately *not* a full lexer. It does three things the rule
-//! engine needs and nothing more:
+//! This is deliberately *not* a full lexer. It does four things the rules
+//! and the symbol extractor need and nothing more:
 //!
 //! 1. **Strip** comments and string/char literals, replacing their contents
 //!    with spaces (length- and newline-preserving, so byte offsets and line
@@ -11,6 +11,9 @@
 //!    from line comments, recording the line they sit on.
 //! 3. **Tokenize** the stripped text into identifier/punctuation tokens with
 //!    line numbers, merging `::` into a single token for convenient matching.
+//! 4. **Bundle** one file into a [`Source`]: its path, crate, tokens, test
+//!    spans, test-path flag and pragmas. Each file is lexed once; the
+//!    per-line rules and [`crate::symbols::extract`] both read the result.
 //!
 //! Handled literal forms: `// …`, nested `/* … */`, `"…"` with escapes,
 //! raw strings `r"…"` / `r#"…"#` (any hash depth, plus `br…` byte forms),
@@ -299,6 +302,131 @@ pub fn tokenize(code: &str) -> Vec<Tok> {
         i += 1;
     }
     toks
+}
+
+/// One file, lexed once.
+pub struct Source {
+    /// Repo-relative path, e.g. `crates/net/src/fabric.rs`.
+    pub path: String,
+    /// Crate name from the path (`crates/<name>/…`), if any.
+    pub krate: Option<String>,
+    pub toks: Vec<Tok>,
+    /// Token-index spans of `#[cfg(test)]` / `#[test]` items.
+    spans: Vec<(usize, usize)>,
+    /// The whole file is test/bench/example scaffolding by location.
+    pub test_file: bool,
+    pub pragmas: Vec<Pragma>,
+}
+
+impl Source {
+    pub fn new(path: &str, src: &str) -> Source {
+        let stripped = strip(src);
+        let toks = tokenize(&stripped.code);
+        Source {
+            path: path.to_string(),
+            krate: crate_of(path),
+            spans: test_spans(&toks),
+            toks,
+            test_file: is_test_path(path),
+            pragmas: stripped.pragmas,
+        }
+    }
+
+    /// Token `idx` sits in test code (a test file or a test item).
+    pub fn in_test(&self, idx: usize) -> bool {
+        self.test_file || in_spans(&self.spans, idx)
+    }
+}
+
+fn in_spans(spans: &[(usize, usize)], idx: usize) -> bool {
+    spans.iter().any(|&(s, e)| idx >= s && idx < e)
+}
+
+/// Crate name from a path like `crates/<name>/src/foo.rs`.
+fn crate_of(path: &str) -> Option<String> {
+    let norm = path.replace('\\', "/");
+    let idx = norm.find("crates/")?;
+    norm[idx + "crates/".len()..]
+        .split('/')
+        .next()
+        .map(|s| s.to_string())
+}
+
+/// True for files that are test/bench/example scaffolding by location.
+fn is_test_path(path: &str) -> bool {
+    let norm = path.replace('\\', "/");
+    norm.contains("/tests/") || norm.contains("/benches/") || norm.contains("/examples/")
+}
+
+/// Token-index spans that belong to `#[cfg(test)]` / `#[test]` items.
+fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut depth = 0usize;
+    let mut pending_test = false;
+    // bracket depth inside a pending item header, so `;` inside `[u8; 4]`
+    // doesn't cancel the attribute attachment
+    let mut header_nest = 0usize;
+    let mut i = 0;
+    while i < toks.len() {
+        let t = &toks[i];
+        match t.text.as_str() {
+            // parse `#[ … ]`, detect cfg(test) / test / tokio::test
+            "#" if toks.get(i + 1).map(|t| t.is("[")) == Some(true) => {
+                let mut j = i + 2;
+                let mut nest = 1usize;
+                let mut attr = Vec::new();
+                while j < toks.len() && nest > 0 {
+                    match toks[j].text.as_str() {
+                        "[" => nest += 1,
+                        "]" => nest -= 1,
+                        s => attr.push(s.to_string()),
+                    }
+                    j += 1;
+                }
+                let is_cfg_test =
+                    attr.len() >= 3 && attr[0] == "cfg" && attr.contains(&"test".to_string());
+                let is_test_attr = attr.first().map(|s| s == "test") == Some(true)
+                    || attr.windows(2).any(|w| w[0] == "::" && w[1] == "test");
+                if is_cfg_test || is_test_attr {
+                    pending_test = true;
+                    header_nest = 0;
+                }
+                i = j;
+                continue;
+            }
+            "{" => {
+                if pending_test && header_nest == 0 {
+                    // find the matching close brace
+                    let open_depth = depth;
+                    depth += 1;
+                    let start = i;
+                    let mut j = i + 1;
+                    let mut d = depth;
+                    while j < toks.len() && d > open_depth {
+                        match toks[j].text.as_str() {
+                            "{" => d += 1,
+                            "}" => d -= 1,
+                            _ => {}
+                        }
+                        j += 1;
+                    }
+                    spans.push((start, j));
+                    pending_test = false;
+                    depth = open_depth;
+                    i = j;
+                    continue;
+                }
+                depth += 1;
+            }
+            "}" => depth = depth.saturating_sub(1),
+            "(" | "[" | "<" if pending_test => header_nest += 1,
+            ")" | "]" | ">" if pending_test => header_nest = header_nest.saturating_sub(1),
+            ";" if pending_test && header_nest == 0 => pending_test = false,
+            _ => {}
+        }
+        i += 1;
+    }
+    spans
 }
 
 #[cfg(test)]

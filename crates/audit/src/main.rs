@@ -22,11 +22,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use remem_audit::callgraph::Workspace;
-use remem_audit::passes::{bin_roots, kernel_roots, Waivers};
-
-/// Hard ceiling on `// audit: allow` pragmas across the tree: the escape
-/// hatch must stay an exception, not a lifestyle.
-const PRAGMA_BUDGET: usize = 10;
+use remem_audit::passes::{bin_roots, kernel_roots};
+use remem_audit::PRAGMA_BUDGET;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -104,11 +101,11 @@ fn cmd_lint(opts: &Opts) -> ExitCode {
     for v in &a.violations {
         println!("{v}");
     }
-    let budget_blown = a.stats.pragmas_used > PRAGMA_BUDGET;
+    let pragmas = a.waivers.known_pragmas();
+    let budget_blown = pragmas > PRAGMA_BUDGET;
     if budget_blown {
         println!(
-            "remem-audit: pragma budget exceeded: {} used > {} allowed",
-            a.stats.pragmas_used, PRAGMA_BUDGET
+            "remem-audit: pragma budget exceeded: {pragmas} written > {PRAGMA_BUDGET} allowed"
         );
     }
     let time_blown = opts.budget_ms.map(|b| elapsed_ms > b) == Some(true);
@@ -127,9 +124,9 @@ fn cmd_lint(opts: &Opts) -> ExitCode {
     }
     println!(
         "remem-audit: {} files, {} violations, {}/{} pragmas, lock graph {} nodes / {} edges, {} ms",
-        a.stats.files,
+        a.workspace.files.len(),
         a.violations.len(),
-        a.stats.pragmas_used,
+        pragmas,
         PRAGMA_BUDGET,
         a.advisory.lock_nodes,
         a.advisory.lock_edges,
@@ -182,7 +179,6 @@ fn cmd_paths(opts: &Opts) -> ExitCode {
         eprintln!("remem-audit: no roots match `{}`", opts.from);
         return ExitCode::from(2);
     }
-    let waivers = Waivers::new(&ws.files);
     match to.as_str() {
         "panic" => {
             let reach = ws.reachable(&roots);
@@ -193,8 +189,8 @@ fn cmd_paths(opts: &Opts) -> ExitCode {
                 for p in &f.panics {
                     total += 1;
                     let fi = ws.fns[id].0;
-                    let waived = waivers.peek(&ws.files, fi, "panic-path", p.line)
-                        || waivers.peek(&ws.files, fi, "panic-path", f.line);
+                    let waived = a.waivers.peek(fi, "panic-path", p.line)
+                        || a.waivers.peek(fi, "panic-path", f.line);
                     if !waived {
                         unwaived += 1;
                     }

@@ -3,8 +3,9 @@
 //! 1. **clock-charge soundness** — every non-test fn in `net` / `storage` /
 //!    `rfile` that takes `clock: &mut Clock` must *reach* a charging call
 //!    (`clock.<m>(…)`, `m != now`) through bare-`clock` forwarding edges.
-//!    The per-line rule accepts "forwards somewhere"; this pass follows the
-//!    forward and reports the concrete free path when it dead-ends.
+//!    This pass is the only `clock-charge` check: a fn that neither charges
+//!    nor forwards is reported at its own `fn` line, and one that forwards
+//!    into a chain that dead-ends is reported with the concrete free path.
 //! 2. **panic reachability** — `unwrap` / `expect` / `panic!`-family sites
 //!    transitively reachable from the sim kernel loop (`driver.rs`) are
 //!    hard violations with a shortest-call-path witness;
@@ -22,57 +23,17 @@
 //!    `// audit: allow(det-taint, …)` pragma on a helper's `fn` line makes
 //!    it a deliberate taint barrier.
 //!
-//! All passes honour the existing waiver machinery; waiver usage is
-//! tracked workspace-wide so pragma hygiene (unknown / unused /
-//! reasonless) runs once, after every pass has had the chance to consume a
-//! pragma.
+//! All passes look waivers up in the one [`Waivers`] table the per-line
+//! rules use, so pragma hygiene (unknown / unused / reasonless) runs once,
+//! after every pass has had the chance to consume a pragma.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{FnId, Workspace};
-use crate::rules::Violation;
-use crate::symbols::{FileSyms, TaintKind};
+use crate::rules::{TaintKind, Violation, Waivers};
 
 /// Crates whose clock-taking entry points must charge virtual time.
 const CLOCK_CHARGED: &[&str] = &["net", "storage", "rfile"];
-
-/// Workspace-wide waiver table: per-file pragma used flags shared between
-/// the per-line rules and the graph passes.
-pub struct Waivers {
-    pub used: Vec<Vec<bool>>,
-}
-
-impl Waivers {
-    pub fn new(files: &[FileSyms]) -> Self {
-        Waivers {
-            used: files.iter().map(|f| vec![false; f.pragmas.len()]).collect(),
-        }
-    }
-
-    /// Waiver for `rule` at `line` (pragma on the same line or the line
-    /// directly above)? Marks the pragma used.
-    pub fn check(&mut self, files: &[FileSyms], fi: usize, rule: &str, line: usize) -> bool {
-        for (k, p) in files[fi].pragmas.iter().enumerate() {
-            if p.rule == rule && (p.line == line || p.line + 1 == line) {
-                self.used[fi][k] = true;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Like [`Waivers::check`] but without consuming the pragma.
-    pub fn peek(&self, files: &[FileSyms], fi: usize, rule: &str, line: usize) -> bool {
-        files[fi]
-            .pragmas
-            .iter()
-            .any(|p| p.rule == rule && (p.line == line || p.line + 1 == line))
-    }
-
-    pub fn mark(&mut self, files: &[FileSyms], fi: usize, rule: &str, line: usize) {
-        self.check(files, fi, rule, line);
-    }
-}
 
 /// Advisory (non-failing) facts the passes surface for the summary line.
 #[derive(Debug, Default)]
@@ -85,17 +46,11 @@ pub struct Advisory {
     pub lock_nodes: usize,
 }
 
-/// Run all four passes. `local_clock` carries the (file, line) pairs the
-/// per-line `clock-charge` rule already flagged, so the interprocedural
-/// pass doesn't double-report dead-end fns.
-pub fn run_passes(
-    ws: &Workspace,
-    w: &mut Waivers,
-    local_clock: &BTreeSet<(String, usize)>,
-) -> (Vec<Violation>, Advisory) {
+/// Run all four passes.
+pub fn run_passes(ws: &Workspace, w: &mut Waivers) -> (Vec<Violation>, Advisory) {
     let mut out = Vec::new();
     let mut adv = Advisory::default();
-    pass_clock_charge(ws, w, local_clock, &mut out);
+    pass_clock_charge(ws, w, &mut out);
     pass_panic(ws, w, &mut out, &mut adv);
     pass_lock_order(ws, w, &mut out, &mut adv);
     pass_det_taint(ws, w, &mut out);
@@ -146,12 +101,7 @@ pub fn charged_set(ws: &Workspace) -> Vec<bool> {
     charged
 }
 
-fn pass_clock_charge(
-    ws: &Workspace,
-    w: &mut Waivers,
-    local_clock: &BTreeSet<(String, usize)>,
-    out: &mut Vec<Violation>,
-) {
+fn pass_clock_charge(ws: &Workspace, w: &mut Waivers, out: &mut Vec<Violation>) {
     let charged = charged_set(ws);
     for id in 0..ws.fns.len() {
         let f = ws.item(id);
@@ -166,11 +116,7 @@ fn pass_clock_charge(
         if !f.has_body {
             continue; // trait signature — its impls are the checked ops
         }
-        if local_clock.contains(&(file.path.clone(), f.line)) {
-            continue; // the per-line rule already reported this dead end
-        }
-        let fi = ws.fns[id].0;
-        if w.check(&ws.files, fi, "clock-charge", f.line) {
+        if w.check(ws.fns[id].0, "clock-charge", f.line) {
             continue;
         }
         // witness: follow uncharged forwards until they dead-end
@@ -204,7 +150,8 @@ fn pass_clock_charge(
             rule: "clock-charge",
             msg: format!(
                 "fn `{}` takes `clock: &mut Clock` but no charging call is reachable \
-                 through the call graph; free path: {}",
+                 through the call graph; charge the op or rename the param `_clock` to \
+                 mark it free; free path: {}",
                 f.name,
                 path.join(" -> ")
             ),
@@ -239,9 +186,7 @@ fn pass_panic(ws: &Workspace, w: &mut Waivers, out: &mut Vec<Violation>, adv: &m
         }
         let fi = ws.fns[id].0;
         for p in &f.panics {
-            if w.check(&ws.files, fi, "panic-path", p.line)
-                || w.check(&ws.files, fi, "panic-path", f.line)
-            {
+            if w.check(fi, "panic-path", p.line) || w.check(fi, "panic-path", f.line) {
                 continue;
             }
             let path = ws
@@ -342,7 +287,7 @@ pub fn lock_order_edges(ws: &Workspace, w: &mut Waivers) -> Vec<LockEdge> {
                 if b.tok <= a.tok || b.tok >= a.held_to || b.op == "try_lock" {
                     continue;
                 }
-                if w.check(&ws.files, fi, "lock-order", b.line) {
+                if w.check(fi, "lock-order", b.line) {
                     continue;
                 }
                 if seen.insert((a.lock, b.lock)) {
@@ -361,7 +306,7 @@ pub fn lock_order_edges(ws: &Workspace, w: &mut Waivers) -> Vec<LockEdge> {
                     continue;
                 }
                 for &l in &acq_all[e.to] {
-                    if w.check(&ws.files, fi, "lock-order", e.line) {
+                    if w.check(fi, "lock-order", e.line) {
                         continue;
                     }
                     if seen.insert((a.lock, l)) {
@@ -499,7 +444,7 @@ fn pass_det_taint(ws: &Workspace, w: &mut Waivers, out: &mut Vec<Violation>) {
         let barrier: Vec<bool> = (0..n)
             .map(|id| {
                 let fi = ws.fns[id].0;
-                w.peek(&ws.files, fi, "det-taint", ws.item(id).line)
+                w.peek(fi, "det-taint", ws.item(id).line)
             })
             .collect();
         let direct: Vec<bool> = (0..n)
@@ -532,7 +477,7 @@ fn pass_det_taint(ws: &Workspace, w: &mut Waivers, out: &mut Vec<Violation>) {
             let would_taint = direct[id] || ws.edges[id].iter().any(|e| tainted[e.to]);
             if would_taint {
                 let fi = ws.fns[id].0;
-                w.mark(&ws.files, fi, "det-taint", ws.item(id).line);
+                w.check(fi, "det-taint", ws.item(id).line);
             }
         }
         // frontier: restricted caller → tainted fn outside the restriction
@@ -557,7 +502,7 @@ fn pass_det_taint(ws: &Workspace, w: &mut Waivers, out: &mut Vec<Violation>) {
                 if !flagged_lines.insert(e.line) {
                     continue;
                 }
-                if w.check(&ws.files, fi, "det-taint", e.line) {
+                if w.check(fi, "det-taint", e.line) {
                     continue;
                 }
                 // witness: callee chain to a direct taint site
@@ -595,18 +540,17 @@ fn pass_det_taint(ws: &Workspace, w: &mut Waivers, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::build;
-    use crate::symbols::extract;
+    use crate::lexer::Source;
 
-    fn ws_of(files: &[(&str, &str)]) -> Workspace {
-        build(files.iter().map(|(p, s)| extract(p, s)).collect())
+    /// The whole front end — per-line rules, the passes, pragma hygiene —
+    /// over in-memory files.
+    fn analyze(files: &[(&str, &str)]) -> crate::Analysis {
+        let sources: Vec<Source> = files.iter().map(|(p, s)| Source::new(p, s)).collect();
+        crate::analyze(&sources)
     }
 
     fn run(files: &[(&str, &str)]) -> Vec<Violation> {
-        let ws = ws_of(files);
-        let mut w = Waivers::new(&ws.files);
-        let (v, _) = run_passes(&ws, &mut w, &BTreeSet::new());
-        v
+        analyze(files).violations
     }
 
     fn rules_of(files: &[(&str, &str)]) -> Vec<&'static str> {
@@ -614,6 +558,42 @@ mod tests {
     }
 
     // pass 1 ──────────────────────────────────────────────────────────────
+
+    #[test]
+    fn clock_charge_requires_charge_or_forward() {
+        let rules_of = |path, src| rules_of(&[(path, src)]);
+        // neither charges nor forwards → violation
+        let bad = "fn read(&self, clock: &mut Clock, off: u64) -> u64 { off + 1 }\n";
+        assert_eq!(
+            rules_of("crates/storage/src/a.rs", bad),
+            vec!["clock-charge"]
+        );
+        // charging via a method is fine
+        let charge = "fn read(&self, clock: &mut Clock) { clock.advance(d); }\n";
+        assert!(rules_of("crates/storage/src/a.rs", charge).is_empty());
+        // forwarding to a callee is fine
+        let fwd = "fn read(&self, clock: &mut Clock) { self.inner.read(clock, 0) }\n";
+        assert!(rules_of("crates/storage/src/a.rs", fwd).is_empty());
+        // `now()` alone does NOT count as charging
+        let peek = "fn read(&self, clock: &mut Clock) -> SimTime { clock.now() }\n";
+        assert_eq!(
+            rules_of("crates/storage/src/a.rs", peek),
+            vec!["clock-charge"]
+        );
+        // `_clock` opts out; trait signatures (no body) are skipped
+        assert!(rules_of(
+            "crates/storage/src/a.rs",
+            "fn cap(&self, _clock: &mut Clock) {}\n"
+        )
+        .is_empty());
+        assert!(rules_of(
+            "crates/storage/src/a.rs",
+            "trait D { fn read(&self, clock: &mut Clock); }\n"
+        )
+        .is_empty());
+        // out-of-scope crates are not checked
+        assert!(rules_of("crates/engine/src/a.rs", bad).is_empty());
+    }
 
     #[test]
     fn clock_charge_forward_chain_that_charges_is_clean() {
@@ -627,10 +607,8 @@ mod tests {
 
     #[test]
     fn clock_charge_forward_to_dead_end_is_flagged_at_entry() {
-        // `outer` forwards, so the per-line rule is satisfied — only the
-        // interprocedural pass sees that `inner` never charges. (`inner`
-        // itself is the per-line rule's finding, which run() does not
-        // emulate, so both ends show up here.)
+        // `outer` forwards, but only into `inner`, which never charges:
+        // both ends are reported, `outer` with the free path
         let v = run(&[(
             "crates/net/src/a.rs",
             "pub fn outer(clock: &mut Clock) { inner(clock); }\n\
@@ -662,15 +640,13 @@ mod tests {
 
     #[test]
     fn clock_charge_waivable_at_fn_line() {
-        let ws = ws_of(&[(
+        // empty also means the pragma was consumed: hygiene reports unused ones
+        let v = run(&[(
             "crates/net/src/a.rs",
             "// audit: allow(clock-charge, probing is free by design)\n\
              pub fn probe(clock: &mut Clock) { let t = clock.now(); }",
         )]);
-        let mut w = Waivers::new(&ws.files);
-        let (v, _) = run_passes(&ws, &mut w, &BTreeSet::new());
         assert!(v.is_empty(), "{v:?}");
-        assert!(w.used[0][0], "pragma consumed");
     }
 
     #[test]
@@ -738,27 +714,23 @@ mod tests {
 
     #[test]
     fn panic_waivable_at_site() {
-        let ws = ws_of(&[(
+        let v = run(&[(
             "crates/sim/src/driver.rs",
             "pub fn run() {\n\
              // audit: allow(panic-path, invariant: queue is never empty here)\n\
              q.pop().unwrap();\n}",
         )]);
-        let mut w = Waivers::new(&ws.files);
-        let (v, _) = run_passes(&ws, &mut w, &BTreeSet::new());
-        assert!(v.iter().all(|x| x.rule != "panic-path"), "{v:?}");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn bin_panics_are_advisory_not_violations() {
-        let ws = ws_of(&[
+        let a = analyze(&[
             ("crates/bench/src/bin/repro_x.rs", "fn main() { helper(); }"),
             ("crates/bench/src/lib.rs", "pub fn helper() { x.unwrap(); }"),
         ]);
-        let mut w = Waivers::new(&ws.files);
-        let (v, adv) = run_passes(&ws, &mut w, &BTreeSet::new());
-        assert!(v.iter().all(|x| x.rule != "panic-path"), "{v:?}");
-        assert_eq!(adv.bin_panic_sites, 1);
+        assert!(a.violations.is_empty(), "{:?}", a.violations);
+        assert_eq!(a.advisory.bin_panic_sites, 1);
     }
 
     // pass 3 ──────────────────────────────────────────────────────────────
@@ -932,7 +904,8 @@ mod tests {
 
     #[test]
     fn barrier_pragma_stops_propagation_and_is_consumed() {
-        let ws = ws_of(&[
+        // empty also means the pragma was consumed: hygiene reports unused ones
+        let v = run(&[
             (
                 "crates/sim/src/util.rs",
                 "// audit: allow(det-taint, volatile wall time only; never fingerprinted)\n\
@@ -943,10 +916,7 @@ mod tests {
                 "pub fn work() { let t = stamp(); }",
             ),
         ]);
-        let mut w = Waivers::new(&ws.files);
-        let (v, _) = run_passes(&ws, &mut w, &BTreeSet::new());
-        assert!(v.iter().all(|x| x.rule != "det-taint"), "{v:?}");
-        assert!(w.used[0][0], "barrier pragma consumed");
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
@@ -975,6 +945,6 @@ mod tests {
             "crates/engine/src/a.rs",
             "pub fn work() { let t = Instant::now(); }",
         )]);
-        assert!(!v.contains(&"det-taint"), "{v:?}");
+        assert_eq!(v, vec!["wall-clock"]);
     }
 }

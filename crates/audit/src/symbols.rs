@@ -1,8 +1,8 @@
 //! Symbol-table extraction: the front half of the interprocedural analysis.
 //!
-//! Built on the same dependency-free [`crate::lexer`] as the per-line rules,
-//! this module walks one file's token stream and records every item the
-//! graph passes need:
+//! This module walks the token stream of one [`Source`] — the same lexed
+//! file the per-line rules read — and records every item the graph passes
+//! need:
 //!
 //! * **fn items** with their crate / module path / `impl` (or `trait`) type
 //!   context, parameter list (names + the last type ident, so receiver
@@ -14,7 +14,8 @@
 //!   bare `clock` binding is forwarded as an argument;
 //! * **panic sites** (`.unwrap()`, `.expect(…)`, `panic!`, `unreachable!`,
 //!   `todo!`, `unimplemented!`) and **indexing sites** (`x[i]`, advisory);
-//! * **determinism-taint sites** (wall-clock and thread-identity APIs);
+//! * **determinism-taint sites**: entries of [`crate::rules::banned_api`]'s
+//!   table used inside a body;
 //! * **lock acquisition sites** (`….lock()` / `….read()` / `….write()`)
 //!   with an over-approximated *held span*: a `let`-bound guard is held to
 //!   the end of its enclosing block (or an explicit `drop(name)`), an
@@ -34,26 +35,8 @@
 //! macro expansion); DESIGN.md §7 documents the precision contract each
 //! pass builds on top of it.
 
-use crate::lexer::{strip, tokenize, Pragma, Tok};
-
-/// Which determinism contract a taint site breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TaintKind {
-    /// Host time: `Instant`, `SystemTime`, `thread::sleep`.
-    WallClock,
-    /// Thread identity / host topology: `ThreadId`, `thread::current`,
-    /// `available_parallelism`, `thread_rng`, `park_timeout`.
-    NondetParallel,
-}
-
-impl TaintKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TaintKind::WallClock => "wall-clock",
-            TaintKind::NondetParallel => "nondet-parallel",
-        }
-    }
-}
+use crate::lexer::{Source, Tok};
+use crate::rules::{banned_api, TaintKind};
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,7 +179,6 @@ pub struct FileSyms {
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructInfo>,
     pub statics: Vec<StaticLock>,
-    pub pragmas: Vec<Pragma>,
 }
 
 const KEYWORDS: &[&str] = &[
@@ -211,94 +193,6 @@ const LOCK_OPS: &[&str] = &["lock", "try_lock", "read", "write"];
 
 fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
-}
-
-/// Crate name from a path like `crates/<name>/src/foo.rs`.
-pub fn crate_of(path: &str) -> Option<String> {
-    let norm = path.replace('\\', "/");
-    let idx = norm.find("crates/")?;
-    norm[idx + "crates/".len()..]
-        .split('/')
-        .next()
-        .map(|s| s.to_string())
-}
-
-/// Token-index spans that belong to `#[cfg(test)]` / `#[test]` items.
-/// (Shared with the per-line rules in [`crate::rules`].)
-pub fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut depth = 0usize;
-    let mut pending_test = false;
-    let mut header_nest = 0usize;
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        match t.text.as_str() {
-            "#" if toks.get(i + 1).map(|t| t.is("[")) == Some(true) => {
-                let mut j = i + 2;
-                let mut nest = 1usize;
-                let mut attr = Vec::new();
-                while j < toks.len() && nest > 0 {
-                    match toks[j].text.as_str() {
-                        "[" => nest += 1,
-                        "]" => nest -= 1,
-                        s => attr.push(s.to_string()),
-                    }
-                    j += 1;
-                }
-                let is_cfg_test =
-                    attr.len() >= 3 && attr[0] == "cfg" && attr.contains(&"test".to_string());
-                let is_test_attr = attr.first().map(|s| s == "test") == Some(true)
-                    || attr.windows(2).any(|w| w[0] == "::" && w[1] == "test");
-                if is_cfg_test || is_test_attr {
-                    pending_test = true;
-                    header_nest = 0;
-                }
-                i = j;
-                continue;
-            }
-            "{" => {
-                if pending_test && header_nest == 0 {
-                    let open_depth = depth;
-                    depth += 1;
-                    let start = i;
-                    let mut j = i + 1;
-                    let mut d = depth;
-                    while j < toks.len() && d > open_depth {
-                        match toks[j].text.as_str() {
-                            "{" => d += 1,
-                            "}" => d -= 1,
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    spans.push((start, j));
-                    pending_test = false;
-                    depth = open_depth;
-                    i = j;
-                    continue;
-                }
-                depth += 1;
-            }
-            "}" => depth = depth.saturating_sub(1),
-            "(" | "[" | "<" if pending_test => header_nest += 1,
-            ")" | "]" | ">" if pending_test => header_nest = header_nest.saturating_sub(1),
-            ";" if pending_test && header_nest == 0 => pending_test = false,
-            _ => {}
-        }
-        i += 1;
-    }
-    spans
-}
-
-pub(crate) fn in_spans(spans: &[(usize, usize)], idx: usize) -> bool {
-    spans.iter().any(|&(s, e)| idx >= s && idx < e)
-}
-
-/// True for files that are test/bench/example scaffolding by location.
-pub fn is_test_path(path: &str) -> bool {
-    let norm = path.replace('\\', "/");
-    norm.contains("/tests/") || norm.contains("/benches/") || norm.contains("/examples/")
 }
 
 /// For every `{` token, the index of its matching `}` (or `toks.len()`).
@@ -360,46 +254,35 @@ fn match_paren(toks: &[Tok], mut i: usize) -> usize {
 }
 
 struct Extractor<'a> {
+    src: &'a Source,
     toks: &'a [Tok],
-    spans: Vec<(usize, usize)>,
     brace_close: Vec<usize>,
-    test_file: bool,
     fns: Vec<FnItem>,
     structs: Vec<StructInfo>,
     statics: Vec<StaticLock>,
 }
 
 /// Extract the symbol table of one file.
-pub fn extract(path: &str, src: &str) -> FileSyms {
-    let stripped = strip(src);
-    let toks = tokenize(&stripped.code);
-    let spans = test_spans(&toks);
-    let brace_close = match_braces(&toks);
+pub fn extract(src: &Source) -> FileSyms {
     let mut ex = Extractor {
-        toks: &toks,
-        spans,
-        brace_close,
-        test_file: is_test_path(path),
+        src,
+        toks: &src.toks,
+        brace_close: match_braces(&src.toks),
         fns: Vec::new(),
         structs: Vec::new(),
         statics: Vec::new(),
     };
-    ex.walk_items(0, toks.len(), &mut Vec::new(), None);
+    ex.walk_items(0, src.toks.len(), &mut Vec::new(), None);
     FileSyms {
-        path: path.to_string(),
-        krate: crate_of(path),
+        path: src.path.clone(),
+        krate: src.krate.clone(),
         fns: ex.fns,
         structs: ex.structs,
         statics: ex.statics,
-        pragmas: stripped.pragmas,
     }
 }
 
 impl<'a> Extractor<'a> {
-    fn in_test(&self, idx: usize) -> bool {
-        self.test_file || in_spans(&self.spans, idx)
-    }
-
     /// Walk item position from `i` to `end`, appending extracted items.
     fn walk_items(
         &mut self,
@@ -720,7 +603,7 @@ impl<'a> Extractor<'a> {
                 end_line: line,
                 modpath: modpath.clone(),
                 self_ty: self_ty.map(|s| s.to_string()),
-                is_test: self.in_test(i),
+                is_test: self.src.in_test(i),
                 has_self,
                 has_body: false,
                 params,
@@ -743,7 +626,7 @@ impl<'a> Extractor<'a> {
             end_line: self.toks.get(body_end).map(|t| t.line).unwrap_or(line),
             modpath: modpath.clone(),
             self_ty: self_ty.map(|s| s.to_string()),
-            is_test: self.in_test(i),
+            is_test: self.src.in_test(i),
             has_self,
             has_body: true,
             params,
@@ -841,6 +724,13 @@ impl<'a> Extractor<'a> {
         while i < end {
             let t = &self.toks[i];
             let text = t.text.as_str();
+            if let Some((kind, what)) = banned_api(self.toks, i) {
+                item.taints.push(TaintSite {
+                    line: t.line,
+                    kind,
+                    what,
+                });
+            }
             match text {
                 "fn" => {
                     // nested fn: its own item; skip its span here
@@ -898,53 +788,6 @@ impl<'a> Extractor<'a> {
                     if prev_is_expr {
                         item.indexing.push(t.line);
                     }
-                }
-                // taint tokens
-                "Instant" | "SystemTime" => item.taints.push(TaintSite {
-                    line: t.line,
-                    kind: TaintKind::WallClock,
-                    what: if text == "Instant" {
-                        "Instant"
-                    } else {
-                        "SystemTime"
-                    },
-                }),
-                "ThreadId" => item.taints.push(TaintSite {
-                    line: t.line,
-                    kind: TaintKind::NondetParallel,
-                    what: "ThreadId",
-                }),
-                "available_parallelism" => item.taints.push(TaintSite {
-                    line: t.line,
-                    kind: TaintKind::NondetParallel,
-                    what: "available_parallelism",
-                }),
-                "thread_rng" => item.taints.push(TaintSite {
-                    line: t.line,
-                    kind: TaintKind::NondetParallel,
-                    what: "thread_rng",
-                }),
-                "park_timeout" => item.taints.push(TaintSite {
-                    line: t.line,
-                    kind: TaintKind::NondetParallel,
-                    what: "park_timeout",
-                }),
-                "sleep" | "current"
-                    if i >= 2 && self.toks[i - 1].is("::") && self.toks[i - 2].is("thread") =>
-                {
-                    item.taints.push(TaintSite {
-                        line: t.line,
-                        kind: if text == "sleep" {
-                            TaintKind::WallClock
-                        } else {
-                            TaintKind::NondetParallel
-                        },
-                        what: if text == "sleep" {
-                            "thread::sleep"
-                        } else {
-                            "thread::current"
-                        },
-                    });
                 }
                 _ => {}
             }
@@ -1239,7 +1082,7 @@ mod tests {
     use super::*;
 
     fn fns_of(src: &str) -> FileSyms {
-        extract("crates/x/src/a.rs", src)
+        extract(&Source::new("crates/x/src/a.rs", src))
     }
 
     #[test]

@@ -14,9 +14,9 @@ fn stage(clock: &mut Clock) {
     clock.charge_net(8);
 }
 
-// forwarded but never charged: the per-line rule misses `relay` (it
-// forwards), the interprocedural pass must flag it; `hop` is the per-line
-// rule's dead-end finding
+// forwarded but never charged: `relay` forwards, so only following the
+// chain shows it free (reported with the free path); `hop` is the dead end,
+// reported at its own `fn` line
 pub fn relay(clock: &mut Clock) {
     hop(clock);
 }

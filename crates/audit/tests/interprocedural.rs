@@ -69,11 +69,13 @@ fn violation_snapshot() {
     }
     assert_eq!(v.len(), 5, "exactly the five planted findings");
 
-    // per-line rule: `hop` is a dead end that neither charges nor forwards
-    assert!(v
-        .iter()
-        .any(|x| x.rule == "clock-charge" && x.msg.contains("hop") && !x.msg.contains("relay")));
-    // interprocedural pass: `relay` forwards but the chain never charges
+    // `hop` is a dead end that neither charges nor forwards, reported at
+    // its own `fn` line
+    assert!(v.iter().any(|x| x.rule == "clock-charge"
+        && x.line == 24
+        && x.msg.contains("hop")
+        && !x.msg.contains("relay")));
+    // `relay` forwards but the chain never charges
     assert!(v.iter().any(|x| x.rule == "clock-charge"
         && x.msg.contains("relay")
         && x.msg.contains("free path")));

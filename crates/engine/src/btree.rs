@@ -393,6 +393,8 @@ impl BTree {
     }
 
     /// Insert or replace. Returns `true` if an existing key was replaced.
+    /// A value over [`MAX_VALUE_BYTES`] is `RecordTooLarge`, with nothing
+    /// written.
     pub fn insert(
         &self,
         clock: &mut Clock,
@@ -404,7 +406,8 @@ impl BTree {
     }
 
     /// Insert a key that must be new. Returns `false`, having written
-    /// nothing, when the key is already present.
+    /// nothing, when the key is already present. A value over
+    /// [`MAX_VALUE_BYTES`] is `RecordTooLarge`, with nothing written.
     pub fn insert_new(
         &self,
         clock: &mut Clock,
@@ -425,11 +428,7 @@ impl BTree {
         value: &[u8],
         replace: bool,
     ) -> Result<bool, StorageError> {
-        assert!(
-            value.len() <= MAX_VALUE_BYTES,
-            "value of {} bytes too large",
-            value.len()
-        );
+        check_value_len(value.len())?;
         let root = self.root();
         let replaced = match self.insert_rec(clock, bp, root, key, value, replace)? {
             InsertResult::Done { replaced } => replaced,
@@ -1062,11 +1061,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "too large")]
     fn oversized_value_rejected() {
         let (bp, file, mut clock) = setup(64);
         let t = BTree::create(&mut clock, &bp, file).unwrap();
+        t.insert(&mut clock, &bp, 1, b"v").unwrap();
+        let pages = t.file().allocated_pages();
+        bp.reset_stats();
         let huge = vec![0u8; MAX_VALUE_BYTES + 1];
-        let _ = t.insert(&mut clock, &bp, 1, &huge);
+        for got in [
+            t.insert(&mut clock, &bp, 2, &huge),
+            t.insert_new(&mut clock, &bp, 3, &huge),
+            t.insert(&mut clock, &bp, 1, &huge),
+        ] {
+            assert!(matches!(
+                got,
+                Err(StorageError::RecordTooLarge { len, max })
+                    if len == MAX_VALUE_BYTES + 1 && max == MAX_VALUE_BYTES
+            ));
+        }
+        assert_eq!(t.len(), 1);
+        // no page written: none allocated, none even touched
+        assert_eq!(t.file().allocated_pages(), pages);
+        let s = bp.stats();
+        assert_eq!(s.hits + s.misses, 0);
+        assert_eq!(t.get(&mut clock, &bp, 1).unwrap().unwrap(), b"v");
     }
 }

@@ -126,14 +126,21 @@ impl RemoteRing {
     ///
     /// Fails with [`StorageError::Unavailable`] when `data` does not fit in
     /// the free window — the caller must archive-and-truncate first; the
-    /// ring never silently overwrites unarchived records.
+    /// ring never silently overwrites unarchived records. A record larger
+    /// than the whole ring can never fit: [`StorageError::RecordTooLarge`].
+    /// Neither failure writes anything.
     pub fn append(
         &self,
         clock: &mut Clock,
         data: &[u8],
     ) -> Result<(u64, QuorumAppend), StorageError> {
         let len = data.len() as u64;
-        assert!(len <= self.capacity, "record larger than the whole ring");
+        if len > self.capacity {
+            return Err(StorageError::RecordTooLarge {
+                len: data.len(),
+                max: self.capacity as usize,
+            });
+        }
         let at = {
             let st = self.state.lock();
             if len > self.capacity - (st.tail - st.head) {
@@ -284,6 +291,25 @@ mod tests {
         r.truncate_to(3);
         r.append(&mut clock, &[1, 2, 3]).unwrap();
         assert_eq!(r.resident(), MR);
+    }
+
+    #[test]
+    fn record_larger_than_the_ring_is_a_typed_error() {
+        let (_f, _b, r, mut clock) = ring(MR);
+        r.append(&mut clock, &[5u8; 64]).unwrap();
+        let before = clock.now();
+        let huge = vec![1u8; MR as usize + 1];
+        assert!(matches!(
+            r.append(&mut clock, &huge),
+            Err(StorageError::RecordTooLarge { len, max })
+                if len == MR as usize + 1 && max == MR as usize
+        ));
+        // nothing written: no fabric time charged, cursors untouched
+        assert_eq!(clock.now(), before);
+        assert_eq!((r.head(), r.tail()), (0, 64));
+        let mut buf = [0u8; 64];
+        r.read_at(&mut clock, 0, &mut buf).unwrap();
+        assert_eq!(buf, [5u8; 64]);
     }
 
     #[test]
