@@ -132,7 +132,7 @@ impl Workspace {
     }
 
     /// Fn ids in a file whose path ends with `suffix` (non-test only).
-    pub fn fns_in_file(&self, suffix: &str) -> Vec<FnId> {
+    pub(crate) fn fns_in_file(&self, suffix: &str) -> Vec<FnId> {
         (0..self.fns.len())
             .filter(|&id| self.file(id).path.ends_with(suffix) && !self.item(id).is_test)
             .collect()

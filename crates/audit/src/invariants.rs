@@ -50,7 +50,7 @@ pub struct AuditViolation {
 }
 
 impl AuditViolation {
-    pub fn delta(&self) -> i128 {
+    pub(crate) fn delta(&self) -> i128 {
         self.lhs.value - self.rhs.iter().map(|f| f.value).sum::<i128>()
     }
 }

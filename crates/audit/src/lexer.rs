@@ -59,7 +59,7 @@ fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
 }
 
 /// Blank out comments and literals; collect pragmas from line comments.
-pub fn strip(src: &str) -> Stripped {
+pub(crate) fn strip(src: &str) -> Stripped {
     let bytes = src.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(bytes.len());
     let mut pragmas = Vec::new();
@@ -257,7 +257,7 @@ impl Tok {
 }
 
 /// Tokenize stripped code into ident and punct tokens.
-pub fn tokenize(code: &str) -> Vec<Tok> {
+pub(crate) fn tokenize(code: &str) -> Vec<Tok> {
     let bytes = code.as_bytes();
     let mut toks = Vec::new();
     let mut line = 1usize;

@@ -47,7 +47,7 @@ pub struct Advisory {
 }
 
 /// Run all four passes.
-pub fn run_passes(ws: &Workspace, w: &mut Waivers) -> (Vec<Violation>, Advisory) {
+pub(crate) fn run_passes(ws: &Workspace, w: &mut Waivers) -> (Vec<Violation>, Advisory) {
     let mut out = Vec::new();
     let mut adv = Advisory::default();
     pass_clock_charge(ws, w, &mut out);
@@ -233,7 +233,7 @@ pub struct LockEdge {
 /// while `A` is held (nested in the same fn, or via a call made inside
 /// `A`'s held span into a fn that transitively acquires `B`). Waived edges
 /// (pragma at the nested site / call site) are excluded.
-pub fn lock_order_edges(ws: &Workspace, w: &mut Waivers) -> Vec<LockEdge> {
+pub(crate) fn lock_order_edges(ws: &Workspace, w: &mut Waivers) -> Vec<LockEdge> {
     let n = ws.fns.len();
     // transitive blocking acquisitions per fn
     let mut acq_all: Vec<BTreeSet<usize>> = (0..n)

@@ -263,7 +263,7 @@ struct Extractor<'a> {
 }
 
 /// Extract the symbol table of one file.
-pub fn extract(src: &Source) -> FileSyms {
+pub(crate) fn extract(src: &Source) -> FileSyms {
     let mut ex = Extractor {
         src,
         toks: &src.toks,

@@ -781,15 +781,15 @@ fn bench_database(c: &mut Criterion) {
         },
     );
     let mut clock = Clock::new();
-    let mut table = |name: &str| {
+    let mut table = || {
         let schema = remem_engine::Schema::new(vec![
             ("k", remem_engine::row::ColType::Int),
             ("v", remem_engine::row::ColType::Int),
         ]);
-        db.create_table(&mut clock, name, schema, 0).unwrap()
+        db.create_table(&mut clock, schema, 0).unwrap()
     };
-    let t = table("t");
-    let loaded = table("loaded");
+    let t = table();
+    let loaded = table();
     let mut next = 0i64;
     g.bench_function("insert", |b| {
         b.iter(|| {

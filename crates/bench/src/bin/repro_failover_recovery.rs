@@ -85,7 +85,6 @@ fn lifecycle(k: usize) -> RunOutcome {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![
                 ("k", ColType::Int),
                 ("v", ColType::Int),

@@ -80,7 +80,6 @@ fn main() {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![
                 ("k", ColType::Int),
                 ("v", ColType::Int),

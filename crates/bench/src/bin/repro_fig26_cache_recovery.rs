@@ -33,7 +33,6 @@ fn main() {
         let t = db
             .create_table(
                 &mut clock,
-                "orders",
                 Schema::new(vec![
                     ("orderkey", ColType::Int),
                     ("custkey", ColType::Int),

@@ -88,7 +88,6 @@ fn arm(remote: bool) -> ArmOutcome {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![("k", ColType::Int), ("v", ColType::Int)]),
             0,
         )
@@ -150,7 +149,6 @@ fn archive_phase() -> ArchiveOutcome {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![("k", ColType::Int), ("v", ColType::Int)]),
             0,
         )

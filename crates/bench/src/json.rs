@@ -35,7 +35,7 @@ impl Json {
         }
     }
 
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -49,29 +49,23 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
+    #[cfg(test)]
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
         }
     }
 
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Compact serialization (the canonical form fingerprints hash).
-    pub fn to_compact(&self) -> String {
+    pub(crate) fn to_compact(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);
         out
@@ -79,7 +73,7 @@ impl Json {
 
     /// Indented serialization — what lands in the committed result files,
     /// so baseline diffs stay reviewable.
-    pub fn to_pretty(&self) -> String {
+    pub(crate) fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
         out.push('\n');
@@ -168,7 +162,7 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// FNV-1a 64-bit over the canonical serialization — the determinism
 /// fingerprint carried in every report.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -125,7 +125,7 @@ pub fn tpcc_opts(spindles: usize) -> DbOptions {
 }
 
 /// Print an aligned table with a left-justified first column.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for r in rows {
         for (i, c) in r.iter().enumerate() {

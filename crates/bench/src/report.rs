@@ -297,7 +297,8 @@ impl Report {
     }
 
     /// Did every check so far pass?
-    pub fn all_checks_pass(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn all_checks_pass(&self) -> bool {
         self.checks.iter().all(|c| c.pass)
     }
 

@@ -919,16 +919,6 @@ impl MemoryBroker {
         Self::ring_bytes(&st, &self.wal_rings.lock())
     }
 
-    /// Marked WAL ring leases that are still Active.
-    pub fn wal_ring_count(&self) -> usize {
-        let st = self.store.state.lock();
-        self.wal_rings
-            .lock()
-            .iter()
-            .filter(|id| matches!(st.leases.get(id), Some((_, LeaseState::Active))))
-            .count()
-    }
-
     /// Register a background renewal daemon for the lease (§4.2: the DB
     /// server renews before expiry as long as it is alive). Auto-renewed
     /// leases never lapse by timeout — only revocation (donor pressure or
@@ -989,7 +979,8 @@ impl MemoryBroker {
         }
     }
 
-    pub fn lease_state(&self, id: LeaseId) -> Option<LeaseState> {
+    #[cfg(test)]
+    pub(crate) fn lease_state(&self, id: LeaseId) -> Option<LeaseState> {
         self.store.state.lock().leases.get(&id).map(|(_, s)| *s)
     }
 

@@ -105,7 +105,7 @@ impl ReplicaSet {
         &self.groups
     }
 
-    pub fn lost_slots(&self) -> &BTreeMap<usize, MrHandle> {
+    pub(crate) fn lost_slots(&self) -> &BTreeMap<usize, MrHandle> {
         &self.lost_slots
     }
 
@@ -122,14 +122,15 @@ impl ReplicaSet {
     }
 
     /// Logical bytes covered (one replica per slot).
-    pub fn logical_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn logical_bytes(&self) -> u64 {
         (0..self.groups.len()).map(|slot| self.slot_len(slot)).sum()
     }
 
     /// Bytes of physical memory missing to restore every group to `k`
     /// live members (zero when the set is fully replicated), summed afresh
     /// from the groups.
-    pub fn deficit_bytes(&self) -> u64 {
+    pub(crate) fn deficit_bytes(&self) -> u64 {
         (0..self.groups.len())
             .map(|slot| self.slot_deficit(slot))
             .sum()

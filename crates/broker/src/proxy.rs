@@ -10,7 +10,8 @@ use crate::broker::MemoryBroker;
 /// It determines memory not committed to local processes, pins it into
 /// fixed-size MRs, registers them with the local NIC (paying the
 /// pre-registration cost once — Table 1), and offers them to the broker.
-/// Under local memory pressure it asks the broker to reclaim.
+/// Local memory pressure reaches the broker directly, as
+/// [`MemoryBroker::reclaim`] on this server.
 pub struct MemoryProxy {
     server: ServerId,
     mr_bytes: u64,
@@ -45,13 +46,6 @@ impl MemoryProxy {
         }
         broker.offer(self.server, handles.clone());
         Ok(handles)
-    }
-
-    /// React to an OS memory-pressure notification: reclaim `bytes` from the
-    /// broker (unleased first, then revoking leases) so the OS can hand the
-    /// memory back to local processes.
-    pub fn handle_pressure(&self, fabric: &Fabric, broker: &MemoryBroker, bytes: u64) -> u64 {
-        broker.reclaim(fabric, self.server, bytes)
     }
 }
 
@@ -104,7 +98,7 @@ mod tests {
         let mut clock = Clock::new();
         proxy.donate(&mut clock, &fabric, &broker, 4 << 20).unwrap();
         assert_eq!(fabric.server(m).unwrap().nic().mr_count(), 4);
-        let reclaimed = proxy.handle_pressure(&fabric, &broker, 2 << 20);
+        let reclaimed = broker.reclaim(&fabric, m, 2 << 20);
         assert_eq!(reclaimed, 2 << 20);
         assert_eq!(fabric.server(m).unwrap().nic().mr_count(), 2);
         assert_eq!(broker.store().available_bytes(), 2 << 20);

@@ -28,7 +28,6 @@ pub struct Cluster {
 
 /// Builder for [`Cluster`].
 pub struct ClusterBuilder {
-    net: NetConfig,
     broker: BrokerConfig,
     memory_servers: usize,
     memory_per_server: u64,
@@ -40,7 +39,6 @@ pub struct ClusterBuilder {
 impl Default for ClusterBuilder {
     fn default() -> ClusterBuilder {
         ClusterBuilder {
-            net: NetConfig::default(),
             broker: BrokerConfig::default(),
             memory_servers: 1,
             memory_per_server: 64 << 20,
@@ -52,16 +50,6 @@ impl Default for ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    pub fn net_config(mut self, cfg: NetConfig) -> Self {
-        self.net = cfg;
-        self
-    }
-
-    pub fn broker_config(mut self, cfg: BrokerConfig) -> Self {
-        self.broker = cfg;
-        self
-    }
-
     /// Spread leases across donors instead of packing one donor first.
     pub fn placement(mut self, p: PlacementPolicy) -> Self {
         self.broker.placement = p;
@@ -98,7 +86,7 @@ impl ClusterBuilder {
     }
 
     pub fn build(self) -> Cluster {
-        let fabric = Arc::new(Fabric::new(self.net));
+        let fabric = Arc::new(Fabric::new(NetConfig::default()));
         let broker = Arc::new(MemoryBroker::new(self.broker, MetaStore::new()));
         if let Some(m) = &self.metrics {
             fabric.set_metrics(Some(Arc::clone(m)));

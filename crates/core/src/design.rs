@@ -278,7 +278,6 @@ mod tests {
             let t = db
                 .create_table(
                     &mut clock,
-                    "t",
                     Schema::new(vec![("k", ColType::Int), ("v", ColType::Int)]),
                     0,
                 )
@@ -357,7 +356,7 @@ mod tests {
         opts.pool_bytes = 8 * 8192; // tiny pool so the BPExt sees traffic
         let db = Design::Custom.build(&c, &mut clock, &opts).unwrap();
         let t = db
-            .create_table(&mut clock, "t", Schema::new(vec![("k", ColType::Int)]), 0)
+            .create_table(&mut clock, Schema::new(vec![("k", ColType::Int)]), 0)
             .unwrap();
         for k in 0..20_000 {
             db.insert(&mut clock, t, int_row(&[k])).unwrap();
@@ -399,7 +398,7 @@ mod tests {
         opts.pool_bytes = 8 * 8192; // tiny pool so the BPExt sees traffic
         let db = Design::Custom.build(&c, &mut clock, &opts).unwrap();
         let t = db
-            .create_table(&mut clock, "t", Schema::new(vec![("k", ColType::Int)]), 0)
+            .create_table(&mut clock, Schema::new(vec![("k", ColType::Int)]), 0)
             .unwrap();
         for k in 0..5_000 {
             db.insert(&mut clock, t, int_row(&[k])).unwrap();

@@ -26,7 +26,6 @@
 //! let t = db
 //!     .create_table(
 //!         &mut clock,
-//!         "kv",
 //!         remem::Schema::new(vec![("k", remem::ColType::Int), ("v", remem::ColType::Int)]),
 //!         0,
 //!     )

@@ -37,7 +37,7 @@ pub const MAX_VALUE_BYTES: usize = 2048;
 
 /// `RecordTooLarge` for a value longer than [`MAX_VALUE_BYTES`], so a caller
 /// can refuse it before writing anything.
-pub fn check_value_len(len: usize) -> Result<(), StorageError> {
+pub(crate) fn check_value_len(len: usize) -> Result<(), StorageError> {
     if len > MAX_VALUE_BYTES {
         return Err(StorageError::RecordTooLarge {
             len,
@@ -408,7 +408,7 @@ impl BTree {
     /// Insert a key that must be new. Returns `false`, having written
     /// nothing, when the key is already present. A value over
     /// [`MAX_VALUE_BYTES`] is `RecordTooLarge`, with nothing written.
-    pub fn insert_new(
+    pub(crate) fn insert_new(
         &self,
         clock: &mut Clock,
         bp: &BufferPool,
@@ -812,7 +812,8 @@ impl BTree {
     }
 
     /// Collect a range into a vector (convenience over [`BTree::range`]).
-    pub fn range_vec(
+    #[cfg(test)]
+    pub(crate) fn range_vec(
         &self,
         clock: &mut Clock,
         bp: &BufferPool,

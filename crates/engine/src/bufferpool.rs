@@ -168,10 +168,6 @@ impl BpExt {
         self.map.len() as u64 + self.free.len() as u64
     }
 
-    pub fn cached_pages(&self) -> u64 {
-        self.map.len() as u64
-    }
-
     pub fn label(&self) -> String {
         self.device.label()
     }
@@ -395,7 +391,7 @@ impl BpExt {
     /// Is the tier currently suspended (device unhealthy, probe pending)?
     /// Unlike the old permanent-abandonment semantics this can return to
     /// `false` once a probe finds the device serving again.
-    pub fn has_failed(&self) -> bool {
+    pub(crate) fn has_failed(&self) -> bool {
         self.suspended.is_some()
     }
 }
@@ -560,7 +556,8 @@ impl BufferPool {
         aud.observe_clock("bufferpool", at);
     }
 
-    pub fn has_extension(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_extension(&self) -> bool {
         self.inner.lock().ext.is_some()
     }
 
@@ -921,7 +918,7 @@ impl BufferPool {
 
     /// Snapshot of resident pages — the source side of buffer-pool priming
     /// (§3.4). Returns `(key, page)` pairs in no particular order.
-    pub fn warm_pages(&self) -> Vec<((FileId, PageNo), Page)> {
+    pub(crate) fn warm_pages(&self) -> Vec<((FileId, PageNo), Page)> {
         let inner = self.inner.lock();
         inner
             .frames

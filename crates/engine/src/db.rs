@@ -14,7 +14,6 @@ use crate::exec::ExecCtx;
 use crate::grant::GrantManager;
 use crate::hashjoin;
 use crate::pagestore::{FileId, PagedFile};
-use crate::proccache::ProcedureCache;
 use crate::row::{Row, Schema};
 use crate::semantic::SemanticCache;
 use crate::sort;
@@ -126,7 +125,6 @@ impl NcIndex {
 }
 
 struct TableMeta {
-    name: String,
     schema: Schema,
     key_col: usize,
     tree: BTree,
@@ -143,7 +141,6 @@ pub struct Database {
     wal: Wal,
     grants: GrantManager,
     semantic: SemanticCache,
-    proc_cache: ProcedureCache,
     tables: RwLock<Vec<TableMeta>>,
     next_file_id: AtomicU32,
     /// Rows bulk loaders have written but not yet logged, in push order
@@ -198,8 +195,6 @@ impl Database {
             wal,
             grants,
             semantic,
-            // 1/256 of the pool, mirroring SQL Server's plan-cache sizing
-            proc_cache: ProcedureCache::new((cfg.buffer_pool_bytes / 256).max(64 << 10)),
             tables: RwLock::new(Vec::new()),
             next_file_id: AtomicU32::new(16),
             unlogged: Mutex::new(Vec::new()),
@@ -247,12 +242,6 @@ impl Database {
         &self.semantic
     }
 
-    /// The procedure (plan) cache — extensible to remote memory like the
-    /// buffer pool (§3.1).
-    pub fn procedure_cache(&self) -> &ProcedureCache {
-        &self.proc_cache
-    }
-
     pub fn cpu(&self) -> &Arc<CpuPool> {
         &self.cpu
     }
@@ -264,7 +253,7 @@ impl Database {
 
     /// Allocate a fresh paged file on `device`, registered with the pool
     /// (used for NC indexes and semantic-cache structures).
-    pub fn new_file(&self, device: Arc<dyn Device>) -> Arc<PagedFile> {
+    pub(crate) fn new_file(&self, device: Arc<dyn Device>) -> Arc<PagedFile> {
         let id = FileId(self.next_file_id.fetch_add(1, Ordering::Relaxed));
         let f = Arc::new(PagedFile::new(id, device));
         self.bp.register_file(Arc::clone(&f));
@@ -279,7 +268,6 @@ impl Database {
     pub fn create_table(
         &self,
         clock: &mut Clock,
-        name: impl Into<String>,
         schema: Schema,
         key_col: usize,
     ) -> Result<TableId, DbError> {
@@ -287,7 +275,6 @@ impl Database {
         let mut tables = self.tables.write();
         let id = TableId(tables.len() as u32);
         tables.push(TableMeta {
-            name: name.into(),
             schema,
             key_col,
             tree,
@@ -296,16 +283,8 @@ impl Database {
         Ok(id)
     }
 
-    pub fn table_name(&self, tid: TableId) -> String {
-        self.tables.read()[tid.0 as usize].name.clone()
-    }
-
     pub fn schema(&self, tid: TableId) -> Schema {
         self.tables.read()[tid.0 as usize].schema.clone()
-    }
-
-    pub fn key_col(&self, tid: TableId) -> usize {
-        self.tables.read()[tid.0 as usize].key_col
     }
 
     pub fn row_count(&self, tid: TableId) -> u64 {
@@ -361,15 +340,6 @@ impl Database {
         Ok(t.nc.len() - 1)
     }
 
-    /// Number of NC indexes on a table.
-    pub fn nc_index_count(&self, tid: TableId) -> usize {
-        self.tables.read()[tid.0 as usize].nc.len()
-    }
-
-    pub fn nc_index_height(&self, tid: TableId, idx: usize) -> u64 {
-        self.tables.read()[tid.0 as usize].nc[idx].height()
-    }
-
     // ------------------------------------------------------------------
     // DML
     // ------------------------------------------------------------------
@@ -383,12 +353,29 @@ impl Database {
 
     /// Insert a row (fails on duplicate key).
     pub fn insert(&self, clock: &mut Clock, tid: TableId, row: Row) -> Result<(), DbError> {
-        self.write_row(clock, tid, row, false)
-    }
-
-    /// Insert or overwrite by key.
-    pub fn upsert(&self, clock: &mut Clock, tid: TableId, row: Row) -> Result<(), DbError> {
-        self.write_row(clock, tid, row, true)
+        let tables = self.tables.read();
+        let t = tables
+            .get(tid.0 as usize)
+            .ok_or(DbError::NoSuchTable(tid))?;
+        let key = row.int(t.key_col);
+        let bytes = row.to_bytes();
+        check_value_len(bytes.len())?;
+        self.charge_seek(clock, t.tree.height());
+        if !t.tree.insert_new(clock, &self.bp, key, &bytes)? {
+            return Err(DbError::DuplicateKey { table: tid, key });
+        }
+        self.wal
+            .append(clock, tid.0, WalOp::Insert, key, Some(&row))?;
+        // synchronous maintenance of NC indexes (§3.3: "updated in-sync")
+        for idx in &t.nc {
+            let v = row.int(idx.col);
+            let d = idx.counter.fetch_add(1, Ordering::Relaxed);
+            idx.tree
+                .insert(clock, &self.bp, NcIndex::nc_key(v, d), &bytes)?;
+        }
+        drop(tables);
+        self.semantic.notify_update(tid);
+        Ok(())
     }
 
     /// Upsert a batch of rows as **one commit group**: every row is
@@ -475,46 +462,6 @@ impl Database {
         Ok(())
     }
 
-    fn write_row(
-        &self,
-        clock: &mut Clock,
-        tid: TableId,
-        row: Row,
-        allow_replace: bool,
-    ) -> Result<(), DbError> {
-        let tables = self.tables.read();
-        let t = tables
-            .get(tid.0 as usize)
-            .ok_or(DbError::NoSuchTable(tid))?;
-        let key = row.int(t.key_col);
-        let bytes = row.to_bytes();
-        check_value_len(bytes.len())?;
-        self.charge_seek(clock, t.tree.height());
-        let replaced = if allow_replace {
-            t.tree.insert(clock, &self.bp, key, &bytes)?
-        } else if t.tree.insert_new(clock, &self.bp, key, &bytes)? {
-            false
-        } else {
-            return Err(DbError::DuplicateKey { table: tid, key });
-        };
-        let op = if replaced {
-            WalOp::Update
-        } else {
-            WalOp::Insert
-        };
-        self.wal.append(clock, tid.0, op, key, Some(&row))?;
-        // synchronous maintenance of NC indexes (§3.3: "updated in-sync")
-        for idx in &t.nc {
-            let v = row.int(idx.col);
-            let d = idx.counter.fetch_add(1, Ordering::Relaxed);
-            idx.tree
-                .insert(clock, &self.bp, NcIndex::nc_key(v, d), &bytes)?;
-        }
-        drop(tables);
-        self.semantic.notify_update(tid);
-        Ok(())
-    }
-
     /// Point lookup by clustered key.
     pub fn get(&self, clock: &mut Clock, tid: TableId, key: i64) -> Result<Option<Row>, DbError> {
         let tables = self.tables.read();
@@ -588,29 +535,17 @@ impl Database {
         lo: i64,
         hi: i64,
     ) -> Result<Vec<Row>, DbError> {
-        self.range_limit(clock, tid, lo, hi, usize::MAX)
-    }
-
-    /// Range scan with a row limit.
-    pub fn range_limit(
-        &self,
-        clock: &mut Clock,
-        tid: TableId,
-        lo: i64,
-        hi: i64,
-        limit: usize,
-    ) -> Result<Vec<Row>, DbError> {
         let tables = self.tables.read();
         let t = tables
             .get(tid.0 as usize)
             .ok_or(DbError::NoSuchTable(tid))?;
         self.charge_seek(clock, t.tree.height());
-        // at most one row per key in the span, per entry in the tree, and `limit`
+        // at most one row per key in the span and per entry in the tree
         let span = hi.saturating_sub(lo).max(0) as u64;
-        let mut rows = Vec::with_capacity(span.min(t.tree.len()).min(limit as u64) as usize);
+        let mut rows = Vec::with_capacity(span.min(t.tree.len()) as usize);
         t.tree.range(clock, &self.bp, lo, hi, |_, bytes| {
             rows.push(Row::decode(bytes).0);
-            rows.len() < limit
+            true
         })?;
         let mut ctx = self.exec_ctx(clock);
         ctx.charge_n(ctx.costs.row_scan, rows.len() as u64);
@@ -968,9 +903,7 @@ mod tests {
     #[test]
     fn crud_round_trip() {
         let (db, mut clock) = db();
-        let t = db
-            .create_table(&mut clock, "customer", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         for k in 0..1000 {
             db.insert(&mut clock, t, customer(k)).unwrap();
         }
@@ -986,20 +919,17 @@ mod tests {
         assert!(db.delete(&mut clock, t, 500).unwrap());
         assert!(db.get(&mut clock, t, 500).unwrap().is_none());
         assert_eq!(db.row_count(t), 999);
-        // duplicate key rejected, upsert allowed
+        // duplicate key rejected
         assert!(matches!(
             db.insert(&mut clock, t, customer(10)),
             Err(DbError::DuplicateKey { .. })
         ));
-        db.upsert(&mut clock, t, customer(10)).unwrap();
     }
 
     #[test]
     fn duplicate_insert_writes_nothing() {
         let (db, mut clock) = db();
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         db.insert(&mut clock, t, customer(7)).unwrap();
         let idx = db
             .create_nc_index(&mut clock, t, 0, Arc::new(RamDisk::new(1 << 20)))
@@ -1022,9 +952,7 @@ mod tests {
     #[test]
     fn oversize_row_is_a_typed_error_on_every_write_path() {
         let (db, mut clock) = db();
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         db.insert(&mut clock, t, customer(1)).unwrap();
         let lsn = db.wal().current_lsn();
         let wide = |k: i64| {
@@ -1040,7 +968,6 @@ mod tests {
             )
         };
         assert!(too_large(db.insert(&mut clock, t, wide(2))));
-        assert!(too_large(db.upsert(&mut clock, t, wide(1))));
         assert!(too_large(db.upsert_group(
             &mut clock,
             t,
@@ -1060,9 +987,7 @@ mod tests {
     #[test]
     fn bulk_loaded_table_reads_and_takes_dml_like_an_inserted_one() {
         let (db, mut clock) = db();
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         let mut loader = db.bulk_loader(t).unwrap();
         for k in 0..1000 {
             loader.push(&mut clock, customer(k * 2)).unwrap();
@@ -1102,25 +1027,19 @@ mod tests {
     #[test]
     fn range_scans_are_ordered_and_bounded() {
         let (db, mut clock) = db();
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         for k in (0..2000).rev() {
             db.insert(&mut clock, t, customer(k)).unwrap();
         }
         let rows = db.range(&mut clock, t, 100, 200).unwrap();
         assert_eq!(rows.len(), 100);
         assert!(rows.windows(2).all(|w| w[0].int(0) < w[1].int(0)));
-        let limited = db.range_limit(&mut clock, t, 0, 2000, 5).unwrap();
-        assert_eq!(limited.len(), 5);
     }
 
     #[test]
     fn wal_records_every_change() {
         let (db, mut clock) = db();
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         db.insert(&mut clock, t, customer(1)).unwrap();
         db.update(&mut clock, t, 1, |r| r.0[2] = Value::Float(0.0))
             .unwrap();
@@ -1133,9 +1052,7 @@ mod tests {
     #[test]
     fn nc_index_lookup_and_sync_maintenance() {
         let (db, mut clock) = db();
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         for k in 0..500 {
             db.insert(&mut clock, t, customer(k)).unwrap();
         }
@@ -1159,7 +1076,6 @@ mod tests {
         let orders = db
             .create_table(
                 &mut clock,
-                "orders",
                 Schema::new(vec![("orderkey", ColType::Int), ("total", ColType::Float)]),
                 0,
             )
@@ -1278,9 +1194,7 @@ mod tests {
             // pool of only 8 frames so the ~40-page table cannot fit
             let db = Database::standalone(DbConfig::with_pool(8 * 8192), 8, devices);
             let mut clock = Clock::new();
-            let t = db
-                .create_table(&mut clock, "c", customer_schema(), 0)
-                .unwrap();
+            let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
             for k in 0..5000 {
                 db.insert(&mut clock, t, customer(k)).unwrap();
             }
@@ -1310,9 +1224,7 @@ mod tests {
         cfg.metrics = Some(Arc::clone(&registry));
         let db = Database::standalone(cfg, 8, devices);
         let mut clock = Clock::new();
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         for k in 0..3000 {
             db.insert(&mut clock, t, customer(k)).unwrap();
         }
@@ -1371,9 +1283,7 @@ mod tests {
             db.tempdb().high_water_bytes() as f64
         );
 
-        let t = db
-            .create_table(&mut clock, "c", customer_schema(), 0)
-            .unwrap();
+        let t = db.create_table(&mut clock, customer_schema(), 0).unwrap();
         {
             let mut ctx = db.exec_ctx(&mut clock);
             assert!(db.semantic().get_mv(&mut ctx, "v").unwrap().is_none());

@@ -46,7 +46,7 @@ impl<'a> ExecCtx<'a> {
 
     /// Set the degree of parallelism for subsequent CPU work. Flushes any
     /// pending work at the previous DOP first.
-    pub fn set_dop(&mut self, dop: u32) {
+    pub(crate) fn set_dop(&mut self, dop: u32) {
         self.flush_cpu();
         self.dop = dop.max(1);
     }
@@ -66,14 +66,14 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Charge `d × n` of CPU work.
-    pub fn charge_n(&mut self, d: SimDuration, n: u64) {
+    pub(crate) fn charge_n(&mut self, d: SimDuration, n: u64) {
         self.charge(SimDuration::from_nanos(d.as_nanos() * n));
     }
 
     /// Push accumulated CPU work through the core pool now. At DOP > 1 the
     /// work is split into `dop` parallel grants and the clock advances to
     /// the slowest one.
-    pub fn flush_cpu(&mut self) {
+    pub(crate) fn flush_cpu(&mut self) {
         if self.acc.is_zero() {
             return;
         }

@@ -40,7 +40,6 @@ pub mod optimizer;
 pub mod page;
 pub mod pagestore;
 pub mod priming;
-pub mod proccache;
 pub mod row;
 pub mod semantic;
 pub mod sort;

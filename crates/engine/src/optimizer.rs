@@ -25,7 +25,8 @@ pub struct DeviceProfile {
 
 impl DeviceProfile {
     /// Local DRAM (buffer-pool hit).
-    pub fn local_memory() -> DeviceProfile {
+    #[cfg(test)]
+    pub(crate) fn local_memory() -> DeviceProfile {
         DeviceProfile {
             label: "LocalMemory",
             random_page: SimDuration::from_nanos(100),
@@ -184,7 +185,7 @@ pub struct ScanEstimate {
 
 impl ScanEstimate {
     /// Expected delivered rows.
-    pub fn matched_rows(&self) -> u64 {
+    pub(crate) fn matched_rows(&self) -> u64 {
         let rows = (self.pages * self.rows_per_page) as f64;
         (rows * self.selectivity.clamp(0.0, 1.0)).round() as u64
     }

@@ -102,7 +102,7 @@ impl Page {
     }
 
     /// The whole page as writable bytes, for a device to read into.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data[..]
     }
 

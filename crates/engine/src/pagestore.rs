@@ -69,7 +69,7 @@ impl PagedFile {
 
     /// Allocate `n` physically-contiguous pages (extent allocation for
     /// spill runs, so runs read back sequentially).
-    pub fn allocate_extent(&self, n: u64) -> Result<PageNo, StorageError> {
+    pub(crate) fn allocate_extent(&self, n: u64) -> Result<PageNo, StorageError> {
         let start = self.next_page.fetch_add(n, Ordering::Relaxed);
         if start + n > self.capacity_pages() {
             self.next_page.fetch_sub(n, Ordering::Relaxed);
@@ -103,7 +103,7 @@ impl PagedFile {
     }
 
     /// Write a page to the device.
-    pub fn write_page(
+    pub(crate) fn write_page(
         &self,
         clock: &mut Clock,
         page: PageNo,

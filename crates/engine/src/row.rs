@@ -19,14 +19,14 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn as_int(&self) -> i64 {
+    pub(crate) fn as_int(&self) -> i64 {
         match self {
             Value::Int(v) => *v,
             other => panic!("expected Int, got {other:?}"),
         }
     }
 
-    pub fn as_float(&self) -> f64 {
+    pub(crate) fn as_float(&self) -> f64 {
         match self {
             Value::Float(v) => *v,
             Value::Int(v) => *v as f64,

@@ -4,7 +4,7 @@
 //! remote memory (or any device), **separate from the buffer pool** so they
 //! never contend for local memory. Queries that match a valid MV are served
 //! from it; base-table updates are handled per the application-specified
-//! policy: invalidate, keep as a snapshot, or mark for asynchronous refresh.
+//! policy: invalidate, or keep serving the snapshot.
 //! (Structures needing exact synchronous maintenance — the redundant
 //! non-clustered indexes — are maintained by the engine's DML path itself
 //! and recovered from the WAL after a donor failure; see
@@ -32,15 +32,12 @@ pub enum MvPolicy {
     Invalidate,
     /// Keep serving the stale snapshot.
     Snapshot,
-    /// Keep serving, but flag for background refresh.
-    AsyncRefresh,
 }
 
 struct MvEntry {
     sources: Vec<TableId>,
     policy: MvPolicy,
     valid: bool,
-    stale: bool,
     file: Arc<PagedFile>,
     pages: Vec<u64>,
     rows: u64,
@@ -136,7 +133,6 @@ impl SemanticCache {
                 sources,
                 policy,
                 valid: true,
-                stale: false,
                 file,
                 pages,
                 rows: rows.len() as u64,
@@ -184,7 +180,7 @@ impl SemanticCache {
     }
 
     /// A base table changed: apply each dependent view's policy.
-    pub fn notify_update(&self, table: TableId) {
+    pub(crate) fn notify_update(&self, table: TableId) {
         let mut invalidated = 0u64;
         let mut mvs = self.mvs.write();
         for entry in mvs.values_mut() {
@@ -197,7 +193,6 @@ impl SemanticCache {
                         entry.valid = false;
                     }
                     MvPolicy::Snapshot => {}
-                    MvPolicy::AsyncRefresh => entry.stale = true,
                 }
             }
         }
@@ -207,39 +202,8 @@ impl SemanticCache {
         }
     }
 
-    /// Replace the contents of an existing view (async refresh completing).
-    pub fn refresh_mv(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        name: &str,
-        rows: &[Row],
-    ) -> Result<bool, StorageError> {
-        let (sources, policy, device) = {
-            let mvs = self.mvs.read();
-            let Some(e) = mvs.get(name) else {
-                return Ok(false);
-            };
-            (e.sources.clone(), e.policy, Arc::clone(e.file.device()))
-        };
-        self.create_mv(ctx, name, sources, policy, rows, device)?;
-        Ok(true)
-    }
-
     pub fn is_valid(&self, name: &str) -> bool {
         self.mvs.read().get(name).map(|e| e.valid).unwrap_or(false)
-    }
-
-    pub fn is_stale(&self, name: &str) -> bool {
-        self.mvs.read().get(name).map(|e| e.stale).unwrap_or(false)
-    }
-
-    pub fn mv_count(&self) -> usize {
-        self.mvs.read().len()
-    }
-
-    /// Drop a view entirely.
-    pub fn drop_mv(&self, name: &str) -> bool {
-        self.mvs.write().remove(name).is_some()
     }
 }
 
@@ -305,15 +269,6 @@ mod tests {
         .unwrap();
         sc.create_mv(
             &mut ctx,
-            "async",
-            vec![TableId(0)],
-            MvPolicy::AsyncRefresh,
-            &rows,
-            disk(),
-        )
-        .unwrap();
-        sc.create_mv(
-            &mut ctx,
             "other",
             vec![TableId(9)],
             MvPolicy::Invalidate,
@@ -324,32 +279,9 @@ mod tests {
         sc.notify_update(TableId(0));
         assert!(!sc.is_valid("inv"));
         assert!(sc.is_valid("snap"));
-        assert!(sc.is_valid("async") && sc.is_stale("async"));
         assert!(sc.is_valid("other"), "unrelated views unaffected");
         // invalidated view no longer served
         assert!(sc.get_mv(&mut ctx, "inv").unwrap().is_none());
-    }
-
-    #[test]
-    fn refresh_restores_async_view() {
-        let (sc, mut clock, cpu, costs) = parts();
-        let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
-        sc.create_mv(
-            &mut ctx,
-            "v",
-            vec![TableId(0)],
-            MvPolicy::AsyncRefresh,
-            &[int_row(&[1])],
-            Arc::new(RamDisk::new(1 << 20)),
-        )
-        .unwrap();
-        sc.notify_update(TableId(0));
-        assert!(sc.is_stale("v"));
-        sc.refresh_mv(&mut ctx, "v", &[int_row(&[1]), int_row(&[2])])
-            .unwrap();
-        assert!(!sc.is_stale("v"));
-        assert_eq!(sc.get_mv(&mut ctx, "v").unwrap().unwrap().len(), 2);
-        assert!(!sc.refresh_mv(&mut ctx, "nonexistent", &[]).unwrap());
     }
 
     #[test]
@@ -371,24 +303,5 @@ mod tests {
             sc.get_mv(&mut ctx, "v").unwrap().is_none(),
             "failure degrades to a miss"
         );
-    }
-
-    #[test]
-    fn drop_mv() {
-        let (sc, mut clock, cpu, costs) = parts();
-        let mut ctx = ExecCtx::new(&mut clock, &cpu, &costs);
-        sc.create_mv(
-            &mut ctx,
-            "v",
-            vec![],
-            MvPolicy::Snapshot,
-            &[int_row(&[1])],
-            Arc::new(RamDisk::new(1 << 20)),
-        )
-        .unwrap();
-        assert_eq!(sc.mv_count(), 1);
-        assert!(sc.drop_mv("v"));
-        assert!(!sc.drop_mv("v"));
-        assert_eq!(sc.mv_count(), 0);
     }
 }

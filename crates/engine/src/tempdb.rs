@@ -122,10 +122,6 @@ impl TempDb {
         });
     }
 
-    pub fn device_label(&self) -> String {
-        self.file.device().label()
-    }
-
     /// Bytes written to TempDB so far.
     pub fn bytes_spilled(&self) -> u64 {
         self.bytes_spilled.get()
@@ -348,7 +344,7 @@ impl<'a> SpillWriter<'a> {
     }
 
     /// Append one row already in [`Row::encode`] form.
-    pub fn push_encoded(
+    pub(crate) fn push_encoded(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         record: &[u8],
@@ -489,7 +485,7 @@ impl SpillReader<'_> {
 
     /// Decode the next row over `row`, reusing its allocations; `false` at
     /// end of stream.
-    pub fn next_into(
+    pub(crate) fn next_into(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         row: &mut Row,

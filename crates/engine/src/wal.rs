@@ -280,24 +280,10 @@ impl Wal {
         }
     }
 
-    /// Whether commits ship to remote memory (vs a local device force).
-    pub fn is_remote(&self) -> bool {
-        matches!(self.backend, Backend::Remote { .. })
-    }
-
     /// Chaos-audit log for `wal.failover` events: ring failovers absorbed
     /// by appends (Recovery) or observed during replay (Observed).
     pub fn set_fault_log(&self, log: Option<Arc<FaultLog>>) {
         *self.fault_log.lock() = log;
-    }
-
-    pub fn device_label(&self) -> String {
-        match &self.backend {
-            Backend::Device(d) => d.label(),
-            Backend::Remote { ring, archive } => {
-                format!("RemoteWalRing[{} -> {}]", ring.capacity(), archive.label())
-            }
-        }
     }
 
     /// The backing ring of a remote WAL (None for the device backend).
@@ -379,14 +365,17 @@ impl Wal {
     /// scratch buffer and flushed with **one** backend write, so the clock
     /// is charged per flushed group, not per record — the ring and the
     /// device backend agree on this accounting. Returns the first LSN of
-    /// the group (LSNs are dense across it).
+    /// the group (LSNs are dense across it); an empty group writes, forces
+    /// and charges nothing and returns the next LSN.
     pub fn append_group(
         &self,
         clock: &mut Clock,
         entries: &[WalEntry],
     ) -> Result<Lsn, StorageError> {
-        assert!(!entries.is_empty(), "empty commit group");
         let mut guard = self.state.lock();
+        if entries.is_empty() {
+            return Ok(guard.next_lsn);
+        }
         let st = &mut *guard;
         let first = st.next_lsn;
         st.scratch.clear();
@@ -606,6 +595,34 @@ mod tests {
         (Wal::new(Arc::new(RamDisk::new(4 << 20))), Clock::new())
     }
 
+    /// A WAL on a k = 2 remote ring over two donors, archiving to a RamDisk.
+    fn remote_wal() -> (Wal, Clock) {
+        use remem_broker::{BrokerConfig, MemoryBroker, MemoryProxy, MetaStore};
+        use remem_net::{Fabric, NetConfig};
+        use remem_rfile::{RFileConfig, RemoteFile, RemoteRing};
+        let fabric = Arc::new(Fabric::new(NetConfig::default()));
+        let db = fabric.add_server("DB", 4);
+        let broker = Arc::new(MemoryBroker::new(BrokerConfig::default(), MetaStore::new()));
+        for i in 0..2 {
+            let m = fabric.add_server(format!("M{i}"), 4);
+            MemoryProxy::new(m, 1 << 20)
+                .donate(&mut Clock::new(), &fabric, &broker, 2 << 20)
+                .unwrap();
+        }
+        let mut clock = Clock::new();
+        let cfg = RFileConfig {
+            replicas: 2,
+            self_heal: false,
+            ..RFileConfig::custom()
+        };
+        let file = RemoteFile::create_open(&mut clock, fabric, broker, db, 1 << 20, cfg).unwrap();
+        let ring = Arc::new(RemoteRing::new(Arc::new(file)));
+        (
+            Wal::new_remote(ring, Arc::new(RamDisk::new(4 << 20))),
+            clock,
+        )
+    }
+
     #[test]
     fn append_and_replay_all() {
         let (wal, mut clock) = wal();
@@ -696,6 +713,19 @@ mod tests {
             }
         }
         assert!(failed, "a full log device must error, not wrap");
+    }
+
+    #[test]
+    fn empty_group_writes_nothing_on_either_backend() {
+        for (wal, mut clock) in [wal(), remote_wal()] {
+            wal.append(&mut clock, 1, WalOp::Insert, 1, Some(&int_row(&[1])))
+                .unwrap();
+            let before = (wal.current_lsn(), wal.tail_bytes(), wal.stats());
+            let now = clock.now();
+            assert_eq!(wal.append_group(&mut clock, &[]).unwrap(), before.0);
+            assert_eq!(clock.now(), now, "no write, no force");
+            assert_eq!((wal.current_lsn(), wal.tail_bytes(), wal.stats()), before);
+        }
     }
 
     #[test]

@@ -115,7 +115,8 @@ impl NetConfig {
     }
 
     /// Local DRAM access time for `bytes` (linear in 8 KiB pages).
-    pub fn local_memory_access(&self, bytes: u64) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn local_memory_access(&self, bytes: u64) -> SimDuration {
         let pages = bytes.div_ceil(8192).max(1);
         SimDuration::from_nanos(self.local_memory_8k.as_nanos() * pages)
     }

@@ -274,10 +274,6 @@ impl Fabric {
         *self.injector.write() = injector;
     }
 
-    pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.injector.read().clone()
-    }
-
     pub fn config(&self) -> &NetConfig {
         &self.cfg
     }
@@ -352,7 +348,7 @@ impl Fabric {
     }
 
     /// Lifetime (posted, completed) work-request counts between two servers.
-    pub fn wr_counts(&self, a: ServerId, b: ServerId) -> (u64, u64) {
+    pub(crate) fn wr_counts(&self, a: ServerId, b: ServerId) -> (u64, u64) {
         let stats = self.wr_stats.lock();
         stats.get(&ordered(a, b)).map_or((0, 0), |l| l.counts())
     }
@@ -373,14 +369,6 @@ impl Fabric {
         );
     }
 
-    /// Audit every pair's WR ledger (used at full-fabric teardown).
-    pub fn verify_all_wr_balances(&self) {
-        let pairs: Vec<(ServerId, ServerId)> = self.wr_stats.lock().keys().copied().collect();
-        for (a, b) in pairs {
-            self.verify_wr_balance(a, b);
-        }
-    }
-
     /// Attribute an already-costed quorum write to the WAL append path.
     ///
     /// Pure telemetry: the caller (the engine's remote WAL, via the ring)
@@ -395,15 +383,7 @@ impl Fabric {
         }
     }
 
-    /// The attached metrics registry, if any.
-    pub fn metrics_registry(&self) -> Option<Arc<MetricsRegistry>> {
-        self.metrics
-            .read()
-            .as_ref()
-            .map(|m| Arc::clone(&m.registry))
-    }
-
-    pub fn is_connected(&self, a: ServerId, b: ServerId) -> bool {
+    pub(crate) fn is_connected(&self, a: ServerId, b: ServerId) -> bool {
         a == b || self.connections.lock().contains(&ordered(a, b))
     }
 
@@ -1794,7 +1774,6 @@ mod tests {
         assert_eq!(posted, 3);
         assert_eq!(completed, 3);
         fabric.disconnect(db, mem);
-        fabric.verify_all_wr_balances();
         assert_eq!(aud.violation_count(), 0, "{}", aud.report());
     }
 
@@ -1825,6 +1804,177 @@ mod tests {
         let gbps = (n as f64 * 8192.0) / secs / 1e9;
         // line rate is 5.5 GB/s; one doorbell over 2 MiB should get close
         assert!(gbps > 4.0, "batched throughput {gbps} GB/s");
+    }
+
+    /// One single-SGE read WR per buffer, laid end to end from offset 0.
+    fn page_reads(handle: MrHandle, bufs: &mut [Vec<u8>]) -> Vec<crate::verbs::WorkRequest<'_>> {
+        bufs.iter_mut()
+            .enumerate()
+            .map(|(i, b)| {
+                let offset = (i * b.len()) as u64;
+                crate::verbs::WorkRequest::Read(vec![crate::verbs::ReadSge {
+                    mr: handle,
+                    offset,
+                    buf: b,
+                }])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_reads_cost_one_doorbell() {
+        // 16 pages behind one doorbell must beat 16 scalar reads: the chain
+        // pays op_overhead + fixed_latency once instead of 16 times.
+        let n = 16usize;
+        let (fabric, db, _mem, handle) = two_server_fabric();
+        let mut scalar_clock = Clock::new();
+        let mut buf = vec![0u8; 8192];
+        for i in 0..n {
+            fabric
+                .read(
+                    &mut scalar_clock,
+                    Protocol::Custom,
+                    db,
+                    handle,
+                    (i * 8192) as u64,
+                    &mut buf,
+                )
+                .unwrap();
+        }
+
+        let (fabric2, db2, _mem2, handle2) = two_server_fabric();
+        let mut clock = Clock::new();
+        let mut bufs = vec![vec![0u8; 8192]; n];
+        let mut wrs = page_reads(handle2, &mut bufs);
+        let completions = fabric2.execute_batch(&mut clock, Protocol::Custom, db2, &mut wrs);
+        assert_eq!(completions.len(), n);
+        assert!(completions.iter().all(|c| c.result.is_ok()));
+        assert!(
+            clock.now() < scalar_clock.now(),
+            "batched {:?} must beat scalar {:?}",
+            clock.now(),
+            scalar_clock.now()
+        );
+    }
+
+    #[test]
+    fn pipelined_requests_complete_in_order() {
+        let (fabric, db, _mem, handle) = two_server_fabric();
+        let mut clock = Clock::new();
+        let t0 = clock.now();
+        let mut bufs = vec![vec![0u8; 4096]; 8];
+        let mut wrs = page_reads(handle, &mut bufs);
+        let completions = fabric.execute_batch(&mut clock, Protocol::Custom, db, &mut wrs);
+        assert!(completions[0].completed_at > t0);
+        assert!(completions
+            .windows(2)
+            .all(|w| w[0].completed_at <= w[1].completed_at));
+        // the last WR lands when the doorbell completes
+        assert_eq!(completions.last().unwrap().completed_at, clock.now());
+    }
+
+    #[test]
+    fn batch_moves_bytes_and_gathers_sges() {
+        use crate::verbs::{ReadSge, WorkRequest, WriteSge};
+        let (fabric, db, _mem, mr) = two_server_fabric();
+        let mut clock = Clock::new();
+        // one gather-write WR with two SGEs, then a scatter-read back
+        let (a, b) = (*b"hello ", *b"world!");
+        let mut wrs = vec![WorkRequest::Write(vec![
+            WriteSge {
+                mr,
+                offset: 64,
+                data: &a,
+            },
+            WriteSge {
+                mr,
+                offset: 70,
+                data: &b,
+            },
+        ])];
+        let writes = fabric.execute_batch(&mut clock, Protocol::Custom, db, &mut wrs);
+        assert_eq!(writes[0].bytes, 12);
+        let mut lo = [0u8; 4];
+        let mut hi = [0u8; 8];
+        let mut reads = vec![WorkRequest::Read(vec![
+            ReadSge {
+                mr,
+                offset: 64,
+                buf: &mut lo,
+            },
+            ReadSge {
+                mr,
+                offset: 68,
+                buf: &mut hi,
+            },
+        ])];
+        let completions = fabric.execute_batch(&mut clock, Protocol::Custom, db, &mut reads);
+        drop(reads);
+        assert_eq!(&lo, b"hell");
+        assert_eq!(&hi, b"o world!");
+        assert!(writes.iter().chain(&completions).all(|c| c.result.is_ok()));
+    }
+
+    #[test]
+    fn batch_partial_failure_surfaces_per_wr_errors() {
+        use crate::verbs::{ReadSge, WorkRequest};
+        let (fabric, db, _mem, mr) = two_server_fabric();
+        let mut clock = Clock::new();
+        let mut good1 = [0u8; 128];
+        let mut bad = [0u8; 128];
+        let mut good2 = [0u8; 128];
+        let mut wrs = vec![
+            WorkRequest::Read(vec![ReadSge {
+                mr,
+                offset: 0,
+                buf: &mut good1,
+            }]),
+            // out of bounds: fails validation, must not poison the chain
+            WorkRequest::Read(vec![ReadSge {
+                mr,
+                offset: mr.len - 16,
+                buf: &mut bad,
+            }]),
+            WorkRequest::Read(vec![ReadSge {
+                mr,
+                offset: 8192,
+                buf: &mut good2,
+            }]),
+        ];
+        let completions = fabric.execute_batch(&mut clock, Protocol::Custom, db, &mut wrs);
+        assert_eq!(completions.len(), 3);
+        assert!(completions[0].result.is_ok());
+        assert!(matches!(
+            completions[1].result,
+            Err(NetError::OutOfBounds { .. })
+        ));
+        assert!(completions[2].result.is_ok());
+    }
+
+    #[test]
+    fn failures_surface_as_errored_completions() {
+        let (fabric, db, mem, handle) = two_server_fabric();
+        fabric.server(mem).unwrap().fail();
+        let mut clock = Clock::new();
+        let mut bufs = vec![vec![0u8; 8]; 2];
+        let mut wrs = page_reads(handle, &mut bufs);
+        let completions = fabric.execute_batch(&mut clock, Protocol::Custom, db, &mut wrs);
+        assert!(completions
+            .iter()
+            .all(|c| c.result == Err(NetError::ServerDown(mem))));
+    }
+
+    #[test]
+    fn disconnect_tears_down_the_connection() {
+        let (fabric, db, mem, handle) = two_server_fabric();
+        assert!(fabric.is_connected(db, mem));
+        fabric.disconnect(db, mem);
+        assert!(!fabric.is_connected(db, mem));
+        let mut buf = [0u8; 8];
+        assert_eq!(
+            fabric.read(&mut Clock::new(), Protocol::Custom, db, handle, 0, &mut buf),
+            Err(NetError::NotConnected { from: db, to: mem })
+        );
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl FaultInjector {
         self
     }
 
-    pub fn slow_window(
+    pub(crate) fn slow_window(
         mut self,
         server: ServerId,
         from: SimTime,

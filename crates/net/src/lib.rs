@@ -36,7 +36,4 @@ pub use fault::FaultInjector;
 pub use mr::{MemoryRegion, MrHandle, MrId};
 pub use nic::Nic;
 pub use server::{Server, ServerId};
-pub use verbs::{
-    Completion, QueuePair, ReadSge, Verb, WorkRequest, WorkRequestId, WriteSge,
-    DEFAULT_MAX_OUTSTANDING,
-};
+pub use verbs::{ReadSge, WorkRequest, WriteSge};

@@ -60,7 +60,7 @@ impl Server {
         &self.nic
     }
 
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Acquire)
     }
 

@@ -420,11 +420,13 @@ impl RemoteFile {
         self.cfg.protocol
     }
 
-    pub fn bytes_read(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_read(&self) -> u64 {
         self.bytes_read.get()
     }
 
-    pub fn bytes_written(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.bytes_written.get()
     }
 

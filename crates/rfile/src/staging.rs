@@ -18,7 +18,6 @@ use remem_sim::{Clock, PoolResource, SimTime};
 /// §4.2 manifests.
 pub struct StagingBuffers {
     slots: PoolResource,
-    page_bytes: u64,
 }
 
 impl StagingBuffers {
@@ -28,7 +27,6 @@ impl StagingBuffers {
         let per_sched = (staging_bytes / page_bytes) as usize;
         StagingBuffers {
             slots: PoolResource::new(schedulers.max(1) * per_sched.max(1)),
-            page_bytes,
         }
     }
 
@@ -40,7 +38,7 @@ impl StagingBuffers {
     /// (computed by the caller once the RDMA completes), charging any wait
     /// for a free slot to the clock first. Returns the instant the slot
     /// became available (the transfer may begin then).
-    pub fn acquire_slot(
+    pub(crate) fn acquire_slot(
         &self,
         clock: &mut Clock,
         transfer_duration: remem_sim::SimDuration,
@@ -48,12 +46,6 @@ impl StagingBuffers {
         let g = self.slots.acquire(clock.now(), transfer_duration);
         clock.advance_to(g.start);
         g.start
-    }
-
-    /// How many transfers of `bytes` fit in flight simultaneously.
-    pub fn max_inflight(&self, bytes: u64) -> usize {
-        let pages_per_transfer = bytes.div_ceil(self.page_bytes).max(1) as usize;
-        self.total_slots() / pages_per_transfer
     }
 }
 
@@ -68,8 +60,6 @@ mod tests {
         assert_eq!(s.total_slots(), 128);
         let s8 = StagingBuffers::new(8, 1 << 20, 8192);
         assert_eq!(s8.total_slots(), 1024);
-        assert_eq!(s8.max_inflight(8192), 1024);
-        assert_eq!(s8.max_inflight(64 * 1024), 128);
     }
 
     #[test]

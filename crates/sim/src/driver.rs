@@ -34,7 +34,8 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// `completed_in_horizon` per virtual second of `horizon`.
-    pub fn clamped_throughput_per_sec(&self, horizon: SimTime) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn clamped_throughput_per_sec(&self, horizon: SimTime) -> f64 {
         if horizon.0 == 0 {
             return 0.0;
         }

@@ -132,7 +132,8 @@ impl FaultLog {
     }
 
     /// Total events recorded with `origin`, across all kinds.
-    pub fn count_origin(&self, origin: FaultOrigin) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count_origin(&self, origin: FaultOrigin) -> u64 {
         let s = self.state.lock();
         s.counts
             .iter()

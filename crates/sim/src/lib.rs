@@ -37,8 +37,6 @@ pub use clock::{Clock, Stopwatch};
 pub use driver::{ClosedLoopDriver, RunOutcome};
 pub use fault::{FaultEvent, FaultLog, FaultOrigin};
 pub use metrics::{Counter, Histogram, TimeSeries};
-pub use registry::{
-    intern_name, Gauge, MetricsRegistry, MetricsSnapshot, SpanId, SpanStats, SpanToken,
-};
+pub use registry::{Gauge, MetricsRegistry, MetricsSnapshot, SpanId, SpanStats, SpanToken};
 pub use resource::{CpuPool, FifoResource, LinkResource, PoolResource};
 pub use time::{SimDuration, SimTime};

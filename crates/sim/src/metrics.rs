@@ -118,7 +118,8 @@ impl Counter {
     }
 
     /// Rate per virtual second over `[0, horizon]`.
-    pub fn rate_per_sec(&self, horizon: SimTime) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn rate_per_sec(&self, horizon: SimTime) -> f64 {
         if horizon.0 == 0 {
             return 0.0;
         }
@@ -144,7 +145,7 @@ impl TimeSeries {
         }
     }
 
-    pub fn bucket_width(&self) -> SimDuration {
+    pub(crate) fn bucket_width(&self) -> SimDuration {
         self.bucket_width
     }
 

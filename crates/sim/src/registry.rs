@@ -56,7 +56,7 @@ impl Gauge {
 /// name return the same leaked allocation, so the cost is bounded by the
 /// number of *distinct* names (metric names are finite and small); call it
 /// once at construction time, never per operation.
-pub fn intern_name(name: &str) -> &'static str {
+pub(crate) fn intern_name(name: &str) -> &'static str {
     static POOL: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     let mut pool = POOL.lock();
     match pool.binary_search(&name) {

@@ -73,12 +73,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Duration from a float number of microseconds (rounded to nearest ns).
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> SimDuration {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Time to move `bytes` at `bytes_per_sec` (rounded up to whole ns).
     pub fn for_transfer(bytes: u64, bytes_per_sec: u64) -> SimDuration {
         assert!(bytes_per_sec > 0, "bandwidth must be positive");

@@ -344,7 +344,8 @@ impl PartialAgg {
     }
 
     /// SUM folded across both tracks, as f64.
-    pub fn sum_f64(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum_f64(&self) -> f64 {
         self.sum_int as f64 + self.sum_float
     }
 

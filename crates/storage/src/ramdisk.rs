@@ -29,7 +29,7 @@ impl RamDisk {
         RamDisk::with_speeds(capacity, 4_000_000_000, SimDuration::from_nanos(100))
     }
 
-    pub fn with_speeds(capacity: u64, bandwidth: u64, fixed: SimDuration) -> RamDisk {
+    pub(crate) fn with_speeds(capacity: u64, bandwidth: u64, fixed: SimDuration) -> RamDisk {
         RamDisk {
             capacity,
             bandwidth,

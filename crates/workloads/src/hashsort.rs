@@ -38,7 +38,7 @@ pub struct HashSortTables {
     pub lineitem: TableId,
 }
 
-pub fn orders_schema() -> Schema {
+pub(crate) fn orders_schema() -> Schema {
     Schema::new(vec![
         ("orderkey", ColType::Int),
         ("custkey", ColType::Int),
@@ -47,7 +47,7 @@ pub fn orders_schema() -> Schema {
     ])
 }
 
-pub fn lineitem_schema() -> Schema {
+pub(crate) fn lineitem_schema() -> Schema {
     Schema::new(vec![
         ("lineid", ColType::Int), // clustered key: orderkey*8 + linenumber
         ("orderkey", ColType::Int),
@@ -69,8 +69,8 @@ fn bulk_load(
     p: &HashSortParams,
 ) -> Result<HashSortTables, DbError> {
     let mut rng = SimRng::seeded(p.seed);
-    let orders = db.create_table(clock, "orders", orders_schema(), 0)?;
-    let lineitem = db.create_table(clock, "lineitem", lineitem_schema(), 0)?;
+    let orders = db.create_table(clock, orders_schema(), 0)?;
+    let lineitem = db.create_table(clock, lineitem_schema(), 0)?;
     let mut orders_load = db.bulk_loader(orders)?;
     let mut lineitem_load = db.bulk_loader(lineitem)?;
     for ok in 0..p.orders as i64 {

@@ -76,7 +76,7 @@ pub fn load_customer(db: &Database, clock: &mut Clock, rows: u64) -> TableId {
 }
 
 fn bulk_load(db: &Database, clock: &mut Clock, rows: u64) -> Result<TableId, DbError> {
-    let t = db.create_table(clock, "customer", customer_schema(), 0)?;
+    let t = db.create_table(clock, customer_schema(), 0)?;
     let mut loader = db.bulk_loader(t)?;
     for k in 0..rows as i64 {
         loader.push(clock, customer_row(k))?;

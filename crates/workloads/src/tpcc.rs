@@ -89,23 +89,23 @@ pub struct Tpcc {
 const INITIAL_ORDERS_PER_DISTRICT: i64 = 30;
 
 impl Tpcc {
-    pub fn district_key(&self, w: i64, d: i64) -> i64 {
+    pub(crate) fn district_key(&self, w: i64, d: i64) -> i64 {
         w * self.params.districts_per_wh + d
     }
 
-    pub fn customer_key(&self, w: i64, d: i64, c: i64) -> i64 {
+    pub(crate) fn customer_key(&self, w: i64, d: i64, c: i64) -> i64 {
         self.district_key(w, d) * 10_000 + c
     }
 
-    pub fn stock_key(&self, w: i64, i: i64) -> i64 {
+    pub(crate) fn stock_key(&self, w: i64, i: i64) -> i64 {
         w * 1_000_000 + i
     }
 
-    pub fn order_key(&self, w: i64, d: i64, o: i64) -> i64 {
+    pub(crate) fn order_key(&self, w: i64, d: i64, o: i64) -> i64 {
         self.district_key(w, d) * 10_000_000 + o
     }
 
-    pub fn order_line_key(&self, order_key: i64, line: i64) -> i64 {
+    pub(crate) fn order_line_key(&self, order_key: i64, line: i64) -> i64 {
         order_key * 16 + line
     }
 }
@@ -122,13 +122,11 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, D
     let mut rng = SimRng::seeded(p.seed);
     let warehouse = db.create_table(
         clock,
-        "warehouse",
         Schema::new(vec![("w_id", ColType::Int), ("w_ytd", ColType::Float)]),
         0,
     )?;
     let district = db.create_table(
         clock,
-        "district",
         Schema::new(vec![
             ("d_key", ColType::Int),
             ("d_ytd", ColType::Float),
@@ -138,7 +136,6 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, D
     )?;
     let customer = db.create_table(
         clock,
-        "customer",
         Schema::new(vec![
             ("c_key", ColType::Int),
             ("c_balance", ColType::Float),
@@ -148,7 +145,6 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, D
     )?;
     let stock = db.create_table(
         clock,
-        "stock",
         Schema::new(vec![
             ("s_key", ColType::Int),
             ("s_quantity", ColType::Int),
@@ -159,7 +155,6 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, D
     )?;
     let item = db.create_table(
         clock,
-        "item",
         Schema::new(vec![
             ("i_id", ColType::Int),
             ("i_price", ColType::Float),
@@ -169,7 +164,6 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, D
     )?;
     let orders = db.create_table(
         clock,
-        "orders",
         Schema::new(vec![
             ("o_key", ColType::Int),
             ("o_c_key", ColType::Int),
@@ -180,7 +174,6 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, D
     )?;
     let order_line = db.create_table(
         clock,
-        "order_line",
         Schema::new(vec![
             ("ol_key", ColType::Int),
             ("ol_item", ColType::Int),
@@ -189,12 +182,7 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpccParams) -> Result<Tpcc, D
         ]),
         0,
     )?;
-    let new_orders = db.create_table(
-        clock,
-        "new_orders",
-        Schema::new(vec![("no_key", ColType::Int)]),
-        0,
-    )?;
+    let new_orders = db.create_table(clock, Schema::new(vec![("no_key", ColType::Int)]), 0)?;
 
     let t = Tpcc {
         warehouse,

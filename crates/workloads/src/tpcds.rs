@@ -41,7 +41,7 @@ pub struct Tpcds {
     pub days: u64,
 }
 
-pub fn store_sales_schema() -> Schema {
+pub(crate) fn store_sales_schema() -> Schema {
     Schema::new(vec![
         ("ss_id", ColType::Int),
         ("ss_item", ColType::Int),
@@ -52,7 +52,7 @@ pub fn store_sales_schema() -> Schema {
     ])
 }
 
-pub fn date_dim_schema() -> Schema {
+pub(crate) fn date_dim_schema() -> Schema {
     Schema::new(vec![
         ("d_date", ColType::Int),
         ("d_year", ColType::Int),
@@ -60,7 +60,7 @@ pub fn date_dim_schema() -> Schema {
     ])
 }
 
-pub fn item_schema() -> Schema {
+pub(crate) fn item_schema() -> Schema {
     Schema::new(vec![
         ("i_item", ColType::Int),
         ("i_category", ColType::Int),
@@ -77,9 +77,9 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpcdsParams) -> Tpcds {
 /// One table after the other, each through its own bulk loader.
 fn bulk_load(db: &Database, clock: &mut Clock, p: &TpcdsParams) -> Result<Tpcds, DbError> {
     let mut rng = SimRng::seeded(p.seed);
-    let store_sales = db.create_table(clock, "store_sales", store_sales_schema(), 0)?;
-    let date_dim = db.create_table(clock, "date_dim", date_dim_schema(), 0)?;
-    let item = db.create_table(clock, "item", item_schema(), 0)?;
+    let store_sales = db.create_table(clock, store_sales_schema(), 0)?;
+    let date_dim = db.create_table(clock, date_dim_schema(), 0)?;
+    let item = db.create_table(clock, item_schema(), 0)?;
     let mut loader = db.bulk_loader(date_dim)?;
     for d in 0..p.days as i64 {
         loader.push(

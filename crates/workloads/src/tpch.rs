@@ -57,7 +57,7 @@ pub fn customer_schema() -> Schema {
     ])
 }
 
-pub fn orders_schema() -> Schema {
+pub(crate) fn orders_schema() -> Schema {
     Schema::new(vec![
         ("orderkey", ColType::Int),
         ("custkey", ColType::Int),
@@ -67,7 +67,7 @@ pub fn orders_schema() -> Schema {
     ])
 }
 
-pub fn lineitem_schema() -> Schema {
+pub(crate) fn lineitem_schema() -> Schema {
     Schema::new(vec![
         ("lineid", ColType::Int),
         ("orderkey", ColType::Int),
@@ -90,9 +90,9 @@ pub fn load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Tpch {
 /// standard per-table bulk tools).
 fn bulk_load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Result<Tpch, DbError> {
     let mut rng = SimRng::seeded(p.seed);
-    let customer = db.create_table(clock, "customer", customer_schema(), 0)?;
-    let orders = db.create_table(clock, "orders", orders_schema(), 0)?;
-    let lineitem = db.create_table(clock, "lineitem", lineitem_schema(), 0)?;
+    let customer = db.create_table(clock, customer_schema(), 0)?;
+    let orders = db.create_table(clock, orders_schema(), 0)?;
+    let lineitem = db.create_table(clock, lineitem_schema(), 0)?;
     let n_orders = p.customers * p.orders_per_customer;
     let mut loader = db.bulk_loader(customer)?;
     for ck in 0..p.customers as i64 {
@@ -153,12 +153,6 @@ fn bulk_load(db: &Database, clock: &mut Clock, p: &TpchParams) -> Result<Tpch, D
 
 /// Number of queries in the workload (TPC-H has 22).
 pub const QUERY_COUNT: usize = 22;
-
-/// Whether a query's plan contains memory-intensive operators that spill
-/// under admission control (the paper observes this for Q10 and Q18).
-pub fn query_spills(qno: usize) -> bool {
-    matches!(qno, 10 | 18)
-}
 
 /// Execute query `qno` (1-based, 1..=22). Returns the result cardinality.
 ///

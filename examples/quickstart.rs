@@ -50,7 +50,6 @@ fn main() {
     let t = db
         .create_table(
             &mut clock,
-            "customer",
             Schema::new(vec![
                 ("custkey", ColType::Int),
                 ("name", ColType::Str),

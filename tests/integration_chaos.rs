@@ -98,7 +98,6 @@ fn chaos_run_with(seed: u64, auditor: Option<Arc<Auditor>>) -> Outcome {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![
                 ("k", ColType::Int),
                 ("v", ColType::Int),
@@ -334,7 +333,6 @@ fn multi_worker_chaos_run(seed: u64) -> Outcome {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![
                 ("k", ColType::Int),
                 ("v", ColType::Int),
@@ -430,7 +428,6 @@ fn replicated_chaos_run(seed: u64, k: usize) -> Outcome {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![
                 ("k", ColType::Int),
                 ("v", ColType::Int),
@@ -616,7 +613,6 @@ fn wal_chaos_run(seed: u64) -> Outcome {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![("k", ColType::Int), ("v", ColType::Int)]),
             0,
         )

@@ -29,7 +29,6 @@ fn all_designs_agree_on_query_answers() {
         let t = db
             .create_table(
                 &mut clock,
-                "t",
                 Schema::new(vec![("k", ColType::Int), ("v", ColType::Float)]),
                 0,
             )
@@ -74,7 +73,6 @@ fn remote_bpext_serves_evictions() {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![("k", ColType::Int), ("pad", ColType::Str)]),
             0,
         )
@@ -137,7 +135,7 @@ fn priming_transfers_the_working_set() {
         .build(&cluster, &mut clock, &DbOptions::small())
         .unwrap();
     let t = db1
-        .create_table(&mut clock, "t", Schema::new(vec![("k", ColType::Int)]), 0)
+        .create_table(&mut clock, Schema::new(vec![("k", ColType::Int)]), 0)
         .unwrap();
     for k in 0..2_000i64 {
         db1.insert(&mut clock, t, int_row(&[k])).unwrap();
@@ -161,7 +159,7 @@ fn priming_transfers_the_working_set() {
         .build(&cluster2, &mut clock2, &DbOptions::small())
         .unwrap();
     let t2 = db2
-        .create_table(&mut clock2, "t", Schema::new(vec![("k", ColType::Int)]), 0)
+        .create_table(&mut clock2, Schema::new(vec![("k", ColType::Int)]), 0)
         .unwrap();
     for k in 0..2_000i64 {
         db2.insert(&mut clock2, t2, int_row(&[k])).unwrap();
@@ -240,7 +238,7 @@ fn telemetry_never_moves_virtual_time() {
         };
         let db = design.build(&cluster, &mut clock, &opts).unwrap();
         let schema = Schema::new(vec![("k", ColType::Int), ("pad", ColType::Str)]);
-        let t = db.create_table(&mut clock, "t", schema, 0).unwrap();
+        let t = db.create_table(&mut clock, schema, 0).unwrap();
         for k in 0..8_000i64 {
             let row = Row::new(vec![Value::Int(k), Value::Str("p".repeat(200))]);
             db.insert(&mut clock, t, row).unwrap();

@@ -31,7 +31,6 @@ fn donor_crash_degrades_but_never_corrupts() {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![
                 ("k", ColType::Int),
                 ("v", ColType::Int),
@@ -109,7 +108,7 @@ fn lease_expiry_mid_scan_falls_back() {
     };
     let db = Design::Custom.build(&c, &mut clock, &opts).unwrap();
     let t = db
-        .create_table(&mut clock, "t", Schema::new(vec![("k", ColType::Int)]), 0)
+        .create_table(&mut clock, Schema::new(vec![("k", ColType::Int)]), 0)
         .unwrap();
     for k in 0..5_000i64 {
         db.insert(&mut clock, t, int_row(&[k])).unwrap();
@@ -137,7 +136,6 @@ fn semantic_cache_recovery_equals_rebuild() {
     let t = db
         .create_table(
             &mut clock,
-            "orders",
             Schema::new(vec![("k", ColType::Int), ("v", ColType::Int)]),
             0,
         )
@@ -193,7 +191,6 @@ fn mv_failure_and_invalidation_are_misses() {
     let t = db
         .create_table(
             &mut clock,
-            "t",
             Schema::new(vec![("k", ColType::Int), ("v", ColType::Float)]),
             0,
         )
