@@ -176,13 +176,13 @@ fn eval_span(npages: usize) -> Vec<u8> {
 }
 
 fn bench_pushdown_eval(c: &mut Criterion) {
-    use remem_storage::{eval_pages, Aggregate, CmpOp, EvalValue, Predicate, PushdownProgram};
+    use remem_storage::{eval_pages, Aggregate, CmpOp, Predicate, PushdownProgram};
     let mut g = c.benchmark_group("pushdown-eval");
     let data = eval_span(64);
     let pred = |v| Predicate {
         col: 0,
         op: CmpOp::Lt,
-        value: EvalValue::Int(v),
+        value: Value::Int(v),
     };
     // predicate evaluation, ~1% selectivity: the kernel's filtering cost
     g.bench_function("predicate_64p_1pct", |b| {

@@ -40,7 +40,7 @@
 //! |---|---|
 //! | `remem-sim` | deterministic virtual-time kernel |
 //! | `remem-net` | RDMA NIC / TCP / SMB fabric models |
-//! | `remem-storage` | HDD RAID-0, SSD, RAM-disk device models |
+//! | `remem-storage` | HDD RAID-0, SSD, RAM-disk device models; owner of the page and row formats |
 //! | `remem-broker` | cluster memory broker with timed leases |
 //! | `remem-rfile` | **the contribution**: remote memory behind a file API |
 //! | `remem-engine` | the SMP RDBMS (buffer pool, B+trees, operators, WAL…) |

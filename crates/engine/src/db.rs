@@ -469,7 +469,10 @@ impl Database {
             .get(tid.0 as usize)
             .ok_or(DbError::NoSuchTable(tid))?;
         self.charge_seek(clock, t.tree.height());
-        Ok(t.tree.get(clock, &self.bp, key)?.map(|b| Row::decode(&b).0))
+        match t.tree.get(clock, &self.bp, key)? {
+            Some(bytes) => Ok(Some(Row::decode(&bytes)?.0)),
+            None => Ok(None),
+        }
     }
 
     /// Read-modify-write a row by key. Returns `false` if absent.
@@ -488,7 +491,7 @@ impl Database {
         let Some(bytes) = t.tree.get(clock, &self.bp, key)? else {
             return Ok(false);
         };
-        let (mut row, _) = Row::decode(&bytes);
+        let (mut row, _) = Row::decode(&bytes)?;
         f(&mut row);
         assert_eq!(
             row.int(t.key_col),
@@ -543,10 +546,10 @@ impl Database {
         // at most one row per key in the span and per entry in the tree
         let span = hi.saturating_sub(lo).max(0) as u64;
         let mut rows = Vec::with_capacity(span.min(t.tree.len()) as usize);
-        t.tree.range(clock, &self.bp, lo, hi, |_, bytes| {
-            rows.push(Row::decode(bytes).0);
-            true
-        })?;
+        let mut decoded = Ok(());
+        t.tree
+            .range(clock, &self.bp, lo, hi, push_rows(&mut rows, &mut decoded))?;
+        decoded?;
         let mut ctx = self.exec_ctx(clock);
         ctx.charge_n(ctx.costs.row_scan, rows.len() as u64);
         Ok(rows)
@@ -561,10 +564,10 @@ impl Database {
             .ok_or(DbError::NoSuchTable(tid))?;
         self.charge_seek(clock, t.tree.height());
         let mut rows = Vec::with_capacity(t.tree.len() as usize);
-        t.tree.scan(clock, &self.bp, |_, bytes| {
-            rows.push(Row::decode(bytes).0);
-            true
-        })?;
+        let mut decoded = Ok(());
+        t.tree
+            .scan(clock, &self.bp, push_rows(&mut rows, &mut decoded))?;
+        decoded?;
         let mut ctx = self.exec_ctx(clock).parallel();
         ctx.charge_n(ctx.costs.row_scan, rows.len() as u64);
         Ok(rows)
@@ -588,10 +591,11 @@ impl Database {
         let lo = NcIndex::nc_key(value, 0);
         let hi = NcIndex::nc_key(value + 1, 0);
         let mut rows = Vec::new();
-        index.tree.range(clock, &self.bp, lo, hi, |_, bytes| {
-            rows.push(Row::decode(bytes).0);
-            true
-        })?;
+        let mut decoded = Ok(());
+        index
+            .tree
+            .range(clock, &self.bp, lo, hi, push_rows(&mut rows, &mut decoded))?;
+        decoded?;
         Ok(rows)
     }
 
@@ -608,10 +612,11 @@ impl Database {
             .ok_or(DbError::NoSuchTable(tid))?;
         let index = &t.nc[idx];
         let mut rows = Vec::with_capacity(index.tree.len() as usize);
-        index.tree.scan(clock, &self.bp, |_, bytes| {
-            rows.push(Row::decode(bytes).0);
-            true
-        })?;
+        let mut decoded = Ok(());
+        index
+            .tree
+            .scan(clock, &self.bp, push_rows(&mut rows, &mut decoded))?;
+        decoded?;
         let mut ctx = self.exec_ctx(clock);
         ctx.charge_n(ctx.costs.row_scan, rows.len() as u64);
         Ok(rows)
@@ -763,6 +768,24 @@ impl Database {
         }
         self.tables.write()[tid.0 as usize].nc[idx] = new_idx;
         Ok(applied)
+    }
+}
+
+/// A B+tree visitor that decodes each value into `rows`, and stops the walk
+/// at the first that does not decode, leaving its error in `decoded`.
+fn push_rows<'a>(
+    rows: &'a mut Vec<Row>,
+    decoded: &'a mut Result<(), StorageError>,
+) -> impl FnMut(i64, &[u8]) -> bool + 'a {
+    move |_, bytes| match Row::decode(bytes) {
+        Ok((row, _)) => {
+            rows.push(row);
+            true
+        }
+        Err(e) => {
+            *decoded = Err(e);
+            false
+        }
     }
 }
 

@@ -269,7 +269,7 @@ pub fn scan_with_plan(
     } else {
         let mut off = 0;
         while off < payload.len() {
-            let (row, used) = Row::decode(&payload[off..]);
+            let (row, used) = Row::decode(&payload[off..])?;
             off += used;
             result.rows.push(row);
         }
@@ -351,7 +351,7 @@ mod tests {
         use remem_broker::{BrokerConfig, MemoryBroker, MemoryProxy, MetaStore, PlacementPolicy};
         use remem_net::{Fabric, NetConfig};
         use remem_rfile::{RFileConfig, RemoteFile};
-        use remem_storage::{Aggregate, CmpOp, EvalValue, Predicate};
+        use remem_storage::{Aggregate, CmpOp, Predicate};
         use std::sync::Arc;
 
         const NPAGES: usize = 8;
@@ -418,7 +418,7 @@ mod tests {
                 predicates: vec![Predicate {
                     col: 0,
                     op: CmpOp::Lt,
-                    value: EvalValue::Int(v),
+                    value: Value::Int(v),
                 }],
                 projection: None,
                 aggregate: None,

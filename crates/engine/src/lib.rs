@@ -5,7 +5,8 @@
 //! so remote memory (via `remem-rfile`) mounts anywhere a disk would. The
 //! engine implements everything the paper's scenarios exercise:
 //!
-//! * **Storage engine** — 8 KiB slotted pages ([`page`]), paged files over
+//! * **Storage engine** — 8 KiB slotted pages ([`page`], owned by
+//!   `remem-storage` with the row format), paged files over
 //!   devices ([`pagestore`]), a buffer pool with clock-sweep eviction and a
 //!   pluggable **buffer-pool extension** tier ([`bufferpool`], scenario §3.1),
 //!   and a paged B+tree used for clustered and non-clustered indexes
@@ -37,7 +38,6 @@ pub mod exec;
 pub mod grant;
 pub mod hashjoin;
 pub mod optimizer;
-pub mod page;
 pub mod pagestore;
 pub mod priming;
 pub mod row;
@@ -45,6 +45,8 @@ pub mod semantic;
 pub mod sort;
 pub mod tempdb;
 pub mod wal;
+
+pub use remem_storage::page;
 
 pub use config::{CpuCosts, DbConfig};
 pub use db::{BulkLoader, Database, DbError, DeviceSet, TableId};

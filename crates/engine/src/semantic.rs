@@ -171,7 +171,7 @@ impl SemanticCache {
                 Err(e) => return Err(e),
             };
             for rec in page.iter() {
-                out.push(Row::decode(rec).0);
+                out.push(Row::decode(rec)?.0);
             }
         }
         ctx.charge_n(ctx.costs.row_scan, out.len() as u64);

@@ -480,7 +480,7 @@ pub struct SpillReader<'a> {
 impl SpillReader<'_> {
     /// Next row, or `None` at end of stream.
     pub fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<Row>, StorageError> {
-        self.next_with(ctx, |record| Row::decode(record).0)
+        self.next_with(ctx, |record| Ok(Row::decode(record)?.0))
     }
 
     /// Decode the next row over `row`, reusing its allocations; `false` at
@@ -490,18 +490,17 @@ impl SpillReader<'_> {
         ctx: &mut ExecCtx<'_>,
         row: &mut Row,
     ) -> Result<bool, StorageError> {
-        let decoded = self.next_with(ctx, |record| {
-            row.decode_into(record);
-        })?;
+        let decoded = self.next_with(ctx, |record| row.decode_into(record))?;
         Ok(decoded.is_some())
     }
 
     /// Lend the next row's encoding to `decode`, straight out of the extent
-    /// buffer the last device read filled; `None` at end of stream.
+    /// buffer the last device read filled; `None` at end of stream, and
+    /// `decode`'s error when the row does not decode.
     fn next_with<T>(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        decode: impl FnOnce(&[u8]) -> T,
+        decode: impl FnOnce(&[u8]) -> Result<T, StorageError>,
     ) -> Result<Option<T>, StorageError> {
         loop {
             if self.page_in_buf < self.pages_in_buf {
@@ -509,7 +508,7 @@ impl SpillReader<'_> {
                     &self.buf[self.page_in_buf * PAGE_SIZE..(self.page_in_buf + 1) * PAGE_SIZE],
                 );
                 if self.slot < page.len() {
-                    let row = decode(page.get(self.slot));
+                    let row = decode(page.get(self.slot))?;
                     self.slot += 1;
                     ctx.charge(ctx.costs.row_scan);
                     return Ok(Some(row));

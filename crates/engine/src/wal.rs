@@ -44,7 +44,8 @@ const MIN_BODY: usize = 22;
 /// single record is larger).
 const ARCHIVE_CHUNK: u64 = 64 << 10;
 
-/// The logged operation.
+/// The logged operation. Its byte in a record is its position here (and
+/// in `WAL_OPS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalOp {
     Insert,
@@ -52,24 +53,7 @@ pub enum WalOp {
     Delete,
 }
 
-impl WalOp {
-    fn to_byte(self) -> u8 {
-        match self {
-            WalOp::Insert => 0,
-            WalOp::Update => 1,
-            WalOp::Delete => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<WalOp> {
-        match b {
-            0 => Some(WalOp::Insert),
-            1 => Some(WalOp::Update),
-            2 => Some(WalOp::Delete),
-            _ => None,
-        }
-    }
-}
+const WAL_OPS: [WalOp; 3] = [WalOp::Insert, WalOp::Update, WalOp::Delete];
 
 /// One log record.
 #[derive(Debug, Clone)]
@@ -92,7 +76,7 @@ fn encode_frame(out: &mut Vec<u8>, lsn: Lsn, table: u32, op: WalOp, key: i64, ro
     let body_at = out.len();
     out.extend_from_slice(&lsn.to_le_bytes());
     out.extend_from_slice(&table.to_le_bytes());
-    out.push(op.to_byte());
+    out.push(op as u8);
     out.extend_from_slice(&key.to_le_bytes());
     match row {
         Some(row) => {
@@ -128,19 +112,23 @@ impl WalRecord {
     }
 
     /// Decode a record body (the bytes after the length prefix). `None`
-    /// when the body is short or its op byte is corrupt — replay treats
+    /// when the body is short, its op byte is corrupt, or its row does not
+    /// decode or does not end exactly at the body's end — replay treats
     /// that as the torn tail of the log.
     pub fn decode(body: &[u8]) -> Option<WalRecord> {
         if body.len() < MIN_BODY {
             return None;
         }
-        let lsn = u64::from_le_bytes(body[..8].try_into().unwrap());
-        let table = u32::from_le_bytes(body[8..12].try_into().unwrap());
-        let op = WalOp::from_byte(body[12])?;
-        let key = i64::from_le_bytes(body[13..21].try_into().unwrap());
+        let lsn = u64::from_le_bytes(*body.first_chunk()?);
+        let table = u32::from_le_bytes(*body[8..].first_chunk()?);
+        let op = *WAL_OPS.get(body[12] as usize)?;
+        let key = i64::from_le_bytes(*body[13..].first_chunk()?);
         let row = match body[21] {
             0 => None,
-            1 => Some(Row::decode(&body[22..]).0),
+            1 => match Row::decode(&body[MIN_BODY..]) {
+                Ok((row, used)) if MIN_BODY + used == body.len() => Some(row),
+                _ => return None,
+            },
             _ => return None,
         };
         Some(WalRecord {
@@ -157,10 +145,7 @@ impl WalRecord {
     /// a partial length prefix, a body extending past the buffer, or a
     /// corrupt body — which is exactly where a torn-tail replay stops.
     pub fn parse_frame(buf: &[u8]) -> Option<(WalRecord, usize)> {
-        if buf.len() < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(*buf.first_chunk()?) as usize;
         if len < MIN_BODY || buf.len() < 4 + len {
             return None;
         }
@@ -839,6 +824,31 @@ mod tests {
             .unwrap();
         assert_eq!(n, 3, "replay stops before the corrupt record");
         assert_eq!(keys, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn corrupt_row_ends_replay_cleanly_on_both_backends() {
+        // body byte 23 is the high byte of the row's value count, 24 the
+        // tag of its first value
+        for (at, byte) in [(23, 0xFF), (24, 0xEE)] {
+            for (wal, mut clock) in [wal(), remote_wal()] {
+                for i in 0..5i64 {
+                    wal.append(&mut clock, 1, WalOp::Insert, i, Some(&int_row(&[i])))
+                        .unwrap();
+                }
+                // five equal frames, the log not wrapped: record 4's body
+                // starts one length prefix after three frames
+                let off = 3 * (wal.tail_bytes() / 5) + 4 + at;
+                match &wal.backend {
+                    Backend::Device(device) => device.write(&mut clock, off, &[byte]),
+                    Backend::Remote { ring, .. } => ring.file().write(&mut clock, off, &[byte]),
+                }
+                .unwrap();
+                let mut keys = Vec::new();
+                let n = wal.replay(&mut clock, 0, |r| keys.push(r.key)).unwrap();
+                assert_eq!((n, keys), (3, vec![0, 1, 2]), "body byte {at} = {byte:#x}");
+            }
+        }
     }
 
     #[test]

@@ -625,10 +625,10 @@ proptest! {
     fn row_encoding_round_trips(row in arb_row(), mut scratch in arb_row()) {
         let bytes = row.to_bytes();
         prop_assert_eq!(bytes.len(), row.encoded_len());
-        let (back, used) = Row::decode(&bytes);
+        let (back, used) = Row::decode(&bytes).unwrap();
         prop_assert_eq!(&back, &row);
         prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(scratch.decode_into(&bytes), bytes.len());
+        prop_assert_eq!(scratch.decode_into(&bytes), Ok(bytes.len()));
         prop_assert_eq!(scratch, row);
     }
 

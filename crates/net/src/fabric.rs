@@ -1172,6 +1172,7 @@ fn ordered(a: ServerId, b: ServerId) -> (ServerId, ServerId) {
 mod tests {
     use super::*;
     use remem_sim::{ClosedLoopDriver, Histogram, SimTime};
+    use remem_storage::{Page, Row, Value};
 
     fn two_server_fabric() -> (Fabric, ServerId, ServerId, MrHandle) {
         let fabric = Fabric::new(NetConfig::default());
@@ -1202,24 +1203,12 @@ mod tests {
     /// Build one engine-format slotted page of `(key, key as f64 * 10.0)`
     /// rows for keys `0..n`.
     fn rows_page(n: usize) -> Vec<u8> {
-        let mut page = vec![0u8; 8192];
-        let mut free = 8192usize;
+        let mut page = Page::new();
         for i in 0..n {
-            let mut rec = Vec::new();
-            rec.extend_from_slice(&2u16.to_le_bytes());
-            rec.push(0);
-            rec.extend_from_slice(&(i as i64).to_le_bytes());
-            rec.push(1);
-            rec.extend_from_slice(&(i as f64 * 10.0).to_le_bytes());
-            free -= rec.len();
-            page[free..free + rec.len()].copy_from_slice(&rec);
-            let base = 4 + i * 4;
-            page[base..base + 2].copy_from_slice(&(free as u16).to_le_bytes());
-            page[base + 2..base + 4].copy_from_slice(&(rec.len() as u16).to_le_bytes());
+            let row = Row::new(vec![Value::Int(i as i64), Value::Float(i as f64 * 10.0)]);
+            page.insert(&row.to_bytes()).unwrap();
         }
-        page[0..2].copy_from_slice(&(n as u16).to_le_bytes());
-        page[2..4].copy_from_slice(&(free as u16).to_le_bytes());
-        page
+        page.as_bytes().to_vec()
     }
 
     fn key_lt(v: i64) -> PushdownProgram {
@@ -1227,7 +1216,7 @@ mod tests {
             predicates: vec![remem_storage::Predicate {
                 col: 0,
                 op: remem_storage::CmpOp::Lt,
-                value: remem_storage::EvalValue::Int(v),
+                value: Value::Int(v),
             }],
             ..Default::default()
         }

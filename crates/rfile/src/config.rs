@@ -54,14 +54,6 @@ pub struct RFileConfig {
     pub protocol: Protocol,
     pub access: AccessMode,
     pub registration: RegistrationMode,
-    /// Per-scheduler staging buffer size; 1 MiB sustains 128 in-flight 8 K
-    /// transfers per scheduler (§4.2).
-    pub staging_bytes: u64,
-    /// Number of schedulers issuing I/O (each gets a staging buffer).
-    pub schedulers: usize,
-    /// Renew the lease automatically when an access finds it inside the
-    /// final half of its validity window.
-    pub auto_renew: bool,
     /// How many times a chunk transfer hitting a *transient* network fault
     /// is retried (with exponential backoff charged to virtual time) before
     /// the access fails with [`remem_storage::StorageError::Transient`].
@@ -106,9 +98,6 @@ impl Default for RFileConfig {
             protocol: Protocol::Custom,
             access: AccessMode::SyncSpin,
             registration: RegistrationMode::Staged,
-            staging_bytes: 1 << 20,
-            schedulers: 8,
-            auto_renew: true,
             max_retries: 4,
             retry_backoff: SimDuration::from_micros(50),
             self_heal: false,

@@ -9,11 +9,11 @@ use remem_broker::{Lease, MemoryBroker};
 use remem_net::{Fabric, MrHandle, Protocol, ServerId};
 use remem_sim::metrics::Counter;
 use remem_sim::{Clock, FaultOrigin, MetricsRegistry, SimDuration, SimTime};
-use remem_storage::{Device, PartialAgg, PushdownProgram, StorageError, EVAL_PAGE_SIZE};
+use remem_storage::{Device, PartialAgg, PushdownProgram, StorageError, PAGE_SIZE};
 
 use crate::config::{RFileConfig, RegistrationMode};
 use crate::engine::{self, Batched};
-use crate::staging::StagingBuffers;
+use crate::staging::{StagingBuffers, SCHEDULERS, STAGING_BYTES};
 
 /// Any lower-layer failure that leaves the file unusable for now.
 pub(crate) fn unavailable(e: impl std::fmt::Display) -> StorageError {
@@ -326,7 +326,7 @@ impl RemoteFile {
     ) -> Result<RemoteFile, StorageError> {
         assert!(size > 0, "cannot create an empty remote file");
         let state = FileState::acquire(clock, &broker, local, size, &cfg, unavailable)?;
-        let staging = StagingBuffers::new(cfg.schedulers, cfg.staging_bytes, 8192);
+        let staging = StagingBuffers::new(SCHEDULERS, STAGING_BYTES, 8192);
         let registry = cfg.metrics.as_ref();
         Ok(RemoteFile {
             fabric,
@@ -361,7 +361,7 @@ impl RemoteFile {
         let servers = self.state.lock().lease.servers();
         self.connect_all(clock, servers)?;
         if self.cfg.registration == RegistrationMode::Staged {
-            let staging_total = self.cfg.staging_bytes * self.cfg.schedulers as u64;
+            let staging_total = STAGING_BYTES * SCHEDULERS as u64;
             clock.advance(self.fabric.config().registration_cost(staging_total));
         }
         Ok(())
@@ -539,7 +539,7 @@ impl RemoteFile {
         len: u64,
         program: &PushdownProgram,
     ) -> Result<PushdownScan, StorageError> {
-        let page = EVAL_PAGE_SIZE as u64;
+        let page = PAGE_SIZE as u64;
         if len == 0 || !offset.is_multiple_of(page) || !len.is_multiple_of(page) {
             return Err(StorageError::Unavailable(format!(
                 "pushdown span [{offset}, {}) is not whole 8 KiB pages",
@@ -690,6 +690,7 @@ mod tests {
     use crate::config::AccessMode;
     use remem_broker::{BrokerConfig, MetaStore, PlacementPolicy};
     use remem_net::{FaultInjector, NetConfig};
+    use remem_storage::{Page, Row, Value};
 
     const MR: u64 = 64 * 1024;
 
@@ -845,23 +846,6 @@ mod tests {
             clock.advance(lease_dur / 10 * 9 / 10);
             f.read(&mut clock, 0, &mut buf).unwrap();
         }
-    }
-
-    #[test]
-    fn without_auto_renew_the_lease_expires() {
-        let c = cluster(1, 2, PlacementPolicy::Pack);
-        let mut clock = Clock::new();
-        let cfg = RFileConfig {
-            auto_renew: false,
-            ..RFileConfig::custom()
-        };
-        let f = mk_file(&c, MR, cfg, &mut clock);
-        clock.advance(c.broker.config().lease_duration * 2);
-        let mut buf = [0u8; 8];
-        assert!(matches!(
-            f.read(&mut clock, 0, &mut buf),
-            Err(StorageError::Unavailable(_))
-        ));
     }
 
     #[test]
@@ -1590,33 +1574,22 @@ mod tests {
         assert_eq!(f.drain_lost_ranges(), vec![(0, MR)]);
     }
 
-    /// Build `npages` engine-format slotted pages of `(key, key*1.5, pad)`
-    /// rows, `rpp` rows per page, keys dense from 0.
+    /// `npages` slotted pages of `(key, key*1.5, pad)` rows, `rpp` rows per
+    /// page, keys dense from 0.
     fn table_pages(npages: usize, rpp: usize) -> Vec<u8> {
-        let mut data = Vec::with_capacity(npages * EVAL_PAGE_SIZE);
+        let mut data = Vec::with_capacity(npages * PAGE_SIZE);
         for p in 0..npages {
-            let mut page = vec![0u8; EVAL_PAGE_SIZE];
-            let mut free = EVAL_PAGE_SIZE;
+            let mut page = Page::new();
             for j in 0..rpp {
                 let k = (p * rpp + j) as i64;
-                let mut rec = Vec::new();
-                rec.extend_from_slice(&3u16.to_le_bytes());
-                rec.push(0);
-                rec.extend_from_slice(&k.to_le_bytes());
-                rec.push(1);
-                rec.extend_from_slice(&(k as f64 * 1.5).to_le_bytes());
-                rec.push(2);
-                rec.extend_from_slice(&4u32.to_le_bytes());
-                rec.extend_from_slice(b"padx");
-                free -= rec.len();
-                page[free..free + rec.len()].copy_from_slice(&rec);
-                let base = 4 + j * 4;
-                page[base..base + 2].copy_from_slice(&(free as u16).to_le_bytes());
-                page[base + 2..base + 4].copy_from_slice(&(rec.len() as u16).to_le_bytes());
+                let row = Row::new(vec![
+                    Value::Int(k),
+                    Value::Float(k as f64 * 1.5),
+                    Value::Str("padx".into()),
+                ]);
+                page.insert(&row.to_bytes()).unwrap();
             }
-            page[0..2].copy_from_slice(&(rpp as u16).to_le_bytes());
-            page[2..4].copy_from_slice(&(free as u16).to_le_bytes());
-            data.extend_from_slice(&page);
+            data.extend_from_slice(page.as_bytes());
         }
         data
     }
@@ -1626,7 +1599,7 @@ mod tests {
             predicates: vec![remem_storage::Predicate {
                 col: 0,
                 op: remem_storage::CmpOp::Lt,
-                value: remem_storage::EvalValue::Int(v),
+                value: Value::Int(v),
             }],
             ..Default::default()
         }
@@ -1637,7 +1610,7 @@ mod tests {
         let c = cluster(2, 4, PlacementPolicy::Spread);
         let mut clock = Clock::new();
         let f = mk_file(&c, 4 * MR, RFileConfig::custom(), &mut clock);
-        let npages = (4 * MR) as usize / EVAL_PAGE_SIZE;
+        let npages = (4 * MR) as usize / PAGE_SIZE;
         let data = table_pages(npages, 16);
         f.write(&mut clock, 0, &data).unwrap();
         let prog = key_lt(40);
@@ -1663,7 +1636,7 @@ mod tests {
         let c = cluster(2, 2, PlacementPolicy::Spread);
         let mut clock = Clock::new();
         let f = mk_file(&c, 2 * MR, RFileConfig::custom(), &mut clock);
-        let npages = (2 * MR) as usize / EVAL_PAGE_SIZE;
+        let npages = (2 * MR) as usize / PAGE_SIZE;
         let data = table_pages(npages, 16);
         f.write(&mut clock, 0, &data).unwrap();
         let mut prog = key_lt(100);
@@ -1685,7 +1658,7 @@ mod tests {
             ..RFileConfig::custom()
         };
         let f = mk_file(&c, MR, cfg, &mut clock);
-        let npages = MR as usize / EVAL_PAGE_SIZE;
+        let npages = MR as usize / PAGE_SIZE;
         let data = table_pages(npages, 8);
         f.write(&mut clock, 0, &data).unwrap();
         let mut expect = Vec::new();
@@ -1713,7 +1686,7 @@ mod tests {
             ..RFileConfig::custom()
         };
         let f = mk_file(&c, 2 * MR, cfg, &mut clock);
-        let npages = (2 * MR) as usize / EVAL_PAGE_SIZE;
+        let npages = (2 * MR) as usize / PAGE_SIZE;
         let data = table_pages(npages, 8);
         f.write(&mut clock, 0, &data).unwrap();
         let mut expect = Vec::new();
@@ -1734,7 +1707,7 @@ mod tests {
         let c = cluster(1, 2, PlacementPolicy::Pack);
         let mut clock = Clock::new();
         let f = mk_file(&c, MR, RFileConfig::custom(), &mut clock);
-        let npages = MR as usize / EVAL_PAGE_SIZE;
+        let npages = MR as usize / PAGE_SIZE;
         let data = table_pages(npages, 8);
         f.write(&mut clock, 0, &data).unwrap();
         let prog = key_lt(10);

@@ -50,11 +50,9 @@ impl FileState {
             broker.request_lease(clock, local, size)
         }
         .map_err(refused)?;
-        if cfg.auto_renew {
-            // the holder's renewal daemon keeps the lease alive between
-            // accesses (idle files must not lapse mid-workload)
-            broker.enable_auto_renew(lease.id);
-        }
+        // the holder's renewal daemon keeps the lease alive between
+        // accesses (idle files must not lapse mid-workload)
+        broker.enable_auto_renew(lease.id);
         // Replicated extent map: strictly one extent per replica group, in
         // slot order, backed by the group's preferred (first) member at
         // `mr_off = 0`. All members of a group have equal length, so a file
@@ -109,10 +107,9 @@ impl FileState {
 }
 
 impl RemoteFile {
-    /// Check lease validity. With `auto_renew` the holder's background
-    /// daemon (registered at create time) keeps the lease alive, so only
-    /// revocation or release can invalidate it; without it, timeout expiry
-    /// applies. Self-healing files additionally answer revocation notices
+    /// Check lease validity. The holder's background renewal daemon
+    /// (registered at create time) keeps the lease alive, so only
+    /// revocation or release can invalidate it. Self-healing files additionally answer revocation notices
     /// here (migrating off the pressured donor inside the grace window) and
     /// re-acquire a lost lease from scratch.
     pub(crate) fn ensure_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {

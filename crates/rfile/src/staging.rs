@@ -10,6 +10,14 @@
 
 use remem_sim::{Clock, PoolResource, SimTime};
 
+/// CPU schedulers issuing I/O to a remote file, each with its own staging
+/// buffer.
+pub(crate) const SCHEDULERS: usize = 8;
+
+/// Per-scheduler staging buffer size: 1 MiB sustains 128 in-flight 8 K
+/// transfers per scheduler (§4.2).
+pub(crate) const STAGING_BYTES: u64 = 1 << 20;
+
 /// The pool of staging slots across all schedulers.
 ///
 /// Modelled as `schedulers * slots_per_scheduler` servers, each occupied for

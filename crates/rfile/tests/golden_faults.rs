@@ -21,11 +21,11 @@ use remem_net::{Fabric, FaultInjector, NetConfig, ServerId};
 use remem_rfile::{RFileConfig, RemoteFile};
 use remem_sim::{Clock, FaultLog, FaultOrigin, MetricsRegistry, SimDuration, SimTime};
 use remem_storage::{
-    CmpOp, Device, EvalValue, Predicate, PushdownProgram, StorageError, EVAL_PAGE_SIZE,
+    CmpOp, Device, Page, Predicate, PushdownProgram, Row, StorageError, Value, PAGE_SIZE,
 };
 
 const MR: u64 = 64 << 10;
-const PAGE: u64 = EVAL_PAGE_SIZE as u64;
+const PAGE: u64 = PAGE_SIZE as u64;
 const PAGES_PER_MR: u64 = MR / PAGE;
 
 struct Rig {
@@ -126,34 +126,23 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// `n` engine-format slotted pages of eight `(key, key * 1.5, pad)` rows,
-/// keys dense from `first_key`.
+/// `n` slotted pages of eight `(key, key * 1.5, pad)` rows, keys dense
+/// from `first_key`.
 fn pages(first_key: i64, n: u64) -> Vec<u8> {
     const ROWS: usize = 8;
     let mut data = Vec::with_capacity((n * PAGE) as usize);
     for p in 0..n as usize {
-        let mut page = vec![0u8; PAGE as usize];
-        let mut free = PAGE as usize;
+        let mut page = Page::new();
         for j in 0..ROWS {
             let k = first_key + (p * ROWS + j) as i64;
-            let mut rec = Vec::new();
-            rec.extend_from_slice(&3u16.to_le_bytes());
-            rec.push(0);
-            rec.extend_from_slice(&k.to_le_bytes());
-            rec.push(1);
-            rec.extend_from_slice(&(k as f64 * 1.5).to_le_bytes());
-            rec.push(2);
-            rec.extend_from_slice(&4u32.to_le_bytes());
-            rec.extend_from_slice(b"padx");
-            free -= rec.len();
-            page[free..free + rec.len()].copy_from_slice(&rec);
-            let base = 4 + j * 4;
-            page[base..base + 2].copy_from_slice(&(free as u16).to_le_bytes());
-            page[base + 2..base + 4].copy_from_slice(&(rec.len() as u16).to_le_bytes());
+            let row = Row::new(vec![
+                Value::Int(k),
+                Value::Float(k as f64 * 1.5),
+                Value::Str("padx".into()),
+            ]);
+            page.insert(&row.to_bytes()).unwrap();
         }
-        page[0..2].copy_from_slice(&(ROWS as u16).to_le_bytes());
-        page[2..4].copy_from_slice(&(free as u16).to_le_bytes());
-        data.extend_from_slice(&page);
+        data.extend_from_slice(page.as_bytes());
     }
     data
 }
@@ -163,7 +152,7 @@ fn key_lt(v: i64) -> PushdownProgram {
         predicates: vec![Predicate {
             col: 0,
             op: CmpOp::Lt,
-            value: EvalValue::Int(v),
+            value: Value::Int(v),
         }],
         ..Default::default()
     }

@@ -2,15 +2,9 @@
 //! operator pushdown (comparison predicates, column projection, and
 //! COUNT/SUM/MIN/MAX partial aggregates over slotted pages).
 //!
-//! The engine owns the page and row formats, but the storage crate cannot
-//! depend on the engine — so the two on-disk encodings are mirrored here
-//! over raw bytes and cross-checked by the pushdown proptests:
-//!
-//! * **Slotted page** (8 KiB): `[nslots: u16 LE][free_off: u16 LE]` header,
-//!   a slot directory of `(off: u16 LE, len: u16 LE)` growing forward, and
-//!   record bytes growing from the end of the page backwards.
-//! * **Row**: `u16 LE` value count, then per value a tag byte — `0` i64 LE,
-//!   `1` f64 LE, `2` u32 LE length + UTF-8 bytes.
+//! The kernels scan exactly the bytes the engine stores, through the same
+//! code: slots come from [`crate::page`] and fields from the row codec in
+//! [`crate::row`], so there is no second copy of either format to drift.
 //!
 //! Everything here is a pure function of its byte inputs: no clocks, no
 //! locks, no iteration-order dependence. The *cost* of running a program is
@@ -21,22 +15,11 @@
 //! whose tag byte is unknown, or which is truncated mid-value is skipped
 //! deterministically (counted as scanned, never as matched).
 
-/// Page size the eval kernels understand (the engine's 8 KiB pages).
-pub const EVAL_PAGE_SIZE: usize = 8192;
+use crate::page::{PageView, PAGE_SIZE};
+use crate::row::{read_count, read_field, read_fields, write_field, Field, Value};
 
-const PAGE_HEADER: usize = 4;
-const PAGE_SLOT: usize = 4;
-
-/// A typed constant inside a [`Predicate`] — the owned mirror of the
-/// engine's `Value` for program transport.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EvalValue {
-    Int(i64),
-    Float(f64),
-    Str(String),
-}
-
-/// Comparison operator of a pushdown predicate.
+/// Comparison operator of a pushdown predicate. Its wire byte is its
+/// position here (and in `CMP_OPS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     Eq,
@@ -47,6 +30,15 @@ pub enum CmpOp {
     Ge,
 }
 
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
 /// One conjunct: `row[col] <op> value`. A row whose column is missing, has
 /// an incomparable type (string vs number), or compares as NaN does not
 /// match — deterministically false, never an error.
@@ -54,7 +46,7 @@ pub enum CmpOp {
 pub struct Predicate {
     pub col: u16,
     pub op: CmpOp,
-    pub value: EvalValue,
+    pub value: Value,
 }
 
 /// Server-side partial aggregate kind. `Sum`/`Min`/`Max` track integer and
@@ -86,10 +78,7 @@ impl PushdownProgram {
         let mut n = 1; // predicate count
         for p in &self.predicates {
             n += 2 + 1; // col + op
-            n += 1 + match &p.value {
-                EvalValue::Int(_) | EvalValue::Float(_) => 8,
-                EvalValue::Str(s) => 4 + s.len(),
-            };
+            n += p.value.field().encoded_len();
         }
         n += 1; // projection flag
         if let Some(cols) = &self.projection {
@@ -110,29 +99,8 @@ impl PushdownProgram {
         buf.push(self.predicates.len() as u8);
         for p in &self.predicates {
             buf.extend_from_slice(&p.col.to_le_bytes());
-            buf.push(match p.op {
-                CmpOp::Eq => 0,
-                CmpOp::Ne => 1,
-                CmpOp::Lt => 2,
-                CmpOp::Le => 3,
-                CmpOp::Gt => 4,
-                CmpOp::Ge => 5,
-            });
-            match &p.value {
-                EvalValue::Int(v) => {
-                    buf.push(0);
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                EvalValue::Float(v) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                EvalValue::Str(s) => {
-                    buf.push(2);
-                    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(s.as_bytes());
-                }
-            }
+            buf.push(p.op as u8);
+            write_field(buf, p.value.field());
         }
         match &self.projection {
             None => buf.push(0),
@@ -144,119 +112,56 @@ impl PushdownProgram {
                 }
             }
         }
-        match self.aggregate {
-            None => buf.push(0),
-            Some(Aggregate::CountStar) => buf.push(1),
-            Some(Aggregate::Sum(c)) => {
-                buf.push(2);
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-            Some(Aggregate::Min(c)) => {
-                buf.push(3);
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-            Some(Aggregate::Max(c)) => {
-                buf.push(4);
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
+        let (tag, col) = match self.aggregate {
+            None => (0, None),
+            Some(Aggregate::CountStar) => (1, None),
+            Some(Aggregate::Sum(c)) => (2, Some(c)),
+            Some(Aggregate::Min(c)) => (3, Some(c)),
+            Some(Aggregate::Max(c)) => (4, Some(c)),
+        };
+        buf.push(tag);
+        if let Some(c) = col {
+            buf.extend_from_slice(&c.to_le_bytes());
         }
     }
 
     /// Decode a program from the front of `bytes`; `None` on malformed
     /// input.
     pub fn decode(bytes: &[u8]) -> Option<PushdownProgram> {
-        let mut off = 0usize;
+        let u16_at = |off: &mut usize| -> Option<u16> {
+            let v = u16::from_le_bytes(*bytes.get(*off..)?.first_chunk()?);
+            *off += 2;
+            Some(v)
+        };
         let npred = *bytes.first()? as usize;
-        off += 1;
+        let mut off = 1;
         let mut predicates = Vec::with_capacity(npred);
         for _ in 0..npred {
-            let col = u16::from_le_bytes(bytes.get(off..off + 2)?.try_into().ok()?);
-            off += 2;
-            let op = match *bytes.get(off)? {
-                0 => CmpOp::Eq,
-                1 => CmpOp::Ne,
-                2 => CmpOp::Lt,
-                3 => CmpOp::Le,
-                4 => CmpOp::Gt,
-                5 => CmpOp::Ge,
-                _ => return None,
-            };
+            let col = u16_at(&mut off)?;
+            let op = *CMP_OPS.get(*bytes.get(off)? as usize)?;
             off += 1;
-            let tag = *bytes.get(off)?;
-            off += 1;
-            let value = match tag {
-                0 => {
-                    let v = i64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?);
-                    off += 8;
-                    EvalValue::Int(v)
-                }
-                1 => {
-                    let v = f64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?);
-                    off += 8;
-                    EvalValue::Float(v)
-                }
-                2 => {
-                    let len =
-                        u32::from_le_bytes(bytes.get(off..off + 4)?.try_into().ok()?) as usize;
-                    off += 4;
-                    let s = String::from_utf8_lossy(bytes.get(off..off + len)?).into_owned();
-                    off += len;
-                    EvalValue::Str(s)
-                }
-                _ => return None,
-            };
+            let value = read_field(bytes, &mut off)?.to_value();
             predicates.push(Predicate { col, op, value });
         }
-        let projection = match *bytes.get(off)? {
-            0 => {
-                off += 1;
-                None
-            }
-            _ => {
-                off += 1;
-                let n = u16::from_le_bytes(bytes.get(off..off + 2)?.try_into().ok()?) as usize;
-                off += 2;
-                let mut cols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cols.push(u16::from_le_bytes(
-                        bytes.get(off..off + 2)?.try_into().ok()?,
-                    ));
-                    off += 2;
-                }
-                Some(cols)
-            }
-        };
-        let col_arg = |off: &mut usize| -> Option<u16> {
-            let c = u16::from_le_bytes(bytes.get(*off..*off + 2)?.try_into().ok()?);
-            *off += 2;
-            Some(c)
+        let projected = *bytes.get(off)? != 0;
+        off += 1;
+        let projection = if projected {
+            let n = u16_at(&mut off)?;
+            Some((0..n).map(|_| u16_at(&mut off)).collect::<Option<_>>()?)
+        } else {
+            None
         };
         let aggregate = match *bytes.get(off)? {
             0 => None,
             1 => Some(Aggregate::CountStar),
-            2 => {
+            tag @ 2..=4 => {
                 off += 1;
-                return Some(PushdownProgram {
-                    predicates,
-                    projection,
-                    aggregate: Some(Aggregate::Sum(col_arg(&mut off)?)),
-                });
-            }
-            3 => {
-                off += 1;
-                return Some(PushdownProgram {
-                    predicates,
-                    projection,
-                    aggregate: Some(Aggregate::Min(col_arg(&mut off)?)),
-                });
-            }
-            4 => {
-                off += 1;
-                return Some(PushdownProgram {
-                    predicates,
-                    projection,
-                    aggregate: Some(Aggregate::Max(col_arg(&mut off)?)),
-                });
+                let c = u16_at(&mut off)?;
+                Some(match tag {
+                    2 => Aggregate::Sum(c),
+                    3 => Aggregate::Min(c),
+                    _ => Aggregate::Max(c),
+                })
             }
             _ => return None,
         };
@@ -287,7 +192,7 @@ pub struct PartialAgg {
 pub const PARTIAL_AGG_BYTES: usize = 8 + 8 + 8 + 4 * 9;
 
 impl PartialAgg {
-    fn observe(&mut self, agg: Aggregate, fields: &[FieldRef<'_>]) {
+    fn observe(&mut self, agg: Aggregate, fields: &[Field<'_>]) {
         self.rows += 1;
         let col = match agg {
             Aggregate::CountStar => return,
@@ -297,18 +202,18 @@ impl PartialAgg {
             return;
         };
         match (agg, field) {
-            (Aggregate::Sum(_), FieldRef::Int(v)) => self.sum_int = self.sum_int.wrapping_add(*v),
-            (Aggregate::Sum(_), FieldRef::Float(v)) => self.sum_float += v,
-            (Aggregate::Min(_), FieldRef::Int(v)) => {
+            (Aggregate::Sum(_), Field::Int(v)) => self.sum_int = self.sum_int.wrapping_add(*v),
+            (Aggregate::Sum(_), Field::Float(v)) => self.sum_float += v,
+            (Aggregate::Min(_), Field::Int(v)) => {
                 self.min_int = Some(self.min_int.map_or(*v, |m| m.min(*v)));
             }
-            (Aggregate::Min(_), FieldRef::Float(v)) => {
+            (Aggregate::Min(_), Field::Float(v)) => {
                 self.min_float = Some(self.min_float.map_or(*v, |m| m.min(*v)));
             }
-            (Aggregate::Max(_), FieldRef::Int(v)) => {
+            (Aggregate::Max(_), Field::Int(v)) => {
                 self.max_int = Some(self.max_int.map_or(*v, |m| m.max(*v)));
             }
-            (Aggregate::Max(_), FieldRef::Float(v)) => {
+            (Aggregate::Max(_), Field::Float(v)) => {
                 self.max_float = Some(self.max_float.map_or(*v, |m| m.max(*v)));
             }
             _ => {} // string values never feed a numeric aggregate
@@ -321,26 +226,10 @@ impl PartialAgg {
         self.rows += other.rows;
         self.sum_int = self.sum_int.wrapping_add(other.sum_int);
         self.sum_float += other.sum_float;
-        let fold_min_i = |a: Option<i64>, b: Option<i64>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        };
-        let fold_max_i = |a: Option<i64>, b: Option<i64>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.max(y)),
-            (x, y) => x.or(y),
-        };
-        let fold_min_f = |a: Option<f64>, b: Option<f64>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        };
-        let fold_max_f = |a: Option<f64>, b: Option<f64>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.max(y)),
-            (x, y) => x.or(y),
-        };
-        self.min_int = fold_min_i(self.min_int, other.min_int);
-        self.max_int = fold_max_i(self.max_int, other.max_int);
-        self.min_float = fold_min_f(self.min_float, other.min_float);
-        self.max_float = fold_max_f(self.max_float, other.max_float);
+        self.min_int = fold(self.min_int, other.min_int, i64::min);
+        self.max_int = fold(self.max_int, other.max_int, i64::max);
+        self.min_float = fold(self.min_float, other.min_float, f64::min);
+        self.max_float = fold(self.max_float, other.max_float, f64::max);
     }
 
     /// SUM folded across both tracks, as f64.
@@ -409,6 +298,14 @@ impl PartialAgg {
     }
 }
 
+/// `pick` of two tracked extremes, or whichever one is present.
+fn fold<T>(a: Option<T>, b: Option<T>, pick: impl Fn(T, T) -> T) -> Option<T> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(pick(x, y)),
+        (x, y) => x.or(y),
+    }
+}
+
 /// What one eval run did — the fabric charges server CPU from these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
@@ -438,82 +335,26 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// A decoded field borrowed from record bytes (strings stay zero-copy).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FieldRef<'a> {
-    Int(i64),
-    Float(f64),
-    Str(&'a [u8]),
-}
-
-/// Decode one record into `fields`; `false` (and a cleared buffer) on any
-/// structural violation.
-fn decode_record<'a>(rec: &'a [u8], fields: &mut Vec<FieldRef<'a>>) -> bool {
+/// Decode one record into `fields`; `false` unless the whole record is one
+/// well-formed row.
+#[inline(always)]
+fn decode_record<'a>(rec: &'a [u8], fields: &mut Vec<Field<'a>>) -> bool {
     fields.clear();
-    let Some(n) = rec.get(0..2) else { return false };
-    let n = u16::from_le_bytes([n[0], n[1]]) as usize;
-    let mut off = 2usize;
-    for _ in 0..n {
-        let Some(&tag) = rec.get(off) else {
-            fields.clear();
-            return false;
-        };
-        off += 1;
-        match tag {
-            0 => {
-                let Some(b) = rec.get(off..off + 8) else {
-                    fields.clear();
-                    return false;
-                };
-                fields.push(FieldRef::Int(i64::from_le_bytes(
-                    b.try_into().unwrap_or([0; 8]),
-                )));
-                off += 8;
-            }
-            1 => {
-                let Some(b) = rec.get(off..off + 8) else {
-                    fields.clear();
-                    return false;
-                };
-                fields.push(FieldRef::Float(f64::from_le_bytes(
-                    b.try_into().unwrap_or([0; 8]),
-                )));
-                off += 8;
-            }
-            2 => {
-                let Some(b) = rec.get(off..off + 4) else {
-                    fields.clear();
-                    return false;
-                };
-                let len = u32::from_le_bytes(b.try_into().unwrap_or([0; 4])) as usize;
-                off += 4;
-                let Some(s) = rec.get(off..off + len) else {
-                    fields.clear();
-                    return false;
-                };
-                fields.push(FieldRef::Str(s));
-                off += len;
-            }
-            _ => {
-                fields.clear();
-                return false;
-            }
-        }
-    }
-    off == rec.len()
+    read_count(rec).and_then(|n| read_fields(rec, n, |_, field| fields.push(field)))
+        == Some(rec.len())
 }
 
-fn matches(fields: &[FieldRef<'_>], pred: &Predicate) -> bool {
+fn matches(fields: &[Field<'_>], pred: &Predicate) -> bool {
     use std::cmp::Ordering;
     let Some(field) = fields.get(pred.col as usize) else {
         return false;
     };
     let ord: Option<Ordering> = match (field, &pred.value) {
-        (FieldRef::Int(a), EvalValue::Int(b)) => Some(a.cmp(b)),
-        (FieldRef::Float(a), EvalValue::Float(b)) => a.partial_cmp(b),
-        (FieldRef::Int(a), EvalValue::Float(b)) => (*a as f64).partial_cmp(b),
-        (FieldRef::Float(a), EvalValue::Int(b)) => a.partial_cmp(&(*b as f64)),
-        (FieldRef::Str(a), EvalValue::Str(b)) => Some((*a).cmp(b.as_bytes())),
+        (Field::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+        (Field::Float(a), Value::Float(b)) => a.partial_cmp(b),
+        (Field::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
+        (Field::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
+        (Field::Str(a), Value::Str(b)) => Some((*a).cmp(b.as_bytes())),
         _ => None, // incomparable types never match
     };
     let Some(ord) = ord else { return false };
@@ -527,25 +368,11 @@ fn matches(fields: &[FieldRef<'_>], pred: &Predicate) -> bool {
     }
 }
 
-fn encode_projected(fields: &[FieldRef<'_>], cols: &[u16], out: &mut Vec<u8>) {
+fn encode_projected(fields: &[Field<'_>], cols: &[u16], out: &mut Vec<u8>) {
     out.extend_from_slice(&(cols.len() as u16).to_le_bytes());
     for &c in cols {
         // caller guarantees `c` is in range (checked before matching)
-        match fields[c as usize] {
-            FieldRef::Int(v) => {
-                out.push(0);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            FieldRef::Float(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            FieldRef::Str(s) => {
-                out.push(2);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s);
-            }
-        }
+        write_field(out, fields[c as usize]);
     }
 }
 
@@ -563,25 +390,18 @@ pub fn eval_pages(
     prog: &PushdownProgram,
     out: &mut Vec<u8>,
 ) -> Result<EvalStats, EvalError> {
-    if data.is_empty() || !data.len().is_multiple_of(EVAL_PAGE_SIZE) {
+    if data.is_empty() || !data.len().is_multiple_of(PAGE_SIZE) {
         return Err(EvalError::UnalignedSpan { len: data.len() });
     }
     let before = out.len();
     let mut stats = EvalStats::default();
-    let mut fields: Vec<FieldRef<'_>> = Vec::new();
+    let mut fields: Vec<Field<'_>> = Vec::new();
     let mut agg = PartialAgg::default();
-    for page in data.chunks_exact(EVAL_PAGE_SIZE) {
+    for page in data.chunks_exact(PAGE_SIZE) {
         stats.pages += 1;
-        let nslots = u16::from_le_bytes([page[0], page[1]]) as usize;
-        for i in 0..nslots {
-            let base = PAGE_HEADER + i * PAGE_SLOT;
-            let Some(slot) = page.get(base..base + PAGE_SLOT) else {
-                break; // slot directory ran off the page: stop this page
-            };
-            let off = u16::from_le_bytes([slot[0], slot[1]]) as usize;
-            let len = u16::from_le_bytes([slot[2], slot[3]]) as usize;
+        for rec in PageView::new(page).records() {
             stats.rows_scanned += 1;
-            let Some(rec) = page.get(off..off + len) else {
+            let Some(rec) = rec else {
                 continue; // corrupt slot: skip the record
             };
             if !decode_record(rec, &mut fields) {
@@ -615,35 +435,26 @@ pub fn eval_pages(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Page;
+    use crate::row::Row;
 
-    /// Build a slotted page the way the engine does.
+    /// A slotted page holding `records`.
     fn page_of(records: &[Vec<u8>]) -> Vec<u8> {
-        let mut page = vec![0u8; EVAL_PAGE_SIZE];
-        let mut free = EVAL_PAGE_SIZE;
-        for (i, rec) in records.iter().enumerate() {
-            free -= rec.len();
-            page[free..free + rec.len()].copy_from_slice(rec);
-            let base = PAGE_HEADER + i * PAGE_SLOT;
-            page[base..base + 2].copy_from_slice(&(free as u16).to_le_bytes());
-            page[base + 2..base + 4].copy_from_slice(&(rec.len() as u16).to_le_bytes());
+        let mut page = Page::new();
+        for rec in records {
+            page.insert(rec).unwrap();
         }
-        page[0..2].copy_from_slice(&(records.len() as u16).to_le_bytes());
-        page[2..4].copy_from_slice(&(free as u16).to_le_bytes());
-        page
+        page.as_bytes().to_vec()
     }
 
-    /// Encode a (int, float, str) row the way the engine does.
+    /// The encoding of an (int, float, str) row.
     fn row(k: i64, bal: f64, name: &str) -> Vec<u8> {
-        let mut b = Vec::new();
-        b.extend_from_slice(&3u16.to_le_bytes());
-        b.push(0);
-        b.extend_from_slice(&k.to_le_bytes());
-        b.push(1);
-        b.extend_from_slice(&bal.to_le_bytes());
-        b.push(2);
-        b.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        b.extend_from_slice(name.as_bytes());
-        b
+        Row::new(vec![
+            Value::Int(k),
+            Value::Float(bal),
+            Value::Str(name.into()),
+        ])
+        .to_bytes()
     }
 
     fn sample_page() -> Vec<u8> {
@@ -660,7 +471,7 @@ mod tests {
             predicates: vec![Predicate {
                 col,
                 op: CmpOp::Lt,
-                value: EvalValue::Int(v),
+                value: Value::Int(v),
             }],
             ..Default::default()
         }
@@ -706,13 +517,7 @@ mod tests {
         let stats = eval_pages(&page, &prog, &mut out).unwrap();
         assert_eq!(stats.rows_matched, 2);
         // first projected row: ("a", 1)
-        let mut expect = Vec::new();
-        expect.extend_from_slice(&2u16.to_le_bytes());
-        expect.push(2);
-        expect.extend_from_slice(&1u32.to_le_bytes());
-        expect.push(b'a');
-        expect.push(0);
-        expect.extend_from_slice(&1i64.to_le_bytes());
+        let expect = Row::new(vec![Value::Str("a".into()), Value::Int(1)]).to_bytes();
         assert_eq!(&out[..expect.len()], &expect[..]);
         assert!(stats.reply_bytes < page.len() as u64);
     }
@@ -768,17 +573,17 @@ mod tests {
                 Predicate {
                     col: 0,
                     op: CmpOp::Ge,
-                    value: EvalValue::Int(-7),
+                    value: Value::Int(-7),
                 },
                 Predicate {
                     col: 2,
                     op: CmpOp::Eq,
-                    value: EvalValue::Str("abc".into()),
+                    value: Value::Str("abc".into()),
                 },
                 Predicate {
                     col: 1,
                     op: CmpOp::Lt,
-                    value: EvalValue::Float(3.25),
+                    value: Value::Float(3.25),
                 },
             ],
             projection: Some(vec![0, 2]),
@@ -792,11 +597,10 @@ mod tests {
 
     #[test]
     fn corrupt_records_are_skipped_not_fatal() {
-        // slot points past the page end
+        // slot 0 (after the 4-byte header) points past the page end
         let mut page = sample_page();
-        let base = PAGE_HEADER;
-        page[base..base + 2].copy_from_slice(&0xFFF0u16.to_le_bytes());
-        page[base + 2..base + 4].copy_from_slice(&64u16.to_le_bytes());
+        page[4..6].copy_from_slice(&0xFFF0u16.to_le_bytes());
+        page[6..8].copy_from_slice(&64u16.to_le_bytes());
         let mut out = Vec::new();
         let stats = eval_pages(&page, &lt(0, 100), &mut out).unwrap();
         assert_eq!(stats.rows_scanned, 4);
@@ -828,7 +632,7 @@ mod tests {
             predicates: vec![Predicate {
                 col: 0,
                 op: CmpOp::Eq,
-                value: EvalValue::Str("1".into()),
+                value: Value::Str("1".into()),
             }],
             ..Default::default()
         };

@@ -10,6 +10,11 @@
 //! [`Observed`] is the one decorator over that trait: it forwards every
 //! method and shows each I/O to an [`IoObserver`] such as [`Metered`].
 //!
+//! It also owns the two formats every tier stores: the 8 KiB slotted
+//! [`page`] and the [`row`] encoding. The engine builds on them, and the
+//! memory servers' pushdown kernels ([`eval`]) scan the same bytes through
+//! the same code.
+//!
 //! Devices store *real bytes* — reads return what was written — while their
 //! time costs are charged to virtual clocks. Default constants reproduce the
 //! paper's Figures 3/4: HDD(20) ≈ 1.8 GB/s sequential but ~8 ms random
@@ -24,18 +29,22 @@ pub mod eval;
 pub mod hdd;
 pub mod metered;
 pub mod observed;
+pub mod page;
 pub mod ramdisk;
+pub mod row;
 pub mod ssd;
 
 pub use config::{HddConfig, SsdConfig};
 pub use device::Device;
 pub use error::StorageError;
 pub use eval::{
-    eval_pages, Aggregate, CmpOp, EvalError, EvalStats, EvalValue, PartialAgg, Predicate,
-    PushdownProgram, EVAL_PAGE_SIZE, PARTIAL_AGG_BYTES,
+    eval_pages, Aggregate, CmpOp, EvalError, EvalStats, PartialAgg, Predicate, PushdownProgram,
+    PARTIAL_AGG_BYTES,
 };
 pub use hdd::HddArray;
 pub use metered::Metered;
 pub use observed::{Io, IoKind, IoObserver, Observed};
+pub use page::{Page, PAGE_SIZE};
 pub use ramdisk::RamDisk;
+pub use row::{Row, Value};
 pub use ssd::Ssd;

@@ -1,4 +1,6 @@
-//! 8 KiB slotted pages — the unit of every I/O in the engine.
+//! 8 KiB slotted pages — the unit of every I/O in the engine, and the
+//! format the memory servers' eval kernels scan. This module is the only
+//! code that reads or writes the page header and the slot directory.
 
 /// Page size used throughout the engine (SQL Server's 8 KiB).
 pub const PAGE_SIZE: usize = 8192;
@@ -12,13 +14,24 @@ const SLOT: usize = 4;
 /// Largest record an empty page holds.
 pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
 
+/// `(offset, length)` from one slot directory entry.
+#[inline]
+fn entry([o0, o1, l0, l1]: [u8; SLOT]) -> (usize, usize) {
+    (
+        u16::from_le_bytes([o0, o1]).into(),
+        u16::from_le_bytes([l0, l1]).into(),
+    )
+}
+
+#[inline]
 fn u16_at(data: &[u8; PAGE_SIZE], at: usize) -> usize {
     u16::from_le_bytes([data[at], data[at + 1]]) as usize
 }
 
 /// A read-only slotted page borrowed from bytes someone else owns — a
-/// [`Page`], or one page of an extent buffer read back from a device. All
-/// slot decoding lives here; [`Page`] reads through it.
+/// [`Page`], one page of an extent buffer read back from a device, or one
+/// page of a span a pushdown program scans. All slot decoding lives here;
+/// [`Page`] reads through it.
 #[derive(Clone, Copy)]
 pub struct PageView<'a> {
     data: &'a [u8; PAGE_SIZE],
@@ -26,6 +39,7 @@ pub struct PageView<'a> {
 
 impl<'a> PageView<'a> {
     /// View raw page bytes in place.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> PageView<'a> {
         PageView {
             data: bytes
@@ -34,21 +48,31 @@ impl<'a> PageView<'a> {
         }
     }
 
+    /// Every slot entry that fits on the page, whatever the header says.
+    #[inline]
+    fn directory(&self) -> &'a [[u8; SLOT]] {
+        self.data[HEADER..].as_chunks().0
+    }
+
+    /// `(offset, length)` of the record at slot `i`.
+    #[inline]
     fn slot(&self, i: usize) -> (usize, usize) {
-        let base = HEADER + i * SLOT;
-        (u16_at(self.data, base), u16_at(self.data, base + 2))
+        entry(self.directory()[i])
     }
 
     /// Number of records on the page.
+    #[inline]
     pub fn len(&self) -> usize {
         u16_at(self.data, 0)
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Record bytes at `slot`.
+    #[inline]
     pub fn get(&self, slot: usize) -> &'a [u8] {
         assert!(slot < self.len(), "slot {slot} out of range");
         let (off, len) = self.slot(slot);
@@ -58,6 +82,16 @@ impl<'a> PageView<'a> {
     /// Iterate over all records in slot order.
     pub fn iter(self) -> impl Iterator<Item = &'a [u8]> {
         (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// Every slot's record in slot order, read without trusting the bytes:
+    /// the walk stops where the slot directory runs off the page, and a
+    /// slot that points outside the page yields `None`.
+    pub(crate) fn records(self) -> impl Iterator<Item = Option<&'a [u8]>> {
+        (0..self.len()).map_while(move |i| {
+            let (off, len) = entry(*self.directory().get(i)?);
+            Some(self.data.get(off..off + len))
+        })
     }
 }
 
@@ -97,32 +131,39 @@ impl Page {
         self.set_free_off(PAGE_SIZE);
     }
 
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.data[..]
     }
 
     /// The whole page as writable bytes, for a device to read into.
-    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8] {
+    #[inline]
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data[..]
     }
 
     /// The read-only view of this page.
+    #[inline]
     pub fn view(&self) -> PageView<'_> {
         PageView { data: &self.data }
     }
 
+    #[inline]
     fn set_nslots(&mut self, n: usize) {
         self.data[0..2].copy_from_slice(&(n as u16).to_le_bytes());
     }
 
+    #[inline]
     fn free_off(&self) -> usize {
         u16_at(&self.data, 2)
     }
 
+    #[inline]
     fn set_free_off(&mut self, off: usize) {
         self.data[2..4].copy_from_slice(&(off as u16).to_le_bytes());
     }
 
+    #[inline]
     fn set_slot(&mut self, i: usize, off: usize, len: usize) {
         let base = HEADER + i * SLOT;
         self.data[base..base + 2].copy_from_slice(&(off as u16).to_le_bytes());
@@ -130,15 +171,18 @@ impl Page {
     }
 
     /// Number of records on the page.
+    #[inline]
     pub fn len(&self) -> usize {
         self.view().len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.view().is_empty()
     }
 
     /// Contiguous free bytes available for one more record.
+    #[inline]
     pub fn free_space(&self) -> usize {
         let used_front = HEADER + self.len() * SLOT;
         self.free_off()
@@ -147,12 +191,14 @@ impl Page {
     }
 
     /// Whether a record of `len` bytes fits.
+    #[inline]
     pub fn fits(&self, len: usize) -> bool {
         self.free_space() >= len
     }
 
     /// Append a record, returning its slot index, or `None` if it no longer
     /// fits.
+    #[inline]
     pub fn insert(&mut self, record: &[u8]) -> Option<usize> {
         if !self.fits(record.len()) {
             return None;
@@ -167,11 +213,13 @@ impl Page {
     }
 
     /// Record bytes at `slot`.
+    #[inline]
     pub fn get(&self, slot: usize) -> &[u8] {
         self.view().get(slot)
     }
 
     /// Record bytes at `slot`, to rewrite in place (the length is fixed).
+    #[inline]
     pub fn get_mut(&mut self, slot: usize) -> &mut [u8] {
         assert!(slot < self.len(), "slot {slot} out of range");
         let (off, len) = self.view().slot(slot);
@@ -264,6 +312,20 @@ mod tests {
             (2, &b"second"[..], &b""[..])
         );
         assert!(PageView::new(Page::new().as_bytes()).is_empty());
+    }
+
+    #[test]
+    fn records_never_trust_the_slot_directory() {
+        let mut p = Page::new();
+        p.insert(b"kept").unwrap();
+        p.insert(b"lost").unwrap();
+        // slot 1 points past the end of the page
+        p.as_bytes_mut()[8..10].copy_from_slice(&0xFFF0u16.to_le_bytes());
+        let got: Vec<_> = p.view().records().collect();
+        assert_eq!(got, vec![Some(&b"kept"[..]), None]);
+        // a slot count past the directory stops where the page ends
+        p.as_bytes_mut()[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(p.view().records().count(), (PAGE_SIZE - HEADER) / SLOT);
     }
 
     #[test]

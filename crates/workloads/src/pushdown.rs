@@ -19,7 +19,7 @@ use remem_engine::{CpuCosts, ExecCtx, Row, ScanEstimate, ScanPlan, Value};
 use remem_net::{Fabric, NetConfig, ServerId};
 use remem_rfile::{RFileConfig, RemoteFile};
 use remem_sim::{Clock, CpuPool};
-use remem_storage::{CmpOp, EvalValue, Predicate, PushdownProgram};
+use remem_storage::{CmpOp, Predicate, PushdownProgram};
 
 /// Bucket space for the selectivity column: `bucket < ppm` selects
 /// `ppm / 1e6` of the rows, spread uniformly over the pages.
@@ -56,7 +56,7 @@ pub fn bucket_program(selectivity: f64) -> PushdownProgram {
         predicates: vec![Predicate {
             col: 0,
             op: CmpOp::Lt,
-            value: EvalValue::Int(ppm),
+            value: Value::Int(ppm),
         }],
         projection: None,
         aggregate: None,

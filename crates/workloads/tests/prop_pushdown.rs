@@ -10,9 +10,7 @@ use remem_engine::page::{Page, PAGE_SIZE};
 use remem_engine::{Row, Value};
 use remem_net::{FaultInjector, NetConfig};
 use remem_sim::{Clock, SimDuration, SimTime};
-use remem_storage::{
-    eval_pages, Aggregate, CmpOp, EvalValue, PartialAgg, Predicate, PushdownProgram,
-};
+use remem_storage::{eval_pages, Aggregate, CmpOp, PartialAgg, Predicate, PushdownProgram};
 use remem_workloads::pushdown::{build_remote_table, RemoteTable};
 
 /// Random typed value for column `col` (types fixed per column so
@@ -53,9 +51,9 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
             Just(CmpOp::Ge),
         ],
         prop_oneof![
-            (-50i64..50).prop_map(EvalValue::Int),
-            (-4.0f64..4.0).prop_map(EvalValue::Float),
-            "[a-d]{0,4}".prop_map(EvalValue::Str),
+            (-50i64..50).prop_map(Value::Int),
+            (-4.0f64..4.0).prop_map(Value::Float),
+            "[a-d]{0,4}".prop_map(Value::Str),
         ],
     )
         .prop_map(|(col, op, value)| Predicate { col, op, value })
