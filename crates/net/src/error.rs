@@ -55,7 +55,7 @@ impl fmt::Display for NetError {
                 write!(
                     f,
                     "access [{offset}, {}) out of bounds of MR {mr} (len {mr_len})",
-                    offset + len
+                    offset.saturating_add(*len)
                 )
             }
             NetError::MrLimitExceeded(which) => write!(f, "NIC MR limit exceeded: {which}"),

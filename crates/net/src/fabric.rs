@@ -474,7 +474,7 @@ impl Fabric {
             server: handle.server,
             mr: handle.mr,
         })?;
-        if offset + len > mr.len() {
+        if offset.checked_add(len).is_none_or(|end| end > mr.len()) {
             return Err(NetError::OutOfBounds {
                 mr: handle.mr,
                 offset,
@@ -1147,11 +1147,12 @@ impl Fabric {
             server: handle.server,
             mr: handle.mr,
         })?;
-        if offset + buf.len() as u64 > mr.len() {
+        let len = buf.len() as u64;
+        if offset.checked_add(len).is_none_or(|end| end > mr.len()) {
             return Err(NetError::OutOfBounds {
                 mr: handle.mr,
                 offset,
-                len: buf.len() as u64,
+                len,
                 mr_len: mr.len(),
             });
         }
@@ -1636,6 +1637,56 @@ mod tests {
             &mut buf,
         );
         assert!(matches!(err, Err(NetError::OutOfBounds { .. })));
+    }
+
+    #[test]
+    fn offsets_near_u64_max_are_out_of_bounds_on_every_verb() {
+        use crate::verbs::{ReadSge, WorkRequest};
+        let (fabric, db, _mem, handle) = two_server_fabric();
+        let mut clock = Clock::new();
+        let offset = u64::MAX - 3;
+        let oob = |r: Result<(), NetError>| match r {
+            Err(e @ NetError::OutOfBounds { .. }) => e.to_string(),
+            other => panic!("expected OutOfBounds, got {other:?}"),
+        };
+        let mut buf = [0u8; 8];
+        let mut seen = vec![
+            oob(fabric.read(&mut clock, Protocol::Custom, db, handle, offset, &mut buf)),
+            oob(fabric.write(&mut clock, Protocol::Custom, db, handle, offset, &buf)),
+            oob(fabric
+                .write_quorum(&mut clock, Protocol::Custom, db, &[(handle, offset)], &buf)
+                .map(|_| ())),
+        ];
+        let program = key_lt(1);
+        let req = PushdownRequest {
+            handle,
+            offset,
+            len: 8,
+            program: &program,
+        };
+        seen.push(oob(fabric
+            .pushdown(&mut clock, Protocol::Custom, db, &req)
+            .map(|_| ())));
+        let mut wrs = vec![WorkRequest::Read(vec![ReadSge {
+            mr: handle,
+            offset,
+            buf: &mut buf,
+        }])];
+        let done = fabric.execute_batch(&mut clock, Protocol::Custom, db, &mut wrs);
+        seen.push(oob(done[0].result.clone()));
+        seen.push(oob(fabric.peek(handle, offset, &mut [0u8; 8])));
+        assert_eq!(
+            clock.now(),
+            SimTime::ZERO,
+            "a rejected verb charges nothing"
+        );
+        let want = format!(
+            "access [{offset}, {}) out of bounds of MR {} (len {})",
+            u64::MAX,
+            handle.mr,
+            handle.len
+        );
+        assert!(seen.iter().all(|s| *s == want), "{seen:?}");
     }
 
     #[test]
