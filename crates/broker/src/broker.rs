@@ -1,5 +1,7 @@
-//! The broker front-end: lease grant / renew / release / revoke.
+//! The broker front-end: lease grant / release / revoke, and the repair of
+//! leases a donor crash degraded.
 
+use std::collections::btree_map::Entry;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -41,9 +43,7 @@ pub struct LeaseHealth {
     /// A pending two-phase reclaim notice: the pressured donor and the
     /// deadline after which the broker revokes unilaterally.
     pub notice: Option<(ServerId, SimTime)>,
-    /// What [`MemoryBroker::is_valid`] would answer. A lapsed lease reads
-    /// `false` here but is only *expired* (MRs back in the pool) by
-    /// `is_valid` itself.
+    /// The lease is Active: neither released nor revoked.
     pub valid: bool,
     /// Fencing epoch of the replica groups; `None` for an unreplicated lease.
     pub epoch: Option<u64>,
@@ -64,8 +64,6 @@ pub enum PlacementPolicy {
 /// Broker tunables.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
-    /// Lease validity window; holders must renew before it elapses.
-    pub lease_duration: SimDuration,
     /// Virtual time for a broker round trip (lease RPCs go through the
     /// metadata store, not the RDMA fast path).
     pub rpc_time: SimDuration,
@@ -79,7 +77,6 @@ pub struct BrokerConfig {
 impl Default for BrokerConfig {
     fn default() -> BrokerConfig {
         BrokerConfig {
-            lease_duration: SimDuration::from_secs(10),
             rpc_time: SimDuration::from_micros(200),
             placement: PlacementPolicy::Pack,
             grace_period: SimDuration::from_millis(50),
@@ -126,13 +123,11 @@ impl std::fmt::Display for BrokerError {
 impl std::error::Error for BrokerError {}
 
 /// Cached handles into an attached [`MetricsRegistry`] covering the lease
-/// lifecycle (§4.2): grants, renewals, terminal transitions, repairs, and
+/// lifecycle (§4.2): grants, terminal transitions, repairs, and
 /// the byte flows behind them.
 struct BrokerMetrics {
     granted: Arc<remem_sim::Counter>,
-    renewed: Arc<remem_sim::Counter>,
     released: Arc<remem_sim::Counter>,
-    expired: Arc<remem_sim::Counter>,
     revoked: Arc<remem_sim::Counter>,
     degraded: Arc<remem_sim::Counter>,
     repaired: Arc<remem_sim::Counter>,
@@ -158,9 +153,7 @@ impl BrokerMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> BrokerMetrics {
         BrokerMetrics {
             granted: registry.counter("broker.leases.granted"),
-            renewed: registry.counter("broker.leases.renewed"),
             released: registry.counter("broker.leases.released"),
-            expired: registry.counter("broker.leases.expired"),
             revoked: registry.counter("broker.leases.revoked"),
             degraded: registry.counter("broker.leases.degraded"),
             repaired: registry.counter("broker.leases.repaired"),
@@ -345,11 +338,6 @@ impl MemoryBroker {
         // anything else is a leak from a missed terminal transition
         let mut stale: Vec<String> = Vec::new();
         let active = |id: &LeaseId| matches!(st.leases.get(id), Some((_, LeaseState::Active)));
-        for id in &st.auto_renewed {
-            if !active(id) {
-                stale.push(format!("auto_renewed holds non-active {id:?}"));
-            }
-        }
         for id in st.lost_mrs.keys() {
             if !active(id) {
                 stale.push(format!("lost_mrs holds non-active {id:?}"));
@@ -473,21 +461,9 @@ impl MemoryBroker {
                 available,
             });
         }
-        let mut picked: Vec<MrHandle> = Vec::new();
-        let mut got = 0u64;
-        // Donors with availability, in stable id order for determinism.
-        // Failed servers keep no pool, but guard anyway in case a recovered
-        // server's pool is re-donated before `server_recovered` is called.
-        let failed = st.failed_servers.clone();
-        let mut donors: Vec<ServerId> = st
-            .available
-            .iter()
-            .filter(|(s, v)| **s != holder && !v.is_empty() && !failed.contains(s))
-            .map(|(s, _)| *s)
-            .collect();
-        donors.sort_unstable();
         // Never lease a server its own memory; if only the holder has spare
         // memory the request fails (it should just use it locally).
+        let donors = Self::donors(&st, &[holder]);
         if donors.is_empty() {
             let avail_other: u64 = st
                 .available
@@ -501,73 +477,58 @@ impl MemoryBroker {
                 available: avail_other,
             });
         }
-        match self.cfg.placement {
-            PlacementPolicy::Pack => {
-                'outer: for donor in donors {
-                    let Some(pool) = st.available.get_mut(&donor) else {
-                        continue 'outer;
-                    };
-                    while got < bytes {
-                        match pool.pop() {
-                            Some(mr) => {
-                                got += mr.len;
-                                picked.push(mr);
-                            }
-                            None => continue 'outer,
-                        }
-                    }
-                    break;
-                }
-            }
-            PlacementPolicy::Spread => {
-                let mut i = 0;
-                while got < bytes {
-                    let mut progressed = false;
-                    for _ in 0..donors.len() {
-                        let donor = donors[i % donors.len()];
-                        i += 1;
-                        let Some(pool) = st.available.get_mut(&donor) else {
-                            continue;
-                        };
-                        if let Some(mr) = pool.pop() {
-                            got += mr.len;
-                            picked.push(mr);
-                            progressed = true;
-                            break;
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-            }
-        }
-        if got < bytes {
-            // put them back — all-or-nothing grant
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
+        let picked = match self.cfg.placement {
+            PlacementPolicy::Pack => Self::pick_from_pool(&mut st, bytes, &[holder]).ok(),
+            PlacementPolicy::Spread => Self::spread(&mut st, &donors, bytes),
+        };
+        let Some(picked) = picked else {
             let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
             return Err(BrokerError::InsufficientMemory {
                 requested: bytes,
                 available,
             });
-        }
+        };
         let id = LeaseId(st.next_lease);
         st.next_lease += 1;
         let lease = Lease {
             id,
             holder,
             mrs: picked,
-            expires_at: clock.now() + self.cfg.lease_duration,
         };
+        let granted = lease.bytes();
         st.leases.insert(id, (lease.clone(), LeaseState::Active));
         self.meter(&st, |m| {
             m.granted.incr();
-            m.leased_bytes.add(got);
+            m.leased_bytes.add(granted);
         });
         self.verify(&st, Some(clock.now()));
         Ok(lease)
+    }
+
+    /// Pop MRs round-robin across `donors` (one per donor per turn) until
+    /// they total at least `bytes`. All-or-nothing.
+    fn spread(st: &mut MetaState, donors: &[ServerId], bytes: u64) -> Option<Vec<MrHandle>> {
+        let mut picked: Vec<MrHandle> = Vec::new();
+        let mut got = 0u64;
+        let mut i = 0;
+        while got < bytes {
+            let mut progressed = false;
+            for _ in 0..donors.len() {
+                let donor = donors[i % donors.len()];
+                i += 1;
+                if let Some(mr) = st.available.get_mut(&donor).and_then(Vec::pop) {
+                    got += mr.len;
+                    picked.push(mr);
+                    progressed = true;
+                    break;
+                }
+            }
+            if !progressed {
+                st.return_to_pools(picked);
+                return None;
+            }
+        }
+        Some(picked)
     }
 
     /// Grant a k-way replicated lease of at least `bytes` *logical*
@@ -621,9 +582,7 @@ impl MemoryBroker {
             logical += len;
         }
         if short {
-            for mr in groups.into_iter().flatten() {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
+            st.return_to_pools(groups.into_iter().flatten());
             let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
             return Err(BrokerError::InsufficientMemory {
                 requested: bytes.saturating_mul(k as u64),
@@ -633,12 +592,7 @@ impl MemoryBroker {
         let id = LeaseId(st.next_lease);
         st.next_lease += 1;
         let mrs: Vec<MrHandle> = groups.iter().flatten().copied().collect();
-        let lease = Lease {
-            id,
-            holder,
-            mrs,
-            expires_at: clock.now() + self.cfg.lease_duration,
-        };
+        let lease = Lease { id, holder, mrs };
         let granted = lease.bytes();
         st.leases.insert(id, (lease.clone(), LeaseState::Active));
         st.replicas.insert(id, ReplicaSet::new(k, groups));
@@ -694,11 +648,7 @@ impl MemoryBroker {
     ) -> Result<Vec<ReplicaRepair>, BrokerError> {
         clock.advance(self.cfg.rpc_time);
         let mut st = self.store.state.lock();
-        let (lease, state) = st.leases.get(&id).ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let holder = lease.holder;
+        let holder = Self::active_holder(&st, id)?;
         let Some(rs) = st.replicas.get(&id).cloned() else {
             return Err(BrokerError::Internal(
                 "re_replicate called on an unreplicated lease",
@@ -737,9 +687,7 @@ impl MemoryBroker {
                         added.push(mr);
                     }
                     None => {
-                        for mr in added.into_iter().chain(picked_all) {
-                            st.available.entry(mr.server).or_default().push(mr);
-                        }
+                        st.return_to_pools(added.into_iter().chain(picked_all));
                         let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
                         return Err(BrokerError::InsufficientMemory {
                             requested: rs.deficit(),
@@ -793,19 +741,44 @@ impl MemoryBroker {
         Ok(repairs)
     }
 
-    /// Donors with spare capacity ranked most-free-bytes first (stable id
-    /// tie-break), excluding `exclude` and failed servers.
-    fn ranked_donors(st: &MetaState, exclude: &[ServerId]) -> Vec<ServerId> {
-        let mut donors: Vec<(u64, ServerId)> = st
-            .available
+    /// Donors with spare capacity in stable id order, excluding `exclude`
+    /// and failed servers. Failed servers keep no pool, but a recovered
+    /// server's pool may be re-donated before `server_recovered` is called.
+    fn donors(st: &MetaState, exclude: &[ServerId]) -> Vec<ServerId> {
+        st.available
             .iter()
             .filter(|(s, v)| {
                 !exclude.contains(s) && !v.is_empty() && !st.failed_servers.contains(s)
             })
-            .map(|(s, v)| (v.iter().map(|m| m.len).sum::<u64>(), *s))
-            .collect();
-        donors.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        donors.into_iter().map(|(_, s)| s).collect()
+            .map(|(s, _)| *s)
+            .collect()
+    }
+
+    /// [`Self::donors`] ranked most-free-bytes first (stable id tie-break).
+    fn ranked_donors(st: &MetaState, exclude: &[ServerId]) -> Vec<ServerId> {
+        let mut donors = Self::donors(st, exclude);
+        donors.sort_by_cached_key(|s| std::cmp::Reverse(st.free_on(*s)));
+        donors
+    }
+
+    /// The holder of Active lease `id`.
+    fn active_holder(st: &MetaState, id: LeaseId) -> Result<ServerId, BrokerError> {
+        match st.leases.get(&id) {
+            Some((lease, LeaseState::Active)) => Ok(lease.holder),
+            Some((_, state)) => Err(BrokerError::LeaseNotActive(id, *state)),
+            None => Err(BrokerError::UnknownLease(id)),
+        }
+    }
+
+    /// Active leases holding an MR on `server`, in id order.
+    fn active_on(st: &MetaState, server: ServerId) -> Vec<LeaseId> {
+        st.leases
+            .iter()
+            .filter(|(_, (l, s))| {
+                *s == LeaseState::Active && l.mrs.iter().any(|m| m.server == server)
+            })
+            .map(|(id, _)| *id)
+            .collect()
     }
 
     /// Pop one MR of exactly `len` bytes from `donor`'s pool, preferring
@@ -816,53 +789,11 @@ impl MemoryBroker {
         Some(pool.remove(idx))
     }
 
-    /// Renew an active lease for another full duration from `clock.now()`.
-    pub fn renew(&self, clock: &mut Clock, id: LeaseId) -> Result<SimTime, BrokerError> {
-        clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
-        let (lease, state) = st
-            .leases
-            .get_mut(&id)
-            .ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        if clock.now() >= lease.expires_at {
-            // too late: renewal after expiry fails and the MRs go back
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Expired;
-            for mr in mrs {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            st.lease_terminal(id);
-            self.meter(&st, |m| m.expired.incr());
-            self.verify(&st, Some(clock.now()));
-            return Err(BrokerError::LeaseNotActive(id, LeaseState::Expired));
-        }
-        lease.expires_at = clock.now() + self.cfg.lease_duration;
-        let expires = lease.expires_at;
-        self.meter(&st, |m| m.renewed.incr());
-        self.verify(&st, Some(clock.now()));
-        Ok(expires)
-    }
-
     /// Voluntarily release a lease (Delete in Table 2).
     pub fn release(&self, clock: &mut Clock, id: LeaseId) -> Result<(), BrokerError> {
         clock.advance(self.cfg.rpc_time);
         let mut st = self.store.state.lock();
-        let (lease, state) = st
-            .leases
-            .get_mut(&id)
-            .ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let mrs = lease.mrs.clone();
-        *state = LeaseState::Released;
-        for mr in mrs {
-            st.available.entry(mr.server).or_default().push(mr);
-        }
-        st.lease_terminal(id);
+        Self::end_lease(&mut st, id, LeaseState::Released, None)?;
         let was_ring = self.wal_rings.lock().remove(&id);
         self.meter(&st, |m| {
             m.released.incr();
@@ -873,6 +804,55 @@ impl MemoryBroker {
         });
         self.verify(&st, Some(clock.now()));
         Ok(())
+    }
+
+    /// The one way a lease leaves `Active`: set its terminal `end` state,
+    /// walk its MRs in lease order — those on the `pressured` donor are
+    /// deregistered from its NIC and count as wiped, every other MR goes
+    /// back to its donor's pool — and drop its auxiliary state. Returns the
+    /// bytes wiped.
+    fn end_lease(
+        st: &mut MetaState,
+        id: LeaseId,
+        end: LeaseState,
+        pressured: Option<(&Fabric, ServerId)>,
+    ) -> Result<u64, BrokerError> {
+        let (lease, state) = st
+            .leases
+            .get_mut(&id)
+            .ok_or(BrokerError::UnknownLease(id))?;
+        if *state != LeaseState::Active {
+            return Err(BrokerError::LeaseNotActive(id, *state));
+        }
+        *state = end;
+        let mut wiped = 0;
+        for mr in std::mem::take(&mut lease.mrs) {
+            match pressured {
+                Some((fabric, server)) if mr.server == server => {
+                    wiped += mr.len;
+                    let _ = fabric.deregister_mr(mr);
+                }
+                _ => st.available.entry(mr.server).or_default().push(mr),
+            }
+        }
+        st.wiped_bytes += wiped;
+        st.lease_terminal(id);
+        Ok(wiped)
+    }
+
+    /// Deregister up to `bytes` of `server`'s unleased MRs, newest first;
+    /// they count as wiped. Returns the bytes reclaimed.
+    fn drain_pool(st: &mut MetaState, fabric: &Fabric, server: ServerId, bytes: u64) -> u64 {
+        let mut reclaimed = 0u64;
+        if let Some(pool) = st.available.get_mut(&server) {
+            while reclaimed < bytes {
+                let Some(mr) = pool.pop() else { break };
+                reclaimed += mr.len;
+                let _ = fabric.deregister_mr(mr);
+            }
+        }
+        st.wiped_bytes += reclaimed;
+        reclaimed
     }
 
     /// Physical bytes (every replica copy) pinned under Active leases in
@@ -919,61 +899,14 @@ impl MemoryBroker {
         Self::ring_bytes(&st, &self.wal_rings.lock())
     }
 
-    /// Register a background renewal daemon for the lease (§4.2: the DB
-    /// server renews before expiry as long as it is alive). Auto-renewed
-    /// leases never lapse by timeout — only revocation (donor pressure or
-    /// failure) or voluntary release ends them.
-    pub fn enable_auto_renew(&self, id: LeaseId) {
-        let mut st = self.store.state.lock();
-        // only an Active lease can grow a renewal daemon; anything else
-        // would leak an aux-map entry for a lease that can never renew
-        if matches!(st.leases.get(&id), Some((_, LeaseState::Active))) {
-            st.auto_renewed.insert(id);
-        }
-    }
-
-    /// Is the lease active and unexpired at `now`? Lazily expires it if its
-    /// window has passed (unless a renewal daemon keeps it alive).
-    pub fn is_valid(&self, id: LeaseId, now: SimTime) -> bool {
-        let mut st = self.store.state.lock();
-        let auto = st.auto_renewed.contains(&id);
-        let Some((lease, state)) = st.leases.get_mut(&id) else {
-            return false;
-        };
-        if *state != LeaseState::Active {
-            return false;
-        }
-        if auto {
-            return true;
-        }
-        if now >= lease.expires_at {
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Expired;
-            for mr in mrs {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            st.lease_terminal(id);
-            self.meter(&st, |m| m.expired.incr());
-            self.verify(&st, Some(now));
-            return false;
-        }
-        true
-    }
-
     /// The per-I/O health check: reclaim notice, validity, replica epoch and
     /// replication deficit under one lock, changing nothing.
-    pub fn lease_health(&self, id: LeaseId, now: SimTime) -> LeaseHealth {
+    pub fn lease_health(&self, id: LeaseId) -> LeaseHealth {
         let st = self.store.state.lock();
-        let valid = match st.leases.get(&id) {
-            Some((lease, LeaseState::Active)) => {
-                now < lease.expires_at || st.auto_renewed.contains(&id)
-            }
-            _ => false,
-        };
         let replicas = st.replicas.get(&id);
         LeaseHealth {
             notice: st.pending_revocations.get(&id).copied(),
-            valid,
+            valid: matches!(st.leases.get(&id), Some((_, LeaseState::Active))),
             epoch: replicas.map(ReplicaSet::epoch),
             deficit: replicas.map_or(0, ReplicaSet::deficit),
         }
@@ -991,51 +924,15 @@ impl MemoryBroker {
     /// Returns the bytes reclaimed.
     pub fn reclaim(&self, fabric: &Fabric, server: ServerId, bytes: u64) -> u64 {
         let mut st = self.store.state.lock();
-        let mut reclaimed = 0u64;
-        // 1. unleased MRs on that server
-        if let Some(pool) = st.available.get_mut(&server) {
-            while reclaimed < bytes {
-                match pool.pop() {
-                    Some(mr) => {
-                        reclaimed += mr.len;
-                        let _ = fabric.deregister_mr(mr);
-                    }
-                    None => break,
-                }
-            }
-        }
-        st.wiped_bytes += reclaimed;
+        let mut reclaimed = Self::drain_pool(&mut st, fabric, server, bytes);
         let mut revoked = 0u64;
-        // 2. revoke active leases that include MRs on that server
-        if reclaimed < bytes {
-            let victims: Vec<LeaseId> = st
-                .leases
-                .iter()
-                .filter(|(_, (l, s))| {
-                    *s == LeaseState::Active && l.mrs.iter().any(|m| m.server == server)
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            for id in victims {
-                if reclaimed >= bytes {
-                    break;
-                }
-                let Some((lease, state)) = st.leases.get_mut(&id) else {
-                    continue;
-                };
-                let mrs = lease.mrs.clone();
-                *state = LeaseState::Revoked;
-                for mr in mrs {
-                    if mr.server == server {
-                        reclaimed += mr.len;
-                        st.wiped_bytes += mr.len;
-                        let _ = fabric.deregister_mr(mr);
-                    } else {
-                        // MRs on other donors go back to the pool
-                        st.available.entry(mr.server).or_default().push(mr);
-                    }
-                }
-                st.lease_terminal(id);
+        for id in Self::active_on(&st, server) {
+            if reclaimed >= bytes {
+                break;
+            }
+            let pressured = Some((fabric, server));
+            if let Ok(wiped) = Self::end_lease(&mut st, id, LeaseState::Revoked, pressured) {
+                reclaimed += wiped;
                 revoked += 1;
             }
         }
@@ -1047,95 +944,56 @@ impl MemoryBroker {
         reclaimed
     }
 
-    /// A donor server died: drop its pool and walk every Active lease
-    /// touching it. Auto-renewed leases (long-lived files whose holder runs
-    /// a renewal daemon and can self-heal) are *degraded*: the dead donor's
-    /// MRs move to `lost_mrs` and the lease stays Active so the holder can
-    /// keep using the surviving stripes and later call [`Self::repair_lease`].
-    /// Leases without a renewal daemon are revoked outright, as before.
+    /// A donor server died: drop its pool and degrade every Active lease
+    /// touching it. The lease stays Active so its holder keeps using what
+    /// survives. A replicated lease drops the dead members from their
+    /// groups; a member with surviving peers lost no data (its bytes are
+    /// wiped with the donor), and only a group's *last* member parks in
+    /// `lost_mrs` / `lost_slots`, for [`Self::re_replicate`]. A single-copy
+    /// lease moves its dead MRs to `lost_mrs`, for [`Self::repair_lease`].
     pub fn server_failed(&self, server: ServerId) {
-        let mut st = self.store.state.lock();
+        let mut guard = self.store.state.lock();
+        let st = &mut *guard;
         // the donor's unleased pool died with it
         if let Some(pool) = st.available.remove(&server) {
             st.wiped_bytes += pool.iter().map(|m| m.len).sum::<u64>();
         }
         st.failed_servers.insert(server);
         st.pending_revocations.retain(|_, (s, _)| *s != server);
-        let mut victims: Vec<LeaseId> = st
-            .leases
-            .iter()
-            .filter(|(_, (l, s))| {
-                *s == LeaseState::Active && l.mrs.iter().any(|m| m.server == server)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        // stable order so the pool's MR order is replay-deterministic
-        victims.sort_unstable();
-        let (mut degraded, mut revoked) = (0u64, 0u64);
-        for id in victims {
-            let auto = st.auto_renewed.contains(&id);
-            let replicated = st.replicas.contains_key(&id);
-            let Some((lease, state)) = st.leases.get_mut(&id) else {
+        let victims = Self::active_on(st, server);
+        for &id in &victims {
+            let Some((lease, _)) = st.leases.get_mut(&id) else {
                 continue;
             };
-            if auto && replicated {
-                // replicated degrade: drop the dead members from their
-                // groups. A member with surviving peers lost no data — its
-                // bytes are simply destroyed with the donor (wiped). Only a
-                // group's *last* member parks in lost_mrs/lost_slots: that
-                // slot's content is genuinely gone.
-                lease.mrs.retain(|m| m.server != server);
-                let mut rs = match st.replicas.remove(&id) {
-                    Some(rs) => rs,
-                    None => continue,
-                };
-                let mut lost_now: Vec<MrHandle> = Vec::new();
-                let mut wiped_now = 0u64;
-                for (slot, dead) in rs.drop_server(server) {
-                    if rs.groups()[slot].is_empty() {
-                        rs.park_lost(slot, dead);
-                        lost_now.push(dead);
-                    } else {
-                        wiped_now += dead.len;
+            let dead: Vec<MrHandle> = lease
+                .mrs
+                .iter()
+                .filter(|m| m.server == server)
+                .copied()
+                .collect();
+            lease.mrs.retain(|m| m.server != server);
+            let lost = match st.replicas.get_mut(&id) {
+                Some(rs) => {
+                    let mut lost = Vec::new();
+                    for (slot, dead) in rs.drop_server(server) {
+                        if rs.groups()[slot].is_empty() {
+                            rs.park_lost(slot, dead);
+                            lost.push(dead);
+                        } else {
+                            st.wiped_bytes += dead.len;
+                        }
                     }
+                    rs.bump_epoch();
+                    lost
                 }
-                rs.bump_epoch();
-                st.replicas.insert(id, rs);
-                if !lost_now.is_empty() {
-                    st.lost_mrs.entry(id).or_default().extend(lost_now);
-                }
-                st.wiped_bytes += wiped_now;
-                degraded += 1;
-            } else if auto {
-                let lost: Vec<MrHandle> = lease
-                    .mrs
-                    .iter()
-                    .filter(|m| m.server == server)
-                    .copied()
-                    .collect();
-                lease.mrs.retain(|m| m.server != server);
+                None => dead,
+            };
+            if !lost.is_empty() {
                 st.lost_mrs.entry(id).or_default().extend(lost);
-                degraded += 1;
-            } else {
-                let mrs = lease.mrs.clone();
-                *state = LeaseState::Revoked;
-                for mr in mrs {
-                    if mr.server != server {
-                        st.available.entry(mr.server).or_default().push(mr);
-                    } else {
-                        // destroyed with the donor
-                        st.wiped_bytes += mr.len;
-                    }
-                }
-                st.lease_terminal(id);
-                revoked += 1;
             }
         }
-        self.meter(&st, |m| {
-            m.degraded.add(degraded);
-            m.revoked.add(revoked);
-        });
-        self.verify(&st, None);
+        self.meter(st, |m| m.degraded.add(victims.len() as u64));
+        self.verify(st, None);
     }
 
     /// A crashed donor came back (its proxy will re-donate fresh MRs).
@@ -1158,36 +1016,15 @@ impl MemoryBroker {
         bytes: u64,
     ) -> (u64, Vec<LeaseId>) {
         let mut st = self.store.state.lock();
-        let mut reclaimed = 0u64;
-        if let Some(pool) = st.available.get_mut(&server) {
-            while reclaimed < bytes {
-                match pool.pop() {
-                    Some(mr) => {
-                        reclaimed += mr.len;
-                        let _ = fabric.deregister_mr(mr);
-                    }
-                    None => break,
-                }
-            }
-        }
-        st.wiped_bytes += reclaimed;
+        let mut reclaimed = Self::drain_pool(&mut st, fabric, server, bytes);
         let mut notified = Vec::new();
         if reclaimed < bytes {
             let deadline = now + self.cfg.grace_period;
-            let mut victims: Vec<LeaseId> = st
-                .leases
-                .iter()
-                .filter(|(id, (l, s))| {
-                    *s == LeaseState::Active
-                        && l.mrs.iter().any(|m| m.server == server)
-                        && !st.pending_revocations.contains_key(id)
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            victims.sort_unstable();
-            for id in victims {
-                st.pending_revocations.insert(id, (server, deadline));
-                notified.push(id);
+            for id in Self::active_on(&st, server) {
+                if let Entry::Vacant(notice) = st.pending_revocations.entry(id) {
+                    notice.insert((server, deadline));
+                    notified.push(id);
+                }
             }
         }
         // bound the grace-window queue: a holder that never re-attaches
@@ -1205,24 +1042,10 @@ impl MemoryBroker {
             };
             st.pending_revocations.remove(&id);
             expired += 1;
-            let Some((lease, state)) = st.leases.get_mut(&id) else {
-                continue;
-            };
-            if *state != LeaseState::Active {
-                continue;
+            let pressured = Some((fabric, srv));
+            if let Ok(wiped) = Self::end_lease(&mut st, id, LeaseState::Revoked, pressured) {
+                reclaimed += wiped;
             }
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Revoked;
-            for mr in mrs {
-                if mr.server == srv {
-                    reclaimed += mr.len;
-                    st.wiped_bytes += mr.len;
-                    let _ = fabric.deregister_mr(mr);
-                } else {
-                    st.available.entry(mr.server).or_default().push(mr);
-                }
-            }
-            st.lease_terminal(id);
         }
         self.meter(&st, |m| {
             m.reclaimed_bytes.add(reclaimed);
@@ -1241,37 +1064,22 @@ impl MemoryBroker {
     /// reclaimed for the pressured donors.
     pub fn finalize_revocations(&self, fabric: &Fabric, now: SimTime) -> u64 {
         let mut st = self.store.state.lock();
-        let mut due: Vec<(LeaseId, ServerId)> = st
+        // id order, so the pool's MR order is replay-deterministic
+        let due: Vec<(LeaseId, ServerId)> = st
             .pending_revocations
             .iter()
             .filter(|(_, (_, deadline))| now >= *deadline)
             .map(|(id, (server, _))| (*id, *server))
             .collect();
-        // stable order so the pool's MR order is replay-deterministic
-        due.sort_unstable();
         let mut reclaimed = 0u64;
         let mut revoked = 0u64;
         for (id, server) in due {
             st.pending_revocations.remove(&id);
-            let Some((lease, state)) = st.leases.get_mut(&id) else {
-                continue;
-            };
-            if *state != LeaseState::Active {
-                continue;
+            let pressured = Some((fabric, server));
+            if let Ok(wiped) = Self::end_lease(&mut st, id, LeaseState::Revoked, pressured) {
+                reclaimed += wiped;
+                revoked += 1;
             }
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Revoked;
-            for mr in mrs {
-                if mr.server == server {
-                    reclaimed += mr.len;
-                    st.wiped_bytes += mr.len;
-                    let _ = fabric.deregister_mr(mr);
-                } else {
-                    st.available.entry(mr.server).or_default().push(mr);
-                }
-            }
-            st.lease_terminal(id);
-            revoked += 1;
         }
         self.meter(&st, |m| {
             m.reclaimed_bytes.add(reclaimed);
@@ -1284,7 +1092,10 @@ impl MemoryBroker {
     /// Grant extra MRs to an Active lease — the migration path: a holder on
     /// notice asks for replacement capacity *while its old MRs are still
     /// readable*, copies the data over, then surrenders the old MRs.
-    /// `avoid` (typically the pressured or failing donor) is excluded.
+    /// `avoid` (typically the pressured or failing donor) is excluded. A
+    /// replicated lease is refused: MRs outside its replica groups would
+    /// break replica conservation, and it sheds the pressured copy with
+    /// [`Self::surrender_mrs`] instead.
     pub fn request_extra(
         &self,
         clock: &mut Clock,
@@ -1294,21 +1105,13 @@ impl MemoryBroker {
     ) -> Result<Vec<MrHandle>, BrokerError> {
         clock.advance(self.cfg.rpc_time);
         let mut st = self.store.state.lock();
-        let (lease, state) = st.leases.get(&id).ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
+        let holder = Self::active_holder(&st, id)?;
+        if st.replicas.contains_key(&id) {
+            return Err(BrokerError::Internal(
+                "replicated leases migrate by surrendering a replica",
+            ));
         }
-        let holder = lease.holder;
-        let picked = Self::pick_from_pool(&mut st, bytes, &[holder, avoid])?;
-        let Some((lease, _)) = st.leases.get_mut(&id) else {
-            // can't happen while we hold the lock; undo the pool pops and
-            // surface the inconsistency instead of panicking
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            return Err(BrokerError::Internal("lease vanished during request_extra"));
-        };
-        lease.mrs.extend(picked.iter().copied());
+        let picked = Self::extend_lease(&mut st, id, bytes, &[holder, avoid])?;
         self.verify(&st, Some(clock.now()));
         Ok(picked)
     }
@@ -1316,7 +1119,8 @@ impl MemoryBroker {
     /// Remove and deregister a lease's MRs on `server` (the tail end of a
     /// migration, or a voluntary partial give-back under pressure). Clears
     /// any pending revocation notice for the lease. The lease stays Active.
-    /// Returns the bytes surrendered.
+    /// A replicated lease may not surrender a slot's last copy. Returns the
+    /// bytes surrendered.
     pub fn surrender_mrs(
         &self,
         clock: &mut Clock,
@@ -1325,13 +1129,24 @@ impl MemoryBroker {
         fabric: &Fabric,
     ) -> Result<u64, BrokerError> {
         clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
+        let mut guard = self.store.state.lock();
+        let st = &mut *guard;
         let (lease, state) = st
             .leases
             .get_mut(&id)
             .ok_or(BrokerError::UnknownLease(id))?;
         if *state != LeaseState::Active {
             return Err(BrokerError::LeaseNotActive(id, *state));
+        }
+        let sole = |g: &Vec<MrHandle>| matches!(g[..], [only] if only.server == server);
+        if st
+            .replicas
+            .get(&id)
+            .is_some_and(|rs| rs.groups().iter().any(sole))
+        {
+            return Err(BrokerError::Internal(
+                "surrender would drop a slot's last replica",
+            ));
         }
         let gone: Vec<MrHandle> = lease
             .mrs
@@ -1354,8 +1169,8 @@ impl MemoryBroker {
             let _ = fabric.deregister_mr(mr);
         }
         st.wiped_bytes += freed;
-        self.meter(&st, |m| m.reclaimed_bytes.add(freed));
-        self.verify(&st, Some(clock.now()));
+        self.meter(st, |m| m.reclaimed_bytes.add(freed));
+        self.verify(st, Some(clock.now()));
         Ok(freed)
     }
 
@@ -1372,11 +1187,7 @@ impl MemoryBroker {
     ) -> Result<(Vec<MrHandle>, Vec<MrHandle>), BrokerError> {
         clock.advance(self.cfg.rpc_time);
         let mut st = self.store.state.lock();
-        let (lease, state) = st.leases.get(&id).ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let holder = lease.holder;
+        let holder = Self::active_holder(&st, id)?;
         if st.replicas.contains_key(&id) {
             // replacements here would bypass the group bookkeeping and
             // break replica conservation
@@ -1389,75 +1200,69 @@ impl MemoryBroker {
             return Ok((Vec::new(), Vec::new()));
         }
         let need: u64 = lost.iter().map(|m| m.len).sum();
-        let picked = match Self::pick_from_pool(&mut st, need, &[holder]) {
+        let picked = match Self::extend_lease(&mut st, id, need, &[holder]) {
             Ok(p) => p,
             Err(e) => {
                 st.lost_mrs.insert(id, lost);
                 return Err(e);
             }
         };
-        let Some((lease, _)) = st.leases.get_mut(&id) else {
-            // can't happen while we hold the lock; restore both sides and
-            // surface the inconsistency instead of panicking
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            st.lost_mrs.insert(id, lost);
-            return Err(BrokerError::Internal("lease vanished during repair_lease"));
-        };
-        lease.mrs.extend(picked.iter().copied());
         // the dead stripes' bytes leave the `lost` bucket: replacements are
         // now leased, the originals died with their donor
-        st.wiped_bytes += lost.iter().map(|m| m.len).sum::<u64>();
+        st.wiped_bytes += need;
         self.meter(&st, |m| m.repaired.incr());
         self.verify(&st, Some(clock.now()));
         Ok((lost, picked))
     }
 
-    /// Pop MRs totalling at least `bytes` from the pool, skipping `exclude`
-    /// and failed servers, in stable donor order. All-or-nothing.
-    fn pick_from_pool(
-        st: &mut crate::meta::MetaState,
+    /// Pick MRs totalling at least `bytes` from the pools (skipping
+    /// `exclude`) and append them to lease `id`. All-or-nothing.
+    fn extend_lease(
+        st: &mut MetaState,
+        id: LeaseId,
         bytes: u64,
         exclude: &[ServerId],
     ) -> Result<Vec<MrHandle>, BrokerError> {
-        let mut donors: Vec<ServerId> = st
-            .available
-            .iter()
-            .filter(|(s, v)| {
-                !exclude.contains(s) && !v.is_empty() && !st.failed_servers.contains(s)
-            })
-            .map(|(s, _)| *s)
-            .collect();
-        donors.sort_unstable();
+        let picked = Self::pick_from_pool(st, bytes, exclude)?;
+        let Some((lease, _)) = st.leases.get_mut(&id) else {
+            // can't happen while the caller holds the lock; undo the pool
+            // pops and surface the inconsistency instead of panicking
+            st.return_to_pools(picked);
+            return Err(BrokerError::Internal("lease vanished mid-grant"));
+        };
+        lease.mrs.extend(picked.iter().copied());
+        Ok(picked)
+    }
+
+    /// Pop MRs totalling at least `bytes` from the pool, skipping `exclude`
+    /// and failed servers: drain each donor's pool from the tail, in stable
+    /// donor order, before moving to the next (Pack placement).
+    /// All-or-nothing.
+    fn pick_from_pool(
+        st: &mut MetaState,
+        bytes: u64,
+        exclude: &[ServerId],
+    ) -> Result<Vec<MrHandle>, BrokerError> {
         let mut picked = Vec::new();
         let mut got = 0u64;
-        'outer: for donor in donors {
+        for donor in Self::donors(st, exclude) {
             let Some(pool) = st.available.get_mut(&donor) else {
-                continue 'outer;
+                continue;
             };
             while got < bytes {
-                match pool.pop() {
-                    Some(mr) => {
-                        got += mr.len;
-                        picked.push(mr);
-                    }
-                    None => continue 'outer,
-                }
+                let Some(mr) = pool.pop() else { break };
+                got += mr.len;
+                picked.push(mr);
             }
-            break;
-        }
-        if got < bytes {
-            let available = got;
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
+            if got >= bytes {
+                return Ok(picked);
             }
-            return Err(BrokerError::InsufficientMemory {
-                requested: bytes,
-                available,
-            });
         }
-        Ok(picked)
+        st.return_to_pools(picked);
+        Err(BrokerError::InsufficientMemory {
+            requested: bytes,
+            available: got,
+        })
     }
 }
 
@@ -1507,24 +1312,23 @@ mod tests {
     }
 
     #[test]
-    fn grant_renew_release_cycle() {
+    fn grant_release_cycle() {
         let (_fabric, broker, db) = cluster(1, 4);
         let mut clock = Clock::new();
         assert_eq!(broker.store().available_bytes(), 4 * MR);
         let lease = broker.request_lease(&mut clock, db, 2 * MR).unwrap();
         assert_eq!(lease.bytes(), 2 * MR);
         assert_eq!(broker.store().available_bytes(), 2 * MR);
-        assert!(broker.is_valid(lease.id, clock.now()));
-        let new_expiry = broker.renew(&mut clock, lease.id).unwrap();
-        assert!(new_expiry >= lease.expires_at);
+        assert!(broker.lease_health(lease.id).valid);
         broker.release(&mut clock, lease.id).unwrap();
         assert_eq!(broker.store().available_bytes(), 4 * MR);
         assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Released));
+        assert!(!broker.lease_health(lease.id).valid);
         // operations on a released lease fail
-        assert!(matches!(
-            broker.renew(&mut clock, lease.id),
-            Err(BrokerError::LeaseNotActive(..))
-        ));
+        assert_eq!(
+            broker.release(&mut clock, lease.id),
+            Err(BrokerError::LeaseNotActive(lease.id, LeaseState::Released))
+        );
     }
 
     #[test]
@@ -1535,32 +1339,6 @@ mod tests {
         assert!(matches!(err, BrokerError::InsufficientMemory { .. }));
         // nothing was consumed by the failed request
         assert_eq!(broker.store().available_bytes(), 2 * MR);
-    }
-
-    #[test]
-    fn expiry_invalidates_and_recycles() {
-        let (_fabric, broker, db) = cluster(1, 1);
-        let mut clock = Clock::new();
-        let lease = broker.request_lease(&mut clock, db, MR).unwrap();
-        let past_expiry = lease.expires_at + SimDuration::from_micros(1);
-        assert!(!broker.is_valid(lease.id, past_expiry));
-        assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Expired));
-        assert_eq!(broker.store().available_bytes(), MR);
-        // a new lease can be granted on the recycled MR
-        let mut c2 = Clock::starting_at(past_expiry);
-        assert!(broker.request_lease(&mut c2, db, MR).is_ok());
-    }
-
-    #[test]
-    fn late_renewal_fails() {
-        let (_fabric, broker, db) = cluster(1, 1);
-        let mut clock = Clock::new();
-        let lease = broker.request_lease(&mut clock, db, MR).unwrap();
-        clock.advance_to(lease.expires_at + SimDuration::from_secs(1));
-        assert!(matches!(
-            broker.renew(&mut clock, lease.id),
-            Err(BrokerError::LeaseNotActive(_, LeaseState::Expired))
-        ));
     }
 
     #[test]
@@ -1601,29 +1379,11 @@ mod tests {
         // 2 MR unleased: pressure for 1 MR touches no lease
         let got = broker.reclaim(&fabric, donor, MR);
         assert_eq!(got, MR);
-        assert!(broker.is_valid(lease.id, clock.now()));
+        assert!(broker.lease_health(lease.id).valid);
         // pressure for 2 more MR: 1 unleased + revoke the lease
         let got = broker.reclaim(&fabric, donor, 2 * MR);
         assert!(got >= 2 * MR);
         assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Revoked));
-    }
-
-    #[test]
-    fn donor_failure_revokes_leases() {
-        let (_fabric, broker, db) = cluster(2, 2);
-        let cfg = BrokerConfig {
-            placement: PlacementPolicy::Spread,
-            ..Default::default()
-        };
-        let broker = MemoryBroker::new(cfg, broker.store().clone());
-        let mut clock = Clock::new();
-        let lease = broker.request_lease(&mut clock, db, 4 * MR).unwrap();
-        assert_eq!(lease.servers().len(), 2);
-        broker.server_failed(ServerId(1));
-        assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Revoked));
-        // the surviving donor's MRs returned to the pool
-        assert_eq!(broker.store().available_bytes_on(ServerId(2)), 2 * MR);
-        assert_eq!(broker.store().available_bytes_on(ServerId(1)), 0);
     }
 
     #[test]
@@ -1635,9 +1395,10 @@ mod tests {
         let store = broker.store().clone();
         drop(broker);
         let broker2 = MemoryBroker::new(BrokerConfig::default(), store);
-        assert!(broker2.is_valid(lease.id, clock.now()));
-        assert!(broker2.renew(&mut clock, lease.id).is_ok());
+        assert_eq!(broker2.lease_state(lease.id), Some(LeaseState::Active));
         assert_eq!(broker2.store().available_bytes(), MR);
+        broker2.release(&mut clock, lease.id).unwrap();
+        assert_eq!(broker2.store().available_bytes(), 2 * MR);
     }
 
     #[test]
@@ -1650,7 +1411,7 @@ mod tests {
         let (got, notified) = broker.request_reclaim(clock.now(), &fabric, donor, 4 * MR);
         assert_eq!(got, 2 * MR);
         assert_eq!(notified, vec![lease.id]);
-        let (srv, deadline) = broker.lease_health(lease.id, clock.now()).notice.unwrap();
+        let (srv, deadline) = broker.lease_health(lease.id).notice.unwrap();
         assert_eq!(srv, donor);
         assert!(deadline > clock.now());
         // holder gives the memory back inside the window
@@ -1658,7 +1419,7 @@ mod tests {
             .surrender_mrs(&mut clock, lease.id, donor, &fabric)
             .unwrap();
         assert_eq!(freed, 2 * MR);
-        assert_eq!(broker.lease_health(lease.id, clock.now()).notice, None);
+        assert_eq!(broker.lease_health(lease.id).notice, None);
         // the deadline passes: nothing left to take, lease still Active
         clock.advance_to(deadline + SimDuration::from_micros(1));
         assert_eq!(broker.finalize_revocations(&fabric, clock.now()), 0);
@@ -1674,7 +1435,7 @@ mod tests {
         let (got, notified) = broker.request_reclaim(clock.now(), &fabric, donor, 2 * MR);
         assert_eq!(got, 0);
         assert_eq!(notified, vec![lease.id]);
-        let (_, deadline) = broker.lease_health(lease.id, clock.now()).notice.unwrap();
+        let (_, deadline) = broker.lease_health(lease.id).notice.unwrap();
         // before the deadline nothing happens
         assert_eq!(broker.finalize_revocations(&fabric, clock.now()), 0);
         assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Active));
@@ -1714,7 +1475,7 @@ mod tests {
     }
 
     #[test]
-    fn donor_failure_degrades_auto_renewed_leases_and_repair_restores() {
+    fn donor_failure_degrades_leases_and_repair_restores() {
         let fabric = Fabric::new(NetConfig::default());
         let db = fabric.add_server("DB1", 20);
         let cfg = BrokerConfig {
@@ -1731,7 +1492,6 @@ mod tests {
         }
         let mut clock = Clock::new();
         let lease = broker.request_lease(&mut clock, db, 3 * MR).unwrap();
-        broker.enable_auto_renew(lease.id);
         let dead = lease.mrs[0].server;
         let lost_bytes: u64 = lease
             .mrs
@@ -1767,7 +1527,6 @@ mod tests {
             .unwrap();
         let mut clock = Clock::new();
         let lease = broker.request_lease(&mut clock, db, 2 * MR).unwrap();
-        broker.enable_auto_renew(lease.id);
         broker.server_failed(m);
         // only donor is gone: repair must fail without corrupting state
         assert!(matches!(
@@ -1811,9 +1570,6 @@ mod tests {
         assert_eq!(registry.counter("broker.leases.granted").get(), 1);
         assert_eq!(registry.counter("broker.leased.bytes").get(), 2 * MR);
         assert_eq!(registry.gauge("broker.leases.active").get(), 1.0);
-
-        broker.renew(&mut clock, lease.id).unwrap();
-        assert_eq!(registry.counter("broker.leases.renewed").get(), 1);
 
         broker.release(&mut clock, lease.id).unwrap();
         assert_eq!(registry.counter("broker.leases.released").get(), 1);
@@ -1865,7 +1621,6 @@ mod tests {
         let lease = broker
             .request_replicated_lease(&mut clock, db, 2 * MR, 2)
             .unwrap();
-        broker.enable_auto_renew(lease.id);
         let (_, groups) = broker.replica_view(lease.id).unwrap();
         let dead = groups[0][0].server;
         broker.server_failed(dead);
@@ -1904,7 +1659,6 @@ mod tests {
         let lease = broker
             .request_replicated_lease(&mut clock, db, MR, 2)
             .unwrap();
-        broker.enable_auto_renew(lease.id);
         let (_, groups) = broker.replica_view(lease.id).unwrap();
         let (a, b) = (groups[0][0].server, groups[0][1].server);
         broker.server_failed(a);
@@ -1948,7 +1702,6 @@ mod tests {
         let lease = broker
             .request_replicated_lease(&mut clock, db, 2 * MR, 2)
             .unwrap();
-        broker.enable_auto_renew(lease.id);
         // every group member is one MR, so the deficit is countable by hand
         let by_hand = |broker: &MemoryBroker| {
             let (_, groups) = broker.replica_view(lease.id).unwrap();
@@ -1961,10 +1714,7 @@ mod tests {
             let deficit = broker.replication_deficit(lease.id);
             assert_eq!(deficit, by_hand(broker));
             assert_eq!(deficit > 0, want_degraded);
-            assert_eq!(
-                broker.lease_health(lease.id, SimTime::ZERO).deficit,
-                deficit
-            );
+            assert_eq!(broker.lease_health(lease.id).deficit, deficit);
         };
         check(&broker, false);
         let (_, groups) = broker.replica_view(lease.id).unwrap();

@@ -1,9 +1,9 @@
-//! Lease types: exclusive, timed grants of remote MRs.
+//! Lease types: exclusive grants of remote MRs, held until released or
+//! revoked.
 
 use std::collections::BTreeMap;
 
 use remem_net::{MrHandle, ServerId};
-use remem_sim::SimTime;
 
 /// Identifier of a lease in the broker's metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -12,17 +12,18 @@ pub struct LeaseId(pub u64);
 /// Lifecycle of a lease.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaseState {
-    /// Held and unexpired — holder has exclusive read/write access.
+    /// Held — holder has exclusive read/write access.
     Active,
-    /// Holder failed to renew in time; MRs returned to the pool.
-    Expired,
     /// Broker revoked it (memory pressure on the donor, or donor failure).
     Revoked,
     /// Holder voluntarily released it.
     Released,
 }
 
-/// An exclusive timed grant of one or more remote memory regions.
+/// An exclusive grant of one or more remote memory regions. It holds until
+/// the holder releases it or the broker revokes it: the model's DB servers
+/// never die, so the renewal the paper's holders run while alive always
+/// succeeds and is not modelled.
 ///
 /// The lease carries the MR mapping (which region on which server) that the
 /// file shim stripes over; the broker is not involved in any transfer.
@@ -31,7 +32,6 @@ pub struct Lease {
     pub id: LeaseId,
     pub holder: ServerId,
     pub mrs: Vec<MrHandle>,
-    pub expires_at: SimTime,
 }
 
 impl Lease {
@@ -209,7 +209,6 @@ mod tests {
                     len: 25,
                 },
             ],
-            expires_at: SimTime(1000),
         };
         assert_eq!(lease.bytes(), 175);
         assert_eq!(lease.servers(), vec![ServerId(1), ServerId(2)]);
@@ -242,7 +241,8 @@ mod tests {
         let mut st = broker.store().state.lock();
         st.replicas.get_mut(&lease.id).unwrap().deficit += 4096;
         drop(st);
-        broker.renew(&mut clock, lease.id).unwrap();
+        // any mutating call re-verifies
+        broker.request_lease(&mut clock, db, 4096).unwrap();
         let seen = aud.violations();
         assert!(
             seen.iter().any(|v| v.invariant == "replica-conservation"

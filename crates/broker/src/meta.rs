@@ -25,14 +25,12 @@ pub(crate) struct MetaState {
     pub available: BTreeMap<ServerId, Vec<MrHandle>>,
     /// All leases ever granted, with their current state.
     pub leases: BTreeMap<LeaseId, (Lease, LeaseState)>,
-    /// Leases whose holder runs a background renewal daemon: they never
-    /// lapse by timeout, only by revocation or release.
-    pub auto_renewed: BTreeSet<LeaseId>,
     /// Donors known to be down; excluded from grants until
     /// `server_recovered`.
     pub failed_servers: BTreeSet<ServerId>,
-    /// MRs an auto-renewed lease lost to a donor crash, awaiting
-    /// `repair_lease`. The lease itself stays Active (degraded).
+    /// MRs a lease lost to a donor crash, awaiting `repair_lease` (or, for
+    /// a replicated lease, the last copy of a slot, awaiting
+    /// `re_replicate`). The lease itself stays Active (degraded).
     pub lost_mrs: BTreeMap<LeaseId, Vec<MrHandle>>,
     /// Two-phase reclaim: leases notified of memory pressure on a donor,
     /// with the deadline after which the broker revokes unilaterally.
@@ -57,12 +55,25 @@ impl MetaState {
     /// `lost_mrs` died with their donor and will never be repaired now, so
     /// they count as wiped.
     pub(crate) fn lease_terminal(&mut self, id: LeaseId) {
-        self.auto_renewed.remove(&id);
         self.pending_revocations.remove(&id);
         self.replicas.remove(&id);
         if let Some(lost) = self.lost_mrs.remove(&id) {
             self.wiped_bytes += lost.iter().map(|m| m.len).sum::<u64>();
         }
+    }
+
+    /// Push `mrs` back onto the tail of their donors' pools, in order.
+    pub(crate) fn return_to_pools(&mut self, mrs: impl IntoIterator<Item = MrHandle>) {
+        for mr in mrs {
+            self.available.entry(mr.server).or_default().push(mr);
+        }
+    }
+
+    /// Unleased bytes on one donor.
+    pub(crate) fn free_on(&self, server: ServerId) -> u64 {
+        self.available
+            .get(&server)
+            .map_or(0, |v| v.iter().map(|m| m.len).sum())
     }
 }
 
@@ -90,12 +101,7 @@ impl MetaStore {
 
     /// Bytes currently available on one donor.
     pub fn available_bytes_on(&self, server: ServerId) -> u64 {
-        self.state
-            .lock()
-            .available
-            .get(&server)
-            .map(|v| v.iter().map(|m| m.len).sum())
-            .unwrap_or(0)
+        self.state.lock().free_on(server)
     }
 
     /// Number of active leases.
@@ -135,7 +141,6 @@ mod tests {
         let store = MetaStore::new();
         let mut st = store.state.lock();
         let id = LeaseId(7);
-        st.auto_renewed.insert(id);
         st.pending_revocations
             .insert(id, (ServerId(1), SimTime(10)));
         st.lost_mrs.insert(
@@ -147,7 +152,6 @@ mod tests {
             }],
         );
         st.lease_terminal(id);
-        assert!(st.auto_renewed.is_empty());
         assert!(st.pending_revocations.is_empty());
         assert!(st.lost_mrs.is_empty());
         assert_eq!(st.wiped_bytes, 4096);

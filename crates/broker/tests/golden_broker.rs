@@ -139,13 +139,8 @@ impl Script {
         self.log(&format!("donate M{donor}"), mrs(&given));
     }
 
-    /// Record a grant; a granted lease gets a renewal daemon, as every
-    /// holder's does.
     fn grant(&mut self, what: &str, r: Result<Lease, BrokerError>) -> Option<LeaseId> {
         let id = r.as_ref().ok().map(|l| l.id);
-        if let Some(id) = id {
-            self.pack.enable_auto_renew(id);
-        }
         let shown = shown(r, |l| format!("L{} {}", l.id.0, mrs(&l.mrs)));
         self.log(what, shown);
         id
@@ -225,7 +220,6 @@ fn golden() -> String {
     let mut granted = Vec::new();
     for _ in 0..66 {
         let l = s.pack.request_lease(&mut s.clock, db, MR).unwrap();
-        s.pack.enable_auto_renew(l.id);
         granted.push(format!("L{} {}", l.id.0, mrs(&l.mrs)));
         ids.push(l.id);
     }

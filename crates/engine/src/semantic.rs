@@ -201,10 +201,6 @@ impl SemanticCache {
             self.meter(|m| m.invalidations.add(invalidated));
         }
     }
-
-    pub fn is_valid(&self, name: &str) -> bool {
-        self.mvs.read().get(name).map(|e| e.valid).unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -214,6 +210,10 @@ mod tests {
     use crate::exec::int_row;
     use remem_sim::{Clock, CpuPool};
     use remem_storage::RamDisk;
+
+    fn mv_valid(sc: &SemanticCache, name: &str) -> bool {
+        sc.mvs.read().get(name).is_some_and(|e| e.valid)
+    }
 
     fn parts() -> (SemanticCache, Clock, CpuPool, CpuCosts) {
         (
@@ -277,9 +277,9 @@ mod tests {
         )
         .unwrap();
         sc.notify_update(TableId(0));
-        assert!(!sc.is_valid("inv"));
-        assert!(sc.is_valid("snap"));
-        assert!(sc.is_valid("other"), "unrelated views unaffected");
+        assert!(!mv_valid(&sc, "inv"));
+        assert!(mv_valid(&sc, "snap"));
+        assert!(mv_valid(&sc, "other"), "unrelated views unaffected");
         // invalidated view no longer served
         assert!(sc.get_mv(&mut ctx, "inv").unwrap().is_none());
     }

@@ -835,20 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_renew_keeps_long_lived_files_alive() {
-        let c = cluster(1, 2, PlacementPolicy::Pack);
-        let mut clock = Clock::new();
-        let f = mk_file(&c, MR, RFileConfig::custom(), &mut clock);
-        let lease_dur = c.broker.config().lease_duration;
-        let mut buf = [0u8; 8];
-        // access the file over 10 lease windows; auto-renew must keep it valid
-        for _ in 0..100 {
-            clock.advance(lease_dur / 10 * 9 / 10);
-            f.read(&mut clock, 0, &mut buf).unwrap();
-        }
-    }
-
-    #[test]
     fn staged_is_cheaper_than_dynamic_for_page_io() {
         let page = vec![0u8; 8192];
         let mut staged_t = SimDuration::ZERO;

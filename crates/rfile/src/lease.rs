@@ -50,9 +50,6 @@ impl FileState {
             broker.request_lease(clock, local, size)
         }
         .map_err(refused)?;
-        // the holder's renewal daemon keeps the lease alive between
-        // accesses (idle files must not lapse mid-workload)
-        broker.enable_auto_renew(lease.id);
         // Replicated extent map: strictly one extent per replica group, in
         // slot order, backed by the group's preferred (first) member at
         // `mr_off = 0`. All members of a group have equal length, so a file
@@ -107,14 +104,13 @@ impl FileState {
 }
 
 impl RemoteFile {
-    /// Check lease validity. The holder's background renewal daemon
-    /// (registered at create time) keeps the lease alive, so only
-    /// revocation or release can invalidate it. Self-healing files additionally answer revocation notices
-    /// here (migrating off the pressured donor inside the grace window) and
+    /// Check lease validity: a lease holds until released or revoked.
+    /// Self-healing files additionally answer revocation notices here
+    /// (migrating off the pressured donor inside the grace window) and
     /// re-acquire a lost lease from scratch.
     pub(crate) fn ensure_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let id = self.state.lock().lease.id;
-        let mut health = self.broker.lease_health(id, clock.now());
+        let mut health = self.broker.lease_health(id);
         if let Some((server, _)) = health
             .notice
             .filter(|&(_, deadline)| clock.now() < deadline)
@@ -129,13 +125,12 @@ impl RemoteFile {
                 // deadline and the full re-lease path takes over
                 let _ = self.migrate_off(clock, server);
             }
-            health = self.broker.lease_health(id, clock.now());
+            health = self.broker.lease_health(id);
         }
         if let Some(epoch) = health.epoch {
             self.adopt_epoch(id, epoch);
         }
-        // a lapsed lease reads invalid; `is_valid` is what expires it
-        if !health.valid && !self.broker.is_valid(id, clock.now()) {
+        if !health.valid {
             if self.cfg.self_heal {
                 return self.try_repair(clock);
             }
@@ -252,7 +247,7 @@ impl RemoteFile {
 
     /// Self-heal after a fatal fault, gated by exponential backoff:
     /// re-lease dead stripes (donor crash) or re-acquire the whole lease
-    /// (revocation/expiry). Repaired ranges come back zeroed and are
+    /// (revocation). Repaired ranges come back zeroed and are
     /// reported through [`Device::drain_lost_ranges`].
     pub(crate) fn try_repair(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let id = {
@@ -262,7 +257,7 @@ impl RemoteFile {
             }
             st.lease.id
         };
-        let outcome = if self.broker.is_valid(id, clock.now()) {
+        let outcome = if self.broker.lease_health(id).valid {
             if self.replicated() {
                 self.heal_replicas(clock)
             } else {
@@ -326,7 +321,7 @@ impl RemoteFile {
         Ok(())
     }
 
-    /// The lease itself is gone (revoked or expired): acquire a fresh one
+    /// The lease itself is gone (revoked): acquire a fresh one
     /// covering the whole file. All contents are lost.
     fn relearn_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let refused = |e| unavailable(format!("re-lease failed: {e}"));
