@@ -965,13 +965,7 @@ impl MemoryBroker {
             let Some((lease, _)) = st.leases.get_mut(&id) else {
                 continue;
             };
-            let dead: Vec<MrHandle> = lease
-                .mrs
-                .iter()
-                .filter(|m| m.server == server)
-                .copied()
-                .collect();
-            lease.mrs.retain(|m| m.server != server);
+            let on_dead = |m: &MrHandle| m.server == server;
             let lost = match st.replicas.get_mut(&id) {
                 Some(rs) => {
                     let mut lost = Vec::new();
@@ -986,8 +980,9 @@ impl MemoryBroker {
                     rs.bump_epoch();
                     lost
                 }
-                None => dead,
+                None => lease.mrs.iter().copied().filter(on_dead).collect(),
             };
+            lease.mrs.retain(|m| !on_dead(m));
             if !lost.is_empty() {
                 st.lost_mrs.entry(id).or_default().extend(lost);
             }
