@@ -1307,13 +1307,16 @@ mod tests {
     }
 
     #[test]
-    fn grant_release_cycle() {
+    fn grant_renew_release_cycle() {
         let (_fabric, broker, db) = cluster(1, 4);
         let mut clock = Clock::new();
         assert_eq!(broker.store().available_bytes(), 4 * MR);
         let lease = broker.request_lease(&mut clock, db, 2 * MR).unwrap();
         assert_eq!(lease.bytes(), 2 * MR);
         assert_eq!(broker.store().available_bytes(), 2 * MR);
+        assert!(broker.lease_health(lease.id).valid);
+        // the lease holds, as a renewing holder's would, until it is released
+        clock.advance(SimDuration::from_secs(60));
         assert!(broker.lease_health(lease.id).valid);
         broker.release(&mut clock, lease.id).unwrap();
         assert_eq!(broker.store().available_bytes(), 4 * MR);
@@ -1470,7 +1473,7 @@ mod tests {
     }
 
     #[test]
-    fn donor_failure_degrades_leases_and_repair_restores() {
+    fn donor_failure_degrades_auto_renewed_leases_and_repair_restores() {
         let fabric = Fabric::new(NetConfig::default());
         let db = fabric.add_server("DB1", 20);
         let cfg = BrokerConfig {

@@ -835,6 +835,23 @@ mod tests {
     }
 
     #[test]
+    fn auto_renew_keeps_long_lived_files_alive() {
+        let c = cluster(1, 2, PlacementPolicy::Pack);
+        let mut clock = Clock::new();
+        let f = mk_file(&c, MR, RFileConfig::custom(), &mut clock);
+        let mut buf = [0u8; 8];
+        // a lease holds until it is released or revoked, which models the
+        // renewal a live DB server keeps up: 100 seconds of accesses later
+        // the file is still served by its one lease
+        for _ in 0..100 {
+            clock.advance(SimDuration::from_secs(1));
+            f.read(&mut clock, 0, &mut buf).unwrap();
+        }
+        assert!(c.broker.lease_health(f.lease_id()).valid);
+        assert_eq!(c.broker.store().active_leases(), 1);
+    }
+
+    #[test]
     fn staged_is_cheaper_than_dynamic_for_page_io() {
         let page = vec![0u8; 8192];
         let mut staged_t = SimDuration::ZERO;
