@@ -19,10 +19,8 @@
 
 use std::sync::Arc;
 
-use remem::{
-    Cluster, ColType, DbOptions, Design, FaultLog, FaultOrigin, PlacementPolicy, Schema, Value,
-};
-use remem_bench::Report;
+use remem::{ColType, DbOptions, Design, FaultLog, FaultOrigin, PlacementPolicy, Schema, Value};
+use remem_bench::{Arm, Report};
 use remem_engine::{Database, Row};
 use remem_sim::rng::SimRng;
 use remem_sim::Clock;
@@ -64,8 +62,9 @@ struct RunOutcome {
 }
 
 /// One full crash lifecycle at replication factor `k`.
-fn lifecycle(k: usize) -> RunOutcome {
-    let cluster = Cluster::builder()
+fn lifecycle(&k: &usize, arm: &mut Arm) -> RunOutcome {
+    let cluster = arm
+        .cluster()
         .memory_servers(3)
         .memory_per_server(96 << 20)
         .placement(PlacementPolicy::Spread)
@@ -76,7 +75,6 @@ fn lifecycle(k: usize) -> RunOutcome {
         pool_bytes: 1 << 20,
         replicas: k,
         fault_log: Some(Arc::clone(&log)),
-        metrics: None,
         ..DbOptions::small()
     };
     let db = Design::Custom
@@ -93,18 +91,13 @@ fn lifecycle(k: usize) -> RunOutcome {
             0,
         )
         .unwrap();
-    for key in 0..ROWS {
-        db.insert(
-            &mut clock,
-            t,
-            Row::new(vec![
-                Value::Int(key),
-                Value::Int(key * 3),
-                Value::Str("p".repeat(180)),
-            ]),
-        )
-        .unwrap();
-    }
+    arm.load(|| {
+        for key in 0..ROWS {
+            let pad = Value::Str("p".repeat(180));
+            let row = Row::new(vec![Value::Int(key), Value::Int(key * 3), pad]);
+            db.insert(&mut clock, t, row).unwrap();
+        }
+    });
     let mut rng = SimRng::seeded(27);
     // warm the extension before measuring
     window(&db, &mut clock, t, &mut rng);
@@ -137,8 +130,8 @@ fn main() {
         "donor crash on replicated remote memory: failover + re-replication vs single-copy re-fetch",
     );
 
-    let replicated = lifecycle(2);
-    let single = lifecycle(1);
+    let runs = report.arms(&[2usize, 1], |k| format!("k={k}"), lifecycle);
+    let [replicated, single] = <[RunOutcome; 2]>::try_from(runs).ok().expect("two arms");
 
     let mut rows = Vec::new();
     for (run, o) in [("k=2", &replicated), ("k=1", &single)] {

@@ -12,10 +12,10 @@
 use std::sync::Arc;
 
 use remem::{
-    Cluster, ColType, DbOptions, Design, FaultInjector, FaultLog, PlacementPolicy, Schema,
-    SimDuration, SimTime, Value,
+    ColType, DbOptions, Design, FaultInjector, FaultLog, PlacementPolicy, Schema, SimDuration,
+    SimTime, Value,
 };
-use remem_bench::Report;
+use remem_bench::{Arm, Report};
 use remem_engine::{Database, Row};
 use remem_sim::rng::SimRng;
 use remem_sim::Clock;
@@ -54,24 +54,20 @@ struct Phase {
     suspended: bool,
 }
 
-fn main() {
-    let mut report = Report::new(
-        "repro_fault_recovery",
-        "Fault recovery",
-        "throughput timeline across fault injection and self-healing",
-    );
-    let cluster = Cluster::builder()
+/// The whole lifecycle on one cluster: the timeline's rows, each phase, and
+/// the fault log's summary.
+fn lifecycle(arm: &mut Arm) -> (Vec<Vec<String>>, Vec<Phase>, String) {
+    let cluster = arm
+        .cluster()
         .memory_servers(3)
         .memory_per_server(64 << 20)
         .placement(PlacementPolicy::Spread)
-        .metrics(report.registry())
         .build();
     let mut clock = Clock::new();
     let log = Arc::new(FaultLog::new());
     let opts = DbOptions {
         pool_bytes: 1 << 20,
         fault_log: Some(Arc::clone(&log)),
-        metrics: None,
         ..DbOptions::small()
     };
     let db = Design::Custom
@@ -88,18 +84,13 @@ fn main() {
             0,
         )
         .unwrap();
-    for k in 0..ROWS {
-        db.insert(
-            &mut clock,
-            t,
-            Row::new(vec![
-                Value::Int(k),
-                Value::Int(k * 3),
-                Value::Str("p".repeat(180)),
-            ]),
-        )
-        .unwrap();
-    }
+    arm.load(|| {
+        for k in 0..ROWS {
+            let pad = Value::Str("p".repeat(180));
+            let row = Row::new(vec![Value::Int(k), Value::Int(k * 3), pad]);
+            db.insert(&mut clock, t, row).unwrap();
+        }
+    });
     let mut rng = SimRng::seeded(26);
     // warm the extension before measuring
     window(&db, &mut clock, t, &mut rng);
@@ -155,7 +146,19 @@ fn main() {
     clock.advance(SimDuration::from_secs(30));
     measure("donors restarted", &db, &mut clock, &mut rng);
     measure("(re-attached)", &db, &mut clock, &mut rng);
+    (rows, phases, log.summary())
+}
 
+fn main() {
+    let mut report = Report::new(
+        "repro_fault_recovery",
+        "Fault recovery",
+        "throughput timeline across fault injection and self-healing",
+    );
+    // one arm: the whole lifecycle runs on one cluster
+    let (rows, phases, fault_log) = report
+        .arms(&["Custom"], |l| l.to_string(), |_, arm| lifecycle(arm))
+        .remove(0);
     report.table(
         "timeline (each row is one measurement window):",
         &["phase", "t ms", "scans/s", "ext hit", "extension"],
@@ -164,7 +167,7 @@ fn main() {
 
     report.blank();
     report.note("fault log (injected vs observed vs recovered):");
-    for line in log.summary().lines() {
+    for line in fault_log.lines() {
         report.note(line.to_string());
     }
 

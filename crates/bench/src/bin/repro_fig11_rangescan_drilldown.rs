@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
-use remem::{Cluster, Design, Device};
+use remem::{Design, Device};
 use remem_bench::{rangescan_opts, windowed_util, Report};
 use remem_engine::{Database, DbConfig, DeviceSet};
 use remem_rfile::RFileConfig;
-use remem_sim::{Clock, MetricsRegistry, SimDuration};
+use remem_sim::{Clock, SimDuration};
 use remem_storage::{HddArray, HddConfig, Ssd, SsdConfig};
 use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
@@ -26,104 +26,107 @@ fn main() {
         "Fig 11",
         "RangeScan drill-down: I/O MB/s, CPU %, BPExt I/O latency",
     );
+    let designs = [Design::HddSsd, Design::SmbDirectRamDrive, Design::Custom];
+    let runs = report.arms(
+        &designs,
+        |d| d.label().to_string(),
+        |&design, arm| {
+            let opts = rangescan_opts(20);
+            let cluster = arm
+                .cluster()
+                .memory_servers(2)
+                .memory_per_server(96 << 20)
+                .build();
+            let mut clock = Clock::new();
+            // build the design manually: the other roles stay fixed local
+            // devices whatever the BPExt is
+            let mut remote = |cfg| {
+                let size = opts.bpext_bytes;
+                cluster
+                    .remote_file(&mut clock, cluster.db_server, size, cfg)
+                    .unwrap()
+            };
+            let ext: Arc<dyn Device> = match design {
+                Design::HddSsd => Arc::new(Ssd::new(SsdConfig::with_capacity(opts.bpext_bytes))),
+                Design::SmbDirectRamDrive => remote(RFileConfig::smb_direct()),
+                _ => remote(RFileConfig::custom()),
+            };
+            // the engine meters every role; the figure reads the BPExt
+            let mut cfg = DbConfig::with_pool(opts.pool_bytes);
+            cfg.metrics = cluster.metrics();
+            let db = Database::new(
+                cfg,
+                cluster
+                    .fabric
+                    .server(cluster.db_server)
+                    .unwrap()
+                    .cpu_handle(),
+                DeviceSet {
+                    data: Arc::new(HddArray::new(HddConfig::with_spindles(20, opts.data_bytes))),
+                    log: Arc::new(HddArray::new(HddConfig::with_spindles(20, 64 << 20))),
+                    tempdb: Arc::new(Ssd::new(SsdConfig::with_capacity(opts.tempdb_bytes))),
+                    bpext: Some(ext),
+                    wal_ring: None,
+                },
+            );
+            let t = arm.load(|| load_customer(&db, &mut clock, ROWS));
+            let registry = arm.registry();
+            let bytes = [
+                registry.counter("storage.bpext.read.bytes"),
+                registry.counter("storage.bpext.write.bytes"),
+            ];
+            let moved = || bytes.iter().map(|c| c.get()).sum::<u64>();
+            let read_lat = registry.histogram("storage.bpext.read.lat");
+            let cpu = db.cpu();
+            let mut start = clock.now();
+            let mut rows = Vec::new();
+            let mut last = (0.0, 0.0, 0.0); // MB/s, CPU %, read latency us
+            for w in 0..WINDOWS {
+                let (moved0, reads0) = (moved(), read_lat.len());
+                let u0 = cpu.utilization(start);
+                run_rangescan(
+                    &db,
+                    t,
+                    &RangeScanParams {
+                        workers: 80,
+                        duration: WINDOW,
+                        ..Default::default()
+                    },
+                    start,
+                );
+                let end = start + WINDOW;
+                let u1 = cpu.utilization(end);
+                let lat = &read_lat.raw_samples()[reads0..];
+                let mean_ns = lat.iter().sum::<u64>() / lat.len().max(1) as u64;
+                last = (
+                    (moved() - moved0) as f64 / WINDOW.as_secs_f64() / 1e6,
+                    windowed_util(u1, end, u0, start) * 100.0,
+                    SimDuration::from_nanos(mean_ns).as_micros_f64(),
+                );
+                rows.push(vec![
+                    format!("{:.1}", (w as f64 + 1.0) * WINDOW.as_secs_f64()),
+                    format!("{:.0}", last.0),
+                    format!("{:.0}", last.1),
+                    format!("{:.0}", last.2),
+                ]);
+                start = end;
+            }
+            (rows, last)
+        },
+    );
     // steady-state (last window) numbers per design, for checks and gauges
     let mut steady_mbs = Vec::new();
     let mut steady_cpu = Vec::new();
     let mut steady_lat = Vec::new();
-    for design in [Design::HddSsd, Design::SmbDirectRamDrive, Design::Custom] {
-        let opts = rangescan_opts(20);
-        let cluster = Cluster::builder()
-            .memory_servers(2)
-            .memory_per_server(96 << 20)
-            .build();
-        let mut clock = Clock::new();
-        // build the design manually: the other roles stay fixed local
-        // devices whatever the BPExt is
-        let ext: Arc<dyn Device> = match design {
-            Design::HddSsd => Arc::new(Ssd::new(SsdConfig::with_capacity(opts.bpext_bytes))),
-            Design::SmbDirectRamDrive => cluster
-                .remote_file(
-                    &mut clock,
-                    cluster.db_server,
-                    opts.bpext_bytes,
-                    RFileConfig::smb_direct(),
-                )
-                .unwrap(),
-            _ => cluster
-                .remote_file(
-                    &mut clock,
-                    cluster.db_server,
-                    opts.bpext_bytes,
-                    RFileConfig::custom(),
-                )
-                .unwrap(),
-        };
-        // a registry of the figure's own, so the report's metrics dump stays
-        // empty; the engine meters every role, the figure reads the BPExt
-        let registry = MetricsRegistry::shared();
-        let mut cfg = DbConfig::with_pool(opts.pool_bytes);
-        cfg.metrics = Some(Arc::clone(&registry));
-        let db = Database::new(
-            cfg,
-            cluster
-                .fabric
-                .server(cluster.db_server)
-                .unwrap()
-                .cpu_handle(),
-            DeviceSet {
-                data: Arc::new(HddArray::new(HddConfig::with_spindles(20, opts.data_bytes))),
-                log: Arc::new(HddArray::new(HddConfig::with_spindles(20, 64 << 20))),
-                tempdb: Arc::new(Ssd::new(SsdConfig::with_capacity(opts.tempdb_bytes))),
-                bpext: Some(ext),
-                wal_ring: None,
-            },
-        );
-        let t = load_customer(&db, &mut clock, ROWS);
-        let bytes = [
-            registry.counter("storage.bpext.read.bytes"),
-            registry.counter("storage.bpext.write.bytes"),
-        ];
-        let read_lat = registry.histogram("storage.bpext.read.lat");
-        let mut rows = Vec::new();
-        let cpu = db.cpu();
-        let mut start = clock.now();
-        let (mut last_mbs, mut last_cpu, mut last_lat) = (0.0, 0.0, 0.0);
-        for w in 0..WINDOWS {
-            bytes.iter().for_each(|c| c.reset());
-            read_lat.reset();
-            let u0 = cpu.utilization(start);
-            run_rangescan(
-                &db,
-                t,
-                &RangeScanParams {
-                    workers: 80,
-                    duration: WINDOW,
-                    ..Default::default()
-                },
-                start,
-            );
-            let end = start + WINDOW;
-            let u1 = cpu.utilization(end);
-            let moved: u64 = bytes.iter().map(|c| c.get()).sum();
-            last_mbs = moved as f64 / WINDOW.as_secs_f64() / 1e6;
-            last_cpu = windowed_util(u1, end, u0, start) * 100.0;
-            last_lat = read_lat.mean().as_micros_f64();
-            rows.push(vec![
-                format!("{:.1}", (w as f64 + 1.0) * WINDOW.as_secs_f64()),
-                format!("{last_mbs:.0}"),
-                format!("{last_cpu:.0}"),
-                format!("{last_lat:.0}"),
-            ]);
-            start = end;
-        }
+    for (design, (rows, (mbs, cpu, lat))) in designs.iter().zip(runs) {
         report.table(
             &format!("--- {} ---", design.label()),
             &["t (s)", "BPExt MB/s", "CPU %", "read latency us"],
             rows,
         );
-        steady_mbs.push((design.label().to_string(), last_mbs));
-        steady_cpu.push((design.label().to_string(), last_cpu));
-        steady_lat.push((design.label().to_string(), last_lat));
+        steady_mbs.push((design.label().to_string(), mbs));
+        steady_cpu.push((design.label().to_string(), cpu));
+        steady_lat.push((design.label().to_string(), lat));
     }
     report.series("steady_bpext_mbs", &steady_mbs);
     report.series("steady_cpu_pct", &steady_cpu);

@@ -4,51 +4,34 @@
 //! Paper: throughput rises / latency falls as the extension approaches the
 //! data size, identically whether the memory comes from one server or many.
 
-use remem::{Cluster, DbOptions, Design, PlacementPolicy};
-use remem_bench::Report;
-use remem_sim::{Clock, SimDuration};
-use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
+use remem::{DbOptions, Design, PlacementPolicy};
+use remem_bench::{rangescan_arm, Arm, Report};
 
 const ROWS: u64 = 110_000; // ~28 MiB of customer rows ("110 GB" scaled)
 const PER_DONOR: u64 = 16 << 20;
 
-fn run(ext_mb: u64, spread: bool) -> (f64, f64) {
-    let donors = if spread {
-        (ext_mb >> 4).max(1) as usize + 1
+fn run(ext_mb: u64, spread: bool, arm: &mut Arm) -> (f64, f64) {
+    let (donors, per_donor, placement) = if spread {
+        (
+            (ext_mb >> 4).max(1) as usize + 1,
+            PER_DONOR,
+            PlacementPolicy::Spread,
+        )
     } else {
-        2
+        (2, 192 << 20, PlacementPolicy::Pack)
     };
-    let per_donor = if spread { PER_DONOR } else { 192 << 20 };
-    let cluster = Cluster::builder()
+    let cluster = arm
+        .cluster()
         .memory_servers(donors)
         .memory_per_server(per_donor)
-        .placement(if spread {
-            PlacementPolicy::Spread
-        } else {
-            PlacementPolicy::Pack
-        })
-        .build();
+        .placement(placement);
     let opts = DbOptions {
         pool_bytes: 4 << 20,
         bpext_bytes: ext_mb << 20,
         tempdb_bytes: 4 << 20,
         ..DbOptions::small()
     };
-    let mut clock = Clock::new();
-    let db = Design::Custom
-        .build(&cluster, &mut clock, &opts)
-        .expect("build");
-    let t = load_customer(&db, &mut clock, ROWS);
-    let s = run_rangescan(
-        &db,
-        t,
-        &RangeScanParams {
-            workers: 80,
-            duration: SimDuration::from_millis(400),
-            ..Default::default()
-        },
-        clock.now(),
-    );
+    let s = rangescan_arm(arm, cluster, Design::Custom, &opts, ROWS, 0.0);
     (s.throughput_per_sec, s.mean_latency_us / 1000.0)
 }
 
@@ -59,12 +42,20 @@ fn main() {
         "RangeScan vs BPExt size: one donor vs memory pooled from many",
     );
     let sizes = [4u64, 8, 12, 16, 24, 32];
+    let arms: Vec<(u64, bool)> = sizes
+        .iter()
+        .flat_map(|&mb| [(mb, false), (mb, true)])
+        .collect();
+    let runs = report.arms(
+        &arms,
+        |&(mb, spread)| format!("{mb} MiB {}", if spread { "N-donor" } else { "1-donor" }),
+        |&(mb, spread), arm| run(mb, spread, arm),
+    );
     let mut rows = Vec::new();
     let mut one_donor = Vec::new();
     let mut n_donor = Vec::new();
-    for &mb in &sizes {
-        let (t1, l1) = run(mb, false);
-        let (tn, ln) = run(mb, true);
+    for (mb, pair) in sizes.iter().zip(runs.chunks(2)) {
+        let [(t1, l1), (tn, ln)] = [pair[0], pair[1]];
         rows.push(vec![
             format!("{mb}"),
             format!("{t1:.0}"),

@@ -10,8 +10,8 @@
 //! remote page access plus think time), so both workloads stay finely
 //! interleaved in virtual time.
 
-use remem::{Cluster, DbOptions, Design, Protocol, RFileConfig};
-use remem_bench::Report;
+use remem::{DbOptions, Design, Protocol, RFileConfig};
+use remem_bench::{Arm, Report};
 use remem_sim::rng::SimRng;
 use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimDuration, SimTime};
 use remem_workloads::rangescan::{load_customer, one_query};
@@ -21,8 +21,9 @@ const SB_WORKERS: usize = 200; // saturate SB's 20 cores
 const SA_WORKERS: usize = 80;
 const SA_THINK: SimDuration = SimDuration::from_micros(10);
 
-fn run_config(proto: Option<Protocol>) -> (f64, f64, f64) {
-    let cluster = Cluster::builder()
+fn run_config(proto: Option<Protocol>, arm: &mut Arm) -> (f64, f64, f64) {
+    let cluster = arm
+        .cluster()
         .memory_servers(1)
         .memory_per_server(128 << 20)
         .build();
@@ -40,7 +41,7 @@ fn run_config(proto: Option<Protocol>) -> (f64, f64, f64) {
     let sb_db = Design::LocalMemory
         .build_for(&cluster, &mut clock, sb, &sb_opts)
         .expect("SB");
-    let sb_table = load_customer(&sb_db, &mut clock, 40_000);
+    let sb_table = arm.load(|| load_customer(&sb_db, &mut clock, 40_000));
 
     // SA's BPExt: a remote file on SB, accessed page-by-page
     let sa_file = proto.map(|p| {
@@ -95,15 +96,20 @@ fn main() {
         "Fig 13",
         "impact of remote accesses on the memory server's own workload",
     );
-    let mut rows = Vec::new();
-    let mut tput = Vec::new();
-    let mut p99 = Vec::new();
-    for (label, proto) in [
+    let configs = [
         ("Default (no remote use)", None),
         ("RDMA (Custom)", Some(Protocol::Custom)),
         ("TCP (SMB)", Some(Protocol::SmbTcp)),
-    ] {
-        let (t, mean, p) = run_config(proto);
+    ];
+    let runs = report.arms(
+        &configs,
+        |(label, _)| label.to_string(),
+        |&(_, proto), arm| run_config(proto, arm),
+    );
+    let mut rows = Vec::new();
+    let mut tput = Vec::new();
+    let mut p99 = Vec::new();
+    for ((label, _), (t, mean, p)) in configs.iter().zip(runs) {
         rows.push(vec![
             label.to_string(),
             format!("{t:.0}"),

@@ -12,12 +12,12 @@
 
 use std::sync::Arc;
 
-use remem::{Cluster, Design, Device};
+use remem::{Design, Device};
 use remem_bench::{windowed_util, Report};
 use remem_engine::{Database, DbConfig, DeviceSet};
 use remem_rfile::RFileConfig;
 use remem_sim::metrics::TimeSeries;
-use remem_sim::{Clock, SimDuration, SpanToken, Stopwatch};
+use remem_sim::{Clock, SimDuration, SpanToken};
 use remem_storage::{HddArray, HddConfig, Io, IoKind, IoObserver, Observed, Ssd, SsdConfig};
 use remem_workloads::hashsort::{load_tables, run_hash_sort, HashSortParams};
 
@@ -63,84 +63,85 @@ fn main() {
         seed: 7,
     };
     let tempdb_bytes: u64 = 3 << 30;
+    let runs = report.arms(
+        &Design::ALL,
+        |d| d.label().to_string(),
+        |&design, arm| {
+            let cluster = arm
+                .cluster()
+                .memory_servers(2)
+                .memory_per_server(1 << 31)
+                .mr_bytes(16 << 20)
+                .build();
+            let mut clock = Clock::new();
+            // build manually so TempDB is wrapped in the time-series recorder
+            let mut remote = |cfg| {
+                let size = tempdb_bytes / 2;
+                cluster
+                    .remote_file(&mut clock, cluster.db_server, size, cfg)
+                    .unwrap()
+            };
+            let tempdb_inner: Arc<dyn Device> = match design {
+                Design::Hdd => Arc::new(HddArray::new(HddConfig::with_spindles(20, tempdb_bytes))),
+                Design::HddSsd | Design::LocalMemory => {
+                    Arc::new(Ssd::new(SsdConfig::with_capacity(tempdb_bytes)))
+                }
+                Design::SmbRamDrive => remote(RFileConfig::smb_tcp()),
+                Design::SmbDirectRamDrive => remote(RFileConfig::smb_direct()),
+                Design::Custom => remote(RFileConfig::custom()),
+            };
+            let tempdb = series_device(tempdb_inner);
+            let pool = match design {
+                Design::LocalMemory => (1u64 << 30) + (512 << 20), // remote budget added locally
+                _ => 1 << 30,
+            };
+            let mut cfg = DbConfig::with_pool(pool);
+            cfg.workspace_bytes = 192 << 20; // grants capped at 48 MiB
+            cfg.metrics = cluster.metrics();
+            let db = Database::new(
+                cfg,
+                cluster
+                    .fabric
+                    .server(cluster.db_server)
+                    .unwrap()
+                    .cpu_handle(),
+                DeviceSet {
+                    data: Arc::new(HddArray::new(HddConfig::with_spindles(20, 2 << 30))),
+                    log: Arc::new(HddArray::new(HddConfig::with_spindles(20, 256 << 20))),
+                    tempdb: Arc::clone(&tempdb) as Arc<dyn Device>,
+                    bpext: None,
+                    wal_ring: None,
+                },
+            );
+            let tables = arm.load(|| load_tables(&db, &mut clock, &params));
+            let t0 = clock.now();
+            let u0 = db.cpu().utilization(t0);
+            let r = run_hash_sort(&db, &mut clock, tables, params.top_n);
+            let t1 = clock.now();
+            let u1 = db.cpu().utilization(t1);
+            let cpu_pct = windowed_util(u1, t1, u0, t0) * 100.0;
+            // Fig 14b: the TempDB's MB/s per 100 ms bucket from the query's start
+            let reads = tempdb.observer().reads.rates_per_sec();
+            let writes = tempdb.observer().writes.rates_per_sec();
+            let first = (t0.as_nanos() / 100_000_000) as usize;
+            let drilldown = (first..reads.len().max(writes.len()))
+                .map(|i| {
+                    let r = reads.get(i).copied().unwrap_or(0.0) / 1e6;
+                    let w = writes.get(i).copied().unwrap_or(0.0) / 1e6;
+                    let t = (i - first) as f64 * 0.1;
+                    vec![format!("{t:.1}"), format!("{r:.0}"), format!("{w:.0}")]
+                })
+                .collect();
+            (r, cpu_pct, db.tempdb().high_water_bytes(), drilldown)
+        },
+    );
     let mut rows = Vec::new();
     let mut drilldowns = Vec::new();
     let mut totals = Vec::new();
     let mut cpus = Vec::new();
-    let mut wall = Vec::new();
     let mut high_water = Vec::new();
-    for design in Design::ALL {
-        let cluster = Cluster::builder()
-            .memory_servers(2)
-            .memory_per_server(1 << 31)
-            .mr_bytes(16 << 20)
-            .build();
-        let mut clock = Clock::new();
-        // build manually so TempDB is wrapped in the time-series recorder
-        let tempdb_inner: Arc<dyn Device> = match design {
-            Design::Hdd => Arc::new(HddArray::new(HddConfig::with_spindles(20, tempdb_bytes))),
-            Design::HddSsd | Design::LocalMemory => {
-                Arc::new(Ssd::new(SsdConfig::with_capacity(tempdb_bytes)))
-            }
-            Design::SmbRamDrive => cluster
-                .remote_file(
-                    &mut clock,
-                    cluster.db_server,
-                    tempdb_bytes / 2,
-                    RFileConfig::smb_tcp(),
-                )
-                .unwrap(),
-            Design::SmbDirectRamDrive => cluster
-                .remote_file(
-                    &mut clock,
-                    cluster.db_server,
-                    tempdb_bytes / 2,
-                    RFileConfig::smb_direct(),
-                )
-                .unwrap(),
-            Design::Custom => cluster
-                .remote_file(
-                    &mut clock,
-                    cluster.db_server,
-                    tempdb_bytes / 2,
-                    RFileConfig::custom(),
-                )
-                .unwrap(),
-        };
-        let tempdb = series_device(tempdb_inner);
-        let pool = match design {
-            Design::LocalMemory => (1u64 << 30) + (512 << 20), // remote budget added locally
-            _ => 1 << 30,
-        };
-        let mut cfg = DbConfig::with_pool(pool);
-        cfg.workspace_bytes = 192 << 20; // grants capped at 48 MiB
-        let db = Database::new(
-            cfg,
-            cluster
-                .fabric
-                .server(cluster.db_server)
-                .unwrap()
-                .cpu_handle(),
-            DeviceSet {
-                data: Arc::new(HddArray::new(HddConfig::with_spindles(20, 2 << 30))),
-                log: Arc::new(HddArray::new(HddConfig::with_spindles(20, 256 << 20))),
-                tempdb: Arc::clone(&tempdb) as Arc<dyn Device>,
-                bpext: None,
-                wal_ring: None,
-            },
-        );
-        let load_wall = Stopwatch::start();
-        let tables = load_tables(&db, &mut clock, &params);
-        let load_ms = load_wall.elapsed_ms();
-        let t0 = clock.now();
-        let u0 = db.cpu().utilization(t0);
-        let run_wall = Stopwatch::start();
-        let r = run_hash_sort(&db, &mut clock, tables, params.top_n);
-        wall.push((design.label().to_string(), load_ms, run_wall.elapsed_ms()));
-        high_water.push((design.label(), db.tempdb().high_water_bytes()));
-        let t1 = clock.now();
-        let u1 = db.cpu().utilization(t1);
-        let cpu_pct = windowed_util(u1, t1, u0, t0) * 100.0;
+    for (design, (r, cpu_pct, high, drilldown)) in Design::ALL.iter().zip(runs) {
+        high_water.push((design.label(), high));
         rows.push(vec![
             design.label().to_string(),
             format!("{:.2}", r.total.as_secs_f64()),
@@ -152,9 +153,7 @@ fn main() {
         totals.push((design.label().to_string(), r.total.as_secs_f64()));
         cpus.push((design.label().to_string(), cpu_pct));
         if matches!(design, Design::HddSsd | Design::Custom) {
-            let reads = tempdb.observer().reads.rates_per_sec();
-            let writes = tempdb.observer().writes.rates_per_sec();
-            drilldowns.push((design.label(), t0, reads, writes));
+            drilldowns.push((design.label(), drilldown));
         }
     }
     report.table(
@@ -169,22 +168,11 @@ fn main() {
         ],
         rows,
     );
-    for (label, t0, reads, writes) in drilldowns {
-        let first = (t0.as_nanos() / 100_000_000) as usize;
-        let mut series = Vec::new();
-        for i in first..reads.len().max(writes.len()) {
-            let r = reads.get(i).copied().unwrap_or(0.0) / 1e6;
-            let w = writes.get(i).copied().unwrap_or(0.0) / 1e6;
-            series.push(vec![
-                format!("{:.1}", (i - first) as f64 * 0.1),
-                format!("{r:.0}"),
-                format!("{w:.0}"),
-            ]);
-        }
+    for (label, rows) in drilldowns {
         report.table(
             &format!("Fig 14b — TempDB I/O during {label} (MB/s per 100 ms bucket):"),
             &["t (s)", "read MB/s", "write MB/s"],
-            series,
+            rows,
         );
     }
     // how much TempDB (for Custom: leased remote memory) the query held at
@@ -195,9 +183,6 @@ fn main() {
             *bytes as f64 / (1 << 20) as f64
         ));
     }
-    // host time per arm and phase: the load is rebuilt identically for every
-    // arm, the run is the spill pipeline's own cost
-    report.wall_clock_notes(&wall);
     report.series("total_latency_s", &totals);
     report.series("cpu_pct", &cpus);
     report.blank();

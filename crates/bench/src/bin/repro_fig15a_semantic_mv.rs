@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use remem::{Cluster, Design, Device, RFileConfig};
-use remem_bench::{dss_opts, Report};
+use remem::{Design, Device, RFileConfig};
+use remem_bench::{dss_opts, Arm, Report};
 use remem_engine::semantic::MvPolicy;
 use remem_sim::Clock;
 use remem_workloads::tpch::{self, TpchParams};
@@ -18,22 +18,21 @@ use remem_workloads::tpch::{self, TpchParams};
 /// Q1, Q3, Q5, Q9, Q10, Q12, Q18).
 const MV_QUERIES: [usize; 7] = [1, 3, 5, 9, 10, 12, 18];
 
-fn main() {
-    let mut report = Report::new(
-        "repro_fig15a_semantic_mv",
-        "Fig 15a",
-        "MV speed-up: base plan vs MV on SSD vs MV in remote memory",
-    );
-    let cluster = Cluster::builder()
+type Speedups = Vec<(String, f64)>;
+
+/// Per MV query: the table row and the MV-on-SSD and MV-in-remote-memory
+/// speed-ups over the base plan, all on one `design` database.
+fn speedups(&design: &Design, arm: &mut Arm) -> (Vec<Vec<String>>, Speedups, Speedups) {
+    let cluster = arm
+        .cluster()
         .memory_servers(2)
         .memory_per_server(192 << 20)
-        .metrics(report.registry())
         .build();
     let mut clock = Clock::new();
-    let db = Design::Custom
+    let db = design
         .build(&cluster, &mut clock, &dss_opts(20))
         .expect("build");
-    let t = tpch::load(&db, &mut clock, &TpchParams::default());
+    let t = arm.load(|| tpch::load(&db, &mut clock, &TpchParams::default()));
 
     let mut rows = Vec::new();
     let mut ssd_factors = Vec::new();
@@ -104,6 +103,19 @@ fn main() {
         ssd_factors.push((format!("Q{q}"), factors[0]));
         remote_factors.push((format!("Q{q}"), factors[1]));
     }
+    (rows, ssd_factors, remote_factors)
+}
+
+fn main() {
+    let mut report = Report::new(
+        "repro_fig15a_semantic_mv",
+        "Fig 15a",
+        "MV speed-up: base plan vs MV on SSD vs MV in remote memory",
+    );
+    // one arm: every query's base plan and both MVs run on one database
+    let (rows, ssd_factors, remote_factors) = report
+        .arms(&[Design::Custom], |d| d.label().to_string(), speedups)
+        .remove(0);
     report.table(
         "",
         &["query", "base ms", "MV on HDD+SSD", "MV in remote memory"],

@@ -8,10 +8,10 @@
 //! Paper: priming is ~two orders of magnitude faster than warming through
 //! the workload, and primed pools cut warm-up tail latencies 4-10×.
 
-use remem::{Cluster, DbOptions, Design, RFileConfig};
+use remem::{DbOptions, Design, RFileConfig};
 use remem_bench::Report;
 use remem_engine::priming;
-use remem_sim::{Clock, SimDuration, SimTime, Stopwatch};
+use remem_sim::{Clock, SimDuration, SimTime};
 use remem_workloads::rangescan::{load_customer, run_rangescan, KeyDistribution, RangeScanParams};
 
 const ROWS: u64 = 800_000; // ~200 MiB of data: positioning seeks don't scale down,
@@ -72,66 +72,97 @@ fn main() {
         "Fig 16",
         "priming the buffer pool: costs (a) and tail latencies (b)",
     );
+    let runs = report.arms(
+        &[50u64, 100],
+        |pool_mb| format!("{pool_mb} MiB pool"),
+        |&pool_mb, arm| {
+            // S1: old primary, warmed through the workload
+            let cluster = arm
+                .cluster()
+                .memory_servers(2)
+                .memory_per_server(128 << 20)
+                .build();
+            let mut s1_clock = Clock::new();
+            let s1 = Design::Custom
+                .build(&cluster, &mut s1_clock, &opts(pool_mb))
+                .expect("S1");
+            let t1 = arm.load(|| load_customer(&s1, &mut s1_clock, ROWS));
+            let warm = warmup_time(&s1, t1, s1_clock.now());
+            s1_clock.advance(warm);
+
+            // scan + serialize at S1
+            let t0 = s1_clock.now();
+            let image = {
+                let mut ctx = s1.exec_ctx(&mut s1_clock);
+                priming::serialize_pool(&mut ctx, s1.buffer_pool())
+            };
+            let serialize = s1_clock.now().since(t0);
+
+            // transfer into S2's pool over the in-memory file
+            let s2_server = cluster.add_db_server("S2", 20);
+            let mut s2_clock = Clock::starting_at(s1_clock.now());
+            let s2 = Design::Custom
+                .build_for(&cluster, &mut s2_clock, s2_server, &opts(pool_mb))
+                .expect("S2");
+            let t2 = arm.load(|| load_customer(&s2, &mut s2_clock, ROWS));
+            let file = cluster
+                .remote_file(
+                    &mut s1_clock,
+                    cluster.db_server,
+                    (image.len() as u64).max(4096),
+                    RFileConfig::custom(),
+                )
+                .expect("transfer file");
+            let t1x = s2_clock.now().max(s1_clock.now());
+            s2_clock.advance_to(t1x);
+            let pulled =
+                priming::transfer_image(&mut s1_clock, &mut s2_clock, file.as_ref(), &image)
+                    .unwrap();
+            {
+                let mut ctx = s2.exec_ctx(&mut s2_clock);
+                priming::deserialize_into_pool(&mut ctx, s2.buffer_pool(), &pulled);
+            }
+            let transfer = s2_clock.now().since(t1x);
+
+            // Fig 16b: p95 during the warm-up window, primed vs cold
+            // a short window right after the swap: this is where cold pools hurt
+            let window = RangeScanParams {
+                workers: 20,
+                distribution: HOTSPOT,
+                duration: SimDuration::from_millis(150),
+                ..Default::default()
+            };
+            let primed = run_rangescan(&s2, t2, &window, s2_clock.now());
+
+            let cluster2 = arm
+                .cluster()
+                .memory_servers(2)
+                .memory_per_server(128 << 20)
+                .build();
+            let mut cold_clock = Clock::new();
+            let cold_db = Design::Custom
+                .build(&cluster2, &mut cold_clock, &opts(pool_mb))
+                .expect("cold");
+            let t3 = arm.load(|| load_customer(&cold_db, &mut cold_clock, ROWS));
+            // a fresh process: the pool holds only the load tail, the hot set
+            // is on disk; measure the same window from cold
+            let cold = run_rangescan(&cold_db, t3, &window, cold_clock.now());
+            (
+                warm,
+                serialize,
+                transfer,
+                cold.p95_latency_us,
+                primed.p95_latency_us,
+            )
+        },
+    );
     let mut a_rows = Vec::new();
     let mut b_rows = Vec::new();
     let mut speedup_prime = Vec::new(); // warm-up time / (serialize + transfer)
     let mut p95_gain = Vec::new(); // cold p95 / primed p95
-    let mut wall = Vec::new();
-    for pool_mb in [50u64, 100] {
-        // host time of the arm, and of its three loads (S1, S2, cold)
-        let arm_wall = Stopwatch::start();
-        let mut load_ms = 0.0;
-        let mut timed_load = |db: &remem::Database, clock: &mut Clock| {
-            let load_wall = Stopwatch::start();
-            let t = load_customer(db, clock, ROWS);
-            load_ms += load_wall.elapsed_ms();
-            t
-        };
-        // S1: old primary, warmed through the workload
-        let cluster = Cluster::builder()
-            .memory_servers(2)
-            .memory_per_server(128 << 20)
-            .build();
-        let mut s1_clock = Clock::new();
-        let s1 = Design::Custom
-            .build(&cluster, &mut s1_clock, &opts(pool_mb))
-            .expect("S1");
-        let t1 = timed_load(&s1, &mut s1_clock);
-        let warm = warmup_time(&s1, t1, s1_clock.now());
-        s1_clock.advance(warm);
-
-        // scan + serialize at S1
-        let t0 = s1_clock.now();
-        let image = {
-            let mut ctx = s1.exec_ctx(&mut s1_clock);
-            priming::serialize_pool(&mut ctx, s1.buffer_pool())
-        };
-        let serialize = s1_clock.now().since(t0);
-
-        // transfer into S2's pool over the in-memory file
-        let s2_server = cluster.add_db_server("S2", 20);
-        let mut s2_clock = Clock::starting_at(s1_clock.now());
-        let s2 = Design::Custom
-            .build_for(&cluster, &mut s2_clock, s2_server, &opts(pool_mb))
-            .expect("S2");
-        let t2 = timed_load(&s2, &mut s2_clock);
-        let file = cluster
-            .remote_file(
-                &mut s1_clock,
-                cluster.db_server,
-                (image.len() as u64).max(4096),
-                RFileConfig::custom(),
-            )
-            .expect("transfer file");
-        let t1x = s2_clock.now().max(s1_clock.now());
-        s2_clock.advance_to(t1x);
-        let pulled =
-            priming::transfer_image(&mut s1_clock, &mut s2_clock, file.as_ref(), &image).unwrap();
-        {
-            let mut ctx = s2.exec_ctx(&mut s2_clock);
-            priming::deserialize_into_pool(&mut ctx, s2.buffer_pool(), &pulled);
-        }
-        let transfer = s2_clock.now().since(t1x);
+    for (pool_mb, (warm, serialize, transfer, cold_p95, primed_p95)) in
+        [50u64, 100].iter().zip(runs)
+    {
         a_rows.push(vec![
             format!("{pool_mb}"),
             format!("{:.2}", warm.as_secs_f64()),
@@ -142,47 +173,13 @@ fn main() {
             format!("{pool_mb}MiB"),
             warm.as_secs_f64() / (serialize.as_secs_f64() + transfer.as_secs_f64()).max(1e-9),
         ));
-
-        // Fig 16b: p95 during the warm-up window, primed vs cold
-        // a short window right after the swap: this is where cold pools hurt
-        let window = RangeScanParams {
-            workers: 20,
-            distribution: HOTSPOT,
-            duration: SimDuration::from_millis(150),
-            ..Default::default()
-        };
-        let primed = run_rangescan(&s2, t2, &window, s2_clock.now());
-
-        let cluster2 = Cluster::builder()
-            .memory_servers(2)
-            .memory_per_server(128 << 20)
-            .build();
-        let mut cold_clock = Clock::new();
-        let cold_db = Design::Custom
-            .build(&cluster2, &mut cold_clock, &opts(pool_mb))
-            .expect("cold");
-        let t3 = timed_load(&cold_db, &mut cold_clock);
-        // a fresh process: the pool holds only the load tail, the hot set is
-        // on disk; measure the same window from cold
-        let cold = run_rangescan(&cold_db, t3, &window, cold_clock.now());
         b_rows.push(vec![
             format!("{pool_mb}"),
-            format!("{:.1}", cold.p95_latency_us / 1000.0),
-            format!("{:.1}", primed.p95_latency_us / 1000.0),
-            format!(
-                "{:.1}x",
-                cold.p95_latency_us / primed.p95_latency_us.max(0.001)
-            ),
+            format!("{:.1}", cold_p95 / 1000.0),
+            format!("{:.1}", primed_p95 / 1000.0),
+            format!("{:.1}x", cold_p95 / primed_p95.max(0.001)),
         ]);
-        p95_gain.push((
-            format!("{pool_mb}MiB"),
-            cold.p95_latency_us / primed.p95_latency_us.max(0.001),
-        ));
-        wall.push((
-            format!("{pool_mb} MiB pool"),
-            load_ms,
-            arm_wall.elapsed_ms() - load_ms,
-        ));
+        p95_gain.push((format!("{pool_mb}MiB"), cold_p95 / primed_p95.max(0.001)));
     }
     report.table(
         "Fig 16a — warm-up vs priming time (virtual seconds, pool size in MiB):",
@@ -199,7 +196,6 @@ fn main() {
         &["pool MiB", "cold p95 ms", "primed p95 ms", "improvement"],
         b_rows,
     );
-    report.wall_clock_notes(&wall);
     report.series("priming_speedup", &speedup_prime);
     report.series("p95_cold_over_primed", &p95_gain);
     report.blank();

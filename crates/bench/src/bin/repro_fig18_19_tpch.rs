@@ -7,17 +7,19 @@
 //! spilling to remote TempDB is faster than to local SSD). Improvements:
 //! ~8 queries <2x, ~10 queries 2-5x, ~3 queries 5-10x.
 
-use remem::{Cluster, Design};
-use remem_bench::{dss_opts, Report};
-use remem_sim::{Clock, Stopwatch};
+use remem::Design;
+use remem_bench::{design_arms, dss_opts, Arm, Report};
+use remem_sim::Clock;
 use remem_workloads::tpch::{self, TpchParams};
+
+const SPINDLES: [usize; 3] = [4, 8, 20];
 
 /// Run the 22 queries over 5 concurrent streams (Table 4's concurrency)
 /// with real memory pressure: the pool is far smaller than the database.
-/// Returns throughput, per-query latencies, and the host milliseconds of
-/// the load and of the run.
-fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>, f64, f64) {
-    let cluster = Cluster::builder()
+/// Returns throughput and per-query latencies.
+fn run_design(design: Design, spindles: usize, arm: &mut Arm) -> (f64, Vec<f64>) {
+    let cluster = arm
+        .cluster()
         .memory_servers(2)
         .memory_per_server(256 << 20)
         .build();
@@ -25,10 +27,7 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>, f64, f64) {
     let mut opts = dss_opts(spindles);
     opts.pool_bytes = 2 << 20; // "64 GB local vs 840 GB data", scaled
     let db = design.build(&cluster, &mut clock, &opts).expect("build");
-    let load_wall = Stopwatch::start();
-    let t = tpch::load(&db, &mut clock, &TpchParams::default());
-    let load_ms = load_wall.elapsed_ms();
-    let run_wall = Stopwatch::start();
+    let t = arm.load(|| tpch::load(&db, &mut clock, &TpchParams::default()));
     let tasks: Vec<usize> = (1..=tpch::QUERY_COUNT).collect();
     let (makespan, lat) = remem_bench::run_streams(clock.now(), 5, &tasks, |c, q| {
         tpch::run_query(&db, c, &t, q);
@@ -40,8 +39,6 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>, f64, f64) {
     (
         tpch::QUERY_COUNT as f64 / makespan.as_secs_f64() * 3600.0,
         latencies,
-        load_ms,
-        run_wall.elapsed_ms(),
     )
 }
 
@@ -51,22 +48,21 @@ fn main() {
         "Fig 18/19",
         "TPC-H: throughput per design x spindles; improvement histogram",
     );
+    let arms = design_arms(&SPINDLES);
+    let runs = report.arms(
+        &arms,
+        |(d, s)| format!("{} {s} spin", d.label()),
+        |&(design, spindles), arm| run_design(design, spindles, arm),
+    );
     let mut tput_rows = Vec::new();
     let mut tput20 = Vec::new();
     let mut per_design_latencies = std::collections::HashMap::new();
-    let mut wall = Vec::new();
-    for design in Design::ALL {
+    for (design, runs) in Design::ALL.iter().zip(runs.chunks(SPINDLES.len())) {
         let mut row = vec![design.label().to_string()];
-        for spindles in [4usize, 8, 20] {
-            let (qph, lats, load_ms, run_ms) = run_design(design, spindles);
-            wall.push((
-                format!("{} {spindles} spin", design.label()),
-                load_ms,
-                run_ms,
-            ));
+        for (&spindles, (qph, lats)) in SPINDLES.iter().zip(runs) {
             row.push(format!("{qph:.0}"));
             if spindles == 20 {
-                tput20.push((design.label().to_string(), qph));
+                tput20.push((design.label().to_string(), *qph));
                 per_design_latencies.insert(design.label(), lats);
             }
         }
@@ -117,7 +113,6 @@ fn main() {
             vec![">10x".into(), buckets[3].to_string()],
         ],
     );
-    report.wall_clock_notes(&wall);
     report.series("tput_20spindles_qph", &tput20);
     report.series(
         "improvement_histogram",
@@ -161,7 +156,7 @@ fn main() {
     );
     report.check_assert(
         "histogram_shape",
-        "the <2x bucket dominates with a meaningful 2x+ tail (sim: 16/6/0/0)",
+        "the <2x bucket dominates with a meaningful 2x+ tail",
         buckets[0] >= buckets[1] && buckets[1] + buckets[2] + buckets[3] >= 4,
     );
     report.gauge("custom_qph_20spindles", find("Custom"), 10.0);

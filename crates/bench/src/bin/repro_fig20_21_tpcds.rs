@@ -5,17 +5,19 @@
 //! 5-10x, 11 at 10-50x, a few >100x — and Custom slightly *below* Local
 //! Memory (TPC-DS queries don't spill in the Local Memory setting).
 
-use remem::{Cluster, Design};
-use remem_bench::{dss_opts, Report};
-use remem_sim::{Clock, Stopwatch};
+use remem::Design;
+use remem_bench::{design_arms, dss_opts, Arm, Report};
+use remem_sim::Clock;
 use remem_workloads::tpcds::{self, TpcdsParams};
+
+const SPINDLES: [usize; 3] = [4, 8, 20];
 
 /// Run the query set over 5 concurrent streams (Table 4's concurrency)
 /// with real memory pressure: the pool is far smaller than the database.
-/// Returns throughput, per-query latencies, and the host milliseconds of
-/// the load and of the run.
-fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>, f64, f64) {
-    let cluster = Cluster::builder()
+/// Returns throughput and per-query latencies.
+fn run_design(design: Design, spindles: usize, arm: &mut Arm) -> (f64, Vec<f64>) {
+    let cluster = arm
+        .cluster()
         .memory_servers(2)
         .memory_per_server(256 << 20)
         .build();
@@ -23,10 +25,7 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>, f64, f64) {
     let mut opts = dss_opts(spindles);
     opts.pool_bytes = 2 << 20; // "64 GB local vs 900 GB data", scaled
     let db = design.build(&cluster, &mut clock, &opts).expect("build");
-    let load_wall = Stopwatch::start();
-    let t = tpcds::load(&db, &mut clock, &TpcdsParams::default());
-    let load_ms = load_wall.elapsed_ms();
-    let run_wall = Stopwatch::start();
+    let t = arm.load(|| tpcds::load(&db, &mut clock, &TpcdsParams::default()));
     let tasks: Vec<usize> = (1..=tpcds::QUERY_COUNT).collect();
     let (makespan, lat) = remem_bench::run_streams(clock.now(), 5, &tasks, |c, q| {
         tpcds::run_query(&db, c, &t, q);
@@ -38,8 +37,6 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>, f64, f64) {
     (
         tpcds::QUERY_COUNT as f64 / makespan.as_secs_f64() * 3600.0,
         latencies,
-        load_ms,
-        run_wall.elapsed_ms(),
     )
 }
 
@@ -49,26 +46,25 @@ fn main() {
         "Fig 20/21",
         "TPC-DS: throughput per design x spindles; improvement histogram",
     );
+    let arms = design_arms(&SPINDLES);
+    let runs = report.arms(
+        &arms,
+        |(d, s)| format!("{} {s} spin", d.label()),
+        |&(design, spindles), arm| run_design(design, spindles, arm),
+    );
     let mut tput_rows = Vec::new();
     let mut tput4 = Vec::new();
     let mut tput20 = Vec::new();
     let mut per_design = std::collections::HashMap::new();
-    let mut wall = Vec::new();
-    for design in Design::ALL {
+    for (design, runs) in Design::ALL.iter().zip(runs.chunks(SPINDLES.len())) {
         let mut row = vec![design.label().to_string()];
-        for spindles in [4usize, 8, 20] {
-            let (qph, lats, load_ms, run_ms) = run_design(design, spindles);
-            wall.push((
-                format!("{} {spindles} spin", design.label()),
-                load_ms,
-                run_ms,
-            ));
+        for (&spindles, (qph, lats)) in SPINDLES.iter().zip(runs) {
             row.push(format!("{qph:.0}"));
             if spindles == 4 {
-                tput4.push((design.label().to_string(), qph));
+                tput4.push((design.label().to_string(), *qph));
             }
             if spindles == 20 {
-                tput20.push((design.label().to_string(), qph));
+                tput20.push((design.label().to_string(), *qph));
                 per_design.insert(design.label(), lats);
             }
         }
@@ -112,7 +108,6 @@ fn main() {
             vec![">50x".into(), buckets[4].to_string()],
         ],
     );
-    report.wall_clock_notes(&wall);
     report.series("tput_4spindles_qph", &tput4);
     report.series("tput_20spindles_qph", &tput20);
     report.series(

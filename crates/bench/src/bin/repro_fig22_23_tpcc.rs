@@ -7,9 +7,9 @@
 //! latencies can exceed HDD+SSD's because higher throughput raises
 //! contention.
 
-use remem::{Cluster, Design};
-use remem_bench::{tpcc_opts, Report};
-use remem_sim::{Clock, SimDuration, Stopwatch};
+use remem::Design;
+use remem_bench::{design_arms, tpcc_opts, Report};
+use remem_sim::{Clock, SimDuration};
 use remem_workloads::tpcc::{self, Mix, TpccParams};
 
 fn main() {
@@ -26,54 +26,50 @@ fn main() {
         items: 5_000,
         seed: 31,
     };
-    let mut tput_rows = Vec::new();
-    let mut lat_rows = Vec::new();
-    let mut default_tput = Vec::new();
-    let mut readmostly_tput = Vec::new();
-    let mut wall = Vec::new();
-    for design in Design::ALL {
-        let mut tput = vec![design.label().to_string()];
-        let mut lat = vec![design.label().to_string()];
-        for (i, mix) in [Mix::default_mix(), Mix::read_mostly()]
-            .into_iter()
-            .enumerate()
-        {
-            let cluster = Cluster::builder()
+    let mixes = [
+        ("default", Mix::default_mix()),
+        ("read-mostly", Mix::read_mostly()),
+    ];
+    let arms = design_arms(&[0, 1]);
+    let stats = report.arms(
+        &arms,
+        |&(d, m)| format!("{} {}", d.label(), mixes[m].0),
+        |&(design, m), arm| {
+            let cluster = arm
+                .cluster()
                 .memory_servers(2)
                 .memory_per_server(128 << 20)
-                .metrics(report.registry())
                 .build();
             let mut clock = Clock::new();
             let db = design
                 .build(&cluster, &mut clock, &tpcc_opts(20))
                 .expect("build");
-            let load_wall = Stopwatch::start();
-            let t = tpcc::load(&db, &mut clock, &params);
-            let load_ms = load_wall.elapsed_ms();
-            let run_wall = Stopwatch::start();
-            let s = tpcc::run_mix(
+            let t = arm.load(|| tpcc::load(&db, &mut clock, &params));
+            tpcc::run_mix(
                 &db,
                 &t,
-                &mix,
+                &mixes[m].1,
                 300, // scaled from the paper's 2000 clients
                 clock.now(),
                 SimDuration::from_millis(400),
                 9,
-            );
-            let mix_label = if i == 0 { "default" } else { "read-mostly" };
-            wall.push((
-                format!("{} {mix_label}", design.label()),
-                load_ms,
-                run_wall.elapsed_ms(),
-            ));
+            )
+        },
+    );
+    let mut tput_rows = Vec::new();
+    let mut lat_rows = Vec::new();
+    let mut default_tput = Vec::new();
+    let mut readmostly_tput = Vec::new();
+    for (design, runs) in Design::ALL.iter().zip(stats.chunks(mixes.len())) {
+        let label = design.label().to_string();
+        let mut tput = vec![label.clone()];
+        let mut lat = vec![label.clone()];
+        for s in runs {
             tput.push(format!("{:.0}", s.throughput_per_sec));
             lat.push(format!("{:.1}", s.mean_latency_us / 1000.0));
-            if i == 0 {
-                default_tput.push((design.label().to_string(), s.throughput_per_sec));
-            } else {
-                readmostly_tput.push((design.label().to_string(), s.throughput_per_sec));
-            }
         }
+        default_tput.push((label.clone(), runs[0].throughput_per_sec));
+        readmostly_tput.push((label, runs[1].throughput_per_sec));
         tput_rows.push(tput);
         lat_rows.push(lat);
     }
@@ -87,7 +83,6 @@ fn main() {
         &["design", "Default TPC-C", "Read-Mostly TPC-C"],
         lat_rows,
     );
-    report.wall_clock_notes(&wall);
     report.series("default_mix_tps", &default_tput);
     report.series("read_mostly_tps", &readmostly_tput);
     report.blank();

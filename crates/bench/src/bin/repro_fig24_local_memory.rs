@@ -4,37 +4,20 @@
 //! Paper: Custom's advantage shrinks as local memory grows, and the two
 //! designs converge once the database fits entirely in local memory.
 
-use remem::{Cluster, DbOptions, Design};
-use remem_bench::Report;
-use remem_sim::{Clock, SimDuration};
-use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
+use remem::{DbOptions, Design};
+use remem_bench::{rangescan_arm, Arm, Report};
 
 const ROWS: u64 = 100_000; // ~26 MiB of data
 
-fn run(design: Design, pool_mb: u64) -> (f64, f64) {
-    let cluster = Cluster::builder()
-        .memory_servers(2)
-        .memory_per_server(96 << 20)
-        .build();
+fn run(design: Design, pool_mb: u64, arm: &mut Arm) -> (f64, f64) {
+    let cluster = arm.cluster().memory_servers(2).memory_per_server(96 << 20);
     let opts = DbOptions {
         pool_bytes: pool_mb << 20,
         bpext_bytes: 32 << 20, // fixed remote memory, fits the working set
         tempdb_bytes: 4 << 20,
         ..DbOptions::small()
     };
-    let mut clock = Clock::new();
-    let db = design.build(&cluster, &mut clock, &opts).expect("build");
-    let t = load_customer(&db, &mut clock, ROWS);
-    let s = run_rangescan(
-        &db,
-        t,
-        &RangeScanParams {
-            workers: 80,
-            duration: SimDuration::from_millis(400),
-            ..Default::default()
-        },
-        clock.now(),
-    );
+    let s = rangescan_arm(arm, cluster, design, &opts, ROWS, 0.0);
     (s.throughput_per_sec, s.mean_latency_us / 1000.0)
 }
 
@@ -44,12 +27,21 @@ fn main() {
         "Fig 24",
         "varying local memory: Custom vs HDD+SSD (RangeScan read-only)",
     );
+    let pools = [2u64, 4, 8, 16, 24, 32];
+    let arms: Vec<(u64, Design)> = pools
+        .iter()
+        .flat_map(|&mb| [(mb, Design::Custom), (mb, Design::HddSsd)])
+        .collect();
+    let runs = report.arms(
+        &arms,
+        |(mb, d)| format!("{} {mb} MiB", d.label()),
+        |&(mb, design), arm| run(design, mb, arm),
+    );
     let mut rows = Vec::new();
     let mut advantage = Vec::new();
     let mut custom_tput = Vec::new();
-    for pool_mb in [2u64, 4, 8, 16, 24, 32] {
-        let (ct, cl) = run(Design::Custom, pool_mb);
-        let (ht, hl) = run(Design::HddSsd, pool_mb);
+    for (pool_mb, pair) in pools.iter().zip(runs.chunks(2)) {
+        let [(ct, cl), (ht, hl)] = [pair[0], pair[1]];
         rows.push(vec![
             format!("{pool_mb}"),
             format!("{ht:.0}"),

@@ -4,7 +4,7 @@
 //! Paper: aggregate throughput scales near-linearly with database servers
 //! until the donor's NIC saturates, then latency climbs.
 
-use remem::{Cluster, DbOptions, Design};
+use remem::{DbOptions, Design};
 use remem_bench::Report;
 use remem_sim::rng::SimRng;
 use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimDuration, SimTime};
@@ -20,49 +20,59 @@ fn main() {
         "Fig 25",
         "N database servers with their BPExt on one memory server",
     );
+    let counts = [1usize, 2, 4, 8];
+    // per DB-server count: (aggregate queries/s, mean latency ms)
+    let runs = report.arms(
+        &counts,
+        |n| format!("{n} DB servers"),
+        |&n, arm| {
+            let cluster = arm
+                .cluster()
+                .memory_servers(1)
+                .memory_per_server(512 << 20)
+                .build();
+            let opts = DbOptions {
+                pool_bytes: 1 << 20, // ~7 GB scaled: small local memory
+                bpext_bytes: 30 << 20,
+                tempdb_bytes: 4 << 20,
+                data_bytes: 128 << 20,
+                ..DbOptions::small()
+            };
+            let mut clock = Clock::new();
+            let mut dbs = Vec::new();
+            for i in 0..n {
+                let server = if i == 0 {
+                    cluster.db_server
+                } else {
+                    cluster.add_db_server(format!("DB{}", i + 1), 20)
+                };
+                let db = Design::Custom
+                    .build_for(&cluster, &mut clock, server, &opts)
+                    .expect("db");
+                let t = arm.load(|| load_customer(&db, &mut clock, ROWS));
+                dbs.push((db, t));
+            }
+            let start = clock.now();
+            let horizon = SimTime(start.as_nanos() + WINDOW.as_nanos());
+            let workers = n * WORKERS_PER_DB;
+            let lat = Histogram::new();
+            let mut driver = ClosedLoopDriver::new(workers, horizon).starting_at(start);
+            let mut rng = SimRng::seeded(11);
+            let ops = driver.run(&lat, |w, c| {
+                let (db, t) = &dbs[w / WORKERS_PER_DB];
+                let startk = rng.uniform(0, ROWS - 100) as i64;
+                one_query(db, c, *t, startk, 100, false);
+            });
+            (
+                ops as f64 / WINDOW.as_secs_f64(),
+                lat.mean().as_micros_f64() / 1000.0,
+            )
+        },
+    );
     let mut rows = Vec::new();
     let mut agg_tput = Vec::new();
     let mut mean_lat = Vec::new();
-    for n in [1usize, 2, 4, 8] {
-        let cluster = Cluster::builder()
-            .memory_servers(1)
-            .memory_per_server(512 << 20)
-            .metrics(report.registry())
-            .build();
-        let opts = DbOptions {
-            pool_bytes: 1 << 20, // ~7 GB scaled: small local memory
-            bpext_bytes: 30 << 20,
-            tempdb_bytes: 4 << 20,
-            data_bytes: 128 << 20,
-            ..DbOptions::small()
-        };
-        let mut clock = Clock::new();
-        let mut dbs = Vec::new();
-        for i in 0..n {
-            let server = if i == 0 {
-                cluster.db_server
-            } else {
-                cluster.add_db_server(format!("DB{}", i + 1), 20)
-            };
-            let db = Design::Custom
-                .build_for(&cluster, &mut clock, server, &opts)
-                .expect("db");
-            let t = load_customer(&db, &mut clock, ROWS);
-            dbs.push((db, t));
-        }
-        let start = clock.now();
-        let horizon = SimTime(start.as_nanos() + WINDOW.as_nanos());
-        let workers = n * WORKERS_PER_DB;
-        let lat = Histogram::new();
-        let mut driver = ClosedLoopDriver::new(workers, horizon).starting_at(start);
-        let mut rng = SimRng::seeded(11);
-        let ops = driver.run(&lat, |w, c| {
-            let (db, t) = &dbs[w / WORKERS_PER_DB];
-            let startk = rng.uniform(0, ROWS - 100) as i64;
-            one_query(db, c, *t, startk, 100, false);
-        });
-        let tput = ops as f64 / WINDOW.as_secs_f64();
-        let lat_ms = lat.mean().as_micros_f64() / 1000.0;
+    for (n, (tput, lat_ms)) in counts.iter().zip(runs) {
         rows.push(vec![
             n.to_string(),
             format!("{tput:.0}"),

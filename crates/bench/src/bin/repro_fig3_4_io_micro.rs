@@ -10,27 +10,51 @@
 
 use std::sync::Arc;
 
-use remem::{Cluster, Device, HddArray, HddConfig, RFileConfig, Ssd, SsdConfig};
-use remem_bench::Report;
-use remem_sim::{Clock, MetricsRegistry, SimTime};
+use remem::{Device, HddArray, HddConfig, RFileConfig, Ssd, SsdConfig};
+use remem_bench::{Arm, Report};
+use remem_sim::{Clock, SimTime};
+use remem_storage::{Metered, Observed};
 use remem_workloads::sqlio::{run_sqlio, SqlioParams};
 
 const CAPACITY: u64 = 192 << 20;
 const HORIZON: SimTime = SimTime(200_000_000); // 200 ms
+const DEVICES: [&str; 7] = [
+    "HDD(4)",
+    "HDD(8)",
+    "HDD(20)",
+    "SSD",
+    "SMB+RamDrive",
+    "SMBDirect+RamDrive",
+    "Custom",
+];
 
-fn remote_device(cfg: RFileConfig, registry: Arc<MetricsRegistry>) -> Arc<dyn Device> {
-    let cluster = Cluster::builder()
-        .memory_servers(2)
-        .memory_per_server(128 << 20)
-        .metrics(registry)
-        .build();
-    let mut clock = Clock::new();
-    cluster
-        .remote_file(&mut clock, cluster.db_server, CAPACITY, cfg)
-        .expect("remote file")
+/// A fresh device `label` names (virtual-time occupancy is stateful),
+/// metered into the arm's registry as a data file.
+fn device(label: &str, arm: &Arm) -> Arc<dyn Device> {
+    let remote = |cfg| {
+        let cluster = arm
+            .cluster()
+            .memory_servers(2)
+            .memory_per_server(128 << 20)
+            .build();
+        let file = cluster.remote_file(&mut Clock::new(), cluster.db_server, CAPACITY, cfg);
+        file.expect("remote file") as Arc<dyn Device>
+    };
+    let hdd = |spindles| Arc::new(HddArray::new(HddConfig::with_spindles(spindles, CAPACITY)));
+    let inner: Arc<dyn Device> = match label {
+        "HDD(4)" => hdd(4),
+        "HDD(8)" => hdd(8),
+        "HDD(20)" => hdd(20),
+        "SSD" => Arc::new(Ssd::new(SsdConfig::with_capacity(CAPACITY))),
+        "SMB+RamDrive" => remote(RFileConfig::smb_tcp()),
+        "SMBDirect+RamDrive" => remote(RFileConfig::smb_direct()),
+        _ => remote(RFileConfig::custom()),
+    };
+    Arc::new(Observed::new(
+        inner,
+        Metered::new(arm.registry(), "storage.data"),
+    ))
 }
-
-type DeviceFactory = Box<dyn Fn(Arc<MetricsRegistry>) -> Arc<dyn Device>>;
 
 fn main() {
     let mut report = Report::new(
@@ -38,49 +62,21 @@ fn main() {
         "Fig 3/4",
         "I/O micro-benchmark: throughput and latency per device",
     );
-    let configs: Vec<(&str, DeviceFactory)> = vec![
-        (
-            "HDD(4)",
-            Box::new(|_| Arc::new(HddArray::new(HddConfig::with_spindles(4, CAPACITY)))),
-        ),
-        (
-            "HDD(8)",
-            Box::new(|_| Arc::new(HddArray::new(HddConfig::with_spindles(8, CAPACITY)))),
-        ),
-        (
-            "HDD(20)",
-            Box::new(|_| Arc::new(HddArray::new(HddConfig::with_spindles(20, CAPACITY)))),
-        ),
-        (
-            "SSD",
-            Box::new(|_| Arc::new(Ssd::new(SsdConfig::with_capacity(CAPACITY)))),
-        ),
-        (
-            "SMB+RamDrive",
-            Box::new(|r| remote_device(RFileConfig::smb_tcp(), r)),
-        ),
-        (
-            "SMBDirect+RamDrive",
-            Box::new(|r| remote_device(RFileConfig::smb_direct(), r)),
-        ),
-        (
-            "Custom",
-            Box::new(|r| remote_device(RFileConfig::custom(), r)),
-        ),
+    let patterns = [
+        ("8K-rand", SqlioParams::random_8k(HORIZON)),
+        ("512K-seq", SqlioParams::sequential_512k(HORIZON)),
     ];
+    let arms: Vec<(&str, usize)> = DEVICES.iter().flat_map(|&d| [(d, 0), (d, 1)]).collect();
+    let runs = report.arms(
+        &arms,
+        |&(d, p)| format!("{d} {}", patterns[p].0),
+        |&(d, p), arm| run_sqlio(device(d, arm).as_ref(), &patterns[p].1),
+    );
     let mut rows = Vec::new();
     let mut rand_gbps = Vec::new();
     let mut seq_gbps = Vec::new();
-    for (label, make) in &configs {
-        // fresh device per pattern: virtual-time occupancy is stateful
-        let rand = run_sqlio(
-            make(report.registry()).as_ref(),
-            &SqlioParams::random_8k(HORIZON),
-        );
-        let seq = run_sqlio(
-            make(report.registry()).as_ref(),
-            &SqlioParams::sequential_512k(HORIZON),
-        );
+    for (label, pair) in DEVICES.iter().zip(runs.chunks(2)) {
+        let (rand, seq) = (&pair[0], &pair[1]);
         rows.push(vec![
             label.to_string(),
             format!("{:.3}", rand.throughput_gbps),
@@ -104,15 +100,13 @@ fn main() {
     );
     report.series("rand_8k_gbps", &rand_gbps);
     report.series("seq_512k_gbps", &seq_gbps);
+    let find = |data: &[(&str, f64)], label: &str| {
+        data.iter().find(|(d, _)| *d == label).expect("label").1
+    };
     let by = |labels: &[&str], data: &[(&str, f64)]| -> Vec<(String, f64)> {
         labels
             .iter()
-            .map(|l| {
-                (
-                    l.to_string(),
-                    data.iter().find(|(d, _)| d == l).expect("label").1,
-                )
-            })
+            .map(|l| (l.to_string(), find(data, l)))
             .collect()
     };
     report.blank();
@@ -140,48 +134,18 @@ fn main() {
     report.check_ratio_ge(
         "seq_hdd20_beats_ssd",
         "sequential: striped HDD(20) outruns one SSD (Fig 3's surprise)",
-        (
-            "HDD(20)",
-            seq_gbps
-                .iter()
-                .find(|(l, _)| *l == "HDD(20)")
-                .expect("hdd20")
-                .1,
-        ),
-        (
-            "SSD",
-            seq_gbps.iter().find(|(l, _)| *l == "SSD").expect("ssd").1,
-        ),
+        ("HDD(20)", find(&seq_gbps, "HDD(20)")),
+        ("SSD", find(&seq_gbps, "SSD")),
         1.0,
     );
     report.check_ratio_ge(
         "rand_ssd_beats_hdd",
         "random: SSD far outruns even 20 spindles",
-        (
-            "SSD",
-            rand_gbps.iter().find(|(l, _)| *l == "SSD").expect("ssd").1,
-        ),
-        (
-            "HDD(20)",
-            rand_gbps
-                .iter()
-                .find(|(l, _)| *l == "HDD(20)")
-                .expect("hdd20")
-                .1,
-        ),
+        ("SSD", find(&rand_gbps, "SSD")),
+        ("HDD(20)", find(&rand_gbps, "HDD(20)")),
         2.0,
     );
-    let custom_rand = rand_gbps
-        .iter()
-        .find(|(l, _)| *l == "Custom")
-        .expect("custom")
-        .1;
-    let custom_seq = seq_gbps
-        .iter()
-        .find(|(l, _)| *l == "Custom")
-        .expect("custom")
-        .1;
-    report.gauge("custom_rand_gbps", custom_rand, 10.0);
-    report.gauge("custom_seq_gbps", custom_seq, 10.0);
+    report.gauge("custom_rand_gbps", find(&rand_gbps, "Custom"), 10.0);
+    report.gauge("custom_seq_gbps", find(&seq_gbps, "Custom"), 10.0);
     report.finish();
 }

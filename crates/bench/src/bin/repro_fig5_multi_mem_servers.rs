@@ -18,46 +18,55 @@ fn main() {
         "Fig 5",
         "1 DB server <- N memory servers, constant total memory",
     );
+    let counts = [1usize, 2, 4, 8];
+    // per donor count: (GB/s, mean us) for 8K random, then 512K sequential
+    let runs = report.arms(
+        &counts,
+        |n| format!("{n} donors"),
+        |&n, arm| {
+            let cluster = arm
+                .cluster()
+                .memory_servers(n)
+                .memory_per_server(TOTAL_REMOTE / n as u64)
+                .placement(PlacementPolicy::Spread)
+                .build();
+            let mut clock = Clock::new();
+            let file = cluster
+                .remote_file(
+                    &mut clock,
+                    cluster.db_server,
+                    TOTAL_REMOTE / 2,
+                    RFileConfig::custom(),
+                )
+                .expect("file");
+            assert_eq!(file.donors().len(), n, "file must stripe across all donors");
+            let mut results = Vec::new();
+            for (threads, block) in [(20usize, 8 * 1024u64), (5, 512 * 1024)] {
+                let start = clock.now();
+                let horizon = SimTime(start.as_nanos() + WINDOW);
+                let lat = Histogram::new();
+                let blocks = file.size() / block;
+                let mut buf = vec![0u8; block as usize];
+                let mut driver = ClosedLoopDriver::new(threads, horizon).starting_at(start);
+                let mut rng = SimRng::seeded(n as u64);
+                let ops = driver.run(&lat, |_, c| {
+                    let b = rng.uniform(0, blocks);
+                    file.read(c, b * block, &mut buf).expect("read");
+                });
+                results.push((
+                    ops as f64 * block as f64 / (WINDOW as f64 / 1e9) / 1e9,
+                    lat.mean().as_micros_f64(),
+                ));
+                clock.advance(remem_sim::SimDuration::from_millis(200)); // drain between runs
+            }
+            results
+        },
+    );
     let mut rows = Vec::new();
     let mut rand_pts = Vec::new();
     let mut seq_pts = Vec::new();
     let mut rand_lat = Vec::new();
-    for n in [1usize, 2, 4, 8] {
-        let cluster = remem::Cluster::builder()
-            .memory_servers(n)
-            .memory_per_server(TOTAL_REMOTE / n as u64)
-            .placement(PlacementPolicy::Spread)
-            .metrics(report.registry())
-            .build();
-        let mut clock = Clock::new();
-        let file = cluster
-            .remote_file(
-                &mut clock,
-                cluster.db_server,
-                TOTAL_REMOTE / 2,
-                RFileConfig::custom(),
-            )
-            .expect("file");
-        assert_eq!(file.donors().len(), n, "file must stripe across all donors");
-        let mut results = Vec::new();
-        for (threads, block) in [(20usize, 8 * 1024u64), (5, 512 * 1024)] {
-            let start = clock.now();
-            let horizon = SimTime(start.as_nanos() + WINDOW);
-            let lat = Histogram::new();
-            let blocks = file.size() / block;
-            let mut buf = vec![0u8; block as usize];
-            let mut driver = ClosedLoopDriver::new(threads, horizon).starting_at(start);
-            let mut rng = SimRng::seeded(n as u64);
-            let ops = driver.run(&lat, |_, c| {
-                let b = rng.uniform(0, blocks);
-                file.read(c, b * block, &mut buf).expect("read");
-            });
-            results.push((
-                ops as f64 * block as f64 / (WINDOW as f64 / 1e9) / 1e9,
-                lat.mean().as_micros_f64(),
-            ));
-            clock.advance(remem_sim::SimDuration::from_millis(200)); // drain between runs
-        }
+    for (n, results) in counts.iter().zip(runs) {
         rows.push(vec![
             n.to_string(),
             format!("{:.2}", results[0].0),

@@ -21,43 +21,51 @@ fn main() {
         "Fig 6",
         "N DB servers -> 1 memory server, NIC saturation",
     );
+    let counts = [1usize, 2, 4, 8];
+    // per DB-server count: (aggregate GB/s, latency histogram)
+    let runs = report.arms(
+        &counts,
+        |n| format!("{n} DB servers"),
+        |&n, arm| {
+            let cluster = arm
+                .cluster()
+                .memory_servers(1)
+                .memory_per_server(160 << 20)
+                .build();
+            let mut setup = Clock::new();
+            let mut files = Vec::new();
+            for i in 0..n {
+                let db = if i == 0 {
+                    cluster.db_server
+                } else {
+                    cluster.add_db_server(format!("DB{}", i + 1), 20)
+                };
+                files.push(
+                    cluster
+                        .remote_file(&mut setup, db, 16 << 20, RFileConfig::custom())
+                        .expect("file"),
+                );
+            }
+            let start = setup.now();
+            let horizon = SimTime(start.as_nanos() + WINDOW);
+            let workers = n * WORKERS_PER_DB;
+            let lat = Histogram::new();
+            let mut buf = vec![0u8; 8192];
+            let mut driver = ClosedLoopDriver::new(workers, horizon).starting_at(start);
+            let mut rng = SimRng::seeded(7);
+            let ops = driver.run(&lat, |w, c| {
+                let file = &files[w / WORKERS_PER_DB];
+                let b = rng.uniform(0, file.size() / 8192);
+                file.read(c, b * 8192, &mut buf).expect("read");
+                c.advance(THINK);
+            });
+            (ops as f64 * 8192.0 / (WINDOW as f64 / 1e9) / 1e9, lat)
+        },
+    );
     let mut rows = Vec::new();
     let mut tput = Vec::new();
     let mut p99 = Vec::new();
-    for n in [1usize, 2, 4, 8] {
-        let cluster = remem::Cluster::builder()
-            .memory_servers(1)
-            .memory_per_server(160 << 20)
-            .metrics(report.registry())
-            .build();
-        let mut setup = Clock::new();
-        let mut files = Vec::new();
-        for i in 0..n {
-            let db = if i == 0 {
-                cluster.db_server
-            } else {
-                cluster.add_db_server(format!("DB{}", i + 1), 20)
-            };
-            files.push(
-                cluster
-                    .remote_file(&mut setup, db, 16 << 20, RFileConfig::custom())
-                    .expect("file"),
-            );
-        }
-        let start = setup.now();
-        let horizon = SimTime(start.as_nanos() + WINDOW);
-        let workers = n * WORKERS_PER_DB;
-        let lat = Histogram::new();
-        let mut buf = vec![0u8; 8192];
-        let mut driver = ClosedLoopDriver::new(workers, horizon).starting_at(start);
-        let mut rng = SimRng::seeded(7);
-        let ops = driver.run(&lat, |w, c| {
-            let file = &files[w / WORKERS_PER_DB];
-            let b = rng.uniform(0, file.size() / 8192);
-            file.read(c, b * 8192, &mut buf).expect("read");
-            c.advance(THINK);
-        });
-        let gbps = ops as f64 * 8192.0 / (WINDOW as f64 / 1e9) / 1e9;
+    for (n, (gbps, lat)) in counts.iter().zip(runs) {
         rows.push(vec![
             n.to_string(),
             format!("{gbps:.2}"),

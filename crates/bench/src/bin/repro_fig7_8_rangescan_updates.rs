@@ -4,12 +4,11 @@
 //! Paper: all remote-memory designs beat BPExt-on-SSD; more spindles raise
 //! throughput because updates append to the HDD transaction log.
 
-use remem::{Cluster, Design};
-use remem_bench::{rangescan_opts, Report};
-use remem_sim::{Clock, SimDuration};
-use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
+use remem::Design;
+use remem_bench::{design_arms, rangescan_arm, rangescan_opts, Report};
 
 const ROWS: u64 = 60_000;
+const SPINDLES: [usize; 3] = [4, 8, 20];
 
 fn main() {
     let mut report = Report::new(
@@ -17,37 +16,30 @@ fn main() {
         "Fig 7/8",
         "RangeScan (20% updates): throughput & latency x design x spindles",
     );
+    let arms = design_arms(&SPINDLES);
+    let stats = report.arms(
+        &arms,
+        |(d, s)| format!("{} {s} spin", d.label()),
+        |&(design, spindles), arm| {
+            let cluster = arm.cluster().memory_servers(2).memory_per_server(96 << 20);
+            let opts = rangescan_opts(spindles);
+            rangescan_arm(arm, cluster, design, &opts, ROWS, 0.2)
+        },
+    );
     let mut tput_rows = Vec::new();
     let mut lat_rows = Vec::new();
     let mut tput20 = Vec::new();
     let mut custom_by_spindles = Vec::new();
-    for design in Design::ALL {
+    for (design, runs) in Design::ALL.iter().zip(stats.chunks(SPINDLES.len())) {
         let mut tput = vec![design.label().to_string()];
         let mut lat = vec![design.label().to_string()];
-        for spindles in [4usize, 8, 20] {
-            let cluster = Cluster::builder()
-                .memory_servers(2)
-                .memory_per_server(96 << 20)
-                .metrics(report.registry())
-                .build();
-            let mut clock = Clock::new();
-            let db = design
-                .build(&cluster, &mut clock, &rangescan_opts(spindles))
-                .expect("build design");
-            let t = load_customer(&db, &mut clock, ROWS);
-            let p = RangeScanParams {
-                workers: 80,
-                update_fraction: 0.2,
-                duration: SimDuration::from_millis(400),
-                ..Default::default()
-            };
-            let s = run_rangescan(&db, t, &p, clock.now());
+        for (&spindles, s) in SPINDLES.iter().zip(runs) {
             tput.push(format!("{:.0}", s.throughput_per_sec));
             lat.push(format!("{:.1}", s.mean_latency_us / 1000.0));
             if spindles == 20 {
                 tput20.push((design.label().to_string(), s.throughput_per_sec));
             }
-            if design == Design::Custom {
+            if *design == Design::Custom {
                 custom_by_spindles.push((spindles.to_string(), s.throughput_per_sec));
             }
         }

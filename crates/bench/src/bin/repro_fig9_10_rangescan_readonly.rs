@@ -5,12 +5,11 @@
 //! improve with spindle count (data reads) while everything cached in
 //! (local or remote) memory is flat across spindle counts.
 
-use remem::{Cluster, Design};
-use remem_bench::{rangescan_opts, Report};
-use remem_sim::{Clock, SimDuration};
-use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
+use remem::Design;
+use remem_bench::{design_arms, rangescan_arm, rangescan_opts, Report};
 
 const ROWS: u64 = 60_000;
+const SPINDLES: [usize; 3] = [4, 8, 20];
 
 fn main() {
     let mut report = Report::new(
@@ -18,31 +17,25 @@ fn main() {
         "Fig 9/10",
         "RangeScan (read-only): throughput & latency x design x spindles",
     );
+    let arms = design_arms(&SPINDLES);
+    let stats = report.arms(
+        &arms,
+        |(d, s)| format!("{} {s} spin", d.label()),
+        |&(design, spindles), arm| {
+            let cluster = arm.cluster().memory_servers(2).memory_per_server(96 << 20);
+            let opts = rangescan_opts(spindles);
+            rangescan_arm(arm, cluster, design, &opts, ROWS, 0.0)
+        },
+    );
     let mut tput_rows = Vec::new();
     let mut lat_rows = Vec::new();
     let mut tput20 = Vec::new(); // 20-spindle throughput per design
     let mut per_design_tputs: Vec<(String, Vec<(String, f64)>)> = Vec::new();
-    for design in Design::ALL {
+    for (design, runs) in Design::ALL.iter().zip(stats.chunks(SPINDLES.len())) {
         let mut tput = vec![design.label().to_string()];
         let mut lat = vec![design.label().to_string()];
         let mut spindle_pts = Vec::new();
-        for spindles in [4usize, 8, 20] {
-            let cluster = Cluster::builder()
-                .memory_servers(2)
-                .memory_per_server(96 << 20)
-                .metrics(report.registry())
-                .build();
-            let mut clock = Clock::new();
-            let db = design
-                .build(&cluster, &mut clock, &rangescan_opts(spindles))
-                .expect("build design");
-            let t = load_customer(&db, &mut clock, ROWS);
-            let p = RangeScanParams {
-                workers: 80,
-                duration: SimDuration::from_millis(400),
-                ..Default::default()
-            };
-            let s = run_rangescan(&db, t, &p, clock.now());
+        for (spindles, s) in SPINDLES.iter().zip(runs) {
             tput.push(format!("{:.0}", s.throughput_per_sec));
             lat.push(format!("{:.1}", s.mean_latency_us / 1000.0));
             spindle_pts.push((spindles.to_string(), s.throughput_per_sec));

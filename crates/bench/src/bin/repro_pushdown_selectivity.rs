@@ -12,7 +12,7 @@
 //! adds server CPU and per-RPC overhead, so full fetch wins — the planner
 //! must track the measured winner on both sides of the crossover.
 
-use remem_bench::Report;
+use remem_bench::{Arm, Report};
 use remem_engine::optimizer::DeviceProfile;
 use remem_engine::{crossover_selectivity, CpuCosts, ScanPlan};
 use remem_net::NetConfig;
@@ -21,9 +21,10 @@ use remem_workloads::pushdown::{build_remote_table, one_scan, scan_estimate, Sca
 
 const PAGES: u64 = 256;
 const SCAN_PAGES: u64 = 16;
+const SELECTIVITIES: [f64; 6] = [0.001, 0.01, 0.05, 0.2, 0.5, 1.0];
 
 /// One measured arm: scan the whole table once in `SCAN_PAGES` segments.
-struct Arm {
+struct Scan {
     elapsed: SimDuration,
     wire_bytes: u64,
     matched: u64,
@@ -31,37 +32,36 @@ struct Arm {
     plan: Option<ScanPlan>,
 }
 
-fn main() {
-    let mut report = Report::new(
-        "repro_pushdown_selectivity",
-        "Pushdown sweep",
-        "Near-memory pushdown vs one-sided fetch: wire bytes and scan time vs selectivity",
-    );
+/// A selectivity and its full-fetch, pushdown and planner scans.
+type Point = (f64, Scan, Scan, Scan);
 
-    let registry = report.registry();
+/// Every selectivity's three scans on one table and one clock, the
+/// cost model's predicted crossover, and the table's row count.
+fn sweep(arm: &mut Arm) -> (Vec<Point>, f64, u64) {
+    let registry = arm.registry();
     let mut clock = Clock::new();
-    let t = build_remote_table(&mut clock, PAGES, 2, NetConfig::default());
+    let t = arm.load(|| build_remote_table(&mut clock, PAGES, 2, NetConfig::default()));
     // attach telemetry only after the load phase so the counters hold
     // nothing but the sweep's own traffic
     t.fabric.set_metrics(Some(registry.clone()));
     let cpu = CpuPool::new(8);
     let costs = CpuCosts::default();
 
-    // every fabric byte a scan can move: one-sided page reads + pushdown
-    // request/reply wire traffic
+    // every fabric byte a scan can move: one-sided page reads +
+    // pushdown request/reply wire traffic
     let wire_bytes = || {
         registry.counter("fabric.read.bytes").get()
             + registry.counter("fabric.pushdown.bytes").get()
     };
 
-    let measure = |clock: &mut Clock, sel: f64, mode: ScanMode| -> Arm {
+    let mut measure = |sel: f64, mode: ScanMode| -> Scan {
         let b0 = wire_bytes();
         let mut matched = 0u64;
         let mut plan = None;
         let t0 = clock.now();
         for seg in 0..PAGES / SCAN_PAGES {
             let r = one_scan(
-                clock,
+                &mut clock,
                 &cpu,
                 &costs,
                 &t,
@@ -76,47 +76,72 @@ fn main() {
             }
         }
         let elapsed = clock.now().since(t0);
-        clock.advance(SimDuration::from_millis(10)); // drain between arms
-        Arm {
+        clock.advance(SimDuration::from_millis(10)); // drain between scans
+        Scan {
             elapsed,
             wire_bytes: wire_bytes() - b0,
             matched,
             plan,
         }
     };
+    let points: Vec<_> = SELECTIVITIES
+        .iter()
+        .map(|&sel| {
+            let full = measure(sel, ScanMode::FullFetch);
+            let push = measure(sel, ScanMode::Pushdown);
+            let plan = measure(sel, ScanMode::Planner);
+            assert_eq!(full.matched, push.matched, "arms must agree on the answer");
+            assert_eq!(full.matched, plan.matched, "arms must agree on the answer");
+            (sel, full, push, plan)
+        })
+        .collect();
+    // the cost model's predicted crossover for this table's shape
+    let predicted = crossover_selectivity(
+        scan_estimate(&t, SCAN_PAGES, 0.0),
+        DeviceProfile::remote_memory(),
+        t.fabric.config(),
+        &costs,
+    );
+    (points, predicted, t.pages * t.rows_per_page)
+}
 
-    let selectivities = [0.001f64, 0.01, 0.05, 0.2, 0.5, 1.0];
+fn main() {
+    let mut report = Report::new(
+        "repro_pushdown_selectivity",
+        "Pushdown sweep",
+        "Near-memory pushdown vs one-sided fetch: wire bytes and scan time vs selectivity",
+    );
+
+    // one arm: every scan runs on one table and one clock
+    let (points, predicted, table_rows) = report
+        .arms(&["Custom k=2"], |l| l.to_string(), |_, arm| sweep(arm))
+        .remove(0);
+
     let label = |sel: f64| format!("{}%", sel * 100.0);
+    let mib = |s: &Scan| s.wire_bytes as f64 / (1 << 20) as f64;
     let mut rows = Vec::new();
     let mut full_ms = Vec::new();
     let mut push_ms = Vec::new();
     let mut planner_ms = Vec::new();
     let mut full_mib = Vec::new();
     let mut push_mib = Vec::new();
-    let mut points = Vec::new();
-    for &sel in &selectivities {
-        let full = measure(&mut clock, sel, ScanMode::FullFetch);
-        let push = measure(&mut clock, sel, ScanMode::Pushdown);
-        let plan = measure(&mut clock, sel, ScanMode::Planner);
-        assert_eq!(full.matched, push.matched, "arms must agree on the answer");
-        assert_eq!(full.matched, plan.matched, "arms must agree on the answer");
+    for (sel, full, push, plan) in &points {
         let picked = plan.plan.expect("planner arm records its pick");
         rows.push(vec![
-            label(sel),
+            label(*sel),
             format!("{:.2}", full.elapsed.as_millis_f64()),
             format!("{:.2}", push.elapsed.as_millis_f64()),
             format!("{:.2}", plan.elapsed.as_millis_f64()),
-            format!("{:.2}", full.wire_bytes as f64 / (1 << 20) as f64),
-            format!("{:.2}", push.wire_bytes as f64 / (1 << 20) as f64),
+            format!("{:.2}", mib(full)),
+            format!("{:.2}", mib(push)),
             format!("{picked:?}"),
             full.matched.to_string(),
         ]);
-        full_ms.push((label(sel), full.elapsed.as_millis_f64()));
-        push_ms.push((label(sel), push.elapsed.as_millis_f64()));
-        planner_ms.push((label(sel), plan.elapsed.as_millis_f64()));
-        full_mib.push((label(sel), full.wire_bytes as f64 / (1 << 20) as f64));
-        push_mib.push((label(sel), push.wire_bytes as f64 / (1 << 20) as f64));
-        points.push((sel, full, push, plan));
+        full_ms.push((label(*sel), full.elapsed.as_millis_f64()));
+        push_ms.push((label(*sel), push.elapsed.as_millis_f64()));
+        planner_ms.push((label(*sel), plan.elapsed.as_millis_f64()));
+        full_mib.push((label(*sel), mib(full)));
+        push_mib.push((label(*sel), mib(push)));
     }
     report.table(
         "whole-table scan, 16-page segments",
@@ -130,14 +155,6 @@ fn main() {
     report.series("planner_ms", &planner_ms);
     report.series("full_fetch_mib", &full_mib);
     report.series("pushdown_mib", &push_mib);
-
-    // the cost model's predicted crossover for this table's shape
-    let predicted = crossover_selectivity(
-        scan_estimate(&t, SCAN_PAGES, 0.0),
-        DeviceProfile::remote_memory(),
-        t.fabric.config(),
-        &costs,
-    );
     report.note(format!(
         "cost-model crossover at {:.1}% selectivity (pushdown below, full fetch above)",
         predicted * 100.0
@@ -199,7 +216,7 @@ fn main() {
     report.check_assert(
         "full_table_matches_at_100pct",
         "every row survives a 100%-selectivity scan",
-        high.1.matched == t.pages * t.rows_per_page,
+        high.1.matched == table_rows,
     );
     report.gauge("full_fetch_1pct_ms", low.1.elapsed.as_millis_f64(), 25.0);
     report.gauge("pushdown_1pct_ms", low.2.elapsed.as_millis_f64(), 25.0);

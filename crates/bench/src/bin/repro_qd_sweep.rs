@@ -10,32 +10,53 @@
 //! §4.2 of the paper sizes the staging buffers for exactly this: up to 128
 //! in-flight transfers per scheduler.
 
-use std::sync::Arc;
-
-use remem::{Cluster, Device, RFileConfig};
-use remem_bench::Report;
-use remem_sim::{Clock, MetricsRegistry};
+use remem::RFileConfig;
+use remem_bench::{Arm, Report};
+use remem_sim::Clock;
 
 const PAGE: usize = 8 << 10;
 /// Pages transferred per measurement: 16 MiB total.
 const PAGES: usize = 2048;
 const CAPACITY: u64 = 64 << 20;
 
-fn remote_device(queue_depth: usize, registry: Arc<MetricsRegistry>) -> (Arc<dyn Device>, Clock) {
-    let cluster = Cluster::builder()
+/// Read `PAGES` pages from a file configured at `queue_depth`, in
+/// `read_vectored` calls of `batch` requests each or (`None`, the scalar
+/// baseline) one `read` call per page. Returns GB/s.
+fn read_gbps(queue_depth: usize, batch: Option<usize>, arm: &Arm) -> f64 {
+    let cluster = arm
+        .cluster()
         .memory_servers(2)
         .memory_per_server(64 << 20)
-        .metrics(registry)
         .build();
     let mut clock = Clock::new();
     let cfg = RFileConfig {
         queue_depth,
         ..RFileConfig::custom()
     };
-    let file = cluster
+    let dev = cluster
         .remote_file(&mut clock, cluster.db_server, CAPACITY, cfg)
         .expect("remote file");
-    (file, clock)
+    let mut buf = vec![0u8; PAGES * PAGE];
+    let t0 = clock.now();
+    let offset = |i: usize| (i * PAGE) as u64;
+    let Some(batch) = batch else {
+        for (i, page) in buf.chunks_mut(PAGE).enumerate() {
+            dev.read(&mut clock, offset(i), page)
+                .expect("fault-free read");
+        }
+        return gbps((PAGES * PAGE) as u64, clock.now().since(t0).as_nanos());
+    };
+    for (chunk_no, chunk) in buf.chunks_mut(batch * PAGE).enumerate() {
+        let mut reqs: Vec<(u64, &mut [u8])> = chunk
+            .chunks_mut(PAGE)
+            .enumerate()
+            .map(|(i, b)| (offset(chunk_no * batch + i), b))
+            .collect();
+        for r in dev.read_vectored(&mut clock, &mut reqs) {
+            r.expect("fault-free read");
+        }
+    }
+    gbps((PAGES * PAGE) as u64, clock.now().since(t0).as_nanos())
 }
 
 fn gbps(bytes: u64, elapsed_ns: u64) -> f64 {
@@ -45,70 +66,52 @@ fn gbps(bytes: u64, elapsed_ns: u64) -> f64 {
     bytes as f64 / elapsed_ns as f64 // bytes/ns == GB/s
 }
 
-/// One vectored measurement: read `PAGES` pages in `read_vectored` calls of
-/// `batch` requests each, on a file configured at `queue_depth`.
-fn vectored_gbps(queue_depth: usize, batch: usize, registry: Arc<MetricsRegistry>) -> f64 {
-    let (dev, mut clock) = remote_device(queue_depth, registry);
-    let mut buf = vec![0u8; PAGES * PAGE];
-    let t0 = clock.now();
-    for (chunk_no, chunk) in buf.chunks_mut(batch * PAGE).enumerate() {
-        let base = (chunk_no * batch * PAGE) as u64;
-        let mut reqs: Vec<(u64, &mut [u8])> = chunk
-            .chunks_mut(PAGE)
-            .enumerate()
-            .map(|(i, b)| (base + (i * PAGE) as u64, b))
-            .collect();
-        for r in dev.read_vectored(&mut clock, &mut reqs) {
-            r.expect("fault-free read");
-        }
-    }
-    gbps((PAGES * PAGE) as u64, clock.now().since(t0).as_nanos())
-}
-
-/// The scalar baseline: the same bytes, one `read` call per page.
-fn scalar_gbps(registry: Arc<MetricsRegistry>) -> f64 {
-    let (dev, mut clock) = remote_device(1, registry);
-    let mut page = vec![0u8; PAGE];
-    let t0 = clock.now();
-    for i in 0..PAGES {
-        dev.read(&mut clock, (i * PAGE) as u64, &mut page)
-            .expect("fault-free read");
-    }
-    gbps((PAGES * PAGE) as u64, clock.now().since(t0).as_nanos())
-}
-
 fn main() {
     let mut report = Report::new(
         "repro_qd_sweep",
         "QD sweep",
         "Pipelined vectored I/O: throughput vs queue depth and batch size",
     );
-    let scalar = scalar_gbps(report.registry());
-
-    // Sweep 1: queue depth, whole 2048-page batches per call.
-    let mut qd_points: Vec<(String, f64)> = Vec::new();
-    let mut rows = Vec::new();
-    for qd in [1usize, 2, 4, 8, 16, 32, 64] {
-        let g = vectored_gbps(qd, PAGES, report.registry());
-        rows.push(vec![
-            format!("QD={qd}"),
-            format!("{g:.3}"),
-            format!("{:.1}x", if scalar > 0.0 { g / scalar } else { 0.0 }),
-        ]);
-        qd_points.push((format!("QD={qd}"), g));
-    }
+    // Sweep 1: queue depth, whole 2048-page batches per call. Sweep 2: batch
+    // size at a fixed deep queue — a batch of 1 degenerates to the scalar
+    // doorbell-per-page pattern. `None` is the scalar baseline.
+    let depths = [1usize, 2, 4, 8, 16, 32, 64];
+    let batches = [1usize, 4, 16, 64, 256, 1024];
+    let arms: Vec<(usize, Option<usize>)> = std::iter::once((1, None))
+        .chain(depths.map(|qd| (qd, Some(PAGES))))
+        .chain(batches.map(|b| (32, Some(b))))
+        .collect();
+    let runs = report.arms(
+        &arms,
+        |&(qd, batch)| batch.map_or("scalar".into(), |b| format!("QD={qd} B={b}")),
+        |&(qd, batch), arm| read_gbps(qd, batch, arm),
+    );
+    let scalar = runs[0];
+    let qd_points: Vec<(String, f64)> = depths
+        .iter()
+        .zip(&runs[1..])
+        .map(|(qd, &g)| (format!("QD={qd}"), g))
+        .collect();
+    let batch_points: Vec<(String, f64)> = batches
+        .iter()
+        .zip(&runs[1 + depths.len()..])
+        .map(|(b, &g)| (format!("B={b}"), g))
+        .collect();
+    let mut rows: Vec<Vec<String>> = qd_points
+        .iter()
+        .map(|(label, g)| {
+            vec![
+                label.clone(),
+                format!("{g:.3}"),
+                format!("{:.1}x", if scalar > 0.0 { g / scalar } else { 0.0 }),
+            ]
+        })
+        .collect();
     rows.push(vec!["scalar".into(), format!("{scalar:.3}"), "1.0x".into()]);
     report.table("8K reads, GB/s", &["config", "GB/s", "vs scalar"], rows);
     report.series("qd_gbps", &qd_points);
     report.series("scalar_gbps", &[("scalar", scalar)]);
 
-    // Sweep 2: batch size at a fixed deep queue — a batch of 1 degenerates
-    // to the scalar doorbell-per-page pattern.
-    let mut batch_points: Vec<(String, f64)> = Vec::new();
-    for batch in [1usize, 4, 16, 64, 256, 1024] {
-        let g = vectored_gbps(32, batch, report.registry());
-        batch_points.push((format!("B={batch}"), g));
-    }
     report.series("batch_gbps", &batch_points);
 
     report.blank();

@@ -18,17 +18,24 @@
 //! replays again, accounting the archive-fallback cost for truncated
 //! prefixes.
 
-use std::sync::Arc;
-
-use remem::{Cluster, ColType, DbOptions, Design, PlacementPolicy, Schema, Value};
-use remem_bench::Report;
+use remem::{ColType, DbOptions, Design, PlacementPolicy, Schema, Value};
+use remem_bench::{Arm, Report};
 use remem_engine::{Database, Row};
 use remem_sim::rng::SimRng;
-use remem_sim::{Clock, MetricsRegistry};
+use remem_sim::Clock;
 
 const GROUPS: u64 = 400;
 const GROUP: usize = 8;
 const KEYS: u64 = 4_096;
+
+/// Where the log goes, and whether the lazy archiver is forced to drain
+/// the whole ring (`archive_now`) before the REDO pass.
+#[derive(Clone, Copy, PartialEq)]
+enum Wal {
+    Device,
+    Remote,
+    Archived,
+}
 
 struct ArmOutcome {
     /// Mean commit latency per flushed group, microseconds of virtual time.
@@ -39,10 +46,14 @@ struct ArmOutcome {
     log_reads_in_replay: u64,
     /// Records the replay visited.
     replayed: u64,
-    /// Quorum appends the fabric counted (remote arm only; 0 on device).
+    /// Quorum appends the fabric counted (remote arms only; 0 on device).
     quorum_appends: u64,
     /// Flushed commit groups the WAL itself counted.
     wal_groups: u64,
+    /// Bytes `archive_now` drained (archived arm only).
+    archived_bytes: u64,
+    /// Bytes still resident in the ring after the replay (0 on device).
+    ring_resident_after: u64,
 }
 
 fn commit_stream(db: &Database, clock: &mut Clock, t: remem::TableId, rng: &mut SimRng) -> f64 {
@@ -62,24 +73,23 @@ fn commit_stream(db: &Database, clock: &mut Clock, t: remem::TableId, rng: &mut 
     total_ns as f64 / GROUPS as f64 / 1_000.0
 }
 
-fn arm(remote: bool) -> ArmOutcome {
-    let metrics = Arc::new(MetricsRegistry::new());
-    // the fabric publishes `wal.quorum.*` into the cluster's registry; the
-    // same registry goes into DbOptions so the log device is metered too
-    let cluster = Cluster::builder()
+fn run(wal: Wal, arm: &mut Arm) -> ArmOutcome {
+    let remote = wal != Wal::Device;
+    // the fabric publishes `wal.quorum.*` into the arm's registry, and the
+    // database built on the cluster meters the log device into it too
+    let cluster = arm
+        .cluster()
         .memory_servers(3)
         .memory_per_server(96 << 20)
         .placement(PlacementPolicy::Spread)
-        .metrics(Arc::clone(&metrics))
         .build();
+    let metrics = arm.registry();
     let mut clock = Clock::new();
     let opts = DbOptions {
         pool_bytes: 4 << 20,
         replicas: if remote { 2 } else { 1 },
         remote_wal: remote,
         wal_ring_bytes: 8 << 20,
-        fault_log: None,
-        metrics: Some(Arc::clone(&metrics)),
         ..DbOptions::small()
     };
     let db = Design::Custom
@@ -94,6 +104,11 @@ fn arm(remote: bool) -> ArmOutcome {
         .unwrap();
     let mut rng = SimRng::seeded(0x0A11_D00D);
     let commit_us = commit_stream(&db, &mut clock, t, &mut rng);
+    let archived_bytes = if wal == Wal::Archived {
+        db.wal().archive_now(&mut clock).expect("archive")
+    } else {
+        0
+    };
 
     // Fig-26-style REDO pass over the whole log
     let log_reads = metrics.counter("storage.log.read.ops");
@@ -112,61 +127,8 @@ fn arm(remote: bool) -> ArmOutcome {
         replayed,
         quorum_appends: metrics.counter("wal.quorum.appends").get(),
         wal_groups: db.wal().stats().groups,
-    }
-}
-
-/// Remote arm, archive-fallback phase: force the lazy archiver to drain and
-/// truncate the whole ring, then replay again — every record now comes back
-/// from the archive device, none from remote memory.
-struct ArchiveOutcome {
-    archived_bytes: u64,
-    replayed: u64,
-    log_reads: u64,
-    ring_resident_after: u64,
-}
-
-fn archive_phase() -> ArchiveOutcome {
-    let metrics = Arc::new(MetricsRegistry::new());
-    let cluster = Cluster::builder()
-        .memory_servers(3)
-        .memory_per_server(96 << 20)
-        .placement(PlacementPolicy::Spread)
-        .metrics(Arc::clone(&metrics))
-        .build();
-    let mut clock = Clock::new();
-    let opts = DbOptions {
-        pool_bytes: 4 << 20,
-        replicas: 2,
-        remote_wal: true,
-        wal_ring_bytes: 8 << 20,
-        fault_log: None,
-        metrics: Some(Arc::clone(&metrics)),
-        ..DbOptions::small()
-    };
-    let db = Design::Custom
-        .build(&cluster, &mut clock, &opts)
-        .expect("db");
-    let t = db
-        .create_table(
-            &mut clock,
-            Schema::new(vec![("k", ColType::Int), ("v", ColType::Int)]),
-            0,
-        )
-        .unwrap();
-    let mut rng = SimRng::seeded(0x0A11_D00D);
-    commit_stream(&db, &mut clock, t, &mut rng);
-    let archived_bytes = db.wal().archive_now(&mut clock).expect("archive");
-    let log_reads = metrics.counter("storage.log.read.ops");
-    let reads_before = log_reads.get();
-    let mut replayed = 0u64;
-    db.wal()
-        .replay(&mut clock, 0, |_| replayed += 1)
-        .expect("replay");
-    ArchiveOutcome {
         archived_bytes,
-        replayed,
-        log_reads: log_reads.get() - reads_before,
-        ring_resident_after: db.wal().ring().expect("ring").resident(),
+        ring_resident_after: db.wal().ring().map_or(0, |ring| ring.resident()),
     }
 }
 
@@ -177,9 +139,19 @@ fn main() {
         "commit latency + REDO recovery: replicated remote WAL ring (k=2) vs device log",
     );
 
-    let device = arm(false);
-    let remote = arm(true);
-    let archive = archive_phase();
+    // the third arm is the remote one again, replayed after `archive_now`
+    // drained and truncated the whole ring: every record now comes back
+    // from the archive device, none from remote memory
+    let runs = report.arms(
+        &[Wal::Device, Wal::Remote, Wal::Archived],
+        |&wal| match wal {
+            Wal::Device => "device WAL".into(),
+            Wal::Remote => "remote WAL k=2".into(),
+            Wal::Archived => "remote WAL k=2 archived".into(),
+        },
+        |&wal, arm| run(wal, arm),
+    );
+    let [device, remote, archive] = <[ArmOutcome; 3]>::try_from(runs).ok().expect("three arms");
 
     report.table(
         "the two arms (identical commit stream):",
@@ -213,7 +185,7 @@ fn main() {
         vec![vec![
             archive.archived_bytes.to_string(),
             archive.ring_resident_after.to_string(),
-            archive.log_reads.to_string(),
+            archive.log_reads_in_replay.to_string(),
             archive.replayed.to_string(),
         ]],
     );
@@ -267,7 +239,7 @@ fn main() {
         "after archive_now the ring is empty and every record replays from the archive",
         archive.ring_resident_after == 0
             && archive.replayed == GROUPS * GROUP as u64
-            && archive.log_reads > 0
+            && archive.log_reads_in_replay > 0
             && archive.archived_bytes > 0,
     );
 

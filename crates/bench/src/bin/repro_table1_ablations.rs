@@ -6,16 +6,32 @@
 //! Also exercises the paper's proposed *adaptive* strategy (spin a budget,
 //! then yield): small transfers behave like sync, large ones like async.
 
-use remem::{AccessMode, Cluster, RFileConfig, RegistrationMode};
-use remem_bench::Report;
-use remem_sim::{Clock, SimDuration};
+use remem::{AccessMode, RFileConfig, RegistrationMode};
+use remem_bench::{Arm, Report};
+use remem_sim::{Clock, SimDuration, SimTime};
 
-fn one_config(access: AccessMode, registration: RegistrationMode, bytes: u64) -> SimDuration {
-    let cluster = Cluster::builder()
+/// One probe on a fresh single-donor cluster: for `Some((access,
+/// registration, bytes))` the mean latency of 64 writes of `bytes` to a file
+/// opened that way, for `None` the one-off cost of opening a file (lease
+/// RPC, QP connect, staging registration).
+fn probe(writes: Option<(AccessMode, RegistrationMode, u64)>, arm: &Arm) -> SimDuration {
+    let donor = if writes.is_some() {
+        128 << 20
+    } else {
+        64 << 20
+    };
+    let cluster = arm
+        .cluster()
         .memory_servers(1)
-        .memory_per_server(128 << 20)
+        .memory_per_server(donor)
         .build();
     let mut clock = Clock::new();
+    let Some((access, registration, bytes)) = writes else {
+        let cfg = RFileConfig::custom();
+        let file = cluster.remote_file(&mut clock, cluster.db_server, 16 << 20, cfg);
+        file.unwrap();
+        return clock.now().since(SimTime(0));
+    };
     let cfg = RFileConfig {
         access,
         registration,
@@ -41,23 +57,40 @@ fn main() {
         "ablations of the paper's design choices",
     );
 
+    // one arm per probe: each access mode at both transfer sizes, the
+    // dynamic-registration tax (its staged baseline is sync-spin 8K), and
+    // (`None`) the one-off open cost
+    let (sync, adaptive) = (AccessMode::SyncSpin, AccessMode::adaptive());
+    let (staged, dynamic) = (RegistrationMode::Staged, RegistrationMode::Dynamic);
+    let probes = [
+        ("sync-spin 8K", Some((sync, staged, 8 << 10))),
+        ("sync-spin 1M", Some((sync, staged, 1 << 20))),
+        ("async 8K", Some((AccessMode::Async, staged, 8 << 10))),
+        ("async 1M", Some((AccessMode::Async, staged, 1 << 20))),
+        ("adaptive 8K", Some((adaptive, staged, 8 << 10))),
+        ("adaptive 1M", Some((adaptive, staged, 1 << 20))),
+        ("dynamic registration 8K", Some((sync, dynamic, 8 << 10))),
+        ("create+open", None),
+    ];
+    let runs = report.arms(
+        &probes,
+        |(label, _)| label.to_string(),
+        |&(_, writes), arm| probe(writes, arm),
+    );
+
     let mut rows = Vec::new();
     let mut small_us = Vec::new();
     let mut large_us = Vec::new();
-    for (label, access) in [
-        ("sync-spin (paper)", AccessMode::SyncSpin),
-        ("async I/O", AccessMode::Async),
-        ("adaptive (30us budget)", AccessMode::adaptive()),
-    ] {
-        let small = one_config(access, RegistrationMode::Staged, 8 << 10);
-        let large = one_config(access, RegistrationMode::Staged, 1 << 20);
+    let modes = ["sync-spin (paper)", "async I/O", "adaptive (30us budget)"];
+    for (label, pair) in modes.iter().zip(runs.chunks(2)) {
+        let (small, large) = (pair[0].as_micros_f64(), pair[1].as_micros_f64());
         rows.push(vec![
             label.to_string(),
-            format!("{:.1}", small.as_micros_f64()),
-            format!("{:.1}", large.as_micros_f64()),
+            format!("{small:.1}"),
+            format!("{large:.1}"),
         ]);
-        small_us.push((label.to_string(), small.as_micros_f64()));
-        large_us.push((label.to_string(), large.as_micros_f64()));
+        small_us.push((label.to_string(), small));
+        large_us.push((label.to_string(), large));
     }
     report.table(
         "per-operation latency by access mode and transfer size:",
@@ -82,11 +115,10 @@ fn main() {
     report.blank();
     let mut rows = Vec::new();
     let mut reg_us = Vec::new();
-    for (label, reg) in [
-        ("pre-registered staging (paper)", RegistrationMode::Staged),
-        ("dynamic registration", RegistrationMode::Dynamic),
+    for (label, lat) in [
+        ("pre-registered staging (paper)", runs[0]),
+        ("dynamic registration", runs[6]),
     ] {
-        let lat = one_config(AccessMode::SyncSpin, reg, 8 << 10);
         rows.push(vec![
             label.to_string(),
             format!("{:.1}", lat.as_micros_f64()),
@@ -108,21 +140,7 @@ fn main() {
     );
 
     report.blank();
-    let cluster = Cluster::builder()
-        .memory_servers(1)
-        .memory_per_server(64 << 20)
-        .build();
-    let mut clock = Clock::new();
-    let t0 = clock.now();
-    let _f = cluster
-        .remote_file(
-            &mut clock,
-            cluster.db_server,
-            16 << 20,
-            RFileConfig::custom(),
-        )
-        .unwrap();
-    let open_cost = clock.now().since(t0);
+    let open_cost = runs[7];
     report.note(format!(
         "one-off pre-registration cost at open (lease RPC, QP connect, staging registration): {open_cost}"
     ));

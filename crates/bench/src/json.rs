@@ -27,6 +27,11 @@ impl Json {
         Json::Str(s.into())
     }
 
+    /// An object with `fields` in order.
+    pub(crate) fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
     /// Look up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -10,10 +10,12 @@ pub mod check;
 pub mod json;
 pub mod report;
 
-pub use report::Report;
+pub use report::{Arm, Report};
 
-use remem::DbOptions;
+use remem::{ClusterBuilder, DbOptions, Design};
+use remem_sim::metrics::RunSummary;
 use remem_sim::{Clock, SimDuration, SimTime};
+use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
 /// Windowed utilization of a cumulative-utilization resource: the busy
 /// fraction within `[t0, t1]` given cumulative utilizations at both
@@ -67,6 +69,15 @@ pub fn run_streams(
     (makespan, latencies)
 }
 
+/// Every design crossed with every knob, design-major: the arm list of a
+/// figure that sweeps one knob per design.
+pub fn design_arms<K: Copy>(knobs: &[K]) -> Vec<(Design, K)> {
+    Design::ALL
+        .into_iter()
+        .flat_map(|d| knobs.iter().map(move |&k| (d, k)))
+        .collect()
+}
+
 /// Print the standard experiment header (scale note included, since all
 /// data sizes are the paper's divided by 1000).
 pub fn header(figure: &str, what: &str) {
@@ -92,6 +103,32 @@ pub fn rangescan_opts(spindles: usize) -> DbOptions {
         spindles,
         ..DbOptions::small()
     }
+}
+
+/// One RangeScan arm (Figs 7-10, 12 and 24): `design` with `opts` on the
+/// cluster `cluster` builds, `rows` customers loaded, then 80 workers for
+/// 400 ms of virtual time with `update_fraction` of the queries updating.
+pub fn rangescan_arm(
+    arm: &mut Arm,
+    cluster: ClusterBuilder,
+    design: Design,
+    opts: &DbOptions,
+    rows: u64,
+    update_fraction: f64,
+) -> RunSummary {
+    let cluster = cluster.build();
+    let mut clock = Clock::new();
+    let db = design
+        .build(&cluster, &mut clock, opts)
+        .expect("build design");
+    let t = arm.load(|| load_customer(&db, &mut clock, rows));
+    let p = RangeScanParams {
+        workers: 80,
+        update_fraction,
+        duration: SimDuration::from_millis(400),
+        ..Default::default()
+    };
+    run_rangescan(&db, t, &p, clock.now())
 }
 
 /// Decision-support sizing for Figs 15a, 15b, 18/19 and 20/21: 16 MiB pool /

@@ -8,6 +8,11 @@
 //! `--check` comparator can re-derive each claim from a later run instead
 //! of trusting a recorded boolean.
 //!
+//! A figure's arms (design × knob points) run through [`Report::arms`]:
+//! each gets an [`Arm`] with a registry of its own, so the report's metrics
+//! dump says per arm where the time went, and its host time is split into
+//! load and run.
+//!
 //! [`Report::finish`] serializes everything (schema `remem-bench/v1`) to one
 //! file, `<root>/BENCH_<name>.json` ([`bench_root`]), stamps a determinism
 //! [`fingerprint`], and exits non-zero if any check failed. Nothing in the
@@ -18,7 +23,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use remem_sim::{MetricsRegistry, MetricsSnapshot};
+use remem::{Cluster, ClusterBuilder};
+use remem_sim::{MetricsRegistry, MetricsSnapshot, Stopwatch};
 
 use crate::json::{fnv1a_64, Json};
 use crate::print_table;
@@ -93,7 +99,8 @@ pub struct Report {
     name: String,
     figure: String,
     title: String,
-    registry: Arc<MetricsRegistry>,
+    /// Each arm's label and final metrics, in the order the arms ran.
+    arms: Vec<(String, MetricsSnapshot)>,
     notes: Vec<String>,
     volatile: Vec<String>,
     tables: Vec<Table>,
@@ -112,7 +119,7 @@ impl Report {
             name: name.to_string(),
             figure: figure.to_string(),
             title: title.to_string(),
-            registry: MetricsRegistry::shared(),
+            arms: Vec::new(),
             notes: Vec::new(),
             volatile: Vec::new(),
             tables: Vec::new(),
@@ -120,13 +127,6 @@ impl Report {
             gauges: Vec::new(),
             checks: Vec::new(),
         }
-    }
-
-    /// The registry this figure's cluster/database should publish into
-    /// (pass it to `ClusterBuilder::metrics`); its snapshot is embedded in
-    /// the JSON at [`Report::finish`].
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
     }
 
     /// Print and record a free-form line of commentary.
@@ -148,22 +148,44 @@ impl Report {
         self.volatile.push(text);
     }
 
-    /// Record where the host time went as volatile notes: one line per arm
-    /// with its load and run wall-clock, then the sums. Each arm is
-    /// `(label, load ms, run ms)`.
-    pub fn wall_clock_notes(&mut self, arms: &[(String, f64, f64)]) {
-        for (label, load_ms, run_ms) in arms {
-            self.volatile_note(format!(
-                "wall-clock {label}: load {:.1} s, run {:.1} s",
-                load_ms / 1e3,
-                run_ms / 1e3
-            ));
-        }
-        let (load_ms, run_ms) = arms
+    /// Run `body` once per arm (one design × knob point of the figure), in
+    /// order, each with a fresh [`Arm`], and return the outcomes in arm
+    /// order. Each arm's metrics become its entry in the report's dump, and
+    /// its host time a volatile line (`label` names it in both): the time
+    /// spent in [`Arm::load`] is the load, the rest of the body the run. A
+    /// last line sums the arms. The bounds let arms share nothing mutable.
+    pub fn arms<A: Sync, R: Send>(
+        &mut self,
+        arms: &[A],
+        label: impl Fn(&A) -> String,
+        body: impl Fn(&A, &mut Arm) -> R + Sync,
+    ) -> Vec<R> {
+        let (mut load_ms, mut run_ms) = (0.0, 0.0);
+        let outcomes = arms
             .iter()
-            .fold((0.0, 0.0), |(load, run), arm| (load + arm.1, run + arm.2));
+            .map(|a| {
+                let mut arm = Arm {
+                    registry: MetricsRegistry::shared(),
+                    load_ms: 0.0,
+                };
+                let wall = Stopwatch::start();
+                let outcome = body(a, &mut arm);
+                let arm_run_ms = wall.elapsed_ms() - arm.load_ms;
+                let label = label(a);
+                self.wall_clock_note(&label, arm.load_ms, arm_run_ms);
+                load_ms += arm.load_ms;
+                run_ms += arm_run_ms;
+                self.arms.push((label, arm.registry.snapshot()));
+                outcome
+            })
+            .collect();
+        self.wall_clock_note("all arms", load_ms, run_ms);
+        outcomes
+    }
+
+    fn wall_clock_note(&mut self, what: &str, load_ms: f64, run_ms: f64) {
         self.volatile_note(format!(
-            "wall-clock all arms: load {:.1} s, run {:.1} s",
+            "wall-clock {what}: load {:.1} s, run {:.1} s",
             load_ms / 1e3,
             run_ms / 1e3
         ));
@@ -327,93 +349,67 @@ impl Report {
     }
 
     fn body(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".to_string(), Json::str(SCHEMA)),
-            ("name".to_string(), Json::str(&self.name)),
-            ("figure".to_string(), Json::str(&self.figure)),
-            ("title".to_string(), Json::str(&self.title)),
-            (
-                "notes".to_string(),
-                Json::Arr(self.notes.iter().map(Json::str).collect()),
-            ),
-            (
-                "tables".to_string(),
-                Json::Arr(
-                    self.tables
-                        .iter()
-                        .map(|t| {
-                            Json::Obj(vec![
-                                ("title".to_string(), Json::str(&t.title)),
-                                (
-                                    "headers".to_string(),
-                                    Json::Arr(t.headers.iter().map(Json::str).collect()),
-                                ),
-                                (
-                                    "rows".to_string(),
-                                    Json::Arr(
-                                        t.rows
-                                            .iter()
-                                            .map(|r| Json::Arr(r.iter().map(Json::str).collect()))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "series".to_string(),
-                Json::Arr(
-                    self.series
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("name".to_string(), Json::str(&s.name)),
-                                ("points".to_string(), points_json(&s.points)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".to_string(),
-                Json::Arr(
-                    self.gauges
-                        .iter()
-                        .map(|g| {
-                            Json::Obj(vec![
-                                ("name".to_string(), Json::str(&g.name)),
-                                ("value".to_string(), Json::Num(g.value)),
-                                ("tol_pct".to_string(), Json::Num(g.tol_pct)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "checks".to_string(),
-                Json::Arr(
-                    self.checks
-                        .iter()
-                        .map(|c| {
-                            Json::Obj(vec![
-                                ("id".to_string(), Json::str(&c.id)),
-                                ("desc".to_string(), Json::str(&c.desc)),
-                                ("kind".to_string(), Json::str(c.kind)),
-                                ("param".to_string(), Json::Num(c.param)),
-                                ("data".to_string(), points_json(&c.data)),
-                                ("pass".to_string(), Json::Bool(c.pass)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "metrics".to_string(),
-                snapshot_json(&self.registry.snapshot()),
-            ),
+        let strs = |items: &[String]| Json::Arr(items.iter().map(Json::str).collect());
+        let tables = self.tables.iter().map(|t| {
+            let rows = t.rows.iter().map(|r| strs(r)).collect();
+            Json::obj([
+                ("title", Json::str(&t.title)),
+                ("headers", strs(&t.headers)),
+                ("rows", Json::Arr(rows)),
+            ])
+        });
+        let series = self.series.iter().map(|s| {
+            Json::obj([
+                ("name", Json::str(&s.name)),
+                ("points", points_json(&s.points)),
+            ])
+        });
+        let gauges = self.gauges.iter().map(|g| {
+            Json::obj([
+                ("name", Json::str(&g.name)),
+                ("value", Json::Num(g.value)),
+                ("tol_pct", Json::Num(g.tol_pct)),
+            ])
+        });
+        let checks = self.checks.iter().map(|c| {
+            Json::obj([
+                ("id", Json::str(&c.id)),
+                ("desc", Json::str(&c.desc)),
+                ("kind", Json::str(c.kind)),
+                ("param", Json::Num(c.param)),
+                ("data", points_json(&c.data)),
+                ("pass", Json::Bool(c.pass)),
+            ])
+        });
+        Json::obj([
+            ("schema", Json::str(SCHEMA)),
+            ("name", Json::str(&self.name)),
+            ("figure", Json::str(&self.figure)),
+            ("title", Json::str(&self.title)),
+            ("notes", strs(&self.notes)),
+            ("tables", Json::Arr(tables.collect())),
+            ("series", Json::Arr(series.collect())),
+            ("gauges", Json::Arr(gauges.collect())),
+            ("checks", Json::Arr(checks.collect())),
+            ("metrics", self.metrics_json()),
         ])
+    }
+
+    /// The dump: one entry per arm, `{label, counters, gauges, histograms,
+    /// series, spans}`, in arm order. A report without arms keeps the empty
+    /// single dump it has always written.
+    fn metrics_json(&self) -> Json {
+        if self.arms.is_empty() {
+            return snapshot_json(&MetricsSnapshot::default());
+        }
+        let arms = self.arms.iter().map(|(label, snapshot)| {
+            let Json::Obj(fields) = snapshot_json(snapshot) else {
+                unreachable!("a snapshot serializes to an object")
+            };
+            let label = ("label".to_string(), Json::str(label));
+            Json::Obj(std::iter::once(label).chain(fields).collect())
+        });
+        Json::obj([("arms", Json::Arr(arms.collect()))])
     }
 
     /// Write `<root>/BENCH_<name>.json`, print a summary line, and exit the
@@ -457,6 +453,36 @@ impl Report {
     }
 }
 
+/// What [`Report::arms`] gives each arm: a registry of its own and a timer
+/// for the host time of its load phase.
+pub struct Arm {
+    registry: Arc<MetricsRegistry>,
+    load_ms: f64,
+}
+
+impl Arm {
+    /// The arm's registry, for what [`Arm::cluster`] does not wire: a
+    /// database or device built by hand.
+    pub fn registry(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.registry)
+    }
+
+    /// A cluster builder publishing into the arm's registry. Designs built
+    /// on the cluster, and remote files opened through it, inherit it.
+    pub fn cluster(&self) -> ClusterBuilder {
+        Cluster::builder().metrics(self.registry())
+    }
+
+    /// Run `phase`, counting its host time as the arm's load rather than
+    /// its run.
+    pub fn load<T>(&mut self, phase: impl FnOnce() -> T) -> T {
+        let wall = Stopwatch::start();
+        let out = phase();
+        self.load_ms += wall.elapsed_ms();
+        out
+    }
+}
+
 fn own<S: AsRef<str>>(data: &[(S, f64)]) -> Vec<(String, f64)> {
     data.iter()
         .map(|(l, v)| (l.as_ref().to_string(), *v))
@@ -464,92 +490,48 @@ fn own<S: AsRef<str>>(data: &[(S, f64)]) -> Vec<(String, f64)> {
 }
 
 fn points_json(points: &[(String, f64)]) -> Json {
-    Json::Arr(
-        points
-            .iter()
-            .map(|(l, v)| Json::Arr(vec![Json::str(l), Json::Num(*v)]))
-            .collect(),
-    )
+    let point = |(l, v): &(String, f64)| Json::Arr(vec![Json::str(l), Json::Num(*v)]);
+    Json::Arr(points.iter().map(point).collect())
 }
 
+/// A snapshot's five name-ordered maps, each value as `value` renders it.
 fn snapshot_json(s: &MetricsSnapshot) -> Json {
-    Json::Obj(vec![
+    fn named<T>(items: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
+        Json::Obj(items.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+    }
+    let num = |n: u64| Json::Num(n as f64);
+    Json::obj([
+        ("counters", named(&s.counters, |&v| num(v))),
+        ("gauges", named(&s.gauges, |&v| Json::Num(v))),
         (
-            "counters".to_string(),
-            Json::Obj(
-                s.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
+            "histograms",
+            named(&s.histograms, |h| {
+                Json::obj([
+                    ("count", num(h.count)),
+                    ("mean_ns", num(h.mean_ns)),
+                    ("p50_ns", num(h.p50_ns)),
+                    ("p95_ns", num(h.p95_ns)),
+                    ("p99_ns", num(h.p99_ns)),
+                    ("max_ns", num(h.max_ns)),
+                ])
+            }),
         ),
         (
-            "gauges".to_string(),
-            Json::Obj(
-                s.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                    .collect(),
-            ),
+            "series",
+            named(&s.series, |v| {
+                let sums = v.sums.iter().map(|&x| Json::Num(x)).collect();
+                Json::obj([("bucket_ns", num(v.bucket_ns)), ("sums", Json::Arr(sums))])
+            }),
         ),
         (
-            "histograms".to_string(),
-            Json::Obj(
-                s.histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Json::Obj(vec![
-                                ("count".to_string(), Json::Num(h.count as f64)),
-                                ("mean_ns".to_string(), Json::Num(h.mean_ns as f64)),
-                                ("p50_ns".to_string(), Json::Num(h.p50_ns as f64)),
-                                ("p95_ns".to_string(), Json::Num(h.p95_ns as f64)),
-                                ("p99_ns".to_string(), Json::Num(h.p99_ns as f64)),
-                                ("max_ns".to_string(), Json::Num(h.max_ns as f64)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "series".to_string(),
-            Json::Obj(
-                s.series
-                    .iter()
-                    .map(|(k, v)| {
-                        (
-                            k.clone(),
-                            Json::Obj(vec![
-                                ("bucket_ns".to_string(), Json::Num(v.bucket_ns as f64)),
-                                (
-                                    "sums".to_string(),
-                                    Json::Arr(v.sums.iter().map(|x| Json::Num(*x)).collect()),
-                                ),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "spans".to_string(),
-            Json::Obj(
-                s.spans
-                    .iter()
-                    .map(|(k, sp)| {
-                        (
-                            k.clone(),
-                            Json::Obj(vec![
-                                ("count".to_string(), Json::Num(sp.count as f64)),
-                                ("total_ns".to_string(), Json::Num(sp.total_ns as f64)),
-                                ("self_ns".to_string(), Json::Num(sp.self_ns as f64)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
+            "spans",
+            named(&s.spans, |sp| {
+                Json::obj([
+                    ("count", num(sp.count)),
+                    ("total_ns", num(sp.total_ns)),
+                    ("self_ns", num(sp.self_ns)),
+                ])
+            }),
         ),
     ])
 }
@@ -615,8 +597,14 @@ mod tests {
 
     fn sample_report() -> Report {
         let mut r = Report::new("unit_sample", "Test", "sample report");
-        r.registry().counter("bp.hits").add(7);
-        r.registry().gauge("bpext.hit_ratio").set(0.5);
+        r.arms(
+            &["Custom"],
+            |l| l.to_string(),
+            |_, arm| {
+                arm.registry().counter("bp.hits").add(7);
+                arm.registry().gauge("bpext.hit_ratio").set(0.5);
+            },
+        );
         r.note("a note");
         r.table(
             "t",
@@ -661,11 +649,12 @@ mod tests {
             .as_str()
             .unwrap()
             .starts_with("fnv1a:"));
-        // the snapshot made it in
-        let metrics = doc.get("metrics").unwrap();
+        // the arm's snapshot made it in
+        let arms = doc.get("metrics").unwrap().get("arms").unwrap();
+        let arm = &arms.as_arr().unwrap()[0];
+        assert_eq!(arm.get("label").unwrap().as_str(), Some("Custom"));
         assert_eq!(
-            metrics
-                .get("counters")
+            arm.get("counters")
                 .unwrap()
                 .get("bp.hits")
                 .unwrap()
@@ -684,14 +673,14 @@ mod tests {
                 .unwrap()
                 .to_string()
         };
+        let vols_of = |doc: &Json| doc.get("volatile").unwrap().as_arr().unwrap().len();
         let plain = sample_report().to_json();
         let mut with_volatile = sample_report();
         with_volatile.volatile_note("host wall clock: 123.4 ms");
         let noisy = with_volatile.to_json();
         assert_eq!(fp_of(&plain), fp_of(&noisy));
         // ...but the line is still recorded in the document
-        let vols = noisy.get("volatile").unwrap().as_arr().unwrap();
-        assert_eq!(vols.len(), 1);
+        assert_eq!(vols_of(&noisy), vols_of(&plain) + 1);
         // a *regular* note must shift the fingerprint
         let mut semantic = sample_report();
         semantic.note("an extra semantic note");
@@ -737,6 +726,84 @@ mod tests {
             0.0
         ));
         assert!(!r.all_checks_pass());
+    }
+
+    /// Three arms, each bumping `arm.<index>` by its index + 1 after a
+    /// timed load; returns the report and the outcomes.
+    fn three_arms() -> (Report, Vec<usize>) {
+        let mut r = Report::new("unit_arms", "Test", "arm runner");
+        let out = r.arms(
+            &[0usize, 1, 2],
+            |i| format!("arm {i}"),
+            |&i, arm| {
+                let registry = arm.registry();
+                let hits = arm.load(|| registry.counter(&format!("arm.{i}")));
+                hits.add(i as u64 + 1);
+                i * 10
+            },
+        );
+        (r, out)
+    }
+
+    fn arm_dumps(doc: &Json) -> Vec<Json> {
+        let metrics = doc.get("metrics").unwrap();
+        metrics.get("arms").unwrap().as_arr().unwrap().to_vec()
+    }
+
+    #[test]
+    fn arms_return_outcomes_and_dumps_in_arm_order() {
+        let (r, out) = three_arms();
+        assert_eq!(out, [0, 10, 20]);
+        let labels: Vec<_> = arm_dumps(&r.to_json())
+            .iter()
+            .map(|a| a.get("label").unwrap().as_str().unwrap().to_string())
+            .collect();
+        assert_eq!(labels, ["arm 0", "arm 1", "arm 2"]);
+    }
+
+    #[test]
+    fn a_counter_bumped_in_one_arm_is_absent_from_the_next() {
+        let (r, _) = three_arms();
+        let arms = arm_dumps(&r.to_json());
+        let counters = |arm: &Json| arm.get("counters").unwrap().clone();
+        assert_eq!(counters(&arms[0]).get("arm.0").unwrap().as_f64(), Some(1.0));
+        assert!(counters(&arms[1]).get("arm.0").is_none());
+        assert_eq!(counters(&arms[1]).get("arm.1").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn one_wall_clock_line_per_arm_then_the_sum() {
+        let (r, _) = three_arms();
+        let doc = r.to_json();
+        let lines: Vec<&str> = doc
+            .get("volatile")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|l| l.as_str().unwrap())
+            .collect();
+        assert_eq!(lines.len(), 4);
+        for (line, what) in lines.iter().zip(["arm 0", "arm 1", "arm 2", "all arms"]) {
+            assert!(
+                line.starts_with(&format!("wall-clock {what}: load ")) && line.contains(", run "),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_same_arms_give_the_same_fingerprint() {
+        let fp = |r: Report| r.to_json().get("fingerprint").unwrap().clone();
+        assert_eq!(fp(three_arms().0), fp(three_arms().0));
+    }
+
+    #[test]
+    fn a_report_without_arms_keeps_the_empty_dump() {
+        let doc = Report::new("unit_no_arms", "Test", "no arms").to_json();
+        let metrics = doc.get("metrics").unwrap();
+        assert!(metrics.get("arms").is_none());
+        assert!(metrics.get("counters").is_some());
     }
 
     #[test]
