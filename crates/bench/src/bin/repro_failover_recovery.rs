@@ -8,7 +8,12 @@
 //!   the crash costs an epoch-fenced failover to the surviving replica and
 //!   a background re-replication onto the spare donor. Zero cached pages
 //!   are discarded and the backing device is never re-read — throughput
-//!   returns to the healthy level as soon as the replica set heals.
+//!   returns to the healthy level as soon as the replica set heals. The
+//!   crash falls between I/Os, so the next verb's lease check adopts the
+//!   fenced epoch and repairs the deficit before anything reaches the dead
+//!   donor: the arm moves `rfile.repairs`, while `rfile.failovers` counts
+//!   only a verb that meets the crash inside its own I/O and re-points
+//!   mid-flight (35 of them in each k = 2 trace of rfile's `golden_faults`).
 //! * `k = 1` (the paper's single-copy design, the `repro_fault_recovery`
 //!   lifecycle): the crash loses the stripes' only copy; the self-healing
 //!   layer re-leases fresh zero-filled stripes and every cached page on

@@ -118,10 +118,12 @@ fn lifecycle(arm: &mut Arm) -> (Vec<Vec<String>>, Vec<Phase>, String) {
     measure("healthy", &db, &mut clock, &mut rng);
 
     // flaky + slow windows over the next ~50 ms of virtual time
-    let horizon = SimTime(clock.now().as_nanos() + 50_000_000);
+    let start = clock.now();
+    let horizon = SimTime(start.as_nanos() + 50_000_000);
     let inj = Arc::new(FaultInjector::randomized_with_log(
         26,
         &cluster.memory_servers,
+        start,
         horizon,
         Arc::clone(&log),
     ));

@@ -40,10 +40,15 @@ type Point = (f64, Scan, Scan, Scan);
 fn sweep(arm: &mut Arm) -> (Vec<Point>, f64, u64) {
     let registry = arm.registry();
     let mut clock = Clock::new();
-    let t = arm.load(|| build_remote_table(&mut clock, PAGES, 2, NetConfig::default()));
-    // attach telemetry only after the load phase so the counters hold
-    // nothing but the sweep's own traffic
-    t.fabric.set_metrics(Some(registry.clone()));
+    let t = arm.load(|| {
+        build_remote_table(
+            &mut clock,
+            PAGES,
+            2,
+            NetConfig::default(),
+            Some(registry.clone()),
+        )
+    });
     let cpu = CpuPool::new(8);
     let costs = CpuCosts::default();
 

@@ -13,9 +13,6 @@ use std::path::{Path, PathBuf};
 use remem_bench::json::{parse, Json};
 use remem_bench::report::{report_names, report_path};
 
-const COMPUTE_BUDGET: &str = "the broker's pushdown compute budget: no report sets one (item 19)";
-const PUSHDOWN_WIRING: &str = "repro_pushdown_selectivity meters its fabric only, not the broker \
-     or the remote file its scans push down through (item 19)";
 const MEMORY_PRESSURE: &str =
     "the memory-pressure path (reclaim, revocation, migration): only tests drive it (item 19)";
 const FAULT_FREE: &str = "no report injects device errors";
@@ -29,10 +26,6 @@ const NEVER_MOVED: &[(&str, &str)] = &[
         "no report deletes a remote file (Table 2's Delete): each lives until its arm ends",
     ),
     ("broker.leases.revoked", MEMORY_PRESSURE),
-    ("broker.pushdown.cpu_ns", PUSHDOWN_WIRING),
-    ("broker.pushdown.denied", COMPUTE_BUDGET),
-    ("broker.pushdown.ops", PUSHDOWN_WIRING),
-    ("broker.pushdown.rows", PUSHDOWN_WIRING),
     ("broker.reclaimed.bytes", MEMORY_PRESSURE),
     ("broker.revocations_expired", MEMORY_PRESSURE),
     (
@@ -41,19 +34,11 @@ const NEVER_MOVED: &[(&str, &str)] = &[
     ),
     (
         "rfile.failovers",
-        "repro_failover_recovery's k=2 crash serves through the crash, but its arm moves \
-         rfile.repairs, not this; item 19 decides why",
+        "repro_failover_recovery's k=2 crash falls between I/Os: the next verb's lease check \
+         adopts the fenced epoch and repairs the deficit (rfile.repairs) before any verb \
+         reaches the dead donor, so no I/O fails over mid-flight",
     ),
     ("rfile.migrations", MEMORY_PRESSURE),
-    ("rfile.pushdown.bytes", PUSHDOWN_WIRING),
-    ("rfile.pushdown.fallbacks", PUSHDOWN_WIRING),
-    ("rfile.pushdown.lat", PUSHDOWN_WIRING),
-    ("rfile.pushdown.ops", PUSHDOWN_WIRING),
-    (
-        "rfile.retries",
-        "repro_fault_recovery's flaky-net window injects no fault an rfile verb retries \
-         (its fault log records no rfile.retry)",
-    ),
     (
         "semantic.invalidations",
         "no report updates a table a materialized view is built on",

@@ -140,9 +140,6 @@ struct BrokerMetrics {
     pushdown_rows: Arc<remem_sim::Counter>,
     /// Server CPU debited to pushdown eval, in nanoseconds.
     pushdown_cpu_ns: Arc<remem_sim::Counter>,
-    /// Pushdown admissions refused because a server's compute budget was
-    /// exhausted (callers fall back to one-sided reads).
-    pushdown_denied: Arc<remem_sim::Counter>,
     /// Replicated leases marked as WAL ring backing (lifetime count).
     wal_rings: Arc<remem_sim::Counter>,
     /// Physical bytes (all replicas) currently pinned under WAL rings.
@@ -165,29 +162,10 @@ impl BrokerMetrics {
             pushdown_ops: registry.counter("broker.pushdown.ops"),
             pushdown_rows: registry.counter("broker.pushdown.rows"),
             pushdown_cpu_ns: registry.counter("broker.pushdown.cpu_ns"),
-            pushdown_denied: registry.counter("broker.pushdown.denied"),
             wal_rings: registry.counter("broker.wal.rings"),
             wal_ring_bytes: registry.gauge("broker.wal.ring_bytes"),
         }
     }
-}
-
-/// Per-donor pushdown compute account: how much eval CPU tenants have
-/// burned on that memory server, against an optional budget. Donors lend
-/// spare *memory* by design (§4.2); spare *CPU* is a scarcer favor, so the
-/// broker meters it and lets operators cap it per server.
-#[derive(Debug, Clone, Default)]
-pub struct ComputeAccount {
-    /// Cumulative eval CPU debited on this server.
-    pub spent: SimDuration,
-    /// Rows evaluated server-side.
-    pub rows: u64,
-    /// Pushdown RPCs accounted.
-    pub ops: u64,
-    /// Admissions refused because the budget was exhausted.
-    pub denied: u64,
-    /// Optional compute budget; `None` = unmetered (the default).
-    pub budget: Option<SimDuration>,
 }
 
 /// A broker front-end over shared [`MetaStore`] state.
@@ -199,9 +177,6 @@ pub struct MemoryBroker {
     store: MetaStore,
     auditor: Mutex<Option<Arc<Auditor>>>,
     metrics: Mutex<Option<Arc<BrokerMetrics>>>,
-    // ordered map: capacity sweeps and reports iterate it, and hash order
-    // would leak into replay
-    compute: Mutex<std::collections::BTreeMap<ServerId, ComputeAccount>>,
     /// Leases pinned as remote-WAL ring backing: the broker reports their
     /// physical footprint separately (`broker.wal.ring_bytes`) because ring
     /// space is durability-critical — pressure shedding must prefer cache
@@ -216,7 +191,6 @@ impl MemoryBroker {
             store,
             auditor: Mutex::new(None),
             metrics: Mutex::new(None),
-            compute: Mutex::new(std::collections::BTreeMap::new()),
             wal_rings: Mutex::new(std::collections::BTreeSet::new()),
         }
     }
@@ -229,55 +203,14 @@ impl MemoryBroker {
         &self.store
     }
 
-    /// Cap (or uncap, with `None`) one donor's pushdown compute budget.
-    /// Usage already accrued is kept — capping below it shuts the server's
-    /// eval engine to new tenant work immediately.
-    pub fn set_compute_budget(&self, server: ServerId, budget: Option<SimDuration>) {
-        self.compute.lock().entry(server).or_default().budget = budget;
-    }
-
-    /// May a tenant push compute to `server` right now? `false` once the
-    /// donor's budget is exhausted; callers are expected to fall back to
-    /// one-sided reads (the memory lease itself stays valid — only the
-    /// *CPU* favor is withdrawn).
-    pub fn pushdown_admit(&self, server: ServerId) -> bool {
-        let mut compute = self.compute.lock();
-        let acct = compute.entry(server).or_default();
-        let ok = match acct.budget {
-            None => true,
-            Some(budget) => acct.spent < budget,
-        };
-        if !ok {
-            acct.denied += 1;
-            if let Some(m) = self.metrics.lock().as_ref() {
-                m.pushdown_denied.incr();
-            }
-        }
-        ok
-    }
-
-    /// Debit one pushdown eval against `server`'s compute account (the
-    /// `server_cpu` the fabric charged plus the rows it visited).
-    pub fn note_pushdown(&self, server: ServerId, cpu: SimDuration, rows: u64) {
-        let mut compute = self.compute.lock();
-        let acct = compute.entry(server).or_default();
-        acct.spent += cpu;
-        acct.rows += rows;
-        acct.ops += 1;
+    /// Publish one pushdown eval a donor ran for a tenant: the
+    /// `server_cpu` the fabric charged and the rows it visited.
+    pub fn note_pushdown(&self, cpu: SimDuration, rows: u64) {
         if let Some(m) = self.metrics.lock().as_ref() {
             m.pushdown_ops.incr();
             m.pushdown_rows.add(rows);
             m.pushdown_cpu_ns.add(cpu.as_nanos());
         }
-    }
-
-    /// Snapshot one donor's compute account.
-    pub fn compute_account(&self, server: ServerId) -> ComputeAccount {
-        self.compute
-            .lock()
-            .get(&server)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Attach (or detach) a runtime invariant auditor. When attached, every
@@ -1285,25 +1218,16 @@ mod tests {
     }
 
     #[test]
-    fn compute_account_meters_and_caps_pushdown() {
-        let (_fabric, broker, _db) = cluster(1, 1);
-        let m = ServerId(1);
-        // unmetered by default
-        assert!(broker.pushdown_admit(m));
-        broker.note_pushdown(m, SimDuration::from_micros(5), 100);
-        broker.note_pushdown(m, SimDuration::from_micros(5), 50);
-        let acct = broker.compute_account(m);
-        assert_eq!((acct.ops, acct.rows), (2, 150));
-        assert_eq!(acct.spent, SimDuration::from_micros(10));
-        // a budget below what's already spent shuts the engine off
-        broker.set_compute_budget(m, Some(SimDuration::from_micros(8)));
-        assert!(!broker.pushdown_admit(m));
-        assert_eq!(broker.compute_account(m).denied, 1);
-        // raising it re-admits
-        broker.set_compute_budget(m, Some(SimDuration::from_micros(20)));
-        assert!(broker.pushdown_admit(m));
-        // other donors are unaffected
-        assert!(broker.pushdown_admit(ServerId(0)));
+    fn note_pushdown_publishes_ops_rows_and_cpu() {
+        let broker = MemoryBroker::new(BrokerConfig::default(), MetaStore::new());
+        let registry = MetricsRegistry::shared();
+        broker.set_metrics(Some(Arc::clone(&registry)));
+        broker.note_pushdown(SimDuration::from_micros(5), 100);
+        broker.note_pushdown(SimDuration::from_micros(5), 50);
+        let counter = |name: &str| registry.counter(name).get();
+        assert_eq!(counter("broker.pushdown.ops"), 2);
+        assert_eq!(counter("broker.pushdown.rows"), 150);
+        assert_eq!(counter("broker.pushdown.cpu_ns"), 10_000);
     }
 
     #[test]

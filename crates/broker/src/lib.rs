@@ -25,8 +25,7 @@ pub mod meta;
 pub mod proxy;
 
 pub use broker::{
-    BrokerConfig, BrokerError, ComputeAccount, LeaseHealth, MemoryBroker, PlacementPolicy,
-    ReplicaRepair,
+    BrokerConfig, BrokerError, LeaseHealth, MemoryBroker, PlacementPolicy, ReplicaRepair,
 };
 pub use lease::{Lease, LeaseId, LeaseState, ReplicaSet};
 pub use meta::MetaStore;

@@ -157,29 +157,37 @@ impl FaultInjector {
     /// involve broker state and are driven by the caller (e.g.
     /// `Cluster::crash_memory_server`), not by the schedule.
     pub fn randomized(seed: u64, servers: &[ServerId], horizon: SimTime) -> FaultInjector {
-        FaultInjector::randomized_with_log(seed, servers, horizon, Arc::new(FaultLog::new()))
+        let log = Arc::new(FaultLog::new());
+        FaultInjector::randomized_with_log(seed, servers, SimTime::ZERO, horizon, log)
     }
 
-    /// [`FaultInjector::randomized`], recording into a caller-shared log so
-    /// injected events interleave with the observers' (rfile, buffer pool).
+    /// [`FaultInjector::randomized`] over `[start, horizon)`, recording into
+    /// a caller-shared log so injected events interleave with the
+    /// observers' (rfile, buffer pool). Every window opens inside the
+    /// interval and lasts 1–10 % of it, so one that opens late may run past
+    /// `horizon`. From [`SimTime::ZERO`] this is the
+    /// [`FaultInjector::randomized`] schedule; from any other start it is
+    /// that schedule shifted by `start`.
     pub fn randomized_with_log(
         seed: u64,
         servers: &[ServerId],
+        start: SimTime,
         horizon: SimTime,
         log: Arc<FaultLog>,
     ) -> FaultInjector {
         // audit: allow(seeded-rng, this IS the seeded chaos entry point - the schedule stream derives from the caller's seed)
         let mut rng = SimRng::seeded(seed);
         let mut inj = FaultInjector::with_log(seed, log);
-        let span = horizon.0.max(1);
+        let span = horizon.0.saturating_sub(start.0).max(1);
+        let open = |rng: &mut SimRng| SimTime(start.0 + rng.uniform(0, span));
         for &s in servers {
             for _ in 0..2 {
-                let from = SimTime(rng.uniform(0, span));
+                let from = open(&mut rng);
                 let len = rng.uniform(span / 100 + 1, span / 10 + 2);
                 let prob = 0.2 + rng.unit() * 0.6;
                 inj = inj.flaky_window(s, from, SimTime(from.0.saturating_add(len)), prob);
             }
-            let from = SimTime(rng.uniform(0, span));
+            let from = open(&mut rng);
             let len = rng.uniform(span / 100 + 1, span / 10 + 2);
             let extra = SimDuration::from_micros(rng.uniform(20, 200));
             inj = inj.slow_window(s, from, SimTime(from.0.saturating_add(len)), extra);
@@ -345,6 +353,55 @@ mod tests {
             Ok(SimDuration::from_micros(15))
         );
         assert_eq!(inj.inject(SimTime(150), A, B, 0), Ok(SimDuration::ZERO));
+    }
+
+    /// The windows of a schedule as `(server, from, until)`.
+    fn windows(inj: &FaultInjector) -> Vec<(ServerId, u64, u64)> {
+        inj.specs
+            .iter()
+            .map(|spec| match *spec {
+                Spec::Flaky {
+                    server,
+                    from,
+                    until,
+                    ..
+                }
+                | Spec::Slow {
+                    server,
+                    from,
+                    until,
+                    ..
+                } => (server, from.0, until.0),
+                _ => unreachable!("a randomized schedule draws flaky and slow windows only"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn randomized_windows_open_inside_start_horizon() {
+        let servers = [A, B, C];
+        let (start, horizon) = (SimTime(6_400_000_000), SimTime(6_450_000_000));
+        let log = Arc::new(FaultLog::new());
+        let late = FaultInjector::randomized_with_log(9, &servers, start, horizon, log);
+        let span = horizon.0 - start.0;
+        let late = windows(&late);
+        assert_eq!(late.len(), 3 * servers.len());
+        for &(server, from, until) in &late {
+            assert!(
+                (start.0..horizon.0).contains(&from),
+                "{server:?} window opens at {from}, outside [{}, {})",
+                start.0,
+                horizon.0
+            );
+            assert!(until > from && until - from <= span / 10 + 2);
+        }
+        // the same seed over [0, span) is the same schedule, unshifted
+        let early = windows(&FaultInjector::randomized(9, &servers, SimTime(span)));
+        let shifted: Vec<_> = early
+            .iter()
+            .map(|&(s, from, until)| (s, from + start.0, until + start.0))
+            .collect();
+        assert_eq!(late, shifted);
     }
 
     #[test]

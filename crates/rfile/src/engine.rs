@@ -663,55 +663,32 @@ impl RemoteFile {
         }
     }
 
-    /// One RPC to the chunk's donor, debited to its broker compute account.
-    /// A donor whose budget is exhausted is skipped: the pages are shipped
-    /// and the same eval burns the client's own core — same result, full
-    /// wire bytes.
+    /// One RPC to the chunk's donor; the eval it ran is published through
+    /// the broker (`broker.pushdown.*`).
     pub(crate) fn pushdown_chunk(
         &self,
         clock: &mut Clock,
         c: &Located<u64>,
         program: &PushdownProgram,
     ) -> Result<PushdownScan, NetError> {
-        let cfg = self.fabric.config();
-        let (proto, local) = (self.cfg.protocol, self.local);
-        if self.broker.pushdown_admit(c.mr.server) {
-            let req = PushdownRequest {
-                handle: c.mr,
-                offset: c.mr_off,
-                len: c.len,
-                program,
-            };
-            let reply = self.fabric.pushdown(clock, proto, local, &req)?;
-            self.broker
-                .note_pushdown(c.mr.server, reply.server_cpu, reply.rows_scanned);
-            // land the (small) reply in the client's result buffer
-            clock.advance(cfg.memcpy(reply.payload.len() as u64));
-            return Ok(PushdownScan {
-                payload: reply.payload,
-                rows_scanned: reply.rows_scanned,
-                rows_matched: reply.rows_matched,
-                server_cpu: reply.server_cpu,
-                fallback_chunks: 0,
-            });
-        }
-        let mut pages = vec![0u8; c.len as usize];
-        self.fabric
-            .read(clock, proto, local, c.mr, c.mr_off, &mut pages)?;
-        clock.advance(cfg.memcpy(c.len));
-        let mut payload = Vec::new();
-        let stats = remem_storage::eval_pages(&pages, program, &mut payload).map_err(|_| {
-            NetError::BadPushdown {
-                reason: "span is not a whole number of 8 KiB pages",
-            }
-        })?;
-        clock.advance(cfg.pushdown_eval_cost(stats.rows_scanned, c.len));
+        let req = PushdownRequest {
+            handle: c.mr,
+            offset: c.mr_off,
+            len: c.len,
+            program,
+        };
+        let reply = self
+            .fabric
+            .pushdown(clock, self.cfg.protocol, self.local, &req)?;
+        self.broker
+            .note_pushdown(reply.server_cpu, reply.rows_scanned);
+        // land the (small) reply in the client's result buffer
+        clock.advance(self.fabric.config().memcpy(reply.payload.len() as u64));
         Ok(PushdownScan {
-            payload,
-            rows_scanned: stats.rows_scanned,
-            rows_matched: stats.rows_matched,
-            server_cpu: SimDuration::ZERO,
-            fallback_chunks: 1,
+            payload: reply.payload,
+            rows_scanned: reply.rows_scanned,
+            rows_matched: reply.rows_matched,
+            server_cpu: reply.server_cpu,
         })
     }
 }

@@ -39,9 +39,6 @@ struct RfMetrics {
     write_vectored: VerbMetrics,
     /// `bytes` counts the reply payload streamed back by pushdown scans.
     pushdown: VerbMetrics,
-    /// Chunks that fell back to one-sided read + client eval because the
-    /// donor's compute budget was exhausted.
-    pushdown_fallbacks: Arc<Counter>,
 }
 
 impl RfMetrics {
@@ -58,7 +55,6 @@ impl RfMetrics {
             read_vectored: verb("rfile.read_vectored", "rfile.read"),
             write_vectored: verb("rfile.write_vectored", "rfile.write"),
             pushdown: verb("rfile.pushdown", "rfile.pushdown"),
-            pushdown_fallbacks: registry.counter("rfile.pushdown.fallbacks"),
             registry,
         }
     }
@@ -191,11 +187,9 @@ pub struct PushdownScan {
     pub rows_scanned: u64,
     /// Rows that survived predicates (and projection).
     pub rows_matched: u64,
-    /// Memory-server CPU charged across all chunks (broker-debited).
+    /// Memory-server CPU charged across all chunks (published as
+    /// `broker.pushdown.cpu_ns`).
     pub server_cpu: SimDuration,
-    /// Chunks evaluated on the *client* after a one-sided read because the
-    /// donor's compute budget was exhausted.
-    pub fallback_chunks: u64,
 }
 
 impl PushdownScan {
@@ -210,7 +204,6 @@ impl PushdownScan {
             scan.rows_scanned += out.rows_scanned;
             scan.rows_matched += out.rows_matched;
             scan.server_cpu += out.server_cpu;
-            scan.fallback_chunks += out.fallback_chunks;
             if program.aggregate.is_some() {
                 // merge partials in extent order — deterministic floats
                 if let Some(part) = PartialAgg::decode(&out.payload) {
@@ -528,10 +521,8 @@ impl RemoteFile {
     /// One RPC per extent chunk, routed to the preferred replica member and
     /// failed over on an epoch bump exactly like [`RemoteFile::read`]
     /// (transient faults are retried with backoff, fatal ones re-point or
-    /// re-lease). Each successful chunk debits the donor's broker compute
-    /// account; a donor whose budget is exhausted is skipped — that chunk
-    /// falls back to a one-sided read with the same eval run on the
-    /// client's own core, so results are identical either way.
+    /// re-lease). Each successful chunk is published through the broker
+    /// (`broker.pushdown.*`).
     pub fn read_pushdown(
         &self,
         clock: &mut Clock,
@@ -556,9 +547,6 @@ impl RemoteFile {
             Ok(())
         });
         let scan = res.map(|()| PushdownScan::fold(chunks.values(), program));
-        if let (Some(m), Ok(scan)) = (&self.metrics, &scan) {
-            m.pushdown_fallbacks.add(scan.fallback_chunks);
-        }
         let bytes = scan.as_ref().map_or(0, |s| s.payload.len() as u64);
         self.finish(span, clock.now(), &self.bytes_read, Done::one(&scan, bytes));
         scan
@@ -1617,7 +1605,18 @@ mod tests {
         let data = table_pages(npages, 16);
         f.write(&mut clock, 0, &data).unwrap();
         let prog = key_lt(40);
+        // a donor's pool is charged only by pushdown eval: the file's
+        // one-sided verbs leave its cores idle
+        let horizon = SimTime(1 << 40);
+        let donor_cpu = || -> Vec<f64> {
+            c.donors
+                .iter()
+                .map(|&d| c.fabric.server(d).unwrap().cpu().utilization(horizon))
+                .collect()
+        };
+        let before = donor_cpu();
         let scan = f.read_pushdown(&mut clock, 0, 4 * MR, &prog).unwrap();
+        let after = donor_cpu();
         // oracle: fetch every page, eval on the client
         let mut full = vec![0u8; data.len()];
         f.read(&mut clock, 0, &mut full).unwrap();
@@ -1626,11 +1625,10 @@ mod tests {
         assert_eq!(scan.payload, expect);
         assert_eq!(scan.rows_scanned, stats.rows_scanned);
         assert_eq!(scan.rows_matched, 40);
-        assert_eq!(scan.fallback_chunks, 0);
         assert!(scan.server_cpu > SimDuration::ZERO);
-        // both donors were debited (Spread stripes across them)
-        for d in &c.donors {
-            assert!(c.broker.compute_account(*d).ops > 0, "{d:?} not debited");
+        // both donors ran eval (Spread stripes across them)
+        for (d, (b, a)) in c.donors.iter().zip(before.iter().zip(&after)) {
+            assert!(a > b, "{d:?} not debited");
         }
     }
 
@@ -1703,31 +1701,6 @@ mod tests {
         // and the scan path keeps working at the new epoch
         let scan = f.read_pushdown(&mut clock, 0, 2 * MR, &key_lt(30)).unwrap();
         assert_eq!(scan.payload, expect);
-    }
-
-    #[test]
-    fn pushdown_falls_back_when_compute_budget_exhausted() {
-        let c = cluster(1, 2, PlacementPolicy::Pack);
-        let mut clock = Clock::new();
-        let f = mk_file(&c, MR, RFileConfig::custom(), &mut clock);
-        let npages = MR as usize / PAGE_SIZE;
-        let data = table_pages(npages, 8);
-        f.write(&mut clock, 0, &data).unwrap();
-        let prog = key_lt(10);
-        let mut expect = Vec::new();
-        remem_storage::eval_pages(&data, &prog, &mut expect).unwrap();
-        // no compute for tenants on this donor
-        c.broker
-            .set_compute_budget(c.donors[0], Some(SimDuration::ZERO));
-        let scan = f.read_pushdown(&mut clock, 0, MR, &prog).unwrap();
-        assert_eq!(
-            scan.payload, expect,
-            "fallback must produce identical bytes"
-        );
-        assert!(scan.fallback_chunks > 0);
-        assert_eq!(scan.server_cpu, SimDuration::ZERO, "no server CPU burned");
-        assert_eq!(c.broker.compute_account(c.donors[0]).ops, 0);
-        assert!(c.broker.compute_account(c.donors[0]).denied > 0);
     }
 
     #[test]

@@ -281,10 +281,7 @@ impl Script {
         self.op(&scan);
         if let Ok(s) = scan {
             fnv(&mut self.t.seen, &s.payload);
-            let acct = format!(
-                "{}/{}/{}",
-                s.rows_scanned, s.rows_matched, s.fallback_chunks
-            );
+            let acct = format!("{}/{}", s.rows_scanned, s.rows_matched);
             fnv(&mut self.t.seen, acct.as_bytes());
         }
     }
@@ -431,17 +428,17 @@ fn golden_cfg(replicas: usize, self_heal: bool) -> RFileConfig {
 
 #[test]
 fn golden_trace_k1_self_heal() {
-    assert_eq!(golden(golden_cfg(1, true)), "t=20127077713 log=ab220be6354ffb1b retries=127 failovers=0 repairs=4 migrations=1 seen=a2bec63043ce6845 metrics=86495bf670606e50 ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k TTTT[TTTTTTT][TTTTTT]T UkUU[kUUUkkU][UUUUUU]U kkkk[kkkkkkk][kkkkkk]k [kkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k [kkkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k");
+    assert_eq!(golden(golden_cfg(1, true)), "t=20127077713 log=ab220be6354ffb1b retries=127 failovers=0 repairs=4 migrations=1 seen=e6c60df58374efd5 metrics=15fe27f1d5312788 ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k TTTT[TTTTTTT][TTTTTT]T UkUU[kUUUkkU][UUUUUU]U kkkk[kkkkkkk][kkkkkk]k [kkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k [kkkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k");
 }
 
 #[test]
 fn golden_trace_k1_no_heal() {
-    assert_eq!(golden(golden_cfg(1, false)), "t=20117814441 log=7202abd4a7b1bb6d retries=127 failovers=0 repairs=0 migrations=0 seen=ebeeafd0b2f12e1a metrics=387cfe3eda19c3e5 ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k TTTT[TTTTTTT][TTTTTT]T UkUU[kUUUkkU][UUUUUU]U kkkk[kkkkkkk][kkkkkk]k [kkkkkk]UkUU[kkkkUUk][kkkkkk]U UkUU[kkkkUUk][kkkkkk]U [kUUUUUU]UkUU[kUUUUUU][UUUUUU]U UUkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U");
+    assert_eq!(golden(golden_cfg(1, false)), "t=20117814441 log=7202abd4a7b1bb6d retries=127 failovers=0 repairs=0 migrations=0 seen=7b7fbf1150998f3c metrics=9ee9e5e98adc0c77 ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k TTTT[TTTTTTT][TTTTTT]T UkUU[kUUUkkU][UUUUUU]U kkkk[kkkkkkk][kkkkkk]k [kkkkkk]UkUU[kkkkUUk][kkkkkk]U UkUU[kkkkUUk][kkkkkk]U [kUUUUUU]UkUU[kUUUUUU][UUUUUU]U UUkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U UkUU[kUUUUUU][UUUUUU]U");
 }
 
 #[test]
 fn golden_trace_k2() {
-    assert_eq!(golden(golden_cfg(2, false)), "t=20114538519 log=b2ee947a26f99b47 retries=72 failovers=35 repairs=2 migrations=0 seen=1beef13a41f20fdc metrics=616afd94b741b6f6 ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkT[TTTTTTT][kkkkkk]T UkUk[kkkkkkk][UUUUUU]k kkkk[kkkkkkk][kkkkkk]k [kkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k [kkkkkkk]kkkk[kkkkkkk][kkkkkk]k UUkUU[kUUUkkU][UUUUUU]U UkUU[kUUUkkU][UUUUUU]U UkUU[kUUUkkU][UUUUUU]U UUUU[UUUUUUU][UUUUUU]U UUUU[UUUUUUU][UUUUUU]U UUUU[UUUUUUU][UUUUUU]U");
+    assert_eq!(golden(golden_cfg(2, false)), "t=20114538519 log=b2ee947a26f99b47 retries=72 failovers=35 repairs=2 migrations=0 seen=3797bf79dff5911a metrics=e9d1cb747e27fd60 ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkT[TTTTTTT][kkkkkk]T UkUk[kkkkkkk][UUUUUU]k kkkk[kkkkkkk][kkkkkk]k [kkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k [kkkkkkk]kkkk[kkkkkkk][kkkkkk]k UUkUU[kUUUkkU][UUUUUU]U UkUU[kUUUkkU][UUUUUU]U UkUU[kUUUkkU][UUUUUU]U UUUU[UUUUUUU][UUUUUU]U UUUU[UUUUUUU][UUUUUU]U UUUU[UUUUUUU][UUUUUU]U");
 }
 
 #[test]
@@ -452,7 +449,7 @@ fn golden_trace_k2_self_heal_async() {
         access: remem_rfile::AccessMode::Async,
         ..golden_cfg(2, true)
     };
-    assert_eq!(golden(cfg), "t=20137639978 log=d9db1ef274ac7836 retries=69 failovers=35 repairs=5 migrations=1 seen=3d7672452126ca2e metrics=ab209e6a066707b3 ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkT[TTTTTTT][kkkkkk]T UkUk[kkkkkkk][UUUUUU]k kkkk[kkkkkkk][kkkkkk]k [kkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k [kkkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k");
+    assert_eq!(golden(cfg), "t=20137639978 log=d9db1ef274ac7836 retries=69 failovers=35 repairs=5 migrations=1 seen=cbfee575161d347b metrics=bcc4d34a5ef8854b ops=kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkT[TTTTTTT][kkkkkk]T UkUk[kkkkkkk][UUUUUU]k kkkk[kkkkkkk][kkkkkk]k [kkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k [kkkkkkk]kkkk[kkkkkkk][kkkkkk]k kkkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k kkkk[kkkkkkk][kkkkkk]k");
 }
 
 // ─── verb × fault matrix ─────────────────────────────────────────────────

@@ -18,7 +18,7 @@ use remem_engine::page::{Page, PAGE_SIZE};
 use remem_engine::{CpuCosts, ExecCtx, Row, ScanEstimate, ScanPlan, Value};
 use remem_net::{Fabric, NetConfig, ServerId};
 use remem_rfile::{RFileConfig, RemoteFile};
-use remem_sim::{Clock, CpuPool};
+use remem_sim::{Clock, CpuPool, MetricsRegistry};
 use remem_storage::{CmpOp, Predicate, PushdownProgram};
 
 /// Bucket space for the selectivity column: `bucket < ppm` selects
@@ -78,13 +78,16 @@ pub struct RemoteTable {
 
 /// Build a cluster (one DB server, `donors` memory servers donating 64 KiB
 /// MRs) and fill a remote file with `pages` slotted pages of [`table_row`]s.
+/// A `registry` meters the fabric, the broker and the file from the load on.
 pub fn build_remote_table(
     clock: &mut Clock,
     pages: u64,
     donors: usize,
     net: NetConfig,
+    registry: Option<Arc<MetricsRegistry>>,
 ) -> RemoteTable {
     let fabric = Arc::new(Fabric::new(net));
+    fabric.set_metrics(registry.clone());
     let db_server = fabric.add_server("DB", 8);
     let broker = Arc::new(MemoryBroker::new(
         BrokerConfig {
@@ -93,6 +96,7 @@ pub fn build_remote_table(
         },
         MetaStore::new(),
     ));
+    broker.set_metrics(registry.clone());
     let size = pages * PAGE_SIZE as u64;
     let per_donor = size.div_ceil(donors as u64).div_ceil(64 << 10) * (64 << 10) + (64 << 10);
     let mut donor_ids = Vec::new();
@@ -110,7 +114,10 @@ pub fn build_remote_table(
         Arc::clone(&broker),
         db_server,
         size,
-        RFileConfig::custom(),
+        RFileConfig {
+            metrics: registry,
+            ..RFileConfig::custom()
+        },
     )
     .expect("create remote file");
     let mut rows_per_page = 0u64;
@@ -207,7 +214,7 @@ mod tests {
 
     fn table(pages: u64, donors: usize) -> (RemoteTable, Clock) {
         let mut clock = Clock::new();
-        let t = build_remote_table(&mut clock, pages, donors, NetConfig::default());
+        let t = build_remote_table(&mut clock, pages, donors, NetConfig::default(), None);
         (t, clock)
     }
 

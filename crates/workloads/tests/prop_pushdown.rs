@@ -82,7 +82,7 @@ fn program_strategy() -> impl Strategy<Value = PushdownProgram> {
 fn load_rows(rows: &[Row], donors: usize) -> (RemoteTable, Clock, u64) {
     let pages = 4u64;
     let mut clock = Clock::new();
-    let t = build_remote_table(&mut clock, pages, donors, NetConfig::default());
+    let t = build_remote_table(&mut clock, pages, donors, NetConfig::default(), None);
     // overwrite the synthetic pages with the proptest rows, spread evenly
     let per_page = rows.len().div_ceil(pages as usize).max(1);
     for p in 0..pages as usize {

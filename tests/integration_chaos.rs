@@ -126,6 +126,7 @@ fn chaos_run_with(seed: u64, auditor: Option<Arc<Auditor>>) -> Outcome {
     let inj = Arc::new(FaultInjector::randomized_with_log(
         seed,
         &c.memory_servers,
+        SimTime::ZERO,
         FAULT_HORIZON,
         Arc::clone(&log),
     ));
@@ -249,6 +250,7 @@ fn vectored_chaos_run(seed: u64) -> Outcome {
         .set_fault_injector(Some(Arc::new(FaultInjector::randomized_with_log(
             seed,
             &c.memory_servers,
+            SimTime::ZERO,
             FAULT_HORIZON,
             Arc::clone(&log),
         ))));
@@ -359,6 +361,7 @@ fn multi_worker_chaos_run(seed: u64) -> Outcome {
         .set_fault_injector(Some(Arc::new(FaultInjector::randomized_with_log(
             seed,
             &c.memory_servers,
+            SimTime::ZERO,
             FAULT_HORIZON,
             Arc::clone(&log),
         ))));
