@@ -3,11 +3,10 @@
 //! One scripted run over four donors and one database server drives every
 //! public lifecycle call: Pack and Spread grants from two front ends over one
 //! `MetaStore`, replicated grants at k = 2 and k = 3, a refusal of each grant
-//! kind, release, a partial hard `reclaim`, a two-phase `request_reclaim`
-//! that overflows the pending-notice cap, `finalize_revocations` before and
-//! after the deadline, the migration path (`request_extra` then
-//! `surrender_mrs`), two donor crashes under single-copy and replicated
-//! leases, `repair_lease`, `re_replicate`, recovery and re-donation.
+//! kind, release, a partial hard `reclaim`, a hard `reclaim` past a donor's
+//! pool that revokes 66 one-MR leases and two replicated ones, two donor
+//! crashes under single-copy and replicated leases, `repair_lease`,
+//! `re_replicate`, recovery and re-donation.
 //!
 //! The pin holds every call's result, the free bytes on each donor after
 //! every step, the replica view of every replicated lease and the `broker.*`
@@ -32,7 +31,7 @@ use remem_sim::{Clock, MetricsRegistry};
 
 const MR: u64 = 4096;
 
-const COUNTERS: [&str; 11] = [
+const COUNTERS: [&str; 10] = [
     "broker.leases.granted",
     "broker.leases.released",
     "broker.leases.revoked",
@@ -41,7 +40,6 @@ const COUNTERS: [&str; 11] = [
     "broker.leased.bytes",
     "broker.donated.bytes",
     "broker.reclaimed.bytes",
-    "broker.revocations_expired",
     "broker.wal.rings",
     "broker.pushdown.ops",
 ];
@@ -215,33 +213,17 @@ fn golden() -> String {
     s.log(&format!("reclaim M1 {}", want / MR), r.to_string());
     s.phase("release and reclaim");
 
-    // more leases on M0 than the pending-notice queue holds
-    let mut ids = Vec::new();
+    // many small leases on M0, then a reclaim that takes more than its pool
     let mut granted = Vec::new();
     for _ in 0..66 {
         let l = s.pack.request_lease(&mut s.clock, db, MR).unwrap();
         granted.push(format!("L{} {}", l.id.0, mrs(&l.mrs)));
-        ids.push(l.id);
     }
     s.log("pack 1 for 0, 66 times", lines(&granted));
     let want = s.store.available_bytes_on(m0) + 80 * MR;
-    let now = s.clock.now();
-    let (got, noticed) = s.pack.request_reclaim(now, &s.fabric, m0, want);
-    let noticed: Vec<u64> = noticed.iter().map(|id| id.0).collect();
-    s.log("request_reclaim M0", format!("{got} {noticed:?}"));
-    let r = s.pack.finalize_revocations(&s.fabric, s.clock.now());
-    s.log("finalize before deadline", r.to_string());
-    let migrant = ids[10];
-    let r = s.pack.request_extra(&mut s.clock, migrant, 10_000 * MR, m0);
-    s.log("request_extra too much", shown(r, |v| mrs(&v)));
-    let r = s.pack.request_extra(&mut s.clock, migrant, MR, m0);
-    s.log("request_extra", shown(r, |v| mrs(&v)));
-    let r = s.pack.surrender_mrs(&mut s.clock, migrant, m0, &s.fabric);
-    s.log("surrender_mrs M0", debug(r));
-    s.clock.advance(s.pack.config().grace_period * 2);
-    let r = s.spread.finalize_revocations(&s.fabric, s.clock.now());
-    s.log("finalize after deadline", r.to_string());
-    s.phase("two-phase reclaim");
+    let r = s.pack.reclaim(&s.fabric, m0, want);
+    s.log(&format!("reclaim M0 {}", want / MR), r.to_string());
+    s.phase("hard reclaim");
 
     s.donate(0, 8);
     s.donate(1, 8);
@@ -334,13 +316,13 @@ replicated 1 k=5 -> Err(InsufficientMemory { requested: 20480, available: 417792
 == grants
   view L2 epoch 0 [1.76 2.11 | 1.75 3.11]
   view L3 epoch 0 [1.74 4.11 2.10]
-  broker.leases.granted=4 broker.leases.released=0 broker.leases.revoked=0 broker.leases.degraded=0 broker.leases.repaired=0 broker.leased.bytes=57344 broker.donated.bytes=475136 broker.reclaimed.bytes=0 broker.revocations_expired=0 broker.wal.rings=0 broker.pushdown.ops=0 active=4
+  broker.leases.granted=4 broker.leases.released=0 broker.leases.revoked=0 broker.leases.degraded=0 broker.leases.repaired=0 broker.leased.bytes=57344 broker.donated.bytes=475136 broker.reclaimed.bytes=0 broker.wal.rings=0 broker.pushdown.ops=0 active=4
 release L0 -> Ok(()) | free 76 9 10 10
 reclaim M1 10 -> 40960 | free 77 0 11 11
 == release and reclaim
   view L2 epoch 0 [1.76 2.11 | 1.75 3.11]
   view L3 epoch 0 [1.74 4.11 2.10]
-  broker.leases.granted=4 broker.leases.released=1 broker.leases.revoked=1 broker.leases.degraded=0 broker.leases.repaired=0 broker.leased.bytes=57344 broker.donated.bytes=475136 broker.reclaimed.bytes=40960 broker.revocations_expired=0 broker.wal.rings=0 broker.pushdown.ops=0 active=2
+  broker.leases.granted=4 broker.leases.released=1 broker.leases.revoked=1 broker.leases.degraded=0 broker.leases.repaired=0 broker.leased.bytes=57344 broker.donated.bytes=475136 broker.reclaimed.bytes=40960 broker.wal.rings=0 broker.pushdown.ops=0 active=2
 pack 1 for 0, 66 times -> [
     L4 1.77, L5 1.78, L6 1.79, L7 1.80, L8 1.73, L9 1.72, L10 1.71, L11 1.70
     L12 1.69, L13 1.68, L14 1.67, L15 1.66, L16 1.65, L17 1.64, L18 1.63, L19 1.62
@@ -352,55 +334,50 @@ pack 1 for 0, 66 times -> [
     L60 1.21, L61 1.20, L62 1.19, L63 1.18, L64 1.17, L65 1.16, L66 1.15, L67 1.14
     L68 1.13, L69 1.12
   ] | free 11 0 11 11
-request_reclaim M0 -> 65536 [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69] | free 0 2 12 12
-finalize before deadline -> 0 | free 0 2 12 12
-request_extra too much -> Err(InsufficientMemory { requested: 40960000, available: 106496 }) | free 0 2 12 12
-request_extra -> Ok(2.11) | free 0 1 12 12
-surrender_mrs M0 -> Ok(4096) | free 0 1 12 12
-finalize after deadline -> 258048 | free 0 1 12 12
-== two-phase reclaim
+reclaim M0 91 -> 327680 | free 0 2 12 12
+== hard reclaim
   view L2 None
   view L3 None
-  broker.leases.granted=70 broker.leases.released=1 broker.leases.revoked=68 broker.leases.degraded=0 broker.leases.repaired=0 broker.leased.bytes=327680 broker.donated.bytes=475136 broker.reclaimed.bytes=368640 broker.revocations_expired=4 broker.wal.rings=0 broker.pushdown.ops=0 active=1
-donate M0 -> 1.81 1.82 1.83 1.84 1.85 1.86 1.87 1.88 | free 8 1 12 12
-donate M1 -> 2.13 2.14 2.15 2.16 2.17 2.18 2.19 2.20 | free 8 9 12 12
-spread 4 for 0 -> Ok(L70 1.88 2.20 3.10 4.10) | free 7 8 11 11
-pack 2 for 0 -> Ok(L71 1.87 1.86) | free 5 8 11 11
-replicated 2 k=2 -> Ok(L72 3.9 4.9 3.8 4.8) | free 5 8 9 9
-replicated 1 k=3 -> Ok(L73 3.7 4.7 2.19) | free 5 7 8 8
-server_failed M2 ->  | free 5 7 0 8
+  broker.leases.granted=70 broker.leases.released=1 broker.leases.revoked=69 broker.leases.degraded=0 broker.leases.repaired=0 broker.leased.bytes=327680 broker.donated.bytes=475136 broker.reclaimed.bytes=368640 broker.wal.rings=0 broker.pushdown.ops=0 active=0
+donate M0 -> 1.81 1.82 1.83 1.84 1.85 1.86 1.87 1.88 | free 8 2 12 12
+donate M1 -> 2.13 2.14 2.15 2.16 2.17 2.18 2.19 2.20 | free 8 10 12 12
+spread 4 for 0 -> Ok(L70 1.88 2.20 3.11 4.11) | free 7 9 11 11
+pack 2 for 0 -> Ok(L71 1.87 1.86) | free 5 9 11 11
+replicated 2 k=2 -> Ok(L72 3.12 4.12 3.1 4.1) | free 5 9 9 9
+replicated 1 k=3 -> Ok(L73 2.19 3.2 4.2) | free 5 8 8 8
+server_failed M2 ->  | free 5 8 0 8
 == first crash
   view L2 None
   view L3 None
-  view L72 epoch 1 [4.9 | 4.8]
-  view L73 epoch 1 [4.7 2.19]
-  broker.leases.granted=74 broker.leases.released=1 broker.leases.revoked=68 broker.leases.degraded=3 broker.leases.repaired=0 broker.leased.bytes=380928 broker.donated.bytes=540672 broker.reclaimed.bytes=368640 broker.revocations_expired=4 broker.wal.rings=0 broker.pushdown.ops=0 active=5
-repair_lease single -> Ok(3.10 => 1.85) | free 4 7 0 8
-server_failed M3 ->  | free 4 7 0 0
-re_replicate r2 -> Ok(slot 0 from zero add 2.18 1.84, slot 1 from zero add 2.17 1.83) | free 2 5 0 0
-re_replicate r3 -> Err(InsufficientMemory { requested: 8192, available: 28672 }) | free 2 5 0 0
-repair_lease single -> Ok(4.10 => 1.82) | free 1 5 0 0
-repair_lease packed -> Ok( => ) | free 1 5 0 0
-repair_lease r2 -> Err(Internal("replicated leases heal via re_replicate")) | free 1 5 0 0
+  view L72 epoch 1 [4.12 | 4.1]
+  view L73 epoch 1 [2.19 4.2]
+  broker.leases.granted=74 broker.leases.released=1 broker.leases.revoked=69 broker.leases.degraded=3 broker.leases.repaired=0 broker.leased.bytes=380928 broker.donated.bytes=540672 broker.reclaimed.bytes=368640 broker.wal.rings=0 broker.pushdown.ops=0 active=4
+repair_lease single -> Ok(3.11 => 1.85) | free 4 8 0 8
+server_failed M3 ->  | free 4 8 0 0
+re_replicate r2 -> Ok(slot 0 from zero add 2.18 1.84, slot 1 from zero add 2.17 1.83) | free 2 6 0 0
+re_replicate r3 -> Err(InsufficientMemory { requested: 8192, available: 32768 }) | free 2 6 0 0
+repair_lease single -> Ok(4.11 => 1.82) | free 1 6 0 0
+repair_lease packed -> Ok( => ) | free 1 6 0 0
+repair_lease r2 -> Err(Internal("replicated leases heal via re_replicate")) | free 1 6 0 0
 == second crash
   view L2 None
   view L3 None
   view L72 epoch 3 [2.18 1.84 | 2.17 1.83]
   view L73 epoch 2 [2.19]
-  broker.leases.granted=74 broker.leases.released=1 broker.leases.revoked=68 broker.leases.degraded=6 broker.leases.repaired=3 broker.leased.bytes=380928 broker.donated.bytes=540672 broker.reclaimed.bytes=368640 broker.revocations_expired=4 broker.wal.rings=0 broker.pushdown.ops=0 active=5
-donate M2 -> 3.13 3.14 3.15 3.16 3.17 3.18 3.19 3.20 | free 1 5 8 0
-re_replicate r3 -> Ok(1) | free 0 5 7 0
-donate M3 -> 4.13 4.14 4.15 4.16 4.17 4.18 4.19 4.20 | free 0 5 7 8
+  broker.leases.granted=74 broker.leases.released=1 broker.leases.revoked=69 broker.leases.degraded=6 broker.leases.repaired=3 broker.leased.bytes=380928 broker.donated.bytes=540672 broker.reclaimed.bytes=368640 broker.wal.rings=0 broker.pushdown.ops=0 active=4
+donate M2 -> 3.13 3.14 3.15 3.16 3.17 3.18 3.19 3.20 | free 1 6 8 0
+re_replicate r3 -> Ok(1) | free 0 6 7 0
+donate M3 -> 4.13 4.14 4.15 4.16 4.17 4.18 4.19 4.20 | free 0 6 7 8
 == recovery
   view L2 None
   view L3 None
   view L72 epoch 3 [2.18 1.84 | 2.17 1.83]
   view L73 epoch 3 [2.19 3.20 1.81]
-  broker.leases.granted=74 broker.leases.released=1 broker.leases.revoked=68 broker.leases.degraded=6 broker.leases.repaired=4 broker.leased.bytes=380928 broker.donated.bytes=606208 broker.reclaimed.bytes=368640 broker.revocations_expired=4 broker.wal.rings=0 broker.pushdown.ops=0 active=5
-pack 1 for 0 -> Ok(L74 2.16) | free 0 4 7 8
+  broker.leases.granted=74 broker.leases.released=1 broker.leases.revoked=69 broker.leases.degraded=6 broker.leases.repaired=4 broker.leased.bytes=380928 broker.donated.bytes=606208 broker.reclaimed.bytes=368640 broker.wal.rings=0 broker.pushdown.ops=0 active=4
+pack 1 for 0 -> Ok(L74 2.16) | free 0 5 7 8
 release every lease -> [
     L0 Released, L1 Revoked, L2 Revoked, L3 Revoked, L4 Revoked, L5 Revoked, L6 Revoked, L7 Revoked
-    L8 Revoked, L9 Revoked, L10 Revoked, L11 Revoked, L12 Revoked, L13 Revoked, L14 Ok, L15 Revoked
+    L8 Revoked, L9 Revoked, L10 Revoked, L11 Revoked, L12 Revoked, L13 Revoked, L14 Revoked, L15 Revoked
     L16 Revoked, L17 Revoked, L18 Revoked, L19 Revoked, L20 Revoked, L21 Revoked, L22 Revoked, L23 Revoked
     L24 Revoked, L25 Revoked, L26 Revoked, L27 Revoked, L28 Revoked, L29 Revoked, L30 Revoked, L31 Revoked
     L32 Revoked, L33 Revoked, L34 Revoked, L35 Revoked, L36 Revoked, L37 Revoked, L38 Revoked, L39 Revoked
@@ -412,8 +389,8 @@ release every lease -> [
   ] | free 8 10 8 8
 pack 1 for 0 until refused -> [
     1.81, 1.83, 1.84, 1.86, 1.87, 1.82, 1.85, 1.88
-    2.16, 2.19, 2.17, 2.18, 2.20, 2.11, 2.15, 2.14
-    2.13, 2.10, 3.20, 3.19, 3.18, 3.17, 3.16, 3.15
+    2.16, 2.19, 2.17, 2.18, 2.20, 2.15, 2.14, 2.13
+    2.10, 2.11, 3.20, 3.19, 3.18, 3.17, 3.16, 3.15
     3.14, 3.13, 4.20, 4.19, 4.18, 4.17, 4.16, 4.15
     4.14, 4.13, Err(InsufficientMemory { requested: 4096, available: 0 })
   ] | free 0 0 0 0
@@ -422,5 +399,5 @@ pack 1 for 0 until refused -> [
   view L3 None
   view L72 None
   view L73 None
-  broker.leases.granted=109 broker.leases.released=7 broker.leases.revoked=68 broker.leases.degraded=6 broker.leases.repaired=4 broker.leased.bytes=524288 broker.donated.bytes=606208 broker.reclaimed.bytes=368640 broker.revocations_expired=4 broker.wal.rings=0 broker.pushdown.ops=0 active=34
+  broker.leases.granted=109 broker.leases.released=6 broker.leases.revoked=69 broker.leases.degraded=6 broker.leases.repaired=4 broker.leased.bytes=524288 broker.donated.bytes=606208 broker.reclaimed.bytes=368640 broker.wal.rings=0 broker.pushdown.ops=0 active=34
 "#;

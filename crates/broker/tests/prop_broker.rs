@@ -2,16 +2,13 @@
 //!
 //! Each case runs up to 40 operations over 3-5 donors, drawn at random
 //! virtual times from every lifecycle call: Pack, Spread and replicated
-//! grants, release, hard `reclaim`, two-phase `request_reclaim` and
-//! `finalize_revocations`, migration (`request_extra`, `surrender_mrs`),
-//! donor crash and recovery with re-donation, `repair_lease` and
-//! `re_replicate`. An `Auditor` that panics on the first violation watches
+//! grants, release, hard `reclaim`, donor crash and recovery with
+//! re-donation, `repair_lease` and `re_replicate`. An `Auditor` that panics on the first violation watches
 //! every mutation, so MR conservation, aux-state hygiene and replica-set
 //! conservation hold after each call. Every refusal must be a typed error
 //! that names a real reason: `LeaseNotActive` names an ended state, and
-//! `Internal` only ever flags a call the caller got wrong (healing or
-//! migrating a lease with the other lease kind's call), never a broken
-//! book.
+//! `Internal` only ever flags a call the caller got wrong (healing a lease
+//! with the other lease kind's call), never a broken book.
 
 use std::sync::Arc;
 
@@ -109,18 +106,6 @@ impl Rig {
                 self.pack.reclaim(fabric, donor, bytes);
             }
             5 => {
-                self.pack.request_reclaim(clock.now(), fabric, donor, bytes);
-            }
-            6 => {
-                self.spread.finalize_revocations(fabric, clock.now());
-            }
-            7 => {
-                self.pack.request_extra(clock, id, bytes, donor)?;
-            }
-            8 => {
-                self.pack.surrender_mrs(clock, id, donor, fabric)?;
-            }
-            9 => {
                 // crash: memory wiped, broker told, server back up empty
                 let srv = fabric.server(donor).unwrap();
                 srv.fail();
@@ -128,11 +113,11 @@ impl Rig {
                 self.spread.server_failed(donor);
                 srv.restart();
             }
-            10 => {
+            6 => {
                 self.pack.server_recovered(donor);
                 self.donate(donor, size);
             }
-            11 => {
+            7 => {
                 self.pack.repair_lease(clock, id)?;
             }
             _ => {
@@ -150,7 +135,7 @@ proptest! {
     fn random_lifecycles_keep_the_books(
         donors in 3usize..6,
         mrs_each in 2u64..12,
-        ops in prop::collection::vec((0u8..13, any::<u64>(), 1u64..4, 0u64..120_000), 1..41),
+        ops in prop::collection::vec((0u8..9, any::<u64>(), 1u64..4, 0u64..120_000), 1..41),
     ) {
         let mut rig = Rig::new(donors, mrs_each);
         for (op, pick, size, wait_us) in ops {
@@ -166,8 +151,6 @@ proptest! {
                         what,
                         "re_replicate called on an unreplicated lease"
                             | "replicated leases heal via re_replicate"
-                            | "replicated leases migrate by surrendering a replica"
-                            | "surrender would drop a slot's last replica"
                     ),
                     "op {op}: {what}"
                 ),

@@ -6,6 +6,8 @@
 //! * zero wrong query results at any point of the schedule;
 //! * a single donor loss is absorbed by per-stripe re-lease — the BPExt
 //!   never flips `extension_failed()`;
+//! * a donor reclaiming more than its unleased pool revokes leases, and a
+//!   revoked self-healing file re-leases itself whole;
 //! * losing *all* donors suspends the extension; once donors restart, the
 //!   backoff-gated probe re-attaches it;
 //! * the same fault seed replays byte-identically: same `FaultLog`
@@ -167,22 +169,22 @@ fn chaos_run_with(seed: u64, auditor: Option<Arc<Auditor>>) -> Outcome {
         log.summary()
     );
 
-    // ── phase B: memory pressure → graceful migration off the donor ─────
-    // ask for more than the donor's unleased pool so leases are put on
-    // notice (an under-pool request is satisfied without bothering anyone)
+    // ── phase B: memory pressure → revocation → full re-lease ───────────
+    // the donor takes back everything it lent: past its unleased pool the
+    // broker revokes every lease on it, the BPExt's among them (a demand
+    // just past the pool would stop at the TempDB lease, granted first)
     let pressured = c.memory_servers[1];
-    let demand = c.broker.store().available_bytes_on(pressured) + (1 << 20);
-    let (_, notified) = c
-        .broker
-        .request_reclaim(clock.now(), &c.fabric, pressured, demand);
+    let demand = 64 << 20;
+    let repairs = log.count("rfile.repair", FaultOrigin::Recovery);
+    let reclaimed = c.broker.reclaim(&c.fabric, pressured, demand);
+    assert!(reclaimed >= demand, "reclaimed {reclaimed} of {demand} B");
+    sweep(&db, &mut clock, t, &mut model, &mut rng, &mut checksum);
+    sweep(&db, &mut clock, t, &mut model, &mut rng, &mut checksum);
     assert!(
-        !notified.is_empty(),
-        "pressure on a live donor should notify leases"
+        log.count("rfile.repair", FaultOrigin::Recovery) > repairs,
+        "a revoked self-healing file should re-lease: {}",
+        log.summary()
     );
-    sweep(&db, &mut clock, t, &mut model, &mut rng, &mut checksum);
-    clock.advance(c.broker.config().grace_period);
-    c.broker.finalize_revocations(&c.fabric, clock.now());
-    sweep(&db, &mut clock, t, &mut model, &mut rng, &mut checksum);
 
     // ── phase C: all donors gone → suspension; restart → re-attach ──────
     c.crash_memory_server(c.memory_servers[1]);
