@@ -601,8 +601,8 @@ mod tests {
         let ok = "fn f() { fabric.write_quorum(clock, proto, local, &t, d); \
                   fabric.read(clock, proto, local, mr, off, buf); }\n";
         assert!(rules_of("crates/rfile/src/a.rs", ok).is_empty());
-        // other writers (net itself, the broker's migration copies) are out
-        // of scope — only rfile knows replication
+        // other writers (net itself) are out of scope — only rfile knows
+        // replication
         assert!(rules_of("crates/net/src/a.rs", src).is_empty());
         // tests may poke single copies to set up divergence scenarios
         let test_src = "#[test]\nfn t() { fabric.write(c, p, l, m, 0, d); }\n";

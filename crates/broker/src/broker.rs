@@ -1,7 +1,6 @@
 //! The broker front-end: lease grant / release / revoke, and the repair of
 //! leases a donor crash degraded.
 
-use std::collections::btree_map::Entry;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -11,13 +10,6 @@ use remem_sim::{Clock, MetricsRegistry, SimDuration, SimTime};
 
 use crate::lease::{Lease, LeaseId, LeaseState, ReplicaSet};
 use crate::meta::{MetaState, MetaStore};
-
-/// Upper bound on leases simultaneously parked in the two-phase reclaim
-/// queue. A holder that never re-attaches would otherwise grow
-/// `pending_revocations` without bound; past the cap the broker
-/// force-finalizes the oldest notices early and counts them in
-/// `broker.revocations_expired`.
-const MAX_PENDING_REVOCATIONS: usize = 64;
 
 /// One slot's re-replication work order from [`MemoryBroker::re_replicate`].
 ///
@@ -40,9 +32,6 @@ pub struct ReplicaRepair {
 /// visit to the metadata ([`MemoryBroker::lease_health`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseHealth {
-    /// A pending two-phase reclaim notice: the pressured donor and the
-    /// deadline after which the broker revokes unilaterally.
-    pub notice: Option<(ServerId, SimTime)>,
     /// The lease is Active: neither released nor revoked.
     pub valid: bool,
     /// Fencing epoch of the replica groups; `None` for an unreplicated lease.
@@ -68,10 +57,6 @@ pub struct BrokerConfig {
     /// metadata store, not the RDMA fast path).
     pub rpc_time: SimDuration,
     pub placement: PlacementPolicy,
-    /// Two-phase reclaim window: a lessee notified of donor memory pressure
-    /// has this long to flush/migrate/surrender before the broker revokes
-    /// the lease unilaterally.
-    pub grace_period: SimDuration,
 }
 
 impl Default for BrokerConfig {
@@ -79,7 +64,6 @@ impl Default for BrokerConfig {
         BrokerConfig {
             rpc_time: SimDuration::from_micros(200),
             placement: PlacementPolicy::Pack,
-            grace_period: SimDuration::from_millis(50),
         }
     }
 }
@@ -134,7 +118,6 @@ struct BrokerMetrics {
     leased_bytes: Arc<remem_sim::Counter>,
     donated_bytes: Arc<remem_sim::Counter>,
     reclaimed_bytes: Arc<remem_sim::Counter>,
-    revocations_expired: Arc<remem_sim::Counter>,
     leases_active: Arc<remem_sim::Gauge>,
     pushdown_ops: Arc<remem_sim::Counter>,
     pushdown_rows: Arc<remem_sim::Counter>,
@@ -157,7 +140,6 @@ impl BrokerMetrics {
             leased_bytes: registry.counter("broker.leased.bytes"),
             donated_bytes: registry.counter("broker.donated.bytes"),
             reclaimed_bytes: registry.counter("broker.reclaimed.bytes"),
-            revocations_expired: registry.counter("broker.revocations_expired"),
             leases_active: registry.gauge("broker.leases.active"),
             pushdown_ops: registry.counter("broker.pushdown.ops"),
             pushdown_rows: registry.counter("broker.pushdown.rows"),
@@ -193,10 +175,6 @@ impl MemoryBroker {
             metrics: Mutex::new(None),
             wal_rings: Mutex::new(std::collections::BTreeSet::new()),
         }
-    }
-
-    pub fn config(&self) -> &BrokerConfig {
-        &self.cfg
     }
 
     pub fn store(&self) -> &MetaStore {
@@ -274,11 +252,6 @@ impl MemoryBroker {
         for id in st.lost_mrs.keys() {
             if !active(id) {
                 stale.push(format!("lost_mrs holds non-active {id:?}"));
-            }
-        }
-        for id in st.pending_revocations.keys() {
-            if !active(id) {
-                stale.push(format!("pending_revocations holds non-active {id:?}"));
             }
         }
         for id in st.replicas.keys() {
@@ -832,13 +805,12 @@ impl MemoryBroker {
         Self::ring_bytes(&st, &self.wal_rings.lock())
     }
 
-    /// The per-I/O health check: reclaim notice, validity, replica epoch and
-    /// replication deficit under one lock, changing nothing.
+    /// The per-I/O health check: validity, replica epoch and replication
+    /// deficit under one lock, changing nothing.
     pub fn lease_health(&self, id: LeaseId) -> LeaseHealth {
         let st = self.store.state.lock();
         let replicas = st.replicas.get(&id);
         LeaseHealth {
-            notice: st.pending_revocations.get(&id).copied(),
             valid: matches!(st.leases.get(&id), Some((_, LeaseState::Active))),
             epoch: replicas.map(ReplicaSet::epoch),
             deficit: replicas.map_or(0, ReplicaSet::deficit),
@@ -892,7 +864,6 @@ impl MemoryBroker {
             st.wiped_bytes += pool.iter().map(|m| m.len).sum::<u64>();
         }
         st.failed_servers.insert(server);
-        st.pending_revocations.retain(|_, (s, _)| *s != server);
         let victims = Self::active_on(st, server);
         for &id in &victims {
             let Some((lease, _)) = st.leases.get_mut(&id) else {
@@ -927,179 +898,6 @@ impl MemoryBroker {
     /// A crashed donor came back (its proxy will re-donate fresh MRs).
     pub fn server_recovered(&self, server: ServerId) {
         self.store.state.lock().failed_servers.remove(&server);
-    }
-
-    /// Two-phase memory pressure on `server`: reclaim unleased MRs
-    /// immediately, then — if short — *notify* the Active leases touching
-    /// the server instead of revoking them, giving their holders
-    /// `grace_period` to flush, migrate or surrender. Past the deadline,
-    /// [`Self::finalize_revocations`] collects what remains.
-    ///
-    /// Returns `(bytes reclaimed now, leases put on notice)`.
-    pub fn request_reclaim(
-        &self,
-        now: SimTime,
-        fabric: &Fabric,
-        server: ServerId,
-        bytes: u64,
-    ) -> (u64, Vec<LeaseId>) {
-        let mut st = self.store.state.lock();
-        let mut reclaimed = Self::drain_pool(&mut st, fabric, server, bytes);
-        let mut notified = Vec::new();
-        if reclaimed < bytes {
-            let deadline = now + self.cfg.grace_period;
-            for id in Self::active_on(&st, server) {
-                if let Entry::Vacant(notice) = st.pending_revocations.entry(id) {
-                    notice.insert((server, deadline));
-                    notified.push(id);
-                }
-            }
-        }
-        // bound the grace-window queue: a holder that never re-attaches
-        // would grow it without limit. Past the cap, force-finalize the
-        // oldest notices (earliest deadline, stable id tie-break) early.
-        let mut expired = 0u64;
-        while st.pending_revocations.len() > MAX_PENDING_REVOCATIONS {
-            let Some((id, srv)) = st
-                .pending_revocations
-                .iter()
-                .min_by_key(|(id, (_, deadline))| (*deadline, **id))
-                .map(|(id, (srv, _))| (*id, *srv))
-            else {
-                break;
-            };
-            st.pending_revocations.remove(&id);
-            expired += 1;
-            let pressured = Some((fabric, srv));
-            if let Ok(wiped) = Self::end_lease(&mut st, id, LeaseState::Revoked, pressured) {
-                reclaimed += wiped;
-            }
-        }
-        self.meter(&st, |m| {
-            m.reclaimed_bytes.add(reclaimed);
-            if expired > 0 {
-                m.revocations_expired.add(expired);
-                m.revoked.add(expired);
-            }
-        });
-        self.verify(&st, Some(now));
-        (reclaimed, notified)
-    }
-
-    /// Collect pending revocations whose grace window has passed: leases
-    /// still holding MRs on the pressured server are revoked, the pressured
-    /// MRs deregistered, the rest returned to the pool. Returns the bytes
-    /// reclaimed for the pressured donors.
-    pub fn finalize_revocations(&self, fabric: &Fabric, now: SimTime) -> u64 {
-        let mut st = self.store.state.lock();
-        // id order, so the pool's MR order is replay-deterministic
-        let due: Vec<(LeaseId, ServerId)> = st
-            .pending_revocations
-            .iter()
-            .filter(|(_, (_, deadline))| now >= *deadline)
-            .map(|(id, (server, _))| (*id, *server))
-            .collect();
-        let mut reclaimed = 0u64;
-        let mut revoked = 0u64;
-        for (id, server) in due {
-            st.pending_revocations.remove(&id);
-            let pressured = Some((fabric, server));
-            if let Ok(wiped) = Self::end_lease(&mut st, id, LeaseState::Revoked, pressured) {
-                reclaimed += wiped;
-                revoked += 1;
-            }
-        }
-        self.meter(&st, |m| {
-            m.reclaimed_bytes.add(reclaimed);
-            m.revoked.add(revoked);
-        });
-        self.verify(&st, Some(now));
-        reclaimed
-    }
-
-    /// Grant extra MRs to an Active lease — the migration path: a holder on
-    /// notice asks for replacement capacity *while its old MRs are still
-    /// readable*, copies the data over, then surrenders the old MRs.
-    /// `avoid` (typically the pressured or failing donor) is excluded. A
-    /// replicated lease is refused: MRs outside its replica groups would
-    /// break replica conservation, and it sheds the pressured copy with
-    /// [`Self::surrender_mrs`] instead.
-    pub fn request_extra(
-        &self,
-        clock: &mut Clock,
-        id: LeaseId,
-        bytes: u64,
-        avoid: ServerId,
-    ) -> Result<Vec<MrHandle>, BrokerError> {
-        clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
-        let holder = Self::active_holder(&st, id)?;
-        if st.replicas.contains_key(&id) {
-            return Err(BrokerError::Internal(
-                "replicated leases migrate by surrendering a replica",
-            ));
-        }
-        let picked = Self::extend_lease(&mut st, id, bytes, &[holder, avoid])?;
-        self.verify(&st, Some(clock.now()));
-        Ok(picked)
-    }
-
-    /// Remove and deregister a lease's MRs on `server` (the tail end of a
-    /// migration, or a voluntary partial give-back under pressure). Clears
-    /// any pending revocation notice for the lease. The lease stays Active.
-    /// A replicated lease may not surrender a slot's last copy. Returns the
-    /// bytes surrendered.
-    pub fn surrender_mrs(
-        &self,
-        clock: &mut Clock,
-        id: LeaseId,
-        server: ServerId,
-        fabric: &Fabric,
-    ) -> Result<u64, BrokerError> {
-        clock.advance(self.cfg.rpc_time);
-        let mut guard = self.store.state.lock();
-        let st = &mut *guard;
-        let (lease, state) = st
-            .leases
-            .get_mut(&id)
-            .ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let sole = |g: &Vec<MrHandle>| matches!(g[..], [only] if only.server == server);
-        if st
-            .replicas
-            .get(&id)
-            .is_some_and(|rs| rs.groups().iter().any(sole))
-        {
-            return Err(BrokerError::Internal(
-                "surrender would drop a slot's last replica",
-            ));
-        }
-        let gone: Vec<MrHandle> = lease
-            .mrs
-            .iter()
-            .filter(|m| m.server == server)
-            .copied()
-            .collect();
-        lease.mrs.retain(|m| m.server != server);
-        st.pending_revocations.remove(&id);
-        if let Some(rs) = st.replicas.get_mut(&id) {
-            // shed the surrendered members from their groups; anti-affinity
-            // means each group loses at most one, so survivors keep serving
-            if !rs.drop_server(server).is_empty() {
-                rs.bump_epoch();
-            }
-        }
-        let mut freed = 0;
-        for mr in gone {
-            freed += mr.len;
-            let _ = fabric.deregister_mr(mr);
-        }
-        st.wiped_bytes += freed;
-        self.meter(st, |m| m.reclaimed_bytes.add(freed));
-        self.verify(st, Some(clock.now()));
-        Ok(freed)
     }
 
     /// Re-lease replacement capacity for the MRs a degraded lease lost to a
@@ -1324,79 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn graceful_reclaim_spares_a_lease_that_surrenders_in_time() {
-        let (fabric, broker, db) = cluster(1, 4);
-        let donor = ServerId(1);
-        let mut clock = Clock::new();
-        let lease = broker.request_lease(&mut clock, db, 2 * MR).unwrap();
-        // pressure for all 4 MR: 2 unleased reclaimed now, lease put on notice
-        let (got, notified) = broker.request_reclaim(clock.now(), &fabric, donor, 4 * MR);
-        assert_eq!(got, 2 * MR);
-        assert_eq!(notified, vec![lease.id]);
-        let (srv, deadline) = broker.lease_health(lease.id).notice.unwrap();
-        assert_eq!(srv, donor);
-        assert!(deadline > clock.now());
-        // holder gives the memory back inside the window
-        let freed = broker
-            .surrender_mrs(&mut clock, lease.id, donor, &fabric)
-            .unwrap();
-        assert_eq!(freed, 2 * MR);
-        assert_eq!(broker.lease_health(lease.id).notice, None);
-        // the deadline passes: nothing left to take, lease still Active
-        clock.advance_to(deadline + SimDuration::from_micros(1));
-        assert_eq!(broker.finalize_revocations(&fabric, clock.now()), 0);
-        assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Active));
-    }
-
-    #[test]
-    fn missed_grace_window_forces_revocation() {
-        let (fabric, broker, db) = cluster(1, 2);
-        let donor = ServerId(1);
-        let mut clock = Clock::new();
-        let lease = broker.request_lease(&mut clock, db, 2 * MR).unwrap();
-        let (got, notified) = broker.request_reclaim(clock.now(), &fabric, donor, 2 * MR);
-        assert_eq!(got, 0);
-        assert_eq!(notified, vec![lease.id]);
-        let (_, deadline) = broker.lease_health(lease.id).notice.unwrap();
-        // before the deadline nothing happens
-        assert_eq!(broker.finalize_revocations(&fabric, clock.now()), 0);
-        assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Active));
-        // the holder ignores the notice; past the deadline the broker takes it
-        assert_eq!(broker.finalize_revocations(&fabric, deadline), 2 * MR);
-        assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Revoked));
-    }
-
-    #[test]
-    fn request_extra_enables_migration_off_a_pressured_donor() {
-        let fabric = Fabric::new(NetConfig::default());
-        let db = fabric.add_server("DB1", 20);
-        let broker = MemoryBroker::new(BrokerConfig::default(), MetaStore::new());
-        for i in 0..2 {
-            let m = fabric.add_server(format!("M{i}"), 20);
-            let mut pc = Clock::new();
-            MemoryProxy::new(m, MR)
-                .donate(&mut pc, &fabric, &broker, 2 * MR)
-                .unwrap();
-        }
-        let mut clock = Clock::new();
-        // Pack fills M0 (ServerId(1)) first
-        let lease = broker.request_lease(&mut clock, db, 2 * MR).unwrap();
-        let pressured = lease.mrs[0].server;
-        let extra = broker
-            .request_extra(&mut clock, lease.id, 2 * MR, pressured)
-            .unwrap();
-        assert!(extra
-            .iter()
-            .all(|m| m.server != pressured && m.server != db));
-        broker
-            .surrender_mrs(&mut clock, lease.id, pressured, &fabric)
-            .unwrap();
-        let st = broker.store().state.lock().leases[&lease.id].0.clone();
-        assert_eq!(st.bytes(), 2 * MR);
-        assert!(st.mrs.iter().all(|m| m.server != pressured));
-    }
-
-    #[test]
     fn donor_failure_degrades_auto_renewed_leases_and_repair_restores() {
         let fabric = Fabric::new(NetConfig::default());
         let db = fabric.add_server("DB1", 20);
@@ -1597,27 +1322,8 @@ mod tests {
     }
 
     #[test]
-    fn surrender_prunes_replica_groups_and_bumps_epoch() {
-        let (fabric, broker, db) = cluster(3, 2);
-        let mut clock = Clock::new();
-        let lease = broker
-            .request_replicated_lease(&mut clock, db, MR, 2)
-            .unwrap();
-        let (_, groups) = broker.replica_view(lease.id).unwrap();
-        let shed = groups[0][1].server;
-        let freed = broker
-            .surrender_mrs(&mut clock, lease.id, shed, &fabric)
-            .unwrap();
-        assert_eq!(freed, MR);
-        let (epoch, groups) = broker.replica_view(lease.id).unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(groups[0].len(), 1);
-        assert!(broker.replication_deficit(lease.id) > 0);
-    }
-
-    #[test]
     fn maintained_deficit_is_audited_through_every_membership_change() {
-        let (fabric, broker, db) = cluster(6, 4);
+        let (_fabric, broker, db) = cluster(6, 4);
         let aud = Arc::new(Auditor::new()); // panics on the first violation
         broker.set_auditor(Some(Arc::clone(&aud)));
         let mut clock = Clock::new();
@@ -1640,7 +1346,7 @@ mod tests {
         };
         check(&broker, false);
         let (_, groups) = broker.replica_view(lease.id).unwrap();
-        // prune (one member), heal, then lose a whole group, heal, then shed
+        // prune (one member), heal, then lose a whole group, heal
         broker.server_failed(groups[0][0].server);
         check(&broker, true);
         broker.re_replicate(&mut clock, lease.id).unwrap();
@@ -1651,12 +1357,6 @@ mod tests {
         check(&broker, true);
         broker.re_replicate(&mut clock, lease.id).unwrap();
         check(&broker, false);
-        let (_, groups) = broker.replica_view(lease.id).unwrap();
-        let shed = groups[0][1].server;
-        broker
-            .surrender_mrs(&mut clock, lease.id, shed, &fabric)
-            .unwrap();
-        check(&broker, true);
         assert!(aud.checks() > 0, "the auditor was consulted");
     }
 
@@ -1671,43 +1371,6 @@ mod tests {
             broker.repair_lease(&mut clock, lease.id),
             Err(BrokerError::Internal(_))
         ));
-    }
-
-    #[test]
-    fn pending_revocations_are_bounded_with_expiry_counter() {
-        let registry = MetricsRegistry::shared();
-        let fabric = Fabric::new(NetConfig::default());
-        let db = fabric.add_server("DB1", 20);
-        let broker = MemoryBroker::new(BrokerConfig::default(), MetaStore::new());
-        broker.set_metrics(Some(Arc::clone(&registry)));
-        const SMALL: u64 = 4096;
-        let m = fabric.add_server("M0", 20);
-        let mut pc = Clock::new();
-        let n = MAX_PENDING_REVOCATIONS + 16;
-        MemoryProxy::new(m, SMALL)
-            .donate(&mut pc, &fabric, &broker, n as u64 * SMALL)
-            .unwrap();
-        let mut clock = Clock::new();
-        let mut ids = Vec::new();
-        for _ in 0..n {
-            ids.push(broker.request_lease(&mut clock, db, SMALL).unwrap().id);
-        }
-        // pressure the donor for everything: every lease goes on notice,
-        // but the queue stays capped and the overflow is force-revoked
-        let (_, notified) = broker.request_reclaim(clock.now(), &fabric, m, n as u64 * SMALL);
-        assert_eq!(notified.len(), n);
-        let queued = broker.store().state.lock().pending_revocations.len();
-        assert_eq!(queued, MAX_PENDING_REVOCATIONS);
-        assert_eq!(
-            registry.counter("broker.revocations_expired").get(),
-            16,
-            "overflow notices are force-finalized and counted"
-        );
-        let revoked = ids
-            .iter()
-            .filter(|id| broker.lease_state(**id) == Some(LeaseState::Revoked))
-            .count();
-        assert_eq!(revoked, 16);
     }
 
     #[test]

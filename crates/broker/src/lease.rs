@@ -55,7 +55,7 @@ impl Lease {
 /// on `k` distinct donors (anti-affinity). `groups()[slot][0]` is the
 /// preferred replica that one-sided reads target; writes fan out to the
 /// whole group through the quorum path. The epoch increments on every
-/// membership change (prune, promotion, re-replication, surrender) so
+/// membership change (prune, promotion, re-replication) so
 /// holders can fence extent maps built against a stale view.
 ///
 /// Membership changes only through the methods below, each of which keeps

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use remem_net::{MrHandle, ServerId};
-use remem_sim::SimTime;
 
 use crate::lease::{Lease, LeaseId, LeaseState, ReplicaSet};
 
@@ -32,9 +31,6 @@ pub(crate) struct MetaState {
     /// a replicated lease, the last copy of a slot, awaiting
     /// `re_replicate`). The lease itself stays Active (degraded).
     pub lost_mrs: BTreeMap<LeaseId, Vec<MrHandle>>,
-    /// Two-phase reclaim: leases notified of memory pressure on a donor,
-    /// with the deadline after which the broker revokes unilaterally.
-    pub pending_revocations: BTreeMap<LeaseId, (ServerId, SimTime)>,
     /// Replica metadata for k-way replicated leases. The physical MRs in
     /// every group also appear in the lease's `mrs`, so the MR conservation
     /// equation is unchanged; replica-set conservation is checked on top.
@@ -45,7 +41,7 @@ pub(crate) struct MetaState {
     /// auditor checks: donated = available + active-leased + lost + wiped.
     pub donated_bytes: u64,
     /// Bytes permanently gone from broker management: deregistered under
-    /// reclaim/surrender, or destroyed with a crashed donor.
+    /// reclaim, or destroyed with a crashed donor.
     pub wiped_bytes: u64,
 }
 
@@ -55,7 +51,6 @@ impl MetaState {
     /// `lost_mrs` died with their donor and will never be repaired now, so
     /// they count as wiped.
     pub(crate) fn lease_terminal(&mut self, id: LeaseId) {
-        self.pending_revocations.remove(&id);
         self.replicas.remove(&id);
         if let Some(lost) = self.lost_mrs.remove(&id) {
             self.wiped_bytes += lost.iter().map(|m| m.len).sum::<u64>();
@@ -141,8 +136,6 @@ mod tests {
         let store = MetaStore::new();
         let mut st = store.state.lock();
         let id = LeaseId(7);
-        st.pending_revocations
-            .insert(id, (ServerId(1), SimTime(10)));
         st.lost_mrs.insert(
             id,
             vec![MrHandle {
@@ -152,7 +145,6 @@ mod tests {
             }],
         );
         st.lease_terminal(id);
-        assert!(st.pending_revocations.is_empty());
         assert!(st.lost_mrs.is_empty());
         assert_eq!(st.wiped_bytes, 4096);
     }

@@ -98,7 +98,7 @@ pub struct DbOptions {
     /// Remote WAL ring capacity (only read when `remote_wal` is set).
     pub wal_ring_bytes: u64,
     /// Chaos-audit log the remote files record retries, repairs and
-    /// migrations into (shared with the fault injector by the harnesses).
+    /// failovers into (shared with the fault injector by the harnesses).
     pub fault_log: Option<Arc<remem_sim::FaultLog>>,
     /// Telemetry registry the engine publishes into. When `None` the
     /// cluster-wide registry (if any) is used, so one
@@ -207,8 +207,8 @@ impl Design {
                 // the surviving copy instead of aborting the query — while
                 // self_heal stays off so a slot that loses *every* copy still
                 // fails loudly. The BPExt is a cache of pages whose truth
-                // lives in the data file, so it re-leases lost stripes and
-                // migrates off pressured donors freely.
+                // lives in the data file, so it re-leases lost stripes, or
+                // its whole lease after a revocation, freely.
                 let tempdb = cluster.remote_file(clock, server, opts.tempdb_bytes, cfg.clone())?;
                 let bpext = cluster.remote_file(
                     clock,

@@ -61,10 +61,10 @@ pub struct RFileConfig {
     /// Base backoff before the first retry; doubles per attempt.
     pub retry_backoff: SimDuration,
     /// Self-heal on *fatal* faults: re-lease lost stripes from surviving
-    /// donors (contents lost, reported via `Device::drain_lost_ranges`) and
-    /// migrate off donors that signal memory pressure. Safe only for caches
-    /// whose contents can be re-fetched elsewhere — keep it off for spill
-    /// files, where a silently zeroed stripe would corrupt results.
+    /// donors, or the whole file after a revocation (contents lost, reported
+    /// via `Device::drain_lost_ranges`). Safe only for caches whose contents
+    /// can be re-fetched elsewhere — keep it off for spill files, where a
+    /// silently zeroed stripe would corrupt results.
     pub self_heal: bool,
     /// Replication factor `k` of the backing remote memory. `1` (the
     /// default) is the paper's design: one copy, lost with its donor. `k ≥
@@ -84,7 +84,7 @@ pub struct RFileConfig {
     /// staging design sustains up to 128 in-flight transfers per scheduler
     /// (§4.2), so the default sits well below that.
     pub queue_depth: usize,
-    /// Chaos-audit log retries/repairs/migrations are recorded into.
+    /// Chaos-audit log retries/repairs/failovers are recorded into.
     pub fault_log: Option<Arc<FaultLog>>,
     /// Telemetry registry reads/writes/retries/repairs publish into (under
     /// `rfile.*`, with `rfile.read` / `rfile.write` spans so network time

@@ -279,9 +279,8 @@ impl QuorumAppend {
 ///   [`StorageError::Unavailable`] on a single-copy file — unless
 ///   `cfg.self_heal` is on, in which case the file *repairs itself*: dead
 ///   stripes are re-leased from surviving donors (their contents lost,
-///   reported through [`Device::drain_lost_ranges`]), donors signalling
-///   memory pressure are migrated off during the revocation grace window
-///   (no data loss), and a fully lost lease is re-acquired from scratch.
+///   reported through [`Device::drain_lost_ranges`]), and a revoked lease
+///   is re-acquired from scratch (the whole file reported lost).
 ///   A replicated file (`cfg.replicas ≥ 2`) first fails over: to the
 ///   broker's newer replica epoch if there is one, else to a peer replica.
 ///   Repair attempts are bounded per call and gated by an exponential
@@ -301,7 +300,6 @@ pub struct RemoteFile {
     bytes_written: Counter,
     pub(crate) retries: Tally,
     pub(crate) repairs: Tally,
-    pub(crate) migrations: Tally,
     pub(crate) failovers: Tally,
     metrics: Option<RfMetrics>,
 }
@@ -333,7 +331,6 @@ impl RemoteFile {
             bytes_written: Counter::new(),
             retries: Tally::new(registry, "rfile.retries"),
             repairs: Tally::new(registry, "rfile.repairs"),
-            migrations: Tally::new(registry, "rfile.migrations"),
             failovers: Tally::new(registry, "rfile.failovers"),
             metrics: cfg.metrics.clone().map(RfMetrics::new),
             cfg,
@@ -431,11 +428,6 @@ impl RemoteFile {
     /// Stripe re-leases + full lease re-acquisitions performed.
     pub fn repairs(&self) -> u64 {
         self.repairs.local.get()
-    }
-
-    /// Grace-window migrations off pressured donors performed.
-    pub fn migrations(&self) -> u64 {
-        self.migrations.local.get()
     }
 
     /// Preferred-replica failovers performed: reads (or quorum writes) that
@@ -1037,37 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn self_heal_migrates_off_a_pressured_donor_without_data_loss() {
-        let c = cluster(2, 2, PlacementPolicy::Pack);
-        let mut clock = Clock::new();
-        let cfg = RFileConfig {
-            self_heal: true,
-            ..RFileConfig::custom()
-        };
-        let f = mk_file(&c, 2 * MR, cfg, &mut clock);
-        let data: Vec<u8> = (0..(2 * MR) as usize).map(|i| (i % 241) as u8).collect();
-        f.write(&mut clock, 0, &data).unwrap();
-        let donor = f.donors()[0];
-        // two-phase reclaim: the donor asks for its memory back
-        let (_, notified) = c
-            .broker
-            .request_reclaim(clock.now(), &c.fabric, donor, 2 * MR);
-        assert_eq!(notified.len(), 1);
-        // next access migrates to the other donor inside the grace window
-        let mut out = vec![0u8; (2 * MR) as usize];
-        f.read(&mut clock, 0, &mut out).unwrap();
-        assert_eq!(out, data, "migration must not lose bytes");
-        assert_eq!(f.migrations(), 1);
-        assert!(!f.donors().contains(&donor));
-        assert!(f.drain_lost_ranges().is_empty(), "migration loses nothing");
-        // the grace deadline passes: nothing left for the broker to take
-        clock.advance(c.broker.config().grace_period * 2);
-        assert_eq!(c.broker.finalize_revocations(&c.fabric, clock.now()), 0);
-        f.read(&mut clock, 0, &mut out).unwrap();
-        assert_eq!(out, data);
-    }
-
-    #[test]
     fn self_heal_reacquires_a_revoked_lease() {
         let c = cluster(2, 2, PlacementPolicy::Pack);
         let mut clock = Clock::new();
@@ -1077,7 +1038,7 @@ mod tests {
         };
         let f = mk_file(&c, 2 * MR, cfg, &mut clock);
         f.write(&mut clock, 0, b"gone after revoke").unwrap();
-        // hard revocation (legacy immediate reclaim — no grace window)
+        // the donor takes its memory back: the lease is revoked
         c.broker.reclaim(&c.fabric, f.donors()[0], 2 * MR);
         let mut buf = vec![1u8; 17];
         f.read(&mut clock, 0, &mut buf).unwrap();
@@ -1449,34 +1410,6 @@ mod tests {
     }
 
     #[test]
-    fn replicated_file_sheds_pressured_replicas_without_data_loss() {
-        let c = cluster(3, 3, PlacementPolicy::Spread);
-        let mut clock = Clock::new();
-        let cfg = RFileConfig {
-            replicas: 2,
-            ..RFileConfig::custom()
-        };
-        let f = mk_file(&c, 2 * MR, cfg, &mut clock);
-        let data: Vec<u8> = (0..(2 * MR) as usize).map(|i| (i % 223) as u8).collect();
-        f.write(&mut clock, 0, &data).unwrap();
-        let pressured = f.donors()[0];
-        let (_, notified) = c
-            .broker
-            .request_reclaim(clock.now(), &c.fabric, pressured, 3 * MR);
-        assert_eq!(notified.len(), 1);
-        let mut out = vec![0u8; data.len()];
-        f.read(&mut clock, 0, &mut out).unwrap();
-        assert_eq!(out, data, "shedding must not lose bytes");
-        assert!(f.migrations() >= 1, "shed counts as a migration");
-        assert!(f.drain_lost_ranges().is_empty());
-        // after the grace window the broker finds nothing left to revoke
-        clock.advance(c.broker.config().grace_period * 2);
-        assert_eq!(c.broker.finalize_revocations(&c.fabric, clock.now()), 0);
-        f.read(&mut clock, 0, &mut out).unwrap();
-        assert_eq!(out, data);
-    }
-
-    #[test]
     fn an_epoch_fenced_between_two_ios_is_adopted_by_the_very_next_one() {
         // the per-op health check compares epochs before it copies anything:
         // whichever way the broker fenced the groups since the last I/O, the
@@ -1518,16 +1451,10 @@ mod tests {
         crash(&c, f.donors()[0]);
         c.broker.re_replicate(&mut clock, id).unwrap();
         let e2 = check(&mut clock, "re_replicate", e1);
-        // nobody seeded those new members; a full rewrite brings them level
-        f.write(&mut clock, 0, &data).unwrap();
-        // the members on one donor are surrendered (what a shed does)
-        c.broker
-            .surrender_mrs(&mut clock, id, f.donors()[0], &c.fabric)
-            .unwrap();
-        let e3 = check(&mut clock, "shed", e2);
+        // nobody seeded those new members; a full rewrite brings them level,
         // and with nothing fenced the epoch stays put
         f.write(&mut clock, 0, &data).unwrap();
-        assert_eq!(f.replica_epoch(), e3);
+        assert_eq!(f.replica_epoch(), e2);
     }
 
     #[test]

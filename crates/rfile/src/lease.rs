@@ -1,6 +1,5 @@
-//! Lease upkeep: validity, memory-pressure notices, and self-heal — stripe
-//! re-lease after a donor crash, full re-acquisition after a revocation,
-//! grace-window migration off a pressured donor.
+//! Lease upkeep: validity and self-heal — stripe re-lease after a donor
+//! crash, full re-acquisition after a revocation.
 
 use std::collections::BTreeSet;
 
@@ -105,28 +104,11 @@ impl FileState {
 
 impl RemoteFile {
     /// Check lease validity: a lease holds until released or revoked.
-    /// Self-healing files additionally answer revocation notices here
-    /// (migrating off the pressured donor inside the grace window) and
-    /// re-acquire a lost lease from scratch.
+    /// Self-healing files re-acquire a revoked lease from scratch; others
+    /// fail with `Unavailable`.
     pub(crate) fn ensure_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let id = self.state.lock().lease.id;
-        let mut health = self.broker.lease_health(id);
-        if let Some((server, _)) = health
-            .notice
-            .filter(|&(_, deadline)| clock.now() < deadline)
-        {
-            if self.replicated() {
-                // replicated files answer memory pressure by *shedding* the
-                // copies on the pressured donor — redundancy absorbs the
-                // loss, no bulk migration copy is needed
-                let _ = self.shed_replicas(clock, server);
-            } else if self.cfg.self_heal {
-                // best effort: if migration fails the broker revokes at the
-                // deadline and the full re-lease path takes over
-                let _ = self.migrate_off(clock, server);
-            }
-            health = self.broker.lease_health(id);
-        }
+        let health = self.broker.lease_health(id);
         if let Some(epoch) = health.epoch {
             self.adopt_epoch(id, epoch);
         }
@@ -141,64 +123,6 @@ impl RemoteFile {
             // that can't find donors yet must not fail the access
             let _ = self.try_repair(clock);
         }
-        Ok(())
-    }
-
-    /// Move this file's stripes off `server` while the lease is still alive
-    /// (two-phase reclaim grace window): lease replacement MRs elsewhere,
-    /// copy the still-readable bytes over, then surrender the old MRs. No
-    /// data is lost and no `lost_ranges` are recorded.
-    fn migrate_off(&self, clock: &mut Clock, server: ServerId) -> Result<(), StorageError> {
-        let (id, bytes, needs) = {
-            let st = self.state.lock();
-            let hosted = st.lease.mrs.iter().filter(|m| m.server == server);
-            let needs: Vec<Extent> = st
-                .extents
-                .iter()
-                .filter(|e| e.mr.server == server)
-                .copied()
-                .collect();
-            (st.lease.id, hosted.map(|m| m.len).sum::<u64>(), needs)
-        };
-        if bytes == 0 {
-            return Ok(());
-        }
-        let replacements = self
-            .broker
-            .request_extra(clock, id, bytes, server)
-            .map_err(unavailable)?;
-        self.connect_all(clock, replacements.iter().map(|mr| mr.server))?;
-        let groups = Self::carve(&replacements, &needs)?;
-        let fresh: Vec<Extent> = groups.iter().flatten().copied().collect();
-        // copy old → new; the old MRs stay readable until surrendered
-        let (fabric, proto, local) = (&self.fabric, self.cfg.protocol, self.local);
-        for (old, new) in needs.iter().zip(groups.iter()) {
-            debug_assert_eq!(old.start, new[0].start);
-            let mut buf = vec![0u8; old.len as usize];
-            fabric
-                .read(clock, proto, local, old.mr, old.mr_off, &mut buf)
-                .map_err(unavailable)?;
-            for part in new {
-                let lo = (part.start - old.start) as usize;
-                let src = &buf[lo..lo + part.len as usize];
-                fabric
-                    // audit: allow(quorum-write, unreplicated grace-window migration copies one stripe)
-                    .write(clock, proto, local, part.mr, part.mr_off, src)
-                    .map_err(unavailable)?;
-            }
-        }
-        let dead = |m: &MrHandle| m.server == server;
-        self.state.lock().rebase(dead, &fresh, &replacements);
-        self.broker
-            .surrender_mrs(clock, id, server, &self.fabric)
-            .map_err(unavailable)?;
-        self.migrations.incr();
-        self.note(
-            clock.now(),
-            FaultOrigin::Recovery,
-            "rfile.migrate",
-            format!("{bytes} B migrated off {server:?}"),
-        );
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! Replication (`cfg.replicas ≥ 2`): the epoch fence, local failover,
-//! quorum-write targets, shedding under memory pressure, and re-replication.
+//! quorum-write targets, and re-replication.
 
-use remem_net::{Fabric, MrHandle, NetError, QuorumWrite, ServerId};
+use remem_net::{Fabric, MrHandle, NetError, QuorumWrite};
 use remem_sim::{Clock, FaultOrigin};
 use remem_storage::StorageError;
 
@@ -108,54 +108,6 @@ impl RemoteFile {
         }
         self.fabric
             .write_quorum(clock, self.cfg.protocol, self.local, targets, data)
-    }
-
-    /// Memory pressure on `server` (two-phase reclaim grace window): drop
-    /// this file's replicas hosted there instead of migrating bytes — the
-    /// surviving copies keep every stripe readable, and the next heal
-    /// restores full redundancy from unpressured donors. If any group's
-    /// *sole* member sits on the pressured server, redundancy is restored
-    /// first so shedding never drops the last copy.
-    pub(crate) fn shed_replicas(
-        &self,
-        clock: &mut Clock,
-        server: ServerId,
-    ) -> Result<(), StorageError> {
-        let id = self.state.lock().lease.id;
-        let sole_on = |st: &FileState| {
-            st.groups
-                .iter()
-                .any(|g| g.len() == 1 && g[0].server == server)
-        };
-        let (hosted, holds) = {
-            let st = self.state.lock();
-            let hosted = st.groups.iter().flatten().any(|m| m.server == server);
-            (hosted, sole_on(&st))
-        };
-        if !hosted {
-            return Ok(());
-        }
-        if holds {
-            self.heal_replicas(clock)?;
-            self.refresh_replicas();
-            if sole_on(&self.state.lock()) {
-                // can't re-replicate elsewhere: leave the grace window to
-                // run out; the broker's forced revocation takes over
-                return Err(unavailable("cannot shed the sole surviving replica"));
-            }
-        }
-        self.broker
-            .surrender_mrs(clock, id, server, &self.fabric)
-            .map_err(unavailable)?;
-        self.refresh_replicas();
-        self.migrations.incr();
-        self.note(
-            clock.now(),
-            FaultOrigin::Recovery,
-            "rfile.shed",
-            format!("replicas shed from {server:?} under memory pressure"),
-        );
-        Ok(())
     }
 
     /// Restore every degraded replica group to `k` members: ask the broker

@@ -385,13 +385,11 @@ fn golden(cfg: RFileConfig) -> String {
     s.round(15);
 
     let Script { r, t } = s;
-    let mut snapshot = r.registry.snapshot();
-    let dropped = ["rfile.migrations", "broker.revocations_expired"];
-    snapshot
-        .counters
-        .retain(|(name, _)| !dropped.contains(&name.as_str()));
     let mut metrics = 0xcbf2_9ce4_8422_2325;
-    fnv(&mut metrics, format!("{snapshot:?}").as_bytes());
+    fnv(
+        &mut metrics,
+        format!("{:?}", r.registry.snapshot()).as_bytes(),
+    );
     let f = &r.file;
     format!(
         "t={} log={:016x} retries={} failovers={} repairs={} seen={:016x} metrics={:016x} ops={}",

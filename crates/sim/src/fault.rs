@@ -4,7 +4,7 @@
 //! and buffer pool *observe* them and *recover* from them. All three record
 //! into one [`FaultLog`] so a chaos run can be audited end-to-end: every
 //! observed failure correlates with an injected window, and every recovery
-//! action (retry, re-lease, migration, re-attach) is visible next to the
+//! action (retry, re-lease, failover, re-attach) is visible next to the
 //! fault that caused it.
 //!
 //! Because every timestamp is virtual and every random decision is seeded,
