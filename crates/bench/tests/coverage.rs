@@ -13,8 +13,6 @@ use std::path::{Path, PathBuf};
 use remem_bench::json::{parse, Json};
 use remem_bench::report::{report_names, report_path};
 
-const MEMORY_PRESSURE: &str =
-    "the memory-pressure path (reclaim, revocation, migration): only tests drive it (item 19)";
 const FAULT_FREE: &str = "no report injects device errors";
 const NEVER_FORCED: &str = "only the log device is forced";
 
@@ -25,9 +23,6 @@ const NEVER_MOVED: &[(&str, &str)] = &[
         "broker.leases.released",
         "no report deletes a remote file (Table 2's Delete): each lives until its arm ends",
     ),
-    ("broker.leases.revoked", MEMORY_PRESSURE),
-    ("broker.reclaimed.bytes", MEMORY_PRESSURE),
-    ("broker.revocations_expired", MEMORY_PRESSURE),
     (
         "fabric.pushdown.errors",
         "the pushdown sweep runs fault-free",
@@ -38,7 +33,6 @@ const NEVER_MOVED: &[(&str, &str)] = &[
          adopts the fenced epoch and repairs the deficit (rfile.repairs) before any verb \
          reaches the dead donor, so no I/O fails over mid-flight",
     ),
-    ("rfile.migrations", MEMORY_PRESSURE),
     (
         "semantic.invalidations",
         "no report updates a table a materialized view is built on",

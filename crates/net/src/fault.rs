@@ -151,23 +151,15 @@ impl FaultInjector {
         self
     }
 
-    /// A randomized-but-seeded schedule over `[0, horizon)`: a couple of
+    /// A randomized-but-seeded schedule over `[start, horizon)`: a couple of
     /// flaky windows and one slow window per server, drawn from `SimRng` so
-    /// the same seed always yields the same schedule. Crash/restart cycles
-    /// involve broker state and are driven by the caller (e.g.
-    /// `Cluster::crash_memory_server`), not by the schedule.
-    pub fn randomized(seed: u64, servers: &[ServerId], horizon: SimTime) -> FaultInjector {
-        let log = Arc::new(FaultLog::new());
-        FaultInjector::randomized_with_log(seed, servers, SimTime::ZERO, horizon, log)
-    }
-
-    /// [`FaultInjector::randomized`] over `[start, horizon)`, recording into
-    /// a caller-shared log so injected events interleave with the
-    /// observers' (rfile, buffer pool). Every window opens inside the
-    /// interval and lasts 1–10 % of it, so one that opens late may run past
-    /// `horizon`. From [`SimTime::ZERO`] this is the
-    /// [`FaultInjector::randomized`] schedule; from any other start it is
-    /// that schedule shifted by `start`.
+    /// the same seed always yields the same schedule, recorded into a
+    /// caller-shared log so injected events interleave with the observers'
+    /// (rfile, buffer pool). Every window opens inside the interval, lasts
+    /// 1–10 % of it and is cut at `horizon`, so none outlives it. From any
+    /// start the schedule is the one from [`SimTime::ZERO`] shifted by
+    /// `start`. Crash/restart cycles involve broker state and are driven by
+    /// the caller (e.g. `Cluster::crash_memory_server`), not by the schedule.
     pub fn randomized_with_log(
         seed: u64,
         servers: &[ServerId],
@@ -179,18 +171,23 @@ impl FaultInjector {
         let mut rng = SimRng::seeded(seed);
         let mut inj = FaultInjector::with_log(seed, log);
         let span = horizon.0.saturating_sub(start.0).max(1);
-        let open = |rng: &mut SimRng| SimTime(start.0 + rng.uniform(0, span));
+        let end = SimTime(start.0 + span);
+        // (opening, closing) of one window: opens inside the interval and
+        // is cut at its end
+        let draw = |rng: &mut SimRng| {
+            let from = SimTime(start.0 + rng.uniform(0, span));
+            let len = rng.uniform(span / 100 + 1, span / 10 + 2);
+            (from, SimTime(from.0.saturating_add(len)).min(end))
+        };
         for &s in servers {
             for _ in 0..2 {
-                let from = open(&mut rng);
-                let len = rng.uniform(span / 100 + 1, span / 10 + 2);
+                let (from, until) = draw(&mut rng);
                 let prob = 0.2 + rng.unit() * 0.6;
-                inj = inj.flaky_window(s, from, SimTime(from.0.saturating_add(len)), prob);
+                inj = inj.flaky_window(s, from, until, prob);
             }
-            let from = open(&mut rng);
-            let len = rng.uniform(span / 100 + 1, span / 10 + 2);
+            let (from, until) = draw(&mut rng);
             let extra = SimDuration::from_micros(rng.uniform(20, 200));
-            inj = inj.slow_window(s, from, SimTime(from.0.saturating_add(len)), extra);
+            inj = inj.slow_window(s, from, until, extra);
         }
         inj
     }
@@ -377,15 +374,18 @@ mod tests {
             .collect()
     }
 
+    /// The seeded schedule over `[start, horizon)` with a log of its own.
+    fn randomized(seed: u64, start: SimTime, horizon: SimTime) -> FaultInjector {
+        let log = Arc::new(FaultLog::new());
+        FaultInjector::randomized_with_log(seed, &[A, B, C], start, horizon, log)
+    }
+
     #[test]
     fn randomized_windows_open_inside_start_horizon() {
-        let servers = [A, B, C];
         let (start, horizon) = (SimTime(6_400_000_000), SimTime(6_450_000_000));
-        let log = Arc::new(FaultLog::new());
-        let late = FaultInjector::randomized_with_log(9, &servers, start, horizon, log);
         let span = horizon.0 - start.0;
-        let late = windows(&late);
-        assert_eq!(late.len(), 3 * servers.len());
+        let late = windows(&randomized(9, start, horizon));
+        assert_eq!(late.len(), 9);
         for &(server, from, until) in &late {
             assert!(
                 (start.0..horizon.0).contains(&from),
@@ -396,7 +396,7 @@ mod tests {
             assert!(until > from && until - from <= span / 10 + 2);
         }
         // the same seed over [0, span) is the same schedule, unshifted
-        let early = windows(&FaultInjector::randomized(9, &servers, SimTime(span)));
+        let early = windows(&randomized(9, SimTime::ZERO, SimTime(span)));
         let shifted: Vec<_> = early
             .iter()
             .map(|&(s, from, until)| (s, from + start.0, until + start.0))
@@ -405,12 +405,31 @@ mod tests {
     }
 
     #[test]
+    fn randomized_windows_close_by_the_horizon() {
+        // a late opening is cut at the horizon rather than running past it
+        let (start, horizon) = (SimTime(1_000), SimTime(50_001_000));
+        let mut cut = 0;
+        for seed in 0..32 {
+            for (server, from, until) in windows(&randomized(seed, start, horizon)) {
+                assert!(
+                    start.0 <= from && from < until && until <= horizon.0,
+                    "seed {seed}: {server:?} window [{from}, {until}) leaves [{}, {})",
+                    start.0,
+                    horizon.0
+                );
+                cut += usize::from(until == horizon.0);
+            }
+        }
+        assert!(cut > 0, "no seed drew a window that needed cutting");
+    }
+
+    #[test]
     fn randomized_schedules_replay_identically() {
-        let servers = [A, B, C];
-        let x = FaultInjector::randomized(9, &servers, SimTime(1_000_000_000));
-        let y = FaultInjector::randomized(9, &servers, SimTime(1_000_000_000));
+        let horizon = SimTime(1_000_000_000);
+        let x = randomized(9, SimTime::ZERO, horizon);
+        let y = randomized(9, SimTime::ZERO, horizon);
         assert_eq!(x.log().fingerprint(), y.log().fingerprint());
-        let z = FaultInjector::randomized(10, &servers, SimTime(1_000_000_000));
+        let z = randomized(10, SimTime::ZERO, horizon);
         assert_ne!(x.log().fingerprint(), z.log().fingerprint());
     }
 }
