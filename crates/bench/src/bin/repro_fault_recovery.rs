@@ -224,25 +224,33 @@ fn main() {
         "throughput timeline across fault injection and self-healing",
     );
     // one arm: the whole lifecycle runs on one cluster
-    let life = report
+    let Lifecycle {
+        rows,
+        phases,
+        fault_log,
+        flaky_retries,
+        reclaim_lost_pages,
+        reclaimed_bytes,
+        revoked,
+        wrong,
+    } = report
         .arms(&["Custom"], |l| l.to_string(), |_, arm| lifecycle(arm))
         .remove(0);
-    let phases = &life.phases;
     report.table(
         "timeline (each row is one measurement window):",
         &["phase", "t ms", "scans/s", "ext hit", "extension"],
-        life.rows.clone(),
+        rows,
     );
 
     report.blank();
     report.note(format!(
         "flaky net: {} rfile retries; donor reclaims: {} B reclaimed, {} lease(s) revoked, \
          {} extension pages reported lost",
-        life.flaky_retries, life.reclaimed_bytes, life.revoked, life.reclaim_lost_pages
+        flaky_retries, reclaimed_bytes, revoked, reclaim_lost_pages
     ));
     report.blank();
     report.note("fault log (injected vs observed vs recovered):");
-    for line in life.fault_log.lines() {
+    for line in fault_log.lines() {
         report.note(line.to_string());
     }
 
@@ -267,12 +275,12 @@ fn main() {
     report.check_assert(
         "scans_match_model",
         "every scanned row reads the value the model of the updates holds, in every phase",
-        life.wrong == 0,
+        wrong == 0,
     );
     report.check_assert(
         "flaky_net_costs_retries",
         "the flaky windows fall inside their phase: rfile retries there and scans/s drop below healthy",
-        life.flaky_retries > 0 && flaky.tput < healthy.tput,
+        flaky_retries > 0 && flaky.tput < healthy.tput,
     );
     report.check_assert(
         "single_donor_loss_absorbed",
@@ -317,12 +325,12 @@ fn main() {
     report.check_assert(
         "reclaim_revokes_a_lease",
         "a donor reclaiming past its unleased pool revokes at least one lease (broker.reclaimed.bytes > 0, broker.leases.revoked >= 1)",
-        life.reclaimed_bytes > 0 && life.revoked >= 1,
+        reclaimed_bytes > 0 && revoked >= 1,
     );
     report.check_assert(
         "reclaim_reports_extension_lost",
         "the revoked extension re-leases itself whole and reports its cached pages lost",
-        life.reclaim_lost_pages > 0,
+        reclaim_lost_pages > 0,
     );
     report.check_assert(
         "extension_survives_reclaim",
