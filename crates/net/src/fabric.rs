@@ -1817,6 +1817,56 @@ mod tests {
         assert_eq!(aud.violation_count(), 0, "{}", aud.report());
     }
 
+    /// Every verb posts one WR per server pair it targets, failed or not: a
+    /// quorum write one per replica, a batch one per WR (its out-of-bounds
+    /// WR included), and an empty batch none.
+    #[test]
+    fn wr_ledger_counts_each_verbs_server_pairs() {
+        let (fabric, db, donors, h) = replica_fabric(3);
+        let mut clock = Clock::new();
+        let p = Protocol::Custom;
+        let mut buf = vec![0u8; remem_storage::PAGE_SIZE];
+        fabric
+            .write(&mut clock, p, db, h[0], 0, &rows_page(8))
+            .unwrap();
+        fabric.read(&mut clock, p, db, h[1], 0, &mut buf).unwrap();
+        let mut oob = vec![0u8; 64];
+        let _ = fabric.read(&mut clock, p, db, h[2], h[2].len - 8, &mut oob);
+        let (mut a, mut b) = (vec![0u8; 512], vec![0u8; 512]);
+        let mut wrs = vec![
+            crate::verbs::WorkRequest::Read(vec![crate::verbs::ReadSge {
+                mr: h[0],
+                offset: 0,
+                buf: &mut a,
+            }]),
+            crate::verbs::WorkRequest::Write(vec![crate::verbs::WriteSge {
+                mr: h[0],
+                offset: 4096,
+                data: &[1u8; 256],
+            }]),
+            crate::verbs::WorkRequest::Read(vec![crate::verbs::ReadSge {
+                mr: h[1],
+                offset: h[1].len - 8,
+                buf: &mut b,
+            }]),
+        ];
+        fabric.execute_batch(&mut clock, p, db, &mut wrs);
+        fabric.execute_batch(&mut clock, p, db, &mut []);
+        let targets: Vec<(MrHandle, u64)> = h.iter().map(|&m| (m, 8192)).collect();
+        fabric
+            .write_quorum(&mut clock, p, db, &targets, &[9u8; 300])
+            .unwrap();
+        let req = PushdownRequest {
+            handle: h[0],
+            offset: 0,
+            len: remem_storage::PAGE_SIZE as u64,
+            program: &key_lt(3),
+        };
+        fabric.pushdown(&mut clock, p, db, &req).unwrap();
+        let counts: Vec<(u64, u64)> = donors.iter().map(|&m| fabric.wr_counts(db, m)).collect();
+        assert_eq!(counts, vec![(5, 5), (3, 3), (2, 2)]);
+    }
+
     /// The fluid-queue saturation story of `repro_qd_sweep` in miniature: a
     /// deep batch of page reads approaches NIC line rate, while the scalar
     /// loop is capped by per-op overhead + fixed latency.
