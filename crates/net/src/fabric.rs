@@ -1,19 +1,23 @@
 //! The cluster fabric: servers wired by an Infiniband switch, and the three
 //! remote-memory access protocols of Table 5.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use remem_audit::Auditor;
-use remem_sim::{Clock, MetricsRegistry, SimDuration, SimTime};
-use std::collections::BTreeSet;
+use remem_sim::resource::Grant;
+use remem_sim::{
+    Clock, Counter, Histogram, MetricsRegistry, SimDuration, SimTime, SpanId, SpanToken,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::iter::once;
 
 use crate::config::NetConfig;
 use crate::error::NetError;
 use crate::fault::FaultInjector;
-use crate::mr::MrHandle;
+use crate::mr::{MemoryRegion, MrHandle};
 use crate::server::{Server, ServerId};
+use crate::verbs::WorkRequest;
 use remem_storage::eval::PushdownProgram;
 
 /// The protocol used to reach remote memory (Table 5).
@@ -42,115 +46,113 @@ impl Protocol {
     }
 }
 
+/// One data-moving verb's handles: its `net.<verb>` span, `nic.<verb>.ops`
+/// and `.lat`, and `fabric.<verb>.bytes` and `.errors`.
+struct VerbMetrics {
+    span: SpanId,
+    ops: Arc<Counter>,
+    lat: Arc<Histogram>,
+    bytes: Arc<Counter>,
+    errors: Arc<Counter>,
+}
+
+impl VerbMetrics {
+    fn new(registry: &MetricsRegistry, verb: &str) -> VerbMetrics {
+        VerbMetrics {
+            span: registry.span(&format!("net.{verb}")),
+            ops: registry.counter(&format!("nic.{verb}.ops")),
+            lat: registry.histogram(&format!("nic.{verb}.lat")),
+            bytes: registry.counter(&format!("fabric.{verb}.bytes")),
+            errors: registry.counter(&format!("fabric.{verb}.errors")),
+        }
+    }
+
+    /// Publish one outcome: `(ops, bytes, latency)` moved, or one error.
+    fn record(&self, done: Option<(u64, u64, SimDuration)>) {
+        match done {
+            Some((ops, bytes, lat)) => {
+                self.ops.add(ops);
+                self.bytes.add(bytes);
+                self.lat.record(lat);
+            }
+            None => self.errors.incr(),
+        }
+    }
+}
+
 /// Cached handles into an attached [`MetricsRegistry`], resolved once at
 /// [`Fabric::set_metrics`] so the per-verb hot path never does a name
 /// lookup. Spans still go through the registry (they carry the nesting
 /// stack that attributes rfile time to network verbs).
 struct FabricMetrics {
     registry: Arc<MetricsRegistry>,
-    read_ops: Arc<remem_sim::Counter>,
-    write_ops: Arc<remem_sim::Counter>,
-    read_lat: Arc<remem_sim::Histogram>,
-    write_lat: Arc<remem_sim::Histogram>,
-    read_bytes: Arc<remem_sim::Counter>,
-    write_bytes: Arc<remem_sim::Counter>,
-    read_errors: Arc<remem_sim::Counter>,
-    write_errors: Arc<remem_sim::Counter>,
-    mr_registrations: Arc<remem_sim::Counter>,
-    mr_bytes: Arc<remem_sim::Counter>,
-    connects: Arc<remem_sim::Counter>,
-    batch_doorbells: Arc<remem_sim::Counter>,
-    /// Work requests per doorbell. Histograms are duration-typed; batch
-    /// sizes are recorded as unitless nanoseconds (1 WR = 1 ns).
-    batch_size: Arc<remem_sim::Histogram>,
-    quorum_writes: Arc<remem_sim::Counter>,
+    /// Scalar reads and every read WR of a batch.
+    read: VerbMetrics,
+    /// Scalar writes, every write WR of a batch and every acked replica of
+    /// a quorum write.
+    write: VerbMetrics,
+    /// Wire bytes a pushdown actually moved (request program + reply).
+    pushdown: VerbMetrics,
+    /// Rows that survived the server-side predicates.
+    pushdown_rows: Arc<Counter>,
+    /// Fabric bytes a full-page fetch of the same span would have moved
+    /// minus what pushdown moved — the verb's whole reason to exist.
+    pushdown_bytes_saved: Arc<Counter>,
+    quorum_span: SpanId,
+    quorum_writes: Arc<Counter>,
     /// Gap between the quorum ack (when the client unblocks) and the
     /// slowest replica's completion; that tail stays on the straggler's
     /// NIC pipe and is paid by whoever touches it next.
-    quorum_straggler_lag: Arc<remem_sim::Histogram>,
+    quorum_straggler_lag: Arc<Histogram>,
+    batch_span: SpanId,
+    batch_doorbells: Arc<Counter>,
+    /// Work requests per doorbell. Histograms are duration-typed; batch
+    /// sizes are recorded as unitless nanoseconds (1 WR = 1 ns).
+    batch_size: Arc<Histogram>,
     /// WAL append-path slice of the quorum traffic: group commits the
     /// engine shipped to the replicated log ring. A subset of
     /// `fabric.quorum.*`, split out so commit latency diagnostics don't
     /// have to untangle log appends from page re-replication.
-    wal_appends: Arc<remem_sim::Counter>,
-    wal_bytes: Arc<remem_sim::Counter>,
-    wal_straggler_lag: Arc<remem_sim::Histogram>,
-    pushdown_ops: Arc<remem_sim::Counter>,
-    pushdown_lat: Arc<remem_sim::Histogram>,
-    /// Rows that survived the server-side predicates.
-    pushdown_rows: Arc<remem_sim::Counter>,
-    /// Wire bytes a pushdown actually moved (request program + reply).
-    pushdown_bytes: Arc<remem_sim::Counter>,
-    /// Fabric bytes a full-page fetch of the same span would have moved
-    /// minus what pushdown moved — the verb's whole reason to exist.
-    pushdown_bytes_saved: Arc<remem_sim::Counter>,
-    pushdown_errors: Arc<remem_sim::Counter>,
-    read_span: remem_sim::SpanId,
-    write_span: remem_sim::SpanId,
-    quorum_write_span: remem_sim::SpanId,
-    batch_span: remem_sim::SpanId,
-    pushdown_span: remem_sim::SpanId,
+    wal_appends: Arc<Counter>,
+    wal_bytes: Arc<Counter>,
+    wal_straggler_lag: Arc<Histogram>,
+    mr_registrations: Arc<Counter>,
+    mr_bytes: Arc<Counter>,
+    connects: Arc<Counter>,
 }
 
 impl FabricMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> FabricMetrics {
+        let r = &registry;
         FabricMetrics {
-            read_ops: registry.counter("nic.read.ops"),
-            write_ops: registry.counter("nic.write.ops"),
-            read_lat: registry.histogram("nic.read.lat"),
-            write_lat: registry.histogram("nic.write.lat"),
-            read_bytes: registry.counter("fabric.read.bytes"),
-            write_bytes: registry.counter("fabric.write.bytes"),
-            read_errors: registry.counter("fabric.read.errors"),
-            write_errors: registry.counter("fabric.write.errors"),
-            mr_registrations: registry.counter("fabric.mr.registrations"),
-            mr_bytes: registry.counter("fabric.mr.bytes"),
-            connects: registry.counter("fabric.connects"),
-            batch_doorbells: registry.counter("fabric.batch.doorbells"),
-            batch_size: registry.histogram("fabric.batch.size"),
-            quorum_writes: registry.counter("fabric.quorum.writes"),
-            quorum_straggler_lag: registry.histogram("fabric.quorum.straggler_lag"),
-            wal_appends: registry.counter("wal.quorum.appends"),
-            wal_bytes: registry.counter("wal.quorum.bytes"),
-            wal_straggler_lag: registry.histogram("wal.quorum.straggler_lag"),
-            pushdown_ops: registry.counter("nic.pushdown.ops"),
-            pushdown_lat: registry.histogram("nic.pushdown.lat"),
-            pushdown_rows: registry.counter("fabric.pushdown.rows"),
-            pushdown_bytes: registry.counter("fabric.pushdown.bytes"),
-            pushdown_bytes_saved: registry.counter("fabric.pushdown.bytes_saved"),
-            pushdown_errors: registry.counter("fabric.pushdown.errors"),
-            read_span: registry.span("net.read"),
-            write_span: registry.span("net.write"),
-            quorum_write_span: registry.span("net.quorum_write"),
-            batch_span: registry.span("net.batch"),
-            pushdown_span: registry.span("net.pushdown"),
+            read: VerbMetrics::new(r, "read"),
+            write: VerbMetrics::new(r, "write"),
+            pushdown: VerbMetrics::new(r, "pushdown"),
+            pushdown_rows: r.counter("fabric.pushdown.rows"),
+            pushdown_bytes_saved: r.counter("fabric.pushdown.bytes_saved"),
+            quorum_span: r.span("net.quorum_write"),
+            quorum_writes: r.counter("fabric.quorum.writes"),
+            quorum_straggler_lag: r.histogram("fabric.quorum.straggler_lag"),
+            batch_span: r.span("net.batch"),
+            batch_doorbells: r.counter("fabric.batch.doorbells"),
+            batch_size: r.histogram("fabric.batch.size"),
+            wal_appends: r.counter("wal.quorum.appends"),
+            wal_bytes: r.counter("wal.quorum.bytes"),
+            wal_straggler_lag: r.histogram("wal.quorum.straggler_lag"),
+            mr_registrations: r.counter("fabric.mr.registrations"),
+            mr_bytes: r.counter("fabric.mr.bytes"),
+            connects: r.counter("fabric.connects"),
             registry,
         }
     }
-}
 
-/// Lifetime work-request bookkeeping for one (ordered) server pair: the
-/// auditor's no-leaked-WR invariant is `posted == completed` at teardown.
-/// The counters are statistics behind a shared handle, so a verb looks its
-/// pair up once and posts and completes through the handle.
-#[derive(Debug, Default)]
-struct WrLedger {
-    posted: AtomicU64,
-    completed: AtomicU64,
-}
-
-impl WrLedger {
-    fn post(&self, n: u64) {
-        self.posted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn complete(&self, n: u64) {
-        self.completed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn counts(&self) -> (u64, u64) {
-        let posted = self.posted.load(Ordering::Relaxed);
-        (posted, self.completed.load(Ordering::Relaxed))
+    /// The read or the write verb's handles.
+    fn dir(&self, read: bool) -> &VerbMetrics {
+        if read {
+            &self.read
+        } else {
+            &self.write
+        }
     }
 }
 
@@ -176,8 +178,6 @@ pub struct QuorumWrite {
     pub acks: usize,
     /// Acks the client waited for: `⌈(n+1)/2⌉`.
     pub quorum: usize,
-    /// Virtual instant the quorum-th ack landed (the client unblocked).
-    pub completed_at: remem_sim::SimTime,
     /// Lag between the quorum ack and the slowest replica's completion.
     /// That tail is clock-charged to the straggler's NIC pipe, not the
     /// caller: the next verb touching that NIC pays the catch-up.
@@ -221,6 +221,102 @@ struct ProtocolCosts {
     remote_cpu_per_kib: SimDuration,
 }
 
+impl ProtocolCosts {
+    /// CPU the target spends on `ops` requests moving `bytes`. TCP involves
+    /// the remote CPU per transfer; RDMA bypasses it. This is the entire
+    /// mechanism behind Fig. 13, and batching doorbells does not hide it.
+    fn remote_cpu(&self, ops: u64, bytes: u64) -> SimDuration {
+        self.remote_cpu_per_op * ops
+            + SimDuration::from_nanos(self.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024))
+    }
+
+    /// A chain leg of `ops` requests moving `bytes` to `to`, with the CPU
+    /// the target spends on them.
+    fn leg<'s>(&self, to: &'s Server, ops: u64, bytes: u64) -> Leg<'s> {
+        let cpu = self.remote_cpu(ops, bytes);
+        Leg { to, bytes, cpu }
+    }
+
+    /// Post one doorbell chain from `from` at `at`: `from`'s pipe is
+    /// reserved once for every leg's bytes behind one op overhead, then,
+    /// leg by leg, the target's pipe from that grant's start (the transfer
+    /// is pipelined through both, so the busier pipe gates it) and the
+    /// target's CPU. Returns the local grant and each leg's end. Every NIC
+    /// reservation in the fabric is made here.
+    fn fan_out(&self, from: &Server, at: SimTime, legs: &[Leg<'_>]) -> (Grant, Vec<SimTime>) {
+        let total = legs.iter().map(|l| l.bytes).sum();
+        let local = from
+            .nic()
+            .reserve(at, total, self.bandwidth, self.op_overhead);
+        let ends = legs
+            .iter()
+            .map(|l| {
+                let nic = l.to.nic();
+                let end = nic
+                    .reserve(local.start, l.bytes, self.bandwidth, self.op_overhead)
+                    .end;
+                if l.cpu.is_zero() {
+                    end
+                } else {
+                    l.to.cpu().execute(end, l.cpu).end
+                }
+            })
+            .collect();
+        (local, ends)
+    }
+
+    /// Complete a chain the caller spins on: the later of the local pipe
+    /// and every leg, plus the fixed latency, then the injected delay.
+    fn settle(&self, clock: &mut Clock, (local, ends): (Grant, Vec<SimTime>), extra: SimDuration) {
+        let end = ends.into_iter().fold(local.end, SimTime::max);
+        clock.advance_to(end + self.fixed_latency);
+        clock.advance(extra);
+    }
+}
+
+/// One target of a doorbell chain: `bytes` through `to`'s pipe, then `cpu`
+/// on its cores.
+struct Leg<'s> {
+    to: &'s Server,
+    bytes: u64,
+    cpu: SimDuration,
+}
+
+/// The local end of a one-sided verb.
+enum Dir<'b> {
+    Read(&'b mut [u8]),
+    Write(&'b [u8]),
+}
+
+/// One verb in flight ([`Fabric::begin`]): its span is open and one WR is
+/// posted to the ledger of each server pair it touches.
+struct VerbScope<'f> {
+    fabric: &'f Fabric,
+    pairs: Vec<(ServerId, ServerId)>,
+    metrics: Option<(Arc<FabricMetrics>, SpanToken)>,
+    t0: SimTime,
+}
+
+impl VerbScope<'_> {
+    /// Add one to the field `pick` selects of every pair's ledger.
+    fn tally(&self, pick: fn(&mut (u64, u64)) -> &mut u64) {
+        let mut stats = self.fabric.wr_stats.lock();
+        for &pair in &self.pairs {
+            *pick(stats.entry(pair).or_default()) += 1;
+        }
+    }
+
+    /// Close the verb at `now`: complete its WRs, exit its span, and hand
+    /// its outcome and latency to `publish`.
+    fn end<T>(self, now: SimTime, out: &T, publish: impl FnOnce(&FabricMetrics, &T, SimDuration)) {
+        self.tally(|(_, completed)| completed);
+        if let Some((fm, token)) = self.metrics {
+            fm.registry.span_exit(token, now);
+            publish(&fm, out, now.since(self.t0));
+        }
+    }
+}
+
 /// The cluster: a set of servers connected by a non-blocking switch.
 ///
 /// All remote-memory data movement goes through [`Fabric::read`] /
@@ -235,8 +331,10 @@ pub struct Fabric {
     injector: RwLock<Option<Arc<FaultInjector>>>,
     auditor: RwLock<Option<Arc<Auditor>>>,
     metrics: RwLock<Option<Arc<FabricMetrics>>>,
-    // ordered map: the teardown audit sweep iterates it
-    wr_stats: Mutex<std::collections::BTreeMap<(ServerId, ServerId), Arc<WrLedger>>>,
+    /// Lifetime (posted, completed) work requests per ordered server pair:
+    /// the auditor's no-leaked-WR invariant is `posted == completed` at
+    /// teardown. Ordered: the teardown audit sweep iterates it.
+    wr_stats: Mutex<BTreeMap<(ServerId, ServerId), (u64, u64)>>,
 }
 
 impl Fabric {
@@ -248,7 +346,7 @@ impl Fabric {
             injector: RwLock::new(None),
             auditor: RwLock::new(None),
             metrics: RwLock::new(None),
-            wr_stats: Mutex::new(std::collections::BTreeMap::new()),
+            wr_stats: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -302,10 +400,6 @@ impl Fabric {
         self.servers.read().len()
     }
 
-    fn live_server(&self, id: ServerId) -> Result<Arc<Server>, NetError> {
-        Self::live(&self.servers.read(), id).map(Arc::clone)
-    }
-
     /// Server `id` out of the table, provided it exists and is up.
     fn live(servers: &[Arc<Server>], id: ServerId) -> Result<&Arc<Server>, NetError> {
         let s = servers.get(id.0).ok_or(NetError::NoSuchServer(id))?;
@@ -318,8 +412,8 @@ impl Fabric {
     /// Set up a queue pair between two servers ("Open" in Table 2). Charges
     /// the connection setup time to `clock`. Idempotent.
     pub fn connect(&self, clock: &mut Clock, from: ServerId, to: ServerId) -> Result<(), NetError> {
-        self.live_server(from)?;
-        self.live_server(to)?;
+        Self::live(&self.servers.read(), from)?;
+        Self::live(&self.servers.read(), to)?;
         // verbs hold the metrics guard and then look the pair up here, so
         // this lock must be released before the metrics are touched
         let fresh = self.connections.lock().insert(ordered(from, to));
@@ -342,15 +436,10 @@ impl Fabric {
         self.verify_wr_balance(from, to);
     }
 
-    /// The WR ledger of the pair `(a, b)`, created on first use.
-    fn wr_ledger(&self, a: ServerId, b: ServerId) -> Arc<WrLedger> {
-        Arc::clone(self.wr_stats.lock().entry(ordered(a, b)).or_default())
-    }
-
     /// Lifetime (posted, completed) work-request counts between two servers.
     pub(crate) fn wr_counts(&self, a: ServerId, b: ServerId) -> (u64, u64) {
         let stats = self.wr_stats.lock();
-        stats.get(&ordered(a, b)).map_or((0, 0), |l| l.counts())
+        stats.get(&ordered(a, b)).copied().unwrap_or_default()
     }
 
     /// Audit the WR ledger of one pair: posts == completions (no WR leaked
@@ -396,7 +485,7 @@ impl Fabric {
         server: ServerId,
         len: u64,
     ) -> Result<MrHandle, NetError> {
-        let s = self.live_server(server)?;
+        let s = Arc::clone(Self::live(&self.servers.read(), server)?);
         let id = s.nic().register_mr(len)?;
         clock.advance(self.cfg.registration_cost(len));
         if let Some(m) = self.metrics.read().as_ref() {
@@ -461,7 +550,7 @@ impl Fabric {
         handle: MrHandle,
         offset: u64,
         len: u64,
-    ) -> Result<(&'s Server, &'s Server, crate::mr::MemoryRegion), NetError> {
+    ) -> Result<(&'s Server, &'s Server, MemoryRegion), NetError> {
         let local_srv = Self::live(servers, local)?;
         let remote = Self::live(servers, handle.server)?;
         if !self.is_connected(local, handle.server) {
@@ -485,61 +574,44 @@ impl Fabric {
         Ok((local_srv, remote, mr))
     }
 
-    /// Charge virtual time for moving `bytes` between `local_srv` and the
-    /// MR's server over `proto`, advancing `clock` past the completion.
-    fn charge(
-        &self,
-        clock: &mut Clock,
-        proto: Protocol,
-        local_srv: &Server,
-        remote: &Server,
-        bytes: u64,
-    ) {
-        let costs = self.costs(proto);
-        let now = clock.now();
-        // Serialization occupies both NIC pipes; the transfer is pipelined
-        // through them, so the effective start is gated by whichever pipe is
-        // busier, not the sum of both.
-        let g_local = local_srv
-            .nic()
-            .reserve(now, bytes, costs.bandwidth, costs.op_overhead);
-        let g_remote =
-            remote
-                .nic()
-                .reserve(g_local.start, bytes, costs.bandwidth, costs.op_overhead);
-        let mut end = g_remote.end;
-        // TCP involves the remote CPU per transfer; RDMA bypasses it. This is
-        // the entire mechanism behind Fig. 13.
-        let cpu = costs.remote_cpu_per_op
-            + SimDuration::from_nanos(costs.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024));
-        if !cpu.is_zero() {
-            end = remote.cpu().execute(end, cpu).end;
-        }
-        clock.advance_to(end + costs.fixed_latency);
-    }
-
-    /// Consult the attached fault schedule (if any) for one verb. An injected
-    /// failure still costs the protocol's fixed latency (the time to detect
-    /// the lost completion); injected slowness is charged after the normal
-    /// transfer cost by the caller.
+    /// Consult the attached fault schedule (if any) for one verb at `now`:
+    /// the injected delay, charged after the normal transfer cost, or the
+    /// injected failure.
     fn consult_injector(
         &self,
-        clock: &mut Clock,
-        proto: Protocol,
+        now: SimTime,
         local: ServerId,
         remote: ServerId,
         offset: u64,
     ) -> Result<SimDuration, NetError> {
-        let Some(inj) = self.injector.read().clone() else {
-            return Ok(SimDuration::ZERO);
-        };
-        match inj.inject(clock.now(), local, remote, offset) {
-            Ok(extra) => Ok(extra),
-            Err(e) => {
-                clock.advance(self.costs(proto).fixed_latency);
-                Err(e)
-            }
+        match self.injector.read().as_ref() {
+            Some(inj) => inj.inject(now, local, remote, offset),
+            None => Ok(SimDuration::ZERO),
         }
+    }
+
+    /// Open one verb at `t0`: enter its span (picked out of the metrics by
+    /// `span`) and post one WR to the ledger of `local` and each of
+    /// `peers`. [`VerbScope::end`] closes it, whatever the outcome.
+    fn begin(
+        &self,
+        t0: SimTime,
+        span: impl FnOnce(&FabricMetrics) -> SpanId,
+        local: ServerId,
+        peers: impl Iterator<Item = ServerId>,
+    ) -> VerbScope<'_> {
+        let metrics = self.metrics.read().clone().map(|fm| {
+            let token = fm.registry.span_enter_id(span(&fm), t0);
+            (fm, token)
+        });
+        let scope = VerbScope {
+            fabric: self,
+            pairs: peers.map(|p| ordered(local, p)).collect(),
+            metrics,
+            t0,
+        };
+        scope.tally(|(posted, _)| posted);
+        scope
     }
 
     /// Read `buf.len()` bytes from `handle` at `offset` into `buf`
@@ -553,46 +625,7 @@ impl Fabric {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), NetError> {
-        let metrics = self.metrics.read();
-        let m = metrics.as_deref();
-        let t0 = clock.now();
-        let span = m.map(|fm| fm.registry.span_enter_id(fm.read_span, t0));
-        let ledger = self.wr_ledger(local, handle.server);
-        ledger.post(1);
-        let res = self.read_inner(clock, proto, local, handle, offset, buf);
-        ledger.complete(1);
-        if let Some(fm) = m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            if res.is_ok() {
-                fm.read_ops.incr();
-                fm.read_bytes.add(buf.len() as u64);
-                fm.read_lat.record(clock.now().since(t0));
-            } else {
-                fm.read_errors.incr();
-            }
-        }
-        res
-    }
-
-    fn read_inner(
-        &self,
-        clock: &mut Clock,
-        proto: Protocol,
-        local: ServerId,
-        handle: MrHandle,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), NetError> {
-        let servers = self.servers.read();
-        let (local_srv, remote, mr) =
-            self.validate(&servers, local, handle, offset, buf.len() as u64)?;
-        let extra = self.consult_injector(clock, proto, local, handle.server, offset)?;
-        self.charge(clock, proto, local_srv, remote, buf.len() as u64);
-        clock.advance(extra);
-        mr.read_into(offset, buf);
-        Ok(())
+        self.one_sided(clock, proto, local, handle, offset, Dir::Read(buf))
     }
 
     /// Write `data` into `handle` at `offset`.
@@ -605,46 +638,48 @@ impl Fabric {
         offset: u64,
         data: &[u8],
     ) -> Result<(), NetError> {
-        let metrics = self.metrics.read();
-        let m = metrics.as_deref();
-        let t0 = clock.now();
-        let span = m.map(|fm| fm.registry.span_enter_id(fm.write_span, t0));
-        let ledger = self.wr_ledger(local, handle.server);
-        ledger.post(1);
-        let res = self.write_inner(clock, proto, local, handle, offset, data);
-        ledger.complete(1);
-        if let Some(fm) = m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            if res.is_ok() {
-                fm.write_ops.incr();
-                fm.write_bytes.add(data.len() as u64);
-                fm.write_lat.record(clock.now().since(t0));
-            } else {
-                fm.write_errors.incr();
-            }
-        }
-        res
+        self.one_sided(clock, proto, local, handle, offset, Dir::Write(data))
     }
 
-    fn write_inner(
+    /// A one-sided verb: a one-WR chain to the MR's server, then the bytes
+    /// move in `dir`.
+    fn one_sided(
         &self,
         clock: &mut Clock,
         proto: Protocol,
         local: ServerId,
         handle: MrHandle,
         offset: u64,
-        data: &[u8],
+        dir: Dir<'_>,
     ) -> Result<(), NetError> {
-        let servers = self.servers.read();
-        let (local_srv, remote, mr) =
-            self.validate(&servers, local, handle, offset, data.len() as u64)?;
-        let extra = self.consult_injector(clock, proto, local, handle.server, offset)?;
-        self.charge(clock, proto, local_srv, remote, data.len() as u64);
-        clock.advance(extra);
-        mr.write_from(offset, data);
-        Ok(())
+        let (len, read) = match &dir {
+            Dir::Read(buf) => (buf.len() as u64, true),
+            Dir::Write(data) => (data.len() as u64, false),
+        };
+        let transfer = |clock: &mut Clock| -> Result<(), NetError> {
+            let servers = self.servers.read();
+            let (local_srv, remote, mr) = self.validate(&servers, local, handle, offset, len)?;
+            let costs = self.costs(proto);
+            // an injected failure still costs the time to detect the lost
+            // completion
+            let extra = self
+                .consult_injector(clock.now(), local, handle.server, offset)
+                .inspect_err(|_| clock.advance(costs.fixed_latency))?;
+            let chain = costs.fan_out(local_srv, clock.now(), &[costs.leg(remote, 1, len)]);
+            costs.settle(clock, chain, extra);
+            match dir {
+                Dir::Read(buf) => mr.read_into(offset, buf),
+                Dir::Write(data) => mr.write_from(offset, data),
+            }
+            Ok(())
+        };
+        let peer = once(handle.server);
+        let scope = self.begin(clock.now(), |fm| fm.dir(read).span, local, peer);
+        let res = transfer(clock);
+        scope.end(clock.now(), &res, |fm, res, lat| {
+            fm.dir(read).record(res.is_ok().then_some((1, len, lat)))
+        });
+        res
     }
 
     /// Run a pushdown program over a page span of `handle` *near the
@@ -653,13 +688,15 @@ impl Fabric {
     /// cores, and returns only the compacted payload.
     ///
     /// Cost model (all on virtual time, deterministic):
-    /// * request: `program.encoded_len()` bytes through both NIC pipes;
+    /// * request: a one-WR chain of `program.encoded_len()` bytes to the
+    ///   memory server;
     /// * eval: [`NetConfig::pushdown_eval_cost`] executed on the **memory
     ///   server's CPU pool**, where it contends with every other tenant —
     ///   plus the protocol's usual remote-CPU charge on the reply bytes
     ///   (TCP pays the kernel path, RDMA-based protocols don't);
-    /// * reply: `payload.len()` bytes back through both pipes, then the
-    ///   protocol's fixed latency.
+    /// * reply: a one-WR chain of `payload.len()` bytes from the memory
+    ///   server back, posted when the eval ends, then the protocol's fixed
+    ///   latency.
     ///
     /// Unlike one-sided reads, wire bytes scale with the *result*, not the
     /// span — the Farview/REMOP trade the planner prices against plain
@@ -671,98 +708,64 @@ impl Fabric {
         local: ServerId,
         req: &PushdownRequest<'_>,
     ) -> Result<PushdownReply, NetError> {
-        let metrics = self.metrics.read();
-        let m = metrics.as_deref();
-        let t0 = clock.now();
-        let span = m.map(|fm| fm.registry.span_enter_id(fm.pushdown_span, t0));
-        let ledger = self.wr_ledger(local, req.handle.server);
-        ledger.post(1);
-        let res = self.pushdown_inner(clock, proto, local, req);
-        ledger.complete(1);
-        if let Some(fm) = m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            match &res {
-                Ok(reply) => {
-                    let wire = req.program.encoded_len() as u64 + reply.payload.len() as u64;
-                    fm.pushdown_ops.incr();
-                    fm.pushdown_rows.add(reply.rows_matched);
-                    fm.pushdown_bytes.add(wire);
-                    fm.pushdown_bytes_saved
-                        .add(reply.bytes_scanned.saturating_sub(wire));
-                    fm.pushdown_lat.record(clock.now().since(t0));
-                }
-                Err(_) => fm.pushdown_errors.incr(),
-            }
-        }
-        res
-    }
-
-    fn pushdown_inner(
-        &self,
-        clock: &mut Clock,
-        proto: Protocol,
-        local: ServerId,
-        req: &PushdownRequest<'_>,
-    ) -> Result<PushdownReply, NetError> {
-        let servers = self.servers.read();
-        let (local_srv, remote, mr) =
-            self.validate(&servers, local, req.handle, req.offset, req.len)?;
-        let extra = self.consult_injector(clock, proto, local, req.handle.server, req.offset)?;
-        let mut span_bytes = vec![0u8; req.len as usize];
-        mr.read_into(req.offset, &mut span_bytes);
-        let mut payload = Vec::new();
-        let stats =
-            remem_storage::eval_pages(&span_bytes, req.program, &mut payload).map_err(|_| {
-                NetError::BadPushdown {
-                    reason: "span is not a whole number of 8 KiB pages",
-                }
-            })?;
-        let costs = self.costs(proto);
         let request_bytes = req.program.encoded_len() as u64;
-        let reply_bytes = payload.len() as u64;
-        // Request out: a tiny send carrying the program.
-        let g_req_local = local_srv.nic().reserve(
-            clock.now(),
-            request_bytes,
-            costs.bandwidth,
-            costs.op_overhead,
-        );
-        let g_req_remote = remote.nic().reserve(
-            g_req_local.start,
-            request_bytes,
-            costs.bandwidth,
-            costs.op_overhead,
-        );
-        // Eval on the memory server's cores, contending with other tenants.
-        let eval_cpu = self.cfg.pushdown_eval_cost(stats.rows_scanned, req.len);
-        let proto_cpu = costs.remote_cpu_per_op
-            + SimDuration::from_nanos(
-                costs.remote_cpu_per_kib.as_nanos() * reply_bytes.div_ceil(1024),
-            );
-        let server_cpu = eval_cpu + proto_cpu;
-        let cpu_done = remote.cpu().execute(g_req_remote.end, server_cpu).end;
-        // Reply back: only the compacted payload crosses the fabric.
-        let g_rep_remote =
-            remote
-                .nic()
-                .reserve(cpu_done, reply_bytes, costs.bandwidth, costs.op_overhead);
-        let g_rep_local = local_srv.nic().reserve(
-            g_rep_remote.start,
-            reply_bytes,
-            costs.bandwidth,
-            costs.op_overhead,
-        );
-        clock.advance_to(g_rep_local.end + costs.fixed_latency);
-        clock.advance(extra);
-        Ok(PushdownReply {
-            payload,
-            rows_scanned: stats.rows_scanned,
-            rows_matched: stats.rows_matched,
-            bytes_scanned: req.len,
-            server_cpu,
-        })
+        let eval = |clock: &mut Clock| -> Result<PushdownReply, NetError> {
+            let servers = self.servers.read();
+            let (local_srv, remote, mr) =
+                self.validate(&servers, local, req.handle, req.offset, req.len)?;
+            let costs = self.costs(proto);
+            let extra = self
+                .consult_injector(clock.now(), local, req.handle.server, req.offset)
+                .inspect_err(|_| clock.advance(costs.fixed_latency))?;
+            let mut span_bytes = vec![0u8; req.len as usize];
+            mr.read_into(req.offset, &mut span_bytes);
+            let mut payload = Vec::new();
+            let stats = remem_storage::eval_pages(&span_bytes, req.program, &mut payload).map_err(
+                |_| NetError::BadPushdown {
+                    reason: "span is not a whole number of 8 KiB pages",
+                },
+            )?;
+            let reply_bytes = payload.len() as u64;
+            let request = Leg {
+                to: remote,
+                bytes: request_bytes,
+                cpu: SimDuration::ZERO,
+            };
+            let (_, arrived) = costs.fan_out(local_srv, clock.now(), &[request]);
+            // eval on the memory server's cores, contending with other tenants
+            let server_cpu = self.cfg.pushdown_eval_cost(stats.rows_scanned, req.len)
+                + costs.remote_cpu(1, reply_bytes);
+            let evaluated = remote.cpu().execute(arrived[0], server_cpu).end;
+            // reply back: only the compacted payload crosses the fabric
+            let reply = Leg {
+                to: local_srv,
+                bytes: reply_bytes,
+                cpu: SimDuration::ZERO,
+            };
+            let chain = costs.fan_out(remote, evaluated, &[reply]);
+            costs.settle(clock, chain, extra);
+            Ok(PushdownReply {
+                payload,
+                rows_scanned: stats.rows_scanned,
+                rows_matched: stats.rows_matched,
+                bytes_scanned: req.len,
+                server_cpu,
+            })
+        };
+        let peer = once(req.handle.server);
+        let scope = self.begin(clock.now(), |fm| fm.pushdown.span, local, peer);
+        let res = eval(clock);
+        scope.end(clock.now(), &res, |fm, res, lat| {
+            let wire = |r: &PushdownReply| request_bytes + r.payload.len() as u64;
+            let res = res.as_ref().ok();
+            fm.pushdown.record(res.map(|r| (1, wire(r), lat)));
+            if let Some(r) = res {
+                fm.pushdown_rows.add(r.rows_matched);
+                fm.pushdown_bytes_saved
+                    .add(r.bytes_scanned.saturating_sub(wire(r)));
+            }
+        });
+        res
     }
 
     /// Fan `data` out to every replica in `targets` behind one doorbell,
@@ -780,7 +783,9 @@ impl Fabric {
     ///   can push the quorum instant out (straggler);
     /// * replicas slower than the quorum ack keep their NIC pipes busy past
     ///   the caller's unblock: the catch-up is charged to whoever touches
-    ///   that NIC next, not to this write;
+    ///   that NIC next, not to this write. So is the tail of the local pipe,
+    ///   which serializes every live replica's copy: unlike a batch, the
+    ///   ack does not wait for it;
     /// * malformed requests (`OutOfBounds`, `NotConnected`, unknown server)
     ///   fail the write as a unit without moving bytes or charging time.
     pub fn write_quorum(
@@ -795,35 +800,20 @@ impl Fabric {
             !targets.is_empty(),
             "quorum write needs at least one replica"
         );
-        let metrics = self.metrics.read();
-        let m = metrics.as_deref();
-        let t0 = clock.now();
-        let span = m.map(|fm| fm.registry.span_enter_id(fm.quorum_write_span, t0));
-        let ledgers: Vec<Arc<WrLedger>> = {
-            let mut stats = self.wr_stats.lock();
-            let pairs = targets.iter().map(|(h, _)| ordered(local, h.server));
-            pairs
-                .map(|pair| Arc::clone(stats.entry(pair).or_default()))
-                .collect()
-        };
-        ledgers.iter().for_each(|l| l.post(1));
+        let bytes = data.len() as u64;
+        let peers = targets.iter().map(|(h, _)| h.server);
+        let scope = self.begin(clock.now(), |fm| fm.quorum_span, local, peers);
         let res = self.write_quorum_inner(clock, proto, local, targets, data);
-        ledgers.iter().for_each(|l| l.complete(1));
-        if let Some(fm) = m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
+        scope.end(clock.now(), &res, |fm, res, lat| {
+            let res = res.as_ref().ok();
+            let acks = |q: &QuorumWrite| q.acks as u64;
+            fm.write
+                .record(res.map(|q| (acks(q), bytes * acks(q), lat)));
+            if let Some(q) = res {
+                fm.quorum_writes.incr();
+                fm.quorum_straggler_lag.record(q.straggler_lag);
             }
-            match &res {
-                Ok(q) => {
-                    fm.write_ops.add(q.acks as u64);
-                    fm.write_bytes.add(data.len() as u64 * q.acks as u64);
-                    fm.write_lat.record(clock.now().since(t0));
-                    fm.quorum_writes.incr();
-                    fm.quorum_straggler_lag.record(q.straggler_lag);
-                }
-                Err(_) => fm.write_errors.incr(),
-            }
-        }
+        });
         res
     }
 
@@ -843,11 +833,11 @@ impl Fabric {
         let bytes = data.len() as u64;
         // resolve replicas: a dead one just can't ack; anything structurally
         // wrong fails the WR as a unit
-        let mut live: Vec<(usize, &Server, crate::mr::MemoryRegion, u64)> = Vec::new();
+        let mut live = Vec::new();
         let mut down: Option<NetError> = None;
-        for (i, (handle, offset)) in targets.iter().enumerate() {
+        for (handle, offset) in targets {
             match self.validate(&servers, local, *handle, *offset, bytes) {
-                Ok((_, remote, mr)) => live.push((i, remote, mr, *offset)),
+                Ok((_, remote, mr)) => live.push((remote, mr, *offset)),
                 Err(e @ (NetError::ServerDown(_) | NetError::NoSuchMr { .. })) => {
                     down.get_or_insert(e);
                 }
@@ -856,68 +846,48 @@ impl Fabric {
         }
         // fault schedule: a transient window delays that replica's ack (the
         // transport retransmits, bytes still land); a blackout kills it
-        let inj = self.injector.read().clone();
-        let mut delayed: Vec<(usize, &Server, crate::mr::MemoryRegion, u64, SimDuration)> =
-            Vec::new();
-        for (i, remote, mr, offset) in live {
-            let server = remote.id();
-            let outcome = match &inj {
-                Some(inj) => inj.inject(clock.now(), local, server, offset),
-                None => Ok(SimDuration::ZERO),
-            };
-            match outcome {
-                Ok(extra) => delayed.push((i, remote, mr, offset, extra)),
+        let mut acking = Vec::new();
+        for (remote, mr, offset) in live {
+            match self.consult_injector(clock.now(), local, remote.id(), offset) {
+                Ok(extra) => acking.push((remote, mr, offset, extra)),
+                // retransmit penalty: the ack arrives, late
                 Err(NetError::Transient { .. }) => {
-                    // retransmit penalty: the ack arrives, late
-                    delayed.push((i, remote, mr, offset, costs.fixed_latency * 4));
+                    acking.push((remote, mr, offset, costs.fixed_latency * 4));
                 }
                 Err(e) => {
                     down.get_or_insert(e);
                 }
             }
         }
-        if delayed.len() < quorum {
+        if acking.len() < quorum {
             // not enough acks can ever arrive: one detection latency, no
             // bytes move anywhere (the client must re-issue against a
             // refreshed replica view, so partial delivery never counts)
             clock.advance(costs.fixed_latency);
             return Err(down.unwrap_or(NetError::ServerDown(targets[0].0.server)));
         }
-        // one doorbell posts the whole fan-out chain: the local NIC pays a
-        // single op overhead and serializes every replica's copy of the
-        // payload; each remote pays its own op + serialization
-        let now = clock.now();
-        let fan_bytes = bytes * delayed.len() as u64;
-        let g_local = local_srv
-            .nic()
-            .reserve(now, fan_bytes, costs.bandwidth, costs.op_overhead);
-        let mut completions: Vec<(remem_sim::SimTime, usize)> = Vec::new();
-        for (i, remote, _, _, extra) in &delayed {
-            let g = remote
-                .nic()
-                .reserve(g_local.start, bytes, costs.bandwidth, costs.op_overhead);
-            let mut end = g.end;
-            let cpu = costs.remote_cpu_per_op
-                + SimDuration::from_nanos(
-                    costs.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024),
-                );
-            if !cpu.is_zero() {
-                end = remote.cpu().execute(end, cpu).end;
-            }
-            completions.push((end + costs.fixed_latency + *extra, *i));
-        }
-        completions.sort_unstable();
-        let ack_at = completions[quorum - 1].0;
-        let slowest = completions.last().map(|(t, _)| *t).unwrap_or(ack_at);
+        // one doorbell posts the whole fan-out chain, one copy per replica
+        let legs: Vec<Leg<'_>> = acking
+            .iter()
+            .map(|(remote, ..)| costs.leg(remote, 1, bytes))
+            .collect();
+        let (_, ends) = costs.fan_out(local_srv, clock.now(), &legs);
+        let mut acks: Vec<SimTime> = ends
+            .iter()
+            .zip(&acking)
+            .map(|(&end, (.., extra))| end + costs.fixed_latency + *extra)
+            .collect();
+        acks.sort_unstable();
+        let ack_at = acks[quorum - 1];
+        let slowest = acks.last().copied().unwrap_or(ack_at);
         clock.advance_to(ack_at);
-        for (_, _, mr, offset, _) in &delayed {
+        for (_, mr, offset, _) in &acking {
             mr.write_from(*offset, data);
         }
         Ok(QuorumWrite {
             replicas: n,
-            acks: delayed.len(),
+            acks: acking.len(),
             quorum,
-            completed_at: ack_at,
             straggler_lag: slowest.since(ack_at),
         })
     }
@@ -942,112 +912,90 @@ impl Fabric {
         clock: &mut Clock,
         proto: Protocol,
         local: ServerId,
-        wrs: &mut [crate::verbs::WorkRequest<'_>],
+        wrs: &mut [WorkRequest<'_>],
     ) -> Vec<BatchCompletion> {
-        use std::collections::BTreeMap;
         if wrs.is_empty() {
             return Vec::new();
         }
-        let m = self.metrics.read().clone();
         let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.batch_span, t0));
-        let costs = self.costs(proto);
-        for wr in wrs.iter() {
-            if let Some((server, _)) = wr.target() {
-                self.wr_ledger(local, server).post(1);
+        let peers = wrs.iter().filter_map(|wr| wr.target()).map(|t| t.0);
+        let scope = self.begin(t0, |fm| fm.batch_span, local, peers);
+        let done = self.execute_batch_inner(clock, proto, local, wrs);
+        scope.end(clock.now(), &done, |fm, done, _| {
+            fm.batch_doorbells.incr();
+            fm.batch_size
+                .record(SimDuration::from_nanos(done.len() as u64));
+            for (wr, c) in wrs.iter().zip(done) {
+                let read = matches!(wr, WorkRequest::Read(_));
+                let lat = c.completed_at.since(t0);
+                fm.dir(read)
+                    .record(c.result.is_ok().then_some((1, c.bytes, lat)));
             }
-        }
+        });
+        done
+    }
 
-        // Validate every SGE up front; a WR fails as a unit (the NIC rejects
-        // the whole WQE at post time).
-        let mut plans: Vec<Result<Vec<crate::mr::MemoryRegion>, NetError>> =
-            wrs.iter().map(|wr| self.plan_wr(local, wr)).collect();
+    fn execute_batch_inner(
+        &self,
+        clock: &mut Clock,
+        proto: Protocol,
+        local: ServerId,
+        wrs: &mut [WorkRequest<'_>],
+    ) -> Vec<BatchCompletion> {
+        let costs = self.costs(proto);
+        let servers = self.servers.read();
+        // Validate every SGE up front: each must hit a live, connected,
+        // in-bounds MR, and a WR fails as a unit (the NIC rejects the whole
+        // WQE at post time). A plan is the resolved region per SGE.
+        let mut plans: Vec<Result<Vec<MemoryRegion>, NetError>> = wrs
+            .iter()
+            .map(|wr| {
+                wr.sges()
+                    .into_iter()
+                    .map(|(mr, off, len)| Ok(self.validate(&servers, local, mr, off, len)?.2))
+                    .collect()
+            })
+            .collect();
         // Consult the fault schedule once per surviving WR. Injected
         // slowness delays the whole chain by the worst window hit (the
         // chain completes when its slowest member does).
         let mut extra = SimDuration::ZERO;
         for (wr, plan) in wrs.iter().zip(plans.iter_mut()) {
-            if plan.is_err() {
-                continue;
-            }
-            if let Some((server, offset)) = wr.target() {
-                match self.consult_injector(clock, proto, local, server, offset) {
-                    Ok(e) => {
-                        if e > extra {
-                            extra = e;
-                        }
+            if let (Ok(_), Some((server, offset))) = (&plan, wr.target()) {
+                match self.consult_injector(clock.now(), local, server, offset) {
+                    Ok(e) => extra = extra.max(e),
+                    Err(err) => {
+                        clock.advance(costs.fixed_latency);
+                        *plan = Err(err);
                     }
-                    Err(err) => *plan = Err(err),
                 }
             }
         }
-
-        // Aggregate surviving bytes/ops per remote NIC for the charge.
+        // Aggregate surviving bytes/ops per remote NIC: one leg each.
         let mut per_server: BTreeMap<ServerId, (u64, u64)> = BTreeMap::new();
-        let mut total = 0u64;
-        let mut any_ok = false;
-        for (wr, plan) in wrs.iter().zip(plans.iter()) {
-            if plan.is_ok() {
-                any_ok = true;
-                if let Some((server, _)) = wr.target() {
-                    let e = per_server.entry(server).or_insert((0, 0));
-                    e.0 += wr.bytes();
-                    e.1 += 1;
-                    total += wr.bytes();
-                }
+        for (wr, _) in wrs.iter().zip(&plans).filter(|(_, p)| p.is_ok()) {
+            if let Some((server, _)) = wr.target() {
+                let e = per_server.entry(server).or_default();
+                e.0 += wr.bytes();
+                e.1 += 1;
             }
         }
-
-        // One doorbell: a single op overhead on the local pipe covers the
-        // whole chain; bytes stream behind it at line rate.
-        let mut doorbell: Option<SimTime> = None;
-        if any_ok {
-            match self.live_server(local) {
-                Ok(local_srv) => {
-                    let now = clock.now();
-                    let g_local =
-                        local_srv
-                            .nic()
-                            .reserve(now, total, costs.bandwidth, costs.op_overhead);
-                    let mut end = g_local.end;
-                    for (&server, &(bytes, ops)) in per_server.iter() {
-                        if let Ok(srv) = self.server(server) {
-                            let g = srv.nic().reserve(
-                                g_local.start,
-                                bytes,
-                                costs.bandwidth,
-                                costs.op_overhead,
-                            );
-                            let mut e = g.end;
-                            // TCP still pays the remote CPU per request —
-                            // batching doorbells does not hide Fig. 13.
-                            let cpu = costs.remote_cpu_per_op * ops
-                                + SimDuration::from_nanos(
-                                    costs.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024),
-                                );
-                            if !cpu.is_zero() {
-                                e = srv.cpu().execute(e, cpu).end;
-                            }
-                            if e > end {
-                                end = e;
-                            }
-                        }
-                    }
-                    clock.advance_to(end + costs.fixed_latency);
-                    clock.advance(extra);
-                    doorbell = Some(g_local.start);
-                }
-                Err(e) => {
-                    for plan in plans.iter_mut() {
-                        if plan.is_ok() {
-                            *plan = Err(e.clone());
-                        }
-                    }
-                }
+        // validation proved `local` live for every surviving WR
+        let doorbell = match Self::live(&servers, local) {
+            Ok(local_srv) if plans.iter().any(|p| p.is_ok()) => {
+                let legs: Vec<Leg<'_>> = per_server
+                    .iter()
+                    .filter_map(|(&s, &(bytes, ops))| {
+                        Some(costs.leg(servers.get(s.0)?, ops, bytes))
+                    })
+                    .collect();
+                let chain = costs.fan_out(local_srv, clock.now(), &legs);
+                let start = chain.0.start;
+                costs.settle(clock, chain, extra);
+                Some(start)
             }
-        }
+            _ => None,
+        };
 
         // Move the bytes and stamp per-WR completions: WR i completes once
         // the chain has serialized the cumulative bytes through i, so
@@ -1055,88 +1003,31 @@ impl Fabric {
         // the doorbell's end.
         let final_now = clock.now();
         let mut cum = 0u64;
-        let mut completions = Vec::with_capacity(wrs.len());
-        for (wr, plan) in wrs.iter_mut().zip(plans) {
-            let bytes = wr.bytes();
-            match plan {
-                Ok(regions) => {
-                    cum += bytes;
-                    let at = match doorbell {
-                        Some(start) => {
-                            let t = start
+        wrs.iter_mut()
+            .zip(plans)
+            .map(|(wr, plan)| {
+                let bytes = wr.bytes();
+                let (completed_at, result) = match plan {
+                    Ok(regions) => {
+                        cum += bytes;
+                        wr.execute(&regions);
+                        let at = doorbell.map_or(final_now, |start| {
+                            let serialized = start
                                 + costs.op_overhead
-                                + SimDuration::for_transfer(cum, costs.bandwidth)
-                                + costs.fixed_latency;
-                            if t > final_now {
-                                final_now
-                            } else {
-                                t
-                            }
-                        }
-                        None => final_now,
-                    };
-                    wr.execute(&regions);
-                    completions.push(BatchCompletion {
-                        completed_at: at,
-                        bytes,
-                        result: Ok(()),
-                    });
-                }
-                Err(e) => completions.push(BatchCompletion {
-                    completed_at: final_now,
+                                + SimDuration::for_transfer(cum, costs.bandwidth);
+                            final_now.min(serialized + costs.fixed_latency)
+                        });
+                        (at, Ok(()))
+                    }
+                    Err(e) => (final_now, Err(e)),
+                };
+                BatchCompletion {
+                    completed_at,
                     bytes,
-                    result: Err(e),
-                }),
-            }
-        }
-        for wr in wrs.iter() {
-            if let Some((server, _)) = wr.target() {
-                self.wr_ledger(local, server).complete(1);
-            }
-        }
-
-        if let Some(fm) = &m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            fm.batch_doorbells.incr();
-            fm.batch_size
-                .record(SimDuration::from_nanos(wrs.len() as u64));
-            for (wr, c) in wrs.iter().zip(completions.iter()) {
-                let is_read = matches!(wr, crate::verbs::WorkRequest::Read(_));
-                match (&c.result, is_read) {
-                    (Ok(()), true) => {
-                        fm.read_ops.incr();
-                        fm.read_bytes.add(c.bytes);
-                        fm.read_lat.record(c.completed_at.since(t0));
-                    }
-                    (Ok(()), false) => {
-                        fm.write_ops.incr();
-                        fm.write_bytes.add(c.bytes);
-                        fm.write_lat.record(c.completed_at.since(t0));
-                    }
-                    (Err(_), true) => fm.read_errors.incr(),
-                    (Err(_), false) => fm.write_errors.incr(),
+                    result,
                 }
-            }
-        }
-        completions
-    }
-
-    /// Validate one vectored WR: every SGE must hit a live, connected,
-    /// in-bounds MR. Returns the resolved region per SGE.
-    fn plan_wr(
-        &self,
-        local: ServerId,
-        wr: &crate::verbs::WorkRequest<'_>,
-    ) -> Result<Vec<crate::mr::MemoryRegion>, NetError> {
-        let servers = self.servers.read();
-        let mut regions = Vec::with_capacity(wr.sge_count());
-        for (mr, offset, len) in wr.sges() {
-            let (_, _, region) = self.validate(&servers, local, mr, offset, len)?;
-            regions.push(region);
-        }
-        Ok(regions)
+            })
+            .collect()
     }
 
     /// Direct peek at remote memory without charging time — used only by
