@@ -825,13 +825,22 @@ impl MemoryBroker {
     /// Memory pressure on `server` (the proxy's
     /// `QueryMemoryResourceNotification` path): reclaim up to `bytes`,
     /// preferring unleased MRs, force-revoking active leases only if needed.
+    /// Cache leases go before WAL ring leases (ring space is
+    /// durability-critical), each group in lease-id order: among cache
+    /// leases the oldest goes first, so a TempDB lease granted before a
+    /// BPExt lease is revoked before it. A revoked ring is unmarked.
     /// Reclaimed MRs are deregistered from the donor NIC and freed to its OS.
     /// Returns the bytes reclaimed.
     pub fn reclaim(&self, fabric: &Fabric, server: ServerId, bytes: u64) -> u64 {
         let mut st = self.store.state.lock();
+        let mut rings = self.wal_rings.lock();
         let mut reclaimed = Self::drain_pool(&mut st, fabric, server, bytes);
         let mut revoked = 0u64;
-        for id in Self::active_on(&st, server) {
+        let mut ring_revoked = false;
+        let (ring_ids, cache_ids): (Vec<LeaseId>, Vec<LeaseId>) = Self::active_on(&st, server)
+            .into_iter()
+            .partition(|id| rings.contains(id));
+        for id in cache_ids.into_iter().chain(ring_ids) {
             if reclaimed >= bytes {
                 break;
             }
@@ -839,11 +848,15 @@ impl MemoryBroker {
             if let Ok(wiped) = Self::end_lease(&mut st, id, LeaseState::Revoked, pressured) {
                 reclaimed += wiped;
                 revoked += 1;
+                ring_revoked |= rings.remove(&id);
             }
         }
         self.meter(&st, |m| {
             m.reclaimed_bytes.add(reclaimed);
             m.revoked.add(revoked);
+            if ring_revoked {
+                m.wal_ring_bytes.set(Self::ring_bytes(&st, &rings) as f64);
+            }
         });
         self.verify(&st, None);
         reclaimed
@@ -1104,6 +1117,31 @@ mod tests {
         let got = broker.reclaim(&fabric, donor, 2 * MR);
         assert!(got >= 2 * MR);
         assert_eq!(broker.lease_state(lease.id), Some(LeaseState::Revoked));
+    }
+
+    #[test]
+    fn reclaim_revokes_cache_leases_before_a_wal_ring() {
+        let (fabric, broker, db) = cluster(1, 4);
+        let donor = ServerId(1);
+        let registry = MetricsRegistry::shared();
+        broker.set_metrics(Some(Arc::clone(&registry)));
+        let mut clock = Clock::new();
+        let ring = broker.request_lease(&mut clock, db, MR).unwrap();
+        broker.mark_wal_ring(ring.id).unwrap();
+        let cache = broker.request_lease(&mut clock, db, MR).unwrap();
+        assert_eq!(broker.wal_ring_bytes(), MR);
+        // the unleased pool plus one lease covers the demand: the cache
+        // lease goes although the ring was granted first
+        let got = broker.reclaim(&fabric, donor, 3 * MR);
+        assert_eq!(got, 3 * MR);
+        assert_eq!(broker.lease_state(cache.id), Some(LeaseState::Revoked));
+        assert_eq!(broker.lease_state(ring.id), Some(LeaseState::Active));
+        assert_eq!(broker.wal_ring_bytes(), MR);
+        // past every cache lease the ring goes too, unmarked
+        broker.reclaim(&fabric, donor, MR);
+        assert_eq!(broker.lease_state(ring.id), Some(LeaseState::Revoked));
+        assert_eq!(broker.wal_ring_bytes(), 0);
+        assert_eq!(registry.gauge("broker.wal.ring_bytes").get(), 0.0);
     }
 
     #[test]
