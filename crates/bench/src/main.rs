@@ -4,6 +4,7 @@
 //! remem-bench --check <committed_dir> [--current <fresh_dir>]
 //! remem-bench --identical <committed_dir> <fresh_dir>
 //! remem-bench --throughput <report.json> --floor <floor.json>
+//! remem-bench --sweep <fresh_dir>
 //! ```
 //!
 //! Binaries write `BENCH_<name>.json` to `REMEM_BENCH_ROOT` (default: the
@@ -23,12 +24,20 @@
 //! `--throughput` compares the wall-clock events/sec a report recorded in
 //! its volatile section against a committed floor file — the CI gate that
 //! catches a simulator slowdown (see `check::throughput_gate`).
+//!
+//! `--sweep` runs the binary of every committed report, one after another,
+//! from the directory this executable lives in, with `REMEM_BENCH_ROOT`
+//! set to the fresh directory, and prints each binary's wall-clock seconds
+//! and exit status. It exits non-zero if any binary exits above 1 (a
+//! binary exits 1 on a failed check). `--sweep <dir>` then `--identical .
+//! <dir>` reproduces every fingerprint.
 
-use std::path::PathBuf;
-use std::process::ExitCode;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode, Stdio};
 
 use remem_bench::check::{check_dirs, identical_dirs, throughput_gate};
-use remem_bench::report::bench_root;
+use remem_bench::report::{bench_root, report_names};
+use remem_sim::Stopwatch;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,6 +53,13 @@ fn main() -> ExitCode {
             "--current" => current = it.next().map(PathBuf::from),
             "--throughput" => throughput = it.next().map(PathBuf::from),
             "--floor" => floor = it.next().map(PathBuf::from),
+            "--sweep" => match it.next() {
+                Some(dir) if args.len() == 2 => return sweep(Path::new(dir)),
+                _ => {
+                    eprintln!("--sweep takes one directory and no other argument");
+                    return usage(ExitCode::FAILURE);
+                }
+            },
             "--identical" => match (it.next(), it.next()) {
                 (Some(a), Some(b)) => identical = Some((PathBuf::from(a), PathBuf::from(b))),
                 _ => {
@@ -125,9 +141,61 @@ fn main() -> ExitCode {
     }
 }
 
+/// Run every committed report's binary into `dir`, timing each one.
+fn sweep(dir: &Path) -> ExitCode {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let exe = std::env::current_exe().map_err(|e| e.to_string());
+    let bins = exe.and_then(|p| p.parent().map(Path::to_path_buf).ok_or("no parent".into()));
+    let (names, bins) = match (report_names(&committed), bins) {
+        (Ok(names), Ok(bins)) => (names, bins),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("remem-bench: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "remem-bench: running {} binaries from {} into {}",
+        names.len(),
+        bins.display(),
+        dir.display()
+    );
+    println!("  {:<40} {:>9} {:>5}", "binary", "wall_s", "exit");
+    let total = Stopwatch::start();
+    let mut broken = 0usize;
+    for name in &names {
+        let wall = Stopwatch::start();
+        let status = Command::new(bins.join(name))
+            .env("REMEM_BENCH_ROOT", dir)
+            .stdout(Stdio::null())
+            .status();
+        let secs = wall.elapsed_ms() / 1e3;
+        // a binary exits 1 on a failed check; anything else is broken
+        let exit = match status {
+            Ok(s) => s.code().map_or("signal".to_string(), |c| c.to_string()),
+            Err(e) => format!("spawn: {e}"),
+        };
+        if !matches!(exit.as_str(), "0" | "1") {
+            broken += 1;
+        }
+        println!("  {name:<40} {secs:>9.1} {exit:>5}");
+    }
+    let secs = total.elapsed_ms() / 1e3;
+    println!("  {:<40} {secs:>9.1}", "total");
+    if broken == 0 {
+        ExitCode::SUCCESS
+    } else {
+        println!(
+            "remem-bench: {broken} of {} binaries exited above 1",
+            names.len()
+        );
+        ExitCode::FAILURE
+    }
+}
+
 fn usage(code: ExitCode) -> ExitCode {
     eprintln!("usage: remem-bench --check <committed_dir> [--current <fresh_dir>]");
     eprintln!("       remem-bench --identical <committed_dir> <fresh_dir>");
     eprintln!("       remem-bench --throughput <report.json> --floor <floor.json>");
+    eprintln!("       remem-bench --sweep <fresh_dir>");
     code
 }
