@@ -833,29 +833,35 @@ impl MemoryBroker {
     /// Returns the bytes reclaimed.
     pub fn reclaim(&self, fabric: &Fabric, server: ServerId, bytes: u64) -> u64 {
         let mut st = self.store.state.lock();
-        let mut rings = self.wal_rings.lock();
         let mut reclaimed = Self::drain_pool(&mut st, fabric, server, bytes);
-        let mut revoked = 0u64;
-        let mut ring_revoked = false;
-        let (ring_ids, cache_ids): (Vec<LeaseId>, Vec<LeaseId>) = Self::active_on(&st, server)
-            .into_iter()
-            .partition(|id| rings.contains(id));
-        for id in cache_ids.into_iter().chain(ring_ids) {
+        // cache leases first, ring leases last: the sort is stable, so
+        // lease-id order holds within each group
+        let mut victims = Self::active_on(&st, server);
+        {
+            let marked = self.wal_rings.lock();
+            victims.sort_by_key(|id| marked.contains(id));
+        }
+        let mut revoked = Vec::new();
+        for id in victims {
             if reclaimed >= bytes {
                 break;
             }
             let pressured = Some((fabric, server));
             if let Ok(wiped) = Self::end_lease(&mut st, id, LeaseState::Revoked, pressured) {
                 reclaimed += wiped;
-                revoked += 1;
-                ring_revoked |= rings.remove(&id);
+                revoked.push(id);
             }
+        }
+        let mut ring_revoked = false;
+        for id in &revoked {
+            ring_revoked |= self.wal_rings.lock().remove(id);
         }
         self.meter(&st, |m| {
             m.reclaimed_bytes.add(reclaimed);
-            m.revoked.add(revoked);
+            m.revoked.add(revoked.len() as u64);
             if ring_revoked {
-                m.wal_ring_bytes.set(Self::ring_bytes(&st, &rings) as f64);
+                let bytes = Self::ring_bytes(&st, &self.wal_rings.lock());
+                m.wal_ring_bytes.set(bytes as f64);
             }
         });
         self.verify(&st, None);
