@@ -170,13 +170,12 @@ fn sweep(dir: &Path) -> ExitCode {
             .status();
         let secs = wall.elapsed_ms() / 1e3;
         // a binary exits 1 on a failed check; anything else is broken
-        let exit = match status {
-            Ok(s) => s.code().map_or("signal".to_string(), |c| c.to_string()),
-            Err(e) => format!("spawn: {e}"),
+        let (exit, ok) = match status.map(|s| s.code()) {
+            Ok(Some(code)) => (code.to_string(), code <= 1),
+            Ok(None) => ("signal".to_string(), false),
+            Err(e) => (format!("spawn: {e}"), false),
         };
-        if !matches!(exit.as_str(), "0" | "1") {
-            broken += 1;
-        }
+        broken += usize::from(!ok);
         println!("  {name:<40} {secs:>9.1} {exit:>5}");
     }
     let secs = total.elapsed_ms() / 1e3;
@@ -185,7 +184,7 @@ fn sweep(dir: &Path) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!(
-            "remem-bench: {broken} of {} binaries exited above 1",
+            "remem-bench: {broken} of {} binaries exited above 1 or did not run",
             names.len()
         );
         ExitCode::FAILURE
